@@ -178,8 +178,9 @@ def crossweigh_weights(dataset, folds: int, iterations: int,
             train_idx = np.sort(np.setdiff1d(np.arange(n), reserved))
             fold_seed = rngmod.substream_seed(config.master_seed,
                                               f"crossweigh.{it}.{f}")
+            # Fold models have no dev set, so they cannot select by it.
             fold_config = replace(trainer.make_plain_config(config),
-                                  master_seed=fold_seed)
+                                  master_seed=fold_seed, selection_policy="first")
             result = trainer.train(dataset.subset(train_idx), None, fold_config)
             preds = mdl.predict(result.ensemble.models[0],
                                 dataset.features[reserved])

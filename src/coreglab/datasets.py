@@ -371,12 +371,15 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
         def tag_fn(dataset, preds):
             if dataset.groups is None:
                 raise ValueError("tagging dataset lacks sentence groups")
+            # One stable sort groups the rows by sentence in np.unique order,
+            # keeping each sentence's rows in their original order.
+            order = np.argsort(dataset.groups, kind="stable")
+            bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
+            pred_arr = np.asarray(preds)
             golds, predicted = [], []
-            for g in np.unique(dataset.groups):
-                rows = np.flatnonzero(dataset.groups == g)
+            for rows in (np.split(order, bounds) if len(order) else []):
                 golds.append(metrics.bio_decode(scheme.symbols(dataset.labels[rows])))
-                predicted.append(metrics.bio_decode(
-                    scheme.symbols(np.asarray(preds)[rows])))
+                predicted.append(metrics.bio_decode(scheme.symbols(pred_arr[rows])))
             return metrics.span_f1(golds, predicted).f1
 
         return "f1", tag_fn

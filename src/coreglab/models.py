@@ -145,13 +145,32 @@ def featurize_token_window(instance: TaggingInstance, position: int, window: int
 
 @dataclass
 class MlpModel:
-    """Feed-forward ReLU classifier; weights[i] is (fan_in, fan_out)."""
+    """Feed-forward ReLU classifier over one flat parameter buffer.
+
+    ``params`` is a contiguous float64 vector holding every parameter layer
+    by layer, the row-major (fan_in, fan_out) weight matrix first and then
+    the bias: the layout of params_flat and of backward's gradient.
+    ``weights[i]`` and ``biases[i]`` are reshaped views into it, so an
+    in-place write to ``params`` (as the optimizer and set_params_flat do)
+    is what the layers see. The constructor copies the given weight and bias
+    arrays into a fresh buffer and replaces the lists with views.
+    """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     dropout: float
     seed: int
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = np.concatenate(
+            [np.concatenate([np.ravel(w), np.ravel(b)]).astype(np.float64)
+             for w, b in zip(self.weights, self.biases)])
+        if params.size != param_count(self.layer_sizes):
+            raise ValueError("weights and biases do not match the layer sizes")
+        self.params = params
+        self.weights, self.biases = _layer_views(params, self.layer_sizes)
 
 
 @dataclass
@@ -165,6 +184,19 @@ class ForwardCache:
 
 def param_count(layer_sizes) -> int:
     return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _layer_views(flat: np.ndarray, layer_sizes):
+    """Per-layer (weight, bias) views into a flat vector in params layout."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        n_w = fan_in * fan_out
+        weights.append(flat[offset:offset + n_w].reshape(fan_in, fan_out))
+        offset += n_w
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
@@ -225,8 +257,9 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
 
 
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of sum(logits * dlogits) w.r.t. all parameters, flattened
-    layer by layer (weights then bias), matching params_flat."""
+    """Gradient of sum(logits * dlogits) w.r.t. all parameters, as one freshly
+    allocated flat vector in the layout of ``model.params``; each layer's
+    gradient is written straight into its view of that vector."""
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     d = np.asarray(dlogits, dtype=np.float64)
@@ -234,39 +267,34 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
         d = d[None, :]
     if d.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
         raise ValueError("dlogits shape does not match the cached forward")
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grad = np.empty(model.params.size)
+    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
     dz = d
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = cache.layer_inputs[i].T @ dz
-        grads_b[i] = np.sum(dz, axis=0)
+        np.matmul(cache.layer_inputs[i].T, dz, out=grads_w[i])
+        np.sum(dz, axis=0, out=grads_b[i])
         if i == 0:
             break
         da = dz @ model.weights[i].T
         if cache.drop_masks[i - 1] is not None:
             da = da * cache.drop_masks[i - 1]
         dz = da * cache.relu_masks[i - 1]
-    return np.concatenate(
-        [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
+    return grad
 
 
 def params_flat(model: MlpModel) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)])
+    """A copy of the model's parameter buffer."""
+    return model.params.copy()
 
 
 def set_params_flat(model: MlpModel, flat: np.ndarray) -> None:
+    """Copy ``flat`` into the model's parameter buffer in place. The weight
+    and bias views see the new values; ``flat`` itself is not aliased, so
+    changing it afterwards leaves the model intact."""
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != param_count(model.layer_sizes):
+    if flat.size != model.params.size:
         raise ValueError("flat parameter vector has the wrong length")
-    offset = 0
-    for i, (fan_in, fan_out) in enumerate(
-            zip(model.layer_sizes[:-1], model.layer_sizes[1:])):
-        n_w = fan_in * fan_out
-        model.weights[i] = flat[offset:offset + n_w].reshape(fan_in, fan_out).copy()
-        offset += n_w
-        model.biases[i] = flat[offset:offset + fan_out].copy()
-        offset += fan_out
+    model.params[:] = flat.reshape(-1)
 
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -277,7 +305,7 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 def save_model(model: MlpModel, path) -> None:
     np.savez(path, layer_sizes=np.array(model.layer_sizes, dtype=np.int64),
-             dropout=model.dropout, seed=model.seed, params=params_flat(model))
+             dropout=model.dropout, seed=model.seed, params=model.params)
 
 
 def load_model(path) -> MlpModel:

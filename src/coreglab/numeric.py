@@ -108,17 +108,34 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Returns new params and state."""
+    """One bias-corrected Adam update. Returns new params and state.
+
+    Pure: ``params``, ``grads`` and ``state`` are not modified, and the new
+    parameter vector and moments are fresh arrays, so a caller that keeps its
+    parameters in a buffer (as ``MlpModel.params``) copies the result back.
+    The arithmetic runs in place on those fresh arrays and one scratch
+    vector, in the operation order of the textbook form
+    ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so every bit matches it.
+    """
     p = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if p.shape != g.shape or p.shape != state.first_moment.shape:
         raise ValueError("params/grads/state shape mismatch")
     step = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** step)
-    v_hat = v / (1.0 - state.beta2 ** step)
-    new_p = p - lr * m_hat / (np.sqrt(v_hat) + state.eps_opt)
+    scratch = (1.0 - state.beta1) * g
+    m = state.beta1 * state.first_moment
+    m += scratch
+    np.multiply(1.0 - state.beta2, g, out=scratch)
+    scratch *= g
+    v = state.beta2 * state.second_moment
+    v += scratch
+    np.divide(m, 1.0 - state.beta1 ** step, out=scratch)  # m_hat
+    scratch *= lr
+    new_p = v / (1.0 - state.beta2 ** step)  # v_hat
+    np.sqrt(new_p, out=new_p)
+    new_p += state.eps_opt
+    np.divide(scratch, new_p, out=scratch)
+    np.subtract(p, scratch, out=new_p)
     return new_p, AdamState(step, m, v, state.beta1, state.beta2, state.eps_opt)
 
 

@@ -9,7 +9,6 @@ method shares one data pipeline and seeding scheme.
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,10 +69,11 @@ class TrainConfig:
 def warmup_steps(config: TrainConfig) -> int:
     """Number of warm-up steps: ceil(warmup_pct/100 * total_steps).
 
-    Computed in exact rational arithmetic so grid values like 30% of 10 steps
-    never round up through float noise.
+    Computed in exact integer arithmetic on the float's own ratio, so grid
+    values like 30% of 10 steps never round up through float noise.
     """
-    return math.ceil(Fraction(config.warmup_pct) * config.total_steps / 100)
+    num, den = float(config.warmup_pct).as_integer_ratio()
+    return -(-num * config.total_steps // (den * 100))
 
 
 @dataclass
@@ -121,11 +121,6 @@ class LossReport:
     warmup: bool
 
 
-def _per_instance_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    picked = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
-    return -np.log(picked)
-
-
 def aggregate_targets(probs: np.ndarray, logits: np.ndarray,
                       inst_losses: np.ndarray, mode: str) -> np.ndarray:
     """Batched soft target: probs/logits are (models, batch, classes) and
@@ -165,8 +160,9 @@ def agreement_loss(q: np.ndarray, preds: np.ndarray, eps: float) -> float:
 
 
 def _softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Row-wise gradient through softmax: from dL/dp to dL/dlogits."""
-    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
+    """Row-wise gradient through softmax over the last axis: from dL/dp to
+    dL/dlogits, for any leading (models, batch) shape."""
+    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -184,6 +180,7 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
     scale = 1.0 / (num_models * batch)
     # Direct path: d/dp of q*log((q+eps)/(p+eps)) summed over models.
     dprobs = -scale * q[None, :, :] / (probs + eps)
+    dq = None
     if config.soft_target_gradient:
         dq = scale * np.sum(np.log((q[None, :, :] + eps) / (probs + eps)), axis=0)
         dq += num_models * scale * q / (q + eps)
@@ -196,14 +193,18 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
             dprobs = dprobs + add
         # avg_logit: q's path bypasses the per-model probabilities and is
         # added in logit space below.
-    dlogits = np.stack([_softmax_vjp(probs[k], dprobs[k])
-                        for k in range(num_models)])
-    if config.soft_target_gradient and config.aggregate_mode == "avg_logit":
-        dq = scale * np.sum(np.log((q[None, :, :] + eps) / (probs + eps)), axis=0)
-        dq += num_models * scale * q / (q + eps)
-        dmean_logits = _softmax_vjp(q, dq)
-        dlogits = dlogits + dmean_logits[None, :, :] / num_models
+    dlogits = _softmax_vjp(probs, dprobs)
+    if dq is not None and config.aggregate_mode == "avg_logit":
+        dlogits = dlogits + _softmax_vjp(q, dq)[None, :, :] / num_models
     return dlogits
+
+
+def _floored_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Supervision loss -log(max(p_label, PROB_FLOOR)) per model and row, for
+    probs of shape (models, batch, classes); shape (models, batch), C order
+    so that reductions over it sum in the same order as one row at a time."""
+    picked = np.ascontiguousarray(probs[:, np.arange(len(labels)), labels])
+    return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
@@ -217,7 +218,9 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     supervision loss during warm-up, the joint loss afterwards (with the
     soft target treated as a constant unless soft_target_gradient is on).
     Returns (LossReport, list of gradient vectors); the gradient list is
-    empty when a hook prunes the whole batch.
+    empty when a hook prunes the whole batch. Everything between the
+    per-model forwards and backwards runs once over (models, batch, classes)
+    arrays.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -227,25 +230,25 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     num_models = ensemble.num_models
     w = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
 
-    outs, caches = [], []
+    logits = np.empty((num_models, n_rows, ensemble.models[0].layer_sizes[-1]))
+    caches = [None] * num_models
     for k, model in enumerate(ensemble.models):
-        out, cache = mdl.forward(model, X, train_mode=True, rng=ensemble.dropout_rngs[k])
-        outs.append(out)
-        caches.append(cache)
-    logits = np.stack(outs)
+        logits[k], caches[k] = mdl.forward(model, X, train_mode=True,
+                                           rng=ensemble.dropout_rngs[k])
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged(f"non-finite logits at step {t}")
     probs = softmax(logits)
 
-    inst_losses = np.stack([_per_instance_nll(probs[k], y) for k in range(num_models)])
+    inst_losses = _floored_nll(probs, y)
 
     keep = np.arange(n_rows)
+    pruned = False
     if batch_hook is not None:
         keep, y = batch_hook(t, y, np.mean(inst_losses, axis=0), np.mean(probs, axis=0))
         keep = np.asarray(keep, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        inst_losses = np.stack(
-            [_per_instance_nll(probs[k], y) for k in range(num_models)])
+        inst_losses = _floored_nll(probs, y)
+        pruned = not np.array_equal(keep, np.arange(n_rows))
 
     warmup = t < warmup_steps(config)
     n_kept = len(keep)
@@ -253,14 +256,15 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
         # Nothing left to learn from this batch.
         return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup), []
 
+    # The kept rows are gathered even when all are kept: the gathered arrays'
+    # memory order fixes the summation order inside agreement_loss.
     kept_w = w[keep]
     kept_probs = probs[:, keep, :]
     kept_logits = logits[:, keep, :]
-    kept_losses = inst_losses[:, keep]
+    kept_losses = inst_losses.take(keep, axis=1)  # C order, like _floored_nll
     kept_y = y[keep]
 
-    per_model_sup = np.array(
-        [float(np.sum(kept_w * kept_losses[k]) / n_kept) for k in range(num_models)])
+    per_model_sup = np.sum(kept_w * kept_losses, axis=1) / n_kept
     task_loss = float(np.mean(per_model_sup))
 
     q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
@@ -279,23 +283,19 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     sup_dlogits = (kept_probs - onehot[None, :, :])
     sup_dlogits *= (kept_w * active)[:, :, None] / n_kept
 
-    if warmup or config.gamma == 0.0:
-        agg_dlogits = None
-    else:
-        agg_dlogits = _agreement_dlogits(kept_probs, kept_logits, q,
-                                         kept_losses, config)
+    dlogits = sup_dlogits / num_models
+    if not (warmup or config.gamma == 0.0):
+        dlogits = dlogits + config.gamma * _agreement_dlogits(
+            kept_probs, kept_logits, q, kept_losses, config)
+    if pruned:
+        full = np.zeros((num_models, n_rows, dlogits.shape[2]))
+        full[:, keep] = dlogits
+        dlogits = full
 
-    grads = []
-    for k, model in enumerate(ensemble.models):
-        d_kept = sup_dlogits[k] / num_models
-        if agg_dlogits is not None:
-            d_kept = d_kept + config.gamma * agg_dlogits[k]
-        dlogits = np.zeros((n_rows, kept_probs.shape[2]))
-        dlogits[keep] = d_kept
-        grads.append(mdl.backward(model, caches[k], dlogits))
-
-    report = LossReport(t, tuple(per_model_sup), task_loss, agg_loss, joint_loss,
-                        warmup)
+    grads = [mdl.backward(model, caches[k], dlogits[k])
+             for k, model in enumerate(ensemble.models)]
+    report = LossReport(t, tuple(per_model_sup.tolist()), task_loss, agg_loss,
+                        joint_loss, warmup)
     return report, grads
 
 
@@ -316,8 +316,8 @@ def train_step(features: np.ndarray, labels: np.ndarray, ensemble: ModelEnsemble
     lr = lr_at(LrSchedule(config.base_lr, config.total_steps), t)
     for k, model in enumerate(ensemble.models):
         new_params, ensemble.opt_states[k] = adam_step(
-            mdl.params_flat(model), grads[k], ensemble.opt_states[k], lr)
-        mdl.set_params_flat(model, new_params)
+            model.params, grads[k], ensemble.opt_states[k], lr)
+        model.params[:] = new_params
     return report
 
 
@@ -336,7 +336,6 @@ class TrainResult:
     # (model, epoch, split, metric, value); model is a model index as a
     # string, or "selected" for the selection policy's pick at that epoch.
     epoch_rows: list[tuple] = field(default_factory=list)
-    dev_scores: list[list[float]] = field(default_factory=list)
     best: list[Checkpoint] | None = None
     trajectories: np.ndarray | None = None  # (epochs, train rows) bool
     num_epochs: int = 0
@@ -463,15 +462,10 @@ def _evaluate_epoch(result, dataset, dev_set, extra_eval, metric, metric_name,
         split_values[split] = (split_metric, values)
         if split == "dev":
             dev_scores = values
-    if config.selection_policy == "best_dev" and dev_scores:
-        chosen = int(np.argmax(dev_scores))
-    else:
-        chosen = 0
+    chosen = select_index(dev_scores, config.selection_policy, ensemble.num_models)
     for split, (split_metric, values) in split_values.items():
         result.epoch_rows.append(
             ("selected", epoch, split, split_metric, values[chosen]))
-    if dev_set is not None:
-        result.dev_scores.append(dev_scores)
     return dev_scores
 
 

@@ -48,6 +48,19 @@ def _types_in(tags):
     return sorted({tag[2:] for tag in tags if tag != "O"})
 
 
+def reference_tagging_f1(scheme, groups, labels, preds):
+    """Span F1 with each sentence's rows found by a scan over all rows, one
+    sentence at a time in ascending id order."""
+    from coreglab.metrics import bio_decode, span_f1
+
+    golds, predicted = [], []
+    for g in np.unique(groups):
+        rows = np.flatnonzero(groups == g)
+        golds.append(bio_decode(scheme.symbols(labels[rows])))
+        predicted.append(bio_decode(scheme.symbols(preds[rows])))
+    return span_f1(golds, predicted).f1
+
+
 def direct_agreement_loss(probs, targets, eps):
     """Triple-loop scalar KL agreement: mean over models and instances of
     sum_j q_j * log((q_j + eps) / (p_j + eps))."""
@@ -99,3 +112,149 @@ def pairwise_auroc(scores, flags):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------- joint step
+#
+# The per-model joint step as it stood before the step was batched over the
+# model axis: one Python loop per model for the loss, the softmax VJP and the
+# dlogits, np.stack to join them, a zero-filled scatter for every batch, a
+# Fraction-based warm-up count, a concatenating backward, a textbook Adam,
+# and the parameters copied out of and back into each model every step. The
+# library's step must match it to the bit.
+
+
+def reference_warmup_steps(config):
+    from fractions import Fraction
+
+    return math.ceil(Fraction(config.warmup_pct) * config.total_steps / 100)
+
+
+def reference_backward(model, cache, dlogits):
+    """Layer gradients joined by np.concatenate, weights then bias."""
+    dz = np.atleast_2d(np.asarray(dlogits, dtype=np.float64))
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = cache.layer_inputs[i].T @ dz
+        grads_b[i] = np.sum(dz, axis=0)
+        if i == 0:
+            break
+        da = dz @ model.weights[i].T
+        if cache.drop_masks[i - 1] is not None:
+            da = da * cache.drop_masks[i - 1]
+        dz = da * cache.relu_masks[i - 1]
+    return np.concatenate(
+        [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
+
+
+def reference_adam_step(params, grads, state, lr):
+    from coreglab.numeric import AdamState
+
+    step = state.step + 1
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** step)
+    v_hat = v / (1.0 - state.beta2 ** step)
+    new_p = params - lr * m_hat / (np.sqrt(v_hat) + state.eps_opt)
+    return new_p, AdamState(step, m, v, state.beta1, state.beta2, state.eps_opt)
+
+
+def _reference_nll(probs, labels):
+    picked = np.maximum(probs[np.arange(len(labels)), labels], 1e-12)
+    return -np.log(picked)
+
+
+def _reference_softmax_vjp(probs, dprobs):
+    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
+    return probs * (dprobs - inner)
+
+
+def _reference_agreement_dlogits(probs, q, inst_losses, config):
+    num_models, batch, _ = probs.shape
+    eps = config.kl_eps
+    scale = 1.0 / (num_models * batch)
+    dprobs = -scale * q[None, :, :] / (probs + eps)
+    if config.soft_target_gradient:
+        dq = scale * np.sum(np.log((q[None, :, :] + eps) / (probs + eps)), axis=0)
+        dq += num_models * scale * q / (q + eps)
+        if config.aggregate_mode == "avg_prob":
+            dprobs = dprobs + dq[None, :, :] / num_models
+        elif config.aggregate_mode == "min_prob":
+            worst = np.argmax(inst_losses, axis=0)
+            add = np.zeros_like(dprobs)
+            add[worst, np.arange(batch)] = dq
+            dprobs = dprobs + add
+    dlogits = np.stack([_reference_softmax_vjp(probs[k], dprobs[k])
+                        for k in range(num_models)])
+    if config.soft_target_gradient and config.aggregate_mode == "avg_logit":
+        dq = scale * np.sum(np.log((q[None, :, :] + eps) / (probs + eps)), axis=0)
+        dq += num_models * scale * q / (q + eps)
+        dlogits = dlogits + _reference_softmax_vjp(q, dq)[None, :, :] / num_models
+    return dlogits
+
+
+def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
+                         batch_hook=None):
+    """One joint step, model by model; updates ``ensemble`` in place and
+    returns the LossReport."""
+    from coreglab import models as mdl
+    from coreglab.numeric import PROB_FLOOR, LrSchedule, lr_at, softmax
+    from coreglab.trainer import LossReport, aggregate_targets, agreement_loss
+
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n_rows = X.shape[0]
+    num_models = ensemble.num_models
+    w = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
+    outs, caches = [], []
+    for k, model in enumerate(ensemble.models):
+        out, cache = mdl.forward(model, X, train_mode=True, rng=ensemble.dropout_rngs[k])
+        outs.append(out)
+        caches.append(cache)
+    logits = np.stack(outs)
+    probs = softmax(logits)
+    inst_losses = np.stack([_reference_nll(probs[k], y) for k in range(num_models)])
+    keep = np.arange(n_rows)
+    if batch_hook is not None:
+        keep, y = batch_hook(t, y, np.mean(inst_losses, axis=0), np.mean(probs, axis=0))
+        keep = np.asarray(keep, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        inst_losses = np.stack([_reference_nll(probs[k], y) for k in range(num_models)])
+    warmup = t < reference_warmup_steps(config)
+    n_kept = len(keep)
+    if n_kept == 0:
+        return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup)
+    kept_w = w[keep]
+    kept_probs = probs[:, keep, :]
+    kept_logits = logits[:, keep, :]
+    kept_losses = inst_losses[:, keep]
+    kept_y = y[keep]
+    per_model_sup = np.array(
+        [float(np.sum(kept_w * kept_losses[k]) / n_kept) for k in range(num_models)])
+    task_loss = float(np.mean(per_model_sup))
+    q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
+    agg_loss = agreement_loss(q, kept_probs, config.kl_eps)
+    joint_loss = task_loss + config.gamma * agg_loss
+    onehot = np.zeros_like(kept_probs[0])
+    onehot[np.arange(n_kept), kept_y] = 1.0
+    active = (kept_probs[:, np.arange(n_kept), kept_y] > PROB_FLOOR).astype(np.float64)
+    sup_dlogits = (kept_probs - onehot[None, :, :])
+    sup_dlogits *= (kept_w * active)[:, :, None] / n_kept
+    agg_dlogits = None
+    if not (warmup or config.gamma == 0.0):
+        agg_dlogits = _reference_agreement_dlogits(kept_probs, q, kept_losses, config)
+    grads = []
+    for k, model in enumerate(ensemble.models):
+        d_kept = sup_dlogits[k] / num_models
+        if agg_dlogits is not None:
+            d_kept = d_kept + config.gamma * agg_dlogits[k]
+        dlogits = np.zeros((n_rows, kept_probs.shape[2]))
+        dlogits[keep] = d_kept
+        grads.append(reference_backward(model, caches[k], dlogits))
+    lr = lr_at(LrSchedule(config.base_lr, config.total_steps), t)
+    for k, model in enumerate(ensemble.models):
+        new_params, ensemble.opt_states[k] = reference_adam_step(
+            mdl.params_flat(model), grads[k], ensemble.opt_states[k], lr)
+        mdl.set_params_flat(model, new_params)
+    return LossReport(t, tuple(per_model_sup), task_loss, agg_loss, joint_loss, warmup)

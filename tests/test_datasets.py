@@ -14,6 +14,7 @@ from coreglab.datasets import (DataError, LabeledDataset, RelationSchema,
                                write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import SentenceInstance, TaggingInstance, Vocab, entity_mask
+from oracles import reference_tagging_f1
 
 
 # ---------------------------------------------------------------- container
@@ -389,6 +390,27 @@ def test_make_metric_tagging():
     flat = LabeledDataset(np.zeros((3, 2)), np.array([1, 2, 0]), len(scheme))
     with pytest.raises(ValueError, match="groups"):
         fn(flat, np.array([1, 2, 0]))
+
+
+def test_make_metric_tagging_matches_per_sentence_reference(monkeypatch):
+    from coreglab import metrics
+
+    scheme = TagScheme(["PER", "LOC"])
+    name, fn = make_metric("tagging", scheme=scheme)
+    rng = np.random.default_rng(8)
+    # Unsorted, non-contiguous sentence ids with interleaved rows; also none.
+    for n in (0, *rng.integers(1, 60, size=19)):
+        groups = rng.choice([7, 2, 40, 13, 5, 91], size=n)
+        labels = rng.integers(0, len(scheme), size=n)
+        preds = rng.integers(0, len(scheme), size=n)
+        data = LabeledDataset(np.zeros((n, 1)), labels, len(scheme), groups=groups)
+        decoded = []
+        monkeypatch.setattr(metrics, "bio_decode",
+                            lambda tags: decoded.append(tags) or bio_decode(tags))
+        got = fn(data, preds)
+        monkeypatch.undo()
+        assert got == reference_tagging_f1(scheme, groups, labels, preds)
+        assert len(decoded) == 2 * len(np.unique(groups))
 
 
 # ---------------------------------------------------------------- generators

@@ -240,6 +240,25 @@ def test_run_experiment_methods(tmp_path, method):
         assert len(weight_rows) == 41
 
 
+def test_run_experiment_crossweigh_best_dev(tmp_path):
+    # The fold models have no dev set; best_dev applies to the final fit only,
+    # so the fold weights are those of the default policy.
+    runs = {}
+    for policy in ("first", "best_dev"):
+        mapping = tiny_mapping(
+            tmp_path, method="crossweigh", seeds=[3], epochs=2,
+            output_dir=str(tmp_path / policy),
+            train={"num_models": 1, "batch_size": 20, "hidden_sizes": [4],
+                   "dropout": 0.0, "selection_policy": policy},
+            baseline={"folds": 2, "iterations": 1})
+        manifest = run_experiment(ExperimentConfig.from_mapping(mapping))
+        assert manifest.failure is None
+        runs[policy] = tmp_path / policy / "seed_3"
+    assert (runs["best_dev"] / "model.npz").exists()
+    assert (runs["best_dev"] / "weights.csv").read_bytes() == \
+        (runs["first"] / "weights.csv").read_bytes()
+
+
 def test_run_experiment_failure_recorded(tmp_path):
     mapping = tiny_mapping(tmp_path, task="relation",
                            output_dir=str(tmp_path / "fail"),

@@ -283,3 +283,70 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.dropout == model.dropout
     assert loaded.seed == model.seed
     assert params_flat(loaded).tobytes() == params_flat(model).tobytes()
+
+
+def _assert_views_alias_params(model):
+    assert model.params.dtype == np.float64
+    assert model.params.flags.c_contiguous
+    assert model.params.shape == (param_count(model.layer_sizes),)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        assert w.shape == (model.layer_sizes[i], model.layer_sizes[i + 1])
+        assert b.shape == (model.layer_sizes[i + 1],)
+        assert np.shares_memory(w, model.params)
+        assert np.shares_memory(b, model.params)
+    # The buffer is laid out as params_flat: each layer's weights, then bias.
+    joined = np.concatenate([np.concatenate([w.ravel(), b])
+                             for w, b in zip(model.weights, model.biases)])
+    assert joined.tobytes() == model.params.tobytes()
+    # A write to the buffer is seen by the layers.
+    model.params[:] = np.arange(model.params.size)
+    assert model.weights[0][0, 1] == 1.0
+    assert model.biases[-1][-1] == model.params.size - 1
+
+
+def test_layers_are_views_of_params_after_init():
+    _assert_views_alias_params(init_model((4, 6, 5, 3), 0.1, seed=2))
+
+
+def test_layers_are_views_of_params_when_built_from_lists():
+    weights = [[[1, -1], [2, 0]], np.array([[1.0, 0.0], [1.0, 1.0]])]
+    biases = [np.array([0.1, -0.2]), [0, 1]]
+    model = MlpModel((2, 2, 2), weights, biases, dropout=0.0, seed=0)
+    np.testing.assert_array_equal(
+        model.params, [1, -1, 2, 0, 0.1, -0.2, 1, 0, 1, 1, 0, 1])
+    # The given arrays are copied, not aliased.
+    assert not np.shares_memory(biases[0], model.params)
+    _assert_views_alias_params(model)
+    with pytest.raises(ValueError, match="layer sizes"):
+        MlpModel((2, 3, 2), weights, biases, dropout=0.0, seed=0)
+
+
+def test_layers_are_views_of_params_after_load(tmp_path):
+    path = tmp_path / "model.npz"
+    save_model(init_model((5, 4, 3), 0.0, seed=1), path)
+    _assert_views_alias_params(load_model(path))
+
+
+def test_set_params_flat_writes_buffer_in_place():
+    model = init_model((3, 4, 2), 0.0, seed=0)
+    buffer = model.params
+    flat = np.random.default_rng(1).normal(size=buffer.size)
+    set_params_flat(model, flat)
+    assert model.params is buffer
+    assert buffer.tobytes() == flat.tobytes()
+    # Deep copy: later changes to the source reach neither buffer nor views.
+    expected = flat.copy()
+    flat[:] = 0.0
+    assert model.params.tobytes() == expected.tobytes()
+    assert not np.shares_memory(params_flat(model), model.params)
+    _assert_views_alias_params(model)
+
+
+def test_backward_returns_fresh_vector_in_params_layout():
+    model = init_model((3, 4, 2), 0.0, seed=0)
+    logits, cache = forward(model, np.ones((2, 3)))
+    grad = backward(model, cache, np.ones_like(logits))
+    assert grad.shape == model.params.shape
+    assert not np.shares_memory(grad, model.params)
+    # Bias gradients of the output layer sit last: the sum of dlogits rows.
+    np.testing.assert_array_equal(grad[-2:], [2.0, 2.0])
