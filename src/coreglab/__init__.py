@@ -24,9 +24,8 @@ from .experiment import (ConfigError, ExperimentConfig, RunManifest,
 from .metrics import (F1Report, Span, TagScheme, accuracy, bio_decode,
                       bio_encode, relation_micro_f1, span_f1)
 from .models import (MlpModel, SentenceInstance, TaggingInstance, Vocab,
-                     backward, entity_mask, featurize_sentence,
-                     featurize_token_window, forward, init_model, load_model,
-                     param_count, predict, save_model)
+                     backward, entity_mask, featurize_sentence, forward,
+                     init_model, load_model, param_count, predict, save_model)
 from .noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                        auroc, disagreement_report, first_learned_means,
                        forgetting_stats, inject_noise, noise_overfit_eval,

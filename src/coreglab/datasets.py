@@ -25,13 +25,30 @@ class DataError(Exception):
     """A dataset file is missing, malformed, or inconsistent."""
 
 
+def _open_data(path):
+    """Open a data file for reading; an unreadable path is a DataError."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path, what: str):
+    with _open_data(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: bad {what}: {exc}") from exc
+
+
 @dataclass
 class LabeledDataset:
     """Dense feature matrix with integer labels.
 
     true_labels, when present, carry the uncorrupted labels for noise
     experiments; groups map each row to a sentence for span-level scoring
-    of tagging tasks.
+    of tagging tasks. Features are read-only once a dataset is built:
+    with_labels shares the matrix between the datasets it relates.
     """
 
     features: np.ndarray
@@ -83,13 +100,14 @@ class LabeledDataset:
             groups=None if self.groups is None else self.groups[idx])
 
     def with_labels(self, labels, *, keep_true: bool = True) -> "LabeledDataset":
-        """Copy with replaced labels; the current labels become the hidden
-        true labels unless some are already recorded."""
+        """Copy with replaced labels, sharing the feature matrix; the current
+        labels become the hidden true labels unless some are already
+        recorded."""
         if keep_true:
             true = self.true_labels if self.true_labels is not None else self.labels.copy()
         else:
             true = self.true_labels
-        return LabeledDataset(self.features.copy(), labels, self.num_classes,
+        return LabeledDataset(self.features, labels, self.num_classes,
                               ids=self.ids.copy(), true_labels=true,
                               groups=None if self.groups is None else self.groups.copy())
 
@@ -138,8 +156,7 @@ class RelationSchema:
 
     @classmethod
     def load(cls, path) -> "RelationSchema":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _load_json(path, "relation schema")
         try:
             return cls(tuple(raw["relations"]), raw["negative"],
                        tuple(raw["entity_types"]))
@@ -161,8 +178,7 @@ def save_vocab(vocab: mdl.Vocab, path) -> None:
 
 
 def load_vocab(path) -> mdl.Vocab:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _load_json(path, "vocabulary file")
     try:
         return mdl.Vocab(list(raw["tokens"]))
     except (KeyError, TypeError) as exc:
@@ -170,8 +186,7 @@ def load_vocab(path) -> mdl.Vocab:
 
 
 def load_tag_scheme(path) -> metrics.TagScheme:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _load_json(path, "tagging schema")
     try:
         return metrics.TagScheme(list(raw["entity_types"]))
     except (KeyError, TypeError) as exc:
@@ -197,7 +212,7 @@ def read_conll(path, scheme: metrics.TagScheme) -> list[mdl.TaggingInstance]:
             tokens.clear()
             tags.clear()
 
-    with open(path) as fh:
+    with _open_data(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -231,7 +246,7 @@ _RELATION_KEYS = ("tokens", "subj", "subj_type", "obj", "obj_type", "label")
 def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
     instances = []
-    with open(path) as fh:
+    with _open_data(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -276,7 +291,7 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset."""
     feats, labels, ids, trues = [], [], [], []
-    with open(path) as fh:
+    with _open_data(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -332,21 +347,33 @@ def build_relation_dataset(instances, schema: RelationSchema,
 def build_tagging_dataset(instances, scheme: metrics.TagScheme,
                           vocab: mdl.Vocab | None = None, window: int = 1):
     """One row per token: windowed one-hot features with the BIO tag index
-    as the label; groups record the source sentence."""
+    as the label; groups record the source sentence.
+
+    A row is 2*window+1 one-hot blocks of len(vocab) columns, one per token
+    in [position-window, position+window], with <pad> outside the sentence.
+    """
     if vocab is None:
         vocab = mdl.Vocab(sorted({tok for inst in instances for tok in inst.tokens}))
-    rows, labels, groups = [], [], []
-    for s, inst in enumerate(instances):
-        for pos in range(len(inst.tokens)):
-            rows.append(mdl.featurize_token_window(inst, pos, window, vocab))
-            labels.append(inst.tags[pos])
-            groups.append(s)
-    if not rows:
-        width = (2 * window + 1) * len(vocab)
-        empty = np.empty((0, width))
-        return LabeledDataset(empty, np.empty(0, np.int64), len(scheme)), vocab
-    return LabeledDataset(np.stack(rows), np.array(labels, dtype=np.int64),
-                          len(scheme), groups=np.array(groups)), vocab
+    lengths = np.array([len(inst.tokens) for inst in instances], dtype=np.int64)
+    groups = np.repeat(np.arange(len(instances)), lengths)
+    labels = np.array([tag for inst in instances for tag in inst.tags], dtype=np.int64)
+    # Every sentence padded by `window` <pad> ids on both sides, so the token
+    # in slot j of row r's window sits at padded[r + 2*window*groups[r] + j].
+    pad = [vocab.pad_index] * window
+    index = vocab.index
+    padded = []
+    for inst in instances:
+        padded += pad
+        padded += [index(tok) for tok in inst.tokens]
+        padded += pad
+    padded = np.array(padded, dtype=np.int64)
+    size = len(vocab)
+    rows = np.arange(len(labels))
+    first = rows + 2 * window * groups
+    features = np.zeros((len(labels), (2 * window + 1) * size))
+    for slot in range(2 * window + 1):
+        features[rows, slot * size + padded[first + slot]] = 1.0
+    return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
 
 
 def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
@@ -375,11 +402,14 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
             # keeping each sentence's rows in their original order.
             order = np.argsort(dataset.groups, kind="stable")
             bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
-            pred_arr = np.asarray(preds)
+            edges = [0, *bounds.tolist(), len(order)] if len(order) else [0]
+            tags = scheme.tags
+            gold = [tags[i] for i in dataset.labels[order].tolist()]
+            pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
             golds, predicted = [], []
-            for rows in (np.split(order, bounds) if len(order) else []):
-                golds.append(metrics.bio_decode(scheme.symbols(dataset.labels[rows])))
-                predicted.append(metrics.bio_decode(scheme.symbols(pred_arr[rows])))
+            for start, stop in zip(edges, edges[1:]):
+                golds.append(metrics.bio_decode(gold[start:stop]))
+                predicted.append(metrics.bio_decode(pred[start:stop]))
             return metrics.span_f1(golds, predicted).f1
 
         return "f1", tag_fn

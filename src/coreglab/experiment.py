@@ -60,6 +60,15 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _check_data_int(data, key, default, minimum):
+    try:
+        value = int(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"data.{key} must be an integer: {exc}") from exc
+    if value < minimum:
+        raise ConfigError(f"data.{key} must be >= {minimum}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; ``raw`` keeps the parsed mapping so the run
@@ -88,7 +97,10 @@ class ExperimentConfig:
         method = raw.get("method", "coreg")
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
-        seeds = tuple(int(s) for s in raw.get("seeds", ()))
+        try:
+            seeds = tuple(int(s) for s in raw.get("seeds", ()))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
         if not seeds:
             raise ConfigError("seeds must be a non-empty list")
         if len(set(seeds)) != len(seeds):
@@ -98,9 +110,9 @@ class ExperimentConfig:
             raise ConfigError("output_dir is required")
         train_raw = dict(raw.get("train", {}))
         _check_keys(train_raw, _TRAIN_KEYS, "train")
-        if "hidden_sizes" in train_raw:
-            train_raw["hidden_sizes"] = tuple(int(h) for h in train_raw["hidden_sizes"])
         try:
+            if "hidden_sizes" in train_raw:
+                train_raw["hidden_sizes"] = tuple(int(h) for h in train_raw["hidden_sizes"])
             tcfg = trainer.TrainConfig(**train_raw)
             tcfg.validate(min_models=1)
         except (TypeError, ValueError) as exc:
@@ -112,12 +124,21 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         data = dict(raw.get("data", {}))
         _check_keys(data, _DATA_KEYS, "data")
+        if task == "synthetic":
+            _check_data_int(data, "num_classes", 4, 2)
+            _check_data_int(data, "num_features", 2, 2)
+        elif task == "tagging":
+            _check_data_int(data, "window", 1, 0)
         noise = raw.get("noise")
         if noise is not None:
             noise = dict(noise)
             _check_keys(noise, _NOISE_KEYS, "noise")
             if "rate" not in noise:
                 raise ConfigError("noise requires a rate")
+            try:
+                _noise_spec(noise, seeds[0])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad noise settings: {exc}") from exc
         baseline = dict(raw.get("baseline", {}))
         _check_keys(baseline, _BASELINE_KEYS, "baseline")
         analysis = dict(raw.get("analysis", {}))
@@ -215,16 +236,16 @@ def _resolved_train_config(config: ExperimentConfig, seed: int,
     return tcfg
 
 
-def _noise_spec(config: ExperimentConfig, seed: int) -> noiselab.NoiseSpec | None:
-    if config.noise is None:
+def _noise_spec(noise: dict | None, seed: int) -> noiselab.NoiseSpec | None:
+    if noise is None:
         return None
-    noise_seed = config.noise.get("seed")
+    noise_seed = noise.get("seed")
     if noise_seed is None:
         noise_seed = rngmod.substream_seed(seed, "noise")
-    confusion = config.noise.get("confusion")
+    confusion = noise.get("confusion")
     return noiselab.NoiseSpec(
-        rate=float(config.noise["rate"]), seed=int(noise_seed),
-        scheme=config.noise.get("scheme", "uniform_flip"),
+        rate=float(noise["rate"]), seed=int(noise_seed),
+        scheme=noise.get("scheme", "uniform_flip"),
         confusion=None if confusion is None else np.asarray(confusion, float))
 
 
@@ -317,7 +338,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             seed_dir.mkdir(parents=True, exist_ok=True)
             train_set = task.train
             dev_set = task.dev
-            spec = _noise_spec(config, seed)
+            spec = _noise_spec(config.noise, seed)
             if spec is not None:
                 train_set, mask = noiselab.inject_noise(train_set, spec)
                 mask.save_csv(seed_dir / "flips.csv")
@@ -392,7 +413,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
         scale=float(data.get("scale", 1.0)))
     for seed in config.seeds:
         train_set = task.train
-        spec = _noise_spec(config, seed)
+        spec = _noise_spec(config.noise, seed)
         if spec is not None:
             train_set, _ = noiselab.inject_noise(train_set, spec)
         pool_spec = noiselab.NoiseSpec(
@@ -431,7 +452,7 @@ def run_audit(config: ExperimentConfig):
     seed = config.seeds[0]
     train_set = task.train
     mask = None
-    spec = _noise_spec(config, seed)
+    spec = _noise_spec(config.noise, seed)
     if spec is not None:
         train_set, mask = noiselab.inject_noise(train_set, spec)
         mask.save_csv(run_dir / "flips.csv")

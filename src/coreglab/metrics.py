@@ -63,6 +63,13 @@ class TagScheme:
         return [self.tags[int(i)] for i in indices]
 
 
+# Well-formed BIO symbols parsed so far: symbol -> (starts a span, entity
+# type or None). A tag scheme has two symbols per entity type plus O; the cap
+# only bounds the memo for callers that stream arbitrary symbols.
+_BIO_SYMBOLS = {"O": (False, None)}
+_BIO_SYMBOLS_CAP = 1024
+
+
 def bio_decode(tags: list[str]) -> list[Span]:
     """Decode a BIO tag sequence into typed spans.
 
@@ -73,22 +80,18 @@ def bio_decode(tags: list[str]) -> list[Span]:
     open_type = None
     open_start = -1
     for i, tag in enumerate(tags):
-        if tag == "O":
-            kind, etype = "O", None
-        elif tag.startswith("B-") and len(tag) > 2:
-            kind, etype = "B", tag[2:]
-        elif tag.startswith("I-") and len(tag) > 2:
-            kind, etype = "I", tag[2:]
-        else:
-            raise ValueError(f"unknown tag symbol {tag!r} at position {i}")
-        if kind == "B" or (kind == "I" and etype != open_type):
+        parsed = _BIO_SYMBOLS.get(tag)
+        if parsed is None:
+            if tag[:2] not in ("B-", "I-") or len(tag) < 3:
+                raise ValueError(f"unknown tag symbol {tag!r} at position {i}")
+            parsed = (tag[0] == "B", tag[2:])
+            if len(_BIO_SYMBOLS) < _BIO_SYMBOLS_CAP:
+                _BIO_SYMBOLS[tag] = parsed
+        begins, etype = parsed
+        if begins or etype != open_type:
             if open_type is not None:
                 spans.append(Span(open_type, open_start, i - 1))
             open_type, open_start = etype, i
-        elif kind == "O":
-            if open_type is not None:
-                spans.append(Span(open_type, open_start, i - 1))
-            open_type = None
     if open_type is not None:
         spans.append(Span(open_type, open_start, len(tags) - 1))
     return spans
@@ -116,15 +119,12 @@ def span_f1(gold: list[list[Span]], pred: list[list[Span]]) -> F1Report:
     """
     if len(gold) != len(pred):
         raise ValueError("gold and pred sentence lists are not aligned")
-    tp = fp = fn = 0
-    for gold_spans, pred_spans in zip(gold, pred):
-        g = Counter(gold_spans)
-        p = Counter(pred_spans)
-        matched = sum((g & p).values())
-        tp += matched
-        fp += sum(p.values()) - matched
-        fn += sum(g.values()) - matched
-    return F1Report.from_counts(tp, fp, fn)
+    # Spans keyed by sentence index, so equal spans of different sentences
+    # never match; the Counters keep repeated spans as multiplicities.
+    g = Counter((s, span) for s, spans in enumerate(gold) for span in spans)
+    p = Counter((s, span) for s, spans in enumerate(pred) for span in spans)
+    tp = sum((g & p).values())
+    return F1Report.from_counts(tp, p.total() - tp, g.total() - tp)
 
 
 def relation_micro_f1(gold, pred, negative_class: int) -> F1Report:

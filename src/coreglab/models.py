@@ -1,5 +1,5 @@
-"""Desk-scale task models: vocab, featurizers, entity masking, and an MLP
-with exact manual forward/backward.
+"""Desk-scale task models: vocab, sentence featurizer, entity masking, and
+an MLP with exact manual forward/backward.
 
 The classifier is a plain feed-forward ReLU network over explicit features
 (bag of tokens for sentence classification, one-hot windows for token
@@ -123,24 +123,6 @@ def featurize_sentence(tokens: list[str], vocab: Vocab) -> np.ndarray:
     for tok in tokens:
         vec[vocab.index(tok)] += 1.0
     return vec / len(tokens)
-
-
-def featurize_token_window(instance: TaggingInstance, position: int, window: int,
-                           vocab: Vocab) -> np.ndarray:
-    """Concatenated one-hot vectors for tokens in [position-window,
-    position+window], with <pad> one-hots outside the sentence."""
-    n = len(instance.tokens)
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range")
-    size = len(vocab)
-    vec = np.zeros((2 * window + 1) * size)
-    for slot, pos in enumerate(range(position - window, position + window + 1)):
-        if 0 <= pos < n:
-            idx = vocab.index(instance.tokens[pos])
-        else:
-            idx = vocab.pad_index
-        vec[slot * size + idx] = 1.0
-    return vec
 
 
 @dataclass

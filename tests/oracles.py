@@ -7,6 +7,7 @@ is meaningful evidence rather than a tautology.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -48,17 +49,53 @@ def _types_in(tags):
     return sorted({tag[2:] for tag in tags if tag != "O"})
 
 
+def reference_span_f1(gold, pred):
+    """Exact-match span F1 sentence by sentence, as (tp, fp, fn, precision,
+    recall, f1): a per-sentence multiset intersection, each gold span
+    matched at most once."""
+    if len(gold) != len(pred):
+        raise ValueError("gold and pred sentence lists are not aligned")
+    tp = fp = fn = 0
+    for gold_spans, pred_spans in zip(gold, pred):
+        g = Counter(gold_spans)
+        p = Counter(pred_spans)
+        matched = sum((g & p).values())
+        tp += matched
+        fp += sum(p.values()) - matched
+        fn += sum(g.values()) - matched
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return tp, fp, fn, precision, recall, f1
+
+
 def reference_tagging_f1(scheme, groups, labels, preds):
     """Span F1 with each sentence's rows found by a scan over all rows, one
-    sentence at a time in ascending id order."""
-    from coreglab.metrics import bio_decode, span_f1
-
+    sentence at a time in ascending id order, decoded by enumeration."""
     golds, predicted = [], []
     for g in np.unique(groups):
         rows = np.flatnonzero(groups == g)
-        golds.append(bio_decode(scheme.symbols(labels[rows])))
-        predicted.append(bio_decode(scheme.symbols(preds[rows])))
-    return span_f1(golds, predicted).f1
+        golds.append(reference_bio_decode([scheme.tags[int(i)] for i in labels[rows]]))
+        predicted.append(reference_bio_decode([scheme.tags[int(i)] for i in preds[rows]]))
+    return reference_span_f1(golds, predicted)[-1]
+
+
+def featurize_token_window(instance, position, window, vocab):
+    """One token's row: concatenated one-hot vectors for tokens in
+    [position-window, position+window], with <pad> one-hots outside the
+    sentence."""
+    n = len(instance.tokens)
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range")
+    size = len(vocab)
+    vec = np.zeros((2 * window + 1) * size)
+    for slot, pos in enumerate(range(position - window, position + window + 1)):
+        if 0 <= pos < n:
+            idx = vocab.index(instance.tokens[pos])
+        else:
+            idx = vocab.pad_index
+        vec[slot * size + idx] = 1.0
+    return vec
 
 
 def direct_agreement_loss(probs, targets, eps):

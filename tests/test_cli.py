@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -76,6 +77,65 @@ def test_train_missing_data_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["train", str(config_path)])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def assert_clean_exit(result, code):
+    """The command ended through the error handler: the expected exit code,
+    an `error:` line, and no escaped exception (which CliRunner would record
+    instead of printing a traceback)."""
+    assert result.exit_code == code, result.output
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seeds": ["abc"]},
+    {"train": {"num_models": 2, "hidden_sizes": 5}},
+    {"noise": {"rate": 1.5}},
+    {"data": {"num_classes": 1}},
+    {"task": "tagging", "data": {"window": -1}},
+], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window"])
+def test_train_invalid_config_exits_1(runner, tmp_path, overrides):
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, **overrides)
+    assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 1)
+
+
+TASK_FILES = {
+    "tagging": ({"entity_types": ["PER"]}, "Ann B-PER\nran O\n"),
+    "relation": ({"relations": ["none", "founded"], "negative": "none",
+                  "entity_types": ["PER", "ORG"]},
+                 json.dumps({"tokens": ["Ann", "founded", "Acme"], "subj": [0, 0],
+                             "subj_type": "PER", "obj": [2, 2], "obj_type": "ORG",
+                             "label": "founded"}) + "\n"),
+}
+
+
+@pytest.mark.parametrize("task,broken", [
+    ("tagging", "schema"), ("tagging", "data"),
+    ("relation", "schema"), ("relation", "data"), ("synthetic", "data"),
+])
+def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
+    """A schema that is not JSON, or a data path that is a directory."""
+    if task == "synthetic":
+        result = runner.invoke(main, [
+            "inject-noise", "--input", str(tmp_path),
+            "--output", str(tmp_path / "noisy.jsonl"), "--rate", "0.1"])
+        assert_clean_exit(result, 2)
+        return
+    schema, records = TASK_FILES[task]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text("{not json" if broken == "schema" else json.dumps(schema))
+    data_path = tmp_path / "split.data"
+    data_path.write_text(records)
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, task=task, method="plain",
+                 train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4]},
+                 data={"train_path": str(tmp_path if broken == "data" else data_path),
+                       "dev_path": str(data_path), "test_path": str(data_path),
+                       "schema_path": str(schema_path)})
+    assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -14,7 +14,7 @@ from coreglab.datasets import (DataError, LabeledDataset, RelationSchema,
                                write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import SentenceInstance, TaggingInstance, Vocab, entity_mask
-from oracles import reference_tagging_f1
+from oracles import featurize_token_window, reference_tagging_f1
 
 
 # ---------------------------------------------------------------- container
@@ -351,6 +351,33 @@ def test_build_tagging_dataset_empty():
     data, vocab = build_tagging_dataset([], scheme, vocab=Vocab(["a"]))
     assert len(data) == 0
     assert data.num_features == 3 * len(vocab)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_build_tagging_dataset_matches_row_oracle(window):
+    scheme = TagScheme(["PER"])
+    train = [TaggingInstance(["a", "per0", "b", "a", "c"], [0, 1, 0, 0, 0]),
+             TaggingInstance(["b"], [0]),  # shorter than the window
+             TaggingInstance([], []),  # no rows, but takes group number 2
+             TaggingInstance(["per0", "a"], [1, 0])]
+    # Under the train vocab, "zzz" and "per9" are unknown tokens.
+    test = [TaggingInstance(["zzz", "a", "per9"], [0, 0, 1])]
+    _, vocab = build_tagging_dataset(train, scheme, window=window)
+    width = (2 * window + 1) * len(vocab)
+    for instances in (train, test, []):
+        data, same = build_tagging_dataset(instances, scheme, vocab, window=window)
+        assert same is vocab
+        rows = [featurize_token_window(inst, pos, window, vocab)
+                for inst in instances for pos in range(len(inst.tokens))]
+        expected = np.stack(rows) if rows else np.zeros((0, width))
+        assert data.features.shape == expected.shape
+        assert data.features.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            data.labels, [tag for inst in instances for tag in inst.tags])
+        np.testing.assert_array_equal(
+            data.groups, [s for s, inst in enumerate(instances) for _ in inst.tokens])
+    data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
+    assert data.features[0, window * len(vocab) + vocab.unk_index] == 1.0
 
 
 # ---------------------------------------------------------------- metrics

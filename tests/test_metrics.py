@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from coreglab.metrics import (F1Report, Span, TagScheme, accuracy, bio_decode,
                               bio_encode, relation_micro_f1, span_f1)
-from oracles import reference_bio_decode
+from oracles import reference_bio_decode, reference_span_f1
 
 
 def test_bio_decode_worked_example():
@@ -36,6 +38,21 @@ def test_bio_decode_unknown_symbol():
         bio_decode(["B-"])
     with pytest.raises(ValueError):
         bio_decode(["I"])
+
+
+def test_bio_decode_reports_first_unknown_symbol():
+    with pytest.raises(ValueError,
+                       match=r"^unknown tag symbol 'X-PER' at position 1$"):
+        bio_decode(["O", "X-PER", "B-", "X-PER"])
+
+
+def test_bio_decode_symbol_memo_is_bounded():
+    from coreglab import metrics
+
+    types = [f"T{i}" for i in range(2 * metrics._BIO_SYMBOLS_CAP)]
+    spans = bio_decode([f"B-{t}" for t in types])
+    assert spans == [Span(t, i, i) for i, t in enumerate(types)]
+    assert len(metrics._BIO_SYMBOLS) <= metrics._BIO_SYMBOLS_CAP
 
 
 def test_bio_decode_matches_enumeration_one_type():
@@ -106,6 +123,38 @@ def test_span_f1_duplicate_gold_matched_once():
     pred = [[Span("PER", 0, 0)]]
     report = span_f1(gold, pred)
     assert (report.tp, report.fp, report.fn) == (1, 0, 1)
+
+
+def test_span_f1_repeated_span_in_one_sentence():
+    gold = [[Span("PER", 0, 0), Span("PER", 0, 0), Span("ORG", 1, 1)]]
+    for pred, counts in (([[Span("PER", 0, 0)]], (1, 0, 2)),
+                         ([[Span("PER", 0, 0)] * 3], (2, 1, 1))):
+        report = span_f1(gold, pred)
+        assert (report.tp, report.fp, report.fn) == counts
+        assert astuple(report) == reference_span_f1(gold, pred)
+
+
+def test_span_f1_same_span_in_another_sentence_does_not_match():
+    gold = [[Span("PER", 0, 1)], []]
+    pred = [[], [Span("PER", 0, 1)]]
+    report = span_f1(gold, pred)
+    assert (report.tp, report.fp, report.fn) == (0, 1, 1)
+    assert astuple(report) == reference_span_f1(gold, pred)
+
+
+def test_span_f1_matches_reference_on_random_spans():
+    rng = np.random.default_rng(5)
+    # A small pool makes repeats and cross-sentence coincidences common.
+    pool = [Span(label, start, end) for label in ("PER", "ORG")
+            for start in range(3) for end in range(start, 3)]
+
+    def draw(n):
+        return [[pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 4))]
+                for _ in range(n)]
+
+    for n in rng.integers(0, 6, size=200):
+        gold, pred = draw(n), draw(n)
+        assert astuple(span_f1(gold, pred)) == reference_span_f1(gold, pred)
 
 
 def test_span_f1_alignment_check():

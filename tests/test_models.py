@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from coreglab.models import (MlpModel, SentenceInstance, TaggingInstance, Vocab,
-                             backward, entity_mask, featurize_sentence,
-                             featurize_token_window, forward, init_model,
-                             load_model, obj_mask_token, param_count,
+                             backward, entity_mask, featurize_sentence, forward,
+                             init_model, load_model, obj_mask_token, param_count,
                              params_flat, predict, save_model, set_params_flat,
                              subj_mask_token)
 from coreglab.numeric import finite_diff_grad, softmax
 from coreglab.rng import substream
+from oracles import featurize_token_window
 
 
 def test_vocab_specials_first():

@@ -97,6 +97,16 @@ def test_inject_preserves_true_labels():
     np.testing.assert_array_equal(renoised.true_labels, data.labels)
 
 
+def test_inject_shares_features_not_labels():
+    data = tiny_dataset(n=50)
+    clean = data.labels.copy()
+    noisy, _ = inject_noise(data, NoiseSpec(0.2, seed=4))
+    assert noisy.features is data.features
+    noisy.labels[:] = 0
+    noisy.true_labels[:] = 0
+    np.testing.assert_array_equal(data.labels, clean)
+
+
 def test_inject_deterministic_and_seed_sensitive():
     data = tiny_dataset(n=120)
     a1, m1 = inject_noise(data, NoiseSpec(0.25, seed=6))
