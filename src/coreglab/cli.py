@@ -7,11 +7,8 @@ variable when it is set.
 
 import functools
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import click
-import numpy as np
 
 from . import datasets, experiment, noiselab, trainer
 from . import models as mdl
@@ -91,18 +88,21 @@ def export_curves(run_dir, out_path):
     click.echo(f"curves: {target}")
 
 
+MIXTURE_DEFAULTS = {key: spec[1] for key, spec in datasets.MIXTURE_KEYS.items()}
+
+
 @main.command("gen-synthetic")
 @click.option("--task", type=click.Choice(["synthetic", "tagging"]),
               default="synthetic", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--train-size", default=2000, show_default=True)
-@click.option("--dev-size", default=500, show_default=True)
-@click.option("--test-size", default=500, show_default=True)
-@click.option("--num-classes", default=4, show_default=True)
-@click.option("--num-features", default=2, show_default=True)
-@click.option("--class-sep", default=2.5, show_default=True)
-@click.option("--scale", default=1.0, show_default=True)
+@click.option("--train-size", default=MIXTURE_DEFAULTS["train_size"], show_default=True)
+@click.option("--dev-size", default=MIXTURE_DEFAULTS["dev_size"], show_default=True)
+@click.option("--test-size", default=MIXTURE_DEFAULTS["test_size"], show_default=True)
+@click.option("--num-classes", default=MIXTURE_DEFAULTS["num_classes"], show_default=True)
+@click.option("--num-features", default=MIXTURE_DEFAULTS["num_features"], show_default=True)
+@click.option("--class-sep", default=MIXTURE_DEFAULTS["class_sep"], show_default=True)
+@click.option("--scale", default=MIXTURE_DEFAULTS["scale"], show_default=True)
 @click.option("--sentences", default=200, show_default=True,
               help="Corpus size for the tagging task.")
 @_guarded
@@ -113,32 +113,25 @@ def gen_synthetic(task, out_dir, seed, train_size, dev_size, test_size,
     out = experiment.resolve_output_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if task == "synthetic":
-        train_set, held_out = datasets.gen_gaussian_mixture(
-            num_train=train_size, num_test=dev_size + test_size,
-            num_classes=num_classes, num_features=num_features, seed=seed,
-            class_sep=class_sep, scale=scale)
-        splits = {"train": train_set,
-                  "dev": held_out.subset(np.arange(dev_size)),
-                  "test": held_out.subset(np.arange(dev_size,
-                                                    dev_size + test_size))}
-        for name, split in splits.items():
-            datasets.write_feature_jsonl(out / f"{name}.jsonl", split)
-            click.echo(f"wrote {out / f'{name}.jsonl'} ({len(split)} instances)")
-        return
-    instances, scheme = datasets.gen_tagging_corpus(sentences, seed)
-    datasets.save_tag_scheme(scheme, out / "schema.json")
-    n_eval = max(1, len(instances) // 10)
-    splits = {"train": instances[:len(instances) - 2 * n_eval],
-              "dev": instances[len(instances) - 2 * n_eval:len(instances) - n_eval],
-              "test": instances[len(instances) - n_eval:]}
-    for name, part in splits.items():
-        datasets.write_conll(out / f"{name}.conll", part, scheme)
-        click.echo(f"wrote {out / f'{name}.conll'} ({len(part)} sentences)")
-    click.echo(f"wrote {out / 'schema.json'}")
+        schema, suffix, unit = None, "jsonl", "instances"
+        splits = datasets.mixture_splits(train_size, dev_size, test_size, num_classes,
+                                         num_features, class_sep, scale, seed)
+    else:
+        suffix, unit = "conll", "sentences"
+        instances, schema = datasets.gen_tagging_corpus(sentences, seed)
+        datasets.save_tag_scheme(schema, out / "schema.json")
+        n_eval = max(1, len(instances) // 10)
+        cut = len(instances) - 2 * n_eval
+        splits = instances[:cut], instances[cut:cut + n_eval], instances[cut + n_eval:]
+    for name, part in zip(("train", "dev", "test"), splits):
+        datasets.write_records(task, out / f"{name}.{suffix}", part, schema)
+        click.echo(f"wrote {out / f'{name}.{suffix}'} ({len(part)} {unit})")
+    if schema is not None:
+        click.echo(f"wrote {out / 'schema.json'}")
 
 
 @main.command("inject-noise")
-@click.option("--task", type=click.Choice(list(experiment.TASKS)),
+@click.option("--task", type=click.Choice(datasets.TASKS),
               default="synthetic", show_default=True)
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", required=True, type=click.Path())
@@ -157,40 +150,13 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
         spec = noiselab.NoiseSpec(rate=rate, seed=seed, scheme=scheme)
     except ValueError as exc:
         raise experiment.ConfigError(str(exc)) from exc
-    if task == "synthetic":
-        dataset = datasets.read_feature_jsonl(input_path)
-        noisy, mask = noiselab.inject_noise(dataset, spec)
-        datasets.write_feature_jsonl(output_path, noisy)
-    elif task == "relation":
-        if schema_path is None:
-            raise experiment.ConfigError("relation noise requires --schema")
-        rel_schema = datasets.RelationSchema.load(schema_path)
-        instances = datasets.read_relation_jsonl(input_path, rel_schema)
-        pseudo = datasets.LabeledDataset(
-            np.zeros((len(instances), 1)),
-            np.array([inst.label for inst in instances], dtype=np.int64),
-            len(rel_schema.relations))
-        noisy, mask = noiselab.inject_noise(pseudo, spec)
-        flipped = [replace(inst, label=int(lab))
-                   for inst, lab in zip(instances, noisy.labels)]
-        datasets.write_relation_jsonl(output_path, flipped, rel_schema)
-    else:
-        if schema_path is None:
-            raise experiment.ConfigError("tagging noise requires --schema")
-        tag_scheme = datasets.load_tag_scheme(schema_path)
-        instances = datasets.read_conll(input_path, tag_scheme)
-        flat = np.array([t for inst in instances for t in inst.tags],
-                        dtype=np.int64)
-        pseudo = datasets.LabeledDataset(np.zeros((len(flat), 1)), flat,
-                                         len(tag_scheme))
-        noisy, mask = noiselab.inject_noise(pseudo, spec)
-        offset = 0
-        flipped = []
-        for inst in instances:
-            tags = [int(t) for t in noisy.labels[offset:offset + len(inst.tokens)]]
-            offset += len(inst.tokens)
-            flipped.append(mdl.TaggingInstance(inst.tokens, tags, uid=inst.uid))
-        datasets.write_conll(output_path, flipped, tag_scheme)
+    if task != "synthetic" and schema_path is None:
+        raise experiment.ConfigError(f"{task} noise requires --schema")
+    schema = datasets.load_schema(task, schema_path)
+    records, labeled = datasets.read_labeled(task, input_path, schema)
+    noisy, mask = noiselab.inject_noise(labeled, spec)
+    datasets.write_records(task, output_path,
+                           datasets.relabel(task, records, noisy.labels), schema)
     mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"
     mask.save_csv(mask_target)
     click.echo(f"flipped {len(mask)} of {mask.num_instances} labels")
@@ -200,7 +166,7 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
 
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--task", type=click.Choice(list(experiment.TASKS)),
+@click.option("--task", type=click.Choice(datasets.TASKS),
               default="synthetic", show_default=True)
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
@@ -212,28 +178,13 @@ def evaluate(model_path, task, data_path, schema_path, vocab_path, window,
              num_classes):
     """Score a saved model on a dataset file."""
     model = mdl.load_model(model_path)
-    if task == "synthetic":
-        dataset = datasets.read_feature_jsonl(data_path, num_classes)
-        name, fn = datasets.make_metric("synthetic")
-    elif task == "relation":
-        if schema_path is None or vocab_path is None:
-            raise experiment.ConfigError(
-                "relation evaluation requires --schema and --vocab")
-        rel_schema = datasets.RelationSchema.load(schema_path)
-        vocab = datasets.load_vocab(vocab_path)
-        instances = datasets.read_relation_jsonl(data_path, rel_schema)
-        dataset, _ = datasets.build_relation_dataset(instances, rel_schema, vocab)
-        name, fn = datasets.make_metric("relation", schema=rel_schema)
-    else:
-        if schema_path is None or vocab_path is None:
-            raise experiment.ConfigError(
-                "tagging evaluation requires --schema and --vocab")
-        tag_scheme = datasets.load_tag_scheme(schema_path)
-        vocab = datasets.load_vocab(vocab_path)
-        instances = datasets.read_conll(data_path, tag_scheme)
-        dataset, _ = datasets.build_tagging_dataset(instances, tag_scheme,
-                                                    vocab, window=window)
-        name, fn = datasets.make_metric("tagging", scheme=tag_scheme)
+    if task != "synthetic" and (schema_path is None or vocab_path is None):
+        raise experiment.ConfigError(f"{task} evaluation requires --schema and --vocab")
+    schema = datasets.load_schema(task, schema_path)
+    vocab = None if schema is None else datasets.load_vocab(vocab_path)
+    dataset, _ = datasets.load_split(task, data_path, schema, vocab, window=window,
+                                     num_classes=num_classes)
+    name, fn = datasets.make_metric(task, schema=schema)
     try:
         preds = mdl.predict(model, dataset.features)
     except ValueError as exc:

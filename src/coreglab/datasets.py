@@ -13,12 +13,14 @@ File formats:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics
 from . import models as mdl
+
+TASKS = ("synthetic", "relation", "tagging")
 
 
 class DataError(Exception):
@@ -31,6 +33,17 @@ def _open_data(path):
         return open(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _data_lines(path):
+    """(line number, line) pairs of a data file, newlines stripped; a file
+    that cannot be opened or decoded is a DataError."""
+    with _open_data(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: cannot decode: {exc}") from exc
+    return enumerate(text.split("\n"), start=1)
 
 
 def _load_json(path, what: str):
@@ -212,21 +225,20 @@ def read_conll(path, scheme: metrics.TagScheme) -> list[mdl.TaggingInstance]:
             tokens.clear()
             tags.clear()
 
-    with _open_data(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split()
-            if len(cols) < 2:
-                raise DataError(f"{path}:{lineno}: expected token and tag columns")
-            try:
-                tag = scheme.index(cols[-1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            tokens.append(cols[0])
-            tags.append(tag)
+    for lineno, raw in _data_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split()
+        if len(cols) < 2:
+            raise DataError(f"{path}:{lineno}: expected token and tag columns")
+        try:
+            tag = scheme.index(cols[-1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        tokens.append(cols[0])
+        tags.append(tag)
     flush()
     return instances
 
@@ -246,35 +258,34 @@ _RELATION_KEYS = ("tokens", "subj", "subj_type", "obj", "obj_type", "label")
 def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
     instances = []
-    with _open_data(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            missing = [k for k in _RELATION_KEYS if k not in rec]
-            if missing:
-                raise DataError(f"{path}:{lineno}: missing fields {missing}")
-            tokens = list(rec["tokens"])
-            try:
-                label = schema.label_index(rec["label"])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            for role in ("subj", "obj"):
-                span = rec[role]
-                if (len(span) != 2 or not 0 <= span[0] <= span[1]
-                        or span[1] >= len(tokens)):
-                    raise DataError(f"{path}:{lineno}: {role} span out of range")
-                if rec[f"{role}_type"] not in schema.entity_types:
-                    raise DataError(
-                        f"{path}:{lineno}: unknown entity type {rec[f'{role}_type']!r}")
-            instances.append(mdl.SentenceInstance(
-                tokens, tuple(rec["subj"]), rec["subj_type"],
-                tuple(rec["obj"]), rec["obj_type"], label,
-                uid=int(rec.get("id", len(instances)))))
+    for lineno, raw in _data_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        missing = [k for k in _RELATION_KEYS if k not in rec]
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing fields {missing}")
+        tokens = list(rec["tokens"])
+        try:
+            label = schema.label_index(rec["label"])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for role in ("subj", "obj"):
+            span = rec[role]
+            if (len(span) != 2 or not 0 <= span[0] <= span[1]
+                    or span[1] >= len(tokens)):
+                raise DataError(f"{path}:{lineno}: {role} span out of range")
+            if rec[f"{role}_type"] not in schema.entity_types:
+                raise DataError(
+                    f"{path}:{lineno}: unknown entity type {rec[f'{role}_type']!r}")
+        instances.append(mdl.SentenceInstance(
+            tokens, tuple(rec["subj"]), rec["subj_type"],
+            tuple(rec["obj"]), rec["obj_type"], label,
+            uid=int(rec.get("id", len(instances)))))
     return instances
 
 
@@ -291,21 +302,20 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset."""
     feats, labels, ids, trues = [], [], [], []
-    with _open_data(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                feats.append([float(v) for v in rec["features"]])
-                labels.append(int(rec["label"]))
-                ids.append(int(rec.get("id", len(ids))))
-                trues.append(rec.get("true_label"))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            if len(feats[-1]) != len(feats[0]):
-                raise DataError(f"{path}:{lineno}: inconsistent feature width")
+    for lineno, raw in _data_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            feats.append([float(v) for v in rec["features"]])
+            labels.append(int(rec["label"]))
+            ids.append(int(rec.get("id", len(ids))))
+            trues.append(rec.get("true_label"))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if len(feats[-1]) != len(feats[0]):
+            raise DataError(f"{path}:{lineno}: inconsistent feature width")
     if not feats:
         return LabeledDataset(np.empty((0, 0)), np.empty(0, np.int64),
                               num_classes or 1)
@@ -338,7 +348,8 @@ def build_relation_dataset(instances, schema: RelationSchema,
     masked = [mdl.entity_mask(inst) for inst in instances]
     if vocab is None:
         vocab = mdl.Vocab(sorted({tok for sent in masked for tok in sent}))
-    features = np.stack([mdl.featurize_sentence(sent, vocab) for sent in masked])
+    features = (np.stack([mdl.featurize_sentence(sent, vocab) for sent in masked])
+                if masked else np.zeros((0, len(vocab))))
     labels = np.array([inst.label for inst in instances], dtype=np.int64)
     ids = np.array([inst.uid for inst in instances], dtype=np.int64)
     return LabeledDataset(features, labels, len(schema.relations), ids=ids), vocab
@@ -377,9 +388,10 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
 
 
 def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
-                schema: RelationSchema | None = None):
+                schema: RelationSchema | metrics.TagScheme | None = None):
     """(metric name, scorer) for a task; scorers map (dataset, preds) to a
-    float so training can evaluate any split uniformly."""
+    float so training can evaluate any split uniformly. ``schema`` takes
+    either task's schema as load_schema returns it."""
     if task == "synthetic":
         return "accuracy", lambda dataset, preds: metrics.accuracy(dataset.labels, preds)
     if task == "relation":
@@ -392,6 +404,7 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
 
         return "f1", rel_fn
     if task == "tagging":
+        scheme = scheme if scheme is not None else schema
         if scheme is None:
             raise ValueError("tagging metric needs the tag scheme")
 
@@ -414,6 +427,85 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
 
         return "f1", tag_fn
     raise ValueError(f"unknown task {task!r}")
+
+
+# The task dispatch: the one place that maps a task name to its formats, for
+# the experiment runner and the command line. Each function names the format
+# functions through this module's globals at call time, never through a table
+# built at import, so a caller that rebinds one (as a tracer does) sees every
+# call.
+
+def load_schema(task: str, path):
+    """The label schema of a file task (RelationSchema or TagScheme); None
+    for the synthetic task, whose labels are plain class indices."""
+    if task == "synthetic":
+        return None
+    return RelationSchema.load(path) if task == "relation" else load_tag_scheme(path)
+
+
+def load_split(task: str, path, schema, vocab: mdl.Vocab | None = None, *,
+               window: int = 1, num_classes: int | None = None):
+    """One split file as (dataset, vocab); file tasks build the vocabulary
+    from it when none is given, the synthetic task has none."""
+    if task == "synthetic":
+        return read_feature_jsonl(path, num_classes), None
+    if task == "relation":
+        return build_relation_dataset(read_relation_jsonl(path, schema), schema, vocab)
+    return build_tagging_dataset(read_conll(path, schema), schema, vocab, window=window)
+
+
+def read_labeled(task: str, path, schema):
+    """A file's records and a dataset of their flat label vector, one label
+    per record (per token for tagging), in file order."""
+    if task == "synthetic":
+        dataset = read_feature_jsonl(path)
+        return dataset, dataset
+    if task == "relation":
+        records = read_relation_jsonl(path, schema)
+        labels, num_classes = [r.label for r in records], len(schema.relations)
+    else:
+        records = read_conll(path, schema)
+        labels, num_classes = [t for r in records for t in r.tags], len(schema)
+    return records, LabeledDataset(np.zeros((len(labels), 1)), labels, num_classes)
+
+
+def relabel(task: str, records, labels):
+    """read_labeled's records with a new flat label vector."""
+    if task == "synthetic":
+        return records.with_labels(labels)
+    if task == "relation":
+        return [replace(r, label=label) for r, label in zip(records, labels.tolist())]
+    parts = np.split(labels, np.cumsum([len(r.tags) for r in records])[:-1])
+    return [replace(r, tags=part.tolist()) for r, part in zip(records, parts)]
+
+
+def write_records(task: str, path, records, schema=None) -> None:
+    """Write records in the task's file format: a dataset as feature JSONL,
+    relation or tagging instances with the schema's label names."""
+    if task == "synthetic":
+        write_feature_jsonl(path, records)
+    elif task == "relation":
+        write_relation_jsonl(path, records, schema)
+    else:
+        write_conll(path, records, schema)
+
+
+# The synthetic task's data keys, the arguments of mixture_splits:
+# key: (type, default, least value a config may give or None).
+MIXTURE_KEYS = {"train_size": (int, 2000, 1), "dev_size": (int, 500, 1),
+                "test_size": (int, 500, 1), "num_classes": (int, 4, 2),
+                "num_features": (int, 2, 2), "class_sep": (float, 2.5, None),
+                "scale": (float, 1.0, None), "data_seed": (int, 20250401, 0)}
+
+
+def mixture_splits(train_size, dev_size, test_size, num_classes, num_features,
+                   class_sep, scale, data_seed):
+    """(train, dev, test) of one Gaussian-mixture draw; dev and test split
+    the held-out part of the draw."""
+    train, held_out = gen_gaussian_mixture(train_size, dev_size + test_size, num_classes,
+                                           num_features, data_seed, class_sep, scale)
+    return (train, held_out.subset(np.arange(dev_size)),
+            held_out.subset(np.arange(dev_size, len(held_out))))
 
 
 def gen_gaussian_mixture(num_train: int = 2000, num_test: int = 500,

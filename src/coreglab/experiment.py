@@ -28,7 +28,6 @@ from . import baselines, datasets, noiselab, trainer
 from . import models as mdl
 from . import rng as rngmod
 
-TASKS = ("synthetic", "relation", "tagging")
 METHODS = ("coreg", "plain", "small_loss", "relabel", "crossweigh")
 OUTPUT_ROOT_ENV = "COREGLAB_OUTPUT_ROOT"
 
@@ -46,12 +45,23 @@ _TOP_KEYS = {"task", "method", "seeds", "output_dir", "epochs", "data", "noise",
 _TRAIN_KEYS = {"num_models", "total_steps", "warmup_pct", "gamma", "kl_eps",
                "batch_size", "base_lr", "aggregate_mode", "soft_target_gradient",
                "selection_policy", "hidden_sizes", "dropout"}
-_DATA_KEYS = {"train_path", "dev_path", "test_path", "schema_path", "train_size",
-              "dev_size", "test_size", "num_classes", "num_features", "class_sep",
-              "scale", "data_seed", "window"}
+_DATA_KEYS = {*datasets.MIXTURE_KEYS, "train_path", "dev_path", "test_path",
+              "schema_path", "window"}
 _NOISE_KEYS = {"rate", "scheme", "seed", "confusion"}
-_BASELINE_KEYS = {"delta_max", "folds", "iterations", "base_weight"}
-_ANALYSIS_KEYS = {"gammas", "pool_size", "pool_noise_rate", "epochs"}
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+# key: (type, default, least allowed value or None), as datasets.MIXTURE_KEYS;
+# analysis.epochs, which defaults to the top-level epochs, is added when the
+# config is parsed.
+_BASELINE_KEYS = {"delta_max": (float, 5.0, 0.0), "folds": (int, 5, 2),
+                  "iterations": (int, 2, 1),
+                  "base_weight": (float, baselines.DEFAULT_DOWNWEIGHT, None)}
+_ANALYSIS_KEYS = {"gammas": (_floats, (0.0, 1.0, 5.0, 20.0), None),
+                  "pool_size": (int, 600, 1), "pool_noise_rate": (float, 0.5, 0.0)}
 
 
 def _check_keys(mapping, allowed, where):
@@ -60,31 +70,53 @@ def _check_keys(mapping, allowed, where):
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
-def _check_data_int(data, key, default, minimum):
+def _typed(mapping, key, kind, default, minimum=None, prefix=""):
+    """mapping[key], or the default when absent, as ``kind`` and at least
+    ``minimum``; a ConfigError names the key otherwise."""
     try:
-        value = int(data.get(key, default))
+        value = kind(mapping.get(key, default))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"data.{key} must be an integer: {exc}") from exc
-    if value < minimum:
-        raise ConfigError(f"data.{key} must be >= {minimum}")
+        noun = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
+        raise ConfigError(f"{prefix}{key} must be {noun}: {exc}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{prefix}{key} must be >= {minimum}")
+    return value
+
+
+def _typed_block(raw, name, keys) -> dict:
+    """The ``name`` block of the config with every key of ``keys`` typed."""
+    block = dict(raw.get(name, {}))
+    _check_keys(block, keys.keys(), name)
+    return {key: _typed(block, key, *spec, f"{name}.") for key, spec in keys.items()}
+
+
+def _check_confusion(noise, num_classes: int) -> None:
+    """A class_conditional confusion table needs one row per class."""
+    if noise is not None and noise.get("scheme") == "class_conditional":
+        if len(noise["confusion"]) != num_classes:
+            raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
+                              f"for the data's {num_classes} classes")
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; ``raw`` keeps the parsed mapping so the run
-    directory snapshot reflects the config as given."""
+    directory snapshot reflects the config as given. ``baseline``,
+    ``analysis`` and, for the synthetic task, ``mixture`` (its data keys)
+    hold every key of their table, typed and defaulted."""
 
     task: str
     method: str
     seeds: tuple[int, ...]
     output_dir: str
     train: trainer.TrainConfig
-    epochs: int | None
+    epochs: int
     data: dict
     noise: dict | None
     baseline: dict
     analysis: dict
     raw: dict
+    mixture: dict | None = None
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -92,7 +124,7 @@ class ExperimentConfig:
             raise ConfigError("config must be a mapping")
         _check_keys(raw, _TOP_KEYS, "config")
         task = raw.get("task", "synthetic")
-        if task not in TASKS:
+        if task not in datasets.TASKS:
             raise ConfigError(f"unknown task {task!r}")
         method = raw.get("method", "coreg")
         if method not in METHODS:
@@ -119,16 +151,15 @@ class ExperimentConfig:
             raise ConfigError(f"bad train settings: {exc}") from exc
         if method == "coreg" and tcfg.num_models < 2:
             raise ConfigError("coreg requires num_models >= 2")
-        epochs = raw.get("epochs")
-        if epochs is not None and int(epochs) < 1:
-            raise ConfigError("epochs must be >= 1")
+        epochs = 30 if raw.get("epochs") is None else _typed(raw, "epochs", int, 30, 1)
         data = dict(raw.get("data", {}))
         _check_keys(data, _DATA_KEYS, "data")
+        mixture = None
         if task == "synthetic":
-            _check_data_int(data, "num_classes", 4, 2)
-            _check_data_int(data, "num_features", 2, 2)
+            mixture = {key: _typed(data, key, *spec, "data.")
+                       for key, spec in datasets.MIXTURE_KEYS.items()}
         elif task == "tagging":
-            _check_data_int(data, "window", 1, 0)
+            data["window"] = _typed(data, "window", int, 1, 0, "data.")
         noise = raw.get("noise")
         if noise is not None:
             noise = dict(noise)
@@ -139,13 +170,13 @@ class ExperimentConfig:
                 _noise_spec(noise, seeds[0])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad noise settings: {exc}") from exc
-        baseline = dict(raw.get("baseline", {}))
-        _check_keys(baseline, _BASELINE_KEYS, "baseline")
-        analysis = dict(raw.get("analysis", {}))
-        _check_keys(analysis, _ANALYSIS_KEYS, "analysis")
-        return cls(task, method, seeds, str(output_dir), tcfg,
-                   None if epochs is None else int(epochs),
-                   data, noise, baseline, analysis, raw)
+            if mixture is not None:
+                _check_confusion(noise, mixture["num_classes"])
+        baseline = _typed_block(raw, "baseline", _BASELINE_KEYS)
+        analysis = _typed_block(raw, "analysis",
+                                {**_ANALYSIS_KEYS, "epochs": (int, epochs, 1)})
+        return cls(task, method, seeds, str(output_dir), tcfg, epochs, data, noise,
+                   baseline, analysis, raw, mixture)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -180,46 +211,25 @@ class TaskData:
 
 def build_task_data(config: ExperimentConfig) -> TaskData:
     data = config.data
-    if config.task == "synthetic":
-        dev_size = int(data.get("dev_size", 500))
-        test_size = int(data.get("test_size", 500))
-        train, held_out = datasets.gen_gaussian_mixture(
-            num_train=int(data.get("train_size", 2000)),
-            num_test=dev_size + test_size,
-            num_classes=int(data.get("num_classes", 4)),
-            num_features=int(data.get("num_features", 2)),
-            seed=int(data.get("data_seed", 20250401)),
-            class_sep=float(data.get("class_sep", 2.5)),
-            scale=float(data.get("scale", 1.0)))
-        dev = held_out.subset(np.arange(dev_size))
-        test = held_out.subset(np.arange(dev_size, dev_size + test_size))
-        name, fn = datasets.make_metric("synthetic")
-        return TaskData(train, dev, test, name, fn)
-    for key in ("train_path", "dev_path", "test_path", "schema_path"):
-        if key not in data:
-            raise ConfigError(f"{config.task} task requires data.{key}")
-    if config.task == "relation":
-        schema = datasets.RelationSchema.load(data["schema_path"])
-        splits = {}
-        vocab = None
+    schema = vocab = None
+    if config.mixture is not None:
+        train, dev, test = datasets.mixture_splits(**config.mixture)
+    else:
+        for key in ("train_path", "dev_path", "test_path", "schema_path"):
+            if key not in data:
+                raise ConfigError(f"{config.task} task requires data.{key}")
+        schema = datasets.load_schema(config.task, data["schema_path"])
+        splits = []
         for split in ("train", "dev", "test"):
-            instances = datasets.read_relation_jsonl(data[f"{split}_path"], schema)
-            splits[split], vocab = datasets.build_relation_dataset(
-                instances, schema, vocab)
-        name, fn = datasets.make_metric("relation", schema=schema)
-        return TaskData(splits["train"], splits["dev"], splits["test"], name, fn,
-                        vocab=vocab)
-    scheme = datasets.load_tag_scheme(data["schema_path"])
-    window = int(data.get("window", 1))
-    splits = {}
-    vocab = None
-    for split in ("train", "dev", "test"):
-        instances = datasets.read_conll(data[f"{split}_path"], scheme)
-        splits[split], vocab = datasets.build_tagging_dataset(
-            instances, scheme, vocab, window=window)
-    name, fn = datasets.make_metric("tagging", scheme=scheme)
-    return TaskData(splits["train"], splits["dev"], splits["test"], name, fn,
-                    vocab=vocab)
+            dataset, vocab = datasets.load_split(config.task, data[f"{split}_path"],
+                                                 schema, vocab, window=data.get("window"))
+            splits.append(dataset)
+        train, dev, test = splits
+        if len(train) == 0:
+            raise datasets.DataError(f"{data['train_path']}: empty training split")
+        _check_confusion(config.noise, train.num_classes)
+    name, fn = datasets.make_metric(config.task, schema=schema)
+    return TaskData(train, dev, test, name, fn, vocab=vocab)
 
 
 def _steps_per_epoch(n: int, batch_size: int) -> int:
@@ -230,8 +240,7 @@ def _resolved_train_config(config: ExperimentConfig, seed: int,
                            n_train: int) -> trainer.TrainConfig:
     tcfg = replace(config.train, master_seed=seed)
     if tcfg.total_steps == 0:
-        epochs = config.epochs if config.epochs is not None else 30
-        tcfg = replace(tcfg, total_steps=epochs
+        tcfg = replace(tcfg, total_steps=config.epochs
                        * _steps_per_epoch(n_train, tcfg.batch_size))
     return tcfg
 
@@ -277,24 +286,19 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
     if config.method == "plain":
         return baselines.train_plain(train_set, dev_set, tcfg, **common)
     if config.method in ("small_loss", "relabel"):
-        sched = baselines.PruneSchedule(
-            float(config.baseline.get("delta_max", 5.0)), tcfg.total_steps)
+        sched = baselines.PruneSchedule(config.baseline["delta_max"], tcfg.total_steps)
         hook = (baselines.make_small_loss_hook(sched)
                 if config.method == "small_loss"
                 else baselines.make_relabel_hook(sched))
         return trainer.train(train_set, dev_set, replace(tcfg, gamma=0.0),
                              batch_hook=hook, **common)
-    folds = int(config.baseline.get("folds", 5))
-    iterations = int(config.baseline.get("iterations", 2))
-    base_weight = float(config.baseline.get("base_weight",
-                                            baselines.DEFAULT_DOWNWEIGHT))
+    folds = config.baseline["folds"]
     n = len(train_set)
     fold_train = n - math.ceil(n / folds)
-    epochs = config.epochs if config.epochs is not None else 30
-    fold_steps = max(1, epochs * _steps_per_epoch(fold_train, tcfg.batch_size))
+    fold_steps = max(1, config.epochs * _steps_per_epoch(fold_train, tcfg.batch_size))
     weights = baselines.crossweigh_weights(
-        train_set, folds, iterations, replace(tcfg, total_steps=fold_steps),
-        base_weight)
+        train_set, folds, config.baseline["iterations"],
+        replace(tcfg, total_steps=fold_steps), config.baseline["base_weight"])
     weights.save_csv(seed_dir / "weights.csv")
     return baselines.train_plain(train_set, dev_set, tcfg, weights=weights, **common)
 
@@ -398,26 +402,18 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     if config.task != "synthetic":
         raise ConfigError("analyze-noise supports the synthetic task")
     task = build_task_data(config)
-    gammas = [float(g) for g in config.analysis.get("gammas", (0.0, 1.0, 5.0, 20.0))]
-    pool_size = int(config.analysis.get("pool_size", 600))
-    pool_rate = float(config.analysis.get("pool_noise_rate", 0.5))
-    epochs = int(config.analysis.get(
-        "epochs", config.epochs if config.epochs is not None else 30))
-    data = config.data
-    pool, _ = datasets.gen_gaussian_mixture(
-        num_train=pool_size, num_test=1,
-        num_classes=int(data.get("num_classes", 4)),
-        num_features=int(data.get("num_features", 2)),
-        seed=int(data.get("data_seed", 20250401)) + 1,
-        class_sep=float(data.get("class_sep", 2.5)),
-        scale=float(data.get("scale", 1.0)))
+    analysis = config.analysis
+    # The pool is a second draw of the same mixture, on the next data seed.
+    pool, _, _ = datasets.mixture_splits(**{
+        **config.mixture, "train_size": analysis["pool_size"], "dev_size": 1,
+        "test_size": 0, "data_seed": config.mixture["data_seed"] + 1})
     for seed in config.seeds:
         train_set = task.train
         spec = _noise_spec(config.noise, seed)
         if spec is not None:
             train_set, _ = noiselab.inject_noise(train_set, spec)
         pool_spec = noiselab.NoiseSpec(
-            rate=pool_rate, seed=rngmod.substream_seed(seed, "noise"))
+            rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise"))
         noisy_pool, _ = noiselab.inject_noise(pool, pool_spec)
         split = noiselab.split_noisy_clean(noisy_pool.labels, pool.labels)
         noisy_set = datasets.LabeledDataset(
@@ -426,9 +422,9 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
             pool.features[split.indices], split.clean_labels, pool.num_classes)
         union_n = len(train_set) + len(noisy_set)
         base = replace(config.train, master_seed=seed,
-                       total_steps=epochs * _steps_per_epoch(
+                       total_steps=analysis["epochs"] * _steps_per_epoch(
                            union_n, config.train.batch_size))
-        for gamma in gammas:
+        for gamma in analysis["gammas"]:
             rows = noiselab.noise_overfit_eval(
                 train_set, noisy_set, clean_set, [gamma], base,
                 eval_metric=task.metric_fn, metric_name=task.metric_name)

@@ -15,7 +15,7 @@ import numpy as np
 from . import datasets as ds
 from . import models as mdl
 from . import trainer
-from .numeric import PROB_FLOOR, softmax
+from .numeric import floored_nll, kl_terms, softmax
 
 NOISE_SCHEMES = ("uniform_flip", "class_conditional")
 FLIP_CSV_HEADER = ["id", "original_label", "noisy_label"]
@@ -109,6 +109,9 @@ def inject_noise(dataset, spec: NoiseSpec):
     """
     if dataset.num_classes < 2:
         raise ValueError("need at least 2 classes to flip labels")
+    if spec.scheme == "class_conditional" and len(spec.confusion) != dataset.num_classes:
+        raise ValueError(f"confusion table has {len(spec.confusion)} rows but the "
+                         f"data has {dataset.num_classes} classes")
     n = len(dataset)
     count = math.floor(spec.rate * n)
     rng = np.random.default_rng(spec.seed)
@@ -244,13 +247,10 @@ def disagreement_report(ensemble, dataset, config) -> list[SuspectRow]:
     y = dataset.labels
     logits = np.stack([mdl.forward(m, X)[0] for m in ensemble.models])
     probs = softmax(logits)
-    picked = np.maximum(probs[:, np.arange(len(y)), y], PROB_FLOOR)
-    inst_losses = -np.log(picked)
+    inst_losses = floored_nll(probs, y)
     q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
-    eps = config.kl_eps
-    per_kl = np.mean(
-        np.sum(q[None, :, :] * np.log((q[None, :, :] + eps) / (probs + eps)), axis=2),
-        axis=0)
+    per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, config.kl_eps), axis=2),
+                     axis=0)
     sup = np.mean(inst_losses, axis=0)
     preds = np.argmax(q, axis=1)
     rows = [SuspectRow(int(dataset.ids[i]), int(y[i]), int(preds[i]),

@@ -49,8 +49,15 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("probs/labels batch size mismatch")
     if np.any(y < 0) or np.any(y >= p.shape[1]):
         raise ValueError("label out of range")
-    picked = np.maximum(p[np.arange(len(y)), y], PROB_FLOOR)
-    return float(-np.mean(np.log(picked)))
+    return float(np.mean(floored_nll(p, y)))
+
+
+def floored_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Supervision loss -log(max(p_label, PROB_FLOOR)) per row, for probs of
+    shape (..., batch, classes); returned in C order, so that reductions over
+    it sum in the same order as one row at a time."""
+    picked = np.ascontiguousarray(probs[..., np.arange(len(labels)), labels])
+    return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray, eps: float = KL_EPS_DEFAULT) -> float:
@@ -66,7 +73,13 @@ def kl_divergence(q: np.ndarray, p: np.ndarray, eps: float = KL_EPS_DEFAULT) -> 
         raise ValueError("distribution length mismatch")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return float(np.sum(qa * np.log((qa + eps) / (pa + eps))))
+    return float(np.sum(kl_terms(qa, pa, eps)))
+
+
+def kl_terms(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
+    """The smoothed KL's elementwise terms q * log((q + eps) / (p + eps)),
+    broadcast over any leading axes; callers reduce them."""
+    return q * np.log((q + eps) / (p + eps))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import PROB_FLOOR, AdamState, LrSchedule, adam_step, lr_at, softmax
+from .numeric import (PROB_FLOOR, AdamState, LrSchedule, adam_step, floored_nll,
+                      kl_terms, lr_at, softmax)
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 SELECTION_POLICIES = ("first", "best_dev")
@@ -155,8 +156,7 @@ def agreement_loss(q: np.ndarray, preds: np.ndarray, eps: float) -> float:
     if pa.ndim != 3 or qa.shape != pa.shape[1:]:
         raise ValueError("prediction shapes do not match the soft target")
     num_models, batch, _ = pa.shape
-    terms = qa[None, :, :] * np.log((qa[None, :, :] + eps) / (pa + eps))
-    return float(np.sum(terms) / (num_models * batch))
+    return float(np.sum(kl_terms(qa[None, :, :], pa, eps)) / (num_models * batch))
 
 
 def _softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -199,14 +199,6 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
     return dlogits
 
 
-def _floored_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Supervision loss -log(max(p_label, PROB_FLOOR)) per model and row, for
-    probs of shape (models, batch, classes); shape (models, batch), C order
-    so that reductions over it sum in the same order as one row at a time."""
-    picked = np.ascontiguousarray(probs[:, np.arange(len(labels)), labels])
-    return -np.log(np.maximum(picked, PROB_FLOOR))
-
-
 def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
                            ensemble: ModelEnsemble, t: int, config: TrainConfig,
                            *, weights: np.ndarray | None = None,
@@ -239,7 +231,7 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
         raise TrainingDiverged(f"non-finite logits at step {t}")
     probs = softmax(logits)
 
-    inst_losses = _floored_nll(probs, y)
+    inst_losses = floored_nll(probs, y)
 
     keep = np.arange(n_rows)
     pruned = False
@@ -247,7 +239,7 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
         keep, y = batch_hook(t, y, np.mean(inst_losses, axis=0), np.mean(probs, axis=0))
         keep = np.asarray(keep, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        inst_losses = _floored_nll(probs, y)
+        inst_losses = floored_nll(probs, y)
         pruned = not np.array_equal(keep, np.arange(n_rows))
 
     warmup = t < warmup_steps(config)
@@ -261,7 +253,7 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     kept_w = w[keep]
     kept_probs = probs[:, keep, :]
     kept_logits = logits[:, keep, :]
-    kept_losses = inst_losses.take(keep, axis=1)  # C order, like _floored_nll
+    kept_losses = inst_losses.take(keep, axis=1)  # C order, like floored_nll
     kept_y = y[keep]
 
     per_model_sup = np.sum(kept_w * kept_losses, axis=1) / n_kept
@@ -388,6 +380,8 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     the best per-model dev checkpoint is retained.
     """
     config.validate(min_models=1)
+    if config.total_steps > 0 and len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset")
     metric = eval_metric if eval_metric is not None else _default_metric
     if config.selection_policy == "best_dev" and (dev_set is None or len(dev_set) == 0):
         raise ValueError("best_dev selection requires a non-empty dev set")

@@ -95,11 +95,28 @@ def assert_clean_exit(result, code):
     {"noise": {"rate": 1.5}},
     {"data": {"num_classes": 1}},
     {"task": "tagging", "data": {"window": -1}},
-], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window"])
-def test_train_invalid_config_exits_1(runner, tmp_path, overrides):
+    {"epochs": "abc"},
+    {"data": {"train_size": "abc"}},
+    {"data": {"train_size": -5}},
+    {"data": {"train_size": 0}},
+    {"data": {"dev_size": 0}},
+    {"data": {"class_sep": "abc"}},
+    {"baseline": {"folds": "x"}},
+    {"baseline": {"delta_max": "x"}},
+    {"noise": {"rate": 0.2, "scheme": "class_conditional", "confusion": [[1.0]]}},
+], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
+        "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
+        "class_sep", "folds", "delta_max", "confusion_size"])
+def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
     assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 1)
+
+
+def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, analysis={"pool_size": "abc"})
+    assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
 
 
 TASK_FILES = {
@@ -112,15 +129,33 @@ TASK_FILES = {
 }
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+def write_file_task_config(config_path, task, train_path, data_path, schema_path,
+                           **overrides):
+    write_config(config_path, task=task, method="plain",
+                 train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4]},
+                 data={"train_path": str(train_path), "dev_path": str(data_path),
+                       "test_path": str(data_path), "schema_path": str(schema_path)},
+                 **overrides)
+
+
 @pytest.mark.parametrize("task,broken", [
-    ("tagging", "schema"), ("tagging", "data"),
-    ("relation", "schema"), ("relation", "data"), ("synthetic", "data"),
+    ("tagging", "schema"), ("tagging", "data"), ("tagging", "encoding"),
+    ("relation", "schema"), ("relation", "data"), ("relation", "encoding"),
+    ("synthetic", "data"), ("synthetic", "encoding"),
 ])
 def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
-    """A schema that is not JSON, or a data path that is a directory."""
+    """A schema that is not JSON, a data path that is a directory, or a data
+    file that is not UTF-8."""
     if task == "synthetic":
+        source = tmp_path
+        if broken == "encoding":
+            source = tmp_path / "train.jsonl"
+            source.write_bytes(NOT_UTF8 + b'{"features": [0.0], "label": 0}\n')
         result = runner.invoke(main, [
-            "inject-noise", "--input", str(tmp_path),
+            "inject-noise", "--input", str(source),
             "--output", str(tmp_path / "noisy.jsonl"), "--rate", "0.1"])
         assert_clean_exit(result, 2)
         return
@@ -129,13 +164,45 @@ def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
     schema_path.write_text("{not json" if broken == "schema" else json.dumps(schema))
     data_path = tmp_path / "split.data"
     data_path.write_text(records)
+    train_path = {"data": tmp_path, "encoding": tmp_path / "train.data"}.get(
+        broken, data_path)
+    if broken == "encoding":
+        train_path.write_bytes(NOT_UTF8 + records.encode())
     config_path = tmp_path / "config.yaml"
-    write_config(config_path, task=task, method="plain",
-                 train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4]},
-                 data={"train_path": str(tmp_path if broken == "data" else data_path),
-                       "dev_path": str(data_path), "test_path": str(data_path),
-                       "schema_path": str(schema_path)})
+    write_file_task_config(config_path, task, train_path, data_path, schema_path)
     assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 2)
+
+
+@pytest.mark.parametrize("task", ["tagging", "relation"])
+def test_empty_train_split_exits_2(runner, tmp_path, task, hang_guard):
+    schema, records = TASK_FILES[task]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    data_path = tmp_path / "split.data"
+    data_path.write_text(records)
+    empty_path = tmp_path / "empty.data"
+    empty_path.write_text("")
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(config_path, task, empty_path, data_path, schema_path)
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 2)
+    assert "empty training split" in result.stderr
+
+
+def test_file_task_confusion_size_exits_1(runner, tmp_path):
+    """The tag scheme gives 3 classes (O, B-PER, I-PER); the table is 2x2."""
+    schema, records = TASK_FILES["tagging"]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    data_path = tmp_path / "split.data"
+    data_path.write_text(records)
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(config_path, "tagging", data_path, data_path, schema_path,
+                           noise={"rate": 0.5, "scheme": "class_conditional",
+                                  "confusion": [[0.0, 1.0], [1.0, 0.0]]})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert "3 classes" in result.stderr
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from coreglab.datasets import (DataError, LabeledDataset, RelationSchema,
-                               TAGGING_ENTITY_TYPES, build_relation_dataset,
-                               build_tagging_dataset, concat_datasets,
-                               gen_gaussian_mixture, gen_tagging_corpus,
-                               load_tag_scheme, load_vocab, make_metric,
-                               read_conll, read_feature_jsonl,
-                               read_relation_jsonl, save_tag_scheme,
-                               save_vocab, write_conll, write_feature_jsonl,
+from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
+                               MIXTURE_KEYS, LabeledDataset, RelationSchema,
+                               build_relation_dataset, build_tagging_dataset,
+                               concat_datasets, gen_gaussian_mixture,
+                               gen_tagging_corpus, load_tag_scheme, load_vocab,
+                               make_metric, mixture_splits, read_conll,
+                               read_feature_jsonl,
+                               read_labeled, read_relation_jsonl, relabel,
+                               save_tag_scheme, save_vocab, write_conll,
+                               write_feature_jsonl, write_records,
                                write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import SentenceInstance, TaggingInstance, Vocab, entity_mask
@@ -438,6 +440,59 @@ def test_make_metric_tagging_matches_per_sentence_reference(monkeypatch):
         monkeypatch.undo()
         assert got == reference_tagging_f1(scheme, groups, labels, preds)
         assert len(decoded) == 2 * len(np.unique(groups))
+
+
+# ---------------------------------------------------------------- task dispatch
+
+
+def _task_file(tmp_path, task):
+    """A small file in the task's format, and its schema (None for synthetic)."""
+    path = tmp_path / "split.data"
+    if task == "synthetic":
+        train, _ = gen_gaussian_mixture(num_train=12, num_test=1, num_classes=3, seed=2)
+        write_feature_jsonl(path, train)
+        return path, None
+    if task == "relation":
+        instances = [
+            SentenceInstance(["Bill", "Gates", "founded", "Microsoft"], (0, 1),
+                             "PER", (3, 3), "ORG", 1, uid=4),
+            SentenceInstance(["Acme", "met", "Bob"], (0, 0), "ORG", (2, 2), "PER",
+                             0, uid=9)]
+        write_relation_jsonl(path, instances, _schema())
+        return path, _schema()
+    instances, scheme = gen_tagging_corpus(num_sentences=5, seed=3)
+    write_conll(path, instances, scheme)
+    return path, scheme
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_relabel_round_trip(tmp_path, task):
+    """Records written back with their own flat labels reproduce the file;
+    new labels read back in the same flat order."""
+    path, schema = _task_file(tmp_path, task)
+    records, labeled = read_labeled(task, path, schema)
+    same = tmp_path / "same.data"
+    write_records(task, same, relabel(task, records, labeled.labels), schema)
+    assert same.read_bytes() == path.read_bytes()
+    new_labels = (labeled.labels + 1) % labeled.num_classes
+    changed = tmp_path / "changed.data"
+    write_records(task, changed, relabel(task, records, new_labels), schema)
+    _, again = read_labeled(task, changed, schema)
+    np.testing.assert_array_equal(again.labels, new_labels)
+
+
+def test_mixture_splits_match_generator():
+    keys = dict(train_size=30, dev_size=7, test_size=5, num_classes=3,
+                num_features=4, class_sep=1.5, scale=0.5, data_seed=9)
+    assert set(keys) == set(MIXTURE_KEYS)
+    train, dev, test = mixture_splits(**keys)
+    ref_train, held_out = gen_gaussian_mixture(num_train=30, num_test=12,
+                                               num_classes=3, num_features=4,
+                                               seed=9, class_sep=1.5, scale=0.5)
+    for got, ref in ((train, ref_train), (dev, held_out.subset(np.arange(7))),
+                     (test, held_out.subset(np.arange(7, 12)))):
+        assert got.features.tobytes() == ref.features.tobytes()
+        np.testing.assert_array_equal(got.labels, ref.labels)
 
 
 # ---------------------------------------------------------------- generators

@@ -157,6 +157,12 @@ def test_inject_class_conditional_follows_table():
     assert len(mask) < 50
 
 
+def test_inject_class_conditional_table_must_fit_classes():
+    spec = NoiseSpec(0.5, seed=0, scheme="class_conditional", confusion=[[1.0]])
+    with pytest.raises(ValueError, match="3 classes"):
+        inject_noise(tiny_dataset(num_classes=3), spec)
+
+
 def test_inject_single_class_error():
     data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError, match="2 classes"):

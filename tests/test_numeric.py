@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coreglab.numeric import (AdamState, LrSchedule, adam_step, cross_entropy,
-                              dropout_mask, finite_diff_grad, kl_divergence,
-                              lr_at, softmax)
+from coreglab.numeric import (PROB_FLOOR, AdamState, LrSchedule, adam_step,
+                              cross_entropy, dropout_mask, finite_diff_grad,
+                              floored_nll, kl_divergence, kl_terms, lr_at, softmax)
 
 # Frozen with a 50-digit decimal oracle.
 SOFTMAX_2_0 = (0.8807970779778824, 0.11920292202211756)
@@ -93,6 +93,32 @@ def test_cross_entropy_errors():
         cross_entropy(np.array([[0.5, 0.5]]), np.array([-1]))
     with pytest.raises(ValueError):
         cross_entropy(np.array([[0.5, 0.5]]), np.array([0, 1]))
+
+
+def test_floored_nll_per_model_rows_in_c_order():
+    rng = np.random.default_rng(4)
+    probs = softmax(rng.normal(size=(3, 6, 4)))
+    labels = rng.integers(0, 4, size=6)
+    probs[1, 2] = np.eye(4)[(labels[2] + 1) % 4]  # labeled class at 0: floored
+    got = floored_nll(probs, labels)
+    assert got.shape == (3, 6) and got.flags.c_contiguous
+    for k in range(3):
+        picked = np.maximum(probs[k][np.arange(6), labels], PROB_FLOOR)
+        assert got[k].tobytes() == (-np.log(picked)).tobytes()
+    assert got[1, 2] == -math.log(PROB_FLOOR)
+    assert floored_nll(probs[0], labels).tobytes() == got[0].tobytes()
+
+
+def test_kl_terms_broadcast_and_sum_to_kl():
+    rng = np.random.default_rng(5)
+    q = softmax(rng.normal(size=(5, 3)))
+    p = softmax(rng.normal(size=(2, 5, 3)))
+    terms = kl_terms(q[None, :, :], p, 1e-12)
+    assert terms.shape == (2, 5, 3)
+    for k in range(2):
+        for i in range(5):
+            assert np.sum(terms[k, i]) == pytest.approx(
+                kl_divergence(q[i], p[k, i], 1e-12), rel=1e-14)
 
 
 def test_kl_zero_when_equal():

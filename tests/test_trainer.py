@@ -442,6 +442,13 @@ def test_train_zero_steps_returns_init():
     assert result.num_epochs == 0
 
 
+def test_train_rejects_empty_dataset(hang_guard):
+    empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
+    with pytest.raises(ValueError, match="empty dataset"):
+        train(empty, None, small_config())
+    assert train(empty, None, small_config(total_steps=0)).num_epochs == 0
+
+
 def test_train_full_warmup_equals_gamma_zero():
     data = tiny_dataset(n=40)
     kwargs = dict(total_steps=15, batch_size=8, dropout=0.1, master_seed=3)
