@@ -22,7 +22,7 @@ from .experiment import (ConfigError, ExperimentConfig, RunManifest,
                          export_curves, load_config, run_audit,
                          run_experiment, run_noise_analysis)
 from .metrics import (F1Report, Span, TagScheme, accuracy, bio_decode,
-                      bio_encode, relation_micro_f1, span_f1)
+                      relation_micro_f1, span_f1)
 from .models import (MlpModel, SentenceInstance, TaggingInstance, Vocab,
                      backward, entity_mask, featurize_sentence, forward,
                      init_model, load_model, param_count, predict, save_model)
@@ -30,13 +30,10 @@ from .noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                        auroc, disagreement_report, first_learned_means,
                        forgetting_stats, inject_noise, noise_overfit_eval,
                        split_noisy_clean)
-from .numeric import (AdamState, LrSchedule, adam_step, cross_entropy,
-                      dropout_mask, finite_diff_grad, kl_divergence, lr_at,
-                      softmax)
+from .numeric import AdamState, adam_step, dropout_mask, lr_at, softmax
 from .rng import substream, substream_seed
 from .trainer import (LossReport, ModelEnsemble, TrainConfig, TrainResult,
-                      TrainingDiverged, aggregate_soft_target, agreement_loss,
-                      init_ensemble, select_model, train, train_step,
-                      warmup_steps)
+                      TrainingDiverged, agreement_loss, init_ensemble, train,
+                      train_step, warmup_steps)
 
 __version__ = "0.1.0"

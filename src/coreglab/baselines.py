@@ -97,7 +97,7 @@ def make_relabel_hook(sched: PruneSchedule):
 
 @dataclass
 class InstanceWeights:
-    """Per-instance loss multipliers in [0, 1]; defaults to all ones."""
+    """Per-instance loss multipliers in [0, 1]."""
 
     values: np.ndarray
 
@@ -108,10 +108,6 @@ class InstanceWeights:
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("weights must lie in [0, 1]")
 
-    @classmethod
-    def ones(cls, n: int) -> "InstanceWeights":
-        return cls(np.ones(n))
-
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -119,32 +115,16 @@ class InstanceWeights:
             for i, w in enumerate(self.values):
                 writer.writerow([i, repr(float(w))])
 
-    @classmethod
-    def load_csv(cls, path) -> "InstanceWeights":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["id", "weight"]:
-                raise ValueError(f"unexpected weight file header: {header!r}")
-            pairs = [(int(row[0]), float(row[1])) for row in reader]
-        values = np.ones(len(pairs))
-        for i, w in pairs:
-            values[i] = w
-        return cls(values)
 
-
-def train_plain(dataset, dev_set, config: trainer.TrainConfig, *, weights=None,
-                batch_hook=None, eval_metric=None, metric_name: str = "accuracy",
-                extra_eval=(), track_trajectories: bool = False) -> trainer.TrainResult:
+def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,
+                weights: InstanceWeights | None = None, eval_metric=None,
+                metric_name: str = "accuracy") -> trainer.TrainResult:
     """Single-model cross-entropy training on the shared pipeline: the same
     engine with one model and no agreement term, so seeding and batching are
     identical to the multi-model runs."""
-    if weights is not None and isinstance(weights, InstanceWeights):
-        weights = weights.values
     return trainer.train(dataset, dev_set, trainer.make_plain_config(config),
-                         weights=weights, batch_hook=batch_hook,
-                         eval_metric=eval_metric, metric_name=metric_name,
-                         extra_eval=extra_eval, track_trajectories=track_trajectories)
+                         weights=None if weights is None else weights.values,
+                         eval_metric=eval_metric, metric_name=metric_name)
 
 
 def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -111,18 +111,23 @@ def gen_synthetic(task, out_dir, seed, train_size, dev_size, test_size,
     """Generate a synthetic dataset: a Gaussian-mixture classification task
     or a templated tagging corpus."""
     out = experiment.resolve_output_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if task == "synthetic":
         schema, suffix, unit = None, "jsonl", "instances"
-        splits = datasets.mixture_splits(train_size, dev_size, test_size, num_classes,
-                                         num_features, class_sep, scale, seed)
+        given = dict(train_size=train_size, dev_size=dev_size, test_size=test_size,
+                     num_classes=num_classes, num_features=num_features,
+                     class_sep=class_sep, scale=scale, data_seed=seed)
+        splits = datasets.mixture_splits(**{
+            key: experiment._typed(given, key, *spec)
+            for key, spec in datasets.MIXTURE_KEYS.items()})
     else:
         suffix, unit = "conll", "sentences"
         instances, schema = datasets.gen_tagging_corpus(sentences, seed)
-        datasets.save_tag_scheme(schema, out / "schema.json")
         n_eval = max(1, len(instances) // 10)
         cut = len(instances) - 2 * n_eval
         splits = instances[:cut], instances[cut:cut + n_eval], instances[cut + n_eval:]
+    out.mkdir(parents=True, exist_ok=True)
+    if schema is not None:
+        datasets.save_tag_scheme(schema, out / "schema.json")
     for name, part in zip(("train", "dev", "test"), splits):
         datasets.write_records(task, out / f"{name}.{suffix}", part, schema)
         click.echo(f"wrote {out / f'{name}.{suffix}'} ({len(part)} {unit})")
@@ -154,6 +159,9 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
         raise experiment.ConfigError(f"{task} noise requires --schema")
     schema = datasets.load_schema(task, schema_path)
     records, labeled = datasets.read_labeled(task, input_path, schema)
+    if labeled.num_classes < 2:
+        raise datasets.DataError(f"{input_path}: labels span {labeled.num_classes} "
+                                 "class; flipping needs at least 2")
     noisy, mask = noiselab.inject_noise(labeled, spec)
     datasets.write_records(task, output_path,
                            datasets.relabel(task, records, noisy.labels), schema)

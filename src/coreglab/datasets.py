@@ -112,14 +112,11 @@ class LabeledDataset:
             true_labels=None if self.true_labels is None else self.true_labels[idx],
             groups=None if self.groups is None else self.groups[idx])
 
-    def with_labels(self, labels, *, keep_true: bool = True) -> "LabeledDataset":
+    def with_labels(self, labels) -> "LabeledDataset":
         """Copy with replaced labels, sharing the feature matrix; the current
         labels become the hidden true labels unless some are already
         recorded."""
-        if keep_true:
-            true = self.true_labels if self.true_labels is not None else self.labels.copy()
-        else:
-            true = self.true_labels
+        true = self.true_labels if self.true_labels is not None else self.labels.copy()
         return LabeledDataset(self.features, labels, self.num_classes,
                               ids=self.ids.copy(), true_labels=true,
                               groups=None if self.groups is None else self.groups.copy())

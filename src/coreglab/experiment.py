@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,19 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _integer(value) -> int:
+    """int(value) for a whole number or a numeric string; a number with a
+    fractional part is refused instead of truncated."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+def _sizes(values) -> tuple[int, ...]:
+    return tuple(_integer(v) for v in values)
+
+
 # key: (type, default, least allowed value or None), as datasets.MIXTURE_KEYS;
 # analysis.epochs, which defaults to the top-level epochs, is added when the
 # config is parsed.
@@ -74,7 +87,7 @@ def _typed(mapping, key, kind, default, minimum=None, prefix=""):
     """mapping[key], or the default when absent, as ``kind`` and at least
     ``minimum``; a ConfigError names the key otherwise."""
     try:
-        value = kind(mapping.get(key, default))
+        value = (_integer if kind is int else kind)(mapping.get(key, default))
     except (TypeError, ValueError) as exc:
         noun = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
         raise ConfigError(f"{prefix}{key} must be {noun}: {exc}") from exc
@@ -83,9 +96,17 @@ def _typed(mapping, key, kind, default, minimum=None, prefix=""):
     return value
 
 
+def _block(raw, name) -> dict:
+    """A copy of the ``name`` block of the config, which must be a mapping."""
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    return dict(block)
+
+
 def _typed_block(raw, name, keys) -> dict:
     """The ``name`` block of the config with every key of ``keys`` typed."""
-    block = dict(raw.get(name, {}))
+    block = _block(raw, name)
     _check_keys(block, keys.keys(), name)
     return {key: _typed(block, key, *spec, f"{name}.") for key, spec in keys.items()}
 
@@ -96,6 +117,13 @@ def _check_confusion(noise, num_classes: int) -> None:
         if len(noise["confusion"]) != num_classes:
             raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
                               f"for the data's {num_classes} classes")
+
+
+def _check_folds(method: str, baseline: dict, n_train: int) -> None:
+    """Crossweigh needs at least one training row per fold."""
+    if method == "crossweigh" and baseline["folds"] > n_train:
+        raise ConfigError(f"baseline.folds ({baseline['folds']}) exceeds the "
+                          f"{n_train} training rows")
 
 
 @dataclass
@@ -140,19 +168,24 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir")
         if not output_dir:
             raise ConfigError("output_dir is required")
-        train_raw = dict(raw.get("train", {}))
+        train_raw = _block(raw, "train")
         _check_keys(train_raw, _TRAIN_KEYS, "train")
+        for spec in fields(trainer.TrainConfig):
+            if spec.type in (int, float):
+                train_raw[spec.name] = _typed(train_raw, spec.name, spec.type,
+                                              spec.default, prefix="train.")
+        train_raw["hidden_sizes"] = _typed(train_raw, "hidden_sizes", _sizes,
+                                           trainer.TrainConfig.hidden_sizes,
+                                           prefix="train.")
+        tcfg = trainer.TrainConfig(**train_raw)
         try:
-            if "hidden_sizes" in train_raw:
-                train_raw["hidden_sizes"] = tuple(int(h) for h in train_raw["hidden_sizes"])
-            tcfg = trainer.TrainConfig(**train_raw)
-            tcfg.validate(min_models=1)
-        except (TypeError, ValueError) as exc:
+            tcfg.validate()
+        except ValueError as exc:
             raise ConfigError(f"bad train settings: {exc}") from exc
         if method == "coreg" and tcfg.num_models < 2:
             raise ConfigError("coreg requires num_models >= 2")
         epochs = 30 if raw.get("epochs") is None else _typed(raw, "epochs", int, 30, 1)
-        data = dict(raw.get("data", {}))
+        data = _block(raw, "data")
         _check_keys(data, _DATA_KEYS, "data")
         mixture = None
         if task == "synthetic":
@@ -162,7 +195,7 @@ class ExperimentConfig:
             data["window"] = _typed(data, "window", int, 1, 0, "data.")
         noise = raw.get("noise")
         if noise is not None:
-            noise = dict(noise)
+            noise = _block(raw, "noise")
             _check_keys(noise, _NOISE_KEYS, "noise")
             if "rate" not in noise:
                 raise ConfigError("noise requires a rate")
@@ -173,8 +206,16 @@ class ExperimentConfig:
             if mixture is not None:
                 _check_confusion(noise, mixture["num_classes"])
         baseline = _typed_block(raw, "baseline", _BASELINE_KEYS)
+        if baseline["delta_max"] > 100.0:
+            raise ConfigError("baseline.delta_max must be <= 100")
+        if not 0.0 < baseline["base_weight"] <= 1.0:
+            raise ConfigError("baseline.base_weight must be in (0, 1]")
+        if mixture is not None:
+            _check_folds(method, baseline, mixture["train_size"])
         analysis = _typed_block(raw, "analysis",
                                 {**_ANALYSIS_KEYS, "epochs": (int, epochs, 1)})
+        if analysis["pool_noise_rate"] >= 1.0:
+            raise ConfigError("analysis.pool_noise_rate must be < 1")
         return cls(task, method, seeds, str(output_dir), tcfg, epochs, data, noise,
                    baseline, analysis, raw, mixture)
 
@@ -228,6 +269,7 @@ def build_task_data(config: ExperimentConfig) -> TaskData:
         if len(train) == 0:
             raise datasets.DataError(f"{data['train_path']}: empty training split")
         _check_confusion(config.noise, train.num_classes)
+        _check_folds(config.method, config.baseline, len(train))
     name, fn = datasets.make_metric(config.task, schema=schema)
     return TaskData(train, dev, test, name, fn, vocab=vocab)
 
@@ -396,11 +438,11 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     """Noise-overfit protocol over a gamma grid: per seed, build a paired
     noisy/clean pool, train on train + noisy for each gamma, and log the
     clean-set metric per epoch. Emits curves.csv in the long format."""
+    if config.task != "synthetic":
+        raise ConfigError("analyze-noise supports the synthetic task")
     run_dir = resolve_output_dir(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     _snapshot_config(config, run_dir)
-    if config.task != "synthetic":
-        raise ConfigError("analyze-noise supports the synthetic task")
     task = build_task_data(config)
     analysis = config.analysis
     # The pool is a second draw of the same mixture, on the next data seed.
@@ -424,16 +466,18 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
         base = replace(config.train, master_seed=seed,
                        total_steps=analysis["epochs"] * _steps_per_epoch(
                            union_n, config.train.batch_size))
-        for gamma in analysis["gammas"]:
-            rows = noiselab.noise_overfit_eval(
-                train_set, noisy_set, clean_set, [gamma], base,
-                eval_metric=task.metric_fn, metric_name=task.metric_name)
-            seed_dir = run_dir / f"gamma_{repr(gamma)}" / f"seed_{seed}"
+        curves = {}  # repr(gamma) -> {epoch: clean-set value}
+        for gamma, epoch, value in noiselab.noise_overfit_eval(
+                train_set, noisy_set, clean_set, analysis["gammas"], base,
+                eval_metric=task.metric_fn, metric_name=task.metric_name):
+            curves.setdefault(repr(gamma), {})[epoch] = value
+        for gamma, curve in curves.items():
+            seed_dir = run_dir / f"gamma_{gamma}" / f"seed_{seed}"
             seed_dir.mkdir(parents=True, exist_ok=True)
             _write_epoch_log(
                 seed_dir / "epoch_log.csv",
                 [("selected", epoch, "clean", task.metric_name, value)
-                 for _, epoch, value in rows])
+                 for epoch, value in curve.items()])
     return export_curves(run_dir)
 
 

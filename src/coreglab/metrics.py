@@ -30,12 +30,6 @@ class F1Report:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         return cls(tp, fp, fn, precision, recall, f1)
 
-    def csv_row(self) -> str:
-        return (f"{self.tp},{self.fp},{self.fn},"
-                f"{self.precision!r},{self.recall!r},{self.f1!r}")
-
-    CSV_HEADER = "tp,fp,fn,precision,recall,f1"
-
 
 class TagScheme:
     """BIO tag layout: index 0 = O, then B-X, I-X per entity type in order."""
@@ -58,9 +52,6 @@ class TagScheme:
 
     def symbol(self, index: int) -> str:
         return self.tags[index]
-
-    def symbols(self, indices) -> list[str]:
-        return [self.tags[int(i)] for i in indices]
 
 
 # Well-formed BIO symbols parsed so far: symbol -> (starts a span, entity
@@ -95,20 +86,6 @@ def bio_decode(tags: list[str]) -> list[Span]:
     if open_type is not None:
         spans.append(Span(open_type, open_start, len(tags) - 1))
     return spans
-
-
-def bio_encode(spans: list[Span], length: int) -> list[str]:
-    """Inverse of bio_decode for non-overlapping spans."""
-    tags = ["O"] * length
-    for span in spans:
-        if not 0 <= span.start <= span.end < length:
-            raise ValueError(f"span {span} out of range for length {length}")
-        if any(tags[i] != "O" for i in range(span.start, span.end + 1)):
-            raise ValueError(f"span {span} overlaps another span")
-        tags[span.start] = f"B-{span.label}"
-        for i in range(span.start + 1, span.end + 1):
-            tags[i] = f"I-{span.label}"
-    return tags
 
 
 def span_f1(gold: list[list[Span]], pred: list[list[Span]]) -> F1Report:

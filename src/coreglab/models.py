@@ -42,10 +42,6 @@ class Vocab:
     def pad_index(self) -> int:
         return self._index[PAD_TOKEN]
 
-    @property
-    def unk_index(self) -> int:
-        return self._index[UNK_TOKEN]
-
     def tokens(self) -> list[str]:
         return list(self._index)
 
@@ -201,16 +197,16 @@ def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
 
 def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
             rng: np.random.Generator | None = None):
-    """Compute logits and a cache for backward.
+    """Compute (batch, classes) logits and a cache for backward from a
+    (batch, features) matrix.
 
-    Accepts a single feature vector or a (batch, features) matrix. Dropout is
-    applied to hidden activations only when train_mode is on and the model's
-    rate is nonzero; evaluation consumes no RNG state.
+    Dropout is applied to hidden activations only when train_mode is on and
+    the model's rate is nonzero; evaluation consumes no RNG state.
     """
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"features must be a (batch, features) matrix, "
+                         f"got shape {x.shape}")
     if x.shape[1] != model.layer_sizes[0]:
         raise ValueError(
             f"feature length {x.shape[1]} != input size {model.layer_sizes[0]}")
@@ -232,10 +228,7 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
             cache.drop_masks.append(None)
         h = a
     cache.layer_inputs.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    if single:
-        return logits[0], cache
-    return logits, cache
+    return h @ model.weights[-1] + model.biases[-1], cache
 
 
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
@@ -245,8 +238,6 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     d = np.asarray(dlogits, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[None, :]
     if d.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
         raise ValueError("dlogits shape does not match the cached forward")
     grad = np.empty(model.params.size)
@@ -281,7 +272,7 @@ def set_params_flat(model: MlpModel, flat: np.ndarray) -> None:
 
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Argmax class per row, evaluation mode (no dropout)."""
-    logits, _ = forward(model, np.atleast_2d(np.asarray(features, dtype=np.float64)))
+    logits, _ = forward(model, features)
     return np.argmax(logits, axis=1)
 
 

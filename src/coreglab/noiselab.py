@@ -83,19 +83,6 @@ class FlipMask:
             for i, o, v in zip(self.indices, self.original_labels, self.noisy_labels):
                 writer.writerow([int(i), int(o), int(v)])
 
-    @classmethod
-    def load_csv(cls, path, num_instances: int) -> "FlipMask":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != FLIP_CSV_HEADER:
-                raise ValueError(f"unexpected flip file header: {header!r}")
-            rows = [(int(r[0]), int(r[1]), int(r[2])) for r in reader]
-        idx = np.array([r[0] for r in rows], dtype=np.int64)
-        orig = np.array([r[1] for r in rows], dtype=np.int64)
-        noisy = np.array([r[2] for r in rows], dtype=np.int64)
-        return cls(idx, orig, noisy, num_instances)
-
 
 def inject_noise(dataset, spec: NoiseSpec):
     """Corrupt exactly floor(rate*N) seeded-drawn labels.

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import (PROB_FLOOR, AdamState, LrSchedule, adam_step, floored_nll,
-                      kl_terms, lr_at, softmax)
+from .numeric import (PROB_FLOOR, AdamState, adam_step, floored_nll, kl_terms,
+                      lr_at, softmax)
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 SELECTION_POLICIES = ("first", "best_dev")
@@ -29,9 +29,9 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """All training hyperparameters.
 
-    The co-regularization method requires num_models >= 2; the engine itself
-    also accepts num_models == 1, which is how the plain baseline runs the
-    identical pipeline.
+    The engine accepts num_models == 1, which is how the plain baseline runs
+    the identical pipeline; the co-regularization method's num_models >= 2 is
+    a config rule (ExperimentConfig.from_mapping).
     """
 
     num_models: int = 2
@@ -48,9 +48,9 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (32,)
     dropout: float = 0.1
 
-    def validate(self, min_models: int = 2) -> None:
-        if self.num_models < min_models:
-            raise ValueError(f"num_models must be >= {min_models}")
+    def validate(self) -> None:
+        if self.num_models < 1:
+            raise ValueError("num_models must be >= 1")
         if not 0.0 <= self.warmup_pct <= 100.0:
             raise ValueError("warmup_pct must be in [0, 100]")
         if self.gamma < 0.0:
@@ -59,6 +59,12 @@ class TrainConfig:
             raise ValueError("kl_eps must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.base_lr <= 0.0:
+            raise ValueError("base_lr must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be positive")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
         if self.aggregate_mode not in AGGREGATE_MODES:
@@ -136,23 +142,12 @@ def aggregate_targets(probs: np.ndarray, logits: np.ndarray,
     raise ValueError(f"unknown aggregate mode {mode!r}")
 
 
-def aggregate_soft_target(preds, logits, sup_losses, mode: str) -> np.ndarray:
-    """Single-instance soft target from the M models' predictions."""
-    probs = np.asarray(preds, dtype=np.float64)[:, None, :]
-    logit_arr = np.asarray(logits, dtype=np.float64)[:, None, :]
-    losses = np.asarray(sup_losses, dtype=np.float64)[:, None]
-    return aggregate_targets(probs, logit_arr, losses, mode)[0]
-
-
 def agreement_loss(q: np.ndarray, preds: np.ndarray, eps: float) -> float:
-    """Mean smoothed KL from the soft target to each model's prediction,
-    averaged over models and instances."""
+    """Mean smoothed KL from the (batch, classes) soft target to each model's
+    prediction in the (models, batch, classes) stack, averaged over models and
+    instances."""
     qa = np.asarray(q, dtype=np.float64)
     pa = np.asarray(preds, dtype=np.float64)
-    if qa.ndim == 1:
-        qa = qa[None, :]
-    if pa.ndim == 2:
-        pa = pa[:, None, :]
     if pa.ndim != 3 or qa.shape != pa.shape[1:]:
         raise ValueError("prediction shapes do not match the soft target")
     num_models, batch, _ = pa.shape
@@ -305,7 +300,7 @@ def train_step(features: np.ndarray, labels: np.ndarray, ensemble: ModelEnsemble
                                            weights=weights, batch_hook=batch_hook)
     if not grads:
         return report
-    lr = lr_at(LrSchedule(config.base_lr, config.total_steps), t)
+    lr = lr_at(config.base_lr, config.total_steps, t)
     for k, model in enumerate(ensemble.models):
         new_params, ensemble.opt_states[k] = adam_step(
             model.params, grads[k], ensemble.opt_states[k], lr)
@@ -363,11 +358,6 @@ def select_index(dev_metrics, policy: str, num_models: int) -> int:
     raise ValueError(f"unknown selection policy {policy!r}")
 
 
-def select_model(ensemble: ModelEnsemble, dev_metrics, policy: str) -> mdl.MlpModel:
-    """The model the policy designates for inference."""
-    return ensemble.models[select_index(dev_metrics, policy, ensemble.num_models)]
-
-
 def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
           metric_name: str = "accuracy", extra_eval=(), weights=None,
           batch_hook=None, track_trajectories: bool = False) -> TrainResult:
@@ -379,7 +369,7 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     ``extra_eval`` entries of the form (split, dataset, metric_name, fn);
     the best per-model dev checkpoint is retained.
     """
-    config.validate(min_models=1)
+    config.validate()
     if config.total_steps > 0 and len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     metric = eval_metric if eval_metric is not None else _default_metric

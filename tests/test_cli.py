@@ -104,9 +104,30 @@ def assert_clean_exit(result, code):
     {"baseline": {"folds": "x"}},
     {"baseline": {"delta_max": "x"}},
     {"noise": {"rate": 0.2, "scheme": "class_conditional", "confusion": [[1.0]]}},
+    {"train": {"num_models": 2, "base_lr": 0}},
+    {"train": {"num_models": 2, "dropout": 1.5}},
+    {"train": {"num_models": 2, "hidden_sizes": [0]}},
+    {"train": {"num_models": 2, "batch_size": 2.5}},
+    {"train": {"num_models": 2.5}},
+    {"train": {"num_models": 2, "total_steps": 2.5}},
+    {"baseline": {"delta_max": 150}},
+    {"baseline": {"base_weight": 0}},
+    {"baseline": {"base_weight": 1.5}},
+    {"analysis": {"pool_noise_rate": 1.5}},
+    {"method": "crossweigh", "train": {"num_models": 1},
+     "baseline": {"folds": 41}},
+    {"train": None},
+    {"baseline": None},
+    {"data": 5},
+    {"noise": 0.3},
 ], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
         "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
-        "class_sep", "folds", "delta_max", "confusion_size"])
+        "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
+        "dropout_above_1", "hidden_size_zero", "batch_size_fraction",
+        "num_models_fraction", "total_steps_fraction", "delta_max_above_100",
+        "base_weight_zero", "base_weight_above_1", "pool_noise_rate_above_1",
+        "folds_above_rows", "train_null", "baseline_null", "data_scalar",
+        "noise_scalar"])
 def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
@@ -115,8 +136,9 @@ def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
-    write_config(config_path, analysis={"pool_size": "abc"})
-    assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
+    for analysis in ({"pool_size": "abc"}, {"pool_noise_rate": 1.5}, None):
+        write_config(config_path, analysis=analysis)
+        assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
 
 
 TASK_FILES = {
@@ -134,11 +156,13 @@ NOT_UTF8 = b"\xff\xfe"
 
 def write_file_task_config(config_path, task, train_path, data_path, schema_path,
                            **overrides):
-    write_config(config_path, task=task, method="plain",
-                 train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4]},
-                 data={"train_path": str(train_path), "dev_path": str(data_path),
-                       "test_path": str(data_path), "schema_path": str(schema_path)},
-                 **overrides)
+    settings = dict(task=task, method="plain",
+                    train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4]},
+                    data={"train_path": str(train_path), "dev_path": str(data_path),
+                          "test_path": str(data_path),
+                          "schema_path": str(schema_path)})
+    settings.update(overrides)
+    write_config(config_path, **settings)
 
 
 @pytest.mark.parametrize("task,broken", [
@@ -187,6 +211,23 @@ def test_empty_train_split_exits_2(runner, tmp_path, task, hang_guard):
     result = runner.invoke(main, ["train", str(config_path)])
     assert_clean_exit(result, 2)
     assert "empty training split" in result.stderr
+
+
+@pytest.mark.parametrize("task", ["tagging", "relation"])
+def test_file_task_folds_above_rows_exits_1(runner, tmp_path, task):
+    """Crossweigh's folds are checked against the loaded training rows: the
+    tagging file has 2 token rows, the relation file 1 record."""
+    schema, records = TASK_FILES[task]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    data_path = tmp_path / "split.data"
+    data_path.write_text(records)
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(config_path, task, data_path, data_path, schema_path,
+                           method="crossweigh", baseline={"folds": 3})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert "folds" in result.stderr
 
 
 def test_file_task_confusion_size_exits_1(runner, tmp_path):
@@ -260,6 +301,25 @@ def test_inject_noise_synthetic(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "original_label", "noisy_label"]
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("option", ["--num-classes", "--num-features"])
+def test_gen_synthetic_below_least_value_exits_1(runner, tmp_path, option):
+    result = runner.invoke(main, [
+        "gen-synthetic", "--out", str(tmp_path / "data"), option, "1"])
+    assert_clean_exit(result, 1)
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("content", ["", '{"features": [0.0], "label": 0}\n'],
+                         ids=["empty", "one_class"])
+def test_inject_noise_without_two_classes_exits_2(runner, tmp_path, content):
+    (tmp_path / "train.jsonl").write_text(content)
+    result = runner.invoke(main, [
+        "inject-noise", "--input", str(tmp_path / "train.jsonl"),
+        "--output", str(tmp_path / "noisy.jsonl"), "--rate", "0.3"])
+    assert_clean_exit(result, 2)
+    assert not (tmp_path / "noisy.jsonl").exists()
 
 
 def test_inject_noise_bad_rate_exits_1(runner, tmp_path):

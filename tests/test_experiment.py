@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from coreglab import noiselab
 from coreglab.datasets import DataError
 from coreglab.experiment import (CURVES_HEADER, EPOCH_LOG_HEADER,
                                  METRICS_HEADER, OUTPUT_ROOT_ENV, ConfigError,
@@ -67,10 +68,43 @@ def test_from_mapping_errors(tmp_path):
         ({**good, "baseline": {"momentum": 1}}, "unknown baseline keys"),
         ({**good, "analysis": {"grid": []}}, "unknown analysis keys"),
         ("not a mapping", "mapping"),
+        ({**good, "train": None}, "train must be a mapping"),
+        ({**good, "data": 5}, "data must be a mapping"),
+        ({**good, "noise": 0.3}, "noise must be a mapping"),
+        ({**good, "baseline": None}, "baseline must be a mapping"),
+        ({**good, "analysis": [1]}, "analysis must be a mapping"),
+        ({**good, "train": {"base_lr": 0}}, "base_lr"),
+        ({**good, "train": {"dropout": 1.5}}, "dropout"),
+        ({**good, "train": {"hidden_sizes": [0]}}, "hidden_sizes"),
+        ({**good, "train": {"hidden_sizes": [2.5]}}, "train.hidden_sizes"),
+        ({**good, "train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({**good, "train": {"num_models": 2.5}}, "train.num_models"),
+        ({**good, "train": {"total_steps": 2.5}}, "train.total_steps"),
+        ({**good, "train": {"gamma": "x"}}, "train.gamma"),
+        ({**good, "epochs": 2.5}, "epochs"),
+        ({**good, "baseline": {"delta_max": 150}}, "delta_max"),
+        ({**good, "baseline": {"base_weight": 0}}, "base_weight"),
+        ({**good, "baseline": {"base_weight": 1.5}}, "base_weight"),
+        ({**good, "analysis": {"pool_noise_rate": 1.5}}, "pool_noise_rate"),
+        ({**good, "method": "crossweigh", "baseline": {"folds": 61}}, "folds"),
     ]
     for mapping, message in cases:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_mapping(mapping)
+
+
+def test_from_mapping_types_train_keys(tmp_path):
+    mapping = tiny_mapping(tmp_path, train={"num_models": "3", "gamma": 2,
+                                            "batch_size": 16.0, "dropout": 0,
+                                            "hidden_sizes": ["8", 4.0]})
+    config = ExperimentConfig.from_mapping(mapping).train
+    assert (config.num_models, config.batch_size) == (3, 16)
+    assert type(config.batch_size) is int
+    assert type(config.gamma) is float and config.gamma == 2.0
+    assert type(config.dropout) is float
+    assert config.hidden_sizes == (8, 4)
+    # crossweigh folds only bind the crossweigh method
+    ExperimentConfig.from_mapping(tiny_mapping(tmp_path, baseline={"folds": 61}))
 
 
 def test_plain_method_allows_single_model(tmp_path):
@@ -298,12 +332,36 @@ def test_run_noise_analysis_layout(tmp_path):
     assert {row[4] for row in rows[1:]} == {"clean"}
 
 
+def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
+    """One noise_overfit_eval call per seed, over the whole gamma grid."""
+    calls = []
+    original = noiselab.noise_overfit_eval
+
+    def counting(train_set, noisy_set, clean_set, gammas, *args, **kwargs):
+        calls.append(list(gammas))
+        return original(train_set, noisy_set, clean_set, gammas, *args, **kwargs)
+
+    monkeypatch.setattr(noiselab, "noise_overfit_eval", counting)
+    mapping = tiny_mapping(
+        tmp_path, seeds=[1, 2], output_dir=str(tmp_path / "noise"),
+        analysis={"gammas": [0.0, 1.0, 5.0], "pool_size": 40, "epochs": 2})
+    run_noise_analysis(ExperimentConfig.from_mapping(mapping))
+    assert calls == [[0.0, 1.0, 5.0], [0.0, 1.0, 5.0]]
+    for gamma in ("0.0", "1.0", "5.0"):
+        for seed in (1, 2):
+            rows = read_csv(tmp_path / "noise" / f"gamma_{gamma}" / f"seed_{seed}"
+                            / "epoch_log.csv")
+            assert [row[1] for row in rows[1:]] == ["0", "1"]
+
+
 def test_run_noise_analysis_synthetic_only(tmp_path):
     mapping = tiny_mapping(tmp_path, task="tagging",
                            data={"train_path": "x", "dev_path": "x",
                                  "test_path": "x", "schema_path": "x"})
     with pytest.raises(ConfigError, match="synthetic"):
         run_noise_analysis(ExperimentConfig.from_mapping(mapping))
+    # The task is checked before anything is written.
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_audit_with_noise(tmp_path):

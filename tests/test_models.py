@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
-from coreglab.models import (MlpModel, SentenceInstance, TaggingInstance, Vocab,
-                             backward, entity_mask, featurize_sentence, forward,
-                             init_model, load_model, obj_mask_token, param_count,
-                             params_flat, predict, save_model, set_params_flat,
-                             subj_mask_token)
-from coreglab.numeric import finite_diff_grad, softmax
+from coreglab.models import (UNK_TOKEN, MlpModel, SentenceInstance,
+                             TaggingInstance, Vocab, backward, entity_mask,
+                             featurize_sentence, forward, init_model, load_model,
+                             obj_mask_token, param_count, params_flat, predict,
+                             save_model, set_params_flat, subj_mask_token)
+from coreglab.numeric import softmax
 from coreglab.rng import substream
-from oracles import featurize_token_window
+from oracles import featurize_token_window, finite_diff_grad
 
 
 def test_vocab_specials_first():
     vocab = Vocab(["apple", "banana"])
     assert vocab.pad_index == 0
-    assert vocab.unk_index == 1
+    assert vocab.index(UNK_TOKEN) == 1
     assert vocab.index("apple") == 2
     assert vocab.index("banana") == 3
 
 
 def test_vocab_unknown_falls_back():
     vocab = Vocab(["apple"])
-    assert vocab.index("zebra") == vocab.unk_index
+    assert vocab.index("zebra") == vocab.index(UNK_TOKEN)
     assert "zebra" not in vocab
     assert "apple" in vocab
 
@@ -73,7 +73,7 @@ def test_featurize_sentence_counts():
     assert vec.shape == (4,)
     assert vec[vocab.index("a")] == pytest.approx(0.5)
     assert vec[vocab.index("b")] == pytest.approx(0.25)
-    assert vec[vocab.unk_index] == pytest.approx(0.25)
+    assert vec[vocab.index(UNK_TOKEN)] == pytest.approx(0.25)
     assert vec.sum() == pytest.approx(1.0)
 
 
@@ -152,8 +152,8 @@ def _hand_model():
 def test_forward_hand_computed():
     # hidden pre-activation: [2.1, 2.8] -> relu unchanged
     # logits: [2.1 + 2.8, 2.8] + [0, 0.5] = [4.9, 3.3]
-    logits, _ = forward(_hand_model(), np.array([1.0, 2.0]))
-    np.testing.assert_allclose(logits, [4.9, 3.3], rtol=1e-14)
+    logits, _ = forward(_hand_model(), np.array([[1.0, 2.0]]))
+    np.testing.assert_allclose(logits, [[4.9, 3.3]], rtol=1e-14)
 
 
 def test_forward_batch_matches_single():
@@ -161,13 +161,13 @@ def test_forward_batch_matches_single():
     xs = np.random.default_rng(2).normal(size=(4, 3))
     batch_logits, _ = forward(model, xs)
     for i in range(4):
-        single, _ = forward(model, xs[i])
-        np.testing.assert_allclose(batch_logits[i], single, rtol=1e-12)
+        single, _ = forward(model, xs[i:i + 1])
+        np.testing.assert_allclose(batch_logits[i:i + 1], single, rtol=1e-12)
 
 
 def test_forward_eval_ignores_dropout_and_rng():
     model = init_model((3, 16, 2), 0.5, seed=3)
-    x = np.ones(3)
+    x = np.ones((1, 3))
     a, _ = forward(model, x)
     b, _ = forward(model, x)
     assert a.tobytes() == b.tobytes()
@@ -176,21 +176,25 @@ def test_forward_eval_ignores_dropout_and_rng():
 def test_forward_train_mode_dropout_needs_rng():
     model = init_model((3, 16, 2), 0.5, seed=3)
     with pytest.raises(ValueError, match="rng"):
-        forward(model, np.ones(3), train_mode=True)
+        forward(model, np.ones((1, 3)), train_mode=True)
 
 
 def test_forward_train_mode_dropout_zero_consumes_no_rng():
     model = init_model((3, 16, 2), 0.0, seed=3)
     rng = substream(0, "dropout.0")
     before = rng.bit_generator.state
-    forward(model, np.ones(3), train_mode=True, rng=rng)
+    forward(model, np.ones((1, 3)), train_mode=True, rng=rng)
     assert rng.bit_generator.state == before
 
 
 def test_forward_shape_check():
     model = init_model((3, 4, 2), 0.0, seed=0)
     with pytest.raises(ValueError, match="feature length"):
-        forward(model, np.ones(5))
+        forward(model, np.ones((1, 5)))
+    with pytest.raises(ValueError, match="matrix"):
+        forward(model, np.ones(3))
+    with pytest.raises(ValueError, match="matrix"):
+        predict(model, np.ones(3))
 
 
 def test_backward_matches_finite_differences():
@@ -235,9 +239,9 @@ def test_backward_respects_dropout_mask():
 def test_backward_stale_cache():
     m1 = init_model((2, 3, 2), 0.0, seed=0)
     m2 = init_model((2, 3, 2), 0.0, seed=1)
-    logits, cache = forward(m1, np.ones(2))
+    logits, cache = forward(m1, np.ones((1, 2)))
     with pytest.raises(ValueError, match="stale"):
-        backward(m2, cache, np.ones(2))
+        backward(m2, cache, np.ones((1, 2)))
 
 
 def test_backward_dlogits_shape_check():
@@ -245,6 +249,8 @@ def test_backward_dlogits_shape_check():
     _, cache = forward(model, np.ones((2, 2)))
     with pytest.raises(ValueError):
         backward(model, cache, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        backward(model, cache, np.ones(2))
 
 
 def test_params_flat_round_trip():

@@ -11,7 +11,7 @@ from coreglab.noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                                noise_overfit_eval, save_suspect_csv,
                                split_noisy_clean)
 from coreglab.trainer import TrainConfig, init_ensemble, train
-from oracles import pairwise_auroc
+from oracles import load_flip_mask_csv, pairwise_auroc
 
 
 def tiny_dataset(n=30, num_classes=4, num_features=3, seed=0) -> LabeledDataset:
@@ -56,7 +56,7 @@ def test_flip_mask_csv_round_trip(tmp_path):
     path = tmp_path / "flips.csv"
     mask.save_csv(path)
     assert path.read_text().splitlines()[0] == "id,original_label,noisy_label"
-    loaded = FlipMask.load_csv(path, 10)
+    loaded = load_flip_mask_csv(path, 10)
     np.testing.assert_array_equal(loaded.indices, mask.indices)
     np.testing.assert_array_equal(loaded.original_labels, mask.original_labels)
     np.testing.assert_array_equal(loaded.noisy_labels, mask.noisy_labels)

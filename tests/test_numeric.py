@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from coreglab.numeric import (PROB_FLOOR, AdamState, LrSchedule, adam_step,
-                              cross_entropy, dropout_mask, finite_diff_grad,
-                              floored_nll, kl_divergence, kl_terms, lr_at, softmax)
+from coreglab.numeric import (PROB_FLOOR, AdamState, adam_step, dropout_mask,
+                              floored_nll, kl_terms, lr_at, softmax)
+from coreglab.trainer import TrainConfig
+from oracles import cross_entropy, finite_diff_grad, kl_divergence
 
 # Frozen with a 50-digit decimal oracle.
 SOFTMAX_2_0 = (0.8807970779778824, 0.11920292202211756)
@@ -154,29 +155,28 @@ def test_kl_errors():
 
 
 def test_lr_schedule_endpoints():
-    sched = LrSchedule(3e-5, 100)
-    assert lr_at(sched, 0) == 3e-5
-    assert lr_at(sched, 100) == 0.0
-    assert lr_at(sched, 50) == pytest.approx(1.5e-5, rel=1e-14)
+    assert lr_at(3e-5, 100, 0) == 3e-5
+    assert lr_at(3e-5, 100, 100) == 0.0
+    assert lr_at(3e-5, 100, 50) == pytest.approx(1.5e-5, rel=1e-14)
 
 
 def test_lr_schedule_monotone():
-    sched = LrSchedule(0.1, 37)
-    values = [lr_at(sched, t) for t in range(38)]
+    values = [lr_at(0.1, 37, t) for t in range(38)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] == 0.0
 
 
 def test_lr_schedule_errors():
+    # A non-positive base rate is a training-config error, caught before the
+    # first step.
+    with pytest.raises(ValueError, match="base_lr"):
+        TrainConfig(base_lr=0.0).validate()
     with pytest.raises(ValueError):
-        LrSchedule(0.0, 10)
+        lr_at(0.1, 0, 0)
     with pytest.raises(ValueError):
-        LrSchedule(0.1, 0)
-    sched = LrSchedule(0.1, 10)
+        lr_at(0.1, 10, 11)
     with pytest.raises(ValueError):
-        lr_at(sched, 11)
-    with pytest.raises(ValueError):
-        lr_at(sched, -1)
+        lr_at(0.1, 10, -1)
 
 
 def test_adam_zero_gradient_is_noop():

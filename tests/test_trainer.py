@@ -5,12 +5,12 @@ from coreglab import numeric
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import forward, params_flat, predict, set_params_flat
 from coreglab.trainer import (AGGREGATE_MODES, ModelEnsemble, TrainConfig,
-                              TrainingDiverged, aggregate_soft_target,
-                              aggregate_targets, agreement_loss,
+                              TrainingDiverged, aggregate_targets, agreement_loss,
                               compute_step_gradients, init_ensemble,
-                              make_plain_config, select_index, select_model,
-                              train, train_step, warmup_steps)
-from oracles import direct_agreement_loss, direct_aggregate
+                              make_plain_config, select_index, train, train_step,
+                              warmup_steps)
+from oracles import (direct_agreement_loss, direct_aggregate, finite_diff_grad,
+                     kl_divergence)
 
 SOFTMAX_2_1 = (0.7310585786300049, 0.2689414213699951)
 AGREEMENT_EXAMPLE = 0.020410997260044231
@@ -35,9 +35,9 @@ def tiny_dataset(n=24, num_classes=3, num_features=4, seed=0) -> LabeledDataset:
 
 def test_config_validation():
     small_config().validate()
+    small_config(num_models=1).validate()  # engine accepts M=1
     with pytest.raises(ValueError, match="num_models"):
-        small_config(num_models=1).validate()
-    small_config(num_models=1).validate(min_models=1)  # engine accepts M=1
+        small_config(num_models=0).validate()
     with pytest.raises(ValueError, match="warmup_pct"):
         small_config(warmup_pct=101).validate()
     with pytest.raises(ValueError, match="gamma"):
@@ -50,6 +50,27 @@ def test_config_validation():
         small_config(aggregate_mode="median").validate()
     with pytest.raises(ValueError, match="selection policy"):
         small_config(selection_policy="last").validate()
+    with pytest.raises(ValueError, match="base_lr"):
+        small_config(base_lr=0.0).validate()
+    with pytest.raises(ValueError, match="dropout"):
+        small_config(dropout=1.5).validate()
+    with pytest.raises(ValueError, match="dropout"):
+        small_config(dropout=-0.1).validate()
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        small_config(hidden_sizes=(8, 0)).validate()
+
+
+def test_train_rejects_invalid_config_before_first_step():
+    steps = []
+
+    def hook(t, labels, mean_losses, mean_probs):
+        steps.append(t)
+        return np.arange(len(labels)), labels
+
+    for bad in ({"base_lr": 0.0}, {"dropout": 1.5}, {"hidden_sizes": (0,)}):
+        with pytest.raises(ValueError):
+            train(tiny_dataset(), None, small_config(**bad), batch_hook=hook)
+    assert steps == []
 
 
 def test_warmup_steps_exact_grid():
@@ -94,27 +115,36 @@ def test_init_ensemble_reproducible():
 # ---------------------------------------------------------------- aggregates
 
 
+def aggregate_one(preds, logits, sup_losses, mode):
+    """aggregate_targets on a batch of one instance: per-model rows become
+    (models, 1, classes) stacks and the losses (models, 1)."""
+    return aggregate_targets(np.asarray(preds, dtype=np.float64)[:, None, :],
+                             np.asarray(logits, dtype=np.float64)[:, None, :],
+                             np.asarray(sup_losses, dtype=np.float64)[:, None],
+                             mode)[0]
+
+
 def test_aggregate_avg_prob_example():
-    q = aggregate_soft_target([[0.8, 0.2], [0.4, 0.6]],
-                              [[0.0, 0.0], [0.0, 0.0]], [0.1, 0.1], "avg_prob")
+    q = aggregate_one([[0.8, 0.2], [0.4, 0.6]],
+                      [[0.0, 0.0], [0.0, 0.0]], [0.1, 0.1], "avg_prob")
     np.testing.assert_allclose(q, [0.6, 0.4], rtol=1e-14)
 
 
 def test_aggregate_avg_logit_example():
-    q = aggregate_soft_target([[0.5, 0.5], [0.5, 0.5]],
-                              [[1.0, 0.0], [3.0, 2.0]], [0.1, 0.1], "avg_logit")
+    q = aggregate_one([[0.5, 0.5], [0.5, 0.5]],
+                      [[1.0, 0.0], [3.0, 2.0]], [0.1, 0.1], "avg_logit")
     np.testing.assert_allclose(q, SOFTMAX_2_1, rtol=1e-12)
 
 
 def test_aggregate_min_prob_example():
-    q = aggregate_soft_target([[0.8, 0.2], [0.3, 0.7]],
-                              [[0.0, 0.0], [0.0, 0.0]], [0.2, 0.9], "min_prob")
+    q = aggregate_one([[0.8, 0.2], [0.3, 0.7]],
+                      [[0.0, 0.0], [0.0, 0.0]], [0.2, 0.9], "min_prob")
     np.testing.assert_allclose(q, [0.3, 0.7], rtol=1e-14)
 
 
 def test_aggregate_min_prob_tie_goes_low():
-    q = aggregate_soft_target([[0.8, 0.2], [0.3, 0.7]],
-                              [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5], "min_prob")
+    q = aggregate_one([[0.8, 0.2], [0.3, 0.7]],
+                      [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5], "min_prob")
     np.testing.assert_allclose(q, [0.8, 0.2], rtol=1e-14)
 
 
@@ -122,14 +152,14 @@ def test_aggregate_fixed_point_identical_preds():
     p = np.array([0.2, 0.5, 0.3])
     logits = np.log(p)
     for mode in AGGREGATE_MODES:
-        q = aggregate_soft_target([p, p, p], [logits, logits, logits],
-                                  [0.4, 0.4, 0.4], mode)
+        q = aggregate_one([p, p, p], [logits, logits, logits],
+                          [0.4, 0.4, 0.4], mode)
         np.testing.assert_allclose(q, p, rtol=1e-12)
 
 
 def test_aggregate_unknown_mode():
     with pytest.raises(ValueError, match="aggregate mode"):
-        aggregate_soft_target([[0.5, 0.5]], [[0.0, 0.0]], [0.1], "median")
+        aggregate_one([[0.5, 0.5]], [[0.0, 0.0]], [0.1], "median")
 
 
 def test_aggregate_targets_matches_loop_reference():
@@ -201,7 +231,7 @@ def test_agreement_matches_kl_sum():
         num_classes = int(rng.integers(2, 6))
         preds = numeric.softmax(rng.normal(size=(num_models, n, num_classes)) * 3)
         q = np.mean(preds, axis=0)
-        via_kl = sum(numeric.kl_divergence(q[i], preds[k, i], 1e-9)
+        via_kl = sum(kl_divergence(q[i], preds[k, i], 1e-9)
                      for k in range(num_models)
                      for i in range(n)) / (num_models * n)
         assert agreement_loss(q, preds, 1e-9) == pytest.approx(via_kl, rel=1e-12)
@@ -224,10 +254,13 @@ def test_agreement_shape_errors():
 
 
 def test_agreement_single_instance_broadcast():
-    # 1-D q with (models, classes) preds is the single-instance form
-    value = agreement_loss(np.array([0.5, 0.5]),
-                           np.array([[0.6, 0.4], [0.4, 0.6]]), 1e-12)
+    # one instance: q is (1, classes) and the preds (models, 1, classes)
+    value = agreement_loss(np.array([[0.5, 0.5]]),
+                           np.array([[[0.6, 0.4]], [[0.4, 0.6]]]), 1e-12)
     assert value == pytest.approx(AGREEMENT_EXAMPLE, rel=1e-12)
+    with pytest.raises(ValueError, match="shape"):
+        agreement_loss(np.array([0.5, 0.5]),
+                       np.array([[0.6, 0.4], [0.4, 0.6]]), 1e-12)
 
 
 # ---------------------------------------------------------------- steps
@@ -407,7 +440,7 @@ def _fd_check(config, seed, *, frozen_q=True, loss_scale=1.0):
             set_params_flat(ens.models[k], base)
             return value
 
-        fd = numeric.finite_diff_grad(joint_loss, base, h=1e-5)
+        fd = finite_diff_grad(joint_loss, base, h=1e-5)
         denom = max(np.linalg.norm(fd), 1e-10)
         worst = max(worst, float(np.linalg.norm(grads[k] - fd) / denom))
     return worst
@@ -582,8 +615,9 @@ def test_select_index_policies():
 def test_select_model_returns_member():
     config = small_config()
     ens = init_ensemble(config, 4, 3)
-    assert select_model(ens, [0.1, 0.9], "best_dev") is ens.models[1]
-    assert select_model(ens, None, "first") is ens.models[0]
+    assert ens.models[select_index([0.1, 0.9], "best_dev", ens.num_models)] \
+        is ens.models[1]
+    assert ens.models[select_index(None, "first", ens.num_models)] is ens.models[0]
 
 
 def test_make_plain_config():
