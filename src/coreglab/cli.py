@@ -121,7 +121,10 @@ def gen_synthetic(task, out_dir, seed, train_size, dev_size, test_size,
             for key, spec in datasets.MIXTURE_KEYS.items()})
     else:
         suffix, unit = "conll", "sentences"
-        instances, schema = datasets.gen_tagging_corpus(sentences, seed)
+        given = {"sentences": sentences, "seed": seed}
+        instances, schema = datasets.gen_tagging_corpus(
+            experiment._typed(given, "sentences", int, 200, 1, "--"),
+            experiment._typed(given, "seed", int, 0, 0, "--"))
         n_eval = max(1, len(instances) // 10)
         cut = len(instances) - 2 * n_eval
         splits = instances[:cut], instances[cut:cut + n_eval], instances[cut + n_eval:]

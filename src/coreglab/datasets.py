@@ -56,15 +56,19 @@ def _load_json(path, what: str):
 
 @dataclass
 class LabeledDataset:
-    """Dense feature matrix with integer labels.
+    """Feature rows with integer labels.
 
-    true_labels, when present, carry the uncorrupted labels for noise
-    experiments; groups map each row to a sentence for span-level scoring
-    of tagging tasks. Features are read-only once a dataset is built:
-    with_labels shares the matrix between the datasets it relates.
+    Features are a dense float64 (rows, features) matrix or models.WindowIds,
+    tagging's one-hot windows kept as (rows, 2*window+1) column indices;
+    num_features is the dense width either way, and subset, with_labels and
+    concat_datasets keep the form. true_labels, when present, carry the
+    uncorrupted labels for noise experiments; groups map each row to a
+    sentence for span-level scoring of tagging tasks. Features are
+    read-only once a dataset is built: with_labels shares them between the
+    datasets it relates.
     """
 
-    features: np.ndarray
+    features: np.ndarray | mdl.WindowIds
     labels: np.ndarray
     num_classes: int
     ids: np.ndarray | None = None
@@ -72,10 +76,11 @@ class LabeledDataset:
     groups: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if not isinstance(self.features, mdl.WindowIds):
+            self.features = np.asarray(self.features, dtype=np.float64)
+            if self.features.ndim != 2:
+                raise ValueError("features must be a 2-D matrix")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
         n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must align with feature rows")
@@ -102,7 +107,7 @@ class LabeledDataset:
 
     @property
     def num_features(self) -> int:
-        return self.features.shape[1]
+        return mdl.feature_width(self.features)
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -128,9 +133,16 @@ def concat_datasets(first: LabeledDataset, second: LabeledDataset) -> LabeledDat
         raise ValueError("datasets disagree on the class count")
     if first.num_features != second.num_features:
         raise ValueError("datasets disagree on the feature width")
+    if type(first.features) is not type(second.features):
+        raise ValueError("datasets disagree on the feature form")
+    if isinstance(first.features, mdl.WindowIds):
+        features = mdl.WindowIds(np.vstack([first.features.ids, second.features.ids]),
+                                 first.num_features)
+    else:
+        features = np.vstack([first.features, second.features])
     both_true = first.true_labels is not None and second.true_labels is not None
     return LabeledDataset(
-        np.vstack([first.features, second.features]),
+        features,
         np.concatenate([first.labels, second.labels]),
         first.num_classes,
         true_labels=(np.concatenate([first.true_labels, second.true_labels])
@@ -359,6 +371,8 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
 
     A row is 2*window+1 one-hot blocks of len(vocab) columns, one per token
     in [position-window, position+window], with <pad> outside the sentence.
+    It is kept as WindowIds: the column of each block's one,
+    slot*len(vocab) + the token's vocabulary id.
     """
     if vocab is None:
         vocab = mdl.Vocab(sorted({tok for inst in instances for tok in inst.tokens}))
@@ -375,12 +389,10 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
         padded += [index(tok) for tok in inst.tokens]
         padded += pad
     padded = np.array(padded, dtype=np.int64)
-    size = len(vocab)
-    rows = np.arange(len(labels))
-    first = rows + 2 * window * groups
-    features = np.zeros((len(labels), (2 * window + 1) * size))
-    for slot in range(2 * window + 1):
-        features[rows, slot * size + padded[first + slot]] = 1.0
+    slots = np.arange(2 * window + 1)
+    first = np.arange(len(labels)) + 2 * window * groups
+    ids = slots * len(vocab) + padded[first[:, None] + slots]
+    features = mdl.WindowIds(ids, len(slots) * len(vocab))
     return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
 
 
@@ -532,12 +544,13 @@ def gen_gaussian_mixture(num_train: int = 2000, num_test: int = 500,
 TAGGING_ENTITY_TYPES = ("PER", "ORG", "LOC")
 
 
-def gen_tagging_corpus(num_sentences: int = 200, seed: int = 0):
-    """Synthetic tagging task: templated sentences over a 50-token
-    vocabulary (32 filler words plus 6 names for each of 3 entity types).
-    Returns (instances, scheme)."""
+def gen_tagging_corpus(num_sentences: int = 200, seed: int = 0, num_fillers: int = 32):
+    """Synthetic tagging task: templated sentences over a vocabulary of
+    num_fillers filler words plus 6 names for each of 3 entity types (50
+    tokens by default; a large num_fillers gives a realistic-scale
+    vocabulary without a download). Returns (instances, scheme)."""
     scheme = metrics.TagScheme(TAGGING_ENTITY_TYPES)
-    fillers = [f"w{i:02d}" for i in range(32)]
+    fillers = np.array([f"w{i:02d}" for i in range(num_fillers)])
     names = {etype: [f"{etype.lower()}{i}" for i in range(6)]
              for etype in TAGGING_ENTITY_TYPES}
     rng = np.random.default_rng(seed)

@@ -73,7 +73,7 @@ def _sizes(values) -> tuple[int, ...]:
 _BASELINE_KEYS = {"delta_max": (float, 5.0, 0.0), "folds": (int, 5, 2),
                   "iterations": (int, 2, 1),
                   "base_weight": (float, baselines.DEFAULT_DOWNWEIGHT, None)}
-_ANALYSIS_KEYS = {"gammas": (_floats, (0.0, 1.0, 5.0, 20.0), None),
+_ANALYSIS_KEYS = {"gammas": (_floats, (0.0, 1.0, 5.0, 20.0), 0.0),
                   "pool_size": (int, 600, 1), "pool_noise_rate": (float, 0.5, 0.0)}
 
 
@@ -84,14 +84,18 @@ def _check_keys(mapping, allowed, where):
 
 
 def _typed(mapping, key, kind, default, minimum=None, prefix=""):
-    """mapping[key], or the default when absent, as ``kind`` and at least
-    ``minimum``; a ConfigError names the key otherwise."""
+    """mapping[key], or the default when absent, as ``kind``, finite and at
+    least ``minimum`` (every element, for a list kind); a ConfigError names
+    the key otherwise."""
     try:
         value = (_integer if kind is int else kind)(mapping.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         noun = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
         raise ConfigError(f"{prefix}{key} must be {noun}: {exc}") from exc
-    if minimum is not None and value < minimum:
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{prefix}{key} must be finite")
+    if minimum is not None and any(v < minimum for v in items):
         raise ConfigError(f"{prefix}{key} must be >= {minimum}")
     return value
 
@@ -159,7 +163,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {method!r}")
         try:
             seeds = tuple(int(s) for s in raw.get("seeds", ()))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
         if not seeds:
             raise ConfigError("seeds must be a non-empty list")
@@ -201,7 +205,7 @@ class ExperimentConfig:
                 raise ConfigError("noise requires a rate")
             try:
                 _noise_spec(noise, seeds[0])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad noise settings: {exc}") from exc
             if mixture is not None:
                 _check_confusion(noise, mixture["num_classes"])

@@ -1,10 +1,13 @@
 """Desk-scale task models: vocab, sentence featurizer, entity masking, and
 an MLP with exact manual forward/backward.
 
-The classifier is a plain feed-forward ReLU network over explicit features
-(bag of tokens for sentence classification, one-hot windows for token
-tagging). It stands in for any larger backbone: the training framework only
-needs forward logits and parameter gradients.
+The classifier is a plain feed-forward ReLU network over explicit features,
+in one of two forms: a dense matrix (bag of tokens for sentence
+classification, the synthetic task's vectors), or WindowIds, the one-hot
+token windows of tagging kept as their column indices, on which layer 1
+sums weight rows and scatters its gradient. It stands in for any larger
+backbone: the training framework only needs forward logits and parameter
+gradients.
 """
 
 from dataclasses import dataclass, field
@@ -121,6 +124,39 @@ def featurize_sentence(tokens: list[str], vocab: Vocab) -> np.ndarray:
     return vec / len(tokens)
 
 
+class WindowIds:
+    """One-hot feature rows kept as their column indices: row r stands for
+    the 0/1 row of ``width`` columns with ones at ``ids[r]``, a row of the
+    (rows, slots) int64 matrix ``ids``. ``shape``, ``len`` and indexing act
+    on rows and slots as on a matrix; ``width`` is what a model's input size
+    must match."""
+
+    def __init__(self, ids, width: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 2:
+            raise ValueError(f"window ids must be a (rows, slots) matrix, "
+                             f"got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= width):
+            raise ValueError(f"window ids must lie in [0, {width})")
+        self.ids = ids
+        self.width = int(width)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ids.shape
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "WindowIds":
+        return WindowIds(self.ids[rows], self.width)
+
+
+def feature_width(features) -> int:
+    """The dense column count of either feature form."""
+    return features.width if isinstance(features, WindowIds) else features.shape[1]
+
+
 @dataclass
 class MlpModel:
     """Feed-forward ReLU classifier over one flat parameter buffer.
@@ -154,7 +190,7 @@ class MlpModel:
 @dataclass
 class ForwardCache:
     model: MlpModel
-    inputs: np.ndarray
+    inputs: np.ndarray | WindowIds
     layer_inputs: list[np.ndarray] = field(default_factory=list)
     relu_masks: list[np.ndarray] = field(default_factory=list)
     drop_masks: list = field(default_factory=list)
@@ -195,27 +231,40 @@ def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
     return MlpModel(sizes, weights, biases, dropout, seed)
 
 
-def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
+def _times(h, weight: np.ndarray) -> np.ndarray:
+    """h @ weight. For WindowIds (layer 1 only) that is the sum of the
+    indexed weight rows, added slot by slot as the dense product adds them."""
+    if not isinstance(h, WindowIds):
+        return h @ weight
+    out = weight.take(h.ids[:, 0], axis=0)
+    for slot in range(1, h.ids.shape[1]):
+        out += weight.take(h.ids[:, slot], axis=0)
+    return out
+
+
+def forward(model: MlpModel, features, train_mode: bool = False,
             rng: np.random.Generator | None = None):
     """Compute (batch, classes) logits and a cache for backward from a
-    (batch, features) matrix.
+    (batch, features) matrix or WindowIds.
 
     Dropout is applied to hidden activations only when train_mode is on and
     the model's rate is nonzero; evaluation consumes no RNG state.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be a (batch, features) matrix, "
-                         f"got shape {x.shape}")
-    if x.shape[1] != model.layer_sizes[0]:
-        raise ValueError(
-            f"feature length {x.shape[1]} != input size {model.layer_sizes[0]}")
+    x = features
+    if not isinstance(x, WindowIds):
+        x = np.asarray(features, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"features must be a (batch, features) matrix, "
+                             f"got shape {x.shape}")
+    width = feature_width(x)
+    if width != model.layer_sizes[0]:
+        raise ValueError(f"feature length {width} != input size {model.layer_sizes[0]}")
     cache = ForwardCache(model, x)
     h = x
     n_layers = len(model.weights)
     for i in range(n_layers - 1):
         cache.layer_inputs.append(h)
-        z = h @ model.weights[i] + model.biases[i]
+        z = _times(h, model.weights[i]) + model.biases[i]
         a = np.maximum(z, 0.0)
         cache.relu_masks.append(z > 0.0)
         if train_mode and model.dropout > 0.0:
@@ -228,13 +277,15 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
             cache.drop_masks.append(None)
         h = a
     cache.layer_inputs.append(h)
-    return h @ model.weights[-1] + model.biases[-1], cache
+    return _times(h, model.weights[-1]) + model.biases[-1], cache
 
 
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of sum(logits * dlogits) w.r.t. all parameters, as one freshly
     allocated flat vector in the layout of ``model.params``; each layer's
-    gradient is written straight into its view of that vector."""
+    gradient is written straight into its view of that vector. For WindowIds
+    layer 1's weight gradient is one bincount that adds each row's dz into
+    the weight rows it indexed."""
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     d = np.asarray(dlogits, dtype=np.float64)
@@ -244,7 +295,15 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     grads_w, grads_b = _layer_views(grad, model.layer_sizes)
     dz = d
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(cache.layer_inputs[i].T, dz, out=grads_w[i])
+        h = cache.layer_inputs[i]
+        if isinstance(h, WindowIds):
+            fan_out = dz.shape[1]
+            bins = (h.ids[:, :, None] * fan_out + np.arange(fan_out)).ravel()
+            spread = np.repeat(dz, h.shape[1], axis=0).ravel()
+            sums = np.bincount(bins, weights=spread, minlength=grads_w[i].size)
+            grads_w[i][:] = sums.reshape(grads_w[i].shape)
+        else:
+            np.matmul(h.T, dz, out=grads_w[i])
         np.sum(dz, axis=0, out=grads_b[i])
         if i == 0:
             break
@@ -270,7 +329,7 @@ def set_params_flat(model: MlpModel, flat: np.ndarray) -> None:
     model.params[:] = flat.reshape(-1)
 
 
-def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
+def predict(model: MlpModel, features) -> np.ndarray:
     """Argmax class per row, evaluation mode (no dropout)."""
     logits, _ = forward(model, features)
     return np.argmax(logits, axis=1)

@@ -39,6 +39,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("noise rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("noise seed must be >= 0")
         if self.scheme not in NOISE_SCHEMES:
             raise ValueError(f"unknown noise scheme {self.scheme!r}")
         if self.scheme == "class_conditional":
@@ -47,7 +49,8 @@ class NoiseSpec:
             table = np.asarray(self.confusion, dtype=np.float64)
             if table.ndim != 2 or table.shape[0] != table.shape[1]:
                 raise ValueError("confusion table must be square")
-            if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+            if not (np.all(table >= 0)
+                    and np.all(np.abs(table.sum(axis=1) - 1.0) <= 1e-9)):
                 raise ValueError("confusion table rows must be distributions")
             object.__setattr__(self, "confusion", table)
 

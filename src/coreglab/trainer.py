@@ -194,7 +194,7 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
     return dlogits
 
 
-def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
+def compute_step_gradients(features, labels: np.ndarray,
                            ensemble: ModelEnsemble, t: int, config: TrainConfig,
                            *, weights: np.ndarray | None = None,
                            batch_hook=None):
@@ -209,18 +209,17 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     per-model forwards and backwards runs once over (models, batch, classes)
     arrays.
     """
-    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] == 0:
+    n_rows = len(y)
+    if n_rows == 0:
         raise ValueError("empty batch")
-    n_rows = X.shape[0]
     num_models = ensemble.num_models
     w = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
 
     logits = np.empty((num_models, n_rows, ensemble.models[0].layer_sizes[-1]))
     caches = [None] * num_models
     for k, model in enumerate(ensemble.models):
-        logits[k], caches[k] = mdl.forward(model, X, train_mode=True,
+        logits[k], caches[k] = mdl.forward(model, features, train_mode=True,
                                            rng=ensemble.dropout_rngs[k])
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged(f"non-finite logits at step {t}")
@@ -286,7 +285,7 @@ def compute_step_gradients(features: np.ndarray, labels: np.ndarray,
     return report, grads
 
 
-def train_step(features: np.ndarray, labels: np.ndarray, ensemble: ModelEnsemble,
+def train_step(features, labels: np.ndarray, ensemble: ModelEnsemble,
                t: int, config: TrainConfig, *, weights: np.ndarray | None = None,
                batch_hook=None) -> LossReport:
     """One training step on one batch, updating every model in place.

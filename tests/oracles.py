@@ -102,6 +102,16 @@ def featurize_token_window(instance, position, window, vocab):
     return vec
 
 
+def densify(features):
+    """The dense 0/1 matrix that models.WindowIds stand for, one entry at a
+    time."""
+    dense = np.zeros((len(features), features.width))
+    for r, row in enumerate(features.ids.tolist()):
+        for col in row:
+            dense[r, col] = 1.0
+    return dense
+
+
 def direct_agreement_loss(probs, targets, eps):
     """Triple-loop scalar KL agreement: mean over models and instances of
     sum_j q_j * log((q_j + eps) / (p_j + eps))."""

@@ -120,6 +120,14 @@ def assert_clean_exit(result, code):
     {"baseline": None},
     {"data": 5},
     {"noise": 0.3},
+    {"noise": {"rate": 0.2, "seed": -1}},
+    {"train": {"num_models": 2, "gamma": math.nan}},
+    {"train": {"num_models": 2, "gamma": math.inf}},
+    {"method": "small_loss", "train": {"num_models": 1},
+     "baseline": {"delta_max": math.nan}},
+    {"noise": {"rate": 0.2, "scheme": "class_conditional",
+               "confusion": [[math.nan] * 3] * 3}},
+    {"seeds": [math.inf]},
 ], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
         "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
         "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
@@ -127,7 +135,8 @@ def assert_clean_exit(result, code):
         "num_models_fraction", "total_steps_fraction", "delta_max_above_100",
         "base_weight_zero", "base_weight_above_1", "pool_noise_rate_above_1",
         "folds_above_rows", "train_null", "baseline_null", "data_scalar",
-        "noise_scalar"])
+        "noise_scalar", "noise_seed_negative", "gamma_nan", "gamma_infinite",
+        "delta_max_nan", "confusion_nan", "seeds_infinite"])
 def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
@@ -136,7 +145,8 @@ def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
-    for analysis in ({"pool_size": "abc"}, {"pool_noise_rate": 1.5}, None):
+    for analysis in ({"pool_size": "abc"}, {"pool_noise_rate": 1.5}, None,
+                     {"gammas": [-1.0]}, {"gammas": [0.0, math.nan]}):
         write_config(config_path, analysis=analysis)
         assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
 
@@ -311,6 +321,15 @@ def test_gen_synthetic_below_least_value_exits_1(runner, tmp_path, option):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--sentences", "0")])
+def test_gen_synthetic_tagging_below_least_value_exits_1(runner, tmp_path, option,
+                                                         value):
+    result = runner.invoke(main, ["gen-synthetic", "--task", "tagging",
+                                  "--out", str(tmp_path / "data"), option, value])
+    assert_clean_exit(result, 1)
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("content", ["", '{"features": [0.0], "label": 0}\n'],
                          ids=["empty", "one_class"])
 def test_inject_noise_without_two_classes_exits_2(runner, tmp_path, content):
@@ -328,6 +347,16 @@ def test_inject_noise_bad_rate_exits_1(runner, tmp_path):
         "inject-noise", "--input", str(tmp_path / "train.jsonl"),
         "--output", str(tmp_path / "noisy.jsonl"), "--rate", "1.5"])
     assert result.exit_code == 1
+
+
+def test_inject_noise_negative_seed_exits_1(runner, tmp_path):
+    (tmp_path / "train.jsonl").write_text('{"features": [0.0], "label": 0}\n'
+                                          '{"features": [1.0], "label": 1}\n')
+    result = runner.invoke(main, [
+        "inject-noise", "--input", str(tmp_path / "train.jsonl"),
+        "--output", str(tmp_path / "noisy.jsonl"), "--rate", "0.5", "--seed", "-1"])
+    assert_clean_exit(result, 1)
+    assert not (tmp_path / "noisy.jsonl").exists()
 
 
 def test_inject_noise_tagging_requires_schema(runner, tmp_path):
@@ -393,6 +422,31 @@ def test_evaluate_feature_mismatch_exits_2(runner, tmp_path):
         "--data", str(tmp_path / "wide" / "test.jsonl")])
     assert result.exit_code == 2
     assert "model/data mismatch" in result.stderr
+
+
+def test_evaluate_tagging_window_mismatch_exits_2(runner, tmp_path):
+    """A model trained on window-1 rows scores window-1 rows, and refuses
+    rows of any other window: the window ids carry their dense width."""
+    data = tmp_path / "data"
+    assert runner.invoke(main, ["gen-synthetic", "--task", "tagging",
+                                "--out", str(data), "--sentences", "30"]).exit_code == 0
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, task="tagging", seeds=[1],
+                 data={"train_path": str(data / "train.conll"),
+                       "dev_path": str(data / "dev.conll"),
+                       "test_path": str(data / "test.conll"),
+                       "schema_path": str(data / "schema.json"), "window": 1})
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    evaluate = ["evaluate", "--task", "tagging",
+                "--model", str(tmp_path / "run" / "seed_1" / "model.npz"),
+                "--data", str(data / "test.conll"),
+                "--schema", str(data / "schema.json"),
+                "--vocab", str(tmp_path / "run" / "vocab.json")]
+    assert runner.invoke(main, [*evaluate, "--window", "1"]).exit_code == 0
+    for window in ("0", "2"):
+        result = runner.invoke(main, [*evaluate, "--window", window])
+        assert_clean_exit(result, 2)
+        assert "model/data mismatch: feature length" in result.stderr
 
 
 def test_evaluate_tagging_requires_schema_and_vocab(runner, tmp_path):

@@ -16,8 +16,9 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
                                write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import (UNK_TOKEN, SentenceInstance, TaggingInstance, Vocab,
-                             entity_mask)
-from oracles import featurize_token_window, reference_tagging_f1
+                             WindowIds, entity_mask)
+from coreglab.trainer import TrainConfig, train
+from oracles import densify, featurize_token_window, reference_tagging_f1
 
 
 # ---------------------------------------------------------------- container
@@ -80,6 +81,27 @@ def test_concat_datasets():
     bare = LabeledDataset(np.ones((3, 3)), np.array([1, 1, 0]), 2)
     no_truth = concat_datasets(a, bare)
     assert no_truth.true_labels is None
+
+
+def test_window_id_rows_keep_their_form():
+    """subset, with_labels and concat_datasets keep window ids as ids, with
+    the dense width as num_features."""
+    ids = WindowIds([[0, 3], [1, 4], [2, 5]], 6)
+    data = LabeledDataset(ids, [0, 1, 0], 2, groups=[0, 0, 1])
+    assert len(data) == 3 and data.num_features == 6
+    part = data.subset([2, 0])
+    assert isinstance(part.features, WindowIds) and part.num_features == 6
+    np.testing.assert_array_equal(part.features.ids, [[2, 5], [0, 3]])
+    noisy = data.with_labels([1, 1, 0])
+    assert noisy.features is ids
+    both = concat_datasets(data, part)
+    assert isinstance(both.features, WindowIds) and both.num_features == 6
+    assert densify(both.features).tobytes() == np.vstack(
+        [densify(data.features), densify(part.features)]).tobytes()
+    with pytest.raises(ValueError, match="feature form"):
+        concat_datasets(data, LabeledDataset(np.zeros((1, 6)), [0], 2))
+    with pytest.raises(ValueError, match="feature width"):
+        concat_datasets(data, LabeledDataset(WindowIds([[0, 1]], 4), [0], 2))
 
 
 def test_concat_datasets_errors():
@@ -372,14 +394,17 @@ def test_build_tagging_dataset_matches_row_oracle(window):
         rows = [featurize_token_window(inst, pos, window, vocab)
                 for inst in instances for pos in range(len(inst.tokens))]
         expected = np.stack(rows) if rows else np.zeros((0, width))
-        assert data.features.shape == expected.shape
-        assert data.features.tobytes() == expected.tobytes()
+        assert data.features.shape == (len(expected), 2 * window + 1)
+        assert data.num_features == width
+        dense = densify(data.features)
+        assert dense.shape == expected.shape
+        assert dense.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(
             data.labels, [tag for inst in instances for tag in inst.tags])
         np.testing.assert_array_equal(
             data.groups, [s for s, inst in enumerate(instances) for _ in inst.tokens])
     data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
-    assert data.features[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
+    assert densify(data.features)[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
 
 
 # ---------------------------------------------------------------- metrics
@@ -531,6 +556,33 @@ def test_gen_gaussian_mixture_errors():
         gen_gaussian_mixture(num_classes=1)
     with pytest.raises(ValueError):
         gen_gaussian_mixture(num_features=1)
+
+
+def test_gen_tagging_corpus_default_fillers():
+    """The default filler count is the 32-word corpus, token for token, as
+    it was drawn before the count became a parameter."""
+    default, _ = gen_tagging_corpus(num_sentences=2, seed=4)
+    assert [(i.tokens, i.tags) for i in default] == [
+        (["w30", "w28", "w16", "w30", "loc2", "w09", "w12", "org2", "org1", "w07",
+          "w17", "w10"], [0, 0, 0, 0, 5, 0, 0, 3, 4, 0, 0, 0]),
+        (["w01", "w15", "w28", "w13", "loc5", "loc4", "w31", "w18", "w29"],
+         [0, 0, 0, 0, 5, 6, 0, 0, 0])]
+    more, _ = gen_tagging_corpus(num_sentences=2, seed=4, num_fillers=1000)
+    assert any(int(tok[1:]) >= 32 for inst in more for tok in inst.tokens
+               if tok[0] == "w")
+
+
+def test_tagging_at_realistic_vocabulary_size():
+    """A ~20k-token vocabulary without a download: its window ids take
+    rows x (2w+1) x 8 bytes, not the rows x (2w+1)|V| x 8 of dense one-hots,
+    and a training step runs on them."""
+    instances, scheme = gen_tagging_corpus(num_sentences=4000, seed=1,
+                                           num_fillers=100_000)
+    data, vocab = build_tagging_dataset(instances, scheme, window=1)
+    assert len(vocab) > 20_000
+    assert data.features.ids.nbytes <= len(data) * 3 * 8
+    result = train(data, None, TrainConfig(total_steps=1))
+    assert len(result.reports) == 1 and np.isfinite(result.reports[0].joint_loss)
 
 
 def test_gen_tagging_corpus():

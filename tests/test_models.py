@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from coreglab.models import (UNK_TOKEN, MlpModel, SentenceInstance,
-                             TaggingInstance, Vocab, backward, entity_mask,
-                             featurize_sentence, forward, init_model, load_model,
-                             obj_mask_token, param_count, params_flat, predict,
-                             save_model, set_params_flat, subj_mask_token)
+                             TaggingInstance, Vocab, WindowIds, backward,
+                             entity_mask, feature_width, featurize_sentence,
+                             forward, init_model, load_model, obj_mask_token,
+                             param_count, params_flat, predict, save_model,
+                             set_params_flat, subj_mask_token)
 from coreglab.numeric import softmax
 from coreglab.rng import substream
-from oracles import featurize_token_window, finite_diff_grad
+from oracles import densify, featurize_token_window, finite_diff_grad
 
 
 def test_vocab_specials_first():
@@ -356,3 +357,88 @@ def test_backward_returns_fresh_vector_in_params_layout():
     assert not np.shares_memory(grad, model.params)
     # Bias gradients of the output layer sit last: the sum of dlogits rows.
     np.testing.assert_array_equal(grad[-2:], [2.0, 2.0])
+
+
+# ------------------------------------------------------------ window ids
+
+
+def _tagging_rows(window):
+    from coreglab.datasets import build_tagging_dataset, gen_tagging_corpus
+    instances, scheme = gen_tagging_corpus(num_sentences=40, seed=window)
+    data, _ = build_tagging_dataset(instances, scheme, window=window)
+    return data
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("hidden", [(), (32,), (32, 16)])
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_window_ids_match_dense_path(window, hidden, dropout):
+    """Gather-sum forward and bincount backward on window ids equal the
+    dense one-hot products bit for bit: train and eval logits, gradients."""
+    data = _tagging_rows(window)
+    model = init_model((data.num_features, *hidden, data.num_classes), dropout,
+                       seed=window)
+    batch = np.random.default_rng(5).choice(len(data), size=64, replace=False)
+    ids = data.features[batch]
+    dense = densify(ids)
+    dlogits = np.random.default_rng(6).normal(size=(64, data.num_classes))
+    outputs = []
+    for features in (ids, dense):
+        logits, cache = forward(model, features, train_mode=True,
+                                rng=substream(7, "dropout.0"))
+        grad = backward(model, cache, dlogits)
+        evaluated, _ = forward(model, data.features if features is ids
+                               else densify(data.features))
+        outputs.append((logits.tobytes(), grad.tobytes(), evaluated.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_backward_on_window_ids_matches_finite_differences():
+    vocab_size, slots, rows = 5, 3, 6
+    rng = np.random.default_rng(8)
+    ids = WindowIds(np.arange(slots) * vocab_size
+                    + rng.integers(vocab_size, size=(rows, slots)), slots * vocab_size)
+    for hidden in ((), (4,), (4, 3)):
+        model = init_model((ids.width, *hidden, 3), 0.0, seed=len(hidden))
+        # Nonzero biases keep every hidden pre-activation off the ReLU kink.
+        set_params_flat(model, rng.normal(size=model.params.size))
+        direction = rng.normal(size=(rows, 3))
+        _, cache = forward(model, ids)
+        grad = backward(model, cache, direction)
+
+        def loss_fn(flat, model=model, direction=direction):
+            probe = init_model(model.layer_sizes, 0.0, seed=0)
+            set_params_flat(probe, flat)
+            return float(np.sum(forward(probe, ids)[0] * direction))
+
+        fd = finite_diff_grad(loss_fn, params_flat(model), h=1e-6)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_window_ids_rows_and_checks():
+    ids = WindowIds([[0, 4], [1, 5], [2, 3]], 6)
+    assert ids.shape == (3, 2) and len(ids) == 3 and ids.ids.dtype == np.int64
+    picked = ids[np.array([2, 0])]
+    assert isinstance(picked, WindowIds) and picked.width == 6
+    np.testing.assert_array_equal(picked.ids, [[2, 3], [0, 4]])
+    assert feature_width(ids) == 6 and feature_width(np.zeros((2, 4))) == 4
+    with pytest.raises(ValueError, match="rows, slots"):
+        WindowIds([0, 1], 6)
+    for bad in ([[0, 6]], [[-1, 0]]):
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            WindowIds(bad, 6)
+
+
+def test_forward_checks_window_width_not_just_id_range():
+    """Ids of a narrower window are all in range of a wider model's weights;
+    the carried width still refuses them."""
+    model = init_model((9, 4, 2), 0.0, seed=0)
+    with pytest.raises(ValueError, match="feature length 3 != input size 9"):
+        forward(model, WindowIds([[0], [2]], 3))
+
+
+def test_forward_reads_integer_matrix_as_dense():
+    """Only WindowIds take the id path: an integer-valued matrix is dense."""
+    model = init_model((3, 4, 2), 0.0, seed=0)
+    x = np.array([[0, 2, 1], [1, 1, 0]])
+    assert forward(model, x)[0].tobytes() == forward(model, x.astype(float))[0].tobytes()
