@@ -7,6 +7,7 @@ variable when it is set.
 
 import functools
 import sys
+import zipfile
 
 import click
 
@@ -188,7 +189,11 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
 def evaluate(model_path, task, data_path, schema_path, vocab_path, window,
              num_classes):
     """Score a saved model on a dataset file."""
-    model = mdl.load_model(model_path)
+    try:
+        model = mdl.load_model(model_path)
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise datasets.DataError(f"cannot load model {model_path}: {exc}") from exc
     if task != "synthetic" and (schema_path is None or vocab_path is None):
         raise experiment.ConfigError(f"{task} evaluation requires --schema and --vocab")
     schema = datasets.load_schema(task, schema_path)

@@ -159,32 +159,39 @@ def feature_width(features) -> int:
 
 @dataclass
 class MlpModel:
-    """Feed-forward ReLU classifier over one flat parameter buffer.
+    """Feed-forward ReLU classifier built around one flat parameter buffer.
 
     ``params`` is a contiguous float64 vector holding every parameter layer
     by layer, the row-major (fan_in, fan_out) weight matrix first and then
-    the bias: the layout of params_flat and of backward's gradient.
-    ``weights[i]`` and ``biases[i]`` are reshaped views into it, so an
-    in-place write to ``params`` (as the optimizer and set_params_flat do)
-    is what the layers see. The constructor copies the given weight and bias
-    arrays into a fresh buffer and replaces the lists with views.
+    the bias: the layout of params_flat and of backward's gradient. The
+    model wraps the given vector without copying it when it is already such
+    a vector; ``weights[i]`` and ``biases[i]`` are reshaped views into it, so
+    an in-place write to ``params`` (as adam_step and set_params_flat make)
+    is what the layers see. The constructor checks the sizes, the dropout
+    rate and the buffer length, so a loaded file is checked as a fresh model.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
     dropout: float
     seed: int
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(repr=False, compare=False)
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        params = np.concatenate(
-            [np.concatenate([np.ravel(w), np.ravel(b)]).astype(np.float64)
-             for w, b in zip(self.weights, self.biases)])
-        if params.size != param_count(self.layer_sizes):
-            raise ValueError("weights and biases do not match the layer sizes")
-        self.params = params
-        self.weights, self.biases = _layer_views(params, self.layer_sizes)
+        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        if len(self.layer_sizes) < 2:
+            raise ValueError("need at least input and output layer sizes")
+        if any(s <= 0 for s in self.layer_sizes):
+            raise ValueError("layer sizes must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        expected = param_count(self.layer_sizes)
+        if self.params.shape != (expected,):
+            raise ValueError(f"parameter vector of shape {self.params.shape} does "
+                             f"not hold the {expected} parameters of the layer sizes")
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
 
 
 @dataclass
@@ -214,21 +221,14 @@ def _layer_views(flat: np.ndarray, layer_sizes):
 
 
 def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
-    """He-uniform initialized MLP; the same seed reproduces the same weights."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least input and output layer sizes")
-    if any(s <= 0 for s in sizes):
-        raise ValueError("layer sizes must be positive")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
+    """He-uniform initialized MLP; the same seed reproduces the same weights.
+    Each layer's weights are drawn straight into its view of the buffer."""
+    model = MlpModel(layer_sizes, dropout, seed, np.zeros(param_count(layer_sizes)))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, weight in zip(model.layer_sizes, model.weights):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, weights, biases, dropout, seed)
+        weight[:] = rng.uniform(-limit, limit, size=weight.shape)
+    return model
 
 
 def _times(h, weight: np.ndarray) -> np.ndarray:
@@ -341,8 +341,8 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """The model save_model wrote to ``path``, built around the archive's
+    parameter vector and checked by the MlpModel constructor."""
     with np.load(path) as blob:
-        model = init_model(tuple(int(s) for s in blob["layer_sizes"]),
-                           float(blob["dropout"]), int(blob["seed"]))
-        set_params_flat(model, blob["params"])
-    return model
+        return MlpModel(blob["layer_sizes"], float(blob["dropout"]),
+                        int(blob["seed"]), blob["params"])

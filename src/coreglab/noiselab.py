@@ -147,8 +147,11 @@ def split_noisy_clean(original_labels, relabels) -> NoisyCleanSplit:
 
 
 def _feature_keys(dataset) -> set:
-    rows = np.ascontiguousarray(dataset.features)
-    return {rows[i].tobytes() for i in range(len(dataset))}
+    """One key per feature row: its dense values, or its window ids."""
+    features = dataset.features
+    if isinstance(features, mdl.WindowIds):
+        features = features.ids
+    return {row.tobytes() for row in np.ascontiguousarray(features)}
 
 
 def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
@@ -164,16 +167,16 @@ def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
         raise ValueError("noisy and clean sets must pair up")
     if _feature_keys(train_set) & _feature_keys(noisy_set):
         raise ValueError("training set and noisy set overlap")
-    metric = eval_metric if eval_metric is not None else trainer._default_metric
     union = ds.concat_datasets(train_set, noisy_set)
     rows = []
     for gamma in gammas:
+        # The clean set is scored as the dev split; "first" keeps it out of
+        # model selection.
         run_cfg = replace(config, gamma=float(gamma), selection_policy="first")
-        result = trainer.train(
-            union, None, run_cfg,
-            extra_eval=(("clean", clean_set, metric_name, metric),))
+        result = trainer.train(union, clean_set, run_cfg, eval_metric=eval_metric,
+                               metric_name=metric_name)
         for model, epoch, split, metric_label, value in result.epoch_rows:
-            if model == "selected" and split == "clean":
+            if model == "selected" and split == "dev":
                 rows.append((float(gamma), int(epoch), float(value)))
     return rows
 

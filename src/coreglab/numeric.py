@@ -1,9 +1,10 @@
 """Dense numeric kernels: softmax, losses, the learning-rate schedule, Adam,
 dropout.
 
-Everything here is a pure function over numpy float64 arrays. Reductions go
-through numpy's fixed deterministic summation, so results are bitwise
-reproducible run to run. Matrices are plain C-order float64 ndarrays.
+Everything here is a pure function over numpy float64 arrays except
+adam_step, which updates the parameter vector and its AdamState in place.
+Reductions go through numpy's fixed deterministic summation, so results are
+bitwise reproducible run to run. Matrices are plain C-order float64 ndarrays.
 """
 
 from dataclasses import dataclass
@@ -72,36 +73,34 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Returns new params and state.
+              lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state`` in place.
 
-    Pure: ``params``, ``grads`` and ``state`` are not modified, and the new
-    parameter vector and moments are fresh arrays, so a caller that keeps its
-    parameters in a buffer (as ``MlpModel.params``) copies the result back.
-    The arithmetic runs in place on those fresh arrays and one scratch
-    vector, in the operation order of the textbook form
+    ``params`` is the caller's float64 buffer (as ``MlpModel.params``); it
+    and the state's moments and step are overwritten, ``grads`` is only
+    read. The arithmetic runs on the moments and two scratch vectors in the
+    operation order of the textbook form
     ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so every bit matches it.
     """
-    p = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape or p.shape != state.first_moment.shape:
+    if params.shape != g.shape or params.shape != state.first_moment.shape:
         raise ValueError("params/grads/state shape mismatch")
-    step = state.step + 1
+    state.step += 1
+    m, v = state.first_moment, state.second_moment
     scratch = (1.0 - ADAM_BETA1) * g
-    m = ADAM_BETA1 * state.first_moment
+    m *= ADAM_BETA1
     m += scratch
     np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
     scratch *= g
-    v = ADAM_BETA2 * state.second_moment
+    v *= ADAM_BETA2
     v += scratch
-    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=scratch)  # m_hat
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=scratch)  # m_hat
     scratch *= lr
-    new_p = v / (1.0 - ADAM_BETA2 ** step)  # v_hat
-    np.sqrt(new_p, out=new_p)
-    new_p += ADAM_EPS
-    np.divide(scratch, new_p, out=scratch)
-    np.subtract(p, scratch, out=new_p)
-    return new_p, AdamState(step, m, v)
+    denom = v / (1.0 - ADAM_BETA2 ** state.step)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(scratch, denom, out=scratch)
+    params -= scratch
 
 
 def dropout_mask(length: int, rate: float, rng: np.random.Generator) -> np.ndarray:

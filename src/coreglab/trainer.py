@@ -19,6 +19,10 @@ from .numeric import (PROB_FLOOR, AdamState, adam_step, floored_nll, kl_terms,
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 SELECTION_POLICIES = ("first", "best_dev")
+# Widest hidden layer a config may ask for: the feed-forward width of
+# BERT-large, far above what a NumPy MLP at desk scale needs. A wider entry
+# is a typo, and one of 10**38 units would fail only when drawn.
+MAX_HIDDEN_SIZE = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,8 +67,8 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
+        if any(not 1 <= h <= MAX_HIDDEN_SIZE for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be in [1, {MAX_HIDDEN_SIZE}]")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
         if self.aggregate_mode not in AGGREGATE_MODES:
@@ -300,10 +304,8 @@ def train_step(features, labels: np.ndarray, ensemble: ModelEnsemble,
     if not grads:
         return report
     lr = lr_at(config.base_lr, config.total_steps, t)
-    for k, model in enumerate(ensemble.models):
-        new_params, ensemble.opt_states[k] = adam_step(
-            model.params, grads[k], ensemble.opt_states[k], lr)
-        model.params[:] = new_params
+    for model, grad, state in zip(ensemble.models, grads, ensemble.opt_states):
+        adam_step(model.params, grad, state, lr)
     return report
 
 
@@ -335,11 +337,9 @@ class TrainResult:
         """Copy of model ``index`` restored to its best dev checkpoint,
         or its final parameters when no dev set was used."""
         source = self.ensemble.models[index]
-        clone = mdl.init_model(source.layer_sizes, source.dropout, source.seed)
-        params = (self.best[index].params if self.best is not None
-                  else mdl.params_flat(source))
-        mdl.set_params_flat(clone, params)
-        return clone
+        params = self.best[index].params if self.best is not None else source.params
+        return mdl.MlpModel(source.layer_sizes, source.dropout, source.seed,
+                            params.copy())
 
 
 def _default_metric(dataset, preds) -> float:
@@ -358,15 +358,14 @@ def select_index(dev_metrics, policy: str, num_models: int) -> int:
 
 
 def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
-          metric_name: str = "accuracy", extra_eval=(), weights=None,
+          metric_name: str = "accuracy", weights=None,
           batch_hook=None, track_trajectories: bool = False) -> TrainResult:
     """Run the full training loop for total_steps steps.
 
     Batches are drawn with a seeded per-epoch shuffle from the shared data
     stream, so all model copies see identical batches. At every epoch
-    boundary each model is scored on the dev set (when given) and on any
-    ``extra_eval`` entries of the form (split, dataset, metric_name, fn);
-    the best per-model dev checkpoint is retained.
+    boundary each model is scored on the dev set (when given) and the best
+    per-model dev checkpoint is retained.
     """
     config.validate()
     if config.total_steps > 0 and len(dataset) == 0:
@@ -406,16 +405,14 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
             result.reports.append(report)
             t += 1
 
-        scores = _evaluate_epoch(result, dataset, dev_set, extra_eval, metric,
-                                 metric_name, epoch)
+        scores = _evaluate_epoch(result, dev_set, metric, metric_name, epoch)
         if traj is not None:
             preds = mdl.predict(ensemble.models[0], dataset.features)
             traj.append(preds == dataset.labels)
-        if dev_set is not None:
-            for k, score in enumerate(scores):
-                if score > result.best[k].score:
-                    result.best[k] = Checkpoint(
-                        epoch, score, mdl.params_flat(ensemble.models[k]))
+        for k, score in enumerate(scores):
+            if score > result.best[k].score:
+                result.best[k] = Checkpoint(
+                    epoch, score, mdl.params_flat(ensemble.models[k]))
         epoch += 1
 
     result.num_epochs = epoch
@@ -424,32 +421,18 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     return result
 
 
-def _evaluate_epoch(result, dataset, dev_set, extra_eval, metric, metric_name,
-                    epoch) -> list[float]:
-    """Score every model (and the policy's pick) on dev and extra splits."""
-    ensemble = result.ensemble
-    config = result.config
-    dev_scores = []
-    split_values = {}
-    splits = []
-    if dev_set is not None:
-        splits.append(("dev", dev_set, metric_name, metric))
-    splits.extend(extra_eval)
-    for split, split_set, split_metric, fn in splits:
-        values = []
-        for k, model in enumerate(ensemble.models):
-            preds = mdl.predict(model, split_set.features)
-            value = float(fn(split_set, preds))
-            values.append(value)
-            result.epoch_rows.append((str(k), epoch, split, split_metric, value))
-        split_values[split] = (split_metric, values)
-        if split == "dev":
-            dev_scores = values
-    chosen = select_index(dev_scores, config.selection_policy, ensemble.num_models)
-    for split, (split_metric, values) in split_values.items():
-        result.epoch_rows.append(
-            ("selected", epoch, split, split_metric, values[chosen]))
-    return dev_scores
+def _evaluate_epoch(result, dev_set, metric, metric_name, epoch) -> list[float]:
+    """Score every model, and the policy's pick, on the dev set, if any."""
+    if dev_set is None:
+        return []
+    values = []
+    for k, model in enumerate(result.ensemble.models):
+        value = float(metric(dev_set, mdl.predict(model, dev_set.features)))
+        values.append(value)
+        result.epoch_rows.append((str(k), epoch, "dev", metric_name, value))
+    chosen = select_index(values, result.config.selection_policy, len(values))
+    result.epoch_rows.append(("selected", epoch, "dev", metric_name, values[chosen]))
+    return values
 
 
 def make_plain_config(config: TrainConfig) -> TrainConfig:

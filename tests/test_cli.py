@@ -128,6 +128,7 @@ def assert_clean_exit(result, code):
     {"noise": {"rate": 0.2, "scheme": "class_conditional",
                "confusion": [[math.nan] * 3] * 3}},
     {"seeds": [math.inf]},
+    {"train": {"num_models": 2, "hidden_sizes": [10 ** 38]}},
 ], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
         "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
         "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
@@ -136,7 +137,8 @@ def assert_clean_exit(result, code):
         "base_weight_zero", "base_weight_above_1", "pool_noise_rate_above_1",
         "folds_above_rows", "train_null", "baseline_null", "data_scalar",
         "noise_scalar", "noise_seed_negative", "gamma_nan", "gamma_infinite",
-        "delta_max_nan", "confusion_nan", "seeds_infinite"])
+        "delta_max_nan", "confusion_nan", "seeds_infinite",
+        "hidden_size_above_ceiling"])
 def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
@@ -422,6 +424,41 @@ def test_evaluate_feature_mismatch_exits_2(runner, tmp_path):
         "--data", str(tmp_path / "wide" / "test.jsonl")])
     assert result.exit_code == 2
     assert "model/data mismatch" in result.stderr
+
+
+def _write_model_file(path, kind):
+    import numpy as np
+
+    from coreglab.models import init_model
+
+    params = init_model((2, 3), 0.0, seed=0).params
+    fields = {"layer_sizes": np.array([2, 3]), "dropout": 0.0, "seed": 0,
+              "params": params}
+    if kind == "not_npz":
+        path.write_text("layer_sizes: [2, 3]\n")
+        return
+    if kind == "no_params":
+        del fields["params"]
+    elif kind == "short_params":
+        fields["params"] = params[:-1]
+    elif kind == "dropout_above_1":
+        fields["dropout"] = 1.5
+    np.savez(path, **fields)
+
+
+@pytest.mark.parametrize("kind", ["not_npz", "no_params", "short_params",
+                                  "dropout_above_1"])
+def test_evaluate_unloadable_model_exits_2(runner, tmp_path, kind):
+    model_path = tmp_path / "model.npz"
+    _write_model_file(model_path, kind)
+    data = tmp_path / "data"
+    assert runner.invoke(main, ["gen-synthetic", "--out", str(data), "--seed", "9",
+                                "--train-size", "5", "--dev-size", "5",
+                                "--test-size", "5", "--num-classes", "3"]).exit_code == 0
+    result = runner.invoke(main, ["evaluate", "--model", str(model_path),
+                                  "--data", str(data / "test.jsonl")])
+    assert_clean_exit(result, 2)
+    assert f"cannot load model {model_path}" in result.stderr
 
 
 def test_evaluate_tagging_window_mismatch_exits_2(runner, tmp_path):

@@ -141,13 +141,10 @@ def test_init_model_errors():
 
 
 def _hand_model():
-    model = MlpModel(
-        layer_sizes=(2, 2, 2),
-        weights=[np.array([[1.0, -1.0], [0.5, 2.0]]),
-                 np.array([[1.0, 0.0], [1.0, 1.0]])],
-        biases=[np.array([0.1, -0.2]), np.array([0.0, 0.5])],
-        dropout=0.0, seed=0)
-    return model
+    # Layer by layer: the row-major weights, then the bias.
+    return MlpModel(layer_sizes=(2, 2, 2), dropout=0.0, seed=0,
+                    params=np.array([1.0, -1.0, 0.5, 2.0, 0.1, -0.2,
+                                     1.0, 0.0, 1.0, 1.0, 0.0, 0.5]))
 
 
 def test_forward_hand_computed():
@@ -315,23 +312,57 @@ def test_layers_are_views_of_params_after_init():
     _assert_views_alias_params(init_model((4, 6, 5, 3), 0.1, seed=2))
 
 
-def test_layers_are_views_of_params_when_built_from_lists():
-    weights = [[[1, -1], [2, 0]], np.array([[1.0, 0.0], [1.0, 1.0]])]
-    biases = [np.array([0.1, -0.2]), [0, 1]]
-    model = MlpModel((2, 2, 2), weights, biases, dropout=0.0, seed=0)
-    np.testing.assert_array_equal(
-        model.params, [1, -1, 2, 0, 0.1, -0.2, 1, 0, 1, 1, 0, 1])
-    # The given arrays are copied, not aliased.
-    assert not np.shares_memory(biases[0], model.params)
+def test_layers_are_views_of_params_when_built_from_a_buffer():
+    buffer = np.arange(12, dtype=np.float64)
+    model = MlpModel((2, 2, 2), dropout=0.0, seed=0, params=buffer)
+    # A float64 vector is wrapped, not copied.
+    assert model.params is buffer
+    np.testing.assert_array_equal(model.weights[1], [[6, 7], [8, 9]])
+    np.testing.assert_array_equal(model.biases[0], [4, 5])
     _assert_views_alias_params(model)
-    with pytest.raises(ValueError, match="layer sizes"):
-        MlpModel((2, 3, 2), weights, biases, dropout=0.0, seed=0)
+    # A vector of another dtype (as an archive may hold) is converted once.
+    narrow = MlpModel((2, 2, 2), dropout=0.0, seed=0,
+                      params=np.arange(12, dtype=np.float32))
+    assert narrow.params.dtype == np.float64
+    _assert_views_alias_params(narrow)
+
+
+@pytest.mark.parametrize("sizes, dropout, params, match", [
+    ((2, 2, 2), 0.0, np.zeros(11), "12 parameters"),
+    ((2, 2, 2), 0.0, np.zeros((2, 6)), "12 parameters"),
+    ((2, 3, 2), 0.0, np.zeros(12), "17 parameters"),
+    ((2,), 0.0, np.zeros(0), "at least input and output"),
+    ((2, 0, 2), 0.0, np.zeros(2), "positive"),
+    ((2, 2), 1.5, np.zeros(6), "dropout"),
+    ((2, 2), float("nan"), np.zeros(6), "dropout"),
+])
+def test_model_constructor_checks_sizes_dropout_and_buffer(sizes, dropout, params,
+                                                           match):
+    with pytest.raises(ValueError, match=match):
+        MlpModel(sizes, dropout=dropout, seed=0, params=params)
 
 
 def test_layers_are_views_of_params_after_load(tmp_path):
     path = tmp_path / "model.npz"
     save_model(init_model((5, 4, 3), 0.0, seed=1), path)
     _assert_views_alias_params(load_model(path))
+
+
+def test_load_model_wraps_the_archive_without_initialising(tmp_path, monkeypatch):
+    from coreglab import models
+
+    path = tmp_path / "model.npz"
+    saved = init_model((5, 4, 3), 0.2, seed=1)
+    save_model(saved, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loaded model draws no initialisation")
+
+    monkeypatch.setattr(models, "init_model", refuse)
+    monkeypatch.setattr(models, "set_params_flat", refuse)
+    loaded = load_model(path)
+    assert loaded.params.tobytes() == saved.params.tobytes()
+    assert (loaded.layer_sizes, loaded.dropout, loaded.seed) == ((5, 4, 3), 0.2, 1)
 
 
 def test_set_params_flat_writes_buffer_in_place():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
+from coreglab.models import WindowIds
 from coreglab.noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                                auroc, disagreement_report, first_learned_means,
                                forgetting_stats, inject_noise,
@@ -245,6 +246,28 @@ def test_noise_overfit_rejects_overlap():
     config = TrainConfig(num_models=2, total_steps=2, hidden_sizes=(4,))
     overlapping = LabeledDataset(train_set.features[:5].copy(),
                                  train_set.labels[:5].copy(), 3)
+    with pytest.raises(ValueError, match="overlap"):
+        noise_overfit_eval(train_set, overlapping, overlapping, (0.0,), config)
+
+
+def _window_set(ids, seed):
+    labels = np.random.default_rng(seed).integers(0, 3, size=len(ids))
+    return LabeledDataset(WindowIds(ids, 12), labels, 3)
+
+
+def test_noise_overfit_runs_on_window_ids():
+    # Tagging rows are window ids; rows are keyed by their ids, so sets that
+    # share no window run and sets that share one are rejected.
+    windows = np.array([[a, 4 + b, 8 + c] for a in range(4) for b in range(4)
+                        for c in range(4)])
+    train_set = _window_set(windows[::2], seed=0)
+    noisy, clean = _window_set(windows[1::2], seed=1), _window_set(windows[1::2], seed=2)
+    config = TrainConfig(num_models=2, total_steps=4, batch_size=16,
+                         hidden_sizes=(4,), dropout=0.0)
+    rows = noise_overfit_eval(train_set, noisy, clean, (0.0, 1.0), config)
+    assert sorted({g for g, _, _ in rows}) == [0.0, 1.0]
+    assert all(0.0 <= value <= 1.0 for _, _, value in rows)
+    overlapping = _window_set(windows[:6], seed=3)
     with pytest.raises(ValueError, match="overlap"):
         noise_overfit_eval(train_set, overlapping, overlapping, (0.0,), config)
 

@@ -182,33 +182,37 @@ def test_lr_schedule_errors():
 def test_adam_zero_gradient_is_noop():
     state = AdamState.fresh(3)
     params = np.array([1.0, -2.0, 0.5])
-    new_params, new_state = adam_step(params, np.zeros(3), state, 0.1)
-    np.testing.assert_array_equal(new_params, params)
-    assert new_state.step == 1
+    adam_step(params, np.zeros(3), state, 0.1)
+    np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
+    assert state.step == 1
 
 
 def test_adam_single_step_frozen_value():
     params = np.array([0.0])
-    new_params, state = adam_step(params, np.array([1.0]), AdamState.fresh(1), 0.1)
-    assert new_params[0] == pytest.approx(-ADAM_FIRST_DELTA, rel=1e-14)
+    state = AdamState.fresh(1)
+    adam_step(params, np.array([1.0]), state, 0.1)
+    assert params[0] == pytest.approx(-ADAM_FIRST_DELTA, rel=1e-14)
     assert state.step == 1
 
 
 def test_adam_zero_lr_still_advances_state():
     params = np.array([1.0])
-    new_params, state = adam_step(params, np.array([2.0]), AdamState.fresh(1), 0.0)
-    np.testing.assert_array_equal(new_params, params)
+    state = AdamState.fresh(1)
+    adam_step(params, np.array([2.0]), state, 0.0)
+    np.testing.assert_array_equal(params, [1.0])
     assert state.step == 1
     assert state.first_moment[0] != 0.0
 
 
 def test_adam_deterministic():
-    params = np.array([0.3, -0.7])
     grads = np.array([0.1, 0.2])
-    a1, s1 = adam_step(params, grads, AdamState.fresh(2), 0.01)
-    a2, s2 = adam_step(params, grads, AdamState.fresh(2), 0.01)
-    assert a1.tobytes() == a2.tobytes()
-    assert s1.first_moment.tobytes() == s2.first_moment.tobytes()
+    runs = []
+    for _ in range(2):
+        params, state = np.array([0.3, -0.7]), AdamState.fresh(2)
+        adam_step(params, grads, state, 0.01)
+        runs.append((params.tobytes(), state.first_moment.tobytes(),
+                     state.second_moment.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_adam_shape_mismatch():

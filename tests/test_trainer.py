@@ -512,18 +512,15 @@ def test_train_separable_data_converges():
 def test_train_epoch_rows_shape():
     train_set = tiny_dataset(n=20, seed=1)
     dev = tiny_dataset(n=10, seed=2)
-    extra = tiny_dataset(n=10, seed=3)
     config = small_config(total_steps=6, batch_size=10)  # 2 steps/epoch
-    result = train(train_set, dev, config,
-                   extra_eval=[("clean", extra, "accuracy",
-                                lambda ds, preds: float(np.mean(preds == ds.labels)))])
+    result = train(train_set, dev, config)
     assert result.num_epochs == 3
-    # per epoch: (M + 1 selected) rows per split, 2 splits
-    assert len(result.epoch_rows) == 3 * 2 * (config.num_models + 1)
+    # per epoch: M + 1 selected dev rows
+    assert len(result.epoch_rows) == 3 * (config.num_models + 1)
     models_seen = {row[0] for row in result.epoch_rows}
     assert models_seen == {"0", "1", "selected"}
-    splits_seen = {row[2] for row in result.epoch_rows}
-    assert splits_seen == {"dev", "clean"}
+    assert {row[2] for row in result.epoch_rows} == {"dev"}
+    assert not train(train_set, None, config).epoch_rows
 
 
 def test_train_selected_row_tracks_policy():
@@ -553,6 +550,29 @@ def test_train_best_checkpoint_is_max_dev():
         restored = result.model_with_best_params(k)
         score = float(np.mean(predict(restored, dev.features) == dev.labels))
         assert score == pytest.approx(result.best[k].score)
+
+
+@pytest.mark.parametrize("with_dev", [True, False])
+def test_model_with_best_params_wraps_a_copy_without_initialising(monkeypatch,
+                                                                   with_dev):
+    from coreglab import models
+
+    dev = tiny_dataset(n=15, seed=5) if with_dev else None
+    result = train(tiny_dataset(n=30, seed=4), dev,
+                   small_config(total_steps=6, batch_size=10))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a restored model draws no initialisation")
+
+    monkeypatch.setattr(models, "init_model", refuse)
+    monkeypatch.setattr(models, "set_params_flat", refuse)
+    for k, model in enumerate(result.ensemble.models):
+        source = result.best[k].params if with_dev else model.params
+        restored = result.model_with_best_params(k)
+        assert restored.params.tobytes() == source.tobytes()
+        assert not np.shares_memory(restored.params, source)
+        assert (restored.layer_sizes, restored.dropout, restored.seed) == \
+            (model.layer_sizes, model.dropout, model.seed)
 
 
 def test_train_best_dev_requires_dev():
