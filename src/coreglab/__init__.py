@@ -28,8 +28,7 @@ from .models import (MlpModel, SentenceInstance, TaggingInstance, Vocab,
                      init_model, load_model, param_count, predict, save_model)
 from .noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                        auroc, disagreement_report, first_learned_means,
-                       forgetting_stats, inject_noise, noise_overfit_eval,
-                       split_noisy_clean)
+                       forgetting_stats, inject_noise, noise_overfit_eval)
 from .numeric import AdamState, adam_step, dropout_mask, lr_at, softmax
 from .rng import substream, substream_seed
 from .trainer import (LossReport, ModelEnsemble, TrainConfig, TrainResult,

@@ -3,12 +3,12 @@ plain single-model training, small-loss batch pruning and relabeling on a
 linearly growing schedule, and a fold-disagreement instance reweighter.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import datasets
 from . import models as mdl
 from . import rng as rngmod
 from . import trainer
@@ -109,11 +109,8 @@ class InstanceWeights:
             raise ValueError("weights must lie in [0, 1]")
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "weight"])
-            for i, w in enumerate(self.values):
-                writer.writerow([i, repr(float(w))])
+        datasets.write_csv(path, ["id", "weight"],
+                           ((i, repr(w)) for i, w in enumerate(self.values.tolist())))
 
 
 def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,

@@ -10,8 +10,12 @@ File formats:
   synthetic classification task.
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
+
+Every CSV and JSON artifact a run writes goes through write_csv and
+write_json, the one copy of each format.
 """
 
+import csv
 import json
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +48,22 @@ def _data_lines(path):
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: cannot decode: {exc}") from exc
     return enumerate(text.split("\n"), start=1)
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV artifact: the header, then each row, with "\n" line endings and
+    the values as given (callers format floats with repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """A JSON artifact: indented by 2, keys sorted, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_json(path, what: str):
@@ -185,18 +205,9 @@ class RelationSchema:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad relation schema: {exc}") from exc
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"relations": list(self.relations), "negative": self.negative,
-                       "entity_types": list(self.entity_types)}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-
 
 def save_vocab(vocab: mdl.Vocab, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"tokens": vocab.tokens()}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"tokens": vocab.tokens()})
 
 
 def load_vocab(path) -> mdl.Vocab:
@@ -216,9 +227,7 @@ def load_tag_scheme(path) -> metrics.TagScheme:
 
 
 def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"entity_types": scheme.entity_types}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"entity_types": scheme.entity_types})
 
 
 def read_conll(path, scheme: metrics.TagScheme) -> list[mdl.TaggingInstance]:
@@ -264,6 +273,13 @@ def write_conll(path, instances, scheme: metrics.TagScheme) -> None:
 _RELATION_KEYS = ("tokens", "subj", "subj_type", "obj", "obj_type", "label")
 
 
+def _is_int(value, least=None) -> bool:
+    """Whether a parsed JSON value is an integer (a bool is not), and at
+    least ``least`` when that is given."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least))
+
+
 def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
     instances = []
@@ -271,30 +287,39 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
         line = raw.strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+            raise DataError(f"{where}: invalid record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: invalid record: not a JSON object")
         missing = [k for k in _RELATION_KEYS if k not in rec]
         if missing:
-            raise DataError(f"{path}:{lineno}: missing fields {missing}")
-        tokens = list(rec["tokens"])
+            raise DataError(f"{where}: missing fields {missing}")
+        tokens = rec["tokens"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise DataError(f"{where}: tokens must be a list of strings")
         try:
             label = schema.label_index(rec["label"])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{where}: {exc}") from exc
         for role in ("subj", "obj"):
             span = rec[role]
-            if (len(span) != 2 or not 0 <= span[0] <= span[1]
-                    or span[1] >= len(tokens)):
-                raise DataError(f"{path}:{lineno}: {role} span out of range")
+            if not (isinstance(span, list) and len(span) == 2
+                    and all(_is_int(end) for end in span)):
+                raise DataError(f"{where}: {role} span must be two integers")
             if rec[f"{role}_type"] not in schema.entity_types:
-                raise DataError(
-                    f"{path}:{lineno}: unknown entity type {rec[f'{role}_type']!r}")
-        instances.append(mdl.SentenceInstance(
-            tokens, tuple(rec["subj"]), rec["subj_type"],
-            tuple(rec["obj"]), rec["obj_type"], label,
-            uid=int(rec.get("id", len(instances)))))
+                raise DataError(f"{where}: unknown entity type {rec[f'{role}_type']!r}")
+        uid = rec.get("id", len(instances))
+        if not _is_int(uid):
+            raise DataError(f"{where}: id must be an integer")
+        try:
+            instances.append(mdl.SentenceInstance(
+                tokens, tuple(rec["subj"]), rec["subj_type"],
+                tuple(rec["obj"]), rec["obj_type"], label, uid=uid))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return instances
 
 
@@ -318,11 +343,16 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
         try:
             rec = json.loads(line)
             feats.append([float(v) for v in rec["features"]])
-            labels.append(int(rec["label"]))
+            label, true = rec["label"], rec.get("true_label")
             ids.append(int(rec.get("id", len(ids))))
-            trues.append(rec.get("true_label"))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        for name, value in (("label", label), ("true_label", true)):
+            if value is not None and not _is_int(value, 0):
+                raise DataError(f"{path}:{lineno}: {name} must be a non-negative "
+                                f"integer, got {value!r}")
+        labels.append(label)
+        trues.append(true)
         if len(feats[-1]) != len(feats[0]):
             raise DataError(f"{path}:{lineno}: inconsistent feature width")
     if not feats:
@@ -396,11 +426,10 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
     return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
 
 
-def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
-                schema: RelationSchema | metrics.TagScheme | None = None):
+def make_metric(task: str, *, schema: RelationSchema | metrics.TagScheme | None = None):
     """(metric name, scorer) for a task; scorers map (dataset, preds) to a
-    float so training can evaluate any split uniformly. ``schema`` takes
-    either task's schema as load_schema returns it."""
+    float so training can evaluate any split uniformly. ``schema`` is the
+    task's schema as load_schema returns it."""
     if task == "synthetic":
         return "accuracy", lambda dataset, preds: metrics.accuracy(dataset.labels, preds)
     if task == "relation":
@@ -413,8 +442,7 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
 
         return "f1", rel_fn
     if task == "tagging":
-        scheme = scheme if scheme is not None else schema
-        if scheme is None:
+        if schema is None:
             raise ValueError("tagging metric needs the tag scheme")
 
         def tag_fn(dataset, preds):
@@ -425,7 +453,7 @@ def make_metric(task: str, *, scheme: metrics.TagScheme | None = None,
             order = np.argsort(dataset.groups, kind="stable")
             bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
             edges = [0, *bounds.tolist(), len(order)] if len(order) else [0]
-            tags = scheme.tags
+            tags = schema.tags
             gold = [tags[i] for i in dataset.labels[order].tolist()]
             pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
             golds, predicted = [], []

@@ -14,11 +14,10 @@ Run directory layout:
 
 import csv
 import hashlib
-import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -304,23 +303,20 @@ def _noise_spec(noise: dict | None, seed: int) -> noiselab.NoiseSpec | None:
         confusion=None if confusion is None else np.asarray(confusion, float))
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_epoch_log(path, epoch_rows) -> None:
     formatted = [(model, epoch, split, metric, repr(float(value)))
                  for model, epoch, split, metric, value in epoch_rows]
-    _write_csv(path, EPOCH_LOG_HEADER, formatted)
+    datasets.write_csv(path, EPOCH_LOG_HEADER, formatted)
 
 
-def _snapshot_config(config: ExperimentConfig, run_dir: Path) -> str:
+def _open_run(config: ExperimentConfig) -> tuple[Path, str]:
+    """Create the run directory and snapshot the config into it; returns the
+    directory and the snapshot's SHA-256."""
+    run_dir = resolve_output_dir(config.output_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
     text = yaml.safe_dump(config.raw, sort_keys=True)
     (run_dir / "config.yaml").write_text(text)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return run_dir, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
@@ -358,14 +354,7 @@ class RunManifest:
     failure: str | None = None
 
     def save(self, path) -> None:
-        payload = {"config_hash": self.config_hash,
-                   "metric_rows": self.metric_rows,
-                   "wall_clock_sec": self.wall_clock_sec,
-                   "artifacts": sorted(self.artifacts),
-                   "failure": self.failure}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        datasets.write_json(path, {**asdict(self), "artifacts": sorted(self.artifacts)})
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -373,9 +362,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     method, log per-epoch metrics, and score the selected model on dev and
     test; finally write metrics.csv (with median rows) and the manifest."""
     started = time.monotonic()
-    run_dir = resolve_output_dir(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = _snapshot_config(config, run_dir)
+    run_dir, config_hash = _open_run(config)
     manifest = RunManifest(config_hash, [], 0.0, ["config.yaml", "metrics.csv"])
     try:
         task = build_task_data(config)
@@ -405,10 +392,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             manifest.artifacts.append(f"seed_{seed}/epoch_log.csv")
             if config.method == "crossweigh":
                 manifest.artifacts.append(f"seed_{seed}/weights.csv")
-            chosen = trainer.select_index(result.best_dev_per_model(),
-                                          tcfg.selection_policy,
-                                          result.ensemble.num_models)
-            model = result.model_with_best_params(chosen)
+            model = result.selected_model()
             mdl.save_model(model, seed_dir / "model.npz")
             manifest.artifacts.append(f"seed_{seed}/model.npz")
             for split, split_set in (("dev", dev_set), ("test", task.test)):
@@ -426,7 +410,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 {"seed": "median", "split": split, "metric": task.metric_name,
                  "value": median})
             csv_rows.append(("median", split, task.metric_name, repr(median)))
-        _write_csv(run_dir / "metrics.csv", METRICS_HEADER, csv_rows)
+        datasets.write_csv(run_dir / "metrics.csv", METRICS_HEADER, csv_rows)
     except Exception as exc:
         manifest.failure = f"{type(exc).__name__}: {exc}"
         manifest.wall_clock_sec = time.monotonic() - started
@@ -439,16 +423,19 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
 
 def run_noise_analysis(config: ExperimentConfig) -> Path:
-    """Noise-overfit protocol over a gamma grid: per seed, build a paired
-    noisy/clean pool, train on train + noisy for each gamma, and log the
-    clean-set metric per epoch. Emits curves.csv in the long format."""
+    """Noise-overfit protocol over a gamma grid: per seed, flip a pool's
+    labels, train on train + the flipped rows with their noisy labels for
+    each gamma, and log the metric on the same rows with their original
+    labels per epoch. Emits curves.csv in the long format."""
     if config.task != "synthetic":
         raise ConfigError("analyze-noise supports the synthetic task")
-    run_dir = resolve_output_dir(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _snapshot_config(config, run_dir)
-    task = build_task_data(config)
     analysis = config.analysis
+    # Uniform flips change every chosen row, so this is the clean set's size.
+    if math.floor(analysis["pool_noise_rate"] * analysis["pool_size"]) < 1:
+        raise ConfigError("analysis.pool_noise_rate x analysis.pool_size flips no "
+                          "pool row, so the clean set would be empty")
+    run_dir, _ = _open_run(config)
+    task = build_task_data(config)
     # The pool is a second draw of the same mixture, on the next data seed.
     pool, _, _ = datasets.mixture_splits(**{
         **config.mixture, "train_size": analysis["pool_size"], "dev_size": 1,
@@ -460,12 +447,11 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
             train_set, _ = noiselab.inject_noise(train_set, spec)
         pool_spec = noiselab.NoiseSpec(
             rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise"))
-        noisy_pool, _ = noiselab.inject_noise(pool, pool_spec)
-        split = noiselab.split_noisy_clean(noisy_pool.labels, pool.labels)
-        noisy_set = datasets.LabeledDataset(
-            pool.features[split.indices], split.noisy_labels, pool.num_classes)
-        clean_set = datasets.LabeledDataset(
-            pool.features[split.indices], split.clean_labels, pool.num_classes)
+        _, mask = noiselab.inject_noise(pool, pool_spec)
+        flipped = pool.features[mask.indices]
+        noisy_set = datasets.LabeledDataset(flipped, mask.noisy_labels, pool.num_classes)
+        clean_set = datasets.LabeledDataset(flipped, mask.original_labels,
+                                            pool.num_classes)
         union_n = len(train_set) + len(noisy_set)
         base = replace(config.train, master_seed=seed,
                        total_steps=analysis["epochs"] * _steps_per_epoch(
@@ -489,9 +475,7 @@ def run_audit(config: ExperimentConfig):
     """Train on the (noise-injected) training set with the first seed, rank
     instances by the suspect-label report, and score how well the ranking
     recovers the injected flips. Returns (report path, AUROC or None)."""
-    run_dir = resolve_output_dir(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _snapshot_config(config, run_dir)
+    run_dir, _ = _open_run(config)
     task = build_task_data(config)
     seed = config.seeds[0]
     train_set = task.train
@@ -516,6 +500,15 @@ def run_audit(config: ExperimentConfig):
     return report_path, score
 
 
+def _directory_number(log: Path, directory: Path, kind):
+    """The number after the underscore of a seed_<s> or gamma_<g> name."""
+    try:
+        return kind(directory.name.split("_", 1)[1])
+    except ValueError as exc:
+        raise datasets.DataError(f"{log}: bad directory name {directory.name!r}: "
+                                 f"{exc}") from exc
+
+
 def export_curves(run_dir, out_path=None) -> Path:
     """Assemble every epoch log under a run directory into one long-format
     CSV: method,gamma,seed,epoch,split,metric,value. Only the "selected"
@@ -524,30 +517,41 @@ def export_curves(run_dir, out_path=None) -> Path:
     snapshot = run / "config.yaml"
     if not snapshot.exists():
         raise datasets.DataError(f"{run}: missing config snapshot")
-    raw = yaml.safe_load(snapshot.read_text()) or {}
+    try:
+        raw = yaml.safe_load(snapshot.read_text()) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a mapping")
+        base_gamma = _typed(_block(raw, "train"), "gamma", float,
+                            trainer.TrainConfig.gamma, prefix="train.")
+    except (yaml.YAMLError, ValueError, ConfigError) as exc:
+        raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
     method = raw.get("method", "coreg")
-    base_gamma = float(raw.get("train", {}).get(
-        "gamma", trainer.TrainConfig.gamma))
     logs = []
     for log in run.glob("seed_*/epoch_log.csv"):
-        logs.append((base_gamma, int(log.parent.name.split("_", 1)[1]), log))
+        logs.append((base_gamma, _directory_number(log, log.parent, int), log))
     for log in run.glob("gamma_*/seed_*/epoch_log.csv"):
-        gamma = float(log.parent.parent.name.split("_", 1)[1])
-        logs.append((gamma, int(log.parent.name.split("_", 1)[1]), log))
+        logs.append((_directory_number(log, log.parent.parent, float),
+                     _directory_number(log, log.parent, int), log))
     if not logs:
         raise datasets.DataError(f"{run}: no epoch logs found")
     logs.sort(key=lambda item: (item[0], item[1]))
     out_rows = []
     for gamma, seed, log in logs:
-        with open(log, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != EPOCH_LOG_HEADER:
-                raise datasets.DataError(f"{log}: unexpected header {header!r}")
-            for model, epoch, split, metric, value in reader:
-                if model == "selected":
-                    out_rows.append((method, repr(gamma), seed, epoch, split,
-                                     metric, value))
+        try:
+            with open(log, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise datasets.DataError(f"{log}: cannot read: {exc}") from exc
+        header = rows[0] if rows else None
+        if header != EPOCH_LOG_HEADER:
+            raise datasets.DataError(f"{log}: unexpected header {header!r}")
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != len(EPOCH_LOG_HEADER):
+                raise datasets.DataError(
+                    f"{log}:{lineno}: expected 5 fields, got {len(row)}")
+            model, epoch, split, metric, value = row
+            if model == "selected":
+                out_rows.append((method, repr(gamma), seed, epoch, split, metric, value))
     target = Path(out_path) if out_path is not None else run / "curves.csv"
-    _write_csv(target, CURVES_HEADER, out_rows)
+    datasets.write_csv(target, CURVES_HEADER, out_rows)
     return target

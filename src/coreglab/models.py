@@ -21,16 +21,13 @@ PAD_TOKEN = "<pad>"
 
 
 class Vocab:
-    """Dense token -> index map with <unk>/<pad> and any extra specials first."""
+    """Dense token -> index map with <pad> and <unk> first, then the given
+    tokens in first-seen order."""
 
-    def __init__(self, tokens, extra_specials=()):
+    def __init__(self, tokens):
         self._index = {}
-        for tok in (PAD_TOKEN, UNK_TOKEN, *extra_specials):
-            if tok not in self._index:
-                self._index[tok] = len(self._index)
-        for tok in tokens:
-            if tok not in self._index:
-                self._index[tok] = len(self._index)
+        for tok in (PAD_TOKEN, UNK_TOKEN, *tokens):
+            self._index.setdefault(tok, len(self._index))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -70,6 +67,14 @@ class SentenceInstance:
     label: int
     uid: int = -1
 
+    def __post_init__(self):
+        n = len(self.tokens)
+        _check_span(self.subj_span, n, "subj")
+        _check_span(self.obj_span, n, "obj")
+        (s0, s1), (o0, o1) = self.subj_span, self.obj_span
+        if s0 <= o1 and o0 <= s1:
+            raise ValueError("subject and object spans overlap")
+
 
 @dataclass
 class TaggingInstance:
@@ -92,17 +97,11 @@ def _check_span(span, n_tokens, name):
 
 def entity_mask(instance: SentenceInstance) -> list[str]:
     """Replace the subject span with [SUBJ-TYPE] and the object span with
-    [OBJ-TYPE], each collapsed to a single token; other tokens unchanged."""
-    n = len(instance.tokens)
-    _check_span(instance.subj_span, n, "subject")
-    _check_span(instance.obj_span, n, "object")
-    s0, s1 = instance.subj_span
-    o0, o1 = instance.obj_span
-    if s0 <= o1 and o0 <= s1:
-        raise ValueError("subject and object spans overlap")
+    [OBJ-TYPE], each collapsed to a single token; other tokens unchanged.
+    The spans are in range and disjoint, as the instance checks when built."""
     spans = sorted(
-        [(s0, s1, subj_mask_token(instance.subj_type)),
-         (o0, o1, obj_mask_token(instance.obj_type))]
+        [(*instance.subj_span, subj_mask_token(instance.subj_type)),
+         (*instance.obj_span, obj_mask_token(instance.obj_type))]
     )
     out = []
     cursor = 0

@@ -1,14 +1,12 @@
-"""Label-noise experiment machinery: seeded noise injection, paired
-noisy/clean evaluation sets, the noise-overfit protocol (train on the union
-with the noisy labels, watch accuracy on the corrected labels per epoch),
-forgetting-event statistics, and suspect-label reports.
+"""Label-noise experiment machinery: seeded noise injection with its flip
+mask, the noise-overfit protocol (train on the union with the noisy labels,
+watch accuracy on the corrected labels per epoch), forgetting-event
+statistics, and suspect-label reports.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,11 +78,9 @@ class FlipMask:
         return out
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(FLIP_CSV_HEADER)
-            for i, o, v in zip(self.indices, self.original_labels, self.noisy_labels):
-                writer.writerow([int(i), int(o), int(v)])
+        ds.write_csv(path, FLIP_CSV_HEADER,
+                     zip(self.indices.tolist(), self.original_labels.tolist(),
+                         self.noisy_labels.tolist()))
 
 
 def inject_noise(dataset, spec: NoiseSpec):
@@ -125,25 +121,6 @@ def inject_noise(dataset, spec: NoiseSpec):
     changed = new != originals
     mask = FlipMask(chosen[changed], originals[changed], new[changed], n)
     return dataset.with_labels(labels), mask
-
-
-class NoisyCleanSplit(NamedTuple):
-    """Paired index/label views of the instances whose relabels disagree."""
-
-    indices: np.ndarray
-    noisy_labels: np.ndarray
-    clean_labels: np.ndarray
-
-
-def split_noisy_clean(original_labels, relabels) -> NoisyCleanSplit:
-    """Instances whose relabel disagrees with the original label, paired:
-    the noisy side keeps the original labels, the clean side the relabels."""
-    orig = np.asarray(original_labels, dtype=np.int64)
-    fixed = np.asarray(relabels, dtype=np.int64)
-    if orig.shape != fixed.shape:
-        raise ValueError("label sequences must have equal length")
-    idx = np.flatnonzero(orig != fixed)
-    return NoisyCleanSplit(idx, orig[idx], fixed[idx])
 
 
 def _feature_keys(dataset) -> set:
@@ -254,12 +231,9 @@ def disagreement_report(ensemble, dataset, config) -> list[SuspectRow]:
 
 
 def save_suspect_csv(rows: list[SuspectRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUSPECT_CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.instance_id, r.label, r.prediction,
-                             int(r.flagged), repr(r.agreement_kl), repr(r.sup_loss)])
+    ds.write_csv(path, SUSPECT_CSV_HEADER,
+                 ([r.instance_id, r.label, r.prediction, int(r.flagged),
+                   repr(r.agreement_kl), repr(r.sup_loss)] for r in rows))
 
 
 def auroc(scores, positives) -> float:

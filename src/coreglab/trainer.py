@@ -328,16 +328,15 @@ class TrainResult:
     trajectories: np.ndarray | None = None  # (epochs, train rows) bool
     num_epochs: int = 0
 
-    def best_dev_per_model(self) -> list[float] | None:
-        if self.best is None:
-            return None
-        return [c.score for c in self.best]
-
-    def model_with_best_params(self, index: int) -> mdl.MlpModel:
-        """Copy of model ``index`` restored to its best dev checkpoint,
-        or its final parameters when no dev set was used."""
+    def selected_model(self) -> mdl.MlpModel:
+        """Copy of the model the selection policy picks by best dev score,
+        restored to its best dev checkpoint, or with its final parameters
+        when no dev set was used."""
+        scores = None if self.best is None else [c.score for c in self.best]
+        index = select_index(scores, self.config.selection_policy,
+                             self.ensemble.num_models)
         source = self.ensemble.models[index]
-        params = self.best[index].params if self.best is not None else source.params
+        params = source.params if self.best is None else self.best[index].params
         return mdl.MlpModel(source.layer_sizes, source.dropout, source.seed,
                             params.copy())
 

@@ -5,8 +5,8 @@ Each oracle deliberately takes a different algorithmic route than the
 library code it checks (candidate enumeration instead of a state machine,
 plain Python loops instead of vectorized numpy), so agreement between the two
 is meaningful evidence rather than a tautology. The helpers at the end
-(finite differences, scalar losses, BIO encoding, CSV readers) serve the
-tests alone; the library never calls them.
+(finite differences, scalar losses, BIO encoding, artifact readers and
+writers) serve the tests alone; the library never calls them.
 """
 
 import csv
@@ -404,6 +404,14 @@ def load_flip_mask_csv(path, num_instances):
     orig = np.array([r[1] for r in rows], dtype=np.int64)
     noisy = np.array([r[2] for r in rows], dtype=np.int64)
     return FlipMask(idx, orig, noisy, num_instances)
+
+
+def save_relation_schema(schema, path):
+    """Write a RelationSchema as the JSON file RelationSchema.load reads."""
+    from coreglab.datasets import write_json
+
+    write_json(path, {"relations": list(schema.relations), "negative": schema.negative,
+                      "entity_types": list(schema.entity_types)})
 
 
 def load_weights_csv(path):

@@ -146,11 +146,15 @@ def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
 
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
+    """Each case is rejected before the run directory is made; a pool whose
+    flips floor to no row would leave the clean set empty."""
     config_path = tmp_path / "config.yaml"
     for analysis in ({"pool_size": "abc"}, {"pool_noise_rate": 1.5}, None,
-                     {"gammas": [-1.0]}, {"gammas": [0.0, math.nan]}):
+                     {"gammas": [-1.0]}, {"gammas": [0.0, math.nan]},
+                     {"pool_noise_rate": 0}, {"pool_size": 1}):
         write_config(config_path, analysis=analysis)
         assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
+        assert not (tmp_path / "run").exists()
 
 
 TASK_FILES = {
@@ -177,23 +181,48 @@ def write_file_task_config(config_path, task, train_path, data_path, schema_path
     write_config(config_path, **settings)
 
 
+RELATION_RECORD = json.loads(TASK_FILES["relation"][1])
+FEATURE_RECORD = {"features": [0.0], "label": 0}
+# A record the reader must refuse, written as the second line of the file.
+BAD_RECORDS = {
+    ("relation", "spans_overlap"): {**RELATION_RECORD, "obj": [0, 1]},
+    ("relation", "id_not_integer"): {**RELATION_RECORD, "id": "abc"},
+    ("relation", "id_fractional"): {**RELATION_RECORD, "id": 1.5},
+    ("relation", "span_not_list"): {**RELATION_RECORD, "subj": 0},
+    ("relation", "span_not_integers"): {**RELATION_RECORD, "subj": [0.0, 0.5]},
+    ("relation", "tokens_string"): {**RELATION_RECORD, "tokens": "abc"},
+    ("relation", "not_an_object"): 5,
+    ("synthetic", "label_negative"): {**FEATURE_RECORD, "label": -1},
+    ("synthetic", "label_fractional"): {**FEATURE_RECORD, "label": 1.5},
+    ("synthetic", "true_label_string"): {**FEATURE_RECORD, "true_label": "x"},
+    ("synthetic", "true_label_negative"): {**FEATURE_RECORD, "true_label": -1},
+}
+
+
 @pytest.mark.parametrize("task,broken", [
     ("tagging", "schema"), ("tagging", "data"), ("tagging", "encoding"),
     ("relation", "schema"), ("relation", "data"), ("relation", "encoding"),
-    ("synthetic", "data"), ("synthetic", "encoding"),
+    ("synthetic", "data"), ("synthetic", "encoding"), *BAD_RECORDS,
 ])
 def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
-    """A schema that is not JSON, a data path that is a directory, or a data
-    file that is not UTF-8."""
+    """A schema that is not JSON, a data path that is a directory, a data
+    file that is not UTF-8, or a malformed record (named by file and line)."""
+    bad_record = BAD_RECORDS.get((task, broken))
     if task == "synthetic":
         source = tmp_path
         if broken == "encoding":
             source = tmp_path / "train.jsonl"
             source.write_bytes(NOT_UTF8 + b'{"features": [0.0], "label": 0}\n')
+        elif bad_record is not None:
+            source = tmp_path / "train.jsonl"
+            source.write_text(json.dumps({**FEATURE_RECORD, "label": 1}) + "\n"
+                              + json.dumps(bad_record) + "\n")
         result = runner.invoke(main, [
             "inject-noise", "--input", str(source),
             "--output", str(tmp_path / "noisy.jsonl"), "--rate", "0.1"])
         assert_clean_exit(result, 2)
+        if bad_record is not None:
+            assert f"{source}:2:" in result.stderr
         return
     schema, records = TASK_FILES[task]
     schema_path = tmp_path / "schema.json"
@@ -204,9 +233,15 @@ def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
         broken, data_path)
     if broken == "encoding":
         train_path.write_bytes(NOT_UTF8 + records.encode())
+    elif bad_record is not None:
+        train_path = tmp_path / "train.data"
+        train_path.write_text(records + json.dumps(bad_record) + "\n")
     config_path = tmp_path / "config.yaml"
     write_file_task_config(config_path, task, train_path, data_path, schema_path)
-    assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 2)
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 2)
+    if bad_record is not None:
+        assert f"{train_path}:2:" in result.stderr
 
 
 @pytest.mark.parametrize("task", ["tagging", "relation"])
@@ -576,3 +611,13 @@ def test_export_curves_empty_dir_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def test_export_curves_malformed_log_exits_2(runner, tmp_path):
+    (tmp_path / "config.yaml").write_text("method: coreg\n")
+    (tmp_path / "seed_x").mkdir()
+    log = tmp_path / "seed_x" / "epoch_log.csv"
+    log.write_text("model,epoch,split,metric,value\n")
+    result = runner.invoke(main, ["export-curves", str(tmp_path)])
+    assert_clean_exit(result, 2)
+    assert str(log) in result.stderr

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
                                read_feature_jsonl,
                                read_labeled, read_relation_jsonl, relabel,
                                save_tag_scheme, save_vocab, write_conll,
-                               write_feature_jsonl, write_records,
-                               write_relation_jsonl)
+                               write_csv, write_feature_jsonl, write_json,
+                               write_records, write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import (UNK_TOKEN, SentenceInstance, TaggingInstance, Vocab,
                              WindowIds, entity_mask)
 from coreglab.trainer import TrainConfig, train
-from oracles import densify, featurize_token_window, reference_tagging_f1
+from oracles import (densify, featurize_token_window, reference_tagging_f1,
+                     save_relation_schema)
 
 
 # ---------------------------------------------------------------- container
@@ -132,7 +135,7 @@ def test_relation_schema_round_trip(tmp_path):
     schema = RelationSchema(("no_relation", "founded"), "no_relation",
                             ("PER", "ORG"))
     path = tmp_path / "schema.json"
-    schema.save(path)
+    save_relation_schema(schema, path)
     loaded = RelationSchema.load(path)
     assert loaded.relations == schema.relations
     assert loaded.negative == schema.negative
@@ -147,9 +150,14 @@ def test_relation_schema_load_error(tmp_path):
 
 
 def test_vocab_round_trip(tmp_path):
-    vocab = Vocab(["beta", "alpha"], extra_specials=("[SUBJ-PER]",))
+    vocab = Vocab(["[SUBJ-PER]", "beta", "alpha"])
     path = tmp_path / "vocab.json"
     save_vocab(vocab, path)
+    # The one JSON writer sorts keys; a vocabulary file has one, so its bytes
+    # are those of the unsorted format it had before.
+    assert path.read_text() == (
+        '{\n  "tokens": [\n    "<pad>",\n    "<unk>",\n    "[SUBJ-PER]",\n'
+        '    "beta",\n    "alpha"\n  ]\n}\n')
     loaded = load_vocab(path)
     assert loaded.tokens() == vocab.tokens()
     assert loaded.index("beta") == vocab.index("beta")
@@ -167,6 +175,49 @@ def test_tag_scheme_round_trip(tmp_path):
     path.write_text(json.dumps({"types": []}))
     with pytest.raises(DataError):
         load_tag_scheme(path)
+
+
+# ---------------------------------------------------------------- artifact writers
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    path = tmp_path / "a.csv"
+    write_csv(path, ["id", "value"], [])
+    assert path.read_bytes() == b"id,value\n"
+    write_csv(path, ["id", "value"], [(0, repr(0.1)), (1, "a,b")])
+    assert path.read_bytes() == b'id,value\n0,0.1\n1,"a,b"\n'
+
+
+def test_write_json_exact_bytes(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"b": [1, None], "a": {"d": 2.5, "c": "x"}})
+    assert path.read_bytes() == (b'{\n  "a": {\n    "c": "x",\n    "d": 2.5\n  },\n'
+                                 b'  "b": [\n    1,\n    null\n  ]\n}\n')
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coreglab"
+
+
+def test_artifacts_have_one_writer():
+    """csv.writer and json.dump are called in src/ only inside write_csv and
+    write_json, so every CSV and JSON artifact has one format."""
+    calls = []
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and (node.func.value.id, node.func.attr) in {("csv", "writer"),
+                                                             ("json", "dump")}):
+            calls.append((path.name, owner, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert calls == [("datasets.py", "write_csv", "writer"),
+                     ("datasets.py", "write_json", "dump")]
 
 
 # ---------------------------------------------------------------- conll
@@ -428,7 +479,7 @@ def test_make_metric_relation():
 
 def test_make_metric_tagging():
     scheme = TagScheme(["PER"])
-    name, fn = make_metric("tagging", scheme=scheme)
+    name, fn = make_metric("tagging", schema=scheme)
     assert name == "f1"
     # two sentences: (B-PER, I-PER) and (O,)
     data = LabeledDataset(np.zeros((3, 2)), np.array([1, 2, 0]), len(scheme),
@@ -450,7 +501,7 @@ def test_make_metric_tagging_matches_per_sentence_reference(monkeypatch):
     from coreglab import metrics
 
     scheme = TagScheme(["PER", "LOC"])
-    name, fn = make_metric("tagging", scheme=scheme)
+    name, fn = make_metric("tagging", schema=scheme)
     rng = np.random.default_rng(8)
     # Unsorted, non-contiguous sentence ids with interleaved rows; also none.
     for n in (0, *rng.integers(1, 60, size=19)):

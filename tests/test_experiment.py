@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -333,20 +334,39 @@ def test_run_noise_analysis_layout(tmp_path):
 
 
 def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
-    """One noise_overfit_eval call per seed, over the whole gamma grid."""
-    calls = []
+    """One noise_overfit_eval call per seed, over the whole gamma grid, on
+    the pool rows of the seed's flip mask: the noisy set carries their noisy
+    labels and the clean set their original ones."""
+    calls, pairs, masks = [], [], []
     original = noiselab.noise_overfit_eval
+    original_inject = noiselab.inject_noise
 
     def counting(train_set, noisy_set, clean_set, gammas, *args, **kwargs):
         calls.append(list(gammas))
+        pairs.append((noisy_set, clean_set))
         return original(train_set, noisy_set, clean_set, gammas, *args, **kwargs)
 
+    def recording(dataset, spec):
+        noisy, mask = original_inject(dataset, spec)
+        masks.append((dataset, mask))
+        return noisy, mask
+
     monkeypatch.setattr(noiselab, "noise_overfit_eval", counting)
+    monkeypatch.setattr(noiselab, "inject_noise", recording)
     mapping = tiny_mapping(
         tmp_path, seeds=[1, 2], output_dir=str(tmp_path / "noise"),
         analysis={"gammas": [0.0, 1.0, 5.0], "pool_size": 40, "epochs": 2})
     run_noise_analysis(ExperimentConfig.from_mapping(mapping))
     assert calls == [[0.0, 1.0, 5.0], [0.0, 1.0, 5.0]]
+    assert len(masks) == 2  # no training noise: one pool mask per seed
+    for (noisy, clean), (pool, mask) in zip(pairs, masks):
+        assert len(pool) == 40
+        assert len(noisy) == len(clean) == math.floor(0.5 * 40)
+        assert np.all(noisy.labels != clean.labels)
+        np.testing.assert_array_equal(noisy.features, pool.features[mask.indices])
+        np.testing.assert_array_equal(clean.features, pool.features[mask.indices])
+        np.testing.assert_array_equal(noisy.labels, mask.noisy_labels)
+        np.testing.assert_array_equal(clean.labels, pool.labels[mask.indices])
     for gamma in ("0.0", "1.0", "5.0"):
         for seed in (1, 2):
             rows = read_csv(tmp_path / "noise" / f"gamma_{gamma}" / f"seed_{seed}"
@@ -416,6 +436,9 @@ def test_export_curves_sorted_by_gamma_then_seed(tmp_path):
     assert keys == sorted(keys)
 
 
+GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\nselected,0,dev,accuracy,0.5\n"
+
+
 def test_export_curves_errors(tmp_path):
     with pytest.raises(DataError, match="config snapshot"):
         export_curves(tmp_path)
@@ -427,6 +450,28 @@ def test_export_curves_errors(tmp_path):
     (bad / "epoch_log.csv").write_text("a,b\n1,2\n")
     with pytest.raises(DataError, match="unexpected header"):
         export_curves(tmp_path)
+    # A malformed run directory: (config snapshot, {log directory: log}, error).
+    cases = [
+        ("method: coreg\n", {"gamma_abc/seed_1": GOOD_LOG}, "gamma_abc"),
+        ("method: coreg\n", {"seed_x": GOOD_LOG}, "seed_x"),
+        ("method: coreg\n", {"seed_1": GOOD_LOG + "selected,1,dev,0.5\n"},
+         r"seed_1/epoch_log\.csv:3: expected 5 fields, got 4"),
+        ("method: coreg\n", {"seed_1": b"\xff\xfe"}, r"seed_1/epoch_log\.csv"),
+        ("method: [coreg\n", {"seed_1": GOOD_LOG}, r"config\.yaml"),
+        ("- coreg\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*mapping"),
+        ("train: null\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*train"),
+        ("train: {gamma: abc}\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*train\.gamma"),
+    ]
+    for i, (snapshot, logs, message) in enumerate(cases):
+        run = tmp_path / f"malformed{i}"
+        run.mkdir()
+        (run / "config.yaml").write_text(snapshot)
+        for directory, content in logs.items():
+            (run / directory).mkdir(parents=True)
+            log = run / directory / "epoch_log.csv"
+            log.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(DataError, match=message):
+            export_curves(run)
 
 
 def test_export_curves_custom_out(tmp_path):

@@ -33,7 +33,7 @@ def test_vocab_deduplicates():
 
 
 def test_vocab_tokens_round_trip():
-    vocab = Vocab(["x", "y"], extra_specials=("[SUBJ-PER]",))
+    vocab = Vocab(["[SUBJ-PER]", "x", "y"])
     rebuilt = Vocab(vocab.tokens())
     assert rebuilt.tokens() == vocab.tokens()
     assert len(rebuilt) == len(vocab)

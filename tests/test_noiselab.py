@@ -9,8 +9,7 @@ from coreglab.models import WindowIds
 from coreglab.noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                                auroc, disagreement_report, first_learned_means,
                                forgetting_stats, inject_noise,
-                               noise_overfit_eval, save_suspect_csv,
-                               split_noisy_clean)
+                               noise_overfit_eval, save_suspect_csv)
 from coreglab.trainer import TrainConfig, init_ensemble, train
 from oracles import load_flip_mask_csv, pairwise_auroc
 
@@ -170,37 +169,6 @@ def test_inject_single_class_error():
         inject_noise(data, NoiseSpec(0.5, seed=0))
 
 
-# ---------------------------------------------------------------- splitting
-
-
-def test_split_identical_labels_empty():
-    split = split_noisy_clean([1, 2, 3], [1, 2, 3])
-    assert len(split.indices) == 0
-
-
-def test_split_worked_example():
-    split = split_noisy_clean([1, 2, 3], [1, 0, 3])
-    np.testing.assert_array_equal(split.indices, [1])
-    np.testing.assert_array_equal(split.noisy_labels, [2])
-    np.testing.assert_array_equal(split.clean_labels, [0])
-
-
-def test_split_pairs_with_flip_mask():
-    data = tiny_dataset(n=150)
-    noisy, mask = inject_noise(data, NoiseSpec(0.3, seed=12))
-    split = split_noisy_clean(noisy.labels, data.labels)
-    assert len(split.indices) == len(mask)
-    np.testing.assert_array_equal(split.indices, mask.indices)
-    np.testing.assert_array_equal(split.noisy_labels, mask.noisy_labels)
-    np.testing.assert_array_equal(split.clean_labels, mask.original_labels)
-    assert len(split.noisy_labels) == len(split.clean_labels)
-
-
-def test_split_length_mismatch():
-    with pytest.raises(ValueError):
-        split_noisy_clean([1, 2], [1])
-
-
 # ---------------------------------------------------------- overfit protocol
 
 
@@ -209,10 +177,9 @@ def _overfit_fixture(seed=0):
                                         num_classes=3, seed=seed)
     pool, _ = gen_gaussian_mixture(num_train=60, num_test=10, num_classes=3,
                                    seed=seed + 1000)
-    noisy_pool, mask = inject_noise(pool, NoiseSpec(0.5, seed=seed + 2000))
-    split = split_noisy_clean(noisy_pool.labels, pool.labels)
-    noisy = LabeledDataset(pool.features[split.indices], split.noisy_labels, 3)
-    clean = LabeledDataset(pool.features[split.indices], split.clean_labels, 3)
+    _, mask = inject_noise(pool, NoiseSpec(0.5, seed=seed + 2000))
+    noisy = LabeledDataset(pool.features[mask.indices], mask.noisy_labels, 3)
+    clean = LabeledDataset(pool.features[mask.indices], mask.original_labels, 3)
     return train_set, noisy, clean
 
 

@@ -541,38 +541,42 @@ def test_train_selected_row_tracks_policy():
 def test_train_best_checkpoint_is_max_dev():
     train_set = tiny_dataset(n=30, seed=4)
     dev = tiny_dataset(n=15, seed=5)
-    config = small_config(total_steps=12, batch_size=10)
-    result = train(train_set, dev, config)
-    for k in range(config.num_models):
-        per_epoch = [row[4] for row in result.epoch_rows
-                     if row[0] == str(k) and row[2] == "dev"]
-        assert result.best[k].score == max(per_epoch)
-        restored = result.model_with_best_params(k)
+    for policy in ("first", "best_dev"):
+        config = small_config(total_steps=12, batch_size=10, selection_policy=policy)
+        result = train(train_set, dev, config)
+        for k in range(config.num_models):
+            per_epoch = [row[4] for row in result.epoch_rows
+                         if row[0] == str(k) and row[2] == "dev"]
+            assert result.best[k].score == max(per_epoch)
+        best_scores = [c.score for c in result.best]
+        expected = best_scores[0] if policy == "first" else max(best_scores)
+        restored = result.selected_model()
         score = float(np.mean(predict(restored, dev.features) == dev.labels))
-        assert score == pytest.approx(result.best[k].score)
+        assert score == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("with_dev", [True, False])
-def test_model_with_best_params_wraps_a_copy_without_initialising(monkeypatch,
-                                                                   with_dev):
+def test_selected_model_wraps_a_copy_without_initialising(monkeypatch, with_dev):
     from coreglab import models
 
     dev = tiny_dataset(n=15, seed=5) if with_dev else None
+    policy = "best_dev" if with_dev else "first"
     result = train(tiny_dataset(n=30, seed=4), dev,
-                   small_config(total_steps=6, batch_size=10))
+                   small_config(total_steps=6, batch_size=10, selection_policy=policy))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a restored model draws no initialisation")
 
     monkeypatch.setattr(models, "init_model", refuse)
     monkeypatch.setattr(models, "set_params_flat", refuse)
-    for k, model in enumerate(result.ensemble.models):
-        source = result.best[k].params if with_dev else model.params
-        restored = result.model_with_best_params(k)
-        assert restored.params.tobytes() == source.tobytes()
-        assert not np.shares_memory(restored.params, source)
-        assert (restored.layer_sizes, restored.dropout, restored.seed) == \
-            (model.layer_sizes, model.dropout, model.seed)
+    chosen = (int(np.argmax([c.score for c in result.best])) if with_dev else 0)
+    model = result.ensemble.models[chosen]
+    source = result.best[chosen].params if with_dev else model.params
+    restored = result.selected_model()
+    assert restored.params.tobytes() == source.tobytes()
+    assert not np.shares_memory(restored.params, source)
+    assert (restored.layer_sizes, restored.dropout, restored.seed) == \
+        (model.layer_sizes, model.dropout, model.seed)
 
 
 def test_train_best_dev_requires_dev():
