@@ -114,14 +114,14 @@ class InstanceWeights:
 
 
 def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,
-                weights: InstanceWeights | None = None, eval_metric=None,
-                metric_name: str = "accuracy") -> trainer.TrainResult:
+                weights: InstanceWeights | None = None,
+                eval_metric=None) -> trainer.TrainResult:
     """Single-model cross-entropy training on the shared pipeline: the same
     engine with one model and no agreement term, so seeding and batching are
     identical to the multi-model runs."""
     return trainer.train(dataset, dev_set, trainer.make_plain_config(config),
                          weights=None if weights is None else weights.values,
-                         eval_metric=eval_metric, metric_name=metric_name)
+                         eval_metric=eval_metric)
 
 
 def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """Command-line surface for the training lab.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 training divergence.
+Exit codes: 0 success, 1 config error, 2 data error (an unreadable input or
+an unwritable output path included), 3 training divergence.
 Relative output paths resolve under the COREGLAB_OUTPUT_ROOT environment
 variable when it is set.
 """
@@ -27,7 +28,7 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except experiment.ConfigError as exc:
             _fail(exc, 1)
-        except (datasets.DataError, FileNotFoundError) as exc:
+        except (datasets.DataError, OSError) as exc:
             _fail(exc, 2)
         except trainer.TrainingDiverged as exc:
             _fail(exc, 3)
@@ -183,12 +184,10 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
 @click.option("--vocab", "vocab_path", type=click.Path(), default=None)
-@click.option("--window", default=1, show_default=True)
-@click.option("--num-classes", default=None, type=int)
 @_guarded
-def evaluate(model_path, task, data_path, schema_path, vocab_path, window,
-             num_classes):
-    """Score a saved model on a dataset file."""
+def evaluate(model_path, task, data_path, schema_path, vocab_path):
+    """Score a saved model on a dataset file. The model's layer sizes give
+    the tagging window and the synthetic task's number of classes."""
     try:
         model = mdl.load_model(model_path)
     except (OSError, EOFError, KeyError, TypeError, ValueError,
@@ -198,8 +197,17 @@ def evaluate(model_path, task, data_path, schema_path, vocab_path, window,
         raise experiment.ConfigError(f"{task} evaluation requires --schema and --vocab")
     schema = datasets.load_schema(task, schema_path)
     vocab = None if schema is None else datasets.load_vocab(vocab_path)
+    width, window = model.layer_sizes[0], 0
+    if task == "tagging":
+        # A tagging row is 2*window+1 blocks of len(vocab) columns.
+        blocks, rest = divmod(width, len(vocab))
+        if rest or blocks % 2 == 0:
+            raise datasets.DataError(
+                f"model/vocabulary mismatch: the model's input width {width} is not "
+                f"an odd number of blocks of the vocabulary's {len(vocab)} tokens")
+        window = (blocks - 1) // 2
     dataset, _ = datasets.load_split(task, data_path, schema, vocab, window=window,
-                                     num_classes=num_classes)
+                                     num_classes=model.layer_sizes[-1])
     name, fn = datasets.make_metric(task, schema=schema)
     try:
         preds = mdl.predict(model, dataset.features)

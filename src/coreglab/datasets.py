@@ -334,8 +334,9 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 
 
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
-    """Parse line-delimited dense feature records into a dataset."""
-    feats, labels, ids, trues = [], [], [], []
+    """Parse line-delimited dense feature records into a dataset; ids, when
+    given, are distinct integers, and default to the record's position."""
+    feats, labels, ids, trues, seen = [], [], [], [], set()
     for lineno, raw in _data_lines(path):
         line = raw.strip()
         if not line:
@@ -344,9 +345,15 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
             rec = json.loads(line)
             feats.append([float(v) for v in rec["features"]])
             label, true = rec["label"], rec.get("true_label")
-            ids.append(int(rec.get("id", len(ids))))
+            uid = rec.get("id", len(ids))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if not _is_int(uid):
+            raise DataError(f"{path}:{lineno}: id must be an integer, got {uid!r}")
+        if uid in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {uid}")
+        seen.add(uid)
+        ids.append(uid)
         for name, value in (("label", label), ("true_label", true)):
             if value is not None and not _is_int(value, 0):
                 raise DataError(f"{path}:{lineno}: {name} must be a non-negative "

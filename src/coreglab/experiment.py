@@ -49,8 +49,15 @@ _DATA_KEYS = {*datasets.MIXTURE_KEYS, "train_path", "dev_path", "test_path",
 _NOISE_KEYS = {"rate", "scheme", "seed", "confusion"}
 
 
+def _listed(values):
+    """values, which must be a list: a string is not iterated."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{values!r} is not a list")
+    return values
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [float(v) for v in _listed(values)]
 
 
 def _integer(value) -> int:
@@ -63,7 +70,7 @@ def _integer(value) -> int:
 
 
 def _sizes(values) -> tuple[int, ...]:
-    return tuple(_integer(v) for v in values)
+    return tuple(_integer(v) for v in _listed(values))
 
 
 # key: (type, default, least allowed value or None), as datasets.MIXTURE_KEYS;
@@ -161,7 +168,7 @@ class ExperimentConfig:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
         try:
-            seeds = tuple(int(s) for s in raw.get("seeds", ()))
+            seeds = _sizes(raw.get("seeds", ()))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
         if not seeds:
@@ -177,6 +184,9 @@ class ExperimentConfig:
             if spec.type in (int, float):
                 train_raw[spec.name] = _typed(train_raw, spec.name, spec.type,
                                               spec.default, prefix="train.")
+            elif spec.type is bool and not isinstance(train_raw.get(spec.name, False),
+                                                      bool):
+                raise ConfigError(f"train.{spec.name} must be true or false")
         train_raw["hidden_sizes"] = _typed(train_raw, "hidden_sizes", _sizes,
                                            trainer.TrainConfig.hidden_sizes,
                                            prefix="train.")
@@ -298,15 +308,27 @@ def _noise_spec(noise: dict | None, seed: int) -> noiselab.NoiseSpec | None:
         noise_seed = rngmod.substream_seed(seed, "noise")
     confusion = noise.get("confusion")
     return noiselab.NoiseSpec(
-        rate=float(noise["rate"]), seed=int(noise_seed),
+        rate=float(noise["rate"]), seed=_integer(noise_seed),
         scheme=noise.get("scheme", "uniform_flip"),
         confusion=None if confusion is None else np.asarray(confusion, float))
 
 
-def _write_epoch_log(path, epoch_rows) -> None:
-    formatted = [(model, epoch, split, metric, repr(float(value)))
-                 for model, epoch, split, metric, value in epoch_rows]
+def _write_epoch_log(path, rows) -> None:
+    formatted = [(model, epoch, split, metric, repr(value))
+                 for model, epoch, split, metric, value in rows]
     datasets.write_csv(path, EPOCH_LOG_HEADER, formatted)
+
+
+def _dev_rows(result: trainer.TrainResult, metric_name: str) -> list[tuple]:
+    """Epoch-log rows of a training's dev scores: per epoch one row per
+    model, then a "selected" row with the selection policy's pick."""
+    rows = []
+    for epoch, values in enumerate(result.dev_scores.tolist()):
+        rows += [(str(k), epoch, "dev", metric_name, v) for k, v in enumerate(values)]
+        chosen = trainer.select_index(values, result.config.selection_policy,
+                                      len(values))
+        rows.append(("selected", epoch, "dev", metric_name, values[chosen]))
+    return rows
 
 
 def _open_run(config: ExperimentConfig) -> tuple[Path, str]:
@@ -322,18 +344,18 @@ def _open_run(config: ExperimentConfig) -> tuple[Path, str]:
 def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
                 train_set, dev_set, task: TaskData, seed_dir: Path):
     """Dispatch one seed's training according to the configured method."""
-    common = dict(eval_metric=task.metric_fn, metric_name=task.metric_name)
+    metric = task.metric_fn
     if config.method == "coreg":
-        return trainer.train(train_set, dev_set, tcfg, **common)
+        return trainer.train(train_set, dev_set, tcfg, eval_metric=metric)
     if config.method == "plain":
-        return baselines.train_plain(train_set, dev_set, tcfg, **common)
+        return baselines.train_plain(train_set, dev_set, tcfg, eval_metric=metric)
     if config.method in ("small_loss", "relabel"):
         sched = baselines.PruneSchedule(config.baseline["delta_max"], tcfg.total_steps)
         hook = (baselines.make_small_loss_hook(sched)
                 if config.method == "small_loss"
                 else baselines.make_relabel_hook(sched))
         return trainer.train(train_set, dev_set, replace(tcfg, gamma=0.0),
-                             batch_hook=hook, **common)
+                             batch_hook=hook, eval_metric=metric)
     folds = config.baseline["folds"]
     n = len(train_set)
     fold_train = n - math.ceil(n / folds)
@@ -342,7 +364,8 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
         train_set, folds, config.baseline["iterations"],
         replace(tcfg, total_steps=fold_steps), config.baseline["base_weight"])
     weights.save_csv(seed_dir / "weights.csv")
-    return baselines.train_plain(train_set, dev_set, tcfg, weights=weights, **common)
+    return baselines.train_plain(train_set, dev_set, tcfg, weights=weights,
+                                 eval_metric=metric)
 
 
 @dataclass
@@ -380,7 +403,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 train_set, mask = noiselab.inject_noise(train_set, spec)
                 mask.save_csv(seed_dir / "flips.csv")
                 manifest.artifacts.append(f"seed_{seed}/flips.csv")
-                # Checkpoint selection must not peek at clean labels: the
+                # Model selection must not peek at clean labels: the
                 # dev split is drawn from the same noisy labeling process.
                 dev_spec = replace(spec,
                                    seed=rngmod.substream_seed(spec.seed, "dev"))
@@ -388,7 +411,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             tcfg = _resolved_train_config(config, seed, len(train_set))
             result = _run_method(config, tcfg, train_set, dev_set, task,
                                  seed_dir)
-            _write_epoch_log(seed_dir / "epoch_log.csv", result.epoch_rows)
+            _write_epoch_log(seed_dir / "epoch_log.csv",
+                             _dev_rows(result, task.metric_name))
             manifest.artifacts.append(f"seed_{seed}/epoch_log.csv")
             if config.method == "crossweigh":
                 manifest.artifacts.append(f"seed_{seed}/weights.csv")
@@ -459,7 +483,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
         curves = {}  # repr(gamma) -> {epoch: clean-set value}
         for gamma, epoch, value in noiselab.noise_overfit_eval(
                 train_set, noisy_set, clean_set, analysis["gammas"], base,
-                eval_metric=task.metric_fn, metric_name=task.metric_name):
+                eval_metric=task.metric_fn):
             curves.setdefault(repr(gamma), {})[epoch] = value
         for gamma, curve in curves.items():
             seed_dir = run_dir / f"gamma_{gamma}" / f"seed_{seed}"
@@ -485,9 +509,7 @@ def run_audit(config: ExperimentConfig):
         train_set, mask = noiselab.inject_noise(train_set, spec)
         mask.save_csv(run_dir / "flips.csv")
     tcfg = _resolved_train_config(config, seed, len(train_set))
-    result = trainer.train(train_set, task.dev, tcfg,
-                           eval_metric=task.metric_fn,
-                           metric_name=task.metric_name)
+    result = trainer.train(train_set, task.dev, tcfg, eval_metric=task.metric_fn)
     rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
     report_path = run_dir / "audit.csv"
     noiselab.save_suspect_csv(rows, report_path)

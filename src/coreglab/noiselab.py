@@ -132,13 +132,13 @@ def _feature_keys(dataset) -> set:
 
 
 def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
-                       *, eval_metric=None, metric_name: str = "accuracy"):
+                       *, eval_metric=None):
     """The noise-overfit protocol: for each agreement weight, train on the
     union of the training set and the noisy set, score the clean set at
     every epoch, and return (gamma, epoch, value) rows.
 
-    The first model's curve is reported, so the gamma grid is comparable
-    point for point.
+    The clean set is scored as the dev split, and the first model's curve is
+    reported, so the gamma grid is comparable point for point.
     """
     if len(noisy_set) != len(clean_set):
         raise ValueError("noisy and clean sets must pair up")
@@ -147,14 +147,10 @@ def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
     union = ds.concat_datasets(train_set, noisy_set)
     rows = []
     for gamma in gammas:
-        # The clean set is scored as the dev split; "first" keeps it out of
-        # model selection.
-        run_cfg = replace(config, gamma=float(gamma), selection_policy="first")
-        result = trainer.train(union, clean_set, run_cfg, eval_metric=eval_metric,
-                               metric_name=metric_name)
-        for model, epoch, split, metric_label, value in result.epoch_rows:
-            if model == "selected" and split == "dev":
-                rows.append((float(gamma), int(epoch), float(value)))
+        result = trainer.train(union, clean_set, replace(config, gamma=float(gamma)),
+                               eval_metric=eval_metric)
+        rows += [(float(gamma), epoch, value)
+                 for epoch, value in enumerate(result.dev_scores[:, 0].tolist())]
     return rows
 
 

@@ -310,35 +310,29 @@ def train_step(features, labels: np.ndarray, ensemble: ModelEnsemble,
 
 
 @dataclass
-class Checkpoint:
-    epoch: int
-    score: float
-    params: np.ndarray
-
-
-@dataclass
 class TrainResult:
     ensemble: ModelEnsemble
     config: TrainConfig
     reports: list[LossReport] = field(default_factory=list)
-    # (model, epoch, split, metric, value); model is a model index as a
-    # string, or "selected" for the selection policy's pick at that epoch.
-    epoch_rows: list[tuple] = field(default_factory=list)
-    best: list[Checkpoint] | None = None
+    # (epochs, models) dev score of each model after each epoch; None
+    # without a dev set.
+    dev_scores: np.ndarray | None = None
+    # Each model's parameters at its first best dev epoch (its initial ones
+    # before any epoch); without a dev set, the model's own final buffer.
+    best_params: list[np.ndarray] = field(default_factory=list)
     trajectories: np.ndarray | None = None  # (epochs, train rows) bool
-    num_epochs: int = 0
 
     def selected_model(self) -> mdl.MlpModel:
         """Copy of the model the selection policy picks by best dev score,
         restored to its best dev checkpoint, or with its final parameters
         when no dev set was used."""
-        scores = None if self.best is None else [c.score for c in self.best]
-        index = select_index(scores, self.config.selection_policy,
+        best = (None if self.dev_scores is None
+                else np.max(self.dev_scores, axis=0, initial=-np.inf))
+        index = select_index(best, self.config.selection_policy,
                              self.ensemble.num_models)
         source = self.ensemble.models[index]
-        params = source.params if self.best is None else self.best[index].params
         return mdl.MlpModel(source.layer_sizes, source.dropout, source.seed,
-                            params.copy())
+                            self.best_params[index].copy())
 
 
 def _default_metric(dataset, preds) -> float:
@@ -357,8 +351,8 @@ def select_index(dev_metrics, policy: str, num_models: int) -> int:
 
 
 def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
-          metric_name: str = "accuracy", weights=None,
-          batch_hook=None, track_trajectories: bool = False) -> TrainResult:
+          weights=None, batch_hook=None,
+          track_trajectories: bool = False) -> TrainResult:
     """Run the full training loop for total_steps steps.
 
     Batches are drawn with a seeded per-epoch shuffle from the shared data
@@ -378,19 +372,15 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
             raise ValueError("weights length does not match the dataset")
 
     ensemble = init_ensemble(config, dataset.num_features, dataset.num_classes)
-    result = TrainResult(ensemble, config)
-    if dev_set is not None:
-        result.best = [Checkpoint(-1, -math.inf, mdl.params_flat(m))
-                       for m in ensemble.models]
-    if config.total_steps == 0:
-        return result
-
+    models = ensemble.models
+    result = TrainResult(ensemble, config, best_params=[
+        model.params if dev_set is None else mdl.params_flat(model) for model in models])
+    best = np.full(len(models), -math.inf)
+    scores, traj = [], []
     data_rng = rngmod.substream(config.master_seed, "data_order")
     n = len(dataset)
-    traj = [] if track_trajectories else None
 
     t = 0
-    epoch = 0
     while t < config.total_steps:
         order = data_rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -404,34 +394,21 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
             result.reports.append(report)
             t += 1
 
-        scores = _evaluate_epoch(result, dev_set, metric, metric_name, epoch)
-        if traj is not None:
-            preds = mdl.predict(ensemble.models[0], dataset.features)
-            traj.append(preds == dataset.labels)
-        for k, score in enumerate(scores):
-            if score > result.best[k].score:
-                result.best[k] = Checkpoint(
-                    epoch, score, mdl.params_flat(ensemble.models[k]))
-        epoch += 1
+        if dev_set is not None:
+            scores.append([float(metric(dev_set, mdl.predict(model, dev_set.features)))
+                           for model in models])
+            for k, score in enumerate(scores[-1]):
+                if score > best[k]:
+                    best[k] = score
+                    result.best_params[k] = mdl.params_flat(models[k])
+        if track_trajectories:
+            traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
 
-    result.num_epochs = epoch
-    if traj is not None:
-        result.trajectories = np.array(traj, dtype=bool)
+    if dev_set is not None:
+        result.dev_scores = np.array(scores, dtype=np.float64).reshape(-1, len(models))
+    if track_trajectories:
+        result.trajectories = np.array(traj, dtype=bool).reshape(-1, n)
     return result
-
-
-def _evaluate_epoch(result, dev_set, metric, metric_name, epoch) -> list[float]:
-    """Score every model, and the policy's pick, on the dev set, if any."""
-    if dev_set is None:
-        return []
-    values = []
-    for k, model in enumerate(result.ensemble.models):
-        value = float(metric(dev_set, mdl.predict(model, dev_set.features)))
-        values.append(value)
-        result.epoch_rows.append((str(k), epoch, "dev", metric_name, value))
-    chosen = select_index(values, result.config.selection_policy, len(values))
-    result.epoch_rows.append(("selected", epoch, "dev", metric_name, values[chosen]))
-    return values
 
 
 def make_plain_config(config: TrainConfig) -> TrainConfig:

@@ -129,6 +129,13 @@ def assert_clean_exit(result, code):
                "confusion": [[math.nan] * 3] * 3}},
     {"seeds": [math.inf]},
     {"train": {"num_models": 2, "hidden_sizes": [10 ** 38]}},
+    {"seeds": "12"},
+    {"train": {"num_models": 2, "hidden_sizes": "12"}},
+    {"analysis": {"gammas": "15"}},
+    {"seeds": [1.5]},
+    {"noise": {"rate": 0.2, "seed": 1.5}},
+    {"train": {"num_models": 2, "soft_target_gradient": "false"}},
+    {"train": {"num_models": 2, "soft_target_gradient": 2}},
 ], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
         "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
         "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
@@ -138,7 +145,9 @@ def assert_clean_exit(result, code):
         "folds_above_rows", "train_null", "baseline_null", "data_scalar",
         "noise_scalar", "noise_seed_negative", "gamma_nan", "gamma_infinite",
         "delta_max_nan", "confusion_nan", "seeds_infinite",
-        "hidden_size_above_ceiling"])
+        "hidden_size_above_ceiling", "seeds_string", "hidden_sizes_string",
+        "gammas_string", "seeds_fraction", "noise_seed_fraction",
+        "soft_target_gradient_string", "soft_target_gradient_number"])
 def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
@@ -196,6 +205,9 @@ BAD_RECORDS = {
     ("synthetic", "label_fractional"): {**FEATURE_RECORD, "label": 1.5},
     ("synthetic", "true_label_string"): {**FEATURE_RECORD, "true_label": "x"},
     ("synthetic", "true_label_negative"): {**FEATURE_RECORD, "true_label": -1},
+    ("synthetic", "id_fractional"): {**FEATURE_RECORD, "id": 1.5},
+    # The first record has no id, so it takes its position, 0.
+    ("synthetic", "id_duplicate"): {**FEATURE_RECORD, "id": 0},
 }
 
 
@@ -291,6 +303,24 @@ def test_file_task_confusion_size_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["train", str(config_path)])
     assert_clean_exit(result, 1)
     assert "3 classes" in result.stderr
+
+
+def test_train_output_dir_is_a_file_exits_2(runner, tmp_path):
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, output_dir=str(config_path))
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 2)
+    assert str(config_path) in result.stderr
+
+
+def test_inject_noise_output_directory_exits_2(runner, tmp_path):
+    source = tmp_path / "train.jsonl"
+    source.write_text("".join(json.dumps({"features": [0.0], "label": label}) + "\n"
+                              for label in (0, 1, 0, 1)))
+    result = runner.invoke(main, ["inject-noise", "--input", str(source),
+                                  "--output", str(tmp_path), "--rate", "0.5"])
+    assert_clean_exit(result, 2)
+    assert str(tmp_path) in result.stderr
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -496,29 +526,56 @@ def test_evaluate_unloadable_model_exits_2(runner, tmp_path, kind):
     assert f"cannot load model {model_path}" in result.stderr
 
 
-def test_evaluate_tagging_window_mismatch_exits_2(runner, tmp_path):
-    """A model trained on window-1 rows scores window-1 rows, and refuses
-    rows of any other window: the window ids carry their dense width."""
+def test_evaluate_tagging_vocab_mismatch_exits_2(runner, tmp_path):
+    """The window comes from the model: its input width over the vocabulary
+    size. A vocabulary that does not divide that width into an odd number
+    of blocks is refused, naming both sizes."""
+    from coreglab.datasets import load_vocab, save_vocab
+    from coreglab.models import Vocab
+
     data = tmp_path / "data"
     assert runner.invoke(main, ["gen-synthetic", "--task", "tagging",
                                 "--out", str(data), "--sentences", "30"]).exit_code == 0
+    vocab_path = tmp_path / "run" / "vocab.json"
+    for window in (2, 0):
+        config_path = tmp_path / "config.yaml"
+        write_config(config_path, task="tagging", seeds=[1],
+                     data={"train_path": str(data / "train.conll"),
+                           "dev_path": str(data / "dev.conll"),
+                           "test_path": str(data / "test.conll"),
+                           "schema_path": str(data / "schema.json"),
+                           "window": window})
+        assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+        evaluate = ["evaluate", "--task", "tagging",
+                    "--model", str(tmp_path / "run" / "seed_1" / "model.npz"),
+                    "--data", str(data / "test.conll"),
+                    "--schema", str(data / "schema.json")]
+        result = runner.invoke(main, [*evaluate, "--vocab", str(vocab_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("f1: ")
+    # The window-0 model's input width is one vocabulary: a vocabulary one
+    # token larger divides it into no whole block.
+    vocab = load_vocab(vocab_path)
+    larger = tmp_path / "larger.json"
+    save_vocab(Vocab([*vocab.tokens()[2:], "zzz-extra"]), larger)
+    result = runner.invoke(main, [*evaluate, "--vocab", str(larger)])
+    assert_clean_exit(result, 2)
+    assert f"input width {len(vocab)} " in result.stderr
+    assert f"{len(vocab) + 1} tokens" in result.stderr
+
+
+def test_evaluate_label_outside_model_classes_exits_2(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
-    write_config(config_path, task="tagging", seeds=[1],
-                 data={"train_path": str(data / "train.conll"),
-                       "dev_path": str(data / "dev.conll"),
-                       "test_path": str(data / "test.conll"),
-                       "schema_path": str(data / "schema.json"), "window": 1})
+    write_config(config_path)  # 3 classes
     assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
-    evaluate = ["evaluate", "--task", "tagging",
-                "--model", str(tmp_path / "run" / "seed_1" / "model.npz"),
-                "--data", str(data / "test.conll"),
-                "--schema", str(data / "schema.json"),
-                "--vocab", str(tmp_path / "run" / "vocab.json")]
-    assert runner.invoke(main, [*evaluate, "--window", "1"]).exit_code == 0
-    for window in ("0", "2"):
-        result = runner.invoke(main, [*evaluate, "--window", window])
-        assert_clean_exit(result, 2)
-        assert "model/data mismatch: feature length" in result.stderr
+    data = tmp_path / "four.jsonl"
+    data.write_text("".join(json.dumps({"features": [0.0, 0.0], "label": label}) + "\n"
+                            for label in (0, 3)))
+    result = runner.invoke(main, [
+        "evaluate", "--model", str(tmp_path / "run" / "seed_1" / "model.npz"),
+        "--data", str(data)])
+    assert_clean_exit(result, 2)
+    assert "label 3 outside 3 classes" in result.stderr
 
 
 def test_evaluate_tagging_requires_schema_and_vocab(runner, tmp_path):
@@ -621,3 +678,13 @@ def test_export_curves_malformed_log_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert_clean_exit(result, 2)
     assert str(log) in result.stderr
+
+
+def test_export_curves_out_directory_exits_2(runner, tmp_path):
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path)
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    result = runner.invoke(main, ["export-curves", str(tmp_path / "run"),
+                                  "--out", str(tmp_path)])
+    assert_clean_exit(result, 2)
+    assert str(tmp_path) in result.stderr

@@ -225,6 +225,26 @@ def test_run_experiment_layout_and_metrics(tmp_path):
     assert epochs_seen == {0, 1}
 
 
+def test_epoch_log_selected_row_tracks_policy(tmp_path):
+    # Per epoch: one dev row per model in model order, then the "selected"
+    # row holding the score of the policy's pick at that epoch.
+    for policy in ("first", "best_dev"):
+        mapping = tiny_mapping(
+            tmp_path, seeds=[4], epochs=3, output_dir=str(tmp_path / policy),
+            train={"num_models": 3, "batch_size": 32, "hidden_sizes": [4],
+                   "selection_policy": policy})
+        run_experiment(ExperimentConfig.from_mapping(mapping))
+        rows = read_csv(tmp_path / policy / "seed_4" / "epoch_log.csv")[1:]
+        assert [(row[0], row[1]) for row in rows] == [
+            (model, str(epoch)) for epoch in range(3)
+            for model in ("0", "1", "2", "selected")]
+        assert {(row[2], row[3]) for row in rows} == {("dev", "accuracy")}
+        for epoch in range(3):
+            values = [float(row[4]) for row in rows[4 * epoch:4 * epoch + 3]]
+            expected = values[0] if policy == "first" else max(values)
+            assert float(rows[4 * epoch + 3][4]) == expected
+
+
 def test_run_experiment_median_of_five(tmp_path):
     mapping = tiny_mapping(tmp_path, seeds=[1, 2, 3, 4, 5], epochs=1,
                            data={"train_size": 40, "dev_size": 12,

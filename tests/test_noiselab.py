@@ -1,10 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
+from coreglab.datasets import LabeledDataset, concat_datasets, gen_gaussian_mixture
 from coreglab.models import WindowIds
 from coreglab.noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
                                auroc, disagreement_report, first_learned_means,
@@ -208,6 +209,23 @@ def test_noise_overfit_gamma_zero_reduces_to_baseline():
     assert rows == again
 
 
+def test_noise_overfit_reports_first_model_under_any_policy():
+    # Selection never affects training: both policies report model 0's
+    # clean-set score at every epoch.
+    train_set, noisy, clean = _overfit_fixture(seed=4)
+    config = TrainConfig(num_models=2, total_steps=6, batch_size=32,
+                         warmup_pct=0.0, hidden_sizes=(8,), dropout=0.0,
+                         master_seed=5)
+    first = noise_overfit_eval(train_set, noisy, clean, (0.0, 5.0), config)
+    best = noise_overfit_eval(train_set, noisy, clean, (0.0, 5.0),
+                              replace(config, selection_policy="best_dev"))
+    assert best == first
+    union = concat_datasets(train_set, noisy)
+    result = train(union, clean, replace(config, gamma=5.0))
+    assert [value for gamma, _, value in first if gamma == 5.0] == \
+        result.dev_scores[:, 0].tolist()
+
+
 def test_noise_overfit_rejects_overlap():
     train_set, noisy, clean = _overfit_fixture(seed=2)
     config = TrainConfig(num_models=2, total_steps=2, hidden_sizes=(4,))
@@ -319,7 +337,7 @@ def test_memorization_delay_on_noisy_synthetic():
     result = train(noisy, None, config, track_trajectories=True)
     stats = forgetting_stats(result.trajectories)
     f_mean, u_mean = first_learned_means(stats, mask.flags(),
-                                         horizon=result.num_epochs)
+                                         horizon=len(result.trajectories))
     assert f_mean > u_mean
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from coreglab import numeric
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
-from coreglab.models import forward, params_flat, predict, set_params_flat
+from coreglab.models import (MlpModel, forward, params_flat, predict,
+                             set_params_flat)
 from coreglab.trainer import (AGGREGATE_MODES, ModelEnsemble, TrainConfig,
                               TrainingDiverged, aggregate_targets, agreement_loss,
                               compute_step_gradients, init_ensemble,
@@ -472,14 +473,24 @@ def test_train_zero_steps_returns_init():
     for got, exp in zip(result.ensemble.models, fresh.models):
         assert params_flat(got).tobytes() == params_flat(exp).tobytes()
     assert result.reports == []
-    assert result.num_epochs == 0
+    assert result.dev_scores is None
+    # With a dev set and no epoch: an empty score matrix, and the initial
+    # parameters as every model's checkpoint, which best_dev selection picks.
+    dev = tiny_dataset(n=6, seed=2)
+    result = train(data, dev, small_config(total_steps=0, selection_policy="best_dev"))
+    assert result.dev_scores.shape == (0, config.num_models)
+    for got, exp in zip(result.best_params, fresh.models):
+        assert got.tobytes() == params_flat(exp).tobytes()
+    assert result.selected_model().params.tobytes() == \
+        params_flat(fresh.models[0]).tobytes()
 
 
 def test_train_rejects_empty_dataset(hang_guard):
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError, match="empty dataset"):
         train(empty, None, small_config())
-    assert train(empty, None, small_config(total_steps=0)).num_epochs == 0
+    result = train(empty, empty, small_config(total_steps=0))
+    assert result.reports == [] and result.dev_scores.shape == (0, 2)
 
 
 def test_train_full_warmup_equals_gamma_zero():
@@ -509,33 +520,49 @@ def test_train_separable_data_converges():
     assert result.reports[-1].agreement_loss < 1e-3
 
 
-def test_train_epoch_rows_shape():
+def test_train_dev_scores_shape():
     train_set = tiny_dataset(n=20, seed=1)
     dev = tiny_dataset(n=10, seed=2)
     config = small_config(total_steps=6, batch_size=10)  # 2 steps/epoch
     result = train(train_set, dev, config)
-    assert result.num_epochs == 3
-    # per epoch: M + 1 selected dev rows
-    assert len(result.epoch_rows) == 3 * (config.num_models + 1)
-    models_seen = {row[0] for row in result.epoch_rows}
-    assert models_seen == {"0", "1", "selected"}
-    assert {row[2] for row in result.epoch_rows} == {"dev"}
-    assert not train(train_set, None, config).epoch_rows
+    assert result.dev_scores.shape == (3, config.num_models)
+    assert result.dev_scores.dtype == np.float64
+    # The last row scores the final parameters.
+    for k, model in enumerate(result.ensemble.models):
+        assert result.dev_scores[-1, k] == np.mean(
+            predict(model, dev.features) == dev.labels)
+    assert train(train_set, None, config).dev_scores is None
 
 
-def test_train_selected_row_tracks_policy():
-    train_set = tiny_dataset(n=20, seed=1)
-    dev = tiny_dataset(n=12, seed=2)
-    for policy in ("first", "best_dev"):
-        config = small_config(total_steps=4, batch_size=10,
-                              selection_policy=policy)
-        result = train(train_set, dev, config)
-        for epoch in range(result.num_epochs):
-            rows = {row[0]: row[4] for row in result.epoch_rows
-                    if row[1] == epoch and row[2] == "dev"}
-            dev_values = [rows[str(k)] for k in range(config.num_models)]
-            expected = rows["0"] if policy == "first" else max(dev_values)
-            assert rows["selected"] == expected
+def _recording_predict(monkeypatch):
+    """Record the parameters every predict call sees, in call order."""
+    from coreglab import models
+
+    seen = []
+    original = models.predict
+
+    def recording(model, features):
+        seen.append(model.params.copy())
+        return original(model, features)
+
+    monkeypatch.setattr(models, "predict", recording)
+    return seen
+
+
+def test_train_best_checkpoint_is_first_max_dev(monkeypatch):
+    # Scripted dev scores: model 0 peaks at epochs 1 and 2 (a tie), model 1
+    # only at epoch 3; each checkpoint is taken at the first best epoch.
+    script = iter([0.5, 0.1, 0.7, 0.2, 0.7, 0.3, 0.6, 0.9])
+    seen = _recording_predict(monkeypatch)
+    config = small_config(total_steps=8, batch_size=10)  # 4 epochs
+    result = train(tiny_dataset(n=20, seed=1), tiny_dataset(n=10, seed=2), config,
+                   eval_metric=lambda dataset, preds: next(script))
+    assert result.dev_scores.tolist() == [[0.5, 0.1], [0.7, 0.2], [0.7, 0.3],
+                                          [0.6, 0.9]]
+    assert result.best_params[0].tobytes() == seen[2 * 1 + 0].tobytes()
+    assert result.best_params[1].tobytes() == seen[2 * 3 + 1].tobytes()
+    assert not np.shares_memory(result.best_params[1],
+                                result.ensemble.models[1].params)
 
 
 def test_train_best_checkpoint_is_max_dev():
@@ -544,11 +571,12 @@ def test_train_best_checkpoint_is_max_dev():
     for policy in ("first", "best_dev"):
         config = small_config(total_steps=12, batch_size=10, selection_policy=policy)
         result = train(train_set, dev, config)
-        for k in range(config.num_models):
-            per_epoch = [row[4] for row in result.epoch_rows
-                         if row[0] == str(k) and row[2] == "dev"]
-            assert result.best[k].score == max(per_epoch)
-        best_scores = [c.score for c in result.best]
+        best_scores = result.dev_scores.max(axis=0)
+        for k, params in enumerate(result.best_params):
+            model = result.ensemble.models[k]
+            restored = MlpModel(model.layer_sizes, model.dropout, model.seed, params)
+            score = float(np.mean(predict(restored, dev.features) == dev.labels))
+            assert score == best_scores[k]
         expected = best_scores[0] if policy == "first" else max(best_scores)
         restored = result.selected_model()
         score = float(np.mean(predict(restored, dev.features) == dev.labels))
@@ -569,9 +597,11 @@ def test_selected_model_wraps_a_copy_without_initialising(monkeypatch, with_dev)
 
     monkeypatch.setattr(models, "init_model", refuse)
     monkeypatch.setattr(models, "set_params_flat", refuse)
-    chosen = (int(np.argmax([c.score for c in result.best])) if with_dev else 0)
+    chosen = int(np.argmax(result.dev_scores.max(axis=0))) if with_dev else 0
     model = result.ensemble.models[chosen]
-    source = result.best[chosen].params if with_dev else model.params
+    source = result.best_params[chosen]
+    # Without a dev set the checkpoint is the model's own final buffer.
+    assert (source is model.params) == (not with_dev)
     restored = result.selected_model()
     assert restored.params.tobytes() == source.tobytes()
     assert not np.shares_memory(restored.params, source)
