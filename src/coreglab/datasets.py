@@ -282,7 +282,7 @@ def _is_int(value, least=None) -> bool:
 
 def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
-    instances = []
+    instances, seen = [], set()
     for lineno, raw in _data_lines(path):
         line = raw.strip()
         if not line:
@@ -320,6 +320,9 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
                 tuple(rec["obj"]), rec["obj_type"], label, uid=uid))
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
+        if uid in seen:
+            raise DataError(f"{where}: duplicate id {uid}")
+        seen.add(uid)
     return instances
 
 

@@ -56,14 +56,25 @@ def _listed(values):
     return values
 
 
+def _not_bool(value):
+    """value, unless it is a YAML boolean, which Python would count as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return value
+
+
+def _float(value) -> float:
+    return float(_not_bool(value))
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in _listed(values)]
+    return [_float(v) for v in _listed(values)]
 
 
 def _integer(value) -> int:
     """int(value) for a whole number or a numeric string; a number with a
     fractional part is refused instead of truncated."""
-    number = int(value)
+    number = int(_not_bool(value))
     if not isinstance(value, str) and number != value:
         raise ValueError(f"{value!r} is not a whole number")
     return number
@@ -94,7 +105,7 @@ def _typed(mapping, key, kind, default, minimum=None, prefix=""):
     least ``minimum`` (every element, for a list kind); a ConfigError names
     the key otherwise."""
     try:
-        value = (_integer if kind is int else kind)(mapping.get(key, default))
+        value = {int: _integer, float: _float}.get(kind, kind)(mapping.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         noun = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
         raise ConfigError(f"{prefix}{key} must be {noun}: {exc}") from exc
@@ -308,7 +319,7 @@ def _noise_spec(noise: dict | None, seed: int) -> noiselab.NoiseSpec | None:
         noise_seed = rngmod.substream_seed(seed, "noise")
     confusion = noise.get("confusion")
     return noiselab.NoiseSpec(
-        rate=float(noise["rate"]), seed=_integer(noise_seed),
+        rate=_float(noise["rate"]), seed=_integer(noise_seed),
         scheme=noise.get("scheme", "uniform_flip"),
         confusion=None if confusion is None else np.asarray(confusion, float))
 

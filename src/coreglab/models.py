@@ -230,14 +230,17 @@ def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
     return model
 
 
-def _times(h, weight: np.ndarray) -> np.ndarray:
-    """h @ weight. For WindowIds (layer 1 only) that is the sum of the
-    indexed weight rows, added slot by slot as the dense product adds them."""
-    if not isinstance(h, WindowIds):
-        return h @ weight
-    out = weight.take(h.ids[:, 0], axis=0)
-    for slot in range(1, h.ids.shape[1]):
-        out += weight.take(h.ids[:, slot], axis=0)
+def _affine(h, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """h @ weight + bias, with the bias added in place to the fresh product.
+    For WindowIds (layer 1 only) the product is the sum of the indexed weight
+    rows, added slot by slot as the dense product adds them."""
+    if isinstance(h, WindowIds):
+        out = weight.take(h.ids[:, 0], axis=0)
+        for slot in range(1, h.ids.shape[1]):
+            out += weight.take(h.ids[:, slot], axis=0)
+    else:
+        out = h @ weight
+    out += bias
     return out
 
 
@@ -263,20 +266,18 @@ def forward(model: MlpModel, features, train_mode: bool = False,
     n_layers = len(model.weights)
     for i in range(n_layers - 1):
         cache.layer_inputs.append(h)
-        z = _times(h, model.weights[i]) + model.biases[i]
-        a = np.maximum(z, 0.0)
-        cache.relu_masks.append(z > 0.0)
+        h = _affine(h, model.weights[i], model.biases[i])
+        cache.relu_masks.append(h > 0.0)
+        np.maximum(h, 0.0, out=h)
+        mask = None
         if train_mode and model.dropout > 0.0:
             if rng is None:
                 raise ValueError("train_mode with dropout requires an rng")
-            mask = dropout_mask(a.size, model.dropout, rng).reshape(a.shape)
-            a = a * mask
-            cache.drop_masks.append(mask)
-        else:
-            cache.drop_masks.append(None)
-        h = a
+            mask = dropout_mask(h.size, model.dropout, rng).reshape(h.shape)
+            h *= mask
+        cache.drop_masks.append(mask)
     cache.layer_inputs.append(h)
-    return _times(h, model.weights[-1]) + model.biases[-1], cache
+    return _affine(h, model.weights[-1], model.biases[-1]), cache
 
 
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
@@ -287,12 +288,11 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     the weight rows it indexed."""
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
-    d = np.asarray(dlogits, dtype=np.float64)
-    if d.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
+    dz = np.asarray(dlogits, dtype=np.float64)
+    if dz.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
         raise ValueError("dlogits shape does not match the cached forward")
     grad = np.empty(model.params.size)
     grads_w, grads_b = _layer_views(grad, model.layer_sizes)
-    dz = d
     for i in range(len(model.weights) - 1, -1, -1):
         h = cache.layer_inputs[i]
         if isinstance(h, WindowIds):
@@ -303,13 +303,14 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
             grads_w[i][:] = sums.reshape(grads_w[i].shape)
         else:
             np.matmul(h.T, dz, out=grads_w[i])
-        np.sum(dz, axis=0, out=grads_b[i])
+        np.add.reduce(dz, axis=0, out=grads_b[i])
         if i == 0:
             break
-        da = dz @ model.weights[i].T
+        # A fresh product, so the masks below never write into dlogits.
+        dz = dz @ model.weights[i].T
         if cache.drop_masks[i - 1] is not None:
-            da = da * cache.drop_masks[i - 1]
-        dz = da * cache.relu_masks[i - 1]
+            dz *= cache.drop_masks[i - 1]
+        dz *= cache.relu_masks[i - 1]
     return grad
 
 

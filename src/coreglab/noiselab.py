@@ -13,7 +13,7 @@ import numpy as np
 from . import datasets as ds
 from . import models as mdl
 from . import trainer
-from .numeric import floored_nll, kl_terms, softmax
+from .numeric import floored_nll, kl_terms, label_probs, softmax
 
 NOISE_SCHEMES = ("uniform_flip", "class_conditional")
 FLIP_CSV_HEADER = ["id", "original_label", "noisy_label"]
@@ -213,7 +213,7 @@ def disagreement_report(ensemble, dataset, config) -> list[SuspectRow]:
     y = dataset.labels
     logits = np.stack([mdl.forward(m, X)[0] for m in ensemble.models])
     probs = softmax(logits)
-    inst_losses = floored_nll(probs, y)
+    inst_losses = floored_nll(label_probs(probs, y))
     q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
     per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, config.kl_eps), axis=2),
                      axis=0)

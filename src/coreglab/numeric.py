@@ -1,10 +1,10 @@
 """Dense numeric kernels: softmax, losses, the learning-rate schedule, Adam,
 dropout.
 
-Everything here is a pure function over numpy float64 arrays except
-adam_step, which updates the parameter vector and its AdamState in place.
-Reductions go through numpy's fixed deterministic summation, so results are
-bitwise reproducible run to run. Matrices are plain C-order float64 ndarrays.
+Everything here is a pure function over float64 arrays except adam_step,
+which updates the parameter vector and its AdamState in place. Reductions
+call the ufunc's reduce (np.add.reduce, not np.sum) in numpy's fixed order,
+so results are bitwise reproducible. Matrices are C-order float64 ndarrays.
 """
 
 from dataclasses import dataclass
@@ -29,18 +29,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     max-subtraction, so it is invariant under adding a constant to all logits.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("non-finite logits")
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
-def floored_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Supervision loss -log(max(p_label, PROB_FLOOR)) per row, for probs of
-    shape (..., batch, classes); returned in C order, so that reductions over
-    it sum in the same order as one row at a time."""
-    picked = np.ascontiguousarray(probs[..., np.arange(len(labels)), labels])
+def label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """p_label per row, (..., batch) for probs of shape (..., batch, classes)."""
+    # C order, so that reductions over the pick and its floored_nll sum in
+    # the same order as one row at a time.
+    return np.ascontiguousarray(probs[..., np.arange(len(labels)), labels])
+
+
+def floored_nll(picked: np.ndarray) -> np.ndarray:
+    """Supervision loss -log(max(p_label, PROB_FLOOR)) of label_probs' pick."""
     return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
@@ -107,5 +112,4 @@ def dropout_mask(length: int, rate: float, rng: np.random.Generator) -> np.ndarr
     """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    keep = rng.random(length) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return np.multiply(rng.random(length) >= rate, 1.0 / (1.0 - rate))

@@ -15,7 +15,7 @@ import numpy as np
 from . import models as mdl
 from . import rng as rngmod
 from .numeric import (PROB_FLOOR, AdamState, adam_step, floored_nll, kl_terms,
-                      lr_at, softmax)
+                      label_probs, lr_at, softmax)
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 SELECTION_POLICIES = ("first", "best_dev")
@@ -137,9 +137,9 @@ def aggregate_targets(probs: np.ndarray, logits: np.ndarray,
     """Batched soft target: probs/logits are (models, batch, classes) and
     inst_losses (models, batch); returns one distribution per instance."""
     if mode == "avg_prob":
-        return np.mean(probs, axis=0)
+        return np.add.reduce(probs, axis=0) / len(probs)
     if mode == "avg_logit":
-        return softmax(np.mean(logits, axis=0))
+        return softmax(np.add.reduce(logits, axis=0) / len(logits))
     if mode == "min_prob":
         worst = np.argmax(inst_losses, axis=0)  # ties -> lowest model index
         return probs[worst, np.arange(probs.shape[1])]
@@ -155,13 +155,13 @@ def agreement_loss(q: np.ndarray, preds: np.ndarray, eps: float) -> float:
     if pa.ndim != 3 or qa.shape != pa.shape[1:]:
         raise ValueError("prediction shapes do not match the soft target")
     num_models, batch, _ = pa.shape
-    return float(np.sum(kl_terms(qa[None, :, :], pa, eps)) / (num_models * batch))
+    return float(np.add.reduce(kl_terms(qa, pa, eps), axis=None) / (num_models * batch))
 
 
 def _softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Row-wise gradient through softmax over the last axis: from dL/dp to
     dL/dlogits, for any leading (models, batch) shape."""
-    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+    inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -179,22 +179,22 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
     scale = 1.0 / (num_models * batch)
     # Direct path: d/dp of q*log((q+eps)/(p+eps)) summed over models.
     dprobs = -scale * q[None, :, :] / (probs + eps)
-    dq = None
     if config.soft_target_gradient:
-        dq = scale * np.sum(np.log((q[None, :, :] + eps) / (probs + eps)), axis=0)
+        dq = scale * np.add.reduce(np.log((q[None, :, :] + eps) / (probs + eps)),
+                                   axis=0)
         dq += num_models * scale * q / (q + eps)
         if config.aggregate_mode == "avg_prob":
-            dprobs = dprobs + dq[None, :, :] / num_models
+            dprobs += dq[None, :, :] / num_models
         elif config.aggregate_mode == "min_prob":
             worst = np.argmax(inst_losses, axis=0)
             add = np.zeros_like(dprobs)
             add[worst, np.arange(batch)] = dq
-            dprobs = dprobs + add
+            dprobs += add
         # avg_logit: q's path bypasses the per-model probabilities and is
         # added in logit space below.
     dlogits = _softmax_vjp(probs, dprobs)
-    if dq is not None and config.aggregate_mode == "avg_logit":
-        dlogits = dlogits + _softmax_vjp(q, dq)[None, :, :] / num_models
+    if config.soft_target_gradient and config.aggregate_mode == "avg_logit":
+        dlogits += _softmax_vjp(q, dq)[None, :, :] / num_models
     return dlogits
 
 
@@ -218,27 +218,24 @@ def compute_step_gradients(features, labels: np.ndarray,
     if n_rows == 0:
         raise ValueError("empty batch")
     num_models = ensemble.num_models
-    w = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
 
     logits = np.empty((num_models, n_rows, ensemble.models[0].layer_sizes[-1]))
     caches = [None] * num_models
     for k, model in enumerate(ensemble.models):
         logits[k], caches[k] = mdl.forward(model, features, train_mode=True,
                                            rng=ensemble.dropout_rngs[k])
-    if not np.all(np.isfinite(logits)):
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise TrainingDiverged(f"non-finite logits at step {t}")
     probs = softmax(logits)
-
-    inst_losses = floored_nll(probs, y)
+    picked = label_probs(probs, y)
 
     keep = np.arange(n_rows)
-    pruned = False
     if batch_hook is not None:
-        keep, y = batch_hook(t, y, np.mean(inst_losses, axis=0), np.mean(probs, axis=0))
+        keep, y = batch_hook(t, y, np.mean(floored_nll(picked), axis=0),
+                             np.mean(probs, axis=0))
         keep = np.asarray(keep, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        inst_losses = floored_nll(probs, y)
-        pruned = not np.array_equal(keep, np.arange(n_rows))
+        picked = label_probs(probs, y)
 
     warmup = t < warmup_steps(config)
     n_kept = len(keep)
@@ -246,16 +243,23 @@ def compute_step_gradients(features, labels: np.ndarray,
         # Nothing left to learn from this batch.
         return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup), []
 
-    # The kept rows are gathered even when all are kept: the gathered arrays'
-    # memory order fixes the summation order inside agreement_loss.
-    kept_w = w[keep]
+    # The kept rows are gathered even when all are kept. The gathered
+    # (models, batch, classes) memory order fixes the summation order of
+    # agreement_loss's KL sum and of the per-model supervision sums (the
+    # gathered losses are C order, like label_probs); reducing the ungathered
+    # arrays changed both in the last bits.
     kept_probs = probs[:, keep, :]
     kept_logits = logits[:, keep, :]
-    kept_losses = inst_losses.take(keep, axis=1)  # C order, like floored_nll
-    kept_y = y[keep]
-
-    per_model_sup = np.sum(kept_w * kept_losses, axis=1) / n_kept
-    task_loss = float(np.mean(per_model_sup))
+    kept_picked = picked.take(keep, axis=1)
+    kept_losses = floored_nll(kept_picked)
+    # Each row's share of the supervision gradient: its weight, and 0 where
+    # the probability floor is active (the clamped loss is locally constant).
+    row_scale, sup_terms = kept_picked > PROB_FLOOR, kept_losses
+    if weights is not None:
+        kept_w = np.asarray(weights, dtype=np.float64)[keep]
+        row_scale, sup_terms = kept_w * row_scale, kept_w * kept_losses
+    per_model_sup = np.add.reduce(sup_terms, axis=1) / n_kept
+    task_loss = float(np.add.reduce(per_model_sup)) / num_models
 
     q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
     agg_loss = agreement_loss(q, kept_probs, config.kl_eps)
@@ -265,19 +269,15 @@ def compute_step_gradients(features, labels: np.ndarray,
         raise TrainingDiverged(
             f"non-finite loss at step {t}: task={task_loss} agreement={agg_loss}")
 
-    # Supervision gradient w.r.t. logits; rows where the probability floor is
-    # active contribute no gradient (the clamped loss is locally constant).
-    onehot = np.zeros_like(kept_probs[0])
-    onehot[np.arange(n_kept), kept_y] = 1.0
-    active = (kept_probs[:, np.arange(n_kept), kept_y] > PROB_FLOOR).astype(np.float64)
-    sup_dlogits = (kept_probs - onehot[None, :, :])
-    sup_dlogits *= (kept_w * active)[:, :, None] / n_kept
-
-    dlogits = sup_dlogits / num_models
+    # Supervision gradient w.r.t. logits: p minus the one-hot label, scaled.
+    dlogits = kept_probs.copy()
+    dlogits[:, np.arange(n_kept), y[keep]] = kept_picked - 1.0
+    dlogits *= row_scale[:, :, None] / n_kept
+    dlogits /= num_models
     if not (warmup or config.gamma == 0.0):
-        dlogits = dlogits + config.gamma * _agreement_dlogits(
+        dlogits += config.gamma * _agreement_dlogits(
             kept_probs, kept_logits, q, kept_losses, config)
-    if pruned:
+    if batch_hook is not None and not np.array_equal(keep, np.arange(n_rows)):
         full = np.zeros((num_models, n_rows, dlogits.shape[2]))
         full[:, keep] = dlogits
         dlogits = full

@@ -343,7 +343,7 @@ def cross_entropy(probs, labels):
     matching class indices. Probabilities are floored at PROB_FLOOR before the
     log so the loss stays finite.
     """
-    from coreglab.numeric import floored_nll
+    from coreglab.numeric import floored_nll, label_probs
 
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 1:
@@ -355,7 +355,7 @@ def cross_entropy(probs, labels):
         raise ValueError("probs/labels batch size mismatch")
     if np.any(y < 0) or np.any(y >= p.shape[1]):
         raise ValueError("label out of range")
-    return float(np.mean(floored_nll(p, y)))
+    return float(np.mean(floored_nll(label_probs(p, y))))
 
 
 def kl_divergence(q, p, eps=KL_EPS_DEFAULT):

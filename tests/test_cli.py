@@ -136,6 +136,10 @@ def assert_clean_exit(result, code):
     {"noise": {"rate": 0.2, "seed": 1.5}},
     {"train": {"num_models": 2, "soft_target_gradient": "false"}},
     {"train": {"num_models": 2, "soft_target_gradient": 2}},
+    {"seeds": [True]},
+    {"train": {"num_models": 2, "batch_size": True}},
+    {"train": {"num_models": 2, "gamma": False}},
+    {"analysis": {"gammas": [True]}},
 ], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
         "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
         "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
@@ -147,11 +151,33 @@ def assert_clean_exit(result, code):
         "delta_max_nan", "confusion_nan", "seeds_infinite",
         "hidden_size_above_ceiling", "seeds_string", "hidden_sizes_string",
         "gammas_string", "seeds_fraction", "noise_seed_fraction",
-        "soft_target_gradient_string", "soft_target_gradient_number"])
+        "soft_target_gradient_string", "soft_target_gradient_number",
+        "seeds_boolean", "batch_size_boolean", "gamma_boolean", "gammas_boolean"])
 def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
     assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 1)
+
+
+def test_train_boolean_window_exits_1(runner, tmp_path):
+    """A YAML boolean is not a window size, though Python counts true as 1;
+    the same files train with window 1."""
+    schema, records = TASK_FILES["tagging"]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "split.conll").write_text(records)
+    config_path = tmp_path / "config.yaml"
+    for window, code in ((1, 0), (True, 1)):
+        write_file_task_config(config_path, "tagging", tmp_path / "split.conll",
+                               tmp_path / "split.conll", tmp_path / "schema.json")
+        settings = yaml.safe_load(config_path.read_text())
+        settings["data"]["window"] = window
+        config_path.write_text(yaml.safe_dump(settings))
+        result = runner.invoke(main, ["train", str(config_path)])
+        if code:
+            assert_clean_exit(result, code)
+            assert "data.window" in result.stderr
+        else:
+            assert result.exit_code == 0, result.output
 
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
@@ -201,6 +227,8 @@ BAD_RECORDS = {
     ("relation", "span_not_integers"): {**RELATION_RECORD, "subj": [0.0, 0.5]},
     ("relation", "tokens_string"): {**RELATION_RECORD, "tokens": "abc"},
     ("relation", "not_an_object"): 5,
+    # The first record has no id, so it takes its position, 0.
+    ("relation", "id_duplicate"): {**RELATION_RECORD, "id": 0},
     ("synthetic", "label_negative"): {**FEATURE_RECORD, "label": -1},
     ("synthetic", "label_fractional"): {**FEATURE_RECORD, "label": 1.5},
     ("synthetic", "true_label_string"): {**FEATURE_RECORD, "true_label": "x"},

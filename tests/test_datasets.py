@@ -340,6 +340,23 @@ def test_read_relation_jsonl_errors(tmp_path):
             read_relation_jsonl(path, schema)
 
 
+def test_read_relation_jsonl_rejects_duplicate_ids(tmp_path):
+    """An explicit id, or the position a record without one takes, that an
+    earlier record already holds is refused at its line."""
+    schema = _schema()
+    for ids in ((7, 7), (1, None), (None, 0)):
+        records = [_founder_record() for _ in ids]
+        for record, uid in zip(records, ids):
+            if uid is None:
+                del record["id"]
+            else:
+                record["id"] = uid
+        path = tmp_path / "rel.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataError, match=r"rel\.jsonl:2: duplicate id"):
+            read_relation_jsonl(path, schema)
+
+
 # ---------------------------------------------------------------- features
 
 

@@ -424,6 +424,41 @@ def test_window_ids_match_dense_path(window, hidden, dropout):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("form", ["dense", "window_ids"])
+def test_forward_and_backward_write_only_their_own_arrays(form, dropout):
+    """forward builds its logits and activations in place, and backward
+    applies the masks in place: neither may write into the parameters, the
+    features, dlogits or the cache, so a second backward on one cache
+    returns the same gradient bit for bit."""
+    data = _tagging_rows(1)
+    features = data.features[np.arange(24)]
+    if form == "dense":
+        features = densify(features)
+    raw = features if form == "dense" else features.ids
+    model = init_model((data.num_features, 8, 6, data.num_classes), dropout, seed=2)
+    params_before, raw_before = model.params.copy(), raw.copy()
+    logits, cache = forward(model, features, train_mode=True,
+                            rng=substream(3, "dropout.0"))
+    owned = [logits, *cache.layer_inputs[1:], *cache.relu_masks,
+             *(mask for mask in cache.drop_masks if mask is not None)]
+    assert len(owned) == 5 + 2 * (dropout > 0)
+    for array in owned:
+        assert not np.shares_memory(array, model.params)
+        assert not np.shares_memory(array, raw)
+    dlogits = np.random.default_rng(4).normal(size=logits.shape)
+    cached = [a.copy() for a in owned[1:]]
+    before = dlogits.copy()
+    first = backward(model, cache, dlogits)
+    second = backward(model, cache, dlogits)
+    assert first.tobytes() == second.tobytes()
+    assert dlogits.tobytes() == before.tobytes()
+    for array, copy in zip(owned[1:], cached):
+        assert array.tobytes() == copy.tobytes()
+    assert model.params.tobytes() == params_before.tobytes()
+    assert raw.tobytes() == raw_before.tobytes()
+
+
 def test_backward_on_window_ids_matches_finite_differences():
     vocab_size, slots, rows = 5, 3, 6
     rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coreglab.numeric import (PROB_FLOOR, AdamState, adam_step, dropout_mask,
-                              floored_nll, kl_terms, lr_at, softmax)
+                              floored_nll, kl_terms, label_probs, lr_at, softmax)
 from coreglab.trainer import TrainConfig
 from oracles import cross_entropy, finite_diff_grad, kl_divergence
 
@@ -101,13 +101,13 @@ def test_floored_nll_per_model_rows_in_c_order():
     probs = softmax(rng.normal(size=(3, 6, 4)))
     labels = rng.integers(0, 4, size=6)
     probs[1, 2] = np.eye(4)[(labels[2] + 1) % 4]  # labeled class at 0: floored
-    got = floored_nll(probs, labels)
+    got = floored_nll(label_probs(probs, labels))
     assert got.shape == (3, 6) and got.flags.c_contiguous
     for k in range(3):
         picked = np.maximum(probs[k][np.arange(6), labels], PROB_FLOOR)
         assert got[k].tobytes() == (-np.log(picked)).tobytes()
     assert got[1, 2] == -math.log(PROB_FLOOR)
-    assert floored_nll(probs[0], labels).tobytes() == got[0].tobytes()
+    assert floored_nll(label_probs(probs[0], labels)).tobytes() == got[0].tobytes()
 
 
 def test_kl_terms_broadcast_and_sum_to_kl():
