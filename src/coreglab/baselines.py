@@ -12,8 +12,13 @@ from . import datasets
 from . import models as mdl
 from . import rng as rngmod
 from . import trainer
+from .schema import Key, check
 
-DEFAULT_DOWNWEIGHT = 0.7
+# The config's baseline block: the prune/relabel schedule's final percent,
+# and crossweigh's folds, iterations and down-weighting base.
+BASELINE_KEYS = {"delta_max": Key(float, 5.0, least=0, most=100),
+                 "folds": Key(int, 5, least=2), "iterations": Key(int, 2, least=1),
+                 "base_weight": Key(float, 0.7, least=0, most=1, open_least=True)}
 
 
 @dataclass(frozen=True)
@@ -24,8 +29,7 @@ class PruneSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if not 0.0 <= self.delta_max <= 100.0:
-            raise ValueError("delta_max must be in [0, 100]")
+        check("delta_max", self.delta_max, BASELINE_KEYS["delta_max"])
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 
@@ -126,8 +130,7 @@ def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,
 
 def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Disjoint covering chunks of near-equal size in shuffled order."""
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
+    check("folds", folds, BASELINE_KEYS["folds"])
     if folds > n:
         raise ValueError("more folds than instances")
     return np.array_split(rng.permutation(n), folds)
@@ -135,7 +138,8 @@ def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndar
 
 def crossweigh_weights(dataset, folds: int, iterations: int,
                        config: trainer.TrainConfig,
-                       base_weight: float = DEFAULT_DOWNWEIGHT) -> InstanceWeights:
+                       base_weight: float = BASELINE_KEYS["base_weight"].default
+                       ) -> InstanceWeights:
     """Down-weight instances whose labels out-of-fold models contradict.
 
     For each iteration the training set is re-partitioned into ``folds``
@@ -143,10 +147,8 @@ def crossweigh_weights(dataset, folds: int, iterations: int,
     chunks and predicts the reserved chunk. The final weight of an instance
     is base_weight ** c where c counts its disagreements across iterations.
     """
-    if not 0.0 < base_weight <= 1.0:
-        raise ValueError("base_weight must be in (0, 1]")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check("base_weight", base_weight, BASELINE_KEYS["base_weight"])
+    check("iterations", iterations, BASELINE_KEYS["iterations"])
     n = len(dataset)
     disagreements = np.zeros(n, dtype=np.int64)
     for it in range(iterations):

@@ -14,6 +14,7 @@ import click
 
 from . import datasets, experiment, noiselab, trainer
 from . import models as mdl
+from .schema import Key, check
 
 
 def _fail(exc, code: int):
@@ -90,7 +91,19 @@ def export_curves(run_dir, out_path):
     click.echo(f"curves: {target}")
 
 
-MIXTURE_DEFAULTS = {key: spec[1] for key, spec in datasets.MIXTURE_KEYS.items()}
+# The tagging corpus size; --seed, the generator seed of either task, is
+# checked as the synthetic data_seed.
+_SENTENCES = Key(int, 200, least=1)
+
+
+def _mixture_options(command):
+    """One option per synthetic data key, with the key's default; --seed
+    gives data_seed."""
+    for key, spec in reversed(datasets.MIXTURE_KEYS.items()):
+        if key != "data_seed":
+            command = click.option(f"--{key.replace('_', '-')}", default=spec.default,
+                                   show_default=True)(command)
+    return command
 
 
 @main.command("gen-synthetic")
@@ -98,35 +111,24 @@ MIXTURE_DEFAULTS = {key: spec[1] for key, spec in datasets.MIXTURE_KEYS.items()}
               default="synthetic", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--train-size", default=MIXTURE_DEFAULTS["train_size"], show_default=True)
-@click.option("--dev-size", default=MIXTURE_DEFAULTS["dev_size"], show_default=True)
-@click.option("--test-size", default=MIXTURE_DEFAULTS["test_size"], show_default=True)
-@click.option("--num-classes", default=MIXTURE_DEFAULTS["num_classes"], show_default=True)
-@click.option("--num-features", default=MIXTURE_DEFAULTS["num_features"], show_default=True)
-@click.option("--class-sep", default=MIXTURE_DEFAULTS["class_sep"], show_default=True)
-@click.option("--scale", default=MIXTURE_DEFAULTS["scale"], show_default=True)
-@click.option("--sentences", default=200, show_default=True,
+@_mixture_options
+@click.option("--sentences", default=_SENTENCES.default, show_default=True,
               help="Corpus size for the tagging task.")
 @_guarded
-def gen_synthetic(task, out_dir, seed, train_size, dev_size, test_size,
-                  num_classes, num_features, class_sep, scale, sentences):
+def gen_synthetic(task, out_dir, seed, sentences, **mixture):
     """Generate a synthetic dataset: a Gaussian-mixture classification task
     or a templated tagging corpus."""
     out = experiment.resolve_output_dir(out_dir)
+    seed = check("--seed", seed, datasets.MIXTURE_KEYS["data_seed"])
     if task == "synthetic":
         schema, suffix, unit = None, "jsonl", "instances"
-        given = dict(train_size=train_size, dev_size=dev_size, test_size=test_size,
-                     num_classes=num_classes, num_features=num_features,
-                     class_sep=class_sep, scale=scale, data_seed=seed)
         splits = datasets.mixture_splits(**{
-            key: experiment._typed(given, key, *spec)
-            for key, spec in datasets.MIXTURE_KEYS.items()})
+            key: check(f"--{key.replace('_', '-')}", value, datasets.MIXTURE_KEYS[key])
+            for key, value in mixture.items()}, data_seed=seed)
     else:
         suffix, unit = "conll", "sentences"
-        given = {"sentences": sentences, "seed": seed}
         instances, schema = datasets.gen_tagging_corpus(
-            experiment._typed(given, "sentences", int, 200, 1, "--"),
-            experiment._typed(given, "seed", int, 0, 0, "--"))
+            check("--sentences", sentences, _SENTENCES), seed)
         n_eval = max(1, len(instances) // 10)
         cut = len(instances) - 2 * n_eval
         splits = instances[:cut], instances[cut:cut + n_eval], instances[cut + n_eval:]
@@ -156,10 +158,7 @@ def gen_synthetic(task, out_dir, seed, train_size, dev_size, test_size,
 def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
                      seed, schema_path):
     """Flip a seeded fraction of labels in a dataset file and record which."""
-    try:
-        spec = noiselab.NoiseSpec(rate=rate, seed=seed, scheme=scheme)
-    except ValueError as exc:
-        raise experiment.ConfigError(str(exc)) from exc
+    spec = noiselab.NoiseSpec(rate=rate, seed=seed, scheme=scheme)
     if task != "synthetic" and schema_path is None:
         raise experiment.ConfigError(f"{task} noise requires --schema")
     schema = datasets.load_schema(task, schema_path)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import metrics
 from . import models as mdl
+from .schema import Key, check
 
 TASKS = ("synthetic", "relation", "tagging")
 
@@ -537,12 +538,17 @@ def write_records(task: str, path, records, schema=None) -> None:
         write_conll(path, records, schema)
 
 
-# The synthetic task's data keys, the arguments of mixture_splits:
-# key: (type, default, least value a config may give or None).
-MIXTURE_KEYS = {"train_size": (int, 2000, 1), "dev_size": (int, 500, 1),
-                "test_size": (int, 500, 1), "num_classes": (int, 4, 2),
-                "num_features": (int, 2, 2), "class_sep": (float, 2.5, None),
-                "scale": (float, 1.0, None), "data_seed": (int, 20250401, 0)}
+# The synthetic task's data keys, the arguments of mixture_splits.
+MIXTURE_KEYS = {"train_size": Key(int, 2000, least=1), "dev_size": Key(int, 500, least=1),
+                "test_size": Key(int, 500, least=1), "num_classes": Key(int, 4, least=2),
+                "num_features": Key(int, 2, least=2), "class_sep": Key(float, 2.5),
+                "scale": Key(float, 1.0), "data_seed": Key(int, 20250401, least=0)}
+_FILE_KEYS = {f"{name}_path": Key(str, required=True)
+              for name in ("train", "dev", "test", "schema")}
+# The config's data block of each task; window is the tagging token-window
+# radius.
+DATA_KEYS = {"synthetic": MIXTURE_KEYS, "relation": _FILE_KEYS,
+             "tagging": {**_FILE_KEYS, "window": Key(int, 1, least=0)}}
 
 
 def mixture_splits(train_size, dev_size, test_size, num_classes, num_features,
@@ -562,8 +568,8 @@ def gen_gaussian_mixture(num_train: int = 2000, num_test: int = 500,
     """Synthetic classification task: class means spaced on a circle of
     radius class_sep, unit-scaled Gaussian clouds, balanced labels.
     Returns (train, test) with clean labels recorded as true labels."""
-    if num_classes < 2 or num_features < 2:
-        raise ValueError("need at least 2 classes and 2 features")
+    check("num_classes", num_classes, MIXTURE_KEYS["num_classes"])
+    check("num_features", num_features, MIXTURE_KEYS["num_features"])
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     means = np.zeros((num_classes, num_features))

@@ -17,7 +17,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ import yaml
 from . import baselines, datasets, noiselab, trainer
 from . import models as mdl
 from . import rng as rngmod
+from .schema import ConfigError, Key, check, check_block
 
-METHODS = ("coreg", "plain", "small_loss", "relabel", "crossweigh")
 OUTPUT_ROOT_ENV = "COREGLAB_OUTPUT_ROOT"
 
 EPOCH_LOG_HEADER = ["model", "epoch", "split", "metric", "value"]
@@ -35,109 +35,28 @@ METRICS_HEADER = ["seed", "split", "metric", "value"]
 CURVES_HEADER = ["method", "gamma", "seed", "epoch", "split", "metric", "value"]
 
 
-class ConfigError(Exception):
-    """The run configuration is missing, malformed, or inconsistent."""
+# The config's analysis block; epochs left out takes the top-level epochs.
+ANALYSIS_KEYS = {"gammas": Key([float], (0.0, 1.0, 5.0, 20.0), least=0, nonempty=True),
+                 "pool_size": Key(int, 600, least=1),
+                 "pool_noise_rate": Key(float, 0.5, least=0, most=1, open_most=True),
+                 "epochs": Key(int, least=1)}
+# The top-level keys; data is checked against its task's table once the
+# task is known.
+TOP_KEYS = {"task": Key(datasets.TASKS, "synthetic"),
+            "method": Key(("coreg", "plain", "small_loss", "relabel", "crossweigh"), "coreg"),
+            "seeds": Key([int], required=True, nonempty=True),
+            "output_dir": Key(str, required=True), "epochs": Key(int, 30, least=1),
+            "data": Key(dict, {}), "train": Key(trainer.TRAIN_KEYS, {}),
+            "noise": Key(noiselab.NOISE_KEYS), "baseline": Key(baselines.BASELINE_KEYS, {}),
+            "analysis": Key(ANALYSIS_KEYS, {})}
 
 
-_TOP_KEYS = {"task", "method", "seeds", "output_dir", "epochs", "data", "noise",
-             "train", "baseline", "analysis"}
-_TRAIN_KEYS = {"num_models", "total_steps", "warmup_pct", "gamma", "kl_eps",
-               "batch_size", "base_lr", "aggregate_mode", "soft_target_gradient",
-               "selection_policy", "hidden_sizes", "dropout"}
-_DATA_KEYS = {*datasets.MIXTURE_KEYS, "train_path", "dev_path", "test_path",
-              "schema_path", "window"}
-_NOISE_KEYS = {"rate", "scheme", "seed", "confusion"}
-
-
-def _listed(values):
-    """values, which must be a list: a string is not iterated."""
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"{values!r} is not a list")
-    return values
-
-
-def _not_bool(value):
-    """value, unless it is a YAML boolean, which Python would count as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean, not a number")
-    return value
-
-
-def _float(value) -> float:
-    return float(_not_bool(value))
-
-
-def _floats(values) -> list[float]:
-    return [_float(v) for v in _listed(values)]
-
-
-def _integer(value) -> int:
-    """int(value) for a whole number or a numeric string; a number with a
-    fractional part is refused instead of truncated."""
-    number = int(_not_bool(value))
-    if not isinstance(value, str) and number != value:
-        raise ValueError(f"{value!r} is not a whole number")
-    return number
-
-
-def _sizes(values) -> tuple[int, ...]:
-    return tuple(_integer(v) for v in _listed(values))
-
-
-# key: (type, default, least allowed value or None), as datasets.MIXTURE_KEYS;
-# analysis.epochs, which defaults to the top-level epochs, is added when the
-# config is parsed.
-_BASELINE_KEYS = {"delta_max": (float, 5.0, 0.0), "folds": (int, 5, 2),
-                  "iterations": (int, 2, 1),
-                  "base_weight": (float, baselines.DEFAULT_DOWNWEIGHT, None)}
-_ANALYSIS_KEYS = {"gammas": (_floats, (0.0, 1.0, 5.0, 20.0), 0.0),
-                  "pool_size": (int, 600, 1), "pool_noise_rate": (float, 0.5, 0.0)}
-
-
-def _check_keys(mapping, allowed, where):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-def _typed(mapping, key, kind, default, minimum=None, prefix=""):
-    """mapping[key], or the default when absent, as ``kind``, finite and at
-    least ``minimum`` (every element, for a list kind); a ConfigError names
-    the key otherwise."""
-    try:
-        value = {int: _integer, float: _float}.get(kind, kind)(mapping.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
-        raise ConfigError(f"{prefix}{key} must be {noun}: {exc}") from exc
-    items = value if isinstance(value, (list, tuple)) else (value,)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        raise ConfigError(f"{prefix}{key} must be finite")
-    if minimum is not None and any(v < minimum for v in items):
-        raise ConfigError(f"{prefix}{key} must be >= {minimum}")
-    return value
-
-
-def _block(raw, name) -> dict:
-    """A copy of the ``name`` block of the config, which must be a mapping."""
-    block = raw.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be a mapping")
-    return dict(block)
-
-
-def _typed_block(raw, name, keys) -> dict:
-    """The ``name`` block of the config with every key of ``keys`` typed."""
-    block = _block(raw, name)
-    _check_keys(block, keys.keys(), name)
-    return {key: _typed(block, key, *spec, f"{name}.") for key, spec in keys.items()}
-
-
-def _check_confusion(noise, num_classes: int) -> None:
+def _check_confusion(noise: dict, num_classes: int) -> None:
     """A class_conditional confusion table needs one row per class."""
-    if noise is not None and noise.get("scheme") == "class_conditional":
-        if len(noise["confusion"]) != num_classes:
-            raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
-                              f"for the data's {num_classes} classes")
+    if any(spec.scheme == "class_conditional" and len(spec.confusion) != num_classes
+           for spec in noise.values()):
+        raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
+                          f"for the data's {num_classes} classes")
 
 
 def _check_folds(method: str, baseline: dict, n_train: int) -> None:
@@ -150,9 +69,10 @@ def _check_folds(method: str, baseline: dict, n_train: int) -> None:
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; ``raw`` keeps the parsed mapping so the run
-    directory snapshot reflects the config as given. ``baseline``,
-    ``analysis`` and, for the synthetic task, ``mixture`` (its data keys)
-    hold every key of their table, typed and defaulted."""
+    directory snapshot reflects the config as given. ``data``, ``baseline``
+    and ``analysis`` hold every key of their table, typed and defaulted;
+    ``noise`` maps each run seed to its NoiseSpec, and is empty without
+    noise."""
 
     task: str
     method: str
@@ -161,87 +81,38 @@ class ExperimentConfig:
     train: trainer.TrainConfig
     epochs: int
     data: dict
-    noise: dict | None
+    noise: dict
     baseline: dict
     analysis: dict
     raw: dict
-    mixture: dict | None = None
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a mapping")
-        _check_keys(raw, _TOP_KEYS, "config")
-        task = raw.get("task", "synthetic")
-        if task not in datasets.TASKS:
-            raise ConfigError(f"unknown task {task!r}")
-        method = raw.get("method", "coreg")
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}")
-        try:
-            seeds = _sizes(raw.get("seeds", ()))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
-        if not seeds:
-            raise ConfigError("seeds must be a non-empty list")
+        top = check_block("config", raw, TOP_KEYS)
+        task, method, seeds, epochs = (top[key] for key in
+                                       ("task", "method", "seeds", "epochs"))
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
-        output_dir = raw.get("output_dir")
-        if not output_dir:
-            raise ConfigError("output_dir is required")
-        train_raw = _block(raw, "train")
-        _check_keys(train_raw, _TRAIN_KEYS, "train")
-        for spec in fields(trainer.TrainConfig):
-            if spec.type in (int, float):
-                train_raw[spec.name] = _typed(train_raw, spec.name, spec.type,
-                                              spec.default, prefix="train.")
-            elif spec.type is bool and not isinstance(train_raw.get(spec.name, False),
-                                                      bool):
-                raise ConfigError(f"train.{spec.name} must be true or false")
-        train_raw["hidden_sizes"] = _typed(train_raw, "hidden_sizes", _sizes,
-                                           trainer.TrainConfig.hidden_sizes,
-                                           prefix="train.")
-        tcfg = trainer.TrainConfig(**train_raw)
-        try:
-            tcfg.validate()
-        except ValueError as exc:
-            raise ConfigError(f"bad train settings: {exc}") from exc
-        if method == "coreg" and tcfg.num_models < 2:
-            raise ConfigError("coreg requires num_models >= 2")
-        epochs = 30 if raw.get("epochs") is None else _typed(raw, "epochs", int, 30, 1)
-        data = _block(raw, "data")
-        _check_keys(data, _DATA_KEYS, "data")
-        mixture = None
+        train = trainer.TrainConfig(**top["train"])
+        if method == "coreg" and train.num_models < 2:
+            raise ConfigError("coreg requires train.num_models >= 2")
+        data = check_block("data", top["data"], datasets.DATA_KEYS[task],
+                           f" for the {task} task")
+        noise = {}
+        if top["noise"] is not None:
+            for seed in seeds:
+                spec = dict(top["noise"])
+                if spec["seed"] is None:
+                    spec["seed"] = rngmod.substream_seed(seed, "noise")
+                noise[seed] = noiselab.NoiseSpec(**spec)
+        analysis = top["analysis"]
+        if analysis["epochs"] is None:
+            analysis["epochs"] = epochs
         if task == "synthetic":
-            mixture = {key: _typed(data, key, *spec, "data.")
-                       for key, spec in datasets.MIXTURE_KEYS.items()}
-        elif task == "tagging":
-            data["window"] = _typed(data, "window", int, 1, 0, "data.")
-        noise = raw.get("noise")
-        if noise is not None:
-            noise = _block(raw, "noise")
-            _check_keys(noise, _NOISE_KEYS, "noise")
-            if "rate" not in noise:
-                raise ConfigError("noise requires a rate")
-            try:
-                _noise_spec(noise, seeds[0])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad noise settings: {exc}") from exc
-            if mixture is not None:
-                _check_confusion(noise, mixture["num_classes"])
-        baseline = _typed_block(raw, "baseline", _BASELINE_KEYS)
-        if baseline["delta_max"] > 100.0:
-            raise ConfigError("baseline.delta_max must be <= 100")
-        if not 0.0 < baseline["base_weight"] <= 1.0:
-            raise ConfigError("baseline.base_weight must be in (0, 1]")
-        if mixture is not None:
-            _check_folds(method, baseline, mixture["train_size"])
-        analysis = _typed_block(raw, "analysis",
-                                {**_ANALYSIS_KEYS, "epochs": (int, epochs, 1)})
-        if analysis["pool_noise_rate"] >= 1.0:
-            raise ConfigError("analysis.pool_noise_rate must be < 1")
-        return cls(task, method, seeds, str(output_dir), tcfg, epochs, data, noise,
-                   baseline, analysis, raw, mixture)
+            _check_confusion(noise, data["num_classes"])
+            _check_folds(method, top["baseline"], data["train_size"])
+        return cls(task, method, seeds, top["output_dir"], train, epochs, data, noise,
+                   top["baseline"], analysis, raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -277,12 +148,9 @@ class TaskData:
 def build_task_data(config: ExperimentConfig) -> TaskData:
     data = config.data
     schema = vocab = None
-    if config.mixture is not None:
-        train, dev, test = datasets.mixture_splits(**config.mixture)
+    if config.task == "synthetic":
+        train, dev, test = datasets.mixture_splits(**data)
     else:
-        for key in ("train_path", "dev_path", "test_path", "schema_path"):
-            if key not in data:
-                raise ConfigError(f"{config.task} task requires data.{key}")
         schema = datasets.load_schema(config.task, data["schema_path"])
         splits = []
         for split in ("train", "dev", "test"):
@@ -309,19 +177,6 @@ def _resolved_train_config(config: ExperimentConfig, seed: int,
         tcfg = replace(tcfg, total_steps=config.epochs
                        * _steps_per_epoch(n_train, tcfg.batch_size))
     return tcfg
-
-
-def _noise_spec(noise: dict | None, seed: int) -> noiselab.NoiseSpec | None:
-    if noise is None:
-        return None
-    noise_seed = noise.get("seed")
-    if noise_seed is None:
-        noise_seed = rngmod.substream_seed(seed, "noise")
-    confusion = noise.get("confusion")
-    return noiselab.NoiseSpec(
-        rate=_float(noise["rate"]), seed=_integer(noise_seed),
-        scheme=noise.get("scheme", "uniform_flip"),
-        confusion=None if confusion is None else np.asarray(confusion, float))
 
 
 def _write_epoch_log(path, rows) -> None:
@@ -409,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             seed_dir.mkdir(parents=True, exist_ok=True)
             train_set = task.train
             dev_set = task.dev
-            spec = _noise_spec(config.noise, seed)
+            spec = config.noise.get(seed)
             if spec is not None:
                 train_set, mask = noiselab.inject_noise(train_set, spec)
                 mask.save_csv(seed_dir / "flips.csv")
@@ -473,11 +328,11 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     task = build_task_data(config)
     # The pool is a second draw of the same mixture, on the next data seed.
     pool, _, _ = datasets.mixture_splits(**{
-        **config.mixture, "train_size": analysis["pool_size"], "dev_size": 1,
-        "test_size": 0, "data_seed": config.mixture["data_seed"] + 1})
+        **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
+        "test_size": 0, "data_seed": config.data["data_seed"] + 1})
     for seed in config.seeds:
         train_set = task.train
-        spec = _noise_spec(config.noise, seed)
+        spec = config.noise.get(seed)
         if spec is not None:
             train_set, _ = noiselab.inject_noise(train_set, spec)
         pool_spec = noiselab.NoiseSpec(
@@ -515,7 +370,7 @@ def run_audit(config: ExperimentConfig):
     seed = config.seeds[0]
     train_set = task.train
     mask = None
-    spec = _noise_spec(config.noise, seed)
+    spec = config.noise.get(seed)
     if spec is not None:
         train_set, mask = noiselab.inject_noise(train_set, spec)
         mask.save_csv(run_dir / "flips.csv")
@@ -554,11 +409,10 @@ def export_curves(run_dir, out_path=None) -> Path:
         raw = yaml.safe_load(snapshot.read_text()) or {}
         if not isinstance(raw, dict):
             raise ConfigError("config must be a mapping")
-        base_gamma = _typed(_block(raw, "train"), "gamma", float,
-                            trainer.TrainConfig.gamma, prefix="train.")
-    except (yaml.YAMLError, ValueError, ConfigError) as exc:
+        base_gamma = check("train", raw.get("train", {}), TOP_KEYS["train"])["gamma"]
+    except (yaml.YAMLError, ValueError) as exc:
         raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
-    method = raw.get("method", "coreg")
+    method = raw.get("method", TOP_KEYS["method"].default)
     logs = []
     for log in run.glob("seed_*/epoch_log.csv"):
         logs.append((base_gamma, _directory_number(log, log.parent, int), log))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import dropout_mask
+from .numeric import DROPOUT, dropout_mask
+from .schema import check
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
@@ -183,8 +184,7 @@ class MlpModel:
             raise ValueError("need at least input and output layer sizes")
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
+        check("dropout", self.dropout, DROPOUT)
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         expected = param_count(self.layer_sizes)
         if self.params.shape != (expected,):

@@ -14,10 +14,32 @@ from . import datasets as ds
 from . import models as mdl
 from . import trainer
 from .numeric import floored_nll, kl_terms, label_probs, softmax
+from .schema import ConfigError, Key, check
 
 NOISE_SCHEMES = ("uniform_flip", "class_conditional")
 FLIP_CSV_HEADER = ["id", "original_label", "noisy_label"]
 SUSPECT_CSV_HEADER = ["id", "label", "prediction", "flagged", "agreement_kl", "sup_loss"]
+
+
+def stochastic_matrix(value) -> np.ndarray:
+    """a square table whose rows are probability distributions"""
+    table = np.asarray(value, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError("the table is not square")
+    # Entries in [0, 1] first, so that the row sums cannot overflow.
+    if not (np.all((table >= 0) & (table <= 1))
+            and np.all(np.abs(table.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("a row is not a distribution")
+    return table
+
+
+# The config's noise block. A seed left out derives from the run seed.
+NOISE_KEYS = {
+    "rate": Key(float, least=0, most=1, open_most=True, required=True),
+    "scheme": Key(NOISE_SCHEMES, "uniform_flip"),
+    "seed": Key(int, least=0),
+    "confusion": Key(stochastic_matrix),
+}
 
 
 @dataclass(frozen=True)
@@ -31,26 +53,19 @@ class NoiseSpec:
 
     rate: float
     seed: int
-    scheme: str = "uniform_flip"
+    scheme: str = NOISE_KEYS["scheme"].default
     confusion: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError("noise rate must be in [0, 1)")
-        if self.seed < 0:
-            raise ValueError("noise seed must be >= 0")
-        if self.scheme not in NOISE_SCHEMES:
-            raise ValueError(f"unknown noise scheme {self.scheme!r}")
+        for name in ("rate", "seed", "scheme"):
+            object.__setattr__(self, name, check(name, getattr(self, name),
+                                                 NOISE_KEYS[name]))
         if self.scheme == "class_conditional":
             if self.confusion is None:
-                raise ValueError("class_conditional requires a confusion table")
-            table = np.asarray(self.confusion, dtype=np.float64)
-            if table.ndim != 2 or table.shape[0] != table.shape[1]:
-                raise ValueError("confusion table must be square")
-            if not (np.all(table >= 0)
-                    and np.all(np.abs(table.sum(axis=1) - 1.0) <= 1e-9)):
-                raise ValueError("confusion table rows must be distributions")
-            object.__setattr__(self, "confusion", table)
+                raise ConfigError("the class_conditional scheme requires a "
+                                  "noise.confusion table")
+            object.__setattr__(self, "confusion", check(
+                "confusion", self.confusion, NOISE_KEYS["confusion"]))
 
 
 @dataclass(frozen=True)

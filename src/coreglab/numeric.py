@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import Key
+
+# The inverted-dropout rate: the config's train.dropout and every model's.
+DROPOUT = Key(float, 0.1, least=0, most=1, open_most=True)
+
 # Floor applied to predicted probabilities before log in the supervision loss,
 # so confident wrong predictions yield a large finite loss instead of inf.
 PROB_FLOOR = 1e-12
@@ -110,6 +115,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 def dropout_mask(length: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
+    if not DROPOUT.admits(rate):
+        raise ValueError(f"dropout rate must be {DROPOUT.bounds()}")
     return np.multiply(rng.random(length) >= rate, 1.0 / (1.0 - rate))

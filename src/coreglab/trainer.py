@@ -14,15 +14,31 @@ import numpy as np
 
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import (PROB_FLOOR, AdamState, adam_step, floored_nll, kl_terms,
-                      label_probs, lr_at, softmax)
+from .numeric import (DROPOUT, PROB_FLOOR, AdamState, adam_step, floored_nll,
+                      kl_terms, label_probs, lr_at, softmax)
+from .schema import Key, check
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
-SELECTION_POLICIES = ("first", "best_dev")
-# Widest hidden layer a config may ask for: the feed-forward width of
-# BERT-large, far above what a NumPy MLP at desk scale needs. A wider entry
-# is a typo, and one of 10**38 units would fail only when drawn.
-MAX_HIDDEN_SIZE = 4096
+
+# The config's train block: one key per TrainConfig field but master_seed,
+# which each run seed sets. The widest hidden layer, 4096, is the
+# feed-forward width of BERT-large, far above what a NumPy MLP at desk scale
+# needs: a wider entry is a typo, and one of 10**38 units would fail only
+# when drawn.
+TRAIN_KEYS = {
+    "num_models": Key(int, 2, least=1),
+    "total_steps": Key(int, 0, least=0),
+    "warmup_pct": Key(float, 30.0, least=0, most=100),
+    "gamma": Key(float, 1.0, least=0),
+    "kl_eps": Key(float, 1e-12, least=0, open_least=True),
+    "batch_size": Key(int, 64, least=1),
+    "base_lr": Key(float, 0.01, least=0, open_least=True),
+    "aggregate_mode": Key(AGGREGATE_MODES, "avg_prob"),
+    "soft_target_gradient": Key(bool, False),
+    "selection_policy": Key(("first", "best_dev"), "first"),
+    "hidden_sizes": Key([int], (32,), least=1, most=4096),
+    "dropout": DROPOUT,
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,50 +47,31 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """All training hyperparameters.
+    """All training hyperparameters, with the defaults of TRAIN_KEYS.
 
     The engine accepts num_models == 1, which is how the plain baseline runs
     the identical pipeline; the co-regularization method's num_models >= 2 is
     a config rule (ExperimentConfig.from_mapping).
     """
 
-    num_models: int = 2
-    total_steps: int = 0
-    warmup_pct: float = 30.0
-    gamma: float = 1.0
-    kl_eps: float = 1e-12
-    batch_size: int = 64
-    base_lr: float = 0.01
-    aggregate_mode: str = "avg_prob"
-    soft_target_gradient: bool = False
-    selection_policy: str = "first"
+    num_models: int = TRAIN_KEYS["num_models"].default
+    total_steps: int = TRAIN_KEYS["total_steps"].default
+    warmup_pct: float = TRAIN_KEYS["warmup_pct"].default
+    gamma: float = TRAIN_KEYS["gamma"].default
+    kl_eps: float = TRAIN_KEYS["kl_eps"].default
+    batch_size: int = TRAIN_KEYS["batch_size"].default
+    base_lr: float = TRAIN_KEYS["base_lr"].default
+    aggregate_mode: str = TRAIN_KEYS["aggregate_mode"].default
+    soft_target_gradient: bool = TRAIN_KEYS["soft_target_gradient"].default
+    selection_policy: str = TRAIN_KEYS["selection_policy"].default
     master_seed: int = 0
-    hidden_sizes: tuple[int, ...] = (32,)
-    dropout: float = 0.1
+    hidden_sizes: tuple[int, ...] = TRAIN_KEYS["hidden_sizes"].default
+    dropout: float = TRAIN_KEYS["dropout"].default
 
     def validate(self) -> None:
-        if self.num_models < 1:
-            raise ValueError("num_models must be >= 1")
-        if not 0.0 <= self.warmup_pct <= 100.0:
-            raise ValueError("warmup_pct must be in [0, 100]")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.kl_eps <= 0.0:
-            raise ValueError("kl_eps must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if any(not 1 <= h <= MAX_HIDDEN_SIZE for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be in [1, {MAX_HIDDEN_SIZE}]")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
-        if self.aggregate_mode not in AGGREGATE_MODES:
-            raise ValueError(f"unknown aggregate mode {self.aggregate_mode!r}")
-        if self.selection_policy not in SELECTION_POLICIES:
-            raise ValueError(f"unknown selection policy {self.selection_policy!r}")
+        """Check every field against TRAIN_KEYS; a ConfigError names it."""
+        for name, key in TRAIN_KEYS.items():
+            check(name, getattr(self, name), key)
 
 
 def warmup_steps(config: TrainConfig) -> int:
@@ -224,9 +221,10 @@ def compute_step_gradients(features, labels: np.ndarray,
     for k, model in enumerate(ensemble.models):
         logits[k], caches[k] = mdl.forward(model, features, train_mode=True,
                                            rng=ensemble.dropout_rngs[k])
-    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
-        raise TrainingDiverged(f"non-finite logits at step {t}")
-    probs = softmax(logits)
+    try:
+        probs = softmax(logits)
+    except ValueError as exc:  # softmax refuses non-finite logits
+        raise TrainingDiverged(f"non-finite logits at step {t}") from exc
     picked = label_probs(probs, y)
 
     keep = np.arange(n_rows)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -89,74 +90,130 @@ def assert_clean_exit(result, code):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"seeds": ["abc"]},
-    {"train": {"num_models": 2, "hidden_sizes": 5}},
-    {"noise": {"rate": 1.5}},
-    {"data": {"num_classes": 1}},
-    {"task": "tagging", "data": {"window": -1}},
-    {"epochs": "abc"},
-    {"data": {"train_size": "abc"}},
-    {"data": {"train_size": -5}},
-    {"data": {"train_size": 0}},
-    {"data": {"dev_size": 0}},
-    {"data": {"class_sep": "abc"}},
-    {"baseline": {"folds": "x"}},
-    {"baseline": {"delta_max": "x"}},
-    {"noise": {"rate": 0.2, "scheme": "class_conditional", "confusion": [[1.0]]}},
-    {"train": {"num_models": 2, "base_lr": 0}},
-    {"train": {"num_models": 2, "dropout": 1.5}},
-    {"train": {"num_models": 2, "hidden_sizes": [0]}},
-    {"train": {"num_models": 2, "batch_size": 2.5}},
-    {"train": {"num_models": 2.5}},
-    {"train": {"num_models": 2, "total_steps": 2.5}},
-    {"baseline": {"delta_max": 150}},
-    {"baseline": {"base_weight": 0}},
-    {"baseline": {"base_weight": 1.5}},
-    {"analysis": {"pool_noise_rate": 1.5}},
-    {"method": "crossweigh", "train": {"num_models": 1},
+# Paths a file-task config needs before its other data keys are checked;
+# the configs below are rejected before any file is read.
+FILE_PATHS = {f"{split}_path": "x" for split in ("train", "dev", "test", "schema")}
+
+
+@pytest.mark.parametrize("overrides, names", [
+    pytest.param({"seeds": ["abc"]},
+                 "seeds", id="seeds"),
+    pytest.param({"train": {"num_models": 2, "hidden_sizes": 5}},
+                 "train.hidden_sizes", id="hidden_sizes"),
+    pytest.param({"noise": {"rate": 1.5}},
+                 "noise.rate", id="noise_rate"),
+    pytest.param({"data": {"num_classes": 1}},
+                 "data.num_classes", id="num_classes"),
+    pytest.param({"task": "tagging", "data": {**FILE_PATHS, "window": -1}},
+                 "data.window", id="window"),
+    pytest.param({"epochs": "abc"},
+                 "epochs", id="epochs"),
+    pytest.param({"data": {"train_size": "abc"}},
+                 "data.train_size", id="train_size"),
+    pytest.param({"data": {"train_size": -5}},
+                 "data.train_size", id="train_size_negative"),
+    pytest.param({"data": {"train_size": 0}},
+                 "data.train_size", id="train_size_zero"),
+    pytest.param({"data": {"dev_size": 0}},
+                 "data.dev_size", id="dev_size_zero"),
+    pytest.param({"data": {"class_sep": "abc"}},
+                 "data.class_sep", id="class_sep"),
+    pytest.param({"baseline": {"folds": "x"}},
+                 "baseline.folds", id="folds"),
+    pytest.param({"baseline": {"delta_max": "x"}},
+                 "baseline.delta_max", id="delta_max"),
+    pytest.param({"noise": {"rate": 0.2, "scheme": "class_conditional", "confusion": [[1.0]]}},
+                 "noise.confusion", id="confusion_size"),
+    pytest.param({"train": {"num_models": 2, "base_lr": 0}},
+                 "train.base_lr", id="base_lr_zero"),
+    pytest.param({"train": {"num_models": 2, "dropout": 1.5}},
+                 "train.dropout", id="dropout_above_1"),
+    pytest.param({"train": {"num_models": 2, "hidden_sizes": [0]}},
+                 "train.hidden_sizes", id="hidden_size_zero"),
+    pytest.param({"train": {"num_models": 2, "batch_size": 2.5}},
+                 "train.batch_size", id="batch_size_fraction"),
+    pytest.param({"train": {"num_models": 2.5}},
+                 "train.num_models", id="num_models_fraction"),
+    pytest.param({"train": {"num_models": 2, "total_steps": 2.5}},
+                 "train.total_steps", id="total_steps_fraction"),
+    pytest.param({"baseline": {"delta_max": 150}},
+                 "baseline.delta_max", id="delta_max_above_100"),
+    pytest.param({"baseline": {"base_weight": 0}},
+                 "baseline.base_weight", id="base_weight_zero"),
+    pytest.param({"baseline": {"base_weight": 1.5}},
+                 "baseline.base_weight", id="base_weight_above_1"),
+    pytest.param({"analysis": {"pool_noise_rate": 1.5}},
+                 "analysis.pool_noise_rate", id="pool_noise_rate_above_1"),
+    pytest.param({"method": "crossweigh", "train": {"num_models": 1},
      "baseline": {"folds": 41}},
-    {"train": None},
-    {"baseline": None},
-    {"data": 5},
-    {"noise": 0.3},
-    {"noise": {"rate": 0.2, "seed": -1}},
-    {"train": {"num_models": 2, "gamma": math.nan}},
-    {"train": {"num_models": 2, "gamma": math.inf}},
-    {"method": "small_loss", "train": {"num_models": 1},
+                 "baseline.folds", id="folds_above_rows"),
+    pytest.param({"train": None},
+                 "train", id="train_null"),
+    pytest.param({"baseline": None},
+                 "baseline", id="baseline_null"),
+    pytest.param({"data": 5},
+                 "data", id="data_scalar"),
+    pytest.param({"noise": 0.3},
+                 "noise", id="noise_scalar"),
+    pytest.param({"noise": {"rate": 0.2, "seed": -1}},
+                 "noise.seed", id="noise_seed_negative"),
+    pytest.param({"train": {"num_models": 2, "gamma": math.nan}},
+                 "train.gamma", id="gamma_nan"),
+    pytest.param({"train": {"num_models": 2, "gamma": math.inf}},
+                 "train.gamma", id="gamma_infinite"),
+    pytest.param({"method": "small_loss", "train": {"num_models": 1},
      "baseline": {"delta_max": math.nan}},
-    {"noise": {"rate": 0.2, "scheme": "class_conditional",
+                 "baseline.delta_max", id="delta_max_nan"),
+    pytest.param({"noise": {"rate": 0.2, "scheme": "class_conditional",
                "confusion": [[math.nan] * 3] * 3}},
-    {"seeds": [math.inf]},
-    {"train": {"num_models": 2, "hidden_sizes": [10 ** 38]}},
-    {"seeds": "12"},
-    {"train": {"num_models": 2, "hidden_sizes": "12"}},
-    {"analysis": {"gammas": "15"}},
-    {"seeds": [1.5]},
-    {"noise": {"rate": 0.2, "seed": 1.5}},
-    {"train": {"num_models": 2, "soft_target_gradient": "false"}},
-    {"train": {"num_models": 2, "soft_target_gradient": 2}},
-    {"seeds": [True]},
-    {"train": {"num_models": 2, "batch_size": True}},
-    {"train": {"num_models": 2, "gamma": False}},
-    {"analysis": {"gammas": [True]}},
-], ids=["seeds", "hidden_sizes", "noise_rate", "num_classes", "window", "epochs",
-        "train_size", "train_size_negative", "train_size_zero", "dev_size_zero",
-        "class_sep", "folds", "delta_max", "confusion_size", "base_lr_zero",
-        "dropout_above_1", "hidden_size_zero", "batch_size_fraction",
-        "num_models_fraction", "total_steps_fraction", "delta_max_above_100",
-        "base_weight_zero", "base_weight_above_1", "pool_noise_rate_above_1",
-        "folds_above_rows", "train_null", "baseline_null", "data_scalar",
-        "noise_scalar", "noise_seed_negative", "gamma_nan", "gamma_infinite",
-        "delta_max_nan", "confusion_nan", "seeds_infinite",
-        "hidden_size_above_ceiling", "seeds_string", "hidden_sizes_string",
-        "gammas_string", "seeds_fraction", "noise_seed_fraction",
-        "soft_target_gradient_string", "soft_target_gradient_number",
-        "seeds_boolean", "batch_size_boolean", "gamma_boolean", "gammas_boolean"])
-def test_train_invalid_config_exits_1(runner, tmp_path, overrides, hang_guard):
+                 "noise.confusion", id="confusion_nan"),
+    pytest.param({"seeds": [math.inf]},
+                 "seeds", id="seeds_infinite"),
+    pytest.param({"train": {"num_models": 2, "hidden_sizes": [10 ** 38]}},
+                 "train.hidden_sizes", id="hidden_size_above_ceiling"),
+    pytest.param({"seeds": "12"},
+                 "seeds", id="seeds_string"),
+    pytest.param({"train": {"num_models": 2, "hidden_sizes": "12"}},
+                 "train.hidden_sizes", id="hidden_sizes_string"),
+    pytest.param({"analysis": {"gammas": "15"}},
+                 "analysis.gammas", id="gammas_string"),
+    pytest.param({"seeds": [1.5]},
+                 "seeds", id="seeds_fraction"),
+    pytest.param({"noise": {"rate": 0.2, "seed": 1.5}},
+                 "noise.seed", id="noise_seed_fraction"),
+    pytest.param({"train": {"num_models": 2, "soft_target_gradient": "false"}},
+                 "train.soft_target_gradient", id="soft_target_gradient_string"),
+    pytest.param({"train": {"num_models": 2, "soft_target_gradient": 2}},
+                 "train.soft_target_gradient", id="soft_target_gradient_number"),
+    pytest.param({"seeds": [True]},
+                 "seeds", id="seeds_boolean"),
+    pytest.param({"train": {"num_models": 2, "batch_size": True}},
+                 "train.batch_size", id="batch_size_boolean"),
+    pytest.param({"train": {"num_models": 2, "gamma": False}},
+                 "train.gamma", id="gamma_boolean"),
+    pytest.param({"analysis": {"gammas": [True]}},
+                 "analysis.gammas", id="gammas_boolean"),
+    pytest.param({"task": "tagging", "data": {**FILE_PATHS, "train_path": 0}},
+                 "data.train_path", id="train_path_number"),
+    pytest.param({"output_dir": ["a", "b"]},
+                 "output_dir", id="output_dir_list"),
+    pytest.param({"task": "relation", "data": {**FILE_PATHS, "window": -4}},
+                 "data keys for the relation task", id="relation_window"),
+    pytest.param({"data": {"train_path": "x"}},
+                 "data keys for the synthetic task", id="synthetic_train_path"),
+    pytest.param({"task": "tagging", "data": {**FILE_PATHS, "train_size": 40}},
+                 "data keys for the tagging task", id="tagging_train_size"),
+])
+def test_train_invalid_config_exits_1(runner, tmp_path, overrides, names, hang_guard):
+    """Each config is rejected for its own reason: stderr names the key (a
+    block's keys as block.key) or, for a data key the task never reads, the
+    task."""
     config_path = tmp_path / "config.yaml"
     write_config(config_path, **overrides)
-    assert_clean_exit(runner.invoke(main, ["train", str(config_path)]), 1)
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert re.search(rf"(?<![\w.]){re.escape(names)}(?![\w.])", result.stderr), \
+        result.stderr
 
 
 def test_train_boolean_window_exits_1(runner, tmp_path):
@@ -186,7 +243,7 @@ def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
     for analysis in ({"pool_size": "abc"}, {"pool_noise_rate": 1.5}, None,
                      {"gammas": [-1.0]}, {"gammas": [0.0, math.nan]},
-                     {"pool_noise_rate": 0}, {"pool_size": 1}):
+                     {"pool_noise_rate": 0}, {"pool_size": 1}, {"gammas": []}):
         write_config(config_path, analysis=analysis)
         assert_clean_exit(runner.invoke(main, ["analyze-noise", str(config_path)]), 1)
         assert not (tmp_path / "run").exists()

@@ -60,7 +60,7 @@ def test_from_mapping_errors(tmp_path):
         ({k: v for k, v in good.items() if k != "output_dir"}, "output_dir"),
         ({**good, "typo": 1}, "unknown config keys"),
         ({**good, "train": {"learning_rate": 0.1}}, "unknown train keys"),
-        ({**good, "train": {"gamma": -1}}, "bad train settings"),
+        ({**good, "train": {"gamma": -1}}, "train.gamma"),
         ({**good, "train": {"num_models": 1}}, "coreg requires"),
         ({**good, "epochs": 0}, "epochs"),
         ({**good, "noise": {"scheme": "uniform_flip"}}, "rate"),
@@ -155,9 +155,8 @@ def test_build_task_data_synthetic(tmp_path):
 
 def test_build_task_data_requires_paths(tmp_path):
     mapping = tiny_mapping(tmp_path, task="relation", data={})
-    config = ExperimentConfig.from_mapping(mapping)
     with pytest.raises(ConfigError, match="train_path"):
-        build_task_data(config)
+        build_task_data(ExperimentConfig.from_mapping(mapping))
 
 
 def test_build_task_data_tagging(tmp_path):

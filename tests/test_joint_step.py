@@ -10,10 +10,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coreglab import baselines
+from coreglab import baselines, noiselab
+from coreglab.datasets import LabeledDataset
 from coreglab.numeric import AdamState, adam_step
-from coreglab.trainer import (AGGREGATE_MODES, TrainConfig, init_ensemble,
-                              train_step, warmup_steps)
+from coreglab.trainer import (AGGREGATE_MODES, TrainConfig, TrainingDiverged,
+                              aggregate_targets, compute_step_gradients,
+                              init_ensemble, train_step, warmup_steps)
 from oracles import reference_adam_step, reference_train_step, reference_warmup_steps
 
 STEPS = 20
@@ -127,3 +129,21 @@ def test_adam_step_matches_reference_in_place():
         assert params.tobytes() == ref_params.tobytes(), step
         assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
         assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
+
+def test_non_finite_logits_are_refused_inside_and_outside_the_step():
+    """softmax's finite check is the step's only one, and the step reports
+    it as divergence; softmax's other callers still refuse such logits."""
+    config = _config()
+    ens = init_ensemble(config, FEATURES, 3)
+    ens.models[1].params[0] = np.nan
+    X = np.ones((BATCH, FEATURES))
+    y = np.zeros(BATCH, dtype=np.int64)
+    with pytest.raises(TrainingDiverged, match="non-finite logits at step 3"):
+        compute_step_gradients(X, y, ens, 3, config)
+    with pytest.raises(ValueError, match="non-finite"):
+        noiselab.disagreement_report(ens, LabeledDataset(X, y, 3), config)
+    logits = np.zeros((2, BATCH, 3))
+    logits[0, 5, 1] = np.inf
+    probs = np.full((2, BATCH, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        aggregate_targets(probs, logits, np.ones((2, BATCH)), "avg_logit")
