@@ -12,7 +12,7 @@ from . import datasets
 from . import models as mdl
 from . import rng as rngmod
 from . import trainer
-from .schema import Key, check
+from .schema import ConfigError, Key, check
 
 # The config's baseline block: the prune/relabel schedule's final percent,
 # and crossweigh's folds, iterations and down-weighting base.
@@ -128,11 +128,16 @@ def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,
                          eval_metric=eval_metric)
 
 
+def check_fold_rows(folds: int, n: int) -> None:
+    """Crossweigh needs at least one of the n training rows per fold."""
+    if folds > n:
+        raise ConfigError(f"baseline.folds ({folds}) exceeds the {n} training rows")
+
+
 def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Disjoint covering chunks of near-equal size in shuffled order."""
     check("folds", folds, BASELINE_KEYS["folds"])
-    if folds > n:
-        raise ValueError("more folds than instances")
+    check_fold_rows(folds, n)
     return np.array_split(rng.permutation(n), folds)
 
 

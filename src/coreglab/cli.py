@@ -14,7 +14,7 @@ import click
 
 from . import datasets, experiment, noiselab, trainer
 from . import models as mdl
-from .schema import Key, check
+from .schema import check
 
 
 def _fail(exc, code: int):
@@ -91,11 +91,6 @@ def export_curves(run_dir, out_path):
     click.echo(f"curves: {target}")
 
 
-# The tagging corpus size; --seed, the generator seed of either task, is
-# checked as the synthetic data_seed.
-_SENTENCES = Key(int, 200, least=1)
-
-
 def _mixture_options(command):
     """One option per synthetic data key, with the key's default; --seed
     gives data_seed."""
@@ -112,13 +107,14 @@ def _mixture_options(command):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
 @_mixture_options
-@click.option("--sentences", default=_SENTENCES.default, show_default=True,
-              help="Corpus size for the tagging task.")
+@click.option("--sentences", default=datasets.TAGGING_SENTENCES.default,
+              show_default=True, help="Corpus size for the tagging task.")
 @_guarded
 def gen_synthetic(task, out_dir, seed, sentences, **mixture):
     """Generate a synthetic dataset: a Gaussian-mixture classification task
     or a templated tagging corpus."""
     out = experiment.resolve_output_dir(out_dir)
+    # --seed, the generator seed of either task, is checked as data_seed.
     seed = check("--seed", seed, datasets.MIXTURE_KEYS["data_seed"])
     if task == "synthetic":
         schema, suffix, unit = None, "jsonl", "instances"
@@ -128,7 +124,7 @@ def gen_synthetic(task, out_dir, seed, sentences, **mixture):
     else:
         suffix, unit = "conll", "sentences"
         instances, schema = datasets.gen_tagging_corpus(
-            check("--sentences", sentences, _SENTENCES), seed)
+            check("--sentences", sentences, datasets.TAGGING_SENTENCES), seed)
         n_eval = max(1, len(instances) // 10)
         cut = len(instances) - 2 * n_eval
         splits = instances[:cut], instances[cut:cut + n_eval], instances[cut + n_eval:]
@@ -150,23 +146,22 @@ def gen_synthetic(task, out_dir, seed, sentences, **mixture):
 @click.option("--mask-out", "mask_path", type=click.Path(), default=None,
               help="Flip-mask CSV (default: <output>.flips.csv).")
 @click.option("--rate", required=True, type=float)
-@click.option("--scheme", type=click.Choice(list(noiselab.NOISE_SCHEMES)),
-              default="uniform_flip", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
 @_guarded
-def inject_noise_cmd(task, input_path, output_path, mask_path, rate, scheme,
-                     seed, schema_path):
-    """Flip a seeded fraction of labels in a dataset file and record which."""
-    spec = noiselab.NoiseSpec(rate=rate, seed=seed, scheme=scheme)
+def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
+                     schema_path):
+    """Flip a seeded fraction of labels in a dataset file, each to another
+    class drawn uniformly, and record which."""
+    spec = noiselab.NoiseSpec(rate=rate, seed=seed)
     if task != "synthetic" and schema_path is None:
         raise experiment.ConfigError(f"{task} noise requires --schema")
     schema = datasets.load_schema(task, schema_path)
     records, labeled = datasets.read_labeled(task, input_path, schema)
-    if labeled.num_classes < 2:
-        raise datasets.DataError(f"{input_path}: labels span {labeled.num_classes} "
-                                 "class; flipping needs at least 2")
-    noisy, mask = noiselab.inject_noise(labeled, spec)
+    try:
+        noisy, mask = noiselab.inject_noise(labeled, spec)
+    except experiment.ConfigError as exc:  # the file's labels span too few classes
+        raise datasets.DataError(f"{input_path}: {exc}") from exc
     datasets.write_records(task, output_path,
                            datasets.relabel(task, records, noisy.labels), schema)
     mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"

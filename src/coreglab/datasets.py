@@ -67,11 +67,13 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_json(path, what: str):
+def _load_json(path, what: str, build):
+    """``build`` applied to a JSON file's value; a file that does not parse,
+    or a value that ``build`` refuses, is a DataError naming the file."""
     with _open_data(path) as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:
+            return build(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad {what}: {exc}") from exc
 
 
@@ -199,12 +201,8 @@ class RelationSchema:
 
     @classmethod
     def load(cls, path) -> "RelationSchema":
-        raw = _load_json(path, "relation schema")
-        try:
-            return cls(tuple(raw["relations"]), raw["negative"],
-                       tuple(raw["entity_types"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad relation schema: {exc}") from exc
+        return _load_json(path, "relation schema", lambda raw: cls(
+            tuple(raw["relations"]), raw["negative"], tuple(raw["entity_types"])))
 
 
 def save_vocab(vocab: mdl.Vocab, path) -> None:
@@ -212,19 +210,12 @@ def save_vocab(vocab: mdl.Vocab, path) -> None:
 
 
 def load_vocab(path) -> mdl.Vocab:
-    raw = _load_json(path, "vocabulary file")
-    try:
-        return mdl.Vocab(list(raw["tokens"]))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad vocabulary file: {exc}") from exc
+    return _load_json(path, "vocabulary file", lambda raw: mdl.Vocab(list(raw["tokens"])))
 
 
 def load_tag_scheme(path) -> metrics.TagScheme:
-    raw = _load_json(path, "tagging schema")
-    try:
-        return metrics.TagScheme(list(raw["entity_types"]))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad tagging schema: {exc}") from exc
+    return _load_json(path, "tagging schema",
+                      lambda raw: metrics.TagScheme(list(raw["entity_types"])))
 
 
 def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
@@ -561,10 +552,13 @@ def mixture_splits(train_size, dev_size, test_size, num_classes, num_features,
             held_out.subset(np.arange(dev_size, len(held_out))))
 
 
-def gen_gaussian_mixture(num_train: int = 2000, num_test: int = 500,
-                         num_classes: int = 4, num_features: int = 2,
-                         seed: int = 0, class_sep: float = 2.5,
-                         scale: float = 1.0):
+def gen_gaussian_mixture(num_train: int = MIXTURE_KEYS["train_size"].default,
+                         num_test: int = MIXTURE_KEYS["test_size"].default,
+                         num_classes: int = MIXTURE_KEYS["num_classes"].default,
+                         num_features: int = MIXTURE_KEYS["num_features"].default,
+                         seed: int = 0,
+                         class_sep: float = MIXTURE_KEYS["class_sep"].default,
+                         scale: float = MIXTURE_KEYS["scale"].default):
     """Synthetic classification task: class means spaced on a circle of
     radius class_sep, unit-scaled Gaussian clouds, balanced labels.
     Returns (train, test) with clean labels recorded as true labels."""
@@ -586,9 +580,12 @@ def gen_gaussian_mixture(num_train: int = 2000, num_test: int = 500,
 
 
 TAGGING_ENTITY_TYPES = ("PER", "ORG", "LOC")
+# The tagging corpus size, gen-synthetic's --sentences.
+TAGGING_SENTENCES = Key(int, 200, least=1)
 
 
-def gen_tagging_corpus(num_sentences: int = 200, seed: int = 0, num_fillers: int = 32):
+def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int = 0,
+                       num_fillers: int = 32):
     """Synthetic tagging task: templated sentences over a vocabulary of
     num_fillers filler words plus 6 names for each of 3 entity types (50
     tokens by default; a large num_fillers gives a realistic-scale

@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,21 +50,6 @@ TOP_KEYS = {"task": Key(datasets.TASKS, "synthetic"),
             "data": Key(dict, {}), "train": Key(trainer.TRAIN_KEYS, {}),
             "noise": Key(noiselab.NOISE_KEYS), "baseline": Key(baselines.BASELINE_KEYS, {}),
             "analysis": Key(ANALYSIS_KEYS, {})}
-
-
-def _check_confusion(noise: dict, num_classes: int) -> None:
-    """A class_conditional confusion table needs one row per class."""
-    if any(spec.scheme == "class_conditional" and len(spec.confusion) != num_classes
-           for spec in noise.values()):
-        raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
-                          f"for the data's {num_classes} classes")
-
-
-def _check_folds(method: str, baseline: dict, n_train: int) -> None:
-    """Crossweigh needs at least one training row per fold."""
-    if method == "crossweigh" and baseline["folds"] > n_train:
-        raise ConfigError(f"baseline.folds ({baseline['folds']}) exceeds the "
-                          f"{n_train} training rows")
 
 
 @dataclass
@@ -108,11 +94,19 @@ class ExperimentConfig:
         analysis = top["analysis"]
         if analysis["epochs"] is None:
             analysis["epochs"] = epochs
+        config = cls(task, method, seeds, top["output_dir"], train, epochs, data,
+                     noise, top["baseline"], analysis, raw)
         if task == "synthetic":
-            _check_confusion(noise, data["num_classes"])
-            _check_folds(method, top["baseline"], data["train_size"])
-        return cls(task, method, seeds, top["output_dir"], train, epochs, data, noise,
-                   top["baseline"], analysis, raw)
+            config.check_data_size(data["num_classes"], data["train_size"])
+        return config
+
+    def check_data_size(self, num_classes: int, n_train: int) -> None:
+        """Noise needs the data's classes and crossweigh a training row per
+        fold; the synthetic task is checked at load, a file task once read."""
+        for spec in self.noise.values():
+            spec.check_classes(num_classes)
+        if self.method == "crossweigh":
+            baselines.check_fold_rows(self.baseline["folds"], n_train)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -152,16 +146,16 @@ def build_task_data(config: ExperimentConfig) -> TaskData:
         train, dev, test = datasets.mixture_splits(**data)
     else:
         schema = datasets.load_schema(config.task, data["schema_path"])
-        splits = []
+        splits = {}
         for split in ("train", "dev", "test"):
-            dataset, vocab = datasets.load_split(config.task, data[f"{split}_path"],
-                                                 schema, vocab, window=data.get("window"))
-            splits.append(dataset)
-        train, dev, test = splits
-        if len(train) == 0:
-            raise datasets.DataError(f"{data['train_path']}: empty training split")
-        _check_confusion(config.noise, train.num_classes)
-        _check_folds(config.method, config.baseline, len(train))
+            splits[split], vocab = datasets.load_split(
+                config.task, data[f"{split}_path"], schema, vocab,
+                window=data.get("window"))
+        for split, name in (("train", "training"), ("dev", "dev"), ("test", "test")):
+            if len(splits[split]) == 0:
+                raise datasets.DataError(f"{data[split + '_path']}: empty {name} split")
+        train, dev, test = splits.values()
+        config.check_data_size(train.num_classes, len(train))
     name, fn = datasets.make_metric(config.task, schema=schema)
     return TaskData(train, dev, test, name, fn, vocab=vocab)
 
@@ -208,8 +202,9 @@ def _open_run(config: ExperimentConfig) -> tuple[Path, str]:
 
 
 def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
-                train_set, dev_set, task: TaskData, seed_dir: Path):
-    """Dispatch one seed's training according to the configured method."""
+                train_set, dev_set, task: TaskData, save_weights):
+    """Dispatch one seed's training according to the configured method;
+    crossweigh hands its instance weights' writer to ``save_weights``."""
     metric = task.metric_fn
     if config.method == "coreg":
         return trainer.train(train_set, dev_set, tcfg, eval_metric=metric)
@@ -229,7 +224,7 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
     weights = baselines.crossweigh_weights(
         train_set, folds, config.baseline["iterations"],
         replace(tcfg, total_steps=fold_steps), config.baseline["base_weight"])
-    weights.save_csv(seed_dir / "weights.csv")
+    save_weights(weights.save_csv)
     return baselines.train_plain(train_set, dev_set, tcfg, weights=weights,
                                  eval_metric=metric)
 
@@ -252,23 +247,27 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     test; finally write metrics.csv (with median rows) and the manifest."""
     started = time.monotonic()
     run_dir, config_hash = _open_run(config)
-    manifest = RunManifest(config_hash, [], 0.0, ["config.yaml", "metrics.csv"])
+    manifest = RunManifest(config_hash, [], 0.0, ["config.yaml"])
+
+    def save(name: str, write) -> None:
+        """Write the artifact run_dir/name through ``write(path)`` and list it."""
+        write(run_dir / name)
+        manifest.artifacts.append(name)
+
     try:
         task = build_task_data(config)
         if task.vocab is not None:
-            datasets.save_vocab(task.vocab, run_dir / "vocab.json")
-            manifest.artifacts.append("vocab.json")
+            save("vocab.json", partial(datasets.save_vocab, task.vocab))
         per_split: dict[str, list[float]] = {"dev": [], "test": []}
         for seed in config.seeds:
-            seed_dir = run_dir / f"seed_{seed}"
-            seed_dir.mkdir(parents=True, exist_ok=True)
+            seed_dir = f"seed_{seed}"
+            (run_dir / seed_dir).mkdir(parents=True, exist_ok=True)
             train_set = task.train
             dev_set = task.dev
             spec = config.noise.get(seed)
             if spec is not None:
                 train_set, mask = noiselab.inject_noise(train_set, spec)
-                mask.save_csv(seed_dir / "flips.csv")
-                manifest.artifacts.append(f"seed_{seed}/flips.csv")
+                save(f"{seed_dir}/flips.csv", mask.save_csv)
                 # Model selection must not peek at clean labels: the
                 # dev split is drawn from the same noisy labeling process.
                 dev_spec = replace(spec,
@@ -276,15 +275,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 dev_set, _ = noiselab.inject_noise(dev_set, dev_spec)
             tcfg = _resolved_train_config(config, seed, len(train_set))
             result = _run_method(config, tcfg, train_set, dev_set, task,
-                                 seed_dir)
-            _write_epoch_log(seed_dir / "epoch_log.csv",
-                             _dev_rows(result, task.metric_name))
-            manifest.artifacts.append(f"seed_{seed}/epoch_log.csv")
-            if config.method == "crossweigh":
-                manifest.artifacts.append(f"seed_{seed}/weights.csv")
+                                 partial(save, f"{seed_dir}/weights.csv"))
+            save(f"{seed_dir}/epoch_log.csv",
+                 partial(_write_epoch_log, rows=_dev_rows(result, task.metric_name)))
             model = result.selected_model()
-            mdl.save_model(model, seed_dir / "model.npz")
-            manifest.artifacts.append(f"seed_{seed}/model.npz")
+            save(f"{seed_dir}/model.npz", partial(mdl.save_model, model))
             for split, split_set in (("dev", dev_set), ("test", task.test)):
                 value = float(task.metric_fn(split_set,
                                              mdl.predict(model, split_set.features)))
@@ -300,7 +295,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 {"seed": "median", "split": split, "metric": task.metric_name,
                  "value": median})
             csv_rows.append(("median", split, task.metric_name, repr(median)))
-        datasets.write_csv(run_dir / "metrics.csv", METRICS_HEADER, csv_rows)
+        save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER,
+                                    rows=csv_rows))
     except Exception as exc:
         manifest.failure = f"{type(exc).__name__}: {exc}"
         manifest.wall_clock_sec = time.monotonic() - started
@@ -374,17 +370,18 @@ def run_audit(config: ExperimentConfig):
     if spec is not None:
         train_set, mask = noiselab.inject_noise(train_set, spec)
         mask.save_csv(run_dir / "flips.csv")
-    tcfg = _resolved_train_config(config, seed, len(train_set))
-    result = trainer.train(train_set, task.dev, tcfg, eval_metric=task.metric_fn)
+    # Only the final ensemble is read, so there is no dev scoring to select by.
+    tcfg = replace(_resolved_train_config(config, seed, len(train_set)),
+                   selection_policy="first")
+    result = trainer.train(train_set, None, tcfg)
     rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
     report_path = run_dir / "audit.csv"
     noiselab.save_suspect_csv(rows, report_path)
     score = None
     if mask is not None and 0 < len(mask) < len(train_set):
-        sup = np.array([r.sup_loss for r in rows])
-        ids = np.array([r.instance_id for r in rows])
-        flags = mask.flags()[ids]
-        score = noiselab.auroc(sup, flags)
+        # The mask holds row positions and the report record ids.
+        flipped = np.isin([r.instance_id for r in rows], train_set.ids[mask.indices])
+        score = noiselab.auroc([r.sup_loss for r in rows], flipped)
     return report_path, score
 
 

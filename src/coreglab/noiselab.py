@@ -13,10 +13,9 @@ import numpy as np
 from . import datasets as ds
 from . import models as mdl
 from . import trainer
-from .numeric import floored_nll, kl_terms, label_probs, softmax
+from .numeric import KL_EPS, floored_nll, kl_terms, label_probs, softmax
 from .schema import ConfigError, Key, check
 
-NOISE_SCHEMES = ("uniform_flip", "class_conditional")
 FLIP_CSV_HEADER = ["id", "original_label", "noisy_label"]
 SUSPECT_CSV_HEADER = ["id", "label", "prediction", "flagged", "agreement_kl", "sup_loss"]
 
@@ -36,7 +35,7 @@ def stochastic_matrix(value) -> np.ndarray:
 # The config's noise block. A seed left out derives from the run seed.
 NOISE_KEYS = {
     "rate": Key(float, least=0, most=1, open_most=True, required=True),
-    "scheme": Key(NOISE_SCHEMES, "uniform_flip"),
+    "scheme": Key(("uniform_flip", "class_conditional"), "uniform_flip"),
     "seed": Key(int, least=0),
     "confusion": Key(stochastic_matrix),
 }
@@ -66,6 +65,16 @@ class NoiseSpec:
                                   "noise.confusion table")
             object.__setattr__(self, "confusion", check(
                 "confusion", self.confusion, NOISE_KEYS["confusion"]))
+
+    def check_classes(self, num_classes: int) -> None:
+        """The data's class count fits the noise: a flip needs another class
+        to go to, and a confusion table needs one row per class."""
+        if num_classes < 2:
+            raise ConfigError(f"noise needs at least 2 classes to flip labels, but "
+                              f"the data has {num_classes}")
+        if self.scheme == "class_conditional" and len(self.confusion) != num_classes:
+            raise ConfigError(f"noise.confusion must be {num_classes}x{num_classes} "
+                              f"for the data's {num_classes} classes")
 
 
 @dataclass(frozen=True)
@@ -108,11 +117,7 @@ def inject_noise(dataset, spec: NoiseSpec):
     ascending instance order for determinism. Returns the corrupted dataset
     (original labels preserved as its hidden true labels) and the mask.
     """
-    if dataset.num_classes < 2:
-        raise ValueError("need at least 2 classes to flip labels")
-    if spec.scheme == "class_conditional" and len(spec.confusion) != dataset.num_classes:
-        raise ValueError(f"confusion table has {len(spec.confusion)} rows but the "
-                         f"data has {dataset.num_classes} classes")
+    spec.check_classes(dataset.num_classes)
     n = len(dataset)
     count = math.floor(spec.rate * n)
     rng = np.random.default_rng(spec.seed)
@@ -230,7 +235,7 @@ def disagreement_report(ensemble, dataset, config) -> list[SuspectRow]:
     probs = softmax(logits)
     inst_losses = floored_nll(label_probs(probs, y))
     q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
-    per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, config.kl_eps), axis=2),
+    per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, KL_EPS), axis=2),
                      axis=0)
     sup = np.mean(inst_losses, axis=0)
     preds = np.argmax(q, axis=1)

@@ -20,6 +20,10 @@ DROPOUT = Key(float, 0.1, least=0, most=1, open_most=True)
 # so confident wrong predictions yield a large finite loss instead of inf.
 PROB_FLOOR = 1e-12
 
+# Smoothing added to both sides of the KL ratio in the agreement loss, so a
+# zero probability yields a large finite term instead of inf or nan.
+KL_EPS = 1e-12
+
 # Adam's decay rates for the first and second moments and its denominator
 # epsilon.
 ADAM_BETA1 = 0.9

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import (DROPOUT, PROB_FLOOR, AdamState, adam_step, floored_nll,
+from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, adam_step, floored_nll,
                       kl_terms, label_probs, lr_at, softmax)
 from .schema import Key, check
 
@@ -30,7 +30,6 @@ TRAIN_KEYS = {
     "total_steps": Key(int, 0, least=0),
     "warmup_pct": Key(float, 30.0, least=0, most=100),
     "gamma": Key(float, 1.0, least=0),
-    "kl_eps": Key(float, 1e-12, least=0, open_least=True),
     "batch_size": Key(int, 64, least=1),
     "base_lr": Key(float, 0.01, least=0, open_least=True),
     "aggregate_mode": Key(AGGREGATE_MODES, "avg_prob"),
@@ -58,7 +57,6 @@ class TrainConfig:
     total_steps: int = TRAIN_KEYS["total_steps"].default
     warmup_pct: float = TRAIN_KEYS["warmup_pct"].default
     gamma: float = TRAIN_KEYS["gamma"].default
-    kl_eps: float = TRAIN_KEYS["kl_eps"].default
     batch_size: int = TRAIN_KEYS["batch_size"].default
     base_lr: float = TRAIN_KEYS["base_lr"].default
     aggregate_mode: str = TRAIN_KEYS["aggregate_mode"].default
@@ -172,7 +170,7 @@ def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
     aggregation that produced q.
     """
     num_models, batch, _ = probs.shape
-    eps = config.kl_eps
+    eps = KL_EPS
     scale = 1.0 / (num_models * batch)
     # Direct path: d/dp of q*log((q+eps)/(p+eps)) summed over models.
     dprobs = -scale * q[None, :, :] / (probs + eps)
@@ -260,7 +258,7 @@ def compute_step_gradients(features, labels: np.ndarray,
     task_loss = float(np.add.reduce(per_model_sup)) / num_models
 
     q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
-    agg_loss = agreement_loss(q, kept_probs, config.kl_eps)
+    agg_loss = agreement_loss(q, kept_probs, KL_EPS)
 
     joint_loss = task_loss + config.gamma * agg_loss
     if not (math.isfinite(task_loss) and math.isfinite(agg_loss)):

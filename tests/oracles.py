@@ -222,8 +222,9 @@ def _reference_softmax_vjp(probs, dprobs):
 
 
 def _reference_agreement_dlogits(probs, q, inst_losses, config):
+    from coreglab.numeric import KL_EPS as eps
+
     num_models, batch, _ = probs.shape
-    eps = config.kl_eps
     scale = 1.0 / (num_models * batch)
     dprobs = -scale * q[None, :, :] / (probs + eps)
     if config.soft_target_gradient:
@@ -250,7 +251,7 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
     """One joint step, model by model; updates ``ensemble`` in place and
     returns the LossReport."""
     from coreglab import models as mdl
-    from coreglab.numeric import PROB_FLOOR, lr_at, softmax
+    from coreglab.numeric import KL_EPS, PROB_FLOOR, lr_at, softmax
     from coreglab.trainer import LossReport, aggregate_targets, agreement_loss
 
     X = np.asarray(features, dtype=np.float64)
@@ -285,7 +286,7 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
         [float(np.sum(kept_w * kept_losses[k]) / n_kept) for k in range(num_models)])
     task_loss = float(np.mean(per_model_sup))
     q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
-    agg_loss = agreement_loss(q, kept_probs, config.kl_eps)
+    agg_loss = agreement_loss(q, kept_probs, KL_EPS)
     joint_loss = task_loss + config.gamma * agg_loss
     onehot = np.zeros_like(kept_probs[0])
     onehot[np.arange(n_kept), kept_y] = 1.0

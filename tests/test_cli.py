@@ -390,6 +390,73 @@ def test_file_task_confusion_size_exits_1(runner, tmp_path):
     assert "3 classes" in result.stderr
 
 
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_empty_eval_split_exits_2(runner, tmp_path, split):
+    """An empty dev split leaves best_dev nothing to select by, and an empty
+    test split nothing to score; each is a data error that names the file."""
+    schema, records = TASK_FILES["tagging"]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    data_path = tmp_path / "split.conll"
+    data_path.write_text(records)
+    empty_path = tmp_path / "empty.conll"
+    empty_path.write_text("")
+    paths = {"dev": data_path, "test": data_path, split: empty_path}
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(
+        config_path, "tagging", data_path, data_path, schema_path,
+        data={"train_path": str(data_path), "dev_path": str(paths["dev"]),
+              "test_path": str(paths["test"]), "schema_path": str(schema_path)},
+        train={"num_models": 1, "batch_size": 2, "hidden_sizes": [4],
+               "selection_policy": "best_dev"})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 2)
+    assert f"{empty_path}: empty {split} split" in result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entity_types, base_lr, code", [
+    pytest.param(["PER"], 1e200, 3, id="diverged_after_flips"),
+    pytest.param([], 0.01, 1, id="single_class_noise"),
+])
+def test_failed_run_manifest_lists_only_written_files(runner, tmp_path, entity_types,
+                                                      base_lr, code):
+    """A run that fails lists in its manifest only the artifacts it wrote:
+    the divergence comes after vocab.json and the first seed's flips.csv.
+    A tagging schema without entity types gives one class, O, so no label
+    can be flipped: that config error names the noise block and comes
+    before any artifact but config.yaml."""
+    (tmp_path / "schema.json").write_text(json.dumps({"entity_types": entity_types}))
+    tags = ("B-PER", "O") if entity_types else ("O", "O")
+    (tmp_path / "split.conll").write_text(f"Ann {tags[0]}\nran {tags[1]}\n")
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(config_path, "tagging", tmp_path / "split.conll",
+                           tmp_path / "split.conll", tmp_path / "schema.json",
+                           noise={"rate": 0.5},
+                           train={"num_models": 1, "batch_size": 1, "hidden_sizes": [4],
+                                  "dropout": 0.0, "base_lr": base_lr})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, code)
+    if code == 1:
+        assert "noise needs at least 2 classes" in result.stderr
+    run = tmp_path / "run"
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["failure"]
+    assert manifest["artifacts"] == sorted(
+        ["config.yaml", "vocab.json", "seed_1/flips.csv"] if code == 3
+        else ["config.yaml"])
+    assert all((run / name).is_file() for name in manifest["artifacts"])
+
+
+def test_train_kl_eps_is_an_unknown_key(runner, tmp_path):
+    """The KL smoothing is the constant numeric.KL_EPS, not a setting."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, train={"num_models": 2, "kl_eps": 1e-9})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert "unknown train keys: kl_eps" in result.stderr
+
+
 def test_train_output_dir_is_a_file_exits_2(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, output_dir=str(config_path))
@@ -727,6 +794,42 @@ def test_audit_labels_with_noise(runner, tmp_path):
                   if line.startswith("auroc: ")][0]
     assert auroc_line != "auroc: n/a"
     assert 0.0 <= float(auroc_line.split(": ")[1]) <= 1.0
+
+
+def test_audit_labels_scores_relation_records_by_row(runner, tmp_path):
+    """The flip mask holds row positions and the report record ids: the same
+    relation records score the same with and without ids, which here start
+    at 1000 and so are not row positions."""
+    schema = TASK_FILES["relation"][0]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    records = [{**RELATION_RECORD, "tokens": ["Ann", verb, f"w{i % 7}", "Acme"],
+                "obj": [3, 3], "label": "founded" if verb == "founded" else "none"}
+               for i, verb in enumerate(["founded", "met"] * 20)]
+    lines = []
+    for with_ids in (False, True):
+        data_path = tmp_path / f"records_{with_ids}.jsonl"
+        data_path.write_text("".join(
+            json.dumps({**rec, "id": 1000 + i} if with_ids else rec) + "\n"
+            for i, rec in enumerate(records)))
+        config_path = tmp_path / "config.yaml"
+        write_file_task_config(config_path, "relation", data_path, data_path,
+                               tmp_path / "schema.json", seeds=[3], epochs=3,
+                               noise={"rate": 0.25},
+                               output_dir=str(tmp_path / f"audit_{with_ids}"))
+        result = runner.invoke(main, ["audit-labels", str(config_path)])
+        assert result.exit_code == 0, result.output
+        lines.append([line for line in result.output.splitlines()
+                      if line.startswith("auroc: ")])
+    assert lines[0] == lines[1]
+    assert lines[0] != ["auroc: n/a"]
+
+
+def test_inject_noise_has_no_scheme_option(runner):
+    """The command flips uniformly; class-conditional noise takes a confusion
+    table, which only the config's noise block can give."""
+    result = runner.invoke(main, ["inject-noise", "--help"])
+    assert result.exit_code == 0
+    assert "--scheme" not in result.output
 
 
 def test_audit_labels_without_noise(runner, tmp_path):

@@ -43,8 +43,6 @@ def test_config_validation():
         small_config(warmup_pct=101).validate()
     with pytest.raises(ValueError, match="gamma"):
         small_config(gamma=-0.5).validate()
-    with pytest.raises(ValueError, match="kl_eps"):
-        small_config(kl_eps=0.0).validate()
     with pytest.raises(ValueError, match="batch_size"):
         small_config(batch_size=0).validate()
     with pytest.raises(ValueError, match="aggregate mode"):
@@ -437,7 +435,7 @@ def _fd_check(config, seed, *, frozen_q=True, loss_scale=1.0):
                                   for m in range(ens.num_models)]))
             q = q0 if frozen_q else aggregate_targets(
                 probs, logits, losses, config.aggregate_mode)
-            value = task + config.gamma * agreement_loss(q, probs, config.kl_eps)
+            value = task + config.gamma * agreement_loss(q, probs, numeric.KL_EPS)
             set_params_flat(ens.models[k], base)
             return value
 
