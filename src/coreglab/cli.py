@@ -181,7 +181,8 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
 @_guarded
 def evaluate(model_path, task, data_path, schema_path, vocab_path):
     """Score a saved model on a dataset file. The model's layer sizes give
-    the tagging window and the synthetic task's number of classes."""
+    the tagging window and the synthetic task's number of classes; an empty
+    file, or a schema with another number of classes, is a data error."""
     try:
         model = mdl.load_model(model_path)
     except (OSError, EOFError, KeyError, TypeError, ValueError,
@@ -200,8 +201,14 @@ def evaluate(model_path, task, data_path, schema_path, vocab_path):
                 f"model/vocabulary mismatch: the model's input width {width} is not "
                 f"an odd number of blocks of the vocabulary's {len(vocab)} tokens")
         window = (blocks - 1) // 2
+    outputs = model.layer_sizes[-1]
     dataset, _ = datasets.load_split(task, data_path, schema, vocab, window=window,
-                                     num_classes=model.layer_sizes[-1])
+                                     num_classes=outputs)
+    if not len(dataset):
+        raise datasets.DataError(f"{data_path}: empty data file")
+    if dataset.num_classes != outputs:
+        raise datasets.DataError(f"model/data mismatch: the model has {outputs} "
+                                 f"outputs, the data {dataset.num_classes} classes")
     name, fn = datasets.make_metric(task, schema=schema)
     try:
         preds = mdl.predict(model, dataset.features)

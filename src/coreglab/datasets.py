@@ -6,8 +6,8 @@ File formats:
 - Relation records: one JSON object per line with tokens, inclusive
   subject/object spans plus entity types, and a relation label name.
 - Feature records: one JSON object per line with a dense feature vector,
-  an integer label, and optionally the hidden true label; used by the
-  synthetic classification task.
+  an integer label and optionally an integer id; used by the synthetic
+  classification task.
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
 
@@ -84,9 +84,8 @@ class LabeledDataset:
     Features are a dense float64 (rows, features) matrix or models.WindowIds,
     tagging's one-hot windows kept as (rows, 2*window+1) column indices;
     num_features is the dense width either way, and subset, with_labels and
-    concat_datasets keep the form. true_labels, when present, carry the
-    uncorrupted labels for noise experiments; groups map each row to a
-    sentence for span-level scoring of tagging tasks. Features are
+    concat_datasets keep the form. groups map each row to a sentence for
+    span-level scoring of tagging tasks. Features are
     read-only once a dataset is built: with_labels shares them between the
     datasets it relates.
     """
@@ -95,7 +94,6 @@ class LabeledDataset:
     labels: np.ndarray
     num_classes: int
     ids: np.ndarray | None = None
-    true_labels: np.ndarray | None = None
     groups: np.ndarray | None = None
 
     def __post_init__(self):
@@ -117,13 +115,10 @@ class LabeledDataset:
             self.ids = np.asarray(self.ids, dtype=np.int64)
             if self.ids.shape != (n,):
                 raise ValueError("ids must align with feature rows")
-        for name in ("true_labels", "groups"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=np.int64)
-                if value.shape != (n,):
-                    raise ValueError(f"{name} must align with feature rows")
-                setattr(self, name, value)
+        if self.groups is not None:
+            self.groups = np.asarray(self.groups, dtype=np.int64)
+            if self.groups.shape != (n,):
+                raise ValueError("groups must align with feature rows")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -137,16 +132,12 @@ class LabeledDataset:
         return LabeledDataset(
             self.features[idx], self.labels[idx], self.num_classes,
             ids=self.ids[idx],
-            true_labels=None if self.true_labels is None else self.true_labels[idx],
             groups=None if self.groups is None else self.groups[idx])
 
     def with_labels(self, labels) -> "LabeledDataset":
-        """Copy with replaced labels, sharing the feature matrix; the current
-        labels become the hidden true labels unless some are already
-        recorded."""
-        true = self.true_labels if self.true_labels is not None else self.labels.copy()
+        """Copy with replaced labels, sharing the feature matrix."""
         return LabeledDataset(self.features, labels, self.num_classes,
-                              ids=self.ids.copy(), true_labels=true,
+                              ids=self.ids.copy(),
                               groups=None if self.groups is None else self.groups.copy())
 
 
@@ -163,13 +154,12 @@ def concat_datasets(first: LabeledDataset, second: LabeledDataset) -> LabeledDat
                                  first.num_features)
     else:
         features = np.vstack([first.features, second.features])
-    both_true = first.true_labels is not None and second.true_labels is not None
-    return LabeledDataset(
-        features,
-        np.concatenate([first.labels, second.labels]),
-        first.num_classes,
-        true_labels=(np.concatenate([first.true_labels, second.true_labels])
-                     if both_true else None))
+    return LabeledDataset(features, np.concatenate([first.labels, second.labels]),
+                          first.num_classes)
+
+
+# A schema file's list of relation labels or entity types.
+_NAMES = Key([str])
 
 
 @dataclass(frozen=True)
@@ -202,7 +192,14 @@ class RelationSchema:
     @classmethod
     def load(cls, path) -> "RelationSchema":
         return _load_json(path, "relation schema", lambda raw: cls(
-            tuple(raw["relations"]), raw["negative"], tuple(raw["entity_types"])))
+            check("relations", raw["relations"], _NAMES), raw["negative"],
+            check("entity_types", raw["entity_types"], _NAMES)))
+
+
+def _is_tokens(value) -> bool:
+    """Whether a parsed JSON value is a list of strings, the empty one and
+    empty strings included: a sentence or a vocabulary."""
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
 def save_vocab(vocab: mdl.Vocab, path) -> None:
@@ -210,12 +207,17 @@ def save_vocab(vocab: mdl.Vocab, path) -> None:
 
 
 def load_vocab(path) -> mdl.Vocab:
-    return _load_json(path, "vocabulary file", lambda raw: mdl.Vocab(list(raw["tokens"])))
+    def build(raw):
+        if not _is_tokens(raw["tokens"]):
+            raise TypeError("tokens must be a list of strings")
+        return mdl.Vocab(raw["tokens"])
+
+    return _load_json(path, "vocabulary file", build)
 
 
 def load_tag_scheme(path) -> metrics.TagScheme:
-    return _load_json(path, "tagging schema",
-                      lambda raw: metrics.TagScheme(list(raw["entity_types"])))
+    return _load_json(path, "tagging schema", lambda raw: metrics.TagScheme(
+        check("entity_types", raw["entity_types"], _NAMES)))
 
 
 def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
@@ -272,6 +274,18 @@ def _is_int(value, least=None) -> bool:
             and (least is None or value >= least))
 
 
+def _record_id(rec: dict, seen: set, where: str) -> int:
+    """A record's id, by default its position among the records before it:
+    an integer that no earlier record has, added to ``seen``."""
+    uid = rec.get("id", len(seen))
+    if not _is_int(uid):
+        raise DataError(f"{where}: id must be an integer, got {uid!r}")
+    if uid in seen:
+        raise DataError(f"{where}: duplicate id {uid}")
+    seen.add(uid)
+    return uid
+
+
 def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
     instances, seen = [], set()
@@ -290,7 +304,7 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
         if missing:
             raise DataError(f"{where}: missing fields {missing}")
         tokens = rec["tokens"]
-        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        if not _is_tokens(tokens):
             raise DataError(f"{where}: tokens must be a list of strings")
         try:
             label = schema.label_index(rec["label"])
@@ -303,18 +317,13 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
                 raise DataError(f"{where}: {role} span must be two integers")
             if rec[f"{role}_type"] not in schema.entity_types:
                 raise DataError(f"{where}: unknown entity type {rec[f'{role}_type']!r}")
-        uid = rec.get("id", len(instances))
-        if not _is_int(uid):
-            raise DataError(f"{where}: id must be an integer")
         try:
-            instances.append(mdl.SentenceInstance(
-                tokens, tuple(rec["subj"]), rec["subj_type"],
-                tuple(rec["obj"]), rec["obj_type"], label, uid=uid))
+            inst = mdl.SentenceInstance(tokens, tuple(rec["subj"]), rec["subj_type"],
+                                        tuple(rec["obj"]), rec["obj_type"], label)
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        if uid in seen:
-            raise DataError(f"{where}: duplicate id {uid}")
-        seen.add(uid)
+        inst.uid = _record_id(rec, seen, where)
+        instances.append(inst)
     return instances
 
 
@@ -330,8 +339,9 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset; ids, when
-    given, are distinct integers, and default to the record's position."""
-    feats, labels, ids, trues, seen = [], [], [], [], set()
+    given, are distinct integers, and default to the record's position.
+    Keys other than features, label and id are ignored."""
+    feats, labels, ids, seen = [], [], [], set()
     for lineno, raw in _data_lines(path):
         line = raw.strip()
         if not line:
@@ -339,36 +349,26 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
         try:
             rec = json.loads(line)
             feats.append([float(v) for v in rec["features"]])
-            label, true = rec["label"], rec.get("true_label")
-            uid = rec.get("id", len(ids))
+            label = rec["label"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
-        if not _is_int(uid):
-            raise DataError(f"{path}:{lineno}: id must be an integer, got {uid!r}")
-        if uid in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {uid}")
-        seen.add(uid)
-        ids.append(uid)
-        for name, value in (("label", label), ("true_label", true)):
-            if value is not None and not _is_int(value, 0):
-                raise DataError(f"{path}:{lineno}: {name} must be a non-negative "
-                                f"integer, got {value!r}")
+        ids.append(_record_id(rec, seen, f"{path}:{lineno}"))
+        if not _is_int(label, 0):
+            raise DataError(f"{path}:{lineno}: label must be a non-negative "
+                            f"integer, got {label!r}")
         labels.append(label)
-        trues.append(true)
         if len(feats[-1]) != len(feats[0]):
             raise DataError(f"{path}:{lineno}: inconsistent feature width")
     if not feats:
         return LabeledDataset(np.empty((0, 0)), np.empty(0, np.int64),
                               num_classes or 1)
-    have_true = all(t is not None for t in trues)
-    top = max(labels + [t for t in trues if t is not None], default=-1)
+    top = max(labels)
     if num_classes is None:
         num_classes = top + 1
     elif top >= num_classes:
         raise DataError(f"{path}: label {top} outside {num_classes} classes")
     return LabeledDataset(np.array(feats), np.array(labels), num_classes,
-                          ids=np.array(ids),
-                          true_labels=np.array(trues) if have_true else None)
+                          ids=np.array(ids))
 
 
 def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
@@ -377,8 +377,6 @@ def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
             rec = {"id": int(dataset.ids[i]),
                    "features": [float(v) for v in dataset.features[i]],
                    "label": int(dataset.labels[i])}
-            if dataset.true_labels is not None:
-                rec["true_label"] = int(dataset.true_labels[i])
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -561,7 +559,7 @@ def gen_gaussian_mixture(num_train: int = MIXTURE_KEYS["train_size"].default,
                          scale: float = MIXTURE_KEYS["scale"].default):
     """Synthetic classification task: class means spaced on a circle of
     radius class_sep, unit-scaled Gaussian clouds, balanced labels.
-    Returns (train, test) with clean labels recorded as true labels."""
+    Returns (train, test)."""
     check("num_classes", num_classes, MIXTURE_KEYS["num_classes"])
     check("num_features", num_features, MIXTURE_KEYS["num_features"])
     rng = np.random.default_rng(seed)
@@ -573,8 +571,7 @@ def gen_gaussian_mixture(num_train: int = MIXTURE_KEYS["train_size"].default,
     def draw(n):
         labels = (np.arange(n) % num_classes)[rng.permutation(n)]
         feats = means[labels] + scale * rng.standard_normal((n, num_features))
-        return LabeledDataset(feats, labels, num_classes,
-                              true_labels=labels.copy())
+        return LabeledDataset(feats, labels, num_classes)
 
     return draw(num_train), draw(num_test)
 

@@ -36,6 +36,8 @@ class TagScheme:
 
     def __init__(self, entity_types):
         self.entity_types = list(entity_types)
+        if len(set(self.entity_types)) != len(self.entity_types):
+            raise ValueError("duplicate entity types")
         self.tags = ["O"]
         for etype in self.entity_types:
             self.tags.append(f"B-{etype}")

@@ -115,7 +115,7 @@ def inject_noise(dataset, spec: NoiseSpec):
     confusion row of the old class; draws that land on the old label leave
     the instance unchanged and out of the mask. Flips are applied in
     ascending instance order for determinism. Returns the corrupted dataset
-    (original labels preserved as its hidden true labels) and the mask.
+    and the mask, which holds the original label of every changed row.
     """
     spec.check_classes(dataset.num_classes)
     n = len(dataset)

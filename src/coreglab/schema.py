@@ -53,7 +53,7 @@ class Key:
 
 # kind -> (noun, plural noun) in error text.
 _NOUNS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
-          bool: ("true or false", None), str: ("a non-empty string", None),
+          bool: ("true or false", None), str: ("a non-empty string", "non-empty strings"),
           dict: ("a mapping", None)}
 
 

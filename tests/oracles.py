@@ -10,6 +10,7 @@ writers) serve the tests alone; the library never calls them.
 """
 
 import csv
+import json
 import math
 from collections import Counter
 
@@ -429,3 +430,46 @@ def load_weights_csv(path):
     for i, w in pairs:
         values[i] = w
     return InstanceWeights(values)
+
+
+# Per task: a schema, a vocabulary, the layer sizes of a model that fits them,
+# and a data file, all of which `coreglab evaluate` and `inject-noise` accept.
+# The tagging model has the 7 outputs of three entity types, and its input is
+# a window of 3 blocks of the vocabulary's 4 tokens (2 plus <pad> and <unk>).
+EVAL_FILES = {
+    "synthetic": (None, None, [2, 3], '{"features": [0.0, 1.0], "label": 0}\n'),
+    "tagging": ({"entity_types": ["PER", "ORG", "LOC"]}, {"tokens": ["Ann", "ran"]},
+                [12, 7], "Ann B-PER\nran O\n"),
+    "relation": ({"relations": ["none", "founded"], "negative": "none",
+                  "entity_types": ["PER", "ORG"]},
+                 {"tokens": ["[SUBJ-PER]", "founded", "[OBJ-ORG]"]}, [5, 2],
+                 "".join(json.dumps({"tokens": ["Ann", "founded", "Acme"],
+                                     "subj": [0, 0], "subj_type": "PER", "obj": [2, 2],
+                                     "obj_type": "ORG", "label": label}) + "\n"
+                         for label in ("founded", "none"))),
+}
+
+
+def write_eval_files(directory, task, **replaced):
+    """Write EVAL_FILES' model, data and (for file tasks) schema.json and
+    vocab.json into ``directory``, with ``replaced`` contents in place of the
+    schema, vocab or data; returns the `evaluate` command line."""
+    from coreglab.models import init_model, save_model
+
+    schema, vocab, layers, data = EVAL_FILES[task]
+    contents = {"schema": schema, "vocab": vocab, "data": data, **replaced}
+    save_model(init_model(layers, dropout=0.0, seed=0), directory / "model.npz")
+    (directory / "data").write_text(contents["data"])
+    args = ["evaluate", "--task", task, "--model", str(directory / "model.npz"),
+            "--data", str(directory / "data")]
+    for name in ("schema", "vocab") if task != "synthetic" else ():
+        (directory / f"{name}.json").write_text(json.dumps(contents[name]))
+        args += [f"--{name}", str(directory / f"{name}.json")]
+    return args
+
+
+def inject_noise_args(directory, task):
+    """The `inject-noise` command line over write_eval_files' data and schema."""
+    return ["inject-noise", "--task", task, "--input", str(directory / "data"),
+            "--output", str(directory / "noisy"), "--rate", "0.5",
+            "--schema", str(directory / "schema.json")]

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
+from oracles import inject_noise_args, write_eval_files
 
 
 @pytest.fixture
@@ -288,8 +289,7 @@ BAD_RECORDS = {
     ("relation", "id_duplicate"): {**RELATION_RECORD, "id": 0},
     ("synthetic", "label_negative"): {**FEATURE_RECORD, "label": -1},
     ("synthetic", "label_fractional"): {**FEATURE_RECORD, "label": 1.5},
-    ("synthetic", "true_label_string"): {**FEATURE_RECORD, "true_label": "x"},
-    ("synthetic", "true_label_negative"): {**FEATURE_RECORD, "true_label": -1},
+    ("synthetic", "label_null"): {**FEATURE_RECORD, "label": None},
     ("synthetic", "id_fractional"): {**FEATURE_RECORD, "id": 1.5},
     # The first record has no id, so it takes its position, 0.
     ("synthetic", "id_duplicate"): {**FEATURE_RECORD, "id": 0},
@@ -738,6 +738,53 @@ def test_evaluate_tagging_requires_schema_and_vocab(runner, tmp_path):
         "--data", str(tmp_path / "d.conll")])
     assert result.exit_code == 1
     assert "--schema" in result.stderr
+
+
+@pytest.mark.parametrize("task", ["synthetic", "tagging", "relation"])
+def test_evaluate_empty_data_file_exits_2(runner, tmp_path, task):
+    """Not an F1 of 0, nor a feature length of 0: the file is named."""
+    result = runner.invoke(main, write_eval_files(tmp_path, task))
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, write_eval_files(tmp_path, task, data="\n"))
+    assert_clean_exit(result, 2)
+    assert f"{tmp_path / 'data'}: empty data file" in result.stderr
+
+
+@pytest.mark.parametrize("task, schema, outputs, classes", [
+    ("tagging", {"entity_types": ["PER"]}, 7, 3),
+    ("tagging", {"entity_types": ["PER", "ORG", "LOC", "MISC"]}, 7, 9),
+    ("relation", {**TASK_FILES["relation"][0],
+                  "relations": ["none", "founded", "born_in"]}, 2, 3),
+])
+def test_evaluate_schema_class_count_mismatch_exits_2(runner, tmp_path, task, schema,
+                                                      outputs, classes):
+    """A schema with fewer classes than the model has outputs used to index
+    past its tags (an IndexError traceback); with more, it was scored."""
+    result = runner.invoke(main, write_eval_files(tmp_path, task, schema=schema))
+    assert_clean_exit(result, 2)
+    assert (f"model/data mismatch: the model has {outputs} outputs, the data "
+            f"{classes} classes") in result.stderr
+
+
+@pytest.mark.parametrize("task, name, content", [
+    ("tagging", "schema", {"entity_types": "PER"}),
+    ("tagging", "schema", {"entity_types": ["PER", "PER"]}),
+    ("relation", "schema", {"relations": "ab", "negative": "a",
+                            "entity_types": ["PER", "ORG"]}),
+    ("tagging", "vocab", {"tokens": "abc"}),
+])
+def test_schema_or_vocab_string_for_a_list_exits_2(runner, tmp_path, task, name,
+                                                    content):
+    """A string is not read as a list of its characters, nor a name twice
+    as two classes: the file is refused by name, under both commands that
+    read it."""
+    commands = [write_eval_files(tmp_path, task, **{name: content})]
+    if name == "schema":
+        commands.append(inject_noise_args(tmp_path, task))
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert f"error: {tmp_path / f'{name}.json'}: bad " in result.stderr
 
 
 def test_tagging_pipeline_roundtrip(runner, tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ def test_labeled_dataset_basics():
     assert len(data) == 3
     assert data.num_features == 2
     np.testing.assert_array_equal(data.ids, [0, 1, 2])
-    assert data.true_labels is None
 
 
 def test_labeled_dataset_validation():
@@ -49,41 +49,39 @@ def test_labeled_dataset_validation():
                        ids=np.array([1, 2]))
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2,
-                       true_labels=np.array([0]))
+                       groups=np.array([0]))
 
 
 def test_labeled_dataset_subset():
     data = LabeledDataset(np.arange(8).reshape(4, 2), np.array([0, 1, 0, 1]), 2,
-                          true_labels=np.array([1, 1, 0, 0]),
                           groups=np.array([0, 0, 1, 1]))
     sub = data.subset([2, 0])
     np.testing.assert_array_equal(sub.features, [[4, 5], [0, 1]])
     np.testing.assert_array_equal(sub.labels, [0, 0])
     np.testing.assert_array_equal(sub.ids, [2, 0])
-    np.testing.assert_array_equal(sub.true_labels, [0, 1])
     np.testing.assert_array_equal(sub.groups, [1, 0])
 
 
-def test_with_labels_records_truth_once():
-    data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2)
-    first = data.with_labels(np.array([1, 1, 1]))
-    np.testing.assert_array_equal(first.true_labels, [0, 1, 1])
-    second = first.with_labels(np.array([0, 0, 0]))
-    np.testing.assert_array_equal(second.true_labels, [0, 1, 1])
+def test_with_labels_replaces_only_the_labels():
+    data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2,
+                          ids=np.array([5, 6, 7]), groups=np.array([0, 0, 1]))
+    noisy = data.with_labels(np.array([1, 1, 0]))
+    np.testing.assert_array_equal(noisy.labels, [1, 1, 0])
+    np.testing.assert_array_equal(data.labels, [0, 1, 1])
+    assert noisy.features is data.features and noisy.num_classes == 2
+    np.testing.assert_array_equal(noisy.ids, data.ids)
+    np.testing.assert_array_equal(noisy.groups, data.groups)
+    noisy.ids[:] = 0
+    np.testing.assert_array_equal(data.ids, [5, 6, 7])
 
 
 def test_concat_datasets():
-    a = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), 2,
-                       true_labels=np.array([0, 1]))
-    b = LabeledDataset(np.ones((3, 3)), np.array([1, 1, 0]), 2,
-                       true_labels=np.array([1, 0, 0]))
+    a = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), 2)
+    b = LabeledDataset(np.ones((3, 3)), np.array([1, 1, 0]), 2)
     both = concat_datasets(a, b)
     assert len(both) == 5
     np.testing.assert_array_equal(both.ids, np.arange(5))
-    np.testing.assert_array_equal(both.true_labels, [0, 1, 1, 0, 0])
-    bare = LabeledDataset(np.ones((3, 3)), np.array([1, 1, 0]), 2)
-    no_truth = concat_datasets(a, bare)
-    assert no_truth.true_labels is None
+    np.testing.assert_array_equal(both.labels, [0, 1, 1, 1, 0])
 
 
 def test_window_id_rows_keep_their_form():
@@ -175,6 +173,68 @@ def test_tag_scheme_round_trip(tmp_path):
     path.write_text(json.dumps({"types": []}))
     with pytest.raises(DataError):
         load_tag_scheme(path)
+
+
+def test_tag_scheme_refuses_duplicate_entity_types():
+    with pytest.raises(ValueError, match="duplicate entity types"):
+        TagScheme(["PER", "ORG", "PER"])
+
+
+RELATION_SCHEMA = {"relations": ["none", "founded"], "negative": "none",
+                   "entity_types": ["PER", "ORG"]}
+
+
+@pytest.mark.parametrize("load, content, message", [
+    (load_tag_scheme, {"entity_types": "PER"},
+     "entity_types must be a list of non-empty strings: 'PER' is not a list"),
+    (load_tag_scheme, {"entity_types": ["PER", ""]}, "entity_types must be a list"),
+    (load_tag_scheme, {"entity_types": ["PER", 3]}, "entity_types must be a list"),
+    (load_tag_scheme, {"entity_types": ["PER", ["ORG"]]}, "entity_types must be a list"),
+    (load_tag_scheme, {"entity_types": ["PER", "PER"]}, "duplicate entity types"),
+    (RelationSchema.load, {**RELATION_SCHEMA, "relations": "ab", "negative": "a"},
+     "relations must be a list of non-empty strings: 'ab' is not a list"),
+    (RelationSchema.load, {**RELATION_SCHEMA, "entity_types": "PER"},
+     "entity_types must be a list"),
+    (RelationSchema.load, {**RELATION_SCHEMA, "relations": ["none", None]},
+     "relations must be a list"),
+    (load_vocab, {"tokens": "abc"}, "tokens must be a list of strings"),
+    (load_vocab, {"tokens": ["a", 1]}, "tokens must be a list of strings"),
+    (load_vocab, ["a", "b"], "bad vocabulary file"),
+])
+def test_schema_and_vocab_files_refuse_what_is_not_a_list(tmp_path, load, content,
+                                                           message):
+    """A string where a list of names or tokens belongs is no longer read
+    as its characters; each refusal is a DataError naming the file."""
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(DataError, match=re.escape(f"{path}: bad ")) as info:
+        load(path)
+    assert message in str(info.value)
+
+
+def test_load_vocab_reads_every_saved_vocab(tmp_path):
+    """A relation sentence may hold the empty string as a token, so a saved
+    vocabulary may too; the empty list is a vocabulary of the specials."""
+    path = tmp_path / "vocab.json"
+    for tokens in (["", "a"], []):
+        save_vocab(Vocab(tokens), path)
+        assert load_vocab(path).tokens() == Vocab(tokens).tokens()
+
+
+@pytest.mark.parametrize("bad_id", ["abc", 1.5, True, None, [1]])
+def test_both_record_readers_share_the_id_rule(tmp_path, bad_id):
+    """The same bad id gets the same message from both JSONL readers."""
+    messages = []
+    for name, record, read in (
+            ("feat.jsonl", {"features": [0.0], "label": 0}, read_feature_jsonl),
+            ("rel.jsonl", _founder_record(), lambda path: read_relation_jsonl(
+                path, _schema()))):
+        path = tmp_path / name
+        path.write_text(json.dumps({**record, "id": bad_id}) + "\n")
+        with pytest.raises(DataError) as info:
+            read(path)
+        messages.append(str(info.value).removeprefix(f"{path}:1: "))
+    assert messages == [f"id must be an integer, got {bad_id!r}"] * 2
 
 
 # ---------------------------------------------------------------- artifact writers
@@ -362,23 +422,30 @@ def test_read_relation_jsonl_rejects_duplicate_ids(tmp_path):
 
 def test_feature_jsonl_round_trip(tmp_path):
     data = LabeledDataset(np.array([[0.5, -1.0], [2.0, 3.5]]),
-                          np.array([1, 0]), 3,
-                          true_labels=np.array([1, 2]))
+                          np.array([1, 0]), 3, ids=np.array([4, 2]))
     path = tmp_path / "feat.jsonl"
     write_feature_jsonl(path, data)
-    loaded = read_feature_jsonl(path)
+    assert [sorted(json.loads(line)) for line in path.read_text().splitlines()] == [
+        ["features", "id", "label"]] * 2
+    loaded = read_feature_jsonl(path, num_classes=3)
     assert loaded.features.tobytes() == data.features.tobytes()
     np.testing.assert_array_equal(loaded.labels, data.labels)
-    np.testing.assert_array_equal(loaded.true_labels, data.true_labels)
+    np.testing.assert_array_equal(loaded.ids, data.ids)
     assert loaded.num_classes == 3
 
 
-def test_feature_jsonl_without_truth(tmp_path):
-    data = LabeledDataset(np.ones((2, 2)), np.array([0, 1]), 2)
+def test_feature_jsonl_ignores_true_label(tmp_path):
+    """A file written with the former true_label key loads as before, the
+    key ignored like any other extra key: the class count comes from label
+    alone, and a true_label of any value is no error."""
     path = tmp_path / "feat.jsonl"
-    write_feature_jsonl(path, data)
-    loaded = read_feature_jsonl(path, num_classes=2)
-    assert loaded.true_labels is None
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in [
+        {"features": [0.0], "label": 1, "true_label": 5},
+        {"features": [1.0], "label": 0, "true_label": "x", "note": [1]}]))
+    loaded = read_feature_jsonl(path)
+    np.testing.assert_array_equal(loaded.labels, [1, 0])
+    assert loaded.num_classes == 2
+    assert not hasattr(loaded, "true_labels")
 
 
 def test_feature_jsonl_errors(tmp_path):
@@ -598,7 +665,6 @@ def test_gen_gaussian_mixture_shapes_and_balance():
     assert train.num_features == 2
     counts = np.bincount(train.labels, minlength=4)
     np.testing.assert_array_equal(counts, [50, 50, 50, 50])
-    np.testing.assert_array_equal(train.true_labels, train.labels)
 
 
 def test_gen_gaussian_mixture_deterministic():

@@ -90,12 +90,19 @@ def test_inject_flips_differ_from_original():
 
 
 def test_inject_preserves_true_labels():
+    """The mask is the record of the true labels: the noisy labels with the
+    mask's original labels put back are the clean ones, and after a second
+    injection undoing both masks, the last first, gives them back."""
     data = tiny_dataset(n=50)
-    noisy, _ = inject_noise(data, NoiseSpec(0.2, seed=4))
-    np.testing.assert_array_equal(noisy.true_labels, data.labels)
-    # a second injection keeps the original truth, not the noisy labels
-    renoised, _ = inject_noise(noisy, NoiseSpec(0.2, seed=5))
-    np.testing.assert_array_equal(renoised.true_labels, data.labels)
+    noisy, mask = inject_noise(data, NoiseSpec(0.2, seed=4))
+    restored = noisy.labels.copy()
+    restored[mask.indices] = mask.original_labels
+    np.testing.assert_array_equal(restored, data.labels)
+    renoised, remask = inject_noise(noisy, NoiseSpec(0.2, seed=5))
+    restored = renoised.labels.copy()
+    for m in (remask, mask):
+        restored[m.indices] = m.original_labels
+    np.testing.assert_array_equal(restored, data.labels)
 
 
 def test_inject_shares_features_not_labels():
@@ -104,7 +111,6 @@ def test_inject_shares_features_not_labels():
     noisy, _ = inject_noise(data, NoiseSpec(0.2, seed=4))
     assert noisy.features is data.features
     noisy.labels[:] = 0
-    noisy.true_labels[:] = 0
     np.testing.assert_array_equal(data.labels, clean)
 
 

@@ -1,14 +1,18 @@
-"""The config schema: the checker's error text, and a property test that
-draws config mappings from the key tables themselves."""
+"""The config schema: the checker's error text, a property test that draws
+config mappings from the key tables themselves, and one that draws schema
+and vocabulary file contents for the commands that read them."""
 
 import math
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
 
 from coreglab import baselines, datasets, noiselab, trainer
+from coreglab.cli import main
 from coreglab.experiment import ANALYSIS_KEYS, TOP_KEYS, ConfigError, ExperimentConfig
 from coreglab.schema import Key, check, check_block
+from oracles import EVAL_FILES, inject_noise_args, write_eval_files
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -160,3 +164,51 @@ def test_every_key_has_a_default_in_range_or_none():
             if key.default is not None:
                 check(name, key.default, key)
             assert not (key.required and key.default is not None), name
+
+
+# ---------------------------------------------------------------- data files
+
+# A name list as a schema or vocabulary file may hold it: names the data
+# uses, duplicates, empty names, numbers and nesting, or a bare string.
+WORDS = ["PER", "ORG", "LOC", "none", "founded", "Ann", "ran"]
+NAMES = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=4),
+    st.lists(st.sampled_from([*WORDS, "", 0, 1.5, None, ["PER"], {"PER": 1}]),
+             max_size=4),
+    st.sampled_from(["PER", "ab", ""]), JUNK)
+FILE_VALUES = {"entity_types": NAMES, "relations": NAMES, "tokens": NAMES,
+               "negative": st.sampled_from(["none", "founded"]) | JUNK}
+
+
+def _file(good: dict):
+    """A file's content, as often as not the good one with any of its keys
+    drawn anew, else junk (a mapping that lacks the keys among it)."""
+    edits = st.fixed_dictionaries({}, optional={key: FILE_VALUES[key] for key in good})
+    edited = st.builds(lambda edit: {**good, **edit}, edits)
+    # Not `edited | JUNK`, which would draw from JUNK's branches seven times
+    # in eight.
+    return st.sampled_from([edited, JUNK]).flatmap(lambda strategy: strategy)
+
+
+FILES = st.sampled_from(["tagging", "relation"]).flatmap(lambda task: st.tuples(
+    st.just(task), _file(EVAL_FILES[task][0]), _file(EVAL_FILES[task][1])))
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(FILES)
+def test_schema_and_vocab_files_run_or_exit_cleanly(file_dir, files):
+    """evaluate and inject-noise over any schema and vocabulary file either
+    run or end in an exit code with an `error:` line, never a traceback."""
+    task, schema, vocab = files
+    evaluate = write_eval_files(file_dir, task, schema=schema, vocab=vocab)
+    for args in (evaluate, inject_noise_args(file_dir, task)):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args, result.output)
+        assert result.exit_code == 0 or "error:" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, result.exception)
