@@ -86,7 +86,8 @@ def audit_labels(config_path):
               help="Destination CSV (default: <run_dir>/curves.csv).")
 @_guarded
 def export_curves(run_dir, out_path):
-    """Bundle a run's epoch logs into one long-format CSV."""
+    """Bundle the epoch logs a run's config.yaml names into one long-format
+    CSV."""
     target = experiment.export_curves(run_dir, out_path)
     click.echo(f"curves: {target}")
 

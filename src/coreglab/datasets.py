@@ -67,12 +67,15 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_json(path, what: str, build):
-    """``build`` applied to a JSON file's value; a file that does not parse,
-    or a value that ``build`` refuses, is a DataError naming the file."""
+def read_json(path, what: str, build):
+    """``build`` applied to a JSON file's object; a file that does not parse,
+    is not an object, or that ``build`` refuses is a DataError naming it."""
     with _open_data(path) as fh:
         try:
-            return build(json.load(fh))
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise TypeError("the file must be a JSON object")
+            return build(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad {what}: {exc}") from exc
 
@@ -175,6 +178,8 @@ class RelationSchema:
     def __post_init__(self):
         if len(set(self.relations)) != len(self.relations):
             raise ValueError("duplicate relation labels")
+        if len(set(self.entity_types)) != len(self.entity_types):
+            raise ValueError("duplicate entity types")
         if self.negative not in self.relations:
             raise ValueError("negative label must be one of the relations")
         object.__setattr__(self, "_index",
@@ -191,7 +196,7 @@ class RelationSchema:
 
     @classmethod
     def load(cls, path) -> "RelationSchema":
-        return _load_json(path, "relation schema", lambda raw: cls(
+        return read_json(path, "relation schema", lambda raw: cls(
             check("relations", raw["relations"], _NAMES), raw["negative"],
             check("entity_types", raw["entity_types"], _NAMES)))
 
@@ -212,11 +217,11 @@ def load_vocab(path) -> mdl.Vocab:
             raise TypeError("tokens must be a list of strings")
         return mdl.Vocab(raw["tokens"])
 
-    return _load_json(path, "vocabulary file", build)
+    return read_json(path, "vocabulary file", build)
 
 
 def load_tag_scheme(path) -> metrics.TagScheme:
-    return _load_json(path, "tagging schema", lambda raw: metrics.TagScheme(
+    return read_json(path, "tagging schema", lambda raw: metrics.TagScheme(
         check("entity_types", raw["entity_types"], _NAMES)))
 
 
@@ -286,9 +291,10 @@ def _record_id(rec: dict, seen: set, where: str) -> int:
     return uid
 
 
-def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
-    """Parse line-delimited relation records; every error names the line."""
-    instances, seen = [], set()
+def _jsonl_records(path):
+    """(where, record, id) of each non-blank line of a JSONL file, which must
+    hold a JSON object; ``where`` names the line for errors."""
+    seen = set()
     for lineno, raw in _data_lines(path):
         line = raw.strip()
         if not line:
@@ -300,6 +306,13 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
             raise DataError(f"{where}: invalid record: {exc}") from exc
         if not isinstance(rec, dict):
             raise DataError(f"{where}: invalid record: not a JSON object")
+        yield where, rec, _record_id(rec, seen, where)
+
+
+def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
+    """Parse line-delimited relation records; every error names the line."""
+    instances = []
+    for where, rec, uid in _jsonl_records(path):
         missing = [k for k in _RELATION_KEYS if k not in rec]
         if missing:
             raise DataError(f"{where}: missing fields {missing}")
@@ -322,7 +335,7 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
                                         tuple(rec["obj"]), rec["obj_type"], label)
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        inst.uid = _record_id(rec, seen, where)
+        inst.uid = uid
         instances.append(inst)
     return instances
 
@@ -341,24 +354,20 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset; ids, when
     given, are distinct integers, and default to the record's position.
     Keys other than features, label and id are ignored."""
-    feats, labels, ids, seen = [], [], [], set()
-    for lineno, raw in _data_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
+    feats, labels, ids = [], [], []
+    for where, rec, uid in _jsonl_records(path):
         try:
-            rec = json.loads(line)
             feats.append([float(v) for v in rec["features"]])
             label = rec["label"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: invalid record: {exc}") from exc
-        ids.append(_record_id(rec, seen, f"{path}:{lineno}"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{where}: invalid record: {exc}") from exc
+        ids.append(uid)
         if not _is_int(label, 0):
-            raise DataError(f"{path}:{lineno}: label must be a non-negative "
+            raise DataError(f"{where}: label must be a non-negative "
                             f"integer, got {label!r}")
         labels.append(label)
         if len(feats[-1]) != len(feats[0]):
-            raise DataError(f"{path}:{lineno}: inconsistent feature width")
+            raise DataError(f"{where}: inconsistent feature width")
     if not feats:
         return LabeledDataset(np.empty((0, 0)), np.empty(0, np.int64),
                               num_classes or 1)

@@ -10,6 +10,7 @@ Run directory layout:
   seed_<s>/model.npz           selected model at its best checkpoint
   seed_<s>/flips.csv           injected-noise mask (when noise is configured)
   gamma_<g>/seed_<s>/...       noise-analysis runs, one subtree per gamma
+  curves.csv                   the "selected" rows of the logs config.yaml names
 """
 
 import csv
@@ -27,7 +28,7 @@ import yaml
 from . import baselines, datasets, noiselab, trainer
 from . import models as mdl
 from . import rng as rngmod
-from .schema import ConfigError, Key, check, check_block
+from .schema import ConfigError, Key, check_block
 
 OUTPUT_ROOT_ENV = "COREGLAB_OUTPUT_ROOT"
 
@@ -160,17 +161,12 @@ def build_task_data(config: ExperimentConfig) -> TaskData:
     return TaskData(train, dev, test, name, fn, vocab=vocab)
 
 
-def _steps_per_epoch(n: int, batch_size: int) -> int:
-    return max(1, math.ceil(n / batch_size))
-
-
-def _resolved_train_config(config: ExperimentConfig, seed: int,
-                           n_train: int) -> trainer.TrainConfig:
-    tcfg = replace(config.train, master_seed=seed)
-    if tcfg.total_steps == 0:
-        tcfg = replace(tcfg, total_steps=config.epochs
-                       * _steps_per_epoch(n_train, tcfg.batch_size))
-    return tcfg
+def _train_config(config: ExperimentConfig, seed: int, epochs: int,
+                  n_rows: int) -> trainer.TrainConfig:
+    """The configured training of one seed for ``epochs`` passes over n_rows
+    rows, epochs x ceil(n_rows / batch_size) steps: every training's count."""
+    steps = epochs * -(-n_rows // config.train.batch_size)
+    return replace(config.train, master_seed=seed, total_steps=steps)
 
 
 def _write_epoch_log(path, rows) -> None:
@@ -217,13 +213,12 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
                 else baselines.make_relabel_hook(sched))
         return trainer.train(train_set, dev_set, replace(tcfg, gamma=0.0),
                              batch_hook=hook, eval_metric=metric)
-    folds = config.baseline["folds"]
-    n = len(train_set)
-    fold_train = n - math.ceil(n / folds)
-    fold_steps = max(1, config.epochs * _steps_per_epoch(fold_train, tcfg.batch_size))
+    folds, n = config.baseline["folds"], len(train_set)
+    # A fold model trains on the rows outside the largest reserved fold.
     weights = baselines.crossweigh_weights(
         train_set, folds, config.baseline["iterations"],
-        replace(tcfg, total_steps=fold_steps), config.baseline["base_weight"])
+        _train_config(config, tcfg.master_seed, config.epochs, n - -(-n // folds)),
+        config.baseline["base_weight"])
     save_weights(weights.save_csv)
     return baselines.train_plain(train_set, dev_set, tcfg, weights=weights,
                                  eval_metric=metric)
@@ -273,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                 dev_spec = replace(spec,
                                    seed=rngmod.substream_seed(spec.seed, "dev"))
                 dev_set, _ = noiselab.inject_noise(dev_set, dev_spec)
-            tcfg = _resolved_train_config(config, seed, len(train_set))
+            tcfg = _train_config(config, seed, config.epochs, len(train_set))
             result = _run_method(config, tcfg, train_set, dev_set, task,
                                  partial(save, f"{seed_dir}/weights.csv"))
             save(f"{seed_dir}/epoch_log.csv",
@@ -338,10 +333,8 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
         noisy_set = datasets.LabeledDataset(flipped, mask.noisy_labels, pool.num_classes)
         clean_set = datasets.LabeledDataset(flipped, mask.original_labels,
                                             pool.num_classes)
-        union_n = len(train_set) + len(noisy_set)
-        base = replace(config.train, master_seed=seed,
-                       total_steps=analysis["epochs"] * _steps_per_epoch(
-                           union_n, config.train.batch_size))
+        base = _train_config(config, seed, analysis["epochs"],
+                             len(train_set) + len(noisy_set))
         curves = {}  # repr(gamma) -> {epoch: clean-set value}
         for gamma, epoch, value in noiselab.noise_overfit_eval(
                 train_set, noisy_set, clean_set, analysis["gammas"], base,
@@ -354,7 +347,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                 seed_dir / "epoch_log.csv",
                 [("selected", epoch, "clean", task.metric_name, value)
                  for epoch, value in curve.items()])
-    return export_curves(run_dir)
+    return _write_curves(run_dir, config, analysis=True)
 
 
 def run_audit(config: ExperimentConfig):
@@ -371,7 +364,7 @@ def run_audit(config: ExperimentConfig):
         train_set, mask = noiselab.inject_noise(train_set, spec)
         mask.save_csv(run_dir / "flips.csv")
     # Only the final ensemble is read, so there is no dev scoring to select by.
-    tcfg = replace(_resolved_train_config(config, seed, len(train_set)),
+    tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
                    selection_policy="first")
     result = trainer.train(train_set, None, tcfg)
     rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
@@ -385,57 +378,58 @@ def run_audit(config: ExperimentConfig):
     return report_path, score
 
 
-def _directory_number(log: Path, directory: Path, kind):
-    """The number after the underscore of a seed_<s> or gamma_<g> name."""
-    try:
-        return kind(directory.name.split("_", 1)[1])
-    except ValueError as exc:
-        raise datasets.DataError(f"{log}: bad directory name {directory.name!r}: "
-                                 f"{exc}") from exc
+def _write_curves(run: Path, config: ExperimentConfig, analysis: bool,
+                  out_path=None) -> Path:
+    """One long-format CSV of the "selected" rows of the epoch logs the
+    config names: seed_<s>/epoch_log.csv per configured seed, at the train
+    block's gamma, or for a noise analysis gamma_<g>/seed_<s>/epoch_log.csv
+    per distinct configured gamma. Per-model curves stay in the logs."""
+    gammas = sorted(set(config.analysis["gammas"])) if analysis else [config.train.gamma]
+    out_rows = []
+    for gamma in gammas:
+        for seed in sorted(config.seeds):
+            tree = run / f"gamma_{gamma!r}" if analysis else run
+            log = tree / f"seed_{seed}" / "epoch_log.csv"
+            try:
+                with open(log, newline="") as fh:
+                    rows = list(csv.reader(fh))
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                raise datasets.DataError(f"{log}: cannot read: {exc}") from exc
+            header = rows[0] if rows else None
+            if header != EPOCH_LOG_HEADER:
+                raise datasets.DataError(f"{log}: unexpected header {header!r}")
+            for lineno, row in enumerate(rows[1:], start=2):
+                if len(row) != len(EPOCH_LOG_HEADER):
+                    raise datasets.DataError(
+                        f"{log}:{lineno}: expected 5 fields, got {len(row)}")
+                model, epoch, split, metric, value = row
+                if model == "selected":
+                    out_rows.append((config.method, repr(gamma), seed, epoch, split,
+                                     metric, value))
+    target = Path(out_path) if out_path is not None else run / "curves.csv"
+    datasets.write_csv(target, CURVES_HEADER, out_rows)
+    return target
 
 
 def export_curves(run_dir, out_path=None) -> Path:
-    """Assemble every epoch log under a run directory into one long-format
-    CSV: method,gamma,seed,epoch,split,metric,value. Only the "selected"
-    rows are exported; per-model curves stay in the per-seed logs."""
+    """A run directory's curves.csv through its config.yaml: a noise
+    analysis's when each configured gamma has its gamma_<g> subtree, else a
+    training's. An invalid snapshot or a failed run is a DataError."""
     run = Path(run_dir)
     snapshot = run / "config.yaml"
     if not snapshot.exists():
         raise datasets.DataError(f"{run}: missing config snapshot")
     try:
-        raw = yaml.safe_load(snapshot.read_text()) or {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a mapping")
-        base_gamma = check("train", raw.get("train", {}), TOP_KEYS["train"])["gamma"]
-    except (yaml.YAMLError, ValueError) as exc:
+        config = load_config(snapshot)
+    except ConfigError as exc:
         raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
-    method = raw.get("method", TOP_KEYS["method"].default)
-    logs = []
-    for log in run.glob("seed_*/epoch_log.csv"):
-        logs.append((base_gamma, _directory_number(log, log.parent, int), log))
-    for log in run.glob("gamma_*/seed_*/epoch_log.csv"):
-        logs.append((_directory_number(log, log.parent.parent, float),
-                     _directory_number(log, log.parent, int), log))
-    if not logs:
-        raise datasets.DataError(f"{run}: no epoch logs found")
-    logs.sort(key=lambda item: (item[0], item[1]))
-    out_rows = []
-    for gamma, seed, log in logs:
-        try:
-            with open(log, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise datasets.DataError(f"{log}: cannot read: {exc}") from exc
-        header = rows[0] if rows else None
-        if header != EPOCH_LOG_HEADER:
-            raise datasets.DataError(f"{log}: unexpected header {header!r}")
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != len(EPOCH_LOG_HEADER):
-                raise datasets.DataError(
-                    f"{log}:{lineno}: expected 5 fields, got {len(row)}")
-            model, epoch, split, metric, value = row
-            if model == "selected":
-                out_rows.append((method, repr(gamma), seed, epoch, split, metric, value))
-    target = Path(out_path) if out_path is not None else run / "curves.csv"
-    datasets.write_csv(target, CURVES_HEADER, out_rows)
-    return target
+    manifest = run / "manifest.json"
+    if manifest.exists():
+        failure = datasets.read_json(manifest, "run manifest",
+                                     lambda raw: raw.get("failure"))
+        if failure is not None:
+            raise datasets.DataError(f"{manifest}: the run failed, so it has no "
+                                     f"curves: {failure}")
+    analysis = all((run / f"gamma_{gamma!r}").is_dir()
+                   for gamma in config.analysis["gammas"])
+    return _write_curves(run, config, analysis, out_path)

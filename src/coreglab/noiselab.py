@@ -5,7 +5,6 @@ statistics, and suspect-label reports.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,12 +121,6 @@ def inject_noise(dataset, spec: NoiseSpec):
     count = math.floor(spec.rate * n)
     rng = np.random.default_rng(spec.seed)
     labels = dataset.labels.copy()
-    if count == 0:
-        if spec.rate > 0.0:
-            warnings.warn("noise rate too small to flip any instance")
-        mask = FlipMask(np.empty(0, np.int64), np.empty(0, np.int64),
-                        np.empty(0, np.int64), n)
-        return dataset.with_labels(labels), mask
     chosen = np.sort(rng.choice(n, size=count, replace=False))
     originals = labels[chosen].copy()
     if spec.scheme == "uniform_flip":

@@ -21,13 +21,13 @@ from .schema import Key, check
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 
 # The config's train block: one key per TrainConfig field but master_seed,
-# which each run seed sets. The widest hidden layer, 4096, is the
+# which each run seed sets, and total_steps, which the run derives from its
+# epochs. The widest hidden layer, 4096, is the
 # feed-forward width of BERT-large, far above what a NumPy MLP at desk scale
 # needs: a wider entry is a typo, and one of 10**38 units would fail only
 # when drawn.
 TRAIN_KEYS = {
     "num_models": Key(int, 2, least=1),
-    "total_steps": Key(int, 0, least=0),
     "warmup_pct": Key(float, 30.0, least=0, most=100),
     "gamma": Key(float, 1.0, least=0),
     "batch_size": Key(int, 64, least=1),
@@ -38,6 +38,8 @@ TRAIN_KEYS = {
     "hidden_sizes": Key([int], (32,), least=1, most=4096),
     "dropout": DROPOUT,
 }
+# The engine's step count, a library field only.
+TOTAL_STEPS = Key(int, 0, least=0)
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,7 +56,7 @@ class TrainConfig:
     """
 
     num_models: int = TRAIN_KEYS["num_models"].default
-    total_steps: int = TRAIN_KEYS["total_steps"].default
+    total_steps: int = TOTAL_STEPS.default
     warmup_pct: float = TRAIN_KEYS["warmup_pct"].default
     gamma: float = TRAIN_KEYS["gamma"].default
     batch_size: int = TRAIN_KEYS["batch_size"].default
@@ -67,8 +69,8 @@ class TrainConfig:
     dropout: float = TRAIN_KEYS["dropout"].default
 
     def validate(self) -> None:
-        """Check every field against TRAIN_KEYS; a ConfigError names it."""
-        for name, key in TRAIN_KEYS.items():
+        """Check every field against its Key; a ConfigError names it."""
+        for name, key in {**TRAIN_KEYS, "total_steps": TOTAL_STEPS}.items():
             check(name, getattr(self, name), key)
 
 

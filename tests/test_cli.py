@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -135,8 +136,8 @@ FILE_PATHS = {f"{split}_path": "x" for split in ("train", "dev", "test", "schema
                  "train.batch_size", id="batch_size_fraction"),
     pytest.param({"train": {"num_models": 2.5}},
                  "train.num_models", id="num_models_fraction"),
-    pytest.param({"train": {"num_models": 2, "total_steps": 2.5}},
-                 "train.total_steps", id="total_steps_fraction"),
+    pytest.param({"train": {"num_models": 2, "total_steps": 10}},
+                 "unknown train keys: total_steps", id="total_steps_unknown"),
     pytest.param({"baseline": {"delta_max": 150}},
                  "baseline.delta_max", id="delta_max_above_100"),
     pytest.param({"baseline": {"base_weight": 0}},
@@ -293,6 +294,8 @@ BAD_RECORDS = {
     ("synthetic", "id_fractional"): {**FEATURE_RECORD, "id": 1.5},
     # The first record has no id, so it takes its position, 0.
     ("synthetic", "id_duplicate"): {**FEATURE_RECORD, "id": 0},
+    ("synthetic", "not_an_object"): [1, 2],
+    ("synthetic", "number"): 5,
 }
 
 
@@ -320,6 +323,8 @@ def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
         assert_clean_exit(result, 2)
         if bad_record is not None:
             assert f"{source}:2:" in result.stderr
+        if broken in ("not_an_object", "number"):
+            assert f"{source}:2: invalid record: not a JSON object" in result.stderr
         return
     schema, records = TASK_FILES[task]
     schema_path = tmp_path / "schema.json"
@@ -530,6 +535,24 @@ def test_inject_noise_synthetic(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "original_label", "noisy_label"]
     assert len(rows) == 7
+
+
+def test_inject_noise_flipping_nothing_prints_no_warning(runner, tmp_path):
+    """A rate that floors to no row is reported as 0 flips and a header-only
+    mask, with nothing on stderr."""
+    source = tmp_path / "train.jsonl"
+    source.write_text("".join(json.dumps({"features": [0.0], "label": i % 2}) + "\n"
+                              for i in range(10)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["inject-noise", "--input", str(source),
+                                      "--output", str(tmp_path / "noisy.jsonl"),
+                                      "--rate", "0.05"])
+    assert result.exit_code == 0, result.output
+    assert "flipped 0 of 10 labels" in result.stdout
+    assert result.stderr == ""
+    mask = tmp_path / "noisy.jsonl.flips.csv"
+    assert mask.read_text() == "id,original_label,noisy_label\n"
 
 
 @pytest.mark.parametrize("option", ["--num-classes", "--num-features"])
@@ -772,12 +795,17 @@ def test_evaluate_schema_class_count_mismatch_exits_2(runner, tmp_path, task, sc
     ("relation", "schema", {"relations": "ab", "negative": "a",
                             "entity_types": ["PER", "ORG"]}),
     ("tagging", "vocab", {"tokens": "abc"}),
+    ("tagging", "schema", []),
+    ("relation", "schema", 1.5),
+    ("tagging", "vocab", ["a", "b"]),
+    ("relation", "schema", {"relations": ["none", "founded"], "negative": "none",
+                            "entity_types": ["PER", "PER"]}),
 ])
 def test_schema_or_vocab_string_for_a_list_exits_2(runner, tmp_path, task, name,
                                                     content):
     """A string is not read as a list of its characters, nor a name twice
-    as two classes: the file is refused by name, under both commands that
-    read it."""
+    as two classes, nor a file that is not a JSON object as one: the file is
+    refused by name, under both commands that read it."""
     commands = [write_eval_files(tmp_path, task, **{name: content})]
     if name == "schema":
         commands.append(inject_noise_args(tmp_path, task))
@@ -785,6 +813,8 @@ def test_schema_or_vocab_string_for_a_list_exits_2(runner, tmp_path, task, name,
         result = runner.invoke(main, args)
         assert_clean_exit(result, 2)
         assert f"error: {tmp_path / f'{name}.json'}: bad " in result.stderr
+        if not isinstance(content, dict):
+            assert "the file must be a JSON object" in result.stderr
 
 
 def test_tagging_pipeline_roundtrip(runner, tmp_path):
@@ -906,13 +936,32 @@ def test_export_curves_empty_dir_exits_2(runner, tmp_path):
 
 
 def test_export_curves_malformed_log_exits_2(runner, tmp_path):
-    (tmp_path / "config.yaml").write_text("method: coreg\n")
-    (tmp_path / "seed_x").mkdir()
-    log = tmp_path / "seed_x" / "epoch_log.csv"
-    log.write_text("model,epoch,split,metric,value\n")
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, seeds=[1], output_dir=str(tmp_path))
+    (tmp_path / "seed_1").mkdir()
+    log = tmp_path / "seed_1" / "epoch_log.csv"
+    log.write_text("model,epoch,split\n")
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert_clean_exit(result, 2)
     assert str(log) in result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_export_curves_refuses_a_failed_run_exits_2(runner, tmp_path):
+    """A diverging rerun leaves the earlier run's seed_1 log and metrics.csv
+    behind; its manifest records the failure, and no curves are exported
+    under its snapshot."""
+    config_path = tmp_path / "config.yaml"
+    train = {"num_models": 2, "batch_size": 20, "hidden_sizes": [4], "dropout": 0.0}
+    write_config(config_path, seeds=[1], train=train)
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    write_config(config_path, seeds=[1], train={**train, "base_lr": 1e200})
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 3
+    assert (tmp_path / "run" / "seed_1" / "epoch_log.csv").exists()
+    result = runner.invoke(main, ["export-curves", str(tmp_path / "run")])
+    assert_clean_exit(result, 2)
+    assert f"error: {tmp_path / 'run' / 'manifest.json'}: the run failed" in result.stderr
+    assert not (tmp_path / "run" / "curves.csv").exists()
 
 
 def test_export_curves_out_directory_exits_2(runner, tmp_path):

@@ -127,6 +127,8 @@ def test_relation_schema():
         RelationSchema(("a", "a"), "a", ())
     with pytest.raises(ValueError):
         RelationSchema(("a", "b"), "c", ())
+    with pytest.raises(ValueError, match="duplicate entity types"):
+        RelationSchema(("a", "b"), "a", ("PER", "ORG", "PER"))
 
 
 def test_relation_schema_round_trip(tmp_path):
@@ -200,6 +202,11 @@ RELATION_SCHEMA = {"relations": ["none", "founded"], "negative": "none",
     (load_vocab, {"tokens": "abc"}, "tokens must be a list of strings"),
     (load_vocab, {"tokens": ["a", 1]}, "tokens must be a list of strings"),
     (load_vocab, ["a", "b"], "bad vocabulary file"),
+    (RelationSchema.load, {**RELATION_SCHEMA, "entity_types": ["PER", "PER"]},
+     "duplicate entity types"),
+    (load_tag_scheme, [], "bad tagging schema: the file must be a JSON object"),
+    (RelationSchema.load, 1.5, "bad relation schema: the file must be a JSON object"),
+    (load_vocab, "abc", "bad vocabulary file: the file must be a JSON object"),
 ])
 def test_schema_and_vocab_files_refuse_what_is_not_a_list(tmp_path, load, content,
                                                            message):
@@ -391,9 +398,11 @@ def test_read_relation_jsonl_errors(tmp_path):
         (json.dumps({**_founder_record(), "subj_type": "GPE"}),
          "unknown entity type"),
     ]
+    # The first record's id is one the second neither has nor takes by
+    # position, so each second line fails for its own reason.
     for i, (line, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.jsonl"
-        path.write_text(json.dumps(_founder_record()) + "\n" + line + "\n")
+        path.write_text(json.dumps({**_founder_record(), "id": 5}) + "\n" + line + "\n")
         with pytest.raises(DataError, match=f"bad{i}\\.jsonl:2"):
             read_relation_jsonl(path, schema)
         with pytest.raises(DataError, match=message):

@@ -80,7 +80,7 @@ def test_from_mapping_errors(tmp_path):
         ({**good, "train": {"hidden_sizes": [2.5]}}, "train.hidden_sizes"),
         ({**good, "train": {"batch_size": 2.5}}, "train.batch_size"),
         ({**good, "train": {"num_models": 2.5}}, "train.num_models"),
-        ({**good, "train": {"total_steps": 2.5}}, "train.total_steps"),
+        ({**good, "train": {"total_steps": 10}}, "unknown train keys: total_steps"),
         ({**good, "train": {"gamma": "x"}}, "train.gamma"),
         ({**good, "epochs": 2.5}, "epochs"),
         ({**good, "baseline": {"delta_max": 150}}, "delta_max"),
@@ -459,38 +459,78 @@ GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\nselected,0,dev,accuracy,0.5\n"
 
 
 def test_export_curves_errors(tmp_path):
+    """A run directory without a valid config snapshot, or with a configured
+    epoch log that is missing or malformed, is a DataError naming the file.
+    Directory names play no part: a seed_x beside the configured logs is
+    not read."""
     with pytest.raises(DataError, match="config snapshot"):
         export_curves(tmp_path)
-    (tmp_path / "config.yaml").write_text("method: coreg\n")
-    with pytest.raises(DataError, match="no epoch logs"):
-        export_curves(tmp_path)
-    bad = tmp_path / "seed_1"
-    bad.mkdir()
-    (bad / "epoch_log.csv").write_text("a,b\n1,2\n")
-    with pytest.raises(DataError, match="unexpected header"):
-        export_curves(tmp_path)
-    # A malformed run directory: (config snapshot, {log directory: log}, error).
+    snapshot = yaml.safe_dump(tiny_mapping(tmp_path, seeds=[1]))
     cases = [
-        ("method: coreg\n", {"gamma_abc/seed_1": GOOD_LOG}, "gamma_abc"),
-        ("method: coreg\n", {"seed_x": GOOD_LOG}, "seed_x"),
-        ("method: coreg\n", {"seed_1": GOOD_LOG + "selected,1,dev,0.5\n"},
+        ("seeds: [1]\n", {}, r"config\.yaml: bad config snapshot: output_dir is required"),
+        ("method: [coreg\n", {}, r"config\.yaml: bad config snapshot"),
+        ("- coreg\n", {}, r"config\.yaml.*mapping"),
+        (snapshot + "train: null\n", {}, r"config\.yaml.*train"),
+        (snapshot.replace("gamma: 1.0", "gamma: abc"), {}, r"config\.yaml.*train\.gamma"),
+        (snapshot, {}, r"seed_1/epoch_log\.csv: cannot read"),
+        (snapshot, {"seed_1": "a,b\n1,2\n"}, r"seed_1/epoch_log\.csv: unexpected header"),
+        (snapshot, {"seed_1": GOOD_LOG + "selected,1,dev,0.5\n"},
          r"seed_1/epoch_log\.csv:3: expected 5 fields, got 4"),
-        ("method: coreg\n", {"seed_1": b"\xff\xfe"}, r"seed_1/epoch_log\.csv"),
-        ("method: [coreg\n", {"seed_1": GOOD_LOG}, r"config\.yaml"),
-        ("- coreg\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*mapping"),
-        ("train: null\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*train"),
-        ("train: {gamma: abc}\n", {"seed_1": GOOD_LOG}, r"config\.yaml.*train\.gamma"),
+        (snapshot, {"seed_1": b"\xff\xfe"}, r"seed_1/epoch_log\.csv"),
+        (snapshot.replace("seeds:\n- 1", "seeds:\n- 1\n- 2"),
+         {"seed_1": GOOD_LOG, "seed_x": GOOD_LOG}, r"seed_2/epoch_log\.csv"),
     ]
-    for i, (snapshot, logs, message) in enumerate(cases):
+    for i, (config_text, logs, message) in enumerate(cases):
         run = tmp_path / f"malformed{i}"
         run.mkdir()
-        (run / "config.yaml").write_text(snapshot)
+        (run / "config.yaml").write_text(config_text)
         for directory, content in logs.items():
             (run / directory).mkdir(parents=True)
             log = run / directory / "epoch_log.csv"
             log.write_bytes(content if isinstance(content, bytes) else content.encode())
         with pytest.raises(DataError, match=message):
             export_curves(run)
+
+
+def _curve_keys(path) -> list:
+    """The (gamma, seed, epoch) of each curves.csv row."""
+    return [(row[1], row[2], row[3]) for row in read_csv(path)[1:]]
+
+
+def test_export_curves_reads_only_the_configured_seeds(tmp_path):
+    """A rerun with fewer seeds into the same directory leaves the dropped
+    seed's log behind; its curves are not the rerun's."""
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1, 2])))
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1])))
+    assert (tmp_path / "run" / "seed_2" / "epoch_log.csv").exists()
+    assert _curve_keys(export_curves(tmp_path / "run")) == [
+        ("1.0", "1", "0"), ("1.0", "1", "1")]
+
+
+def test_noise_analysis_curves_hold_only_the_configured_gammas(tmp_path):
+    """A rerun over fewer gammas leaves the dropped gamma's subtree behind;
+    neither the rerun nor a later export reads it."""
+    for gammas in ([0, 1, 5], [0, 1]):
+        mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
+            "gammas": gammas, "pool_size": 40, "epochs": 1})
+        curves = run_noise_analysis(ExperimentConfig.from_mapping(mapping))
+    assert (tmp_path / "run" / "gamma_5.0").is_dir()
+    expected = [("0.0", "1", "0"), ("1.0", "1", "0")]
+    assert _curve_keys(curves) == expected
+    text = curves.read_text()
+    assert export_curves(tmp_path / "run").read_text() == text
+
+
+def test_export_curves_of_a_training_after_a_noise_analysis(tmp_path):
+    """A training into a noise analysis's directory, whose config names
+    gammas without subtrees there, exports its own logs alone: the
+    analysis's gamma_1.0 curves do not double the training's gamma 1.0."""
+    mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
+        "gammas": [0, 1], "pool_size": 40, "epochs": 1})
+    run_noise_analysis(ExperimentConfig.from_mapping(mapping))
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1])))
+    curves = export_curves(tmp_path / "run")
+    assert _curve_keys(curves) == [("1.0", "1", "0"), ("1.0", "1", "1")]
 
 
 def test_export_curves_custom_out(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -134,9 +135,12 @@ def test_inject_different_seeds_differ_on_large_sets():
     assert len(set(sets)) == 5
 
 
-def test_inject_tiny_rate_warns():
+def test_inject_tiny_rate_flips_nothing_silently():
+    """A rate that floors to no row flips none and warns of nothing: the
+    empty mask is the record of it."""
     data = tiny_dataset(n=10)
-    with pytest.warns(UserWarning, match="too small"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         noisy, mask = inject_noise(data, NoiseSpec(0.05, seed=8))
     assert len(mask) == 0
     np.testing.assert_array_equal(noisy.labels, data.labels)

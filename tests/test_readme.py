@@ -9,6 +9,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from coreglab.cli import main
+from coreglab.trainer import TRAIN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,3 +49,22 @@ def test_readme_quick_start(tmp_path, monkeypatch):
         row = next(r for r in csv.DictReader(fh)
                    if r["seed"] == "1" and r["split"] == "test")
     assert outputs[3] == f"{row['metric']}: {row['value']}\n"
+
+
+def _shown(default) -> str:
+    """A default as the README's tables write it."""
+    if isinstance(default, bool):
+        return str(default).lower()
+    if isinstance(default, str):
+        return f"`{default}`"
+    return str(list(default)) if isinstance(default, tuple) else repr(default)
+
+
+def test_readme_train_table_lists_the_train_keys():
+    """The config reference's `train` table has one row per trainer.TRAIN_KEYS
+    key, in the table's order, with the key's default."""
+    text = README.read_text()
+    section = text[text.index("`train` (all optional"):]
+    table = section[:section.index("\n\n", section.index("| key |"))]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.M)
+    assert rows == [(name, _shown(key.default)) for name, key in TRAIN_KEYS.items()]
