@@ -1,8 +1,9 @@
-"""Experiment plumbing: structured run configs, the per-seed experiment
-runner with CSV/manifest emission, the noise-analysis protocol driver, the
-label audit, and the long-format curve exporter.
+"""Experiment plumbing: structured run configs, the one run-directory
+lifecycle, the per-seed experiment runner, the noise-analysis protocol
+driver, the label audit, and the long-format curve exporter.
 
-Run directory layout:
+Run directory layout (every run command writes config.yaml and
+manifest.json; a rerun first removes the files the last manifest lists):
   config.yaml                  canonical config snapshot (hashed in manifest)
   manifest.json                config hash, metric rows, wall clock, artifacts
   metrics.csv                  final metric per seed per split + median rows
@@ -10,6 +11,7 @@ Run directory layout:
   seed_<s>/model.npz           selected model at its best checkpoint
   seed_<s>/flips.csv           injected-noise mask (when noise is configured)
   gamma_<g>/seed_<s>/...       noise-analysis runs, one subtree per gamma
+  audit.csv, flips.csv         label audit; its AUROC is a train/auroc metric row
   curves.csv                   the "selected" rows of the logs config.yaml names
 """
 
@@ -18,6 +20,7 @@ import hashlib
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -28,7 +31,7 @@ import yaml
 from . import baselines, datasets, noiselab, trainer
 from . import models as mdl
 from . import rng as rngmod
-from .schema import ConfigError, Key, check_block
+from .schema import ConfigError, Key, check, check_block
 
 OUTPUT_ROOT_ENV = "COREGLAB_OUTPUT_ROOT"
 
@@ -169,32 +172,16 @@ def _train_config(config: ExperimentConfig, seed: int, epochs: int,
     return replace(config.train, master_seed=seed, total_steps=steps)
 
 
-def _write_epoch_log(path, rows) -> None:
-    formatted = [(model, epoch, split, metric, repr(value))
-                 for model, epoch, split, metric, value in rows]
-    datasets.write_csv(path, EPOCH_LOG_HEADER, formatted)
-
-
 def _dev_rows(result: trainer.TrainResult, metric_name: str) -> list[tuple]:
     """Epoch-log rows of a training's dev scores: per epoch one row per
     model, then a "selected" row with the selection policy's pick."""
     rows = []
     for epoch, values in enumerate(result.dev_scores.tolist()):
-        rows += [(str(k), epoch, "dev", metric_name, v) for k, v in enumerate(values)]
+        rows += [(str(k), epoch, "dev", metric_name, repr(v)) for k, v in enumerate(values)]
         chosen = trainer.select_index(values, result.config.selection_policy,
                                       len(values))
-        rows.append(("selected", epoch, "dev", metric_name, values[chosen]))
+        rows.append(("selected", epoch, "dev", metric_name, repr(values[chosen])))
     return rows
-
-
-def _open_run(config: ExperimentConfig) -> tuple[Path, str]:
-    """Create the run directory and snapshot the config into it; returns the
-    directory and the snapshot's SHA-256."""
-    run_dir = resolve_output_dir(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    text = yaml.safe_dump(config.raw, sort_keys=True)
-    (run_dir / "config.yaml").write_text(text)
-    return run_dir, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
@@ -232,31 +219,78 @@ class RunManifest:
     artifacts: list
     failure: str | None = None
 
-    def save(self, path) -> None:
-        datasets.write_json(path, {**asdict(self), "artifacts": sorted(self.artifacts)})
+
+def _read_manifest(run: Path) -> dict:
+    """A run directory's manifest.json, or {} when it has none; one that does
+    not parse or has no artifact list is a DataError naming it."""
+    path = run / "manifest.json"
+    if not path.exists():
+        return {}
+    return datasets.read_json(path, "run manifest", lambda raw: {
+        **raw, "artifacts": check("artifacts", raw.get("artifacts"), Key([str]))})
+
+
+def _remove_listed(run_dir: Path) -> None:
+    """Remove each file the directory's manifest.json lists, then each
+    directory that leaves empty. Only a listed path that resolves to a file
+    inside run_dir and is not itself a symlink is removed, so nothing outside
+    the directory and no unlisted file is touched."""
+    root = run_dir.resolve()
+    for name in _read_manifest(run_dir).get("artifacts", ()):
+        listed = run_dir / name
+        path = listed.resolve()
+        if path.is_relative_to(root) and path.is_file() and not listed.is_symlink():
+            path.unlink()
+            for parent in path.parents:
+                if parent == root or any(parent.iterdir()):
+                    break
+                parent.rmdir()
+
+
+@contextmanager
+def _run(config: ExperimentConfig):
+    """The one owner of a run directory: it removes what the previous run
+    listed, snapshots the config, and yields the manifest and ``save(name,
+    write)``, which writes run_dir/name through ``write(path)``, lists it and
+    returns its path. On exit it writes manifest.json, with any failure."""
+    started = time.monotonic()
+    run_dir = resolve_output_dir(config.output_dir)
+    _remove_listed(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    text = yaml.safe_dump(config.raw, sort_keys=True)
+    (run_dir / "config.yaml").write_text(text)
+    manifest = RunManifest(hashlib.sha256(text.encode()).hexdigest(), [], 0.0,
+                           ["config.yaml"])
+
+    def save(name: str, write) -> Path:
+        path = run_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        manifest.artifacts.append(name)
+        return path
+
+    try:
+        yield manifest, save
+        manifest.artifacts.append("manifest.json")
+    except BaseException as exc:
+        manifest.failure = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        manifest.wall_clock_sec = time.monotonic() - started
+        datasets.write_json(run_dir / "manifest.json", {
+            **asdict(manifest), "artifacts": sorted(manifest.artifacts)})
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Per seed: build data, optionally inject noise, train the configured
     method, log per-epoch metrics, and score the selected model on dev and
     test; finally write metrics.csv (with median rows) and the manifest."""
-    started = time.monotonic()
-    run_dir, config_hash = _open_run(config)
-    manifest = RunManifest(config_hash, [], 0.0, ["config.yaml"])
-
-    def save(name: str, write) -> None:
-        """Write the artifact run_dir/name through ``write(path)`` and list it."""
-        write(run_dir / name)
-        manifest.artifacts.append(name)
-
-    try:
+    with _run(config) as (manifest, save):
         task = build_task_data(config)
         if task.vocab is not None:
             save("vocab.json", partial(datasets.save_vocab, task.vocab))
-        per_split: dict[str, list[float]] = {"dev": [], "test": []}
         for seed in config.seeds:
             seed_dir = f"seed_{seed}"
-            (run_dir / seed_dir).mkdir(parents=True, exist_ok=True)
             train_set = task.train
             dev_set = task.dev
             spec = config.noise.get(seed)
@@ -271,35 +305,25 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             tcfg = _train_config(config, seed, config.epochs, len(train_set))
             result = _run_method(config, tcfg, train_set, dev_set, task,
                                  partial(save, f"{seed_dir}/weights.csv"))
-            save(f"{seed_dir}/epoch_log.csv",
-                 partial(_write_epoch_log, rows=_dev_rows(result, task.metric_name)))
+            save(f"{seed_dir}/epoch_log.csv", partial(
+                datasets.write_csv, header=EPOCH_LOG_HEADER,
+                rows=_dev_rows(result, task.metric_name)))
             model = result.selected_model()
             save(f"{seed_dir}/model.npz", partial(mdl.save_model, model))
             for split, split_set in (("dev", dev_set), ("test", task.test)):
                 value = float(task.metric_fn(split_set,
                                              mdl.predict(model, split_set.features)))
-                per_split[split].append(value)
                 manifest.metric_rows.append(
                     {"seed": seed, "split": split, "metric": task.metric_name,
                      "value": value})
-        csv_rows = [(row["seed"], row["split"], row["metric"], repr(row["value"]))
-                    for row in manifest.metric_rows]
-        for split in ("dev", "test"):
-            median = float(np.median(per_split[split]))
-            manifest.metric_rows.append(
-                {"seed": "median", "split": split, "metric": task.metric_name,
-                 "value": median})
-            csv_rows.append(("median", split, task.metric_name, repr(median)))
-        save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER,
-                                    rows=csv_rows))
-    except Exception as exc:
-        manifest.failure = f"{type(exc).__name__}: {exc}"
-        manifest.wall_clock_sec = time.monotonic() - started
-        manifest.save(run_dir / "manifest.json")
-        raise
-    manifest.wall_clock_sec = time.monotonic() - started
-    manifest.artifacts.append("manifest.json")
-    manifest.save(run_dir / "manifest.json")
+        manifest.metric_rows += [
+            {"seed": "median", "split": split, "metric": task.metric_name,
+             "value": float(np.median([row["value"] for row in manifest.metric_rows
+                                       if row["split"] == split]))}
+            for split in ("dev", "test")]
+        save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER, rows=[
+            (row["seed"], row["split"], row["metric"], repr(row["value"]))
+            for row in manifest.metric_rows]))
     return manifest
 
 
@@ -307,7 +331,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     """Noise-overfit protocol over a gamma grid: per seed, flip a pool's
     labels, train on train + the flipped rows with their noisy labels for
     each gamma, and log the metric on the same rows with their original
-    labels per epoch. Emits curves.csv in the long format."""
+    labels per epoch; then export its curves.csv."""
     if config.task != "synthetic":
         raise ConfigError("analyze-noise supports the synthetic task")
     analysis = config.analysis
@@ -315,75 +339,87 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     if math.floor(analysis["pool_noise_rate"] * analysis["pool_size"]) < 1:
         raise ConfigError("analysis.pool_noise_rate x analysis.pool_size flips no "
                           "pool row, so the clean set would be empty")
-    run_dir, _ = _open_run(config)
-    task = build_task_data(config)
-    # The pool is a second draw of the same mixture, on the next data seed.
-    pool, _, _ = datasets.mixture_splits(**{
-        **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
-        "test_size": 0, "data_seed": config.data["data_seed"] + 1})
-    for seed in config.seeds:
-        train_set = task.train
-        spec = config.noise.get(seed)
-        if spec is not None:
-            train_set, _ = noiselab.inject_noise(train_set, spec)
-        pool_spec = noiselab.NoiseSpec(
-            rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise"))
-        _, mask = noiselab.inject_noise(pool, pool_spec)
-        flipped = pool.features[mask.indices]
-        noisy_set = datasets.LabeledDataset(flipped, mask.noisy_labels, pool.num_classes)
-        clean_set = datasets.LabeledDataset(flipped, mask.original_labels,
-                                            pool.num_classes)
-        base = _train_config(config, seed, analysis["epochs"],
-                             len(train_set) + len(noisy_set))
-        curves = {}  # repr(gamma) -> {epoch: clean-set value}
-        for gamma, epoch, value in noiselab.noise_overfit_eval(
-                train_set, noisy_set, clean_set, analysis["gammas"], base,
-                eval_metric=task.metric_fn):
-            curves.setdefault(repr(gamma), {})[epoch] = value
-        for gamma, curve in curves.items():
-            seed_dir = run_dir / f"gamma_{gamma}" / f"seed_{seed}"
-            seed_dir.mkdir(parents=True, exist_ok=True)
-            _write_epoch_log(
-                seed_dir / "epoch_log.csv",
-                [("selected", epoch, "clean", task.metric_name, value)
-                 for epoch, value in curve.items()])
-    return _write_curves(run_dir, config, analysis=True)
+    with _run(config) as (_, save):
+        task = build_task_data(config)
+        # The pool is a second draw of the same mixture, on the next data seed.
+        pool, _, _ = datasets.mixture_splits(**{
+            **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
+            "test_size": 0, "data_seed": config.data["data_seed"] + 1})
+        for seed in config.seeds:
+            train_set = task.train
+            spec = config.noise.get(seed)
+            if spec is not None:
+                train_set, _ = noiselab.inject_noise(train_set, spec)
+            _, mask = noiselab.inject_noise(pool, noiselab.NoiseSpec(
+                rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise")))
+            noisy_set, clean_set = (
+                datasets.LabeledDataset(pool.features[mask.indices], labels, pool.num_classes)
+                for labels in (mask.noisy_labels, mask.original_labels))
+            base = _train_config(config, seed, analysis["epochs"],
+                                 len(train_set) + len(noisy_set))
+            rows = noiselab.noise_overfit_eval(train_set, noisy_set, clean_set,
+                                               analysis["gammas"], base,
+                                               eval_metric=task.metric_fn)
+            for gamma in dict.fromkeys(gamma for gamma, _, _ in rows):
+                curve = [("selected", epoch, "clean", task.metric_name, repr(value))
+                         for g, epoch, value in rows if g == gamma]
+                save(f"gamma_{gamma!r}/seed_{seed}/epoch_log.csv", partial(
+                    datasets.write_csv, header=EPOCH_LOG_HEADER, rows=curve))
+    return export_curves(resolve_output_dir(config.output_dir))
 
 
 def run_audit(config: ExperimentConfig):
     """Train on the (noise-injected) training set with the first seed, rank
     instances by the suspect-label report, and score how well the ranking
-    recovers the injected flips. Returns (report path, AUROC or None)."""
-    run_dir, _ = _open_run(config)
-    task = build_task_data(config)
-    seed = config.seeds[0]
-    train_set = task.train
-    mask = None
-    spec = config.noise.get(seed)
-    if spec is not None:
-        train_set, mask = noiselab.inject_noise(train_set, spec)
-        mask.save_csv(run_dir / "flips.csv")
-    # Only the final ensemble is read, so there is no dev scoring to select by.
-    tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
-                   selection_policy="first")
-    result = trainer.train(train_set, None, tcfg)
-    rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
-    report_path = run_dir / "audit.csv"
-    noiselab.save_suspect_csv(rows, report_path)
-    score = None
-    if mask is not None and 0 < len(mask) < len(train_set):
-        # The mask holds row positions and the report record ids.
-        flipped = np.isin([r.instance_id for r in rows], train_set.ids[mask.indices])
-        score = noiselab.auroc([r.sup_loss for r in rows], flipped)
-    return report_path, score
+    recovers the injected flips as the manifest's train auroc row. Returns
+    (report path, AUROC or None)."""
+    with _run(config) as (manifest, save):
+        task = build_task_data(config)
+        seed = config.seeds[0]
+        train_set = task.train
+        mask = None
+        spec = config.noise.get(seed)
+        if spec is not None:
+            train_set, mask = noiselab.inject_noise(train_set, spec)
+            save("flips.csv", mask.save_csv)
+        # Only the final ensemble is read, so there is no dev scoring to select by.
+        tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
+                       selection_policy="first")
+        result = trainer.train(train_set, None, tcfg)
+        rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
+        report = save("audit.csv", partial(noiselab.save_suspect_csv, rows))
+        score = None
+        if mask is not None and 0 < len(mask) < len(train_set):
+            # The mask holds row positions and the report record ids.
+            flipped = np.isin([r.instance_id for r in rows], train_set.ids[mask.indices])
+            score = noiselab.auroc([r.sup_loss for r in rows], flipped)
+            manifest.metric_rows.append(
+                {"seed": seed, "split": "train", "metric": "auroc", "value": score})
+    return report, score
 
 
-def _write_curves(run: Path, config: ExperimentConfig, analysis: bool,
-                  out_path=None) -> Path:
-    """One long-format CSV of the "selected" rows of the epoch logs the
-    config names: seed_<s>/epoch_log.csv per configured seed, at the train
-    block's gamma, or for a noise analysis gamma_<g>/seed_<s>/epoch_log.csv
-    per distinct configured gamma. Per-model curves stay in the logs."""
+def export_curves(run_dir, out_path=None) -> Path:
+    """One long-format CSV of the "selected" rows of the epoch logs a run's
+    config.yaml names: a noise analysis's gamma_<g>/seed_<s>/epoch_log.csv
+    per distinct configured gamma when each has its subtree, else a
+    training's seed_<s>/epoch_log.csv per configured seed, at the train
+    block's gamma. Per-model curves stay in the logs. The default
+    run_dir/curves.csv joins the run's manifest, so a rerun removes it. An
+    invalid snapshot or manifest, or a failed run, is a DataError."""
+    run = Path(run_dir)
+    snapshot = run / "config.yaml"
+    if not snapshot.exists():
+        raise datasets.DataError(f"{run}: missing config snapshot")
+    try:
+        config = load_config(snapshot)
+    except ConfigError as exc:
+        raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
+    manifest = _read_manifest(run)
+    if manifest.get("failure") is not None:
+        raise datasets.DataError(f"{run / 'manifest.json'}: the run failed, so it "
+                                 f"has no curves: {manifest['failure']}")
+    analysis = all((run / f"gamma_{gamma!r}").is_dir()
+                   for gamma in config.analysis["gammas"])
     gammas = sorted(set(config.analysis["gammas"])) if analysis else [config.train.gamma]
     out_rows = []
     for gamma in gammas:
@@ -402,34 +438,11 @@ def _write_curves(run: Path, config: ExperimentConfig, analysis: bool,
                 if len(row) != len(EPOCH_LOG_HEADER):
                     raise datasets.DataError(
                         f"{log}:{lineno}: expected 5 fields, got {len(row)}")
-                model, epoch, split, metric, value = row
-                if model == "selected":
-                    out_rows.append((config.method, repr(gamma), seed, epoch, split,
-                                     metric, value))
+                if row[0] == "selected":
+                    out_rows.append((config.method, repr(gamma), seed, *row[1:]))
     target = Path(out_path) if out_path is not None else run / "curves.csv"
     datasets.write_csv(target, CURVES_HEADER, out_rows)
+    if out_path is None and manifest and "curves.csv" not in manifest["artifacts"]:
+        datasets.write_json(run / "manifest.json", {
+            **manifest, "artifacts": sorted([*manifest["artifacts"], "curves.csv"])})
     return target
-
-
-def export_curves(run_dir, out_path=None) -> Path:
-    """A run directory's curves.csv through its config.yaml: a noise
-    analysis's when each configured gamma has its gamma_<g> subtree, else a
-    training's. An invalid snapshot or a failed run is a DataError."""
-    run = Path(run_dir)
-    snapshot = run / "config.yaml"
-    if not snapshot.exists():
-        raise datasets.DataError(f"{run}: missing config snapshot")
-    try:
-        config = load_config(snapshot)
-    except ConfigError as exc:
-        raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
-    manifest = run / "manifest.json"
-    if manifest.exists():
-        failure = datasets.read_json(manifest, "run manifest",
-                                     lambda raw: raw.get("failure"))
-        if failure is not None:
-            raise datasets.DataError(f"{manifest}: the run failed, so it has no "
-                                     f"curves: {failure}")
-    analysis = all((run / f"gamma_{gamma!r}").is_dir()
-                   for gamma in config.analysis["gammas"])
-    return _write_curves(run, config, analysis, out_path)

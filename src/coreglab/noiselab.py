@@ -146,9 +146,9 @@ def _feature_keys(dataset) -> set:
 
 def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
                        *, eval_metric=None):
-    """The noise-overfit protocol: for each agreement weight, train on the
-    union of the training set and the noisy set, score the clean set at
-    every epoch, and return (gamma, epoch, value) rows.
+    """The noise-overfit protocol: for each distinct agreement weight, in
+    first-seen order, train on the union of the training and noisy sets and
+    score the clean set at every epoch; returns (gamma, epoch, value) rows.
 
     The clean set is scored as the dev split, and the first model's curve is
     reported, so the gamma grid is comparable point for point.
@@ -159,10 +159,10 @@ def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
         raise ValueError("training set and noisy set overlap")
     union = ds.concat_datasets(train_set, noisy_set)
     rows = []
-    for gamma in gammas:
-        result = trainer.train(union, clean_set, replace(config, gamma=float(gamma)),
+    for gamma in dict.fromkeys(map(float, gammas)):
+        result = trainer.train(union, clean_set, replace(config, gamma=gamma),
                                eval_metric=eval_metric)
-        rows += [(float(gamma), epoch, value)
+        rows += [(gamma, epoch, value)
                  for epoch, value in enumerate(result.dev_scores[:, 0].tolist())]
     return rows
 

@@ -378,29 +378,32 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     data_rng = rngmod.substream(config.master_seed, "data_order")
     n = len(dataset)
 
-    t = 0
-    while t < config.total_steps:
-        order = data_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            if t >= config.total_steps:
-                break
-            idx = order[start:start + config.batch_size]
-            batch_w = None if weights is None else weights[idx]
-            report = train_step(dataset.features[idx], dataset.labels[idx],
-                                ensemble, t, config, weights=batch_w,
-                                batch_hook=batch_hook)
-            result.reports.append(report)
-            t += 1
+    # A diverging run overflows before softmax's finite check raises
+    # TrainingDiverged; that error, not NumPy's warning, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 0
+        while t < config.total_steps:
+            order = data_rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                if t >= config.total_steps:
+                    break
+                idx = order[start:start + config.batch_size]
+                batch_w = None if weights is None else weights[idx]
+                report = train_step(dataset.features[idx], dataset.labels[idx],
+                                    ensemble, t, config, weights=batch_w,
+                                    batch_hook=batch_hook)
+                result.reports.append(report)
+                t += 1
 
-        if dev_set is not None:
-            scores.append([float(metric(dev_set, mdl.predict(model, dev_set.features)))
-                           for model in models])
-            for k, score in enumerate(scores[-1]):
-                if score > best[k]:
-                    best[k] = score
-                    result.best_params[k] = mdl.params_flat(models[k])
-        if track_trajectories:
-            traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
+            if dev_set is not None:
+                scores.append([float(metric(dev_set, mdl.predict(model, dev_set.features)))
+                               for model in models])
+                for k, score in enumerate(scores[-1]):
+                    if score > best[k]:
+                        best[k] = score
+                        result.best_params[k] = mdl.params_flat(models[k])
+            if track_trajectories:
+                traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
 
     if dev_set is not None:
         result.dev_scores = np.array(scores, dtype=np.float64).reshape(-1, len(models))

@@ -419,7 +419,6 @@ def test_empty_eval_split_exits_2(runner, tmp_path, split):
     assert f"{empty_path}: empty {split} split" in result.stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("entity_types, base_lr, code", [
     pytest.param(["PER"], 1e200, 3, id="diverged_after_flips"),
     pytest.param([], 0.01, 1, id="single_class_noise"),
@@ -442,6 +441,7 @@ def test_failed_run_manifest_lists_only_written_files(runner, tmp_path, entity_t
                                   "dropout": 0.0, "base_lr": base_lr})
     result = runner.invoke(main, ["train", str(config_path)])
     assert_clean_exit(result, code)
+    assert "Warning" not in result.stderr
     if code == 1:
         assert "noise needs at least 2 classes" in result.stderr
     run = tmp_path / "run"
@@ -480,7 +480,6 @@ def test_inject_noise_output_directory_exits_2(runner, tmp_path):
     assert str(tmp_path) in result.stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_3(runner, tmp_path):
     config_path = tmp_path / "config.yaml"
     write_config(config_path,
@@ -489,7 +488,7 @@ def test_train_divergence_exits_3(runner, tmp_path):
                         "warmup_pct": 0.0, "base_lr": 1e200})
     result = runner.invoke(main, ["train", str(config_path)])
     assert result.exit_code == 3
-    assert "non-finite" in result.stderr
+    assert result.stderr == "error: non-finite logits at step 1\n"
 
 
 def test_gen_synthetic_writes_jsonl(runner, tmp_path):
@@ -871,6 +870,9 @@ def test_audit_labels_with_noise(runner, tmp_path):
                   if line.startswith("auroc: ")][0]
     assert auroc_line != "auroc: n/a"
     assert 0.0 <= float(auroc_line.split(": ")[1]) <= 1.0
+    manifest = json.loads((tmp_path / "audit" / "manifest.json").read_text())
+    assert manifest["metric_rows"] == [{"seed": 5, "split": "train", "metric": "auroc",
+                                        "value": float(auroc_line.split(": ")[1])}]
 
 
 def test_audit_labels_scores_relation_records_by_row(runner, tmp_path):
@@ -915,6 +917,8 @@ def test_audit_labels_without_noise(runner, tmp_path):
     result = runner.invoke(main, ["audit-labels", str(config_path)])
     assert result.exit_code == 0, result.output
     assert "auroc: n/a" in result.output
+    manifest = json.loads((tmp_path / "audit" / "manifest.json").read_text())
+    assert manifest["metric_rows"] == []
 
 
 def test_export_curves_command(runner, tmp_path):
@@ -946,18 +950,20 @@ def test_export_curves_malformed_log_exits_2(runner, tmp_path):
     assert str(log) in result.stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_export_curves_refuses_a_failed_run_exits_2(runner, tmp_path):
-    """A diverging rerun leaves the earlier run's seed_1 log and metrics.csv
-    behind; its manifest records the failure, and no curves are exported
-    under its snapshot."""
+    """A diverging rerun removes the earlier run's seed_1 log and metrics.csv;
+    its manifest records the failure, and no curves are exported under its
+    snapshot."""
     config_path = tmp_path / "config.yaml"
     train = {"num_models": 2, "batch_size": 20, "hidden_sizes": [4], "dropout": 0.0}
     write_config(config_path, seeds=[1], train=train)
     assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
     write_config(config_path, seeds=[1], train={**train, "base_lr": 1e200})
-    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 3
-    assert (tmp_path / "run" / "seed_1" / "epoch_log.csv").exists()
+    diverged = runner.invoke(main, ["train", str(config_path)])
+    assert diverged.exit_code == 3
+    assert "Warning" not in diverged.stderr
+    assert not (tmp_path / "run" / "seed_1").exists()
+    assert not (tmp_path / "run" / "metrics.csv").exists()
     result = runner.invoke(main, ["export-curves", str(tmp_path / "run")])
     assert_clean_exit(result, 2)
     assert f"error: {tmp_path / 'run' / 'manifest.json'}: the run failed" in result.stderr

@@ -498,23 +498,23 @@ def _curve_keys(path) -> list:
 
 
 def test_export_curves_reads_only_the_configured_seeds(tmp_path):
-    """A rerun with fewer seeds into the same directory leaves the dropped
-    seed's log behind; its curves are not the rerun's."""
+    """A rerun with fewer seeds into the same directory removes the dropped
+    seed's subtree, and the export holds the rerun's curves."""
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1, 2])))
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1])))
-    assert (tmp_path / "run" / "seed_2" / "epoch_log.csv").exists()
+    assert not (tmp_path / "run" / "seed_2").exists()
     assert _curve_keys(export_curves(tmp_path / "run")) == [
         ("1.0", "1", "0"), ("1.0", "1", "1")]
 
 
 def test_noise_analysis_curves_hold_only_the_configured_gammas(tmp_path):
-    """A rerun over fewer gammas leaves the dropped gamma's subtree behind;
-    neither the rerun nor a later export reads it."""
+    """A rerun over fewer gammas removes the dropped gamma's subtree; the
+    rerun's curves and a later export hold the configured gammas alone."""
     for gammas in ([0, 1, 5], [0, 1]):
         mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
             "gammas": gammas, "pool_size": 40, "epochs": 1})
         curves = run_noise_analysis(ExperimentConfig.from_mapping(mapping))
-    assert (tmp_path / "run" / "gamma_5.0").is_dir()
+    assert not (tmp_path / "run" / "gamma_5.0").exists()
     expected = [("0.0", "1", "0"), ("1.0", "1", "0")]
     assert _curve_keys(curves) == expected
     text = curves.read_text()
