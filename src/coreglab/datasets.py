@@ -586,8 +586,9 @@ def gen_gaussian_mixture(num_train: int = MIXTURE_KEYS["train_size"].default,
 
 
 TAGGING_ENTITY_TYPES = ("PER", "ORG", "LOC")
-# The tagging corpus size, gen-synthetic's --sentences.
-TAGGING_SENTENCES = Key(int, 200, least=1)
+# The tagging corpus size, gen-synthetic's --sentences: at least one
+# sentence for each of train, dev and test.
+TAGGING_SENTENCES = Key(int, 200, least=3)
 
 
 def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int = 0,

@@ -562,12 +562,14 @@ def test_gen_synthetic_below_least_value_exits_1(runner, tmp_path, option):
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--sentences", "0")])
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--sentences", "0"),
+                                           ("--sentences", "1"), ("--sentences", "2")])
 def test_gen_synthetic_tagging_below_least_value_exits_1(runner, tmp_path, option,
                                                          value):
     result = runner.invoke(main, ["gen-synthetic", "--task", "tagging",
                                   "--out", str(tmp_path / "data"), option, value])
     assert_clean_exit(result, 1)
+    assert option in result.stderr
     assert not (tmp_path / "data").exists()
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from coreglab.models import (UNK_TOKEN, MlpModel, SentenceInstance,
-                             TaggingInstance, Vocab, WindowIds, backward,
+from coreglab.models import (PREDICT_BLOCK_ROWS, UNK_TOKEN, MlpModel,
+                             SentenceInstance, TaggingInstance, Vocab,
+                             WindowIds, backward,
                              entity_mask, feature_width, featurize_sentence,
                              forward, init_model, load_model, obj_mask_token,
                              param_count, params_flat, predict, save_model,
@@ -276,6 +279,55 @@ def test_predict_matches_argmax_softmax():
     logits, _ = forward(model, xs)
     expected = np.array([int(np.argmax(softmax(row))) for row in logits])
     np.testing.assert_array_equal(preds, expected)
+
+
+def _rows(form, rows, width, seed):
+    rng = np.random.default_rng(seed)
+    if form == "dense":
+        return rng.normal(size=(rows, width))
+    return WindowIds(rng.integers(0, width, size=(rows, 3)), width)
+
+
+B = PREDICT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("form", ["dense", "window_ids"])
+def test_blocked_predict_equals_one_forward(form, rows):
+    """Predictions, not logits, are compared: a one-row block's product may
+    differ from the whole split's in the last bits."""
+    model = init_model((40, 16, 5), 0.0, seed=rows)
+    features = _rows(form, rows, 40, seed=rows + 1)
+    expected = np.argmax(forward(model, features)[0], axis=1)
+    preds = predict(model, features)
+    assert preds.dtype == expected.dtype and preds.shape == (rows,)
+    np.testing.assert_array_equal(preds, expected)
+
+
+@pytest.mark.parametrize("rows", [0, 1, B + 1])
+@pytest.mark.parametrize("form", ["dense", "window_ids"])
+def test_predict_checks_width_for_any_row_count(form, rows):
+    model = init_model((40, 16, 5), 0.0, seed=0)
+    with pytest.raises(ValueError, match="feature length 39 != input size 40"):
+        predict(model, _rows(form, rows, 39, seed=1))
+
+
+@pytest.mark.parametrize("blocks", [8, 16])
+def test_predict_memory_does_not_grow_with_rows(blocks):
+    """Traced allocations while predicting stay under a bound set by the
+    block and the hidden width (the float64 activations of four blocks),
+    not by the row count; one forward over all rows needs more than that
+    for a single hidden layer's activations."""
+    hidden = 256
+    model = init_model((50, hidden, 4), 0.0, seed=3)
+    features = _rows("window_ids", blocks * B + 1, 50, seed=4)
+    tracemalloc.start()
+    try:
+        predict(model, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * B * hidden * 8
 
 
 def test_save_load_round_trip(tmp_path):
