@@ -405,7 +405,8 @@ def export_curves(run_dir, out_path=None) -> Path:
     training's seed_<s>/epoch_log.csv per configured seed, at the train
     block's gamma. Per-model curves stay in the logs. The default
     run_dir/curves.csv joins the run's manifest, so a rerun removes it. An
-    invalid snapshot or manifest, or a failed run, is a DataError."""
+    invalid snapshot or manifest, a failed run, or a run with no manifest
+    (every run command writes one, so it was killed) is a DataError."""
     run = Path(run_dir)
     snapshot = run / "config.yaml"
     if not snapshot.exists():
@@ -414,6 +415,9 @@ def export_curves(run_dir, out_path=None) -> Path:
         config = load_config(snapshot)
     except ConfigError as exc:
         raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
+    if not (run / "manifest.json").exists():
+        raise datasets.DataError(f"{run / 'manifest.json'}: missing, so the run did "
+                                 f"not finish")
     manifest = _read_manifest(run)
     if manifest.get("failure") is not None:
         raise datasets.DataError(f"{run / 'manifest.json'}: the run failed, so it "
@@ -442,7 +446,7 @@ def export_curves(run_dir, out_path=None) -> Path:
                     out_rows.append((config.method, repr(gamma), seed, *row[1:]))
     target = Path(out_path) if out_path is not None else run / "curves.csv"
     datasets.write_csv(target, CURVES_HEADER, out_rows)
-    if out_path is None and manifest and "curves.csv" not in manifest["artifacts"]:
+    if out_path is None and "curves.csv" not in manifest["artifacts"]:
         datasets.write_json(run / "manifest.json", {
             **manifest, "artifacts": sorted([*manifest["artifacts"], "curves.csv"])})
     return target

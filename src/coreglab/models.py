@@ -170,7 +170,9 @@ class MlpModel:
     model wraps the given vector without copying it when it is already such
     a vector; ``weights[i]`` and ``biases[i]`` are reshaped views into it, so
     an in-place write to ``params`` (as adam_step and set_params_flat make)
-    is what the layers see. The constructor checks the sizes, the dropout
+    is what the layers see. ``layout`` holds, once per model, where each
+    layer sits in that vector; the views and backward's fresh gradient
+    vectors are sliced by it. The constructor checks the sizes, the dropout
     rate and the buffer length, so a loaded file is checked as a fresh model.
     """
 
@@ -180,6 +182,7 @@ class MlpModel:
     params: np.ndarray = field(repr=False, compare=False)
     weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
     biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
@@ -193,7 +196,9 @@ class MlpModel:
         if self.params.shape != (expected,):
             raise ValueError(f"parameter vector of shape {self.params.shape} does "
                              f"not hold the {expected} parameters of the layer sizes")
-        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+        self.layout = _param_layout(self.layer_sizes)
+        self.weights = [self.params[w].reshape(shape) for w, shape, _ in self.layout]
+        self.biases = [self.params[b] for _, _, b in self.layout]
 
 
 @dataclass
@@ -209,17 +214,17 @@ def param_count(layer_sizes) -> int:
     return sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
-def _layer_views(flat: np.ndarray, layer_sizes):
-    """Per-layer (weight, bias) views into a flat vector in params layout."""
-    weights, biases = [], []
+def _param_layout(layer_sizes) -> tuple:
+    """Per layer, where its parameters sit in a flat vector in params layout:
+    (weight slice, weight shape, bias slice)."""
+    layout = []
     offset = 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        n_w = fan_in * fan_out
-        weights.append(flat[offset:offset + n_w].reshape(fan_in, fan_out))
-        offset += n_w
-        biases.append(flat[offset:offset + fan_out])
-        offset += fan_out
-    return weights, biases
+        bias_at = offset + fan_in * fan_out
+        layout.append((slice(offset, bias_at), (fan_in, fan_out),
+                       slice(bias_at, bias_at + fan_out)))
+        offset = bias_at + fan_out
+    return tuple(layout)
 
 
 def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
@@ -286,27 +291,25 @@ def forward(model: MlpModel, features, train_mode: bool = False,
 def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of sum(logits * dlogits) w.r.t. all parameters, as one freshly
     allocated flat vector in the layout of ``model.params``; each layer's
-    gradient is written straight into its view of that vector. For WindowIds
-    layer 1's weight gradient is one bincount that adds each row's dz into
-    the weight rows it indexed."""
+    gradient is written straight into its view of that vector, sliced by
+    ``model.layout``. For WindowIds layer 1's weight gradient is one bincount
+    that adds each row's dz into the weight rows it indexed."""
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     dz = np.asarray(dlogits, dtype=np.float64)
     if dz.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
         raise ValueError("dlogits shape does not match the cached forward")
     grad = np.empty(model.params.size)
-    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
     for i in range(len(model.weights) - 1, -1, -1):
         h = cache.layer_inputs[i]
+        w_at, (fan_in, fan_out), b_at = model.layout[i]
         if isinstance(h, WindowIds):
-            fan_out = dz.shape[1]
             bins = (h.ids[:, :, None] * fan_out + np.arange(fan_out)).ravel()
             spread = np.repeat(dz, h.shape[1], axis=0).ravel()
-            sums = np.bincount(bins, weights=spread, minlength=grads_w[i].size)
-            grads_w[i][:] = sums.reshape(grads_w[i].shape)
+            grad[w_at] = np.bincount(bins, weights=spread, minlength=fan_in * fan_out)
         else:
-            np.matmul(h.T, dz, out=grads_w[i])
-        np.add.reduce(dz, axis=0, out=grads_b[i])
+            np.matmul(h.T, dz, out=grad[w_at].reshape(fan_in, fan_out))
+        np.add.reduce(dz, axis=0, out=grad[b_at])
         if i == 0:
             break
         # A fresh product, so the masks below never write into dlogits.

@@ -32,10 +32,13 @@ ADAM_EPS = 1e-8
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Normalize logits into a probability distribution.
+    """Normalize logits into probability distributions over the last axis.
 
-    Works on a single vector or row-wise on a 2-D batch. Implemented with
-    max-subtraction, so it is invariant under adding a constant to all logits.
+    Works over any leading axes: a vector, a (batch, classes) matrix or a
+    (models, batch, classes) stack. Implemented with max-subtraction, so it is
+    invariant under adding a constant to all logits. The output keeps the
+    memory order of a float64 input (a transposed stack stays transposed),
+    since each step writes elementwise in the input's order.
     """
     z = np.asarray(logits, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(z), axis=None):

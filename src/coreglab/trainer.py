@@ -162,8 +162,8 @@ def _softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def _agreement_dlogits(probs: np.ndarray, logits: np.ndarray, q: np.ndarray,
-                       inst_losses: np.ndarray, config: TrainConfig) -> np.ndarray:
+def _agreement_dlogits(probs: np.ndarray, q: np.ndarray, inst_losses: np.ndarray,
+                       config: TrainConfig) -> np.ndarray:
     """Gradient of the agreement loss w.r.t. each model's logits,
     shape (models, batch, classes).
 
@@ -208,15 +208,28 @@ def compute_step_gradients(features, labels: np.ndarray,
     Returns (LossReport, list of gradient vectors); the gradient list is
     empty when a hook prunes the whole batch. Everything between the
     per-model forwards and backwards runs once over (models, batch, classes)
-    arrays.
+    arrays laid out batch-major in memory. Only a hooked step gathers its
+    kept rows. One model whose step has no agreement gradient (gamma 0, or
+    warm-up) skips the soft target and reports an agreement loss of exactly
+    0.0, the value it would compute.
     """
     y = np.asarray(labels, dtype=np.int64)
     n_rows = len(y)
     if n_rows == 0:
         raise ValueError("empty batch")
     num_models = ensemble.num_models
+    warmup = t < warmup_steps(config)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
 
-    logits = np.empty((num_models, n_rows, ensemble.models[0].layer_sizes[-1]))
+    # The (models, batch, classes) stacks are views of (batch, models,
+    # classes) memory, the order a gather of kept rows (probs[:, keep, :])
+    # produces, and softmax keeps its input's order. That order fixes the
+    # summation order of agreement_loss's KL sum, so a step without a hook
+    # reduces the stacks as they are and sums the bits a gathered step sums.
+    # The per-model supervision sums run over label_probs' C-order pick.
+    logits = np.empty((n_rows, num_models, ensemble.models[0].layer_sizes[-1]))
+    logits = logits.transpose(1, 0, 2)
     caches = [None] * num_models
     for k, model in enumerate(ensemble.models):
         logits[k], caches[k] = mdl.forward(model, features, train_mode=True,
@@ -227,40 +240,35 @@ def compute_step_gradients(features, labels: np.ndarray,
         raise TrainingDiverged(f"non-finite logits at step {t}") from exc
     picked = label_probs(probs, y)
 
-    keep = np.arange(n_rows)
+    keep = None
     if batch_hook is not None:
         keep, y = batch_hook(t, y, np.mean(floored_nll(picked), axis=0),
                              np.mean(probs, axis=0))
         keep = np.asarray(keep, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)[keep]
+        if len(keep) == 0:
+            # Nothing left to learn from this batch.
+            return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup), []
+        probs, logits = probs[:, keep, :], logits[:, keep, :]
         picked = label_probs(probs, y)
+        if weights is not None:
+            weights = weights[keep]
 
-    warmup = t < warmup_steps(config)
-    n_kept = len(keep)
-    if n_kept == 0:
-        # Nothing left to learn from this batch.
-        return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup), []
-
-    # The kept rows are gathered even when all are kept. The gathered
-    # (models, batch, classes) memory order fixes the summation order of
-    # agreement_loss's KL sum and of the per-model supervision sums (the
-    # gathered losses are C order, like label_probs); reducing the ungathered
-    # arrays changed both in the last bits.
-    kept_probs = probs[:, keep, :]
-    kept_logits = logits[:, keep, :]
-    kept_picked = picked.take(keep, axis=1)
-    kept_losses = floored_nll(kept_picked)
+    n_kept = len(y)
+    losses = floored_nll(picked)
     # Each row's share of the supervision gradient: its weight, and 0 where
     # the probability floor is active (the clamped loss is locally constant).
-    row_scale, sup_terms = kept_picked > PROB_FLOOR, kept_losses
+    row_scale, sup_terms = picked > PROB_FLOOR, losses
     if weights is not None:
-        kept_w = np.asarray(weights, dtype=np.float64)[keep]
-        row_scale, sup_terms = kept_w * row_scale, kept_w * kept_losses
+        row_scale, sup_terms = weights * row_scale, weights * losses
     per_model_sup = np.add.reduce(sup_terms, axis=1) / n_kept
     task_loss = float(np.add.reduce(per_model_sup)) / num_models
 
-    q = aggregate_targets(kept_probs, kept_logits, kept_losses, config.aggregate_mode)
-    agg_loss = agreement_loss(q, kept_probs, KL_EPS)
+    agreement_step = not (warmup or config.gamma == 0.0)
+    agg_loss = 0.0
+    if num_models > 1 or agreement_step:
+        q = aggregate_targets(probs, logits, losses, config.aggregate_mode)
+        agg_loss = agreement_loss(q, probs, KL_EPS)
 
     joint_loss = task_loss + config.gamma * agg_loss
     if not (math.isfinite(task_loss) and math.isfinite(agg_loss)):
@@ -268,14 +276,13 @@ def compute_step_gradients(features, labels: np.ndarray,
             f"non-finite loss at step {t}: task={task_loss} agreement={agg_loss}")
 
     # Supervision gradient w.r.t. logits: p minus the one-hot label, scaled.
-    dlogits = kept_probs.copy()
-    dlogits[:, np.arange(n_kept), y[keep]] = kept_picked - 1.0
+    dlogits = probs.copy()
+    dlogits[:, np.arange(n_kept), y] = picked - 1.0
     dlogits *= row_scale[:, :, None] / n_kept
     dlogits /= num_models
-    if not (warmup or config.gamma == 0.0):
-        dlogits += config.gamma * _agreement_dlogits(
-            kept_probs, kept_logits, q, kept_losses, config)
-    if batch_hook is not None and not np.array_equal(keep, np.arange(n_rows)):
+    if agreement_step:
+        dlogits += config.gamma * _agreement_dlogits(probs, q, losses, config)
+    if keep is not None and not np.array_equal(keep, np.arange(n_rows)):
         full = np.zeros((num_models, n_rows, dlogits.shape[2]))
         full[:, keep] = dlogits
         dlogits = full

@@ -1,3 +1,4 @@
+import json
 import signal
 
 import pytest
@@ -17,3 +18,17 @@ def hang_guard():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def finish_run():
+    """A function that marks a hand-built run directory as a finished run:
+    it writes the manifest.json a run command writes on success, listing
+    every file then in the directory and the manifest itself."""
+    def finish(run_dir):
+        files = [path.relative_to(run_dir).as_posix()
+                 for path in run_dir.rglob("*") if path.is_file()]
+        (run_dir / "manifest.json").write_text(json.dumps({
+            "config_hash": "", "metric_rows": [], "wall_clock_sec": 0.0,
+            "artifacts": sorted([*files, "manifest.json"]), "failure": None}))
+    return finish

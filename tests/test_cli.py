@@ -941,12 +941,13 @@ def test_export_curves_empty_dir_exits_2(runner, tmp_path):
     assert "error:" in result.stderr
 
 
-def test_export_curves_malformed_log_exits_2(runner, tmp_path):
+def test_export_curves_malformed_log_exits_2(runner, tmp_path, finish_run):
     config_path = tmp_path / "config.yaml"
     write_config(config_path, seeds=[1], output_dir=str(tmp_path))
     (tmp_path / "seed_1").mkdir()
     log = tmp_path / "seed_1" / "epoch_log.csv"
     log.write_text("model,epoch,split\n")
+    finish_run(tmp_path)
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert_clean_exit(result, 2)
     assert str(log) in result.stderr

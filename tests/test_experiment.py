@@ -458,7 +458,7 @@ def test_export_curves_sorted_by_gamma_then_seed(tmp_path):
 GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\nselected,0,dev,accuracy,0.5\n"
 
 
-def test_export_curves_errors(tmp_path):
+def test_export_curves_errors(tmp_path, finish_run):
     """A run directory without a valid config snapshot, or with a configured
     epoch log that is missing or malformed, is a DataError naming the file.
     Directory names play no part: a seed_x beside the configured logs is
@@ -488,6 +488,7 @@ def test_export_curves_errors(tmp_path):
             (run / directory).mkdir(parents=True)
             log = run / directory / "epoch_log.csv"
             log.write_bytes(content if isinstance(content, bytes) else content.encode())
+        finish_run(run)
         with pytest.raises(DataError, match=message):
             export_curves(run)
 

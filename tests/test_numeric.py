@@ -51,6 +51,17 @@ def test_softmax_rowwise():
     np.testing.assert_allclose(out[1], [0.5, 0.5], atol=1e-15)
 
 
+def test_softmax_keeps_a_stacks_memory_order():
+    """A (models, batch, classes) view of batch-major memory comes back
+    batch-major, with the values of the C-order stack to the bit."""
+    batch_major = 3.0 * np.random.default_rng(4).normal(size=(16, 3, 9))
+    stack = batch_major.transpose(1, 0, 2)
+    out = softmax(stack)
+    assert out.strides == stack.strides
+    assert np.ascontiguousarray(out).tobytes() == \
+        softmax(np.ascontiguousarray(stack)).tobytes()
+
+
 def test_softmax_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         softmax(np.array([1.0, np.inf]))

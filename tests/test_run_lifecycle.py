@@ -98,6 +98,18 @@ def test_rerun_removes_an_exported_curves_csv(runner, tmp_path):
     assert tree(run) == listed_tree(run)
 
 
+def test_export_curves_refuses_a_run_without_a_manifest(runner, tmp_path):
+    """Every run command writes manifest.json, also when it fails, so a run
+    directory without one is a killed run: its logs are not exported."""
+    run = tmp_path / "run"
+    assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
+    (run / "manifest.json").unlink()
+    result = runner.invoke(main, ["export-curves", str(run)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {run / 'manifest.json'}: missing" in result.stderr
+    assert not (run / "curves.csv").exists()
+
+
 def test_export_to_another_path_leaves_the_manifest_as_it_is(runner, tmp_path):
     config_path = write_config(tmp_path)
     run = tmp_path / "run"

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from coreglab import numeric
+from coreglab import numeric, trainer
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import (MlpModel, forward, params_flat, predict,
                              set_params_flat)
@@ -391,6 +393,86 @@ def test_hook_can_prune_everything():
     assert report.task_loss == 0.0
     for m, prev in zip(ens.models, before):
         assert params_flat(m).tobytes() == prev.tobytes()
+
+
+def _keep_all(t, labels, mean_losses, mean_probs):
+    """A hook that keeps every row, in row order, with its label."""
+    return np.arange(len(labels)), labels
+
+
+@pytest.mark.parametrize("soft_target_gradient", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("mode", AGGREGATE_MODES)
+@pytest.mark.parametrize("num_models", [1, 2, 3])
+def test_no_hook_equals_an_identity_hook_bit_for_bit(num_models, mode, weighted,
+                                                     soft_target_gradient):
+    """A step without a hook reduces its (models, batch, classes) stacks as
+    they are; a hooked step reduces a gather of the kept rows. Both stacks
+    are batch-major in memory, so with every row and label kept the reports,
+    gradients and updates match to the bit, in warm-up and after it."""
+    config = small_config(num_models=num_models, aggregate_mode=mode, gamma=2.0,
+                          soft_target_gradient=soft_target_gradient, dropout=0.1,
+                          total_steps=8, warmup_pct=25.0)
+    bare, hooked = init_ensemble(config, 4, 9), init_ensemble(config, 4, 9)
+    rng = np.random.default_rng(num_models)
+    for t in range(config.total_steps):
+        X = 2.0 * rng.normal(size=(16, 4))
+        y = rng.integers(0, 9, size=16)
+        w = rng.uniform(0.0, 1.0, size=16) if weighted else None
+        got, got_grads = compute_step_gradients(X, y, bare, t, config, weights=w)
+        exp, exp_grads = compute_step_gradients(X, y, hooked, t, config, weights=w,
+                                                batch_hook=_keep_all)
+        assert repr(got) == repr(exp), t
+        lr = numeric.lr_at(config.base_lr, config.total_steps, t)
+        for k in range(num_models):
+            assert got_grads[k].tobytes() == exp_grads[k].tobytes(), (t, k)
+            numeric.adam_step(bare.models[k].params, got_grads[k], bare.opt_states[k], lr)
+            numeric.adam_step(hooked.models[k].params, exp_grads[k],
+                              hooked.opt_states[k], lr)
+    for model, other in zip(bare.models, hooked.models):
+        assert model.params.tobytes() == other.params.tobytes()
+
+
+@pytest.mark.parametrize("mode", AGGREGATE_MODES)
+def test_one_model_agreement_loss_is_exactly_zero(mode):
+    """With one model every mode's soft target is that model's prediction,
+    bit for bit, so each KL term is q * log(1.0) and the loss is exactly
+    +0.0: the value the step reports for one model without computing it.
+    The larger logit scales put probabilities near and at 0."""
+    rng = np.random.default_rng(17)
+    for scale in (0.1, 1.0, 30.0, 800.0):
+        logits = scale * rng.normal(size=(1, 64, 5))
+        probs = numeric.softmax(logits)
+        labels = rng.integers(0, 5, size=64)
+        losses = numeric.floored_nll(numeric.label_probs(probs, labels))
+        q = aggregate_targets(probs, logits, losses, mode)
+        assert q.tobytes() == probs[0].tobytes()
+        value = agreement_loss(q, probs, numeric.KL_EPS)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0, scale
+    assert probs.min() < numeric.KL_EPS
+
+
+@pytest.mark.parametrize("num_models, gamma", [(1, 0.0), (1, 2.0), (2, 0.0)])
+def test_soft_target_is_skipped_only_for_one_model_without_its_gradient(
+        monkeypatch, num_models, gamma):
+    """One model computes the soft target and the agreement loss only on
+    steps whose gradient includes the agreement term: never at gamma 0, and
+    after warm-up at gamma > 0. Several models compute both on every step."""
+    calls = Counter()
+    for name in ("aggregate_targets", "agreement_loss"):
+        def counted(*args, _name=name, _original=getattr(trainer, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, counted)
+    config = small_config(num_models=num_models, gamma=gamma, total_steps=10,
+                          warmup_pct=30.0)
+    result = train(tiny_dataset(), None, config)
+    expected = config.total_steps
+    if num_models == 1:
+        expected = 0 if gamma == 0.0 else config.total_steps - warmup_steps(config)
+    assert [calls["aggregate_targets"], calls["agreement_loss"]] == [expected] * 2
+    if num_models == 1:
+        assert all(report.agreement_loss == 0.0 for report in result.reports)
 
 
 # --------------------------------------------- gradients vs finite differences
