@@ -9,7 +9,7 @@ manifest.json; a rerun first removes the files the last manifest lists):
   metrics.csv                  final metric per seed per split + median rows
   seed_<s>/epoch_log.csv       per-epoch metrics (one row per model + "selected")
   seed_<s>/model.npz           selected model at its best checkpoint
-  seed_<s>/flips.csv           injected-noise mask (when noise is configured)
+  seed_<s>/flips.csv           training-noise mask (train and analyze-noise, with noise)
   gamma_<g>/seed_<s>/...       noise-analysis runs, one subtree per gamma
   audit.csv, flips.csv         label audit; its AUROC is a train/auroc metric row
   curves.csv                   the "selected" rows of the logs config.yaml names
@@ -281,6 +281,17 @@ def _run(config: ExperimentConfig):
             **asdict(manifest), "artifacts": sorted(manifest.artifacts)})
 
 
+def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str):
+    """The seed's training split with its configured noise, and the mask,
+    saved as run_dir/name; without noise, the split as given and None."""
+    spec = config.noise.get(seed)
+    if spec is None:
+        return train_set, None
+    train_set, mask = noiselab.inject_noise(train_set, spec)
+    save(name, mask.save_csv)
+    return train_set, mask
+
+
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Per seed: build data, optionally inject noise, train the configured
     method, log per-epoch metrics, and score the selected model on dev and
@@ -291,12 +302,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             save("vocab.json", partial(datasets.save_vocab, task.vocab))
         for seed in config.seeds:
             seed_dir = f"seed_{seed}"
-            train_set = task.train
+            train_set, _ = _noisy_train(config, seed, task.train, save,
+                                        f"{seed_dir}/flips.csv")
             dev_set = task.dev
             spec = config.noise.get(seed)
             if spec is not None:
-                train_set, mask = noiselab.inject_noise(train_set, spec)
-                save(f"{seed_dir}/flips.csv", mask.save_csv)
                 # Model selection must not peek at clean labels: the
                 # dev split is drawn from the same noisy labeling process.
                 dev_spec = replace(spec,
@@ -346,10 +356,8 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
             **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
             "test_size": 0, "data_seed": config.data["data_seed"] + 1})
         for seed in config.seeds:
-            train_set = task.train
-            spec = config.noise.get(seed)
-            if spec is not None:
-                train_set, _ = noiselab.inject_noise(train_set, spec)
+            train_set, _ = _noisy_train(config, seed, task.train, save,
+                                        f"seed_{seed}/flips.csv")
             _, mask = noiselab.inject_noise(pool, noiselab.NoiseSpec(
                 rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise")))
             noisy_set, clean_set = (
@@ -357,14 +365,14 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                 for labels in (mask.noisy_labels, mask.original_labels))
             base = _train_config(config, seed, analysis["epochs"],
                                  len(train_set) + len(noisy_set))
-            rows = noiselab.noise_overfit_eval(train_set, noisy_set, clean_set,
-                                               analysis["gammas"], base,
-                                               eval_metric=task.metric_fn)
-            for gamma in dict.fromkeys(gamma for gamma, _, _ in rows):
-                curve = [("selected", epoch, "clean", task.metric_name, repr(value))
-                         for g, epoch, value in rows if g == gamma]
+            curves = noiselab.noise_overfit_eval(train_set, noisy_set, clean_set,
+                                                 analysis["gammas"], base,
+                                                 eval_metric=task.metric_fn)
+            for gamma, curve in curves.items():
                 save(f"gamma_{gamma!r}/seed_{seed}/epoch_log.csv", partial(
-                    datasets.write_csv, header=EPOCH_LOG_HEADER, rows=curve))
+                    datasets.write_csv, header=EPOCH_LOG_HEADER, rows=[
+                        ("selected", epoch, "clean", task.metric_name, repr(value))
+                        for epoch, value in enumerate(curve)]))
     return export_curves(resolve_output_dir(config.output_dir))
 
 
@@ -376,23 +384,18 @@ def run_audit(config: ExperimentConfig):
     with _run(config) as (manifest, save):
         task = build_task_data(config)
         seed = config.seeds[0]
-        train_set = task.train
-        mask = None
-        spec = config.noise.get(seed)
-        if spec is not None:
-            train_set, mask = noiselab.inject_noise(train_set, spec)
-            save("flips.csv", mask.save_csv)
+        train_set, mask = _noisy_train(config, seed, task.train, save, "flips.csv")
         # Only the final ensemble is read, so there is no dev scoring to select by.
         tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
                        selection_policy="first")
         result = trainer.train(train_set, None, tcfg)
-        rows = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
-        report = save("audit.csv", partial(noiselab.save_suspect_csv, rows))
+        columns = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
+        report = save("audit.csv", partial(noiselab.save_suspect_csv, columns))
         score = None
         if mask is not None and 0 < len(mask) < len(train_set):
             # The mask holds row positions and the report record ids.
-            flipped = np.isin([r.instance_id for r in rows], train_set.ids[mask.indices])
-            score = noiselab.auroc([r.sup_loss for r in rows], flipped)
+            flipped = np.isin(columns["id"], train_set.ids[mask.indices])
+            score = noiselab.auroc(columns["sup_loss"], flipped)
             manifest.metric_rows.append(
                 {"seed": seed, "split": "train", "metric": "auroc", "value": score})
     return report, score

@@ -335,21 +335,22 @@ def set_params_flat(model: MlpModel, flat: np.ndarray) -> None:
     model.params[:] = flat.reshape(-1)
 
 
-def predict(model: MlpModel, features) -> np.ndarray:
-    """Argmax class per row, evaluation mode (no dropout).
+def row_blocks(rows: int):
+    """The slices of PREDICT_BLOCK_ROWS rows that a whole-split evaluation
+    walks; an empty split is one empty block, so forward still checks it."""
+    return (slice(start, start + PREDICT_BLOCK_ROWS)
+            for start in range(0, max(rows, 1), PREDICT_BLOCK_ROWS))
 
-    The forward runs over blocks of PREDICT_BLOCK_ROWS rows, each block's
-    argmax written into one output array, so the activations held at once
-    are bounded by the block and the widest layer, not by the split. An
-    empty split is one empty block, so forward still checks its shape and
-    width. The argmaxes equal those of one forward over all rows; the
-    logits may differ in the last bits, since BLAS takes another path for a
-    one-row product."""
-    rows = len(features)
-    out = np.empty(rows, dtype=np.intp)
-    for start in range(0, max(rows, 1), PREDICT_BLOCK_ROWS):
-        stop = start + PREDICT_BLOCK_ROWS
-        np.argmax(forward(model, features[start:stop])[0], axis=1, out=out[start:stop])
+
+def predict(model: MlpModel, features) -> np.ndarray:
+    """Argmax class per row, evaluation mode (no dropout), one forward per
+    block of row_blocks, so the activations held at once are bounded by the
+    block and the widest layer, not by the split. The argmaxes equal those
+    of one forward over all rows; the logits may differ in the last bits,
+    since BLAS takes another path for a one-row product."""
+    out = np.empty(len(features), dtype=np.intp)
+    for block in row_blocks(len(features)):
+        np.argmax(forward(model, features[block])[0], axis=1, out=out[block])
     return out
 
 

@@ -1,7 +1,7 @@
 """Label-noise experiment machinery: seeded noise injection with its flip
 mask, the noise-overfit protocol (train on the union with the noisy labels,
 watch accuracy on the corrected labels per epoch), forgetting-event
-statistics, and suspect-label reports.
+statistics, and the suspect-label report, computed in predict's row blocks.
 """
 
 import math
@@ -145,10 +145,10 @@ def _feature_keys(dataset) -> set:
 
 
 def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
-                       *, eval_metric=None):
+                       *, eval_metric=None) -> dict[float, list[float]]:
     """The noise-overfit protocol: for each distinct agreement weight, in
     first-seen order, train on the union of the training and noisy sets and
-    score the clean set at every epoch; returns (gamma, epoch, value) rows.
+    score the clean set at every epoch; returns gamma -> per-epoch curve.
 
     The clean set is scored as the dev split, and the first model's curve is
     reported, so the gamma grid is comparable point for point.
@@ -158,13 +158,12 @@ def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
     if _feature_keys(train_set) & _feature_keys(noisy_set):
         raise ValueError("training set and noisy set overlap")
     union = ds.concat_datasets(train_set, noisy_set)
-    rows = []
+    curves = {}
     for gamma in dict.fromkeys(map(float, gammas)):
         result = trainer.train(union, clean_set, replace(config, gamma=gamma),
                                eval_metric=eval_metric)
-        rows += [(gamma, epoch, value)
-                 for epoch, value in enumerate(result.dev_scores[:, 0].tolist())]
-    return rows
+        curves[gamma] = result.dev_scores[:, 0].tolist()
+    return curves
 
 
 @dataclass(frozen=True)
@@ -206,43 +205,39 @@ def first_learned_means(stats: ForgettingStats, flagged, horizon: int):
     return flagged_mean, unflagged_mean
 
 
-@dataclass(frozen=True)
-class SuspectRow:
-    """One instance in the suspect-label report."""
-
-    instance_id: int
-    label: int
-    prediction: int
-    flagged: bool
-    agreement_kl: float
-    sup_loss: float
-
-
-def disagreement_report(ensemble, dataset, config) -> list[SuspectRow]:
+def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     """Rank instances by how strongly the trained models dispute the given
     label: rows are flagged when the soft target's argmax differs from the
-    label, and sorted by mean supervision loss, largest first."""
+    label, and sorted by mean supervision loss, largest first. Returns the
+    SUSPECT_CSV_HEADER columns as aligned arrays in that order.
+
+    The models run over models.row_blocks, as in predict, so the activations
+    held at once are bounded by the block, not by the split. Against one
+    forward over all rows, the logits, and so the losses, may differ in the
+    last bits, since BLAS takes another path for a one-row product."""
     X = dataset.features
     y = dataset.labels
-    logits = np.stack([mdl.forward(m, X)[0] for m in ensemble.models])
-    probs = softmax(logits)
-    inst_losses = floored_nll(label_probs(probs, y))
-    q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
-    per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, KL_EPS), axis=2),
-                     axis=0)
-    sup = np.mean(inst_losses, axis=0)
-    preds = np.argmax(q, axis=1)
-    rows = [SuspectRow(int(dataset.ids[i]), int(y[i]), int(preds[i]),
-                       bool(preds[i] != y[i]), float(per_kl[i]), float(sup[i]))
-            for i in range(len(y))]
+    preds = np.empty(len(y), dtype=np.intp)
+    per_kl = np.empty(len(y))
+    sup = np.empty(len(y))
+    for block in mdl.row_blocks(len(y)):
+        logits = np.stack([mdl.forward(m, X[block])[0] for m in ensemble.models])
+        probs = softmax(logits)
+        inst_losses = floored_nll(label_probs(probs, y[block]))
+        q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
+        per_kl[block] = np.mean(np.sum(kl_terms(q[None], probs, KL_EPS), axis=2), axis=0)
+        sup[block] = np.mean(inst_losses, axis=0)
+        preds[block] = np.argmax(q, axis=1)
     order = np.argsort(-sup, kind="stable")
-    return [rows[i] for i in order]
+    return dict(zip(SUSPECT_CSV_HEADER, (column[order] for column in
+                                         (dataset.ids, y, preds, preds != y, per_kl, sup))))
 
 
-def save_suspect_csv(rows: list[SuspectRow], path) -> None:
-    ds.write_csv(path, SUSPECT_CSV_HEADER,
-                 ([r.instance_id, r.label, r.prediction, int(r.flagged),
-                   repr(r.agreement_kl), repr(r.sup_loss)] for r in rows))
+def save_suspect_csv(report: dict[str, np.ndarray], path) -> None:
+    ids, labels, preds, flagged, kl, sup = (report[name].tolist()
+                                            for name in SUSPECT_CSV_HEADER)
+    ds.write_csv(path, SUSPECT_CSV_HEADER, zip(ids, labels, preds, map(int, flagged),
+                                               map(repr, kl), map(repr, sup)))
 
 
 def auroc(scores, positives) -> float:

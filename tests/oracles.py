@@ -313,6 +313,36 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
     return LossReport(t, tuple(per_model_sup), task_loss, agg_loss, joint_loss, warmup)
 
 
+# ---------------------------------------------------------------- label audit
+#
+# The suspect-label report as it stood before it ran in row blocks: one
+# forward per model over the whole split, every model's logits and
+# probabilities held at once. It uses the library's formulas, so within one
+# row block the blocked report must match it to the bit.
+
+
+def reference_disagreement_report(ensemble, dataset, config):
+    """The SUSPECT_CSV_HEADER columns from one pass over all rows, ranked by
+    descending mean supervision loss (stable)."""
+    from coreglab import models as mdl
+    from coreglab.noiselab import SUSPECT_CSV_HEADER
+    from coreglab.numeric import KL_EPS, floored_nll, kl_terms, label_probs, softmax
+    from coreglab.trainer import aggregate_targets
+
+    y = dataset.labels
+    logits = np.stack([mdl.forward(m, dataset.features)[0] for m in ensemble.models])
+    probs = softmax(logits)
+    inst_losses = floored_nll(label_probs(probs, y))
+    q = aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
+    per_kl = np.mean(np.sum(kl_terms(q[None, :, :], probs, KL_EPS), axis=2), axis=0)
+    sup = np.mean(inst_losses, axis=0)
+    preds = np.argmax(q, axis=1)
+    order = np.argsort(-sup, kind="stable")
+    return dict(zip(SUSPECT_CSV_HEADER, (dataset.ids[order], y[order], preds[order],
+                                         preds[order] != y[order], per_kl[order],
+                                         sup[order])))
+
+
 # ------------------------------------------------------------ test helpers
 
 # Default smoothing constant added to both arguments of kl_divergence.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 from coreglab.datasets import LabeledDataset, concat_datasets, gen_gaussian_mixture
-from coreglab.models import WindowIds
-from coreglab.noiselab import (FlipMask, ForgettingStats, NoiseSpec, SuspectRow,
-                               auroc, disagreement_report, first_learned_means,
-                               forgetting_stats, inject_noise,
+from coreglab.models import PREDICT_BLOCK_ROWS, WindowIds
+from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, ForgettingStats,
+                               NoiseSpec, auroc, disagreement_report,
+                               first_learned_means, forgetting_stats, inject_noise,
                                noise_overfit_eval, save_suspect_csv)
-from coreglab.trainer import TrainConfig, init_ensemble, train
-from oracles import load_flip_mask_csv, pairwise_auroc
+from coreglab.trainer import AGGREGATE_MODES, TrainConfig, init_ensemble, train
+from oracles import load_flip_mask_csv, pairwise_auroc, reference_disagreement_report
 
 
 def tiny_dataset(n=30, num_classes=4, num_features=3, seed=0) -> LabeledDataset:
@@ -199,13 +200,12 @@ def test_noise_overfit_rows_shape():
     config = TrainConfig(num_models=2, total_steps=6, batch_size=64,
                          warmup_pct=50.0, hidden_sizes=(8,), dropout=0.0,
                          master_seed=0)
-    rows = noise_overfit_eval(train_set, noisy, clean, (0.0, 5.0), config)
-    gammas = sorted({g for g, _, _ in rows})
-    assert gammas == [0.0, 5.0]
-    epochs = sorted({e for g, e, _ in rows if g == 0.0})
-    assert epochs == list(range(len(epochs)))
-    for _, _, value in rows:
-        assert 0.0 <= value <= 1.0
+    # One curve per distinct gamma, keyed in first-seen order.
+    curves = noise_overfit_eval(train_set, noisy, clean, (5.0, 0.0, 5.0), config)
+    assert list(curves) == [5.0, 0.0]
+    assert len(curves[0.0]) == len(curves[5.0]) > 0
+    for curve in curves.values():
+        assert all(0.0 <= value <= 1.0 for value in curve)
 
 
 def test_noise_overfit_gamma_zero_reduces_to_baseline():
@@ -213,10 +213,10 @@ def test_noise_overfit_gamma_zero_reduces_to_baseline():
     config = TrainConfig(num_models=2, total_steps=4, batch_size=64,
                          warmup_pct=0.0, hidden_sizes=(8,), dropout=0.0,
                          master_seed=3)
-    rows = noise_overfit_eval(train_set, noisy, clean, (0.0,), config)
-    assert all(g == 0.0 for g, _, _ in rows)
+    curves = noise_overfit_eval(train_set, noisy, clean, (0.0,), config)
+    assert list(curves) == [0.0]
     again = noise_overfit_eval(train_set, noisy, clean, (0.0,), config)
-    assert rows == again
+    assert curves == again
 
 
 def test_noise_overfit_reports_first_model_under_any_policy():
@@ -232,8 +232,7 @@ def test_noise_overfit_reports_first_model_under_any_policy():
     assert best == first
     union = concat_datasets(train_set, noisy)
     result = train(union, clean, replace(config, gamma=5.0))
-    assert [value for gamma, _, value in first if gamma == 5.0] == \
-        result.dev_scores[:, 0].tolist()
+    assert first[5.0] == result.dev_scores[:, 0].tolist()
 
 
 def test_noise_overfit_rejects_overlap():
@@ -259,9 +258,9 @@ def test_noise_overfit_runs_on_window_ids():
     noisy, clean = _window_set(windows[1::2], seed=1), _window_set(windows[1::2], seed=2)
     config = TrainConfig(num_models=2, total_steps=4, batch_size=16,
                          hidden_sizes=(4,), dropout=0.0)
-    rows = noise_overfit_eval(train_set, noisy, clean, (0.0, 1.0), config)
-    assert sorted({g for g, _, _ in rows}) == [0.0, 1.0]
-    assert all(0.0 <= value <= 1.0 for _, _, value in rows)
+    curves = noise_overfit_eval(train_set, noisy, clean, (0.0, 1.0), config)
+    assert list(curves) == [0.0, 1.0]
+    assert all(0.0 <= value <= 1.0 for curve in curves.values() for value in curve)
     overlapping = _window_set(windows[:6], seed=3)
     with pytest.raises(ValueError, match="overlap"):
         noise_overfit_eval(train_set, overlapping, overlapping, (0.0,), config)
@@ -364,9 +363,9 @@ def test_disagreement_report_consensus_unflagged():
                           gamma=1.0, batch_size=10, base_lr=0.02,
                           hidden_sizes=(8,), dropout=0.0, master_seed=30)
     result = train(easy, None, run_cfg)
-    rows = disagreement_report(result.ensemble, easy, run_cfg)
-    assert all(not r.flagged for r in rows)
-    assert all(r.prediction == r.label for r in rows)
+    report = disagreement_report(result.ensemble, easy, run_cfg)
+    assert not report["flagged"].any()
+    np.testing.assert_array_equal(report["prediction"], report["label"])
 
 
 def test_disagreement_report_flags_and_ranks():
@@ -374,14 +373,15 @@ def test_disagreement_report_flags_and_ranks():
     config = TrainConfig(num_models=2, total_steps=0, hidden_sizes=(8,),
                          dropout=0.0, master_seed=31)
     ens = init_ensemble(config, data.num_features, data.num_classes)
-    rows = disagreement_report(ens, data, config)
-    assert len(rows) == 15
-    assert {r.instance_id for r in rows} == set(range(15))
-    losses = [r.sup_loss for r in rows]
+    report = disagreement_report(ens, data, config)
+    assert list(report) == SUSPECT_CSV_HEADER
+    assert all(column.shape == (15,) for column in report.values())
+    assert set(report["id"].tolist()) == set(range(15))
+    losses = report["sup_loss"].tolist()
     assert losses == sorted(losses, reverse=True)
-    for r in rows:
-        assert r.flagged == (r.prediction != r.label)
-        assert r.agreement_kl >= -1e-10
+    np.testing.assert_array_equal(report["flagged"],
+                                  report["prediction"] != report["label"])
+    assert np.all(report["agreement_kl"] >= -1e-10)
 
 
 def test_disagreement_report_detects_planted_flips():
@@ -391,21 +391,78 @@ def test_disagreement_report_detects_planted_flips():
                          gamma=2.0, batch_size=32, base_lr=0.02,
                          hidden_sizes=(16,), dropout=0.0, master_seed=34)
     result = train(noisy, None, config)
-    rows = disagreement_report(result.ensemble, noisy, config)
-    by_id = {r.instance_id: r for r in rows}
-    scores = np.array([by_id[i].sup_loss for i in range(len(noisy))])
+    report = disagreement_report(result.ensemble, noisy, config)
+    scores = np.empty(len(noisy))
+    scores[report["id"]] = report["sup_loss"]
     assert auroc(scores, mask.flags()) > 0.5
 
 
 def test_save_suspect_csv(tmp_path):
-    rows = [SuspectRow(3, 1, 2, True, 0.5, 1.25),
-            SuspectRow(0, 0, 0, False, 0.0, 0.1)]
+    report = {"id": np.array([3, 0]), "label": np.array([1, 0]),
+              "prediction": np.array([2, 0]), "flagged": np.array([True, False]),
+              "agreement_kl": np.array([0.5, 0.0]), "sup_loss": np.array([1.25, 0.1])}
     path = tmp_path / "suspects.csv"
-    save_suspect_csv(rows, path)
+    save_suspect_csv(report, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "id,label,prediction,flagged,agreement_kl,sup_loss"
     assert lines[1] == "3,1,2,1,0.5,1.25"
     assert lines[2] == "0,0,0,0,0.0,0.1"
+
+
+B = PREDICT_BLOCK_ROWS
+
+
+def _audit_set(form, rows, width, num_classes, seed):
+    """Random rows of either feature form, with shuffled record ids."""
+    rng = np.random.default_rng(seed)
+    features = (rng.normal(size=(rows, width)) if form == "dense"
+                else WindowIds(rng.integers(0, width, size=(rows, 3)), width))
+    return LabeledDataset(features, rng.integers(0, num_classes, size=rows),
+                          num_classes, ids=rng.permutation(rows) * 7 + 3)
+
+
+@pytest.mark.parametrize("mode", AGGREGATE_MODES)
+@pytest.mark.parametrize("num_models", [1, 2, 3])
+@pytest.mark.parametrize("form", ["dense", "window_ids"])
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_blocked_report_equals_one_pass_over_all_rows(rows, form, num_models, mode):
+    """Within one block every column matches the whole-split reference to
+    the bit. Across blocks a one-row block's product may differ from the
+    whole split's in the last bits, so the float columns are compared to a
+    relative 1e-12 and the rest exactly."""
+    config = TrainConfig(num_models=num_models, total_steps=0, hidden_sizes=(16,),
+                         dropout=0.0, aggregate_mode=mode, master_seed=rows)
+    data = _audit_set(form, rows, 40, 5, seed=rows + num_models)
+    ens = init_ensemble(config, 40, 5)
+    report = disagreement_report(ens, data, config)
+    expected = reference_disagreement_report(ens, data, config)
+    assert list(report) == list(expected) == SUSPECT_CSV_HEADER
+    for name in SUSPECT_CSV_HEADER:
+        got, want = report[name], expected[name]
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows,), name
+        if rows <= B or name not in ("agreement_kl", "sup_loss"):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("blocks", [8, 16])
+def test_report_memory_does_not_grow_with_rows(blocks):
+    """Traced allocations while reporting on two models stay under the
+    float64 activations of four blocks at the hidden width; one forward over
+    all rows needs more than that for a single hidden layer's activations."""
+    hidden = 256
+    config = TrainConfig(num_models=2, total_steps=0, hidden_sizes=(hidden,),
+                         dropout=0.0, master_seed=5)
+    data = _audit_set("window_ids", blocks * B + 1, 50, 4, seed=6)
+    ens = init_ensemble(config, 50, 4)
+    tracemalloc.start()
+    try:
+        disagreement_report(ens, data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * B * hidden * 8
 
 
 # ---------------------------------------------------------------- auroc

@@ -10,9 +10,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from coreglab import trainer
+from coreglab import noiselab, trainer
 from coreglab.cli import main
-from coreglab.experiment import ConfigError, ExperimentConfig, run_noise_analysis
+from coreglab.experiment import (ConfigError, ExperimentConfig, build_task_data,
+                                 run_noise_analysis)
 
 DIVERGING = {"base_lr": 1e200, "warmup_pct": 0.0}
 
@@ -68,6 +69,28 @@ def test_run_writes_exactly_its_listed_files(runner, tmp_path, command, fails):
     assert "config.yaml" in manifest["artifacts"]
     assert ("manifest.json" in manifest["artifacts"]) != fails
     assert tree(run) == listed_tree(run)
+
+
+@pytest.mark.parametrize("command, masks", [
+    ("train", ["seed_1/flips.csv", "seed_2/flips.csv"]),
+    ("analyze-noise", ["seed_1/flips.csv", "seed_2/flips.csv"]),
+    ("audit-labels", ["flips.csv"]),
+])
+def test_run_saves_its_training_flips(runner, tmp_path, command, masks):
+    """flips.csv is a run's one record of the original labels, so every run
+    command that trains on a noisy training split saves that split's mask,
+    one per seed it trains (audit-labels trains the first)."""
+    config_path = write_config(tmp_path)
+    result = runner.invoke(main, [command, str(config_path)])
+    assert result.exit_code == 0, result.output
+    run = tmp_path / "run"
+    config = ExperimentConfig.from_mapping(yaml.safe_load(config_path.read_text()))
+    train_set = build_task_data(config).train
+    for name, seed in zip(masks, config.seeds):
+        assert name in manifest_of(run)["artifacts"]
+        _, mask = noiselab.inject_noise(train_set, config.noise[seed])
+        mask.save_csv(tmp_path / "expected.csv")
+        assert (run / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 @pytest.mark.parametrize("first, second", [
