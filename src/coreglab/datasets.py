@@ -1,4 +1,9 @@
-"""Dataset containers, file formats, and synthetic task generators.
+"""Dataset containers, file formats, text featurization, and synthetic task
+generators.
+
+The one module that turns text into feature rows: it holds the vocabulary,
+the relation and tagging records and the entity masking, and both text
+builders take every token's id in one pass (_token_ids).
 
 File formats:
 - CoNLL column files: blank-line-separated sentences, one token per line,
@@ -207,15 +212,112 @@ def _is_tokens(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
-def save_vocab(vocab: mdl.Vocab, path) -> None:
+UNK_TOKEN = "<unk>"
+PAD_TOKEN = "<pad>"
+
+
+class Vocab:
+    """Dense token -> index map with <pad> and <unk> first, then the given
+    tokens in first-seen order."""
+
+    def __init__(self, tokens):
+        self._index = {}
+        for tok in (PAD_TOKEN, UNK_TOKEN, *tokens):
+            self._index.setdefault(tok, len(self._index))
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, token: str) -> bool:
+        return token in self._index
+
+    def index(self, token: str) -> int:
+        return self._index.get(token, self._index[UNK_TOKEN])
+
+    @property
+    def pad_index(self) -> int:
+        return self._index[PAD_TOKEN]
+
+    def tokens(self) -> list[str]:
+        return list(self._index)
+
+
+def subj_mask_token(entity_type: str) -> str:
+    return f"[SUBJ-{entity_type}]"
+
+
+def obj_mask_token(entity_type: str) -> str:
+    return f"[OBJ-{entity_type}]"
+
+
+@dataclass
+class SentenceInstance:
+    """One relation-classification example: a sentence with subject and
+    object entity spans (inclusive indices) and a relation label index."""
+
+    tokens: list[str]
+    subj_span: tuple[int, int]
+    subj_type: str
+    obj_span: tuple[int, int]
+    obj_type: str
+    label: int
+    uid: int = -1
+
+    def __post_init__(self):
+        n = len(self.tokens)
+        _check_span(self.subj_span, n, "subj")
+        _check_span(self.obj_span, n, "obj")
+        (s0, s1), (o0, o1) = self.subj_span, self.obj_span
+        if s0 <= o1 and o0 <= s1:
+            raise ValueError("subject and object spans overlap")
+
+
+@dataclass
+class TaggingInstance:
+    """One tagging example: tokens with one tag index per token."""
+
+    tokens: list[str]
+    tags: list[int]
+    uid: int = -1
+
+    def __post_init__(self):
+        if len(self.tokens) != len(self.tags):
+            raise ValueError("tokens and tags must have the same length")
+
+
+def _check_span(span, n_tokens, name):
+    start, end = span
+    if not (0 <= start <= end < n_tokens):
+        raise ValueError(f"{name} span {span} out of range for {n_tokens} tokens")
+
+
+def entity_mask(instance: SentenceInstance) -> list[str]:
+    """Replace the subject span with [SUBJ-TYPE] and the object span with
+    [OBJ-TYPE], each collapsed to a single token; other tokens unchanged.
+    The spans are in range and disjoint, as the instance checks when built."""
+    spans = sorted(
+        [(*instance.subj_span, subj_mask_token(instance.subj_type)),
+         (*instance.obj_span, obj_mask_token(instance.obj_type))]
+    )
+    out = []
+    cursor = 0
+    for start, end, mask in spans:
+        out.extend(instance.tokens[cursor:start])
+        out.append(mask)
+        cursor = end + 1
+    out.extend(instance.tokens[cursor:])
+    return out
+
+
+def save_vocab(vocab: Vocab, path) -> None:
     write_json(path, {"tokens": vocab.tokens()})
 
 
-def load_vocab(path) -> mdl.Vocab:
+def load_vocab(path) -> Vocab:
     def build(raw):
         if not _is_tokens(raw["tokens"]):
             raise TypeError("tokens must be a list of strings")
-        return mdl.Vocab(raw["tokens"])
+        return Vocab(raw["tokens"])
 
     return read_json(path, "vocabulary file", build)
 
@@ -229,21 +331,19 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
     write_json(path, {"entity_types": scheme.entity_types})
 
 
-def read_conll(path, scheme: metrics.TagScheme) -> list[mdl.TaggingInstance]:
+def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
     """Parse a CoNLL column file into tagging instances, preserving order."""
-    instances: list[mdl.TaggingInstance] = []
+    instances: list[TaggingInstance] = []
     tokens: list[str] = []
     tags: list[int] = []
 
     def flush():
         if tokens:
-            instances.append(mdl.TaggingInstance(list(tokens), list(tags),
-                                                 uid=len(instances)))
+            instances.append(TaggingInstance(tokens[:], tags[:], uid=len(instances)))
             tokens.clear()
             tags.clear()
 
-    for lineno, raw in _data_lines(path):
-        line = raw.rstrip("\n")
+    for lineno, line in _data_lines(path):
         if not line.strip():
             flush()
             continue
@@ -309,7 +409,7 @@ def _jsonl_records(path):
         yield where, rec, _record_id(rec, seen, where)
 
 
-def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstance]:
+def read_relation_jsonl(path, schema: RelationSchema) -> list[SentenceInstance]:
     """Parse line-delimited relation records; every error names the line."""
     instances = []
     for where, rec, uid in _jsonl_records(path):
@@ -331,12 +431,11 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[mdl.SentenceInstan
             if rec[f"{role}_type"] not in schema.entity_types:
                 raise DataError(f"{where}: unknown entity type {rec[f'{role}_type']!r}")
         try:
-            inst = mdl.SentenceInstance(tokens, tuple(rec["subj"]), rec["subj_type"],
-                                        tuple(rec["obj"]), rec["obj_type"], label)
+            instances.append(SentenceInstance(
+                tokens, tuple(rec["subj"]), rec["subj_type"], tuple(rec["obj"]),
+                rec["obj_type"], label, uid))
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        inst.uid = uid
-        instances.append(inst)
     return instances
 
 
@@ -389,22 +488,31 @@ def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _token_ids(sentences, vocab: Vocab | None):
+    """The given vocabulary, else one of the sentences' sorted distinct tokens;
+    every token's id in one flat array; and each sentence's length."""
+    tokens = [tok for sent in sentences for tok in sent]
+    vocab = Vocab(sorted(set(tokens))) if vocab is None else vocab
+    ids = np.fromiter(map(vocab.index, tokens), dtype=np.int64, count=len(tokens))
+    return vocab, ids, np.array([len(sent) for sent in sentences], dtype=np.int64)
+
+
 def build_relation_dataset(instances, schema: RelationSchema,
-                           vocab: mdl.Vocab | None = None):
-    """Mask entities, featurize sentences, and stack them into a dataset.
-    Builds the vocabulary from the masked corpus when none is given."""
-    masked = [mdl.entity_mask(inst) for inst in instances]
-    if vocab is None:
-        vocab = mdl.Vocab(sorted({tok for sent in masked for tok in sent}))
-    features = (np.stack([mdl.featurize_sentence(sent, vocab) for sent in masked])
-                if masked else np.zeros((0, len(vocab))))
-    labels = np.array([inst.label for inst in instances], dtype=np.int64)
-    ids = np.array([inst.uid for inst in instances], dtype=np.int64)
-    return LabeledDataset(features, labels, len(schema.relations), ids=ids), vocab
+                           vocab: Vocab | None = None):
+    """Mask entities and stack each sentence's token counts, divided by its
+    length, into a dataset; the vocabulary defaults to the masked corpus's."""
+    masked = [entity_mask(inst) for inst in instances]
+    vocab, ids, lengths = _token_ids(masked, vocab)
+    counts = np.zeros((len(masked), len(vocab)))
+    np.add.at(counts, (np.repeat(np.arange(len(masked)), lengths), ids), 1.0)
+    counts /= lengths[:, None]
+    labels = [inst.label for inst in instances]
+    return LabeledDataset(counts, labels, len(schema.relations),
+                          ids=[inst.uid for inst in instances]), vocab
 
 
 def build_tagging_dataset(instances, scheme: metrics.TagScheme,
-                          vocab: mdl.Vocab | None = None, window: int = 1):
+                          vocab: Vocab | None = None, window: int = 1):
     """One row per token: windowed one-hot features with the BIO tag index
     as the label; groups record the source sentence.
 
@@ -413,25 +521,17 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
     It is kept as WindowIds: the column of each block's one,
     slot*len(vocab) + the token's vocabulary id.
     """
-    if vocab is None:
-        vocab = mdl.Vocab(sorted({tok for inst in instances for tok in inst.tokens}))
-    lengths = np.array([len(inst.tokens) for inst in instances], dtype=np.int64)
+    vocab, ids, lengths = _token_ids([inst.tokens for inst in instances], vocab)
     groups = np.repeat(np.arange(len(instances)), lengths)
     labels = np.array([tag for inst in instances for tag in inst.tags], dtype=np.int64)
     # Every sentence padded by `window` <pad> ids on both sides, so the token
     # in slot j of row r's window sits at padded[r + 2*window*groups[r] + j].
-    pad = [vocab.pad_index] * window
-    index = vocab.index
-    padded = []
-    for inst in instances:
-        padded += pad
-        padded += [index(tok) for tok in inst.tokens]
-        padded += pad
-    padded = np.array(padded, dtype=np.int64)
+    first = np.arange(len(ids)) + 2 * window * groups
+    padded = np.full(len(ids) + 2 * window * len(instances), vocab.pad_index)
+    padded[first + window] = ids
     slots = np.arange(2 * window + 1)
-    first = np.arange(len(labels)) + 2 * window * groups
-    ids = slots * len(vocab) + padded[first[:, None] + slots]
-    features = mdl.WindowIds(ids, len(slots) * len(vocab))
+    features = mdl.WindowIds(slots * len(vocab) + padded[first[:, None] + slots],
+                             len(slots) * len(vocab))
     return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
 
 
@@ -489,7 +589,7 @@ def load_schema(task: str, path):
     return RelationSchema.load(path) if task == "relation" else load_tag_scheme(path)
 
 
-def load_split(task: str, path, schema, vocab: mdl.Vocab | None = None, *,
+def load_split(task: str, path, schema, vocab: Vocab | None = None, *,
                window: int = 1, num_classes: int | None = None):
     """One split file as (dataset, vocab); file tasks build the vocabulary
     from it when none is given, the synthetic task has none."""
@@ -623,5 +723,5 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
                 tokens.append(str(tok))
                 tags.append(scheme.index(f"I-{etype}"))
             add_fillers(int(rng.integers(1, 4)))
-        instances.append(mdl.TaggingInstance(tokens, tags, uid=s))
+        instances.append(TaggingInstance(tokens, tags, uid=s))
     return instances, scheme

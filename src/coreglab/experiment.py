@@ -5,7 +5,8 @@ driver, the label audit, and the long-format curve exporter.
 Run directory layout (every run command writes config.yaml and
 manifest.json; a rerun first removes the files the last manifest lists):
   config.yaml                  canonical config snapshot (hashed in manifest)
-  manifest.json                config hash, metric rows, wall clock, artifacts
+  manifest.json                config hash, metric rows, wall clock, artifacts,
+                               failure ("incomplete" until the run ends)
   metrics.csv                  final metric per seed per split + median rows
   seed_<s>/epoch_log.csv       per-epoch metrics (one row per model + "selected")
   seed_<s>/model.npz           selected model at its best checkpoint
@@ -230,16 +231,22 @@ def _read_manifest(run: Path) -> dict:
         **raw, "artifacts": check("artifacts", raw.get("artifacts"), Key([str]))})
 
 
-def _remove_listed(run_dir: Path) -> None:
-    """Remove each file the directory's manifest.json lists, then each
-    directory that leaves empty. Only a listed path that resolves to a file
-    inside run_dir and is not itself a symlink is removed, so nothing outside
-    the directory and no unlisted file is touched."""
+def _write_manifest(run_dir: Path, manifest: dict) -> None:
+    datasets.write_json(run_dir / "manifest.json",
+                        {**manifest, "artifacts": sorted(manifest["artifacts"])})
+
+
+def _remove_listed(run_dir: Path, names) -> None:
+    """Remove each named file, then each directory that leaves empty. Only a
+    name that resolves to a file inside run_dir other than its manifest.json,
+    and is not itself a symlink, is removed, so nothing outside the
+    directory and no unlisted file is touched."""
     root = run_dir.resolve()
-    for name in _read_manifest(run_dir).get("artifacts", ()):
+    for name in names:
         listed = run_dir / name
         path = listed.resolve()
-        if path.is_relative_to(root) and path.is_file() and not listed.is_symlink():
+        if (path.is_relative_to(root) and path.is_file() and not listed.is_symlink()
+                and path != root / "manifest.json"):
             path.unlink()
             for parent in path.parents:
                 if parent == root or any(parent.iterdir()):
@@ -249,36 +256,41 @@ def _remove_listed(run_dir: Path) -> None:
 
 @contextmanager
 def _run(config: ExperimentConfig):
-    """The one owner of a run directory: it removes what the previous run
-    listed, snapshots the config, and yields the manifest and ``save(name,
-    write)``, which writes run_dir/name through ``write(path)``, lists it and
-    returns its path. On exit it writes manifest.json, with any failure."""
+    """The one owner of a run directory. It writes manifest.json with failure
+    "incomplete", still listing the previous run's files, removes those, and
+    yields the manifest and ``save(name, write)``, which lists name in the
+    manifest before it writes run_dir/name through ``write(path)``. On exit
+    it lists the names whose files exist, with failure None or the error."""
     started = time.monotonic()
     run_dir = resolve_output_dir(config.output_dir)
-    _remove_listed(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     text = yaml.safe_dump(config.raw, sort_keys=True)
-    (run_dir / "config.yaml").write_text(text)
     manifest = RunManifest(hashlib.sha256(text.encode()).hexdigest(), [], 0.0,
-                           ["config.yaml"])
+                           _read_manifest(run_dir).get("artifacts", []), "incomplete")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_manifest(run_dir, asdict(manifest))
+    _remove_listed(run_dir, manifest.artifacts)
+    manifest.artifacts = []
 
     def save(name: str, write) -> Path:
+        manifest.artifacts.append(name)
+        _write_manifest(run_dir, asdict(manifest))
         path = run_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
-        manifest.artifacts.append(name)
         return path
 
     try:
+        save("config.yaml", lambda path: path.write_text(text))
         yield manifest, save
         manifest.artifacts.append("manifest.json")
+        manifest.failure = None
     except BaseException as exc:
         manifest.failure = f"{type(exc).__name__}: {exc}"
         raise
     finally:
         manifest.wall_clock_sec = time.monotonic() - started
-        datasets.write_json(run_dir / "manifest.json", {
-            **asdict(manifest), "artifacts": sorted(manifest.artifacts)})
+        manifest.artifacts = [n for n in manifest.artifacts if (run_dir / n).exists()]
+        _write_manifest(run_dir, asdict(manifest))
 
 
 def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str):
@@ -359,7 +371,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
             train_set, _ = _noisy_train(config, seed, task.train, save,
                                         f"seed_{seed}/flips.csv")
             _, mask = noiselab.inject_noise(pool, noiselab.NoiseSpec(
-                rate=analysis["pool_noise_rate"], seed=rngmod.substream_seed(seed, "noise")))
+                analysis["pool_noise_rate"], rngmod.substream_seed(seed, "pool_noise")))
             noisy_set, clean_set = (
                 datasets.LabeledDataset(pool.features[mask.indices], labels, pool.num_classes)
                 for labels in (mask.noisy_labels, mask.original_labels))
@@ -448,8 +460,7 @@ def export_curves(run_dir, out_path=None) -> Path:
                 if row[0] == "selected":
                     out_rows.append((config.method, repr(gamma), seed, *row[1:]))
     target = Path(out_path) if out_path is not None else run / "curves.csv"
-    datasets.write_csv(target, CURVES_HEADER, out_rows)
     if out_path is None and "curves.csv" not in manifest["artifacts"]:
-        datasets.write_json(run / "manifest.json", {
-            **manifest, "artifacts": sorted([*manifest["artifacts"], "curves.csv"])})
+        _write_manifest(run, {**manifest, "artifacts": [*manifest["artifacts"], "curves.csv"]})
+    datasets.write_csv(target, CURVES_HEADER, out_rows)
     return target

@@ -1,5 +1,5 @@
-"""Desk-scale task models: vocab, sentence featurizer, entity masking, and
-an MLP with exact manual forward/backward.
+"""Desk-scale task model: an MLP with exact manual forward/backward over
+the feature rows that datasets builds.
 
 The classifier is a plain feed-forward ReLU network over explicit features,
 in one of two forms: a dense matrix (bag of tokens for sentence
@@ -17,114 +17,9 @@ import numpy as np
 from .numeric import DROPOUT, dropout_mask
 from .schema import check
 
-UNK_TOKEN = "<unk>"
-PAD_TOKEN = "<pad>"
 # Rows per evaluation forward in predict: at a hidden width of 256 one
 # block's float64 activations are 2 MiB, whatever the split's size.
 PREDICT_BLOCK_ROWS = 1024
-
-
-class Vocab:
-    """Dense token -> index map with <pad> and <unk> first, then the given
-    tokens in first-seen order."""
-
-    def __init__(self, tokens):
-        self._index = {}
-        for tok in (PAD_TOKEN, UNK_TOKEN, *tokens):
-            self._index.setdefault(tok, len(self._index))
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def index(self, token: str) -> int:
-        return self._index.get(token, self._index[UNK_TOKEN])
-
-    @property
-    def pad_index(self) -> int:
-        return self._index[PAD_TOKEN]
-
-    def tokens(self) -> list[str]:
-        return list(self._index)
-
-
-def subj_mask_token(entity_type: str) -> str:
-    return f"[SUBJ-{entity_type}]"
-
-
-def obj_mask_token(entity_type: str) -> str:
-    return f"[OBJ-{entity_type}]"
-
-
-@dataclass
-class SentenceInstance:
-    """One relation-classification example: a sentence with subject and
-    object entity spans (inclusive indices) and a relation label index."""
-
-    tokens: list[str]
-    subj_span: tuple[int, int]
-    subj_type: str
-    obj_span: tuple[int, int]
-    obj_type: str
-    label: int
-    uid: int = -1
-
-    def __post_init__(self):
-        n = len(self.tokens)
-        _check_span(self.subj_span, n, "subj")
-        _check_span(self.obj_span, n, "obj")
-        (s0, s1), (o0, o1) = self.subj_span, self.obj_span
-        if s0 <= o1 and o0 <= s1:
-            raise ValueError("subject and object spans overlap")
-
-
-@dataclass
-class TaggingInstance:
-    """One tagging example: tokens with one tag index per token."""
-
-    tokens: list[str]
-    tags: list[int]
-    uid: int = -1
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
-            raise ValueError("tokens and tags must have the same length")
-
-
-def _check_span(span, n_tokens, name):
-    start, end = span
-    if not (0 <= start <= end < n_tokens):
-        raise ValueError(f"{name} span {span} out of range for {n_tokens} tokens")
-
-
-def entity_mask(instance: SentenceInstance) -> list[str]:
-    """Replace the subject span with [SUBJ-TYPE] and the object span with
-    [OBJ-TYPE], each collapsed to a single token; other tokens unchanged.
-    The spans are in range and disjoint, as the instance checks when built."""
-    spans = sorted(
-        [(*instance.subj_span, subj_mask_token(instance.subj_type)),
-         (*instance.obj_span, obj_mask_token(instance.obj_type))]
-    )
-    out = []
-    cursor = 0
-    for start, end, mask in spans:
-        out.extend(instance.tokens[cursor:start])
-        out.append(mask)
-        cursor = end + 1
-    out.extend(instance.tokens[cursor:])
-    return out
-
-
-def featurize_sentence(tokens: list[str], vocab: Vocab) -> np.ndarray:
-    """Normalized bag-of-tokens vector: counts divided by token count."""
-    if len(tokens) == 0:
-        raise ValueError("cannot featurize an empty token list")
-    vec = np.zeros(len(vocab))
-    for tok in tokens:
-        vec[vocab.index(tok)] += 1.0
-    return vec / len(tokens)
 
 
 class WindowIds:

@@ -103,6 +103,31 @@ def featurize_token_window(instance, position, window, vocab):
     return vec
 
 
+def featurize_sentence(tokens, vocab):
+    """A relation row one token at a time: a bag-of-tokens vector of counts
+    divided by the token count."""
+    if len(tokens) == 0:
+        raise ValueError("cannot featurize an empty token list")
+    vec = np.zeros(len(vocab))
+    for tok in tokens:
+        vec[vocab.index(tok)] += 1.0
+    return vec / len(tokens)
+
+
+def reference_window_ids(instances, vocab, window):
+    """Tagging window ids from one padded id list grown sentence by
+    sentence: each sentence's ids between `window` <pad> ids on each side,
+    so row r's window starts at padded[r + 2*window*sentence(r)]."""
+    pad = [vocab.pad_index] * window
+    padded, groups = [], []
+    for s, inst in enumerate(instances):
+        padded += pad + [vocab.index(tok) for tok in inst.tokens] + pad
+        groups += [s] * len(inst.tokens)
+    slots = np.arange(2 * window + 1)
+    first = np.arange(len(groups)) + 2 * window * np.array(groups, dtype=np.int64)
+    return slots * len(vocab) + np.array(padded, dtype=np.int64)[first[:, None] + slots]
+
+
 def densify(features):
     """The dense 0/1 matrix that models.WindowIds stand for, one entry at a
     time."""

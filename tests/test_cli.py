@@ -706,8 +706,7 @@ def test_evaluate_tagging_vocab_mismatch_exits_2(runner, tmp_path):
     """The window comes from the model: its input width over the vocabulary
     size. A vocabulary that does not divide that width into an odd number
     of blocks is refused, naming both sizes."""
-    from coreglab.datasets import load_vocab, save_vocab
-    from coreglab.models import Vocab
+    from coreglab.datasets import Vocab, load_vocab, save_vocab
 
     data = tmp_path / "data"
     assert runner.invoke(main, ["gen-synthetic", "--task", "tagging",

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
+from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, UNK_TOKEN, DataError,
                                MIXTURE_KEYS, LabeledDataset, RelationSchema,
+                               SentenceInstance, TaggingInstance, Vocab,
                                build_relation_dataset, build_tagging_dataset,
-                               concat_datasets, gen_gaussian_mixture,
+                               concat_datasets, entity_mask, gen_gaussian_mixture,
                                gen_tagging_corpus, load_tag_scheme, load_vocab,
                                make_metric, mixture_splits, read_conll,
                                read_feature_jsonl,
@@ -18,11 +19,10 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, DataError,
                                write_csv, write_feature_jsonl, write_json,
                                write_records, write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
-from coreglab.models import (UNK_TOKEN, SentenceInstance, TaggingInstance, Vocab,
-                             WindowIds, entity_mask)
+from coreglab.models import WindowIds
 from coreglab.trainer import TrainConfig, train
-from oracles import (densify, featurize_token_window, reference_tagging_f1,
-                     save_relation_schema)
+from oracles import (densify, featurize_sentence, featurize_token_window,
+                     reference_tagging_f1, reference_window_ids, save_relation_schema)
 
 
 # ---------------------------------------------------------------- container
@@ -502,6 +502,51 @@ def test_build_relation_dataset():
     assert again.features.tobytes() == data.features.tobytes()
 
 
+def _random_relations(rng, count, words):
+    """Relation instances over ``words`` with repeated tokens and spans of
+    one or more tokens, subject and object in either order."""
+    instances = []
+    for uid in range(count):
+        n = int(rng.integers(2, 12))
+        tokens = [str(w) for w in rng.choice(words, size=n)]
+        cut = int(rng.integers(1, n))
+        first = (int(rng.integers(0, cut)), cut - 1)
+        second = (cut, int(rng.integers(cut, n)))
+        subj, obj = (first, second) if uid % 2 else (second, first)
+        instances.append(SentenceInstance(tokens, subj, "PER", obj, "ORG",
+                                          int(rng.integers(0, 2)), uid=uid))
+    return instances
+
+
+def test_build_relation_dataset_matches_per_sentence_featurizer():
+    """Every relation row is bit for bit the per-sentence featurizer's row of
+    the masked sentence: under the built vocabulary, under a given one that
+    lacks most tokens (unknowns), and for no instances at all."""
+    schema = _schema()
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(30)]
+    train = [SentenceInstance(["a", "a", "a", "Ann", "a", "Acme"], (3, 3), "PER",
+                              (5, 5), "ORG", 1, uid=0),  # one-token spans
+             SentenceInstance(["Acme", "b"], (1, 1), "PER", (0, 0), "ORG", 0, uid=1),
+             *_random_relations(rng, 200, words[:20])]
+    dev = _random_relations(rng, 100, words)
+    _, built = build_relation_dataset(train, schema)
+    given = Vocab(["a", *words[:5], "[SUBJ-PER]"])
+    for instances, vocab in ((train, None), (train, built), (dev, built), (dev, given),
+                             ([], built), ([], None)):
+        data, used = build_relation_dataset(instances, schema, vocab)
+        assert vocab is None or used is vocab
+        expected = (np.stack([featurize_sentence(entity_mask(inst), used)
+                              for inst in instances])
+                    if instances else np.zeros((0, len(used))))
+        assert data.features.dtype == expected.dtype
+        assert data.features.shape == expected.shape
+        assert data.features.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(data.labels, [inst.label for inst in instances])
+        np.testing.assert_array_equal(data.ids, [inst.uid for inst in instances])
+    assert len(build_relation_dataset([], schema)[1]) == 2  # <pad> and <unk>
+
+
 def test_build_tagging_dataset():
     scheme = TagScheme(["PER"])
     instances = [TaggingInstance(["a", "per0"], [0, 1], uid=0),
@@ -523,18 +568,22 @@ def test_build_tagging_dataset_empty():
 
 @pytest.mark.parametrize("window", [0, 1, 2])
 def test_build_tagging_dataset_matches_row_oracle(window):
-    scheme = TagScheme(["PER"])
+    """Each row is the per-token oracle's window, and the ids are those of one
+    padded id list grown sentence by sentence."""
+    corpus, scheme = gen_tagging_corpus(num_sentences=120, seed=6)
     train = [TaggingInstance(["a", "per0", "b", "a", "c"], [0, 1, 0, 0, 0]),
              TaggingInstance(["b"], [0]),  # shorter than the window
              TaggingInstance([], []),  # no rows, but takes group number 2
              TaggingInstance(["per0", "a"], [1, 0])]
-    # Under the train vocab, "zzz" and "per9" are unknown tokens.
+    # Under the vocab of train and corpus, "zzz" and "per9" are unknown tokens.
     test = [TaggingInstance(["zzz", "a", "per9"], [0, 0, 1])]
-    _, vocab = build_tagging_dataset(train, scheme, window=window)
+    _, vocab = build_tagging_dataset(train + corpus, scheme, window=window)
     width = (2 * window + 1) * len(vocab)
-    for instances in (train, test, []):
+    for instances in (train, test, corpus, []):
         data, same = build_tagging_dataset(instances, scheme, vocab, window=window)
         assert same is vocab
+        assert data.features.ids.tobytes() == reference_window_ids(
+            instances, vocab, window).tobytes()
         rows = [featurize_token_window(inst, pos, window, vocab)
                 for inst in instances for pos in range(len(inst.tokens))]
         expected = np.stack(rows) if rows else np.zeros((0, width))

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coreglab.models import (PREDICT_BLOCK_ROWS, UNK_TOKEN, MlpModel,
-                             SentenceInstance, TaggingInstance, Vocab,
-                             WindowIds, backward,
-                             entity_mask, feature_width, featurize_sentence,
-                             forward, init_model, load_model, obj_mask_token,
+from coreglab.datasets import (UNK_TOKEN, RelationSchema, SentenceInstance,
+                               TaggingInstance, Vocab, build_relation_dataset,
+                               entity_mask, obj_mask_token, subj_mask_token)
+from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
+                             feature_width, forward, init_model, load_model,
                              param_count, params_flat, predict, save_model,
-                             set_params_flat, subj_mask_token)
+                             set_params_flat)
 from coreglab.numeric import softmax
 from coreglab.rng import substream
 from oracles import densify, featurize_token_window, finite_diff_grad
@@ -72,18 +72,21 @@ def test_entity_mask_errors():
 
 
 def test_featurize_sentence_counts():
-    vocab = Vocab(["a", "b"])
-    vec = featurize_sentence(["a", "a", "b", "zzz"], vocab)
-    assert vec.shape == (4,)
-    assert vec[vocab.index("a")] == pytest.approx(0.5)
-    assert vec[vocab.index("b")] == pytest.approx(0.25)
-    assert vec[vocab.index(UNK_TOKEN)] == pytest.approx(0.25)
+    """A relation row holds each token's count divided by the masked
+    sentence's length, unknown tokens counted at <unk>."""
+    schema = RelationSchema(("none",), "none", ("PER", "ORG"))
+    inst = SentenceInstance(["a", "a", "Ann", "b", "zzz", "Acme"], (2, 2), "PER",
+                            (5, 5), "ORG", 0)
+    vocab = Vocab(["a", "b", subj_mask_token("PER"), obj_mask_token("ORG")])
+    data, _ = build_relation_dataset([inst], schema, vocab)
+    vec = data.features[0]
+    assert vec.shape == (len(vocab),)
+    assert vec[vocab.index("a")] == pytest.approx(2 / 6)
+    assert vec[vocab.index("b")] == pytest.approx(1 / 6)
+    assert vec[vocab.index(UNK_TOKEN)] == pytest.approx(1 / 6)
+    assert vec[vocab.index("[SUBJ-PER]")] == pytest.approx(1 / 6)
+    assert vec[vocab.index("[OBJ-ORG]")] == pytest.approx(1 / 6)
     assert vec.sum() == pytest.approx(1.0)
-
-
-def test_featurize_sentence_empty():
-    with pytest.raises(ValueError):
-        featurize_sentence([], Vocab(["a"]))
 
 
 def test_featurize_token_window_layout():

@@ -4,16 +4,22 @@ rerun first removes what the previous manifest lists, and only that."""
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import coreglab
 from coreglab import noiselab, trainer
 from coreglab.cli import main
+from coreglab.datasets import write_json
 from coreglab.experiment import (ConfigError, ExperimentConfig, build_task_data,
                                  run_noise_analysis)
+from coreglab.rng import substream_seed
 
 DIVERGING = {"base_lr": 1e200, "warmup_pct": 0.0}
 
@@ -240,3 +246,160 @@ def test_repeated_gamma_trains_once(tmp_path, monkeypatch):
         if gammas == [1, 0, 1]:
             assert trained == [1.0, 0.0, 1.0, 0.0]
     assert curves["[1, 0, 1]"] == curves["[0, 1]"]
+
+
+KILLED = 17
+# A child process that runs `train` on the config at argv[1] and ends with
+# os._exit(KILLED) right after its argv[2]-th artifact: each writer a train
+# run's artifacts go through (config.yaml's text, the CSVs, the model) exits
+# after that many writes, before the run can do anything else.
+KILL_AFTER_ARTIFACT = f"""
+import os, sys
+from pathlib import Path
+from coreglab import datasets, models
+from coreglab.cli import main
+
+written = []
+
+def then_exit(write):
+    def wrapped(*args, **kwargs):
+        write(*args, **kwargs)
+        written.append(args[0])
+        if len(written) == int(sys.argv[2]):
+            os._exit({KILLED})
+    return wrapped
+
+datasets.write_csv = then_exit(datasets.write_csv)
+models.save_model = then_exit(models.save_model)
+Path.write_text = then_exit(Path.write_text)
+main(["train", sys.argv[1]])
+"""
+
+
+def test_killed_run_lists_every_file_it_left(runner, tmp_path):
+    """A run killed right after any of its artifacts leaves a manifest that
+    records the run as incomplete and lists every file on disk, so
+    export-curves refuses it and a rerun with fewer seeds leaves only its own
+    files."""
+    paths = (str(Path(coreglab.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+    artifacts = 0
+    while True:
+        artifacts += 1
+        base = tmp_path / str(artifacts)
+        base.mkdir()
+        run = base / "run"
+        config_path = write_config(base)
+        child = subprocess.run([sys.executable, "-c", KILL_AFTER_ARTIFACT, str(config_path),
+                                str(artifacts)], env=env, capture_output=True, text=True,
+                               timeout=60)
+        if child.returncode == 0:
+            break
+        assert child.returncode == KILLED, child.stderr
+        assert manifest_of(run)["failure"] == "incomplete"
+        assert tree(run) == listed_tree(run)
+        assert len(manifest_of(run)["artifacts"]) == artifacts
+        result = runner.invoke(main, ["export-curves", str(run)])
+        assert result.exit_code == 2, result.output
+        assert "the run failed, so it has no curves: incomplete" in result.stderr
+        assert not (run / "curves.csv").exists()
+        result = runner.invoke(main, ["train", str(write_config(base, seeds=[1]))])
+        assert result.exit_code == 0, result.output
+        assert manifest_of(run)["failure"] is None
+        assert tree(run) == listed_tree(run)
+        assert not (run / "seed_2").exists()
+    # config.yaml, per seed flips.csv, epoch_log.csv and model.npz, and
+    # metrics.csv: 8 artifacts, so the child asked to exit after a 9th finished.
+    assert artifacts == 9
+    assert manifest_of(run)["failure"] is None
+    assert len(manifest_of(run)["artifacts"]) == artifacts  # with manifest.json
+
+
+def test_pool_flips_draw_from_their_own_stream(tmp_path, monkeypatch):
+    """analyze-noise flips its pool from the seed's pool_noise stream, so the
+    pool never shares the noise stream that the training flips draw from
+    when the noise block leaves its seed out."""
+    seeds = []
+    original = noiselab.inject_noise
+
+    def recording(dataset, spec):
+        seeds.append(spec.seed)
+        return original(dataset, spec)
+
+    monkeypatch.setattr(noiselab, "inject_noise", recording)
+    run_noise_analysis(ExperimentConfig.from_mapping(
+        yaml.safe_load(write_config(tmp_path).read_text())))
+    assert seeds == [substream_seed(seed, stream) for seed in (1, 2)
+                     for stream in ("noise", "pool_noise")]
+
+
+def _relation_files(directory: Path) -> dict:
+    """A small relation task: its schema and train, dev and test files."""
+    write_json(directory / "schema.json", {
+        "relations": ["none", "founded"], "negative": "none",
+        "entity_types": ["PER", "ORG"]})
+    rng = np.random.default_rng(3)
+    words = ["started", "met", "founded", "saw", "the", "firm"]
+    paths = {"schema_path": str(directory / "schema.json")}
+    for split, count in (("train", 40), ("dev", 12), ("test", 12)):
+        lines = []
+        for _ in range(count):
+            middle = [str(w) for w in rng.choice(words, size=int(rng.integers(1, 4)))]
+            lines.append(json.dumps({
+                "tokens": ["Ann", *middle, "Acme"], "subj": [0, 0], "subj_type": "PER",
+                "obj": [len(middle) + 1, len(middle) + 1], "obj_type": "ORG",
+                "label": "founded" if "founded" in middle else "none"}))
+        (directory / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+        paths[f"{split}_path"] = str(directory / f"{split}.jsonl")
+    return paths
+
+
+def _file_task(runner, tmp_path, task):
+    """The overrides of write_config for a small relation or tagging task."""
+    data = tmp_path / "data"
+    data.mkdir()
+    if task == "relation":
+        return {"task": task, "noise": None, "data": _relation_files(data)}
+    result = runner.invoke(main, ["gen-synthetic", "--task", "tagging", "--out",
+                                  str(data), "--sentences", "40"])
+    assert result.exit_code == 0, result.output
+    return {"task": task, "noise": None, "data": {
+        **{f"{split}_path": str(data / f"{split}.conll") for split in ("train", "dev", "test")},
+        "schema_path": str(data / "schema.json")}}
+
+
+def _artifacts(run: Path) -> dict:
+    """Each file under run and its bytes, manifest.json's parsed without its
+    wall clock."""
+    files = {}
+    for path in sorted(run.rglob("*")):
+        if path.is_file():
+            files[path.relative_to(run).as_posix()] = path.read_bytes()
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["wall_clock_sec"]
+    return {**files, "manifest.json": manifest}
+
+
+@pytest.mark.parametrize("commands, task", [
+    pytest.param(["analyze-noise"], "synthetic", id="analyze-noise"),
+    pytest.param(["audit-labels"], "synthetic", id="audit-labels"),
+    pytest.param(["train", "export-curves"], "synthetic", id="export-curves"),
+    pytest.param(["train"], "relation", id="relation"),
+    pytest.param(["train"], "tagging", id="tagging"),
+])
+def test_rerun_in_a_fresh_directory_is_byte_identical(runner, tmp_path, commands, task):
+    """The same commands on the same config in two fresh directories write
+    the same artifacts, byte for byte, apart from the manifest's wall clock."""
+    overrides = {} if task == "synthetic" else _file_task(runner, tmp_path, task)
+    config_path = write_config(tmp_path, **overrides, output_dir="run")
+    runs = []
+    for root in ("a", "b"):
+        run = tmp_path / root / "run"
+        for command in commands:
+            target = str(run) if command == "export-curves" else str(config_path)
+            result = runner.invoke(main, [command, target],
+                                   env={"COREGLAB_OUTPUT_ROOT": str(tmp_path / root)})
+            assert result.exit_code == 0, result.output
+        runs.append(_artifacts(run))
+    assert "config.yaml" in runs[0]
+    assert runs[0] == runs[1]
