@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 config error, 2 data error (an unreadable input or
 an unwritable output path included), 3 training divergence.
-Relative output paths resolve under the COREGLAB_OUTPUT_ROOT environment
-variable when it is set.
+A relative config output_dir or gen-synthetic --out resolves under the
+COREGLAB_OUTPUT_ROOT environment variable when it is set; every other path
+(inject-noise, export-curves, evaluate) resolves against the working directory.
 """
 
 import functools
@@ -133,14 +134,14 @@ def gen_synthetic(task, out_dir, seed, sentences, **mixture):
     if schema is not None:
         datasets.save_tag_scheme(schema, out / "schema.json")
     for name, part in zip(("train", "dev", "test"), splits):
-        datasets.write_records(task, out / f"{name}.{suffix}", part, schema)
+        datasets.TASKS[task].write_records(out / f"{name}.{suffix}", part, schema)
         click.echo(f"wrote {out / f'{name}.{suffix}'} ({len(part)} {unit})")
     if schema is not None:
         click.echo(f"wrote {out / 'schema.json'}")
 
 
 @main.command("inject-noise")
-@click.option("--task", type=click.Choice(datasets.TASKS),
+@click.option("--task", type=click.Choice(tuple(datasets.TASKS)),
               default="synthetic", show_default=True)
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", required=True, type=click.Path())
@@ -155,16 +156,16 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
     """Flip a seeded fraction of labels in a dataset file, each to another
     class drawn uniformly, and record which."""
     spec = noiselab.NoiseSpec(rate=rate, seed=seed)
-    if task != "synthetic" and schema_path is None:
+    record = datasets.TASKS[task]
+    if record.from_files and schema_path is None:
         raise experiment.ConfigError(f"{task} noise requires --schema")
-    schema = datasets.load_schema(task, schema_path)
-    records, labeled = datasets.read_labeled(task, input_path, schema)
+    schema = record.load_schema(schema_path) if record.from_files else None
+    records, labeled = record.read_labeled(input_path, schema)
     try:
         noisy, mask = noiselab.inject_noise(labeled, spec)
     except experiment.ConfigError as exc:  # the file's labels span too few classes
         raise datasets.DataError(f"{input_path}: {exc}") from exc
-    datasets.write_records(task, output_path,
-                           datasets.relabel(task, records, noisy.labels), schema)
+    record.write_records(output_path, record.relabel(records, noisy.labels), schema)
     mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"
     mask.save_csv(mask_target)
     click.echo(f"flipped {len(mask)} of {mask.num_instances} labels")
@@ -174,7 +175,7 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
 
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--task", type=click.Choice(datasets.TASKS),
+@click.option("--task", type=click.Choice(tuple(datasets.TASKS)),
               default="synthetic", show_default=True)
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--schema", "schema_path", type=click.Path(), default=None)
@@ -189,22 +190,14 @@ def evaluate(model_path, task, data_path, schema_path, vocab_path):
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise datasets.DataError(f"cannot load model {model_path}: {exc}") from exc
-    if task != "synthetic" and (schema_path is None or vocab_path is None):
+    record = datasets.TASKS[task]
+    if record.from_files and (schema_path is None or vocab_path is None):
         raise experiment.ConfigError(f"{task} evaluation requires --schema and --vocab")
-    schema = datasets.load_schema(task, schema_path)
-    vocab = None if schema is None else datasets.load_vocab(vocab_path)
-    width, window = model.layer_sizes[0], 0
-    if task == "tagging":
-        # A tagging row is 2*window+1 blocks of len(vocab) columns.
-        blocks, rest = divmod(width, len(vocab))
-        if rest or blocks % 2 == 0:
-            raise datasets.DataError(
-                f"model/vocabulary mismatch: the model's input width {width} is not "
-                f"an odd number of blocks of the vocabulary's {len(vocab)} tokens")
-        window = (blocks - 1) // 2
+    schema = record.load_schema(schema_path) if record.from_files else None
+    vocab = datasets.load_vocab(vocab_path) if record.from_files else None
     outputs = model.layer_sizes[-1]
-    dataset, _ = datasets.load_split(task, data_path, schema, vocab, window=window,
-                                     num_classes=outputs)
+    dataset, _ = record.load_split(data_path, schema, vocab, num_classes=outputs,
+                                   window=record.window(model.layer_sizes[0], vocab))
     if not len(dataset):
         raise datasets.DataError(f"{data_path}: empty data file")
     if dataset.num_classes != outputs:

@@ -16,22 +16,26 @@ File formats:
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
 
+Each task is described in one place, its record in TASKS: its data keys,
+its splits, file formats and scorer, and a saved model's token window.
+Record methods name this module's functions at call time, so a caller that
+rebinds one (as the benchmark's tracer does) sees every call.
+
 Every CSV and JSON artifact a run writes goes through write_csv and
 write_json, the one copy of each format.
 """
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import metrics
 from . import models as mdl
 from .schema import Key, check
-
-TASKS = ("synthetic", "relation", "tagging")
-
 
 class DataError(Exception):
     """A dataset file is missing, malformed, or inconsistent."""
@@ -66,10 +70,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    """A JSON artifact: indented by 2, keys sorted, ending in a newline."""
-    with open(path, "w") as fh:
+    """A JSON artifact: indented by 2, keys sorted, ending in a newline; written
+    to <name>.tmp and renamed over path, so a killed process leaves no half file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def read_json(path, what: str, build):
@@ -189,6 +196,9 @@ class RelationSchema:
             raise ValueError("negative label must be one of the relations")
         object.__setattr__(self, "_index",
                            {name: i for i, name in enumerate(self.relations)})
+
+    def __len__(self) -> int:
+        return len(self.relations)
 
     def label_index(self, name: str) -> int:
         if name not in self._index:
@@ -439,14 +449,16 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[SentenceInstance]:
     return instances
 
 
-def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
+def _write_jsonl(path, records) -> None:
     with open(path, "w") as fh:
-        for inst in instances:
-            rec = {"id": int(inst.uid), "tokens": list(inst.tokens),
-                   "subj": list(inst.subj_span), "subj_type": inst.subj_type,
-                   "obj": list(inst.obj_span), "obj_type": inst.obj_type,
-                   "label": schema.relations[inst.label]}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
+    _write_jsonl(path, ({"id": int(inst.uid), "tokens": list(inst.tokens),
+                         "subj": list(inst.subj_span), "subj_type": inst.subj_type,
+                         "obj": list(inst.obj_span), "obj_type": inst.obj_type,
+                         "label": schema.relations[inst.label]} for inst in instances))
 
 
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
@@ -480,12 +492,9 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
 
 
 def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
-    with open(path, "w") as fh:
-        for i in range(len(dataset)):
-            rec = {"id": int(dataset.ids[i]),
-                   "features": [float(v) for v in dataset.features[i]],
-                   "label": int(dataset.labels[i])}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_jsonl(path, ({"id": int(dataset.ids[i]),
+                         "features": [float(v) for v in dataset.features[i]],
+                         "label": int(dataset.labels[i])} for i in range(len(dataset))))
 
 
 def _token_ids(sentences, vocab: Vocab | None):
@@ -507,7 +516,7 @@ def build_relation_dataset(instances, schema: RelationSchema,
     np.add.at(counts, (np.repeat(np.arange(len(masked)), lengths), ids), 1.0)
     counts /= lengths[:, None]
     labels = [inst.label for inst in instances]
-    return LabeledDataset(counts, labels, len(schema.relations),
+    return LabeledDataset(counts, labels, len(schema),
                           ids=[inst.uid for inst in instances]), vocab
 
 
@@ -536,104 +545,13 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
 
 
 def make_metric(task: str, *, schema: RelationSchema | metrics.TagScheme | None = None):
-    """(metric name, scorer) for a task; scorers map (dataset, preds) to a
-    float so training can evaluate any split uniformly. ``schema`` is the
-    task's schema as load_schema returns it."""
-    if task == "synthetic":
-        return "accuracy", lambda dataset, preds: metrics.accuracy(dataset.labels, preds)
-    if task == "relation":
-        if schema is None:
-            raise ValueError("relation metric needs the schema")
-        neg = schema.negative_index
-
-        def rel_fn(dataset, preds):
-            return metrics.relation_micro_f1(dataset.labels, preds, neg).f1
-
-        return "f1", rel_fn
-    if task == "tagging":
-        if schema is None:
-            raise ValueError("tagging metric needs the tag scheme")
-
-        def tag_fn(dataset, preds):
-            if dataset.groups is None:
-                raise ValueError("tagging dataset lacks sentence groups")
-            # One stable sort groups the rows by sentence in np.unique order,
-            # keeping each sentence's rows in their original order.
-            order = np.argsort(dataset.groups, kind="stable")
-            bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
-            edges = [0, *bounds.tolist(), len(order)] if len(order) else [0]
-            tags = schema.tags
-            gold = [tags[i] for i in dataset.labels[order].tolist()]
-            pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
-            golds, predicted = [], []
-            for start, stop in zip(edges, edges[1:]):
-                golds.append(metrics.bio_decode(gold[start:stop]))
-                predicted.append(metrics.bio_decode(pred[start:stop]))
-            return metrics.span_f1(golds, predicted).f1
-
-        return "f1", tag_fn
-    raise ValueError(f"unknown task {task!r}")
-
-
-# The task dispatch: the one place that maps a task name to its formats, for
-# the experiment runner and the command line. Each function names the format
-# functions through this module's globals at call time, never through a table
-# built at import, so a caller that rebinds one (as a tracer does) sees every
-# call.
-
-def load_schema(task: str, path):
-    """The label schema of a file task (RelationSchema or TagScheme); None
-    for the synthetic task, whose labels are plain class indices."""
-    if task == "synthetic":
-        return None
-    return RelationSchema.load(path) if task == "relation" else load_tag_scheme(path)
-
-
-def load_split(task: str, path, schema, vocab: Vocab | None = None, *,
-               window: int = 1, num_classes: int | None = None):
-    """One split file as (dataset, vocab); file tasks build the vocabulary
-    from it when none is given, the synthetic task has none."""
-    if task == "synthetic":
-        return read_feature_jsonl(path, num_classes), None
-    if task == "relation":
-        return build_relation_dataset(read_relation_jsonl(path, schema), schema, vocab)
-    return build_tagging_dataset(read_conll(path, schema), schema, vocab, window=window)
-
-
-def read_labeled(task: str, path, schema):
-    """A file's records and a dataset of their flat label vector, one label
-    per record (per token for tagging), in file order."""
-    if task == "synthetic":
-        dataset = read_feature_jsonl(path)
-        return dataset, dataset
-    if task == "relation":
-        records = read_relation_jsonl(path, schema)
-        labels, num_classes = [r.label for r in records], len(schema.relations)
-    else:
-        records = read_conll(path, schema)
-        labels, num_classes = [t for r in records for t in r.tags], len(schema)
-    return records, LabeledDataset(np.zeros((len(labels), 1)), labels, num_classes)
-
-
-def relabel(task: str, records, labels):
-    """read_labeled's records with a new flat label vector."""
-    if task == "synthetic":
-        return records.with_labels(labels)
-    if task == "relation":
-        return [replace(r, label=label) for r, label in zip(records, labels.tolist())]
-    parts = np.split(labels, np.cumsum([len(r.tags) for r in records])[:-1])
-    return [replace(r, tags=part.tolist()) for r, part in zip(records, parts)]
-
-
-def write_records(task: str, path, records, schema=None) -> None:
-    """Write records in the task's file format: a dataset as feature JSONL,
-    relation or tagging instances with the schema's label names."""
-    if task == "synthetic":
-        write_feature_jsonl(path, records)
-    elif task == "relation":
-        write_relation_jsonl(path, records, schema)
-    else:
-        write_conll(path, records, schema)
+    """(metric name, scorer) for a task; the scorer maps (dataset, preds) to a
+    float. ``schema`` is the task's schema as its record's load_schema returns it."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if TASKS[task].from_files and schema is None:
+        raise ValueError(f"the {task} metric needs the task's schema")
+    return TASKS[task].metric, partial(TASKS[task].score, schema)
 
 
 # The synthetic task's data keys, the arguments of mixture_splits.
@@ -641,12 +559,133 @@ MIXTURE_KEYS = {"train_size": Key(int, 2000, least=1), "dev_size": Key(int, 500,
                 "test_size": Key(int, 500, least=1), "num_classes": Key(int, 4, least=2),
                 "num_features": Key(int, 2, least=2), "class_sep": Key(float, 2.5),
                 "scale": Key(float, 1.0), "data_seed": Key(int, 20250401, least=0)}
-_FILE_KEYS = {f"{name}_path": Key(str, required=True)
-              for name in ("train", "dev", "test", "schema")}
-# The config's data block of each task; window is the tagging token-window
-# radius.
-DATA_KEYS = {"synthetic": MIXTURE_KEYS, "relation": _FILE_KEYS,
-             "tagging": {**_FILE_KEYS, "window": Key(int, 1, least=0)}}
+_SPLITS = ("train", "dev", "test")
+
+
+class _Task:
+    """A task's record. By default its splits are train, dev and test files
+    under a schema file, featurized with the training split's vocabulary and
+    scored by F1; subclasses give the file formats and the score."""
+
+    data_keys = {f"{name}_path": Key(str, required=True) for name in (*_SPLITS, "schema")}
+    from_files = True
+    metric = "f1"
+
+    def splits(self, data):
+        """(train, dev, test, schema, vocab) of the config's data block."""
+        schema, vocab, splits = self.load_schema(data["schema_path"]), None, []
+        for split in _SPLITS:
+            dataset, vocab = self.load_split(data[f"{split}_path"], schema, vocab,
+                                             window=data.get("window"))
+            splits.append(dataset)
+        for split, name, dataset in zip(_SPLITS, ("training", "dev", "test"), splits):
+            if len(dataset) == 0:
+                raise DataError(f"{data[split + '_path']}: empty {name} split")
+        return (*splits, schema, vocab)
+
+    def _labeled(self, records, labels, schema):
+        return records, LabeledDataset(np.zeros((len(labels), 1)), labels, len(schema))
+
+    def window(self, width, vocab):
+        return 0
+
+
+class _SyntheticTask(_Task):
+    data_keys = MIXTURE_KEYS
+    from_files = False
+    metric = "accuracy"
+
+    def splits(self, data):
+        return (*mixture_splits(**data), None, None)
+
+    def load_split(self, path, schema, vocab=None, *, window=None, num_classes=None):
+        return read_feature_jsonl(path, num_classes), None
+
+    def read_labeled(self, path, schema):
+        dataset = read_feature_jsonl(path)
+        return dataset, dataset
+
+    def relabel(self, records, labels):
+        return records.with_labels(labels)
+
+    def write_records(self, path, records, schema=None):
+        write_feature_jsonl(path, records)
+
+    def score(self, schema, dataset, preds):
+        return metrics.accuracy(dataset.labels, preds)
+
+
+class _RelationTask(_Task):
+    def load_schema(self, path):
+        return RelationSchema.load(path)
+
+    def load_split(self, path, schema, vocab=None, *, window=None, num_classes=None):
+        return build_relation_dataset(read_relation_jsonl(path, schema), schema, vocab)
+
+    def read_labeled(self, path, schema):
+        records = read_relation_jsonl(path, schema)
+        return self._labeled(records, [r.label for r in records], schema)
+
+    def relabel(self, records, labels):
+        return [replace(r, label=label) for r, label in zip(records, labels.tolist())]
+
+    def write_records(self, path, records, schema=None):
+        write_relation_jsonl(path, records, schema)
+
+    def score(self, schema, dataset, preds):
+        return metrics.relation_micro_f1(dataset.labels, preds, schema.negative_index).f1
+
+
+class _TaggingTask(_Task):
+    # window is the token-window radius.
+    data_keys = {**_Task.data_keys, "window": Key(int, 1, least=0)}
+
+    def load_schema(self, path):
+        return load_tag_scheme(path)
+
+    def load_split(self, path, schema, vocab=None, *, window=None, num_classes=None):
+        return build_tagging_dataset(read_conll(path, schema), schema, vocab, window=window)
+
+    def read_labeled(self, path, schema):
+        records = read_conll(path, schema)
+        return self._labeled(records, [t for r in records for t in r.tags], schema)
+
+    def relabel(self, records, labels):
+        parts = np.split(labels, np.cumsum([len(r.tags) for r in records])[:-1])
+        return [replace(r, tags=part.tolist()) for r, part in zip(records, parts)]
+
+    def write_records(self, path, records, schema=None):
+        write_conll(path, records, schema)
+
+    def score(self, schema, dataset, preds):
+        if dataset.groups is None:
+            raise ValueError("tagging dataset lacks sentence groups")
+        # One stable sort groups the rows by sentence in np.unique order,
+        # keeping each sentence's rows in their original order.
+        order = np.argsort(dataset.groups, kind="stable")
+        bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
+        edges = [0, *bounds.tolist(), len(order)] if len(order) else [0]
+        tags = schema.tags
+        gold = [tags[i] for i in dataset.labels[order].tolist()]
+        pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
+        golds, predicted = [], []
+        for start, stop in zip(edges, edges[1:]):
+            golds.append(metrics.bio_decode(gold[start:stop]))
+            predicted.append(metrics.bio_decode(pred[start:stop]))
+        return metrics.span_f1(golds, predicted).f1
+
+    def window(self, width, vocab):
+        # A model reads rows of 2*window+1 blocks of len(vocab) columns.
+        blocks, rest = divmod(width, len(vocab))
+        if rest or blocks % 2 == 0:
+            raise DataError(
+                f"model/vocabulary mismatch: the model's input width {width} is not "
+                f"an odd number of blocks of the vocabulary's {len(vocab)} tokens")
+        return (blocks - 1) // 2
+
+
+TASKS = {"synthetic": _SyntheticTask(), "relation": _RelationTask(),
+         "tagging": _TaggingTask()}
 
 
 def mixture_splits(train_size, dev_size, test_size, num_classes, num_features,
@@ -708,20 +747,17 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
         tags: list[int] = []
 
         def add_fillers(count):
-            for tok in rng.choice(fillers, size=count):
-                tokens.append(str(tok))
-                tags.append(scheme.index("O"))
+            tokens.extend(map(str, rng.choice(fillers, size=count)))
+            tags.extend([scheme.index("O")] * count)
 
         add_fillers(int(rng.integers(2, 5)))
         for _ in range(int(rng.integers(1, 3))):
             etype = TAGGING_ENTITY_TYPES[int(rng.integers(len(TAGGING_ENTITY_TYPES)))]
             span_len = int(rng.integers(1, 3))
             mention = rng.choice(names[etype], size=span_len, replace=False)
-            tokens.append(str(mention[0]))
-            tags.append(scheme.index(f"B-{etype}"))
-            for tok in mention[1:]:
-                tokens.append(str(tok))
-                tags.append(scheme.index(f"I-{etype}"))
+            tokens.extend(map(str, mention))
+            tags.extend([scheme.index(f"B-{etype}")]
+                        + [scheme.index(f"I-{etype}")] * (span_len - 1))
             add_fillers(int(rng.integers(1, 4)))
         instances.append(TaggingInstance(tokens, tags, uid=s))
     return instances, scheme

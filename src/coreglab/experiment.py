@@ -21,6 +21,7 @@ import hashlib
 import math
 import os
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -48,7 +49,7 @@ ANALYSIS_KEYS = {"gammas": Key([float], (0.0, 1.0, 5.0, 20.0), least=0, nonempty
                  "epochs": Key(int, least=1)}
 # The top-level keys; data is checked against its task's table once the
 # task is known.
-TOP_KEYS = {"task": Key(datasets.TASKS, "synthetic"),
+TOP_KEYS = {"task": Key(tuple(datasets.TASKS), "synthetic"),
             "method": Key(("coreg", "plain", "small_loss", "relabel", "crossweigh"), "coreg"),
             "seeds": Key([int], required=True, nonempty=True),
             "output_dir": Key(str, required=True), "epochs": Key(int, 30, least=1),
@@ -87,7 +88,7 @@ class ExperimentConfig:
         train = trainer.TrainConfig(**top["train"])
         if method == "coreg" and train.num_models < 2:
             raise ConfigError("coreg requires train.num_models >= 2")
-        data = check_block("data", top["data"], datasets.DATA_KEYS[task],
+        data = check_block("data", top["data"], datasets.TASKS[task].data_keys,
                            f" for the {task} task")
         noise = {}
         if top["noise"] is not None:
@@ -101,13 +102,13 @@ class ExperimentConfig:
             analysis["epochs"] = epochs
         config = cls(task, method, seeds, top["output_dir"], train, epochs, data,
                      noise, top["baseline"], analysis, raw)
-        if task == "synthetic":
+        if not datasets.TASKS[task].from_files:
             config.check_data_size(data["num_classes"], data["train_size"])
         return config
 
     def check_data_size(self, num_classes: int, n_train: int) -> None:
         """Noise needs the data's classes and crossweigh a training row per
-        fold; the synthetic task is checked at load, a file task once read."""
+        fold; checked once the splits are built, and for drawn splits at load."""
         for spec in self.noise.values():
             spec.check_classes(num_classes)
         if self.method == "crossweigh":
@@ -127,42 +128,20 @@ def load_config(path) -> ExperimentConfig:
 
 def resolve_output_dir(output_dir: str) -> Path:
     """Relative output directories land under the output-root environment
-    variable (default: current directory)."""
-    path = Path(output_dir)
-    if path.is_absolute():
-        return path
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / path
+    variable (default: current directory); an absolute one stays as it is."""
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / output_dir
 
 
-@dataclass
-class TaskData:
-    train: datasets.LabeledDataset
-    dev: datasets.LabeledDataset
-    test: datasets.LabeledDataset
-    metric_name: str
-    metric_fn: object
-    vocab: object = None
+# A task's three splits, its metric's name and scorer, and its vocabulary
+# (None for the synthetic task).
+TaskData = namedtuple("TaskData", "train dev test metric_name metric_fn vocab")
 
 
 def build_task_data(config: ExperimentConfig) -> TaskData:
-    data = config.data
-    schema = vocab = None
-    if config.task == "synthetic":
-        train, dev, test = datasets.mixture_splits(**data)
-    else:
-        schema = datasets.load_schema(config.task, data["schema_path"])
-        splits = {}
-        for split in ("train", "dev", "test"):
-            splits[split], vocab = datasets.load_split(
-                config.task, data[f"{split}_path"], schema, vocab,
-                window=data.get("window"))
-        for split, name in (("train", "training"), ("dev", "dev"), ("test", "test")):
-            if len(splits[split]) == 0:
-                raise datasets.DataError(f"{data[split + '_path']}: empty {name} split")
-        train, dev, test = splits.values()
-        config.check_data_size(train.num_classes, len(train))
-    name, fn = datasets.make_metric(config.task, schema=schema)
-    return TaskData(train, dev, test, name, fn, vocab=vocab)
+    train, dev, test, schema, vocab = datasets.TASKS[config.task].splits(config.data)
+    config.check_data_size(train.num_classes, len(train))
+    return TaskData(train, dev, test, *datasets.make_metric(config.task, schema=schema),
+                    vocab)
 
 
 def _train_config(config: ExperimentConfig, seed: int, epochs: int,
@@ -353,8 +332,8 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     """Noise-overfit protocol over a gamma grid: per seed, flip a pool's
     labels, train on train + the flipped rows with their noisy labels for
     each gamma, and log the metric on the same rows with their original
-    labels per epoch; then export its curves.csv."""
-    if config.task != "synthetic":
+    labels per epoch; then save those logs' curves.csv and return its path."""
+    if datasets.TASKS[config.task].from_files:
         raise ConfigError("analyze-noise supports the synthetic task")
     analysis = config.analysis
     # Uniform flips change every chosen row, so this is the clean set's size.
@@ -385,7 +364,8 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                     datasets.write_csv, header=EPOCH_LOG_HEADER, rows=[
                         ("selected", epoch, "clean", task.metric_name, repr(value))
                         for epoch, value in enumerate(curve)]))
-    return export_curves(resolve_output_dir(config.output_dir))
+        return save("curves.csv", lambda path: datasets.write_csv(
+            path, CURVES_HEADER, _curve_rows(config, path.parent)))
 
 
 def run_audit(config: ExperimentConfig):
@@ -437,6 +417,16 @@ def export_curves(run_dir, out_path=None) -> Path:
     if manifest.get("failure") is not None:
         raise datasets.DataError(f"{run / 'manifest.json'}: the run failed, so it "
                                  f"has no curves: {manifest['failure']}")
+    rows = _curve_rows(config, run)
+    target = Path(out_path) if out_path is not None else run / "curves.csv"
+    if out_path is None and "curves.csv" not in manifest["artifacts"]:
+        _write_manifest(run, {**manifest, "artifacts": [*manifest["artifacts"], "curves.csv"]})
+    datasets.write_csv(target, CURVES_HEADER, rows)
+    return target
+
+
+def _curve_rows(config: ExperimentConfig, run: Path) -> list[tuple]:
+    """The curves.csv rows, as export_curves describes them, of ``run``."""
     analysis = all((run / f"gamma_{gamma!r}").is_dir()
                    for gamma in config.analysis["gammas"])
     gammas = sorted(set(config.analysis["gammas"])) if analysis else [config.train.gamma]
@@ -459,8 +449,4 @@ def export_curves(run_dir, out_path=None) -> Path:
                         f"{log}:{lineno}: expected 5 fields, got {len(row)}")
                 if row[0] == "selected":
                     out_rows.append((config.method, repr(gamma), seed, *row[1:]))
-    target = Path(out_path) if out_path is not None else run / "curves.csv"
-    if out_path is None and "curves.csv" not in manifest["artifacts"]:
-        _write_manifest(run, {**manifest, "artifacts": [*manifest["artifacts"], "curves.csv"]})
-    datasets.write_csv(target, CURVES_HEADER, out_rows)
-    return target
+    return out_rows

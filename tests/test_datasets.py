@@ -13,11 +13,10 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, UNK_TOKEN, DataError
                                concat_datasets, entity_mask, gen_gaussian_mixture,
                                gen_tagging_corpus, load_tag_scheme, load_vocab,
                                make_metric, mixture_splits, read_conll,
-                               read_feature_jsonl,
-                               read_labeled, read_relation_jsonl, relabel,
+                               read_feature_jsonl, read_relation_jsonl,
                                save_tag_scheme, save_vocab, write_conll,
                                write_csv, write_feature_jsonl, write_json,
-                               write_records, write_relation_jsonl)
+                               write_relation_jsonl)
 from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import WindowIds
 from coreglab.trainer import TrainConfig, train
@@ -688,14 +687,15 @@ def test_relabel_round_trip(tmp_path, task):
     """Records written back with their own flat labels reproduce the file;
     new labels read back in the same flat order."""
     path, schema = _task_file(tmp_path, task)
-    records, labeled = read_labeled(task, path, schema)
+    record = TASKS[task]
+    records, labeled = record.read_labeled(path, schema)
     same = tmp_path / "same.data"
-    write_records(task, same, relabel(task, records, labeled.labels), schema)
+    record.write_records(same, record.relabel(records, labeled.labels), schema)
     assert same.read_bytes() == path.read_bytes()
     new_labels = (labeled.labels + 1) % labeled.num_classes
     changed = tmp_path / "changed.data"
-    write_records(task, changed, relabel(task, records, new_labels), schema)
-    _, again = read_labeled(task, changed, schema)
+    record.write_records(changed, record.relabel(records, new_labels), schema)
+    _, again = record.read_labeled(changed, schema)
     np.testing.assert_array_equal(again.labels, new_labels)
 
 

@@ -249,9 +249,9 @@ def test_repeated_gamma_trains_once(tmp_path, monkeypatch):
 
 
 KILLED = 17
-# A child process that runs `train` on the config at argv[1] and ends with
-# os._exit(KILLED) right after its argv[2]-th artifact: each writer a train
-# run's artifacts go through (config.yaml's text, the CSVs, the model) exits
+# A child process that runs the command argv[3] on the config at argv[1] and
+# ends with os._exit(KILLED) right after its argv[2]-th artifact: each writer
+# a run's artifacts go through (config.yaml's text, the CSVs, the model) exits
 # after that many writes, before the run can do anything else.
 KILL_AFTER_ARTIFACT = f"""
 import os, sys
@@ -272,8 +272,51 @@ def then_exit(write):
 datasets.write_csv = then_exit(datasets.write_csv)
 models.save_model = then_exit(models.save_model)
 Path.write_text = then_exit(Path.write_text)
-main(["train", sys.argv[1]])
+main([sys.argv[3], sys.argv[1]])
 """
+
+
+def _child(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports this coreglab."""
+    paths = (str(Path(coreglab.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _file_bytes(run: Path) -> dict:
+    return {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+
+
+def _kill_after_each_artifact(runner, tmp_path, command) -> Path:
+    """Run ``command`` in a child killed right after its k-th artifact, for
+    k = 1, 2, ... until the child finishes; each killed run must leave a
+    manifest that says "incomplete" and lists every file on disk, so
+    export-curves refuses it and changes nothing, and a rerun with seeds [1]
+    leaves only its own files. Returns the finished run's directory."""
+    artifacts = 0
+    while True:
+        artifacts += 1
+        base = tmp_path / str(artifacts)
+        base.mkdir()
+        run = base / "run"
+        child = _child(KILL_AFTER_ARTIFACT, write_config(base), artifacts, command)
+        if child.returncode == 0:
+            return run
+        assert child.returncode == KILLED, child.stderr
+        assert manifest_of(run)["failure"] == "incomplete"
+        assert tree(run) == listed_tree(run)
+        assert len(manifest_of(run)["artifacts"]) == artifacts
+        left = _file_bytes(run)
+        result = runner.invoke(main, ["export-curves", str(run)])
+        assert result.exit_code == 2, result.output
+        assert "the run failed, so it has no curves: incomplete" in result.stderr
+        assert _file_bytes(run) == left
+        result = runner.invoke(main, [command, str(write_config(base, seeds=[1]))])
+        assert result.exit_code == 0, result.output
+        assert manifest_of(run)["failure"] is None
+        assert tree(run) == listed_tree(run)
+        assert not any("seed_2" in name for name in tree(run))
 
 
 def test_killed_run_lists_every_file_it_left(runner, tmp_path):
@@ -281,38 +324,73 @@ def test_killed_run_lists_every_file_it_left(runner, tmp_path):
     records the run as incomplete and lists every file on disk, so
     export-curves refuses it and a rerun with fewer seeds leaves only its own
     files."""
-    paths = (str(Path(coreglab.__file__).parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
-    artifacts = 0
-    while True:
-        artifacts += 1
-        base = tmp_path / str(artifacts)
-        base.mkdir()
-        run = base / "run"
-        config_path = write_config(base)
-        child = subprocess.run([sys.executable, "-c", KILL_AFTER_ARTIFACT, str(config_path),
-                                str(artifacts)], env=env, capture_output=True, text=True,
-                               timeout=60)
-        if child.returncode == 0:
-            break
-        assert child.returncode == KILLED, child.stderr
-        assert manifest_of(run)["failure"] == "incomplete"
-        assert tree(run) == listed_tree(run)
-        assert len(manifest_of(run)["artifacts"]) == artifacts
-        result = runner.invoke(main, ["export-curves", str(run)])
-        assert result.exit_code == 2, result.output
-        assert "the run failed, so it has no curves: incomplete" in result.stderr
-        assert not (run / "curves.csv").exists()
-        result = runner.invoke(main, ["train", str(write_config(base, seeds=[1]))])
-        assert result.exit_code == 0, result.output
-        assert manifest_of(run)["failure"] is None
-        assert tree(run) == listed_tree(run)
-        assert not (run / "seed_2").exists()
+    run = _kill_after_each_artifact(runner, tmp_path, "train")
     # config.yaml, per seed flips.csv, epoch_log.csv and model.npz, and
     # metrics.csv: 8 artifacts, so the child asked to exit after a 9th finished.
-    assert artifacts == 9
+    assert run.parent.name == "9"
     assert manifest_of(run)["failure"] is None
-    assert len(manifest_of(run)["artifacts"]) == artifacts  # with manifest.json
+    assert len(manifest_of(run)["artifacts"]) == 9  # with manifest.json
+
+
+def test_killed_analysis_lists_every_file_it_left(runner, tmp_path):
+    """analyze-noise saves curves.csv inside its run, so a kill at any of its
+    artifacts, curves.csv included, leaves an "incomplete" manifest."""
+    run = _kill_after_each_artifact(runner, tmp_path, "analyze-noise")
+    # config.yaml, then per seed flips.csv and one epoch log per gamma (0 and
+    # 1), then curves.csv: 8 artifacts.
+    assert run.parent.name == "9"
+    assert manifest_of(run)["failure"] is None
+    assert "curves.csv" in manifest_of(run)["artifacts"]
+    assert len(manifest_of(run)["artifacts"]) == 9  # with manifest.json
+
+
+# A child process that runs `train` on the config at argv[1] and dies partway
+# through its argv[2]-th manifest write: it copies the manifest.json on disk
+# to argv[3], writes half of the new manifest's text, and ends with
+# os._exit(KILLED).
+KILL_IN_MANIFEST_WRITE = f"""
+import json, os, shutil, sys
+from pathlib import Path
+from coreglab.cli import main
+
+manifest = Path(sys.argv[1]).parent / "run" / "manifest.json"
+dump, writes = json.dump, []
+
+def half_then_exit(payload, fh, **kwargs):
+    if "config_hash" in payload:
+        writes.append(payload)
+        if len(writes) == int(sys.argv[2]):
+            shutil.copyfile(manifest, sys.argv[3])
+            text = json.dumps(payload, **kwargs)
+            fh.write(text[:len(text) // 2])
+            fh.flush()
+            os._exit({KILLED})
+    dump(payload, fh, **kwargs)
+
+json.dump = half_then_exit
+main(["train", sys.argv[1]])
+"""
+
+
+@pytest.mark.parametrize("write", [1, 3], ids=["at_open", "in_run"])
+def test_kill_in_a_manifest_write_keeps_the_previous_manifest(runner, tmp_path, write):
+    """A manifest goes to manifest.json.tmp and is renamed over manifest.json,
+    so a run killed partway through a manifest write leaves the previous
+    complete manifest. The rerun replaces the stale temporary file, exits 0
+    and leaves none behind."""
+    config_path = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    child = _child(KILL_IN_MANIFEST_WRITE, config_path, write, tmp_path / "previous.json")
+    assert child.returncode == KILLED, child.stderr
+    assert (run / "manifest.json.tmp").exists()
+    assert (run / "manifest.json").read_bytes() == (tmp_path / "previous.json").read_bytes()
+    assert manifest_of(run)["failure"] == (None if write == 1 else "incomplete")
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert result.exit_code == 0, result.output
+    assert manifest_of(run)["failure"] is None
+    assert not list(run.rglob("*.tmp"))
+    assert tree(run) == listed_tree(run)
 
 
 def test_pool_flips_draw_from_their_own_stream(tmp_path, monkeypatch):

@@ -113,7 +113,7 @@ def _mappings(table: dict):
 
 BLOCKS = {"": TOP_KEYS, "train": trainer.TRAIN_KEYS, "noise": noiselab.NOISE_KEYS,
           "baseline": baselines.BASELINE_KEYS, "analysis": ANALYSIS_KEYS,
-          **{f"data:{task}": table for task, table in datasets.DATA_KEYS.items()}}
+          **{f"data:{task}": record.data_keys for task, record in datasets.TASKS.items()}}
 TABLES = tuple(BLOCKS.values())
 # One key of one block set to a drawn value; a data key of any task, so a
 # key the configured task never reads turns up too.
@@ -152,7 +152,7 @@ def test_from_mapping_returns_or_raises_config_error(raw):
         return
     config.train.validate()
     assert config.analysis["epochs"] >= 1
-    assert set(config.data) == set(datasets.DATA_KEYS[config.task])
+    assert set(config.data) == set(datasets.TASKS[config.task].data_keys)
     assert set(config.noise) in (set(), set(config.seeds))
 
 
