@@ -101,7 +101,8 @@ def make_relabel_hook(sched: PruneSchedule):
 
 @dataclass
 class InstanceWeights:
-    """Per-instance loss multipliers in [0, 1]."""
+    """Per-instance loss multipliers in [0, 1]; save_csv writes one row per
+    instance, in order, under the dataset's id."""
 
     values: np.ndarray
 
@@ -112,9 +113,9 @@ class InstanceWeights:
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("weights must lie in [0, 1]")
 
-    def save_csv(self, path) -> None:
+    def save_csv(self, path, ids) -> None:
         datasets.write_csv(path, ["id", "weight"],
-                           ((i, repr(w)) for i, w in enumerate(self.values.tolist())))
+                           zip(ids.tolist(), map(repr, self.values.tolist())))
 
 
 def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,

@@ -167,7 +167,7 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
         raise datasets.DataError(f"{input_path}: {exc}") from exc
     record.write_records(output_path, record.relabel(records, noisy.labels), schema)
     mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"
-    mask.save_csv(mask_target)
+    mask.save_csv(mask_target, labeled.ids)
     click.echo(f"flipped {len(mask)} of {mask.num_instances} labels")
     click.echo(f"wrote {output_path}")
     click.echo(f"mask: {mask_target}")

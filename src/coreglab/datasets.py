@@ -73,10 +73,15 @@ def write_json(path, payload) -> None:
     """A JSON artifact: indented by 2, keys sorted, ending in a newline; written
     to <name>.tmp and renamed over path, so a killed process leaves no half file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        # Only a failed write or rename leaves it.
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def read_json(path, what: str, build):
@@ -237,9 +242,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def index(self, token: str) -> int:
         return self._index.get(token, self._index[UNK_TOKEN])
@@ -583,8 +585,8 @@ class _Task:
                 raise DataError(f"{data[split + '_path']}: empty {name} split")
         return (*splits, schema, vocab)
 
-    def _labeled(self, records, labels, schema):
-        return records, LabeledDataset(np.zeros((len(labels), 1)), labels, len(schema))
+    def _labeled(self, records, labels, schema, ids=None):
+        return records, LabeledDataset(np.zeros((len(labels), 1)), labels, len(schema), ids)
 
     def window(self, width, vocab):
         return 0
@@ -624,7 +626,8 @@ class _RelationTask(_Task):
 
     def read_labeled(self, path, schema):
         records = read_relation_jsonl(path, schema)
-        return self._labeled(records, [r.label for r in records], schema)
+        return self._labeled(records, [r.label for r in records], schema,
+                             [r.uid for r in records])
 
     def relabel(self, records, labels):
         return [replace(r, label=label) for r, label in zip(records, labels.tolist())]

@@ -186,7 +186,7 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
         train_set, folds, config.baseline["iterations"],
         _train_config(config, tcfg.master_seed, config.epochs, n - -(-n // folds)),
         config.baseline["base_weight"])
-    save_weights(weights.save_csv)
+    save_weights(partial(weights.save_csv, ids=train_set.ids))
     return baselines.train_plain(train_set, dev_set, tcfg, weights=weights,
                                  eval_metric=metric)
 
@@ -279,7 +279,7 @@ def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str
     if spec is None:
         return train_set, None
     train_set, mask = noiselab.inject_noise(train_set, spec)
-    save(name, mask.save_csv)
+    save(name, partial(mask.save_csv, ids=train_set.ids))
     return train_set, mask
 
 

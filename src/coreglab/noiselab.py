@@ -78,7 +78,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class FlipMask:
-    """Which instances were flipped, with their original and noisy labels."""
+    """Which instances were flipped, with their original and noisy labels;
+    indices are row positions, and save_csv writes them as the dataset's ids."""
 
     indices: np.ndarray
     original_labels: np.ndarray
@@ -100,9 +101,9 @@ class FlipMask:
         out[self.indices] = True
         return out
 
-    def save_csv(self, path) -> None:
+    def save_csv(self, path, ids) -> None:
         ds.write_csv(path, FLIP_CSV_HEADER,
-                     zip(self.indices.tolist(), self.original_labels.tolist(),
+                     zip(ids[self.indices].tolist(), self.original_labels.tolist(),
                          self.noisy_labels.tolist()))
 
 

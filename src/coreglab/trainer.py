@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import metrics
 from . import models as mdl
 from . import rng as rngmod
 from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, adam_step, floored_nll,
@@ -340,10 +341,6 @@ class TrainResult:
                             self.best_params[index].copy())
 
 
-def _default_metric(dataset, preds) -> float:
-    return float(np.mean(preds == dataset.labels))
-
-
 def select_index(dev_metrics, policy: str, num_models: int) -> int:
     """Model index under the selection policy; best_dev breaks ties low."""
     if policy == "first":
@@ -368,7 +365,7 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     config.validate()
     if config.total_steps > 0 and len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    metric = eval_metric if eval_metric is not None else _default_metric
+    metric = eval_metric or (lambda dev, preds: metrics.accuracy(dev.labels, preds))
     if config.selection_policy == "best_dev" and (dev_set is None or len(dev_set) == 0):
         raise ValueError("best_dev selection requires a non-empty dev set")
     if weights is not None:

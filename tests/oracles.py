@@ -447,8 +447,9 @@ def bio_encode(spans, length):
     return tags
 
 
-def load_flip_mask_csv(path, num_instances):
-    """The FlipMask that FlipMask.save_csv wrote to ``path``."""
+def load_flip_mask_csv(path, ids):
+    """The FlipMask that FlipMask.save_csv wrote to ``path`` for a dataset
+    whose rows have these ids."""
     from coreglab.noiselab import FLIP_CSV_HEADER, FlipMask
 
     with open(path, newline="") as fh:
@@ -457,10 +458,11 @@ def load_flip_mask_csv(path, num_instances):
         if header != FLIP_CSV_HEADER:
             raise ValueError(f"unexpected flip file header: {header!r}")
         rows = [(int(r[0]), int(r[1]), int(r[2])) for r in reader]
-    idx = np.array([r[0] for r in rows], dtype=np.int64)
+    position = {int(uid): i for i, uid in enumerate(ids)}
+    idx = np.array([position[r[0]] for r in rows], dtype=np.int64)
     orig = np.array([r[1] for r in rows], dtype=np.int64)
     noisy = np.array([r[2] for r in rows], dtype=np.int64)
-    return FlipMask(idx, orig, noisy, num_instances)
+    return FlipMask(idx, orig, noisy, len(ids))
 
 
 def save_relation_schema(schema, path):
@@ -471,8 +473,9 @@ def save_relation_schema(schema, path):
                       "entity_types": list(schema.entity_types)})
 
 
-def load_weights_csv(path):
-    """The InstanceWeights that InstanceWeights.save_csv wrote to ``path``."""
+def load_weights_csv(path, ids):
+    """The InstanceWeights that InstanceWeights.save_csv wrote to ``path`` for
+    a dataset whose rows have these ids, which it must list in order."""
     from coreglab.baselines import InstanceWeights
 
     with open(path, newline="") as fh:
@@ -481,10 +484,9 @@ def load_weights_csv(path):
         if header != ["id", "weight"]:
             raise ValueError(f"unexpected weight file header: {header!r}")
         pairs = [(int(row[0]), float(row[1])) for row in reader]
-    values = np.ones(len(pairs))
-    for i, w in pairs:
-        values[i] = w
-    return InstanceWeights(values)
+    if [uid for uid, _ in pairs] != [int(uid) for uid in ids]:
+        raise ValueError("the weight file does not list the dataset's ids in order")
+    return InstanceWeights([w for _, w in pairs])
 
 
 # Per task: a schema, a vocabulary, the layer sizes of a model that fits them,

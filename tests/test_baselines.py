@@ -224,21 +224,22 @@ def test_instance_weights_ones():
 
 
 def test_instance_weights_csv_round_trip(tmp_path):
+    """One row per instance, in order, named by its dataset id."""
     w = InstanceWeights(np.array([1.0, 0.7, 0.49, 0.0]))
+    ids = np.array([40, 7, 12, 3])
     path = tmp_path / "weights.csv"
-    w.save_csv(path)
-    loaded = load_weights_csv(path)
+    w.save_csv(path, ids)
+    loaded = load_weights_csv(path, ids)
     assert loaded.values.tobytes() == w.values.tobytes()
-    text = path.read_text()
-    assert text.splitlines()[0] == "id,weight"
-    assert len(text.splitlines()) == 5
+    assert path.read_text().splitlines() == ["id,weight", "40,1.0", "7,0.7",
+                                             "12,0.49", "3,0.0"]
 
 
 def test_instance_weights_load_rejects_bad_header(tmp_path):
     path = tmp_path / "weights.csv"
     path.write_text("instance,w\n0,1.0\n")
     with pytest.raises(ValueError, match="header"):
-        load_weights_csv(path)
+        load_weights_csv(path, [0])
 
 
 # ---------------------------------------------------------------- plain

@@ -554,6 +554,51 @@ def test_inject_noise_flipping_nothing_prints_no_warning(runner, tmp_path):
     assert mask.read_text() == "id,original_label,noisy_label\n"
 
 
+@pytest.mark.parametrize("task", ["synthetic", "relation"])
+def test_inject_noise_mask_names_record_ids(runner, tmp_path, task):
+    """The mask names each flipped row by its record id, which here is not
+    its position: gen-synthetic numbers its test records after the dev ones,
+    and the relation records count down from 5273. The input
+    record with that id has the mask's original label, and the output record
+    its noisy label."""
+    if task == "synthetic":
+        runner.invoke(main, ["gen-synthetic", "--out", str(tmp_path), "--seed", "1",
+                             "--train-size", "6", "--dev-size", "4",
+                             "--test-size", "10", "--num-classes", "3"])
+        source, names = tmp_path / "test.jsonl", [0, 1, 2]
+        options = []
+    else:
+        source = write_relation_records(tmp_path, [5000 + 7 * (39 - i) for i in range(40)])
+        names = TASK_FILES["relation"][0]["relations"]
+        options = ["--task", "relation", "--schema", str(tmp_path / "schema.json")]
+    result = runner.invoke(main, ["inject-noise", *options, "--input", str(source),
+                                  "--output", str(tmp_path / "noisy.jsonl"),
+                                  "--rate", "0.3", "--seed", "4"])
+    assert result.exit_code == 0, result.output
+    labels = [{rec["id"]: rec["label"]
+               for rec in map(json.loads, path.read_text().splitlines())}
+              for path in (source, tmp_path / "noisy.jsonl")]
+    assert list(labels[0]) != list(range(len(labels[0])))
+    rows = read_rows(tmp_path / "noisy.jsonl.flips.csv")
+    assert len(rows) == int(0.3 * len(labels[0]))
+    for row in rows:
+        uid = int(row["id"])
+        assert labels[0][uid] == names[int(row["original_label"])]
+        assert labels[1][uid] == names[int(row["noisy_label"])]
+
+
+def test_gen_synthetic_failed_json_write_leaves_no_temp_file(runner, tmp_path):
+    """A JSON artifact whose rename fails (here schema.json is a directory)
+    is an error naming it, and its <name>.tmp is removed."""
+    out = tmp_path / "corpus"
+    (out / "schema.json").mkdir(parents=True)
+    result = runner.invoke(main, ["gen-synthetic", "--task", "tagging", "--out", str(out),
+                                  "--sentences", "5"])
+    assert_clean_exit(result, 2)
+    assert str(out / "schema.json") in result.stderr
+    assert sorted(path.name for path in out.iterdir()) == ["schema.json"]
+
+
 @pytest.mark.parametrize("option", ["--num-classes", "--num-features"])
 def test_gen_synthetic_below_least_value_exits_1(runner, tmp_path, option):
     result = runner.invoke(main, [
@@ -876,32 +921,62 @@ def test_audit_labels_with_noise(runner, tmp_path):
                                         "value": float(auroc_line.split(": ")[1])}]
 
 
-def test_audit_labels_scores_relation_records_by_row(runner, tmp_path):
-    """The flip mask holds row positions and the report record ids: the same
-    relation records score the same with and without ids, which here start
-    at 1000 and so are not row positions."""
-    schema = TASK_FILES["relation"][0]
-    (tmp_path / "schema.json").write_text(json.dumps(schema))
+def write_relation_records(tmp_path, ids, name="records.jsonl"):
+    """40 relation records, half "founded", with the given ids (None leaves
+    the field out), and their schema.json; returns the data file's path."""
+    (tmp_path / "schema.json").write_text(json.dumps(TASK_FILES["relation"][0]))
     records = [{**RELATION_RECORD, "tokens": ["Ann", verb, f"w{i % 7}", "Acme"],
                 "obj": [3, 3], "label": "founded" if verb == "founded" else "none"}
                for i, verb in enumerate(["founded", "met"] * 20)]
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(rec if uid is None else {**rec, "id": uid}) + "\n"
+                            for rec, uid in zip(records, ids or [None] * len(records))))
+    return path
+
+
+def read_rows(path):
+    """A CSV artifact's rows as dicts of its header's names."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_audit_labels_scores_relation_records_by_row(runner, tmp_path):
+    """flips.csv and audit.csv both name rows by record id: with ids that
+    start at 1000, and so are not row positions, every flipped id is an
+    audited one, and the records score the same as without ids."""
     lines = []
-    for with_ids in (False, True):
-        data_path = tmp_path / f"records_{with_ids}.jsonl"
-        data_path.write_text("".join(
-            json.dumps({**rec, "id": 1000 + i} if with_ids else rec) + "\n"
-            for i, rec in enumerate(records)))
+    for ids in (None, [1000 + i for i in range(40)]):
+        data_path = write_relation_records(tmp_path, ids, f"records_{bool(ids)}.jsonl")
+        run = tmp_path / f"audit_{bool(ids)}"
         config_path = tmp_path / "config.yaml"
         write_file_task_config(config_path, "relation", data_path, data_path,
                                tmp_path / "schema.json", seeds=[3], epochs=3,
-                               noise={"rate": 0.25},
-                               output_dir=str(tmp_path / f"audit_{with_ids}"))
+                               noise={"rate": 0.25}, output_dir=str(run))
         result = runner.invoke(main, ["audit-labels", str(config_path)])
         assert result.exit_code == 0, result.output
         lines.append([line for line in result.output.splitlines()
                       if line.startswith("auroc: ")])
+        flipped = {row["id"] for row in read_rows(run / "flips.csv")}
+        audited = [row["id"] for row in read_rows(run / "audit.csv")]
+        assert len(flipped) == 10
+        assert flipped <= set(audited) == {str(i) for i in ids or range(40)}
     assert lines[0] == lines[1]
     assert lines[0] != ["auroc: n/a"]
+
+
+def test_crossweigh_weights_name_the_training_records(runner, tmp_path):
+    """weights.csv lists the training file's record ids, in file order."""
+    ids = [5000 + 7 * (39 - i) for i in range(40)]
+    data_path = write_relation_records(tmp_path, ids)
+    config_path = tmp_path / "config.yaml"
+    write_file_task_config(config_path, "relation", data_path, data_path,
+                           tmp_path / "schema.json", seeds=[3], method="crossweigh",
+                           baseline={"folds": 2, "iterations": 1},
+                           output_dir=str(tmp_path / "run"))
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert result.exit_code == 0, result.output
+    rows = read_rows(tmp_path / "run" / "seed_3" / "weights.csv")
+    assert [int(row["id"]) for row in rows] == ids
 
 
 def test_inject_noise_has_no_scheme_option(runner):

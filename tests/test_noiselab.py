@@ -55,11 +55,14 @@ def test_flip_mask_invariant():
 
 
 def test_flip_mask_csv_round_trip(tmp_path):
+    """The file names each flipped row by its dataset id, not its position."""
     mask = FlipMask(np.array([2, 7]), np.array([0, 1]), np.array([3, 2]), 10)
+    ids = np.arange(500, 510) * 3
     path = tmp_path / "flips.csv"
-    mask.save_csv(path)
-    assert path.read_text().splitlines()[0] == "id,original_label,noisy_label"
-    loaded = load_flip_mask_csv(path, 10)
+    mask.save_csv(path, ids)
+    assert path.read_text().splitlines() == ["id,original_label,noisy_label",
+                                             "1506,0,3", "1521,1,2"]
+    loaded = load_flip_mask_csv(path, ids)
     np.testing.assert_array_equal(loaded.indices, mask.indices)
     np.testing.assert_array_equal(loaded.original_labels, mask.original_labels)
     np.testing.assert_array_equal(loaded.noisy_labels, mask.noisy_labels)

@@ -95,7 +95,7 @@ def test_run_saves_its_training_flips(runner, tmp_path, command, masks):
     for name, seed in zip(masks, config.seeds):
         assert name in manifest_of(run)["artifacts"]
         _, mask = noiselab.inject_noise(train_set, config.noise[seed])
-        mask.save_csv(tmp_path / "expected.csv")
+        mask.save_csv(tmp_path / "expected.csv", train_set.ids)
         assert (run / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
@@ -342,6 +342,17 @@ def test_killed_analysis_lists_every_file_it_left(runner, tmp_path):
     assert manifest_of(run)["failure"] is None
     assert "curves.csv" in manifest_of(run)["artifacts"]
     assert len(manifest_of(run)["artifacts"]) == 9  # with manifest.json
+
+
+def test_killed_audit_lists_every_file_it_left(runner, tmp_path):
+    """audit-labels trains the first seed only, so a kill at any of its
+    artifacts leaves an "incomplete" manifest that lists it."""
+    run = _kill_after_each_artifact(runner, tmp_path, "audit-labels")
+    # config.yaml, flips.csv and audit.csv: 3 artifacts.
+    assert run.parent.name == "4"
+    assert manifest_of(run)["failure"] is None
+    assert sorted(manifest_of(run)["artifacts"]) == [
+        "audit.csv", "config.yaml", "flips.csv", "manifest.json"]
 
 
 # A child process that runs `train` on the config at argv[1] and dies partway
