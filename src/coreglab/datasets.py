@@ -78,6 +78,9 @@ def write_json(path, payload) -> None:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        # Name the artifact, not the temp file that is removed below.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         # Only a failed write or rename leaves it.
         if os.path.isfile(tmp):
@@ -103,11 +106,11 @@ class LabeledDataset:
 
     Features are a dense float64 (rows, features) matrix or models.WindowIds,
     tagging's one-hot windows kept as (rows, 2*window+1) column indices;
-    num_features is the dense width either way, and subset, with_labels and
-    concat_datasets keep the form. groups map each row to a sentence for
-    span-level scoring of tagging tasks. Features are
-    read-only once a dataset is built: with_labels shares them between the
-    datasets it relates.
+    num_features is the dense width either way, and subset and with_labels
+    keep the form. The noise-overfit protocol takes dense rows only. groups
+    map each row to a sentence for span-level scoring of tagging tasks.
+    Features are read-only once a dataset is built: with_labels shares them
+    between the datasets it relates.
     """
 
     features: np.ndarray | mdl.WindowIds
@@ -159,23 +162,6 @@ class LabeledDataset:
         return LabeledDataset(self.features, labels, self.num_classes,
                               ids=self.ids.copy(),
                               groups=None if self.groups is None else self.groups.copy())
-
-
-def concat_datasets(first: LabeledDataset, second: LabeledDataset) -> LabeledDataset:
-    """Row-wise concatenation; ids are renumbered to stay unique."""
-    if first.num_classes != second.num_classes:
-        raise ValueError("datasets disagree on the class count")
-    if first.num_features != second.num_features:
-        raise ValueError("datasets disagree on the feature width")
-    if type(first.features) is not type(second.features):
-        raise ValueError("datasets disagree on the feature form")
-    if isinstance(first.features, mdl.WindowIds):
-        features = mdl.WindowIds(np.vstack([first.features.ids, second.features.ids]),
-                                 first.num_features)
-    else:
-        features = np.vstack([first.features, second.features])
-    return LabeledDataset(features, np.concatenate([first.labels, second.labels]),
-                          first.num_classes)
 
 
 # A schema file's list of relation labels or entity types.

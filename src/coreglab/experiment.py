@@ -351,12 +351,9 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                                         f"seed_{seed}/flips.csv")
             _, mask = noiselab.inject_noise(pool, noiselab.NoiseSpec(
                 analysis["pool_noise_rate"], rngmod.substream_seed(seed, "pool_noise")))
-            noisy_set, clean_set = (
-                datasets.LabeledDataset(pool.features[mask.indices], labels, pool.num_classes)
-                for labels in (mask.noisy_labels, mask.original_labels))
             base = _train_config(config, seed, analysis["epochs"],
-                                 len(train_set) + len(noisy_set))
-            curves = noiselab.noise_overfit_eval(train_set, noisy_set, clean_set,
+                                 len(train_set) + len(mask))
+            curves = noiselab.noise_overfit_eval(train_set, pool, mask,
                                                  analysis["gammas"], base,
                                                  eval_metric=task.metric_fn)
             for gamma, curve in curves.items():
@@ -398,8 +395,9 @@ def export_curves(run_dir, out_path=None) -> Path:
     config.yaml names: a noise analysis's gamma_<g>/seed_<s>/epoch_log.csv
     per distinct configured gamma when each has its subtree, else a
     training's seed_<s>/epoch_log.csv per configured seed, at the train
-    block's gamma. Per-model curves stay in the logs. The default
-    run_dir/curves.csv joins the run's manifest, so a rerun removes it. An
+    block's gamma. Per-model curves stay in the logs. Inside the run
+    directory only run_dir/curves.csv is written, however out_path spells
+    it, and it joins the run's manifest, so a rerun removes it. An
     invalid snapshot or manifest, a failed run, or a run with no manifest
     (every run command writes one, so it was killed) is a DataError."""
     run = Path(run_dir)
@@ -419,8 +417,13 @@ def export_curves(run_dir, out_path=None) -> Path:
                                  f"has no curves: {manifest['failure']}")
     rows = _curve_rows(config, run)
     target = Path(out_path) if out_path is not None else run / "curves.csv"
-    if out_path is None and "curves.csv" not in manifest["artifacts"]:
-        _write_manifest(run, {**manifest, "artifacts": [*manifest["artifacts"], "curves.csv"]})
+    if target.resolve() == (run / "curves.csv").resolve():
+        if "curves.csv" not in manifest["artifacts"]:
+            listed = [*manifest["artifacts"], "curves.csv"]
+            _write_manifest(run, {**manifest, "artifacts": listed})
+    elif target.resolve().is_relative_to(run.resolve()):
+        raise datasets.DataError(f"{target}: inside the run directory, export-curves "
+                                 f"writes only {run / 'curves.csv'}")
     datasets.write_csv(target, CURVES_HEADER, rows)
     return target
 

@@ -137,28 +137,24 @@ def inject_noise(dataset, spec: NoiseSpec):
     return dataset.with_labels(labels), mask
 
 
-def _feature_keys(dataset) -> set:
-    """One key per feature row: its dense values, or its window ids."""
-    features = dataset.features
-    if isinstance(features, mdl.WindowIds):
-        features = features.ids
-    return {row.tobytes() for row in np.ascontiguousarray(features)}
-
-
-def noise_overfit_eval(train_set, noisy_set, clean_set, gammas, config,
+def noise_overfit_eval(train_set, pool, mask, gammas, config,
                        *, eval_metric=None) -> dict[float, list[float]]:
     """The noise-overfit protocol: for each distinct agreement weight, in
-    first-seen order, train on the union of the training and noisy sets and
-    score the clean set at every epoch; returns gamma -> per-epoch curve.
+    first-seen order, train on the training rows plus the pool's flipped
+    rows with their noisy labels, and score those flipped rows with their
+    original labels at every epoch; returns gamma -> per-epoch curve.
 
-    The clean set is scored as the dev split, and the first model's curve is
-    reported, so the gamma grid is comparable point for point.
+    The protocol runs on dense rows. The clean set is scored as the dev
+    split, and the first model's curve is reported, so the gamma grid is
+    comparable point for point.
     """
-    if len(noisy_set) != len(clean_set):
-        raise ValueError("noisy and clean sets must pair up")
-    if _feature_keys(train_set) & _feature_keys(noisy_set):
-        raise ValueError("training set and noisy set overlap")
-    union = ds.concat_datasets(train_set, noisy_set)
+    flipped = pool.features[mask.indices]
+    if {row.tobytes() for row in train_set.features} & {row.tobytes() for row in flipped}:
+        raise ValueError("training set and flipped pool rows overlap")
+    union = ds.LabeledDataset(np.vstack([train_set.features, flipped]),
+                              np.concatenate([train_set.labels, mask.noisy_labels]),
+                              train_set.num_classes)
+    clean_set = ds.LabeledDataset(flipped, mask.original_labels, train_set.num_classes)
     curves = {}
     for gamma in dict.fromkeys(map(float, gammas)):
         result = trainer.train(union, clean_set, replace(config, gamma=gamma),

@@ -589,13 +589,14 @@ def test_inject_noise_mask_names_record_ids(runner, tmp_path, task):
 
 def test_gen_synthetic_failed_json_write_leaves_no_temp_file(runner, tmp_path):
     """A JSON artifact whose rename fails (here schema.json is a directory)
-    is an error naming it, and its <name>.tmp is removed."""
+    is an error naming it and not its <name>.tmp, which is removed."""
     out = tmp_path / "corpus"
     (out / "schema.json").mkdir(parents=True)
     result = runner.invoke(main, ["gen-synthetic", "--task", "tagging", "--out", str(out),
                                   "--sentences", "5"])
     assert_clean_exit(result, 2)
     assert str(out / "schema.json") in result.stderr
+    assert ".tmp" not in result.stderr
     assert sorted(path.name for path in out.iterdir()) == ["schema.json"]
 
 

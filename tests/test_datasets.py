@@ -10,7 +10,7 @@ from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, UNK_TOKEN, DataError
                                MIXTURE_KEYS, LabeledDataset, RelationSchema,
                                SentenceInstance, TaggingInstance, Vocab,
                                build_relation_dataset, build_tagging_dataset,
-                               concat_datasets, entity_mask, gen_gaussian_mixture,
+                               entity_mask, gen_gaussian_mixture,
                                gen_tagging_corpus, load_tag_scheme, load_vocab,
                                make_metric, mixture_splits, read_conll,
                                read_feature_jsonl, read_relation_jsonl,
@@ -74,18 +74,9 @@ def test_with_labels_replaces_only_the_labels():
     np.testing.assert_array_equal(data.ids, [5, 6, 7])
 
 
-def test_concat_datasets():
-    a = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), 2)
-    b = LabeledDataset(np.ones((3, 3)), np.array([1, 1, 0]), 2)
-    both = concat_datasets(a, b)
-    assert len(both) == 5
-    np.testing.assert_array_equal(both.ids, np.arange(5))
-    np.testing.assert_array_equal(both.labels, [0, 1, 1, 1, 0])
-
-
 def test_window_id_rows_keep_their_form():
-    """subset, with_labels and concat_datasets keep window ids as ids, with
-    the dense width as num_features."""
+    """subset and with_labels keep window ids as ids, with the dense width
+    as num_features."""
     ids = WindowIds([[0, 3], [1, 4], [2, 5]], 6)
     data = LabeledDataset(ids, [0, 1, 0], 2, groups=[0, 0, 1])
     assert len(data) == 3 and data.num_features == 6
@@ -94,22 +85,6 @@ def test_window_id_rows_keep_their_form():
     np.testing.assert_array_equal(part.features.ids, [[2, 5], [0, 3]])
     noisy = data.with_labels([1, 1, 0])
     assert noisy.features is ids
-    both = concat_datasets(data, part)
-    assert isinstance(both.features, WindowIds) and both.num_features == 6
-    assert densify(both.features).tobytes() == np.vstack(
-        [densify(data.features), densify(part.features)]).tobytes()
-    with pytest.raises(ValueError, match="feature form"):
-        concat_datasets(data, LabeledDataset(np.zeros((1, 6)), [0], 2))
-    with pytest.raises(ValueError, match="feature width"):
-        concat_datasets(data, LabeledDataset(WindowIds([[0, 1]], 4), [0], 2))
-
-
-def test_concat_datasets_errors():
-    a = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), 2)
-    with pytest.raises(ValueError, match="class"):
-        concat_datasets(a, LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), 3))
-    with pytest.raises(ValueError, match="width"):
-        concat_datasets(a, LabeledDataset(np.zeros((2, 4)), np.array([0, 1]), 2))
 
 
 # ---------------------------------------------------------------- schemas

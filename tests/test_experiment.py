@@ -354,16 +354,15 @@ def test_run_noise_analysis_layout(tmp_path):
 
 def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
     """One noise_overfit_eval call per seed, over the whole gamma grid, on
-    the pool rows of the seed's flip mask: the noisy set carries their noisy
-    labels and the clean set their original ones."""
-    calls, pairs, masks = [], [], []
+    the pool and the seed's own flip mask of it."""
+    calls, inputs, masks = [], [], []
     original = noiselab.noise_overfit_eval
     original_inject = noiselab.inject_noise
 
-    def counting(train_set, noisy_set, clean_set, gammas, *args, **kwargs):
+    def counting(train_set, pool, mask, gammas, *args, **kwargs):
         calls.append(list(gammas))
-        pairs.append((noisy_set, clean_set))
-        return original(train_set, noisy_set, clean_set, gammas, *args, **kwargs)
+        inputs.append((pool, mask))
+        return original(train_set, pool, mask, gammas, *args, **kwargs)
 
     def recording(dataset, spec):
         noisy, mask = original_inject(dataset, spec)
@@ -378,14 +377,9 @@ def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
     run_noise_analysis(ExperimentConfig.from_mapping(mapping))
     assert calls == [[0.0, 1.0, 5.0], [0.0, 1.0, 5.0]]
     assert len(masks) == 2  # no training noise: one pool mask per seed
-    for (noisy, clean), (pool, mask) in zip(pairs, masks):
-        assert len(pool) == 40
-        assert len(noisy) == len(clean) == math.floor(0.5 * 40)
-        assert np.all(noisy.labels != clean.labels)
-        np.testing.assert_array_equal(noisy.features, pool.features[mask.indices])
-        np.testing.assert_array_equal(clean.features, pool.features[mask.indices])
-        np.testing.assert_array_equal(noisy.labels, mask.noisy_labels)
-        np.testing.assert_array_equal(clean.labels, pool.labels[mask.indices])
+    for (pool, mask), (drawn_from, drawn) in zip(inputs, masks, strict=True):
+        assert pool is drawn_from and mask is drawn and len(pool) == 40
+    assert [len(mask) for _, mask in masks] == [math.floor(0.5 * 40)] * 2
     for gamma in ("0.0", "1.0", "5.0"):
         for seed in (1, 2):
             rows = read_csv(tmp_path / "noise" / f"gamma_{gamma}" / f"seed_{seed}"
@@ -541,3 +535,31 @@ def test_export_curves_custom_out(tmp_path):
     result = export_curves(tmp_path / "run", out_path=target)
     assert result == target
     assert target.exists()
+
+
+@pytest.mark.parametrize("spelling", ["curves.csv", "seed_1/../curves.csv"])
+def test_export_curves_lists_the_runs_curves_csv_however_spelled(tmp_path, spelling):
+    """An out_path naming the run's own curves.csv joins the manifest like
+    the default, so a rerun with fewer seeds removes it rather than keep the
+    rows of a seed it no longer trains."""
+    run = tmp_path / "run"
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, epochs=1)))
+    assert export_curves(run, out_path=run / spelling) == run / spelling
+    assert "curves.csv" in json.loads((run / "manifest.json").read_text())["artifacts"]
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1],
+                                                              epochs=1)))
+    assert not (run / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["seed_1/epoch_log.csv", "other.csv", "."])
+def test_export_curves_refuses_other_targets_inside_the_run(tmp_path, name):
+    """Inside the run directory export-curves writes only curves.csv: any
+    other target is a DataError that changes no file, so the run's epoch
+    logs still export."""
+    run = tmp_path / "run"
+    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, epochs=1)))
+    before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+    with pytest.raises(DataError, match="inside the run directory"):
+        export_curves(run, out_path=run / name)
+    assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
+    assert len(read_csv(export_curves(run))) == 1 + 2 * 1

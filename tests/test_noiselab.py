@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coreglab.datasets import LabeledDataset, concat_datasets, gen_gaussian_mixture
+from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import PREDICT_BLOCK_ROWS, WindowIds
 from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, ForgettingStats,
                                NoiseSpec, auroc, disagreement_report,
@@ -193,18 +193,16 @@ def _overfit_fixture(seed=0):
     pool, _ = gen_gaussian_mixture(num_train=60, num_test=10, num_classes=3,
                                    seed=seed + 1000)
     _, mask = inject_noise(pool, NoiseSpec(0.5, seed=seed + 2000))
-    noisy = LabeledDataset(pool.features[mask.indices], mask.noisy_labels, 3)
-    clean = LabeledDataset(pool.features[mask.indices], mask.original_labels, 3)
-    return train_set, noisy, clean
+    return train_set, pool, mask
 
 
 def test_noise_overfit_rows_shape():
-    train_set, noisy, clean = _overfit_fixture()
+    train_set, pool, mask = _overfit_fixture()
     config = TrainConfig(num_models=2, total_steps=6, batch_size=64,
                          warmup_pct=50.0, hidden_sizes=(8,), dropout=0.0,
                          master_seed=0)
     # One curve per distinct gamma, keyed in first-seen order.
-    curves = noise_overfit_eval(train_set, noisy, clean, (5.0, 0.0, 5.0), config)
+    curves = noise_overfit_eval(train_set, pool, mask, (5.0, 0.0, 5.0), config)
     assert list(curves) == [5.0, 0.0]
     assert len(curves[0.0]) == len(curves[5.0]) > 0
     for curve in curves.values():
@@ -212,69 +210,44 @@ def test_noise_overfit_rows_shape():
 
 
 def test_noise_overfit_gamma_zero_reduces_to_baseline():
-    train_set, noisy, clean = _overfit_fixture(seed=1)
+    train_set, pool, mask = _overfit_fixture(seed=1)
     config = TrainConfig(num_models=2, total_steps=4, batch_size=64,
                          warmup_pct=0.0, hidden_sizes=(8,), dropout=0.0,
                          master_seed=3)
-    curves = noise_overfit_eval(train_set, noisy, clean, (0.0,), config)
+    curves = noise_overfit_eval(train_set, pool, mask, (0.0,), config)
     assert list(curves) == [0.0]
-    again = noise_overfit_eval(train_set, noisy, clean, (0.0,), config)
+    again = noise_overfit_eval(train_set, pool, mask, (0.0,), config)
     assert curves == again
 
 
 def test_noise_overfit_reports_first_model_under_any_policy():
     # Selection never affects training: both policies report model 0's
-    # clean-set score at every epoch.
-    train_set, noisy, clean = _overfit_fixture(seed=4)
+    # clean-set score at every epoch. The union is the training rows, then
+    # the flipped pool rows with their noisy labels; the clean set is those
+    # rows with their original labels.
+    train_set, pool, mask = _overfit_fixture(seed=4)
     config = TrainConfig(num_models=2, total_steps=6, batch_size=32,
                          warmup_pct=0.0, hidden_sizes=(8,), dropout=0.0,
                          master_seed=5)
-    first = noise_overfit_eval(train_set, noisy, clean, (0.0, 5.0), config)
-    best = noise_overfit_eval(train_set, noisy, clean, (0.0, 5.0),
+    first = noise_overfit_eval(train_set, pool, mask, (0.0, 5.0), config)
+    best = noise_overfit_eval(train_set, pool, mask, (0.0, 5.0),
                               replace(config, selection_policy="best_dev"))
     assert best == first
-    union = concat_datasets(train_set, noisy)
+    flipped = pool.features[mask.indices]
+    union = LabeledDataset(np.vstack([train_set.features, flipped]),
+                           np.concatenate([train_set.labels, mask.noisy_labels]), 3)
+    clean = LabeledDataset(flipped, pool.labels[mask.indices], 3)
     result = train(union, clean, replace(config, gamma=5.0))
     assert first[5.0] == result.dev_scores[:, 0].tolist()
 
 
 def test_noise_overfit_rejects_overlap():
-    train_set, noisy, clean = _overfit_fixture(seed=2)
+    # A pool that is the training set itself shares every flipped row.
+    train_set, _, _ = _overfit_fixture(seed=2)
+    _, mask = inject_noise(train_set, NoiseSpec(0.1, seed=7))
     config = TrainConfig(num_models=2, total_steps=2, hidden_sizes=(4,))
-    overlapping = LabeledDataset(train_set.features[:5].copy(),
-                                 train_set.labels[:5].copy(), 3)
     with pytest.raises(ValueError, match="overlap"):
-        noise_overfit_eval(train_set, overlapping, overlapping, (0.0,), config)
-
-
-def _window_set(ids, seed):
-    labels = np.random.default_rng(seed).integers(0, 3, size=len(ids))
-    return LabeledDataset(WindowIds(ids, 12), labels, 3)
-
-
-def test_noise_overfit_runs_on_window_ids():
-    # Tagging rows are window ids; rows are keyed by their ids, so sets that
-    # share no window run and sets that share one are rejected.
-    windows = np.array([[a, 4 + b, 8 + c] for a in range(4) for b in range(4)
-                        for c in range(4)])
-    train_set = _window_set(windows[::2], seed=0)
-    noisy, clean = _window_set(windows[1::2], seed=1), _window_set(windows[1::2], seed=2)
-    config = TrainConfig(num_models=2, total_steps=4, batch_size=16,
-                         hidden_sizes=(4,), dropout=0.0)
-    curves = noise_overfit_eval(train_set, noisy, clean, (0.0, 1.0), config)
-    assert list(curves) == [0.0, 1.0]
-    assert all(0.0 <= value <= 1.0 for curve in curves.values() for value in curve)
-    overlapping = _window_set(windows[:6], seed=3)
-    with pytest.raises(ValueError, match="overlap"):
-        noise_overfit_eval(train_set, overlapping, overlapping, (0.0,), config)
-
-
-def test_noise_overfit_rejects_unpaired_sets():
-    train_set, noisy, clean = _overfit_fixture(seed=3)
-    config = TrainConfig(num_models=2, total_steps=2, hidden_sizes=(4,))
-    with pytest.raises(ValueError, match="pair"):
-        noise_overfit_eval(train_set, noisy, clean.subset(range(3)), (0.0,),
-                           config)
+        noise_overfit_eval(train_set, train_set, mask, (0.0,), config)
 
 
 # ---------------------------------------------------------------- forgetting

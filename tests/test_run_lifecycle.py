@@ -249,10 +249,11 @@ def test_repeated_gamma_trains_once(tmp_path, monkeypatch):
 
 
 KILLED = 17
-# A child process that runs the command argv[3] on the config at argv[1] and
-# ends with os._exit(KILLED) right after its argv[2]-th artifact: each writer
-# a run's artifacts go through (config.yaml's text, the CSVs, the model) exits
-# after that many writes, before the run can do anything else.
+# A child process that runs the command argv[3] on the path at argv[1] (a
+# config, or export-curves's run directory) and ends with os._exit(KILLED)
+# right after its argv[2]-th artifact: each writer a run's artifacts go
+# through (config.yaml's text, the CSVs, the model) exits after that many
+# writes, before the run can do anything else.
 KILL_AFTER_ARTIFACT = f"""
 import os, sys
 from pathlib import Path
@@ -353,6 +354,23 @@ def test_killed_audit_lists_every_file_it_left(runner, tmp_path):
     assert manifest_of(run)["failure"] is None
     assert sorted(manifest_of(run)["artifacts"]) == [
         "audit.csv", "config.yaml", "flips.csv", "manifest.json"]
+
+
+def test_killed_export_lists_curves_csv(runner, tmp_path):
+    """export-curves lists curves.csv in the run's manifest before it writes
+    it, so a kill right after the write leaves a manifest that lists it, and
+    a rerun with fewer seeds removes it."""
+    run = tmp_path / "run"
+    assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
+    child = _child(KILL_AFTER_ARTIFACT, run, 1, "export-curves")
+    assert child.returncode == KILLED, child.stderr
+    assert (run / "curves.csv").exists()
+    assert "curves.csv" in manifest_of(run)["artifacts"]
+    assert tree(run) == listed_tree(run)
+    result = runner.invoke(main, ["train", str(write_config(tmp_path, seeds=[1]))])
+    assert result.exit_code == 0, result.output
+    assert tree(run) == listed_tree(run)
+    assert not (run / "curves.csv").exists()
 
 
 # A child process that runs `train` on the config at argv[1] and dies partway
