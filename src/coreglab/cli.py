@@ -84,11 +84,12 @@ def audit_labels(config_path):
 @main.command("export-curves")
 @click.argument("run_dir", type=click.Path())
 @click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Destination CSV (default: <run_dir>/curves.csv).")
+              help="Copy to this CSV, outside the run (default: copy nothing "
+                   "and print the run's curves.csv).")
 @_guarded
 def export_curves(run_dir, out_path):
-    """Bundle the epoch logs a run's config.yaml names into one long-format
-    CSV."""
+    """Copy the curves.csv that every train and analyze-noise run saves: the
+    "selected" score per gamma, seed and epoch, in long format."""
     target = experiment.export_curves(run_dir, out_path)
     click.echo(f"curves: {target}")
 

@@ -30,6 +30,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -334,16 +335,12 @@ def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
     instances: list[TaggingInstance] = []
     tokens: list[str] = []
     tags: list[int] = []
-
-    def flush():
-        if tokens:
-            instances.append(TaggingInstance(tokens[:], tags[:], uid=len(instances)))
-            tokens.clear()
-            tags.clear()
-
-    for lineno, line in _data_lines(path):
+    # A blank line after the file's last closes a sentence that runs to its end.
+    for lineno, line in chain(_data_lines(path), [(None, "")]):
         if not line.strip():
-            flush()
+            if tokens:
+                instances.append(TaggingInstance(tokens, tags, uid=len(instances)))
+                tokens, tags = [], []
             continue
         cols = line.split()
         if len(cols) < 2:
@@ -354,7 +351,6 @@ def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         tokens.append(cols[0])
         tags.append(tag)
-    flush()
     return instances
 
 

@@ -1,6 +1,6 @@
 """Experiment plumbing: structured run configs, the one run-directory
 lifecycle, the per-seed experiment runner, the noise-analysis protocol
-driver, the label audit, and the long-format curve exporter.
+runner, the label audit, and the curves exporter.
 
 Run directory layout (every run command writes config.yaml and
 manifest.json; a rerun first removes the files the last manifest lists):
@@ -13,13 +13,14 @@ manifest.json; a rerun first removes the files the last manifest lists):
   seed_<s>/flips.csv           training-noise mask (train and analyze-noise, with noise)
   gamma_<g>/seed_<s>/...       noise-analysis runs, one subtree per gamma
   audit.csv, flips.csv         label audit; its AUROC is a train/auroc metric row
-  curves.csv                   the "selected" rows of the logs config.yaml names
+  curves.csv                   train and analyze-noise: the "selected" curve of
+                               each gamma and seed, in long format
 """
 
-import csv
 import hashlib
 import math
 import os
+import shutil
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -152,16 +153,26 @@ def _train_config(config: ExperimentConfig, seed: int, epochs: int,
     return replace(config.train, master_seed=seed, total_steps=steps)
 
 
-def _dev_rows(result: trainer.TrainResult, metric_name: str) -> list[tuple]:
+def _dev_rows(result: trainer.TrainResult, metric_name: str) -> tuple[list, list]:
     """Epoch-log rows of a training's dev scores: per epoch one row per
-    model, then a "selected" row with the selection policy's pick."""
-    rows = []
+    model, then a "selected" row with the selection policy's pick; and the
+    picks, the training's curve."""
+    rows, curve = [], []
     for epoch, values in enumerate(result.dev_scores.tolist()):
         rows += [(str(k), epoch, "dev", metric_name, repr(v)) for k, v in enumerate(values)]
-        chosen = trainer.select_index(values, result.config.selection_policy,
-                                      len(values))
-        rows.append(("selected", epoch, "dev", metric_name, repr(values[chosen])))
-    return rows
+        curve.append(values[trainer.select_index(values, result.config.selection_policy,
+                                                 len(values))])
+        rows.append(("selected", epoch, "dev", metric_name, repr(curve[-1])))
+    return rows, curve
+
+
+def _curve_rows(config: ExperimentConfig, curves: dict, split: str,
+                metric_name: str) -> list[tuple]:
+    """curves.csv rows of (gamma, seed) -> per-epoch values, sorted by gamma,
+    then seed."""
+    return [(config.method, repr(gamma), seed, epoch, split, metric_name, repr(value))
+            for (gamma, seed), curve in sorted(curves.items())
+            for epoch, value in enumerate(curve)]
 
 
 def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
@@ -286,9 +297,11 @@ def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Per seed: build data, optionally inject noise, train the configured
     method, log per-epoch metrics, and score the selected model on dev and
-    test; finally write metrics.csv (with median rows) and the manifest."""
+    test; finally write metrics.csv (with median rows), the selected dev
+    curves at train.gamma as curves.csv, and the manifest."""
     with _run(config) as (manifest, save):
         task = build_task_data(config)
+        curves = {}
         if task.vocab is not None:
             save("vocab.json", partial(datasets.save_vocab, task.vocab))
         for seed in config.seeds:
@@ -306,9 +319,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             tcfg = _train_config(config, seed, config.epochs, len(train_set))
             result = _run_method(config, tcfg, train_set, dev_set, task,
                                  partial(save, f"{seed_dir}/weights.csv"))
+            rows, curves[config.train.gamma, seed] = _dev_rows(result, task.metric_name)
             save(f"{seed_dir}/epoch_log.csv", partial(
-                datasets.write_csv, header=EPOCH_LOG_HEADER,
-                rows=_dev_rows(result, task.metric_name)))
+                datasets.write_csv, header=EPOCH_LOG_HEADER, rows=rows))
             model = result.selected_model()
             save(f"{seed_dir}/model.npz", partial(mdl.save_model, model))
             for split, split_set in (("dev", dev_set), ("test", task.test)):
@@ -325,6 +338,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER, rows=[
             (row["seed"], row["split"], row["metric"], repr(row["value"]))
             for row in manifest.metric_rows]))
+        save("curves.csv", partial(
+            datasets.write_csv, header=CURVES_HEADER,
+            rows=_curve_rows(config, curves, "dev", task.metric_name)))
     return manifest
 
 
@@ -332,7 +348,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     """Noise-overfit protocol over a gamma grid: per seed, flip a pool's
     labels, train on train + the flipped rows with their noisy labels for
     each gamma, and log the metric on the same rows with their original
-    labels per epoch; then save those logs' curves.csv and return its path."""
+    labels per epoch; then save those curves as curves.csv and return its path."""
     if datasets.TASKS[config.task].from_files:
         raise ConfigError("analyze-noise supports the synthetic task")
     analysis = config.analysis
@@ -346,6 +362,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
         pool, _, _ = datasets.mixture_splits(**{
             **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
             "test_size": 0, "data_seed": config.data["data_seed"] + 1})
+        curves = {}
         for seed in config.seeds:
             train_set, _ = _noisy_train(config, seed, task.train, save,
                                         f"seed_{seed}/flips.csv")
@@ -353,16 +370,17 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                 analysis["pool_noise_rate"], rngmod.substream_seed(seed, "pool_noise")))
             base = _train_config(config, seed, analysis["epochs"],
                                  len(train_set) + len(mask))
-            curves = noiselab.noise_overfit_eval(train_set, pool, mask,
-                                                 analysis["gammas"], base,
-                                                 eval_metric=task.metric_fn)
-            for gamma, curve in curves.items():
+            for gamma, curve in noiselab.noise_overfit_eval(
+                    train_set, pool, mask, analysis["gammas"], base,
+                    eval_metric=task.metric_fn).items():
+                curves[gamma, seed] = curve
                 save(f"gamma_{gamma!r}/seed_{seed}/epoch_log.csv", partial(
                     datasets.write_csv, header=EPOCH_LOG_HEADER, rows=[
                         ("selected", epoch, "clean", task.metric_name, repr(value))
                         for epoch, value in enumerate(curve)]))
-        return save("curves.csv", lambda path: datasets.write_csv(
-            path, CURVES_HEADER, _curve_rows(config, path.parent)))
+        return save("curves.csv", partial(
+            datasets.write_csv, header=CURVES_HEADER,
+            rows=_curve_rows(config, curves, "clean", task.metric_name)))
 
 
 def run_audit(config: ExperimentConfig):
@@ -391,65 +409,29 @@ def run_audit(config: ExperimentConfig):
 
 
 def export_curves(run_dir, out_path=None) -> Path:
-    """One long-format CSV of the "selected" rows of the epoch logs a run's
-    config.yaml names: a noise analysis's gamma_<g>/seed_<s>/epoch_log.csv
-    per distinct configured gamma when each has its subtree, else a
-    training's seed_<s>/epoch_log.csv per configured seed, at the train
-    block's gamma. Per-model curves stay in the logs. Inside the run
-    directory only run_dir/curves.csv is written, however out_path spells
-    it, and it joins the run's manifest, so a rerun removes it. An
-    invalid snapshot or manifest, a failed run, or a run with no manifest
-    (every run command writes one, so it was killed) is a DataError."""
+    """Copy a train or analyze-noise run's curves.csv to out_path and return
+    out_path; without out_path, or with one that names that file, copy
+    nothing and return it. A run with no manifest (every run
+    command writes one, so it was killed), a failed run, a run whose
+    manifest lists no curves.csv, and any other out_path inside the run are
+    DataErrors."""
     run = Path(run_dir)
-    snapshot = run / "config.yaml"
-    if not snapshot.exists():
-        raise datasets.DataError(f"{run}: missing config snapshot")
-    try:
-        config = load_config(snapshot)
-    except ConfigError as exc:
-        raise datasets.DataError(f"{snapshot}: bad config snapshot: {exc}") from exc
-    if not (run / "manifest.json").exists():
+    manifest = _read_manifest(run)
+    if not manifest:
         raise datasets.DataError(f"{run / 'manifest.json'}: missing, so the run did "
                                  f"not finish")
-    manifest = _read_manifest(run)
     if manifest.get("failure") is not None:
         raise datasets.DataError(f"{run / 'manifest.json'}: the run failed, so it "
                                  f"has no curves: {manifest['failure']}")
-    rows = _curve_rows(config, run)
-    target = Path(out_path) if out_path is not None else run / "curves.csv"
-    if target.resolve() == (run / "curves.csv").resolve():
-        if "curves.csv" not in manifest["artifacts"]:
-            listed = [*manifest["artifacts"], "curves.csv"]
-            _write_manifest(run, {**manifest, "artifacts": listed})
-    elif target.resolve().is_relative_to(run.resolve()):
-        raise datasets.DataError(f"{target}: inside the run directory, export-curves "
-                                 f"writes only {run / 'curves.csv'}")
-    datasets.write_csv(target, CURVES_HEADER, rows)
+    source = run / "curves.csv"
+    if "curves.csv" not in manifest["artifacts"]:
+        raise datasets.DataError(f"{source}: this run saved no curves; train and "
+                                 f"analyze-noise save them, so rerunning "
+                                 f"{run / 'config.yaml'} with either creates it")
+    target = Path(out_path) if out_path is not None else source
+    if target.resolve() != source.resolve():
+        if target.resolve().is_relative_to(run.resolve()):
+            raise datasets.DataError(f"{target}: inside the run directory, "
+                                     f"export-curves writes nothing")
+        shutil.copyfile(source, target)
     return target
-
-
-def _curve_rows(config: ExperimentConfig, run: Path) -> list[tuple]:
-    """The curves.csv rows, as export_curves describes them, of ``run``."""
-    analysis = all((run / f"gamma_{gamma!r}").is_dir()
-                   for gamma in config.analysis["gammas"])
-    gammas = sorted(set(config.analysis["gammas"])) if analysis else [config.train.gamma]
-    out_rows = []
-    for gamma in gammas:
-        for seed in sorted(config.seeds):
-            tree = run / f"gamma_{gamma!r}" if analysis else run
-            log = tree / f"seed_{seed}" / "epoch_log.csv"
-            try:
-                with open(log, newline="") as fh:
-                    rows = list(csv.reader(fh))
-            except (OSError, UnicodeDecodeError, csv.Error) as exc:
-                raise datasets.DataError(f"{log}: cannot read: {exc}") from exc
-            header = rows[0] if rows else None
-            if header != EPOCH_LOG_HEADER:
-                raise datasets.DataError(f"{log}: unexpected header {header!r}")
-            for lineno, row in enumerate(rows[1:], start=2):
-                if len(row) != len(EPOCH_LOG_HEADER):
-                    raise datasets.DataError(
-                        f"{log}:{lineno}: expected 5 fields, got {len(row)}")
-                if row[0] == "selected":
-                    out_rows.append((config.method, repr(gamma), seed, *row[1:]))
-    return out_rows

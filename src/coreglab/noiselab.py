@@ -96,11 +96,6 @@ class FlipMask:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def flags(self) -> np.ndarray:
-        out = np.zeros(self.num_instances, dtype=bool)
-        out[self.indices] = True
-        return out
-
     def save_csv(self, path, ids) -> None:
         ds.write_csv(path, FLIP_CSV_HEADER,
                      zip(ids[self.indices].tolist(), self.original_labels.tolist(),

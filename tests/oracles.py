@@ -465,6 +465,13 @@ def load_flip_mask_csv(path, ids):
     return FlipMask(idx, orig, noisy, len(ids))
 
 
+def flip_flags(mask):
+    """A FlipMask as one flag per instance, True where its label was flipped."""
+    flags = np.zeros(mask.num_instances, dtype=bool)
+    flags[mask.indices] = True
+    return flags
+
+
 def save_relation_schema(schema, path):
     """Write a RelationSchema as the JSON file RelationSchema.load reads."""
     from coreglab.datasets import write_json

@@ -27,7 +27,7 @@ from coreglab.noiselab import (NoiseSpec, first_learned_means,
                                forgetting_stats, inject_noise)
 from coreglab.trainer import (TrainConfig, aggregate_targets, agreement_loss,
                               make_plain_config, train, warmup_steps)
-from oracles import direct_agreement_loss, direct_aggregate
+from oracles import direct_agreement_loss, direct_aggregate, flip_flags
 from test_trainer import _fd_check, small_config, tiny_dataset
 
 # The noisy-label benchmark protocol used by the empirical checks below:
@@ -253,7 +253,7 @@ def test_memorization_delay(report):
                        track_trajectories=True)
         stats = forgetting_stats(result.trajectories)
         flipped_mean, clean_mean = first_learned_means(
-            stats, mask.flags(), horizon=result.trajectories.shape[0])
+            stats, flip_flags(mask), horizon=result.trajectories.shape[0])
         delayed += flipped_mean > clean_mean
         details.append(round(flipped_mean - clean_mean, 1))
     ok = delayed >= 4

@@ -1017,15 +1017,32 @@ def test_export_curves_empty_dir_exits_2(runner, tmp_path):
 
 
 def test_export_curves_malformed_log_exits_2(runner, tmp_path, finish_run):
+    """A finished run whose manifest lists no curves.csv, as a run written
+    before runs saved one, exits 2 naming the missing curves and the config
+    whose rerun creates them; its epoch log, malformed here, is not read."""
     config_path = tmp_path / "config.yaml"
     write_config(config_path, seeds=[1], output_dir=str(tmp_path))
     (tmp_path / "seed_1").mkdir()
-    log = tmp_path / "seed_1" / "epoch_log.csv"
-    log.write_text("model,epoch,split\n")
+    (tmp_path / "seed_1" / "epoch_log.csv").write_text("model,epoch,split\n")
     finish_run(tmp_path)
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert_clean_exit(result, 2)
-    assert str(log) in result.stderr
+    assert (f"error: {tmp_path / 'curves.csv'}: this run saved no curves; train "
+            f"and analyze-noise save them, so rerunning {config_path}") in result.stderr
+
+
+def test_export_curves_of_an_audit_run_exits_2(runner, tmp_path):
+    """audit-labels saves no curves, so exporting its run exits 2 and names
+    the missing curves.csv."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, seeds=[1])
+    assert runner.invoke(main, ["audit-labels", str(config_path)]).exit_code == 0
+    result = runner.invoke(main, ["export-curves", str(tmp_path / "run"), "--out",
+                                  str(tmp_path / "out.csv")])
+    assert_clean_exit(result, 2)
+    assert f"error: {tmp_path / 'run' / 'curves.csv'}: this run saved no curves" \
+        in result.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_export_curves_refuses_a_failed_run_exits_2(runner, tmp_path):

@@ -453,38 +453,29 @@ GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\nselected,0,dev,accuracy,0.5\n"
 
 
 def test_export_curves_errors(tmp_path, finish_run):
-    """A run directory without a valid config snapshot, or with a configured
-    epoch log that is missing or malformed, is a DataError naming the file.
-    Directory names play no part: a seed_x beside the configured logs is
-    not read."""
-    with pytest.raises(DataError, match="config snapshot"):
+    """A directory without a manifest, a failed run, and a finished run whose
+    manifest lists no curves.csv (as a run written before runs saved one)
+    are DataErrors naming the file; a curves.csv that the manifest does not
+    list is not copied."""
+    with pytest.raises(DataError, match=r"manifest\.json: missing"):
         export_curves(tmp_path)
-    snapshot = yaml.safe_dump(tiny_mapping(tmp_path, seeds=[1]))
-    cases = [
-        ("seeds: [1]\n", {}, r"config\.yaml: bad config snapshot: output_dir is required"),
-        ("method: [coreg\n", {}, r"config\.yaml: bad config snapshot"),
-        ("- coreg\n", {}, r"config\.yaml.*mapping"),
-        (snapshot + "train: null\n", {}, r"config\.yaml.*train"),
-        (snapshot.replace("gamma: 1.0", "gamma: abc"), {}, r"config\.yaml.*train\.gamma"),
-        (snapshot, {}, r"seed_1/epoch_log\.csv: cannot read"),
-        (snapshot, {"seed_1": "a,b\n1,2\n"}, r"seed_1/epoch_log\.csv: unexpected header"),
-        (snapshot, {"seed_1": GOOD_LOG + "selected,1,dev,0.5\n"},
-         r"seed_1/epoch_log\.csv:3: expected 5 fields, got 4"),
-        (snapshot, {"seed_1": b"\xff\xfe"}, r"seed_1/epoch_log\.csv"),
-        (snapshot.replace("seeds:\n- 1", "seeds:\n- 1\n- 2"),
-         {"seed_1": GOOD_LOG, "seed_x": GOOD_LOG}, r"seed_2/epoch_log\.csv"),
-    ]
-    for i, (config_text, logs, message) in enumerate(cases):
-        run = tmp_path / f"malformed{i}"
-        run.mkdir()
-        (run / "config.yaml").write_text(config_text)
-        for directory, content in logs.items():
-            (run / directory).mkdir(parents=True)
-            log = run / directory / "epoch_log.csv"
-            log.write_bytes(content if isinstance(content, bytes) else content.encode())
-        finish_run(run)
-        with pytest.raises(DataError, match=message):
-            export_curves(run)
+    run = tmp_path / "older"
+    (run / "seed_1").mkdir(parents=True)
+    (run / "config.yaml").write_text(yaml.safe_dump(tiny_mapping(tmp_path, seeds=[1])))
+    (run / "seed_1" / "epoch_log.csv").write_text(GOOD_LOG)
+    finish_run(run)
+    older = r"older/curves\.csv: this run saved no curves.*older/config\.yaml"
+    with pytest.raises(DataError, match=older):
+        export_curves(run, out_path=tmp_path / "out.csv")
+    (run / "curves.csv").write_text(",".join(CURVES_HEADER) + "\n")
+    with pytest.raises(DataError, match=older):
+        export_curves(run, out_path=tmp_path / "out.csv")
+    finish_run(run)  # curves.csv is listed now, but the manifest records a failure
+    manifest = json.loads((run / "manifest.json").read_text())
+    (run / "manifest.json").write_text(json.dumps({**manifest, "failure": "incomplete"}))
+    with pytest.raises(DataError, match=r"the run failed, so it has no curves: incomplete"):
+        export_curves(run, out_path=tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _curve_keys(path) -> list:
@@ -494,7 +485,7 @@ def _curve_keys(path) -> list:
 
 def test_export_curves_reads_only_the_configured_seeds(tmp_path):
     """A rerun with fewer seeds into the same directory removes the dropped
-    seed's subtree, and the export holds the rerun's curves."""
+    seed's subtree, and the curves.csv it saves holds its own seeds alone."""
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1, 2])))
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1])))
     assert not (tmp_path / "run" / "seed_2").exists()
@@ -517,9 +508,9 @@ def test_noise_analysis_curves_hold_only_the_configured_gammas(tmp_path):
 
 
 def test_export_curves_of_a_training_after_a_noise_analysis(tmp_path):
-    """A training into a noise analysis's directory, whose config names
-    gammas without subtrees there, exports its own logs alone: the
-    analysis's gamma_1.0 curves do not double the training's gamma 1.0."""
+    """A training into a noise analysis's directory saves its own curves
+    alone: the analysis's gamma_1.0 curves do not double the training's
+    gamma 1.0."""
     mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
         "gammas": [0, 1], "pool_size": 40, "epochs": 1})
     run_noise_analysis(ExperimentConfig.from_mapping(mapping))
@@ -539,23 +530,22 @@ def test_export_curves_custom_out(tmp_path):
 
 @pytest.mark.parametrize("spelling", ["curves.csv", "seed_1/../curves.csv"])
 def test_export_curves_lists_the_runs_curves_csv_however_spelled(tmp_path, spelling):
-    """An out_path naming the run's own curves.csv joins the manifest like
-    the default, so a rerun with fewer seeds removes it rather than keep the
-    rows of a seed it no longer trains."""
+    """An out_path naming the run's own curves.csv, however spelled, names
+    the file that the run saved and listed: export_curves returns it and
+    changes no file in the run, manifest.json included."""
     run = tmp_path / "run"
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, epochs=1)))
-    assert export_curves(run, out_path=run / spelling) == run / spelling
     assert "curves.csv" in json.loads((run / "manifest.json").read_text())["artifacts"]
-    run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, seeds=[1],
-                                                              epochs=1)))
-    assert not (run / "curves.csv").exists()
+    before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+    assert export_curves(run, out_path=run / spelling) == run / spelling
+    assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("name", ["seed_1/epoch_log.csv", "other.csv", "."])
 def test_export_curves_refuses_other_targets_inside_the_run(tmp_path, name):
-    """Inside the run directory export-curves writes only curves.csv: any
-    other target is a DataError that changes no file, so the run's epoch
-    logs still export."""
+    """Inside the run directory export-curves writes nothing: any other
+    target than the run's curves.csv is a DataError that changes no file,
+    and the run's curves still export."""
     run = tmp_path / "run"
     run_experiment(ExperimentConfig.from_mapping(tiny_mapping(tmp_path, epochs=1)))
     before = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}

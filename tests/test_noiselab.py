@@ -14,7 +14,8 @@ from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, ForgettingStats,
                                first_learned_means, forgetting_stats, inject_noise,
                                noise_overfit_eval, save_suspect_csv)
 from coreglab.trainer import AGGREGATE_MODES, TrainConfig, init_ensemble, train
-from oracles import load_flip_mask_csv, pairwise_auroc, reference_disagreement_report
+from oracles import (flip_flags, load_flip_mask_csv, pairwise_auroc,
+                     reference_disagreement_report)
 
 
 def tiny_dataset(n=30, num_classes=4, num_features=3, seed=0) -> LabeledDataset:
@@ -51,7 +52,7 @@ def test_flip_mask_invariant():
         FlipMask(np.array([0]), np.array([1]), np.array([1]), 5)
     mask = FlipMask(np.array([1, 3]), np.array([0, 2]), np.array([2, 0]), 5)
     assert len(mask) == 2
-    np.testing.assert_array_equal(mask.flags(), [False, True, False, True, False])
+    np.testing.assert_array_equal(flip_flags(mask), [False, True, False, True, False])
 
 
 def test_flip_mask_csv_round_trip(tmp_path):
@@ -321,7 +322,7 @@ def test_memorization_delay_on_noisy_synthetic():
                          hidden_sizes=(16,), dropout=0.0, master_seed=22)
     result = train(noisy, None, config, track_trajectories=True)
     stats = forgetting_stats(result.trajectories)
-    f_mean, u_mean = first_learned_means(stats, mask.flags(),
+    f_mean, u_mean = first_learned_means(stats, flip_flags(mask),
                                          horizon=len(result.trajectories))
     assert f_mean > u_mean
 
@@ -370,7 +371,7 @@ def test_disagreement_report_detects_planted_flips():
     report = disagreement_report(result.ensemble, noisy, config)
     scores = np.empty(len(noisy))
     scores[report["id"]] = report["sup_loss"]
-    assert auroc(scores, mask.flags()) > 0.5
+    assert auroc(scores, flip_flags(mask)) > 0.5
 
 
 def test_save_suspect_csv(tmp_path):

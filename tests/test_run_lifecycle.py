@@ -117,14 +117,19 @@ def test_rerun_leaves_only_the_second_runs_files(runner, tmp_path, first, second
 
 
 def test_rerun_removes_an_exported_curves_csv(runner, tmp_path):
-    config_path = write_config(tmp_path)
+    """A rerun with fewer seeds removes the curves.csv that export-curves
+    named and saves its own, with only its seeds' rows: the bytes that a
+    first run with those seeds saves."""
     run = tmp_path / "run"
-    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
     assert runner.invoke(main, ["export-curves", str(run)]).exit_code == 0
-    assert "curves.csv" in manifest_of(run)["artifacts"]
+    assert {line.split(",")[2] for line in (run / "curves.csv").read_text().split()[1:]} \
+        == {"1", "2"}
     assert runner.invoke(main, ["train", str(write_config(tmp_path, seeds=[1]))]).exit_code == 0
-    assert not (run / "curves.csv").exists()
     assert tree(run) == listed_tree(run)
+    fresh = write_config(tmp_path, seeds=[1], output_dir=str(tmp_path / "fresh"))
+    assert runner.invoke(main, ["train", str(fresh)]).exit_code == 0
+    assert (run / "curves.csv").read_bytes() == (tmp_path / "fresh" / "curves.csv").read_bytes()
 
 
 def test_export_curves_refuses_a_run_without_a_manifest(runner, tmp_path):
@@ -133,10 +138,25 @@ def test_export_curves_refuses_a_run_without_a_manifest(runner, tmp_path):
     run = tmp_path / "run"
     assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
     (run / "manifest.json").unlink()
-    result = runner.invoke(main, ["export-curves", str(run)])
+    left = _file_bytes(run)
+    result = runner.invoke(main, ["export-curves", str(run), "--out",
+                                  str(tmp_path / "out.csv")])
     assert result.exit_code == 2, result.output
     assert f"error: {run / 'manifest.json'}: missing" in result.stderr
-    assert not (run / "curves.csv").exists()
+    assert _file_bytes(run) == left
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_export_without_out_changes_no_file(runner, tmp_path):
+    """export-curves RUN only names the curves.csv that the run saved: every
+    file in the run keeps its bytes, manifest.json included."""
+    run = tmp_path / "run"
+    assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
+    before = _file_bytes(run)
+    result = runner.invoke(main, ["export-curves", str(run)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"curves: {run / 'curves.csv'}\n"
+    assert _file_bytes(run) == before
 
 
 def test_export_to_another_path_leaves_the_manifest_as_it_is(runner, tmp_path):
@@ -250,12 +270,13 @@ def test_repeated_gamma_trains_once(tmp_path, monkeypatch):
 
 KILLED = 17
 # A child process that runs the command argv[3] on the path at argv[1] (a
-# config, or export-curves's run directory) and ends with os._exit(KILLED)
-# right after its argv[2]-th artifact: each writer a run's artifacts go
-# through (config.yaml's text, the CSVs, the model) exits after that many
-# writes, before the run can do anything else.
+# config, or export-curves's run directory), with any further arguments,
+# and ends with os._exit(KILLED) right after its argv[2]-th artifact: each
+# writer a run's artifacts go through (config.yaml's text, the CSVs, the
+# model) and export-curves's copy exits after that many writes, before the
+# command can do anything else.
 KILL_AFTER_ARTIFACT = f"""
-import os, sys
+import os, shutil, sys
 from pathlib import Path
 from coreglab import datasets, models
 from coreglab.cli import main
@@ -273,7 +294,8 @@ def then_exit(write):
 datasets.write_csv = then_exit(datasets.write_csv)
 models.save_model = then_exit(models.save_model)
 Path.write_text = then_exit(Path.write_text)
-main([sys.argv[3], sys.argv[1]])
+shutil.copyfile = then_exit(shutil.copyfile)
+main([sys.argv[3], sys.argv[1], *sys.argv[4:]])
 """
 
 
@@ -326,11 +348,13 @@ def test_killed_run_lists_every_file_it_left(runner, tmp_path):
     export-curves refuses it and a rerun with fewer seeds leaves only its own
     files."""
     run = _kill_after_each_artifact(runner, tmp_path, "train")
-    # config.yaml, per seed flips.csv, epoch_log.csv and model.npz, and
-    # metrics.csv: 8 artifacts, so the child asked to exit after a 9th finished.
-    assert run.parent.name == "9"
+    # config.yaml, per seed flips.csv, epoch_log.csv and model.npz, then
+    # metrics.csv and curves.csv: 9 artifacts, so the child asked to exit
+    # after a 10th finished.
+    assert run.parent.name == "10"
     assert manifest_of(run)["failure"] is None
-    assert len(manifest_of(run)["artifacts"]) == 9  # with manifest.json
+    assert "curves.csv" in manifest_of(run)["artifacts"]
+    assert len(manifest_of(run)["artifacts"]) == 10  # with manifest.json
 
 
 def test_killed_analysis_lists_every_file_it_left(runner, tmp_path):
@@ -356,21 +380,18 @@ def test_killed_audit_lists_every_file_it_left(runner, tmp_path):
         "audit.csv", "config.yaml", "flips.csv", "manifest.json"]
 
 
-def test_killed_export_lists_curves_csv(runner, tmp_path):
-    """export-curves lists curves.csv in the run's manifest before it writes
-    it, so a kill right after the write leaves a manifest that lists it, and
-    a rerun with fewer seeds removes it."""
+def test_killed_export_leaves_the_run_as_it_was(runner, tmp_path):
+    """export-curves only copies the run's curves.csv, so a kill right after
+    the copy leaves every file in the run with its bytes, and the copy equal
+    to the run's file."""
     run = tmp_path / "run"
     assert runner.invoke(main, ["train", str(write_config(tmp_path))]).exit_code == 0
-    child = _child(KILL_AFTER_ARTIFACT, run, 1, "export-curves")
+    before = _file_bytes(run)
+    child = _child(KILL_AFTER_ARTIFACT, run, 1, "export-curves", "--out",
+                   tmp_path / "out.csv")
     assert child.returncode == KILLED, child.stderr
-    assert (run / "curves.csv").exists()
-    assert "curves.csv" in manifest_of(run)["artifacts"]
-    assert tree(run) == listed_tree(run)
-    result = runner.invoke(main, ["train", str(write_config(tmp_path, seeds=[1]))])
-    assert result.exit_code == 0, result.output
-    assert tree(run) == listed_tree(run)
-    assert not (run / "curves.csv").exists()
+    assert _file_bytes(run) == before
+    assert (tmp_path / "out.csv").read_bytes() == before[run / "curves.csv"]
 
 
 # A child process that runs `train` on the config at argv[1] and dies partway

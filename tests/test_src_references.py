@@ -1,6 +1,7 @@
 """Code that only the tests call lives in tests/: every top-level function
-and class of the package is used somewhere in src/ outside its own
-definition, apart from the entry points listed in ALLOWED."""
+and class of the package, and every method of its classes, is used
+somewhere in src/ outside its own definition, apart from the entry points
+listed in ALLOWED."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,22 @@ def test_every_definition_is_used_in_src():
     unused = set(spans) - used
     assert unused - ALLOWED == set(), "only the tests use these; move them to tests/"
     assert ALLOWED - unused == set(), "used in src/ now; drop from ALLOWED"
+
+
+def test_every_method_is_used_in_src():
+    """A method, other than a dunder that Python calls itself, is used when
+    src/ reads an attribute of its name outside the method's own body. The
+    receiver's class is not known without running the code, so an attribute
+    of that name on any object counts."""
+    modules = _modules()
+    spans = {(module, f"{cls.name}.{node.name}"): (node.lineno, node.end_lineno)
+             for module, tree in modules.items() for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    read = {(module, node.attr, node.lineno) for module, tree in modules.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = {(module, name) for (module, name), (start, end) in spans.items()
+              if not any(attr == name.split(".")[1]
+                         and not (where == module and start <= line <= end)
+                         for where, attr, line in read)}
+    assert unused - ALLOWED == set(), "only the tests use these; move them to tests/"
