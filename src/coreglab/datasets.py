@@ -653,11 +653,11 @@ class _TaggingTask(_Task):
         tags = schema.tags
         gold = [tags[i] for i in dataset.labels[order].tolist()]
         pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
-        golds, predicted = [], []
-        for start, stop in zip(edges, edges[1:]):
-            golds.append(metrics.bio_decode(gold[start:stop]))
-            predicted.append(metrics.bio_decode(pred[start:stop]))
-        return metrics.span_f1(golds, predicted).f1
+        # span_f1 pulls each sentence's gold, then its predicted spans, from
+        # these generators, so one sentence's spans are alive at a time.
+        return metrics.span_f1(
+            (metrics.bio_decode(gold[a:b]) for a, b in zip(edges, edges[1:])),
+            (metrics.bio_decode(pred[a:b]) for a, b in zip(edges, edges[1:]))).f1
 
     def window(self, width, vocab):
         # A model reads rows of 2*window+1 blocks of len(vocab) columns.

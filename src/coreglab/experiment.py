@@ -413,8 +413,8 @@ def export_curves(run_dir, out_path=None) -> Path:
     out_path; without out_path, or with one that names that file, copy
     nothing and return it. A run with no manifest (every run
     command writes one, so it was killed), a failed run, a run whose
-    manifest lists no curves.csv, and any other out_path inside the run are
-    DataErrors."""
+    manifest lists no curves.csv or whose listed curves.csv is gone, and
+    any other out_path inside the run are DataErrors."""
     run = Path(run_dir)
     manifest = _read_manifest(run)
     if not manifest:
@@ -428,6 +428,10 @@ def export_curves(run_dir, out_path=None) -> Path:
         raise datasets.DataError(f"{source}: this run saved no curves; train and "
                                  f"analyze-noise save them, so rerunning "
                                  f"{run / 'config.yaml'} with either creates it")
+    if not source.is_file():
+        raise datasets.DataError(f"{source}: listed in the run's manifest but "
+                                 f"missing; rerunning {run / 'config.yaml'} "
+                                 f"re-creates it")
     target = Path(out_path) if out_path is not None else source
     if target.resolve() != source.resolve():
         if target.resolve().is_relative_to(run.resolve()):

@@ -1,7 +1,7 @@
-"""Evaluation metrics: BIO span decoding, span-level F1, relation micro-F1,
-and accuracy."""
+"""Evaluation metrics: BIO span decoding, span-level F1 counted one sentence
+at a time, relation micro-F1, and accuracy."""
 
-from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,20 +90,29 @@ def bio_decode(tags: list[str]) -> list[Span]:
     return spans
 
 
-def span_f1(gold: list[list[Span]], pred: list[list[Span]]) -> F1Report:
-    """Micro-averaged exact-match span F1 over aligned sentence lists.
+def span_f1(gold: Iterable[Sequence[Span]],
+            pred: Iterable[Sequence[Span]]) -> F1Report:
+    """Micro-averaged exact-match span F1 over aligned per-sentence span lists.
 
-    A predicted span is a true positive iff its type, start and end all match
-    a gold span of the same sentence, with each gold span matched at most once.
+    Reads one gold and one predicted sentence at a time, so any iterables,
+    generators included, keep only that pair alive; unequal lengths raise
+    ValueError. A predicted span is a true positive iff its type, start and
+    end all match a gold span of the same sentence, with each gold span
+    matched at most once.
     """
-    if len(gold) != len(pred):
-        raise ValueError("gold and pred sentence lists are not aligned")
-    # Spans keyed by sentence index, so equal spans of different sentences
-    # never match; the Counters keep repeated spans as multiplicities.
-    g = Counter((s, span) for s, spans in enumerate(gold) for span in spans)
-    p = Counter((s, span) for s, spans in enumerate(pred) for span in spans)
-    tp = sum((g & p).values())
-    return F1Report.from_counts(tp, p.total() - tp, g.total() - tp)
+    tp = num_gold = num_pred = 0
+    for gold_spans, pred_spans in zip(gold, pred, strict=True):
+        num_gold += len(gold_spans)
+        num_pred += len(pred_spans)
+        if gold_spans == pred_spans:
+            tp += len(gold_spans)
+            continue
+        unmatched = list(gold_spans)
+        for span in pred_spans:
+            if span in unmatched:
+                unmatched.remove(span)
+                tp += 1
+    return F1Report.from_counts(tp, num_pred - tp, num_gold - tp)
 
 
 def relation_micro_f1(gold, pred, negative_class: int) -> F1Report:

@@ -1010,6 +1010,25 @@ def test_export_curves_command(runner, tmp_path):
     assert target.exists()
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_export_curves_of_a_removed_curves_csv_exits_2(runner, tmp_path, out):
+    """A run whose manifest lists curves.csv after the file was deleted exits
+    2 naming the missing file, with --out or without it."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, seeds=[1])
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    (tmp_path / "run" / "curves.csv").unlink()
+    args = ["export-curves", str(tmp_path / "run")]
+    if out:
+        args += ["--out", str(tmp_path / "out.csv")]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert (f"error: {tmp_path / 'run' / 'curves.csv'}: listed in the run's "
+            f"manifest but missing") in result.stderr
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "run" / "curves.csv").exists()
+
+
 def test_export_curves_empty_dir_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["export-curves", str(tmp_path)])
     assert result.exit_code == 2

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -640,6 +641,50 @@ def test_make_metric_tagging_matches_per_sentence_reference(monkeypatch):
         monkeypatch.undo()
         assert got == reference_tagging_f1(scheme, groups, labels, preds)
         assert len(decoded) == 2 * len(np.unique(groups))
+
+
+def test_tagging_score_holds_one_sentence_pair_at_a_time(monkeypatch):
+    """The scorer decodes a sentence's gold, then its predicted tags, and
+    span_f1 counts that pair before the next sentence is decoded. So when a
+    sentence's gold is decoded only the previous sentence's pair is alive,
+    when its prediction is decoded only that pair and its own gold, and none
+    is left after the score."""
+    from coreglab import metrics
+
+    class Spans(list):
+        """A decoded sentence that takes a weak reference."""
+
+    live = [0]
+    live_at_call = []
+
+    def release():
+        live[0] -= 1
+
+    def decode(tags):
+        live_at_call.append(live[0])
+        spans = Spans(bio_decode(tags))
+        live[0] += 1
+        weakref.finalize(spans, release)
+        return spans
+
+    scheme = TagScheme(["PER", "LOC"])
+    _, fn = make_metric("tagging", schema=scheme)
+    rng = np.random.default_rng(3)
+    groups = np.repeat(np.arange(30), 5)
+    labels = rng.integers(0, len(scheme), size=len(groups))
+    # Half the rows predicted right, so some sentences match exactly.
+    preds = np.where(rng.random(len(groups)) < 0.5, labels,
+                     rng.integers(0, len(scheme), size=len(groups)))
+    data = LabeledDataset(np.zeros((len(groups), 1)), labels, len(scheme),
+                          groups=groups)
+    monkeypatch.setattr(metrics, "bio_decode", decode)
+    got = fn(data, preds)
+    monkeypatch.undo()
+    assert got == reference_tagging_f1(scheme, groups, labels, preds)
+    assert len(live_at_call) == 2 * 30
+    assert max(live_at_call[0::2]) <= 2
+    assert max(live_at_call[1::2]) <= 3
+    assert live[0] == 0
 
 
 # ---------------------------------------------------------------- task dispatch

@@ -154,12 +154,18 @@ def test_span_f1_matches_reference_on_random_spans():
 
     for n in rng.integers(0, 6, size=200):
         gold, pred = draw(n), draw(n)
-        assert astuple(span_f1(gold, pred)) == reference_span_f1(gold, pred)
+        expected = reference_span_f1(gold, pred)
+        assert astuple(span_f1(gold, pred)) == expected
+        # Generators, which have no len(), as the tagging scorer passes.
+        assert astuple(span_f1((s for s in gold), (s for s in pred))) == expected
 
 
 def test_span_f1_alignment_check():
-    with pytest.raises(ValueError):
-        span_f1([[]], [[], []])
+    for gold, pred in (([[]], [[], []]), ([[], []], [[]])):
+        with pytest.raises(ValueError):
+            span_f1(gold, pred)
+        with pytest.raises(ValueError):
+            span_f1((s for s in gold), (s for s in pred))
 
 
 def test_span_f1_swap_symmetry():
