@@ -16,6 +16,10 @@ File formats:
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
 
+Data files are read one line at a time, never whole, and a loaded CoNLL
+token costs one pointer plus its vocabulary string: equal tokens share one
+string. Errors name the file and line, also when a line does not decode.
+
 Each task is described in one place, its record in TASKS: its data keys,
 its splits, file formats and scorer, and a saved model's token window.
 Record methods name this module's functions at call time, so a caller that
@@ -51,14 +55,28 @@ def _open_data(path):
 
 
 def _data_lines(path):
-    """(line number, line) pairs of a data file, newlines stripped; a file
-    that cannot be opened or decoded is a DataError."""
+    """(line number, line) pairs of a data file, read one line at a time, each
+    line with its newline; a file that cannot be opened or decoded is a
+    DataError. The file closes when the pairs run out or are dropped."""
     with _open_data(path) as fh:
         try:
-            text = fh.read()
+            yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: cannot decode: {exc}") from exc
-    return enumerate(text.split("\n"), start=1)
+            raise _decode_error(path, exc) from exc
+
+
+def _decode_error(path, exc):
+    """The DataError of a file that does not decode. The reader's own error
+    counts its byte position from the chunk it was decoding, so the file is
+    read again, undecodable bytes escaped, to name the first line that does
+    not decode and the position within it."""
+    with open(path, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode(fh.encoding, "surrogateescape").decode(fh.encoding)
+            except UnicodeDecodeError as line_exc:
+                return DataError(f"{path}:{lineno}: cannot decode: {line_exc}")
+    return DataError(f"{path}: cannot decode: {exc}")
 
 
 def write_csv(path, header, rows) -> None:
@@ -331,25 +349,29 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
 
 
 def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
-    """Parse a CoNLL column file into tagging instances, preserving order."""
+    """Parse a CoNLL column file into tagging instances, preserving order.
+    Equal tokens are one string, so a loaded token costs one pointer."""
     instances: list[TaggingInstance] = []
     tokens: list[str] = []
     tags: list[int] = []
+    tag_ids = {tag: i for i, tag in enumerate(scheme.tags)}
+    distinct: dict[str, str] = {}
     # A blank line after the file's last closes a sentence that runs to its end.
     for lineno, line in chain(_data_lines(path), [(None, "")]):
-        if not line.strip():
+        cols = line.split()
+        if not cols:
             if tokens:
                 instances.append(TaggingInstance(tokens, tags, uid=len(instances)))
                 tokens, tags = [], []
             continue
-        cols = line.split()
         if len(cols) < 2:
             raise DataError(f"{path}:{lineno}: expected token and tag columns")
-        try:
-            tag = scheme.index(cols[-1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        tokens.append(cols[0])
+        if (tag := tag_ids.get(cols[-1])) is None:
+            try:
+                tag = scheme.index(cols[-1])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        tokens.append(distinct.setdefault(cols[0], cols[0]))
         tags.append(tag)
     return instances
 
@@ -484,10 +506,12 @@ def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
 def _token_ids(sentences, vocab: Vocab | None):
     """The given vocabulary, else one of the sentences' sorted distinct tokens;
     every token's id in one flat array; and each sentence's length."""
-    tokens = [tok for sent in sentences for tok in sent]
-    vocab = Vocab(sorted(set(tokens))) if vocab is None else vocab
-    ids = np.fromiter(map(vocab.index, tokens), dtype=np.int64, count=len(tokens))
-    return vocab, ids, np.array([len(sent) for sent in sentences], dtype=np.int64)
+    if vocab is None:
+        vocab = Vocab(sorted(set(chain.from_iterable(sentences))))
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(map(vocab.index, chain.from_iterable(sentences)), dtype=np.int64,
+                      count=int(lengths.sum()))
+    return vocab, ids, lengths
 
 
 def build_relation_dataset(instances, schema: RelationSchema,
@@ -516,15 +540,18 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
     """
     vocab, ids, lengths = _token_ids([inst.tokens for inst in instances], vocab)
     groups = np.repeat(np.arange(len(instances)), lengths)
-    labels = np.array([tag for inst in instances for tag in inst.tags], dtype=np.int64)
+    labels = np.fromiter(chain.from_iterable(inst.tags for inst in instances),
+                         dtype=np.int64, count=len(ids))
     # Every sentence padded by `window` <pad> ids on both sides, so the token
     # in slot j of row r's window sits at padded[r + 2*window*groups[r] + j].
     first = np.arange(len(ids)) + 2 * window * groups
     padded = np.full(len(ids) + 2 * window * len(instances), vocab.pad_index)
     padded[first + window] = ids
-    slots = np.arange(2 * window + 1)
-    features = mdl.WindowIds(slots * len(vocab) + padded[first[:, None] + slots],
-                             len(slots) * len(vocab))
+    slots = 2 * window + 1
+    window_ids = np.empty((len(ids), slots), dtype=np.int64)
+    for slot in range(slots):
+        np.add(padded[first + slot], slot * len(vocab), out=window_ids[:, slot])
+    features = mdl.WindowIds(window_ids, slots * len(vocab))
     return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
 
 
@@ -720,9 +747,10 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
     """Synthetic tagging task: templated sentences over a vocabulary of
     num_fillers filler words plus 6 names for each of 3 entity types (50
     tokens by default; a large num_fillers gives a realistic-scale
-    vocabulary without a download). Returns (instances, scheme)."""
+    vocabulary without a download). Returns (instances, scheme). The words
+    are drawn by index, so the corpus holds one string per word."""
     scheme = metrics.TagScheme(TAGGING_ENTITY_TYPES)
-    fillers = np.array([f"w{i:02d}" for i in range(num_fillers)])
+    fillers = [f"w{i:02d}" for i in range(num_fillers)]
     names = {etype: [f"{etype.lower()}{i}" for i in range(6)]
              for etype in TAGGING_ENTITY_TYPES}
     rng = np.random.default_rng(seed)
@@ -732,15 +760,15 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
         tags: list[int] = []
 
         def add_fillers(count):
-            tokens.extend(map(str, rng.choice(fillers, size=count)))
+            tokens.extend(fillers[i] for i in rng.choice(num_fillers, size=count).tolist())
             tags.extend([scheme.index("O")] * count)
 
         add_fillers(int(rng.integers(2, 5)))
         for _ in range(int(rng.integers(1, 3))):
             etype = TAGGING_ENTITY_TYPES[int(rng.integers(len(TAGGING_ENTITY_TYPES)))]
             span_len = int(rng.integers(1, 3))
-            mention = rng.choice(names[etype], size=span_len, replace=False)
-            tokens.extend(map(str, mention))
+            mention = rng.choice(len(names[etype]), size=span_len, replace=False)
+            tokens.extend(names[etype][i] for i in mention.tolist())
             tags.extend([scheme.index(f"B-{etype}")]
                         + [scheme.index(f"I-{etype}")] * (span_len - 1))
             add_fillers(int(rng.integers(1, 4)))

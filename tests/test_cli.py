@@ -346,6 +346,30 @@ def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
         assert f"{train_path}:2:" in result.stderr
 
 
+@pytest.mark.parametrize("task", ["tagging", "synthetic"])
+def test_undecodable_line_deep_in_a_file_is_named(runner, tmp_path, task):
+    """A byte that is not UTF-8 about 10 KB into a data file exits 2 naming
+    the file, the line and the byte's position within that line, not a
+    position counted from wherever the reader's chunk began."""
+    line = "Ann B-PER\n" if task == "tagging" else json.dumps(FEATURE_RECORD) + "\n"
+    lines = 10_000 // len(line)
+    data = tmp_path / "train.data"
+    data.write_bytes((line * lines).encode() + b"Ann\xff" + (line * lines).encode())
+    if task == "tagging":
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(TASK_FILES["tagging"][0]))
+        config_path = tmp_path / "config.yaml"
+        write_file_task_config(config_path, task, data, data, schema_path)
+        result = runner.invoke(main, ["train", str(config_path)])
+    else:
+        result = runner.invoke(main, ["inject-noise", "--input", str(data),
+                                      "--output", str(tmp_path / "noisy.jsonl"),
+                                      "--rate", "0.1"])
+    assert_clean_exit(result, 2)
+    assert f"{data}:{lines + 1}: cannot decode:" in result.stderr
+    assert "in position 3:" in result.stderr
+
+
 @pytest.mark.parametrize("task", ["tagging", "relation"])
 def test_empty_train_split_exits_2(runner, tmp_path, task, hang_guard):
     schema, records = TASK_FILES[task]

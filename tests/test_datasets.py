@@ -1,12 +1,18 @@
 import ast
+import gc
+import hashlib
 import json
 import re
+import tracemalloc
+import warnings
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coreglab import datasets
 from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, UNK_TOKEN, DataError,
                                MIXTURE_KEYS, LabeledDataset, RelationSchema,
                                SentenceInstance, TaggingInstance, Vocab,
@@ -324,6 +330,77 @@ def test_read_conll_errors(tmp_path):
     one_col.write_text("Alice B-PER\nBob\n")
     with pytest.raises(DataError, match=r"cols\.conll:2"):
         read_conll(one_col, scheme)
+
+
+def test_read_conll_equal_tokens_are_one_string(tmp_path):
+    path = tmp_path / "data.conll"
+    path.write_text("Bob B-PER\nmet O\nBob B-PER\n\nBob B-PER\nmet O\n")
+    first, second = read_conll(path, TagScheme(["PER"]))
+    assert first.tokens[0] is first.tokens[2] is second.tokens[0]
+    assert first.tokens[1] is second.tokens[1]
+
+
+def test_read_conll_peak_memory_per_token(tmp_path):
+    """Reading holds neither the file's text nor a string per token: about
+    20k tokens of 50 words peak under 100 traced bytes a token."""
+    instances, scheme = gen_tagging_corpus(num_sentences=2400, seed=2)
+    path = tmp_path / "corpus.conll"
+    write_conll(path, instances, scheme)
+    tokens = sum(len(inst.tokens) for inst in instances)
+    assert 18_000 <= tokens <= 22_000
+    tracemalloc.start()
+    try:
+        again = read_conll(path, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(again) == len(instances)
+    assert peak / tokens < 100
+
+
+@pytest.mark.parametrize("variant", ["crlf", "no_final_newline"])
+def test_read_conll_line_endings(tmp_path, variant):
+    scheme = TagScheme(["PER", "ORG"])
+    lf = tmp_path / "lf.conll"
+    lf.write_bytes(CONLL_FIXTURE.encode())
+    other = tmp_path / f"{variant}.conll"
+    other.write_bytes(CONLL_FIXTURE.replace("\n", "\r\n").encode() if variant == "crlf"
+                      else CONLL_FIXTURE.rstrip("\n").encode())
+    assert read_conll(other, scheme) == read_conll(lf, scheme)
+
+
+FEATURE_LINE = '{"features": [0.0], "label": 0}\n'
+
+
+@pytest.mark.parametrize("read,bad_line,good_line", [
+    (partial(read_conll, scheme=TagScheme(["PER"])), "Bob\n", "ran O\n"),
+    # Refused by the reader, then by the record generator it reads from.
+    (read_feature_jsonl, '{"features": [0.0], "label": -1}\n', FEATURE_LINE),
+    (read_feature_jsonl, "[]\n", FEATURE_LINE),
+])
+def test_data_error_leaves_no_file_open(tmp_path, monkeypatch, read, bad_line,
+                                        good_line):
+    """A data file is read one line at a time, and an error on its second
+    line closes it at once, while the error's traceback is still alive, and
+    leaves no ResourceWarning for the collector."""
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(datasets, "open", tracking_open, raising=False)
+    path = tmp_path / "data.txt"
+    path.write_text(good_line + bad_line + good_line * 20_000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match=r"data\.txt:2:") as excinfo:
+            read(path)
+        assert len(opened) == 1 and opened[0].closed
+        del excinfo
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # ---------------------------------------------------------------- relation
@@ -803,6 +880,27 @@ def test_tagging_at_realistic_vocabulary_size():
     assert data.features.ids.nbytes <= len(data) * 3 * 8
     result = train(data, None, TrainConfig(total_steps=1))
     assert len(result.reports) == 1 and np.isfinite(result.reports[0].joint_loss)
+
+
+@pytest.mark.parametrize("kwargs,sha256", [
+    (dict(num_sentences=200, seed=0),
+     "10b2ebbc282aee9f0c401d03c915d7b7c37c9231c019927b4873713150737a6e"),
+    (dict(num_sentences=200, seed=9, num_fillers=300),
+     "cfaeda14b97075b698217fd8f5c55e015465f6d3dc02f6222cac7b7a2041421b"),
+])
+def test_gen_tagging_corpus_file_is_pinned(tmp_path, kwargs, sha256):
+    """The corpus's CoNLL file, byte for byte: drawing word indices makes the
+    same draws as drawing from an array of the words."""
+    instances, scheme = gen_tagging_corpus(**kwargs)
+    path = tmp_path / "corpus.conll"
+    write_conll(path, instances, scheme)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_gen_tagging_corpus_reuses_word_strings():
+    instances, _ = gen_tagging_corpus(num_sentences=300, seed=3)
+    tokens = [tok for inst in instances for tok in inst.tokens]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
 
 def test_gen_tagging_corpus():
