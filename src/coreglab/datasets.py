@@ -128,8 +128,8 @@ class LabeledDataset:
     num_features is the dense width either way, and subset and with_labels
     keep the form. The noise-overfit protocol takes dense rows only. groups
     map each row to a sentence for span-level scoring of tagging tasks.
-    Features are read-only once a dataset is built: with_labels shares them
-    between the datasets it relates.
+    Features, ids and groups are read-only once a dataset is built:
+    with_labels shares them between the datasets it relates.
     """
 
     features: np.ndarray | mdl.WindowIds
@@ -177,10 +177,9 @@ class LabeledDataset:
             groups=None if self.groups is None else self.groups[idx])
 
     def with_labels(self, labels) -> "LabeledDataset":
-        """Copy with replaced labels, sharing the feature matrix."""
+        """Copy with replaced labels, sharing the features, ids and groups."""
         return LabeledDataset(self.features, labels, self.num_classes,
-                              ids=self.ids.copy(),
-                              groups=None if self.groups is None else self.groups.copy())
+                              ids=self.ids, groups=self.groups)
 
 
 # A schema file's list of relation labels or entity types.
@@ -505,11 +504,11 @@ def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
 
 def _token_ids(sentences, vocab: Vocab | None):
     """The given vocabulary, else one of the sentences' sorted distinct tokens;
-    every token's id in one flat array; and each sentence's length."""
+    every token's id in one flat int32 array; and each sentence's length."""
     if vocab is None:
         vocab = Vocab(sorted(set(chain.from_iterable(sentences))))
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(vocab.index, chain.from_iterable(sentences)), dtype=np.int64,
+    ids = np.fromiter(map(vocab.index, chain.from_iterable(sentences)), dtype=np.int32,
                       count=int(lengths.sum()))
     return vocab, ids, lengths
 
@@ -535,7 +534,7 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
 
     A row is 2*window+1 one-hot blocks of len(vocab) columns, one per token
     in [position-window, position+window], with <pad> outside the sentence.
-    It is kept as WindowIds: the column of each block's one,
+    It is kept as int32 WindowIds: the column of each block's one,
     slot*len(vocab) + the token's vocabulary id.
     """
     vocab, ids, lengths = _token_ids([inst.tokens for inst in instances], vocab)
@@ -544,11 +543,13 @@ def build_tagging_dataset(instances, scheme: metrics.TagScheme,
                          dtype=np.int64, count=len(ids))
     # Every sentence padded by `window` <pad> ids on both sides, so the token
     # in slot j of row r's window sits at padded[r + 2*window*groups[r] + j].
+    # Positions and groups stay int64: a wrapped position would index padded
+    # silently, whereas a wrapped id turns negative and WindowIds refuses it.
     first = np.arange(len(ids)) + 2 * window * groups
-    padded = np.full(len(ids) + 2 * window * len(instances), vocab.pad_index)
+    padded = np.full(len(ids) + 2 * window * len(instances), vocab.pad_index, dtype=np.int32)
     padded[first + window] = ids
     slots = 2 * window + 1
-    window_ids = np.empty((len(ids), slots), dtype=np.int64)
+    window_ids = np.empty((len(ids), slots), dtype=np.int32)
     for slot in range(slots):
         np.add(padded[first + slot], slot * len(vocab), out=window_ids[:, slot])
     features = mdl.WindowIds(window_ids, slots * len(vocab))
@@ -730,7 +731,9 @@ def gen_gaussian_mixture(num_train: int = MIXTURE_KEYS["train_size"].default,
 
     def draw(n):
         labels = (np.arange(n) % num_classes)[rng.permutation(n)]
-        feats = means[labels] + scale * rng.standard_normal((n, num_features))
+        feats = rng.standard_normal((n, num_features))
+        feats *= scale
+        feats += means[labels]
         return LabeledDataset(feats, labels, num_classes)
 
     return draw(num_train), draw(num_test)

@@ -294,6 +294,13 @@ def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str
     return train_set, mask
 
 
+def _median(values) -> float:
+    """np.median's value without its numpy.ma import: the middle sorted value,
+    or the two middle ones summed and halved."""
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Per seed: build data, optionally inject noise, train the configured
     method, log per-epoch metrics, and score the selected model on dev and
@@ -332,8 +339,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                      "value": value})
         manifest.metric_rows += [
             {"seed": "median", "split": split, "metric": task.metric_name,
-             "value": float(np.median([row["value"] for row in manifest.metric_rows
-                                       if row["split"] == split]))}
+             "value": _median([row["value"] for row in manifest.metric_rows
+                                if row["split"] == split])}
             for split in ("dev", "test")]
         save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER, rows=[
             (row["seed"], row["split"], row["metric"], repr(row["value"]))

@@ -25,12 +25,15 @@ PREDICT_BLOCK_ROWS = 1024
 class WindowIds:
     """One-hot feature rows kept as their column indices: row r stands for
     the 0/1 row of ``width`` columns with ones at ``ids[r]``, a row of the
-    (rows, slots) int64 matrix ``ids``. ``shape``, ``len`` and indexing act
-    on rows and slots as on a matrix; ``width`` is what a model's input size
+    (rows, slots) integer matrix ``ids``, kept in the integer dtype it is
+    given (datasets builds int32). ``shape``, ``len`` and indexing act on
+    rows and slots as on a matrix; ``width`` is what a model's input size
     must match."""
 
     def __init__(self, ids, width: int):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"window ids must be integers, got dtype {ids.dtype}")
         if ids.ndim != 2:
             raise ValueError(f"window ids must be a (rows, slots) matrix, "
                              f"got shape {ids.shape}")
@@ -188,7 +191,8 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     allocated flat vector in the layout of ``model.params``; each layer's
     gradient is written straight into its view of that vector, sliced by
     ``model.layout``. For WindowIds layer 1's weight gradient is one bincount
-    that adds each row's dz into the weight rows it indexed."""
+    that adds each row's dz into the weight rows it indexed; its bins are
+    formed in int64, so no id * fan_out product wraps in a narrower dtype."""
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     dz = np.asarray(dlogits, dtype=np.float64)
@@ -199,7 +203,8 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
         h = cache.layer_inputs[i]
         w_at, (fan_in, fan_out), b_at = model.layout[i]
         if isinstance(h, WindowIds):
-            bins = (h.ids[:, :, None] * fan_out + np.arange(fan_out)).ravel()
+            bins = np.multiply(h.ids[:, :, None], fan_out, dtype=np.int64)
+            bins = (bins + np.arange(fan_out)).ravel()
             spread = np.repeat(dz, h.shape[1], axis=0).ravel()
             grad[w_at] = np.bincount(bins, weights=spread, minlength=fan_in * fan_out)
         else:

@@ -75,10 +75,8 @@ def test_with_labels_replaces_only_the_labels():
     np.testing.assert_array_equal(noisy.labels, [1, 1, 0])
     np.testing.assert_array_equal(data.labels, [0, 1, 1])
     assert noisy.features is data.features and noisy.num_classes == 2
-    np.testing.assert_array_equal(noisy.ids, data.ids)
-    np.testing.assert_array_equal(noisy.groups, data.groups)
-    noisy.ids[:] = 0
-    np.testing.assert_array_equal(data.ids, [5, 6, 7])
+    # Ids and groups are read-only, so the copy holds the source's own arrays.
+    assert noisy.ids is data.ids and noisy.groups is data.groups
 
 
 def test_window_id_rows_keep_their_form():
@@ -642,8 +640,9 @@ def test_build_tagging_dataset_matches_row_oracle(window):
     for instances in (train, test, corpus, []):
         data, same = build_tagging_dataset(instances, scheme, vocab, window=window)
         assert same is vocab
-        assert data.features.ids.tobytes() == reference_window_ids(
-            instances, vocab, window).tobytes()
+        assert data.features.ids.dtype == np.int32
+        np.testing.assert_array_equal(data.features.ids,
+                                      reference_window_ids(instances, vocab, window))
         rows = [featurize_token_window(inst, pos, window, vocab)
                 for inst in instances for pos in range(len(inst.tokens))]
         expected = np.stack(rows) if rows else np.zeros((0, width))
@@ -818,6 +817,25 @@ def test_mixture_splits_match_generator():
         np.testing.assert_array_equal(got.labels, ref.labels)
 
 
+@pytest.mark.parametrize("keys,sha256", [
+    (dict(train_size=300, dev_size=50, test_size=70, num_classes=4, num_features=5,
+          class_sep=2.5, scale=1.7, data_seed=3),
+     "ec2365cec5fb49ce545b7a9db072392412bb75596c5adee5b64ae35217730323"),
+    (dict(train_size=200, dev_size=40, test_size=40, num_classes=3, num_features=2,
+          class_sep=3.0, scale=0.5, data_seed=20250401),
+     "ce73ad1eee37552686c85582eab78ab8190a823b9ceb8a1036999db213874c58"),
+])
+def test_mixture_splits_are_pinned(keys, sha256):
+    """The features, labels and ids of all three splits, byte for byte:
+    scaling the draw and adding the means in place gives the same floats as
+    means[labels] + scale * draw."""
+    digest = hashlib.sha256()
+    for split in mixture_splits(**keys):
+        for array in (split.features, split.labels, split.ids):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == sha256
+
+
 # ---------------------------------------------------------------- generators
 
 
@@ -869,10 +887,23 @@ def test_gen_tagging_corpus_default_fillers():
                if tok[0] == "w")
 
 
+def test_loaded_tagging_split_holds_36_bytes_per_row(tmp_path):
+    """A loaded split's per-row arrays at window 1: int32 window ids (12
+    bytes), then int64 labels, ids and groups (8 each)."""
+    instances, scheme = gen_tagging_corpus(num_sentences=50, seed=2)
+    path = tmp_path / "train.conll"
+    write_conll(path, instances, scheme)
+    data, _ = TASKS["tagging"].load_split(path, scheme, window=1)
+    assert data.features.ids.dtype == np.int32
+    per_row = sum(array.nbytes for array in (data.features.ids, data.labels,
+                                             data.ids, data.groups))
+    assert per_row <= 36 * len(data)
+
+
 def test_tagging_at_realistic_vocabulary_size():
-    """A ~20k-token vocabulary without a download: its window ids take
-    rows x (2w+1) x 8 bytes, not the rows x (2w+1)|V| x 8 of dense one-hots,
-    and a training step runs on them."""
+    """A ~20k-token vocabulary without a download: its window ids take at
+    most rows x (2w+1) x 8 bytes, not the rows x (2w+1)|V| x 8 of dense
+    one-hots, and a training step runs on them."""
     instances, scheme = gen_tagging_corpus(num_sentences=4000, seed=1,
                                            num_fillers=100_000)
     data, vocab = build_tagging_dataset(instances, scheme, window=1)

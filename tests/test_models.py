@@ -535,6 +535,31 @@ def test_backward_on_window_ids_matches_finite_differences():
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+def test_window_ids_dtype_does_not_change_the_bytes(hidden):
+    """Logits and gradients on int32 window ids equal those on the same ids
+    as int64, byte for byte."""
+    vocab_size, slots, rows = 7, 3, 20
+    rng = np.random.default_rng(len(hidden))
+    ids = np.arange(slots) * vocab_size + rng.integers(vocab_size, size=(rows, slots))
+    model = init_model((slots * vocab_size, *hidden, 3), 0.0, seed=5)
+    dlogits = rng.normal(size=(rows, 3))
+    results = []
+    for dtype in (np.int32, np.int64):
+        features = WindowIds(ids.astype(dtype), slots * vocab_size)
+        assert features.ids.dtype == dtype
+        logits, cache = forward(model, features)
+        results.append((logits.tobytes(), backward(model, cache, dlogits).tobytes()))
+    assert results[0] == results[1]
+
+
+def test_window_ids_refuse_non_integer_ids():
+    """A float id would be truncated and a bool read as 0 or 1."""
+    for bad in ([[0.7, 1.9]], np.array([[True, False]])):
+        with pytest.raises(ValueError, match="window ids must be integers"):
+            WindowIds(bad, 6)
+
+
 def test_window_ids_rows_and_checks():
     ids = WindowIds([[0, 4], [1, 5], [2, 3]], 6)
     assert ids.shape == (3, 2) and len(ids) == 3 and ids.ids.dtype == np.int64
