@@ -1,7 +1,7 @@
 """Command-line surface for the training lab.
 
-Exit codes: 0 success, 1 config error, 2 data error (an unreadable input or
-an unwritable output path included), 3 training divergence.
+Exit codes: 0 success, 1 config error or out of memory, 2 data error (an
+unreadable input or an unwritable output path included), 3 training divergence.
 A relative config output_dir or gen-synthetic --out resolves under the
 COREGLAB_OUTPUT_ROOT environment variable when it is set; every other path
 (inject-noise, export-curves, evaluate) resolves against the working directory.
@@ -30,6 +30,8 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except experiment.ConfigError as exc:
             _fail(exc, 1)
+        except MemoryError as exc:
+            _fail(f"out of memory: {exc}", 1)
         except (datasets.DataError, OSError) as exc:
             _fail(exc, 2)
         except trainer.TrainingDiverged as exc:
@@ -88,8 +90,8 @@ def audit_labels(config_path):
                    "and print the run's curves.csv).")
 @_guarded
 def export_curves(run_dir, out_path):
-    """Copy the curves.csv that every train and analyze-noise run saves: the
-    "selected" score per gamma, seed and epoch, in long format."""
+    """Copy the curves.csv that every train and analyze-noise run saves: per
+    gamma, seed and epoch, the "selected" dev score or model 0's clean score."""
     target = experiment.export_curves(run_dir, out_path)
     click.echo(f"curves: {target}")
 

@@ -11,10 +11,10 @@ manifest.json; a rerun first removes the files the last manifest lists):
   seed_<s>/epoch_log.csv       per-epoch metrics (one row per model + "selected")
   seed_<s>/model.npz           selected model at its best checkpoint
   seed_<s>/flips.csv           training-noise mask (train and analyze-noise, with noise)
-  gamma_<g>/seed_<s>/...       noise-analysis runs, one subtree per gamma
   audit.csv, flips.csv         label audit; its AUROC is a train/auroc metric row
-  curves.csv                   train and analyze-noise: the "selected" curve of
-                               each gamma and seed, in long format
+  curves.csv                   per gamma and seed, in long format: train's
+                               "selected" dev curve, or analyze-noise's model-0
+                               clean-set curve (whatever the selection policy)
 """
 
 import hashlib
@@ -120,7 +120,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -354,8 +354,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 def run_noise_analysis(config: ExperimentConfig) -> Path:
     """Noise-overfit protocol over a gamma grid: per seed, flip a pool's
     labels, train on train + the flipped rows with their noisy labels for
-    each gamma, and log the metric on the same rows with their original
-    labels per epoch; then save those curves as curves.csv and return its path."""
+    each gamma, and score model 0 on the same rows with their original labels
+    per epoch; then save those curves as curves.csv and return its path."""
     if datasets.TASKS[config.task].from_files:
         raise ConfigError("analyze-noise supports the synthetic task")
     analysis = config.analysis
@@ -365,10 +365,11 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                           "pool row, so the clean set would be empty")
     with _run(config) as (_, save):
         task = build_task_data(config)
+        data = config.data
         # The pool is a second draw of the same mixture, on the next data seed.
-        pool, _, _ = datasets.mixture_splits(**{
-            **config.data, "train_size": analysis["pool_size"], "dev_size": 1,
-            "test_size": 0, "data_seed": config.data["data_seed"] + 1})
+        pool, _ = datasets.gen_gaussian_mixture(
+            analysis["pool_size"], 0, data["num_classes"], data["num_features"],
+            data["data_seed"] + 1, data["class_sep"], data["scale"])
         curves = {}
         for seed in config.seeds:
             train_set, _ = _noisy_train(config, seed, task.train, save,
@@ -381,10 +382,6 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
                     train_set, pool, mask, analysis["gammas"], base,
                     eval_metric=task.metric_fn).items():
                 curves[gamma, seed] = curve
-                save(f"gamma_{gamma!r}/seed_{seed}/epoch_log.csv", partial(
-                    datasets.write_csv, header=EPOCH_LOG_HEADER, rows=[
-                        ("selected", epoch, "clean", task.metric_name, repr(value))
-                        for epoch, value in enumerate(curve)]))
         return save("curves.csv", partial(
             datasets.write_csv, header=CURVES_HEADER,
             rows=_curve_rows(config, curves, "clean", task.metric_name)))

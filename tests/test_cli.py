@@ -9,6 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from coreglab import datasets
 from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
 from oracles import inject_noise_args, write_eval_files
@@ -60,6 +61,38 @@ def test_train_missing_config_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["train", str(tmp_path / "nope.yaml")])
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "analyze-noise", "audit-labels"])
+def test_config_not_in_utf8_exits_1(runner, tmp_path, command):
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path)
+    config_path.write_bytes(config_path.read_bytes() + b"# \xff\n")
+    result = runner.invoke(main, [command, str(config_path)])
+    assert_clean_exit(result, 1)
+    assert result.stderr.startswith(f"error: cannot read config {config_path}: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze-noise", "audit-labels"])
+def test_out_of_memory_exits_1(runner, tmp_path, monkeypatch, command):
+    """A loader that cannot allocate its arrays ends the run with exit code 1
+    and one error line, and its manifest records the failure. Whether a huge
+    allocation fails depends on the host's overcommit, so the loader raises."""
+    message = "Unable to allocate 17.9 GiB for an array with shape (2400000000,)"
+
+    def no_memory(**data):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(datasets, "mixture_splits", no_memory)
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path)
+    result = runner.invoke(main, [command, str(config_path)])
+    assert_clean_exit(result, 1)
+    assert result.stderr == f"error: out of memory: {message}\n"
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["failure"] == f"MemoryError: {message}"
 
 
 def test_train_bad_config_exits_1(runner, tmp_path):

@@ -377,20 +377,33 @@ def test_run_noise_analysis_layout(tmp_path):
         analysis={"gammas": [0.0, 5.0], "pool_size": 40,
                   "pool_noise_rate": 0.5, "epochs": 2})
     curves = run_noise_analysis(ExperimentConfig.from_mapping(mapping))
-    run_dir = tmp_path / "noise"
-    for gamma in ("0.0", "5.0"):
-        for seed in (1, 2):
-            log = run_dir / f"gamma_{gamma}" / f"seed_{seed}" / "epoch_log.csv"
-            assert log.exists(), log
-            rows = read_csv(log)
-            assert rows[0] == EPOCH_LOG_HEADER
-            assert all(row[0] == "selected" and row[2] == "clean"
-                       for row in rows[1:])
+    assert curves == tmp_path / "noise" / "curves.csv"
     rows = read_csv(curves)
     assert rows[0] == CURVES_HEADER
-    gammas = {row[1] for row in rows[1:]}
-    assert gammas == {"0.0", "5.0"}
-    assert {row[4] for row in rows[1:]} == {"clean"}
+    assert [tuple(row[:5]) for row in rows[1:]] == [
+        ("coreg", gamma, seed, epoch, "clean") for gamma in ("0.0", "5.0")
+        for seed in ("1", "2") for epoch in ("0", "1")]
+    assert {row[5] for row in rows[1:]} == {"accuracy"}
+
+
+def test_run_noise_analysis_keeps_one_record_of_each_curve(tmp_path):
+    """An analysis run holds its config, manifest, curves.csv and, with
+    noise, each seed's flips.csv, and nothing else. The curves' bytes are
+    pinned: the pool is the next data seed's mixture draw and each curve
+    model 0's clean-set score, one per distinct gamma."""
+    mapping = tiny_mapping(
+        tmp_path, seeds=[1, 2], output_dir=str(tmp_path / "noise"),
+        noise={"rate": 0.25},
+        analysis={"gammas": [1, 0, 1], "pool_size": 40, "epochs": 2})
+    curves = run_noise_analysis(ExperimentConfig.from_mapping(mapping))
+    run_dir = tmp_path / "noise"
+    files = ["config.yaml", "curves.csv", "manifest.json", "seed_1/flips.csv",
+             "seed_2/flips.csv"]
+    assert sorted(path.relative_to(run_dir).as_posix() for path in run_dir.rglob("*")
+                  if path.is_file()) == files
+    assert sorted(json.loads((run_dir / "manifest.json").read_text())["artifacts"]) == files
+    assert hashlib.sha256(curves.read_bytes()).hexdigest() == \
+        "489e1fe083823696aa3b89952cc3d25c95351236d4f2cac4bcf711254f7b662a"
 
 
 def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
@@ -421,11 +434,9 @@ def test_run_noise_analysis_trains_whole_grid_per_seed(tmp_path, monkeypatch):
     for (pool, mask), (drawn_from, drawn) in zip(inputs, masks, strict=True):
         assert pool is drawn_from and mask is drawn and len(pool) == 40
     assert [len(mask) for _, mask in masks] == [math.floor(0.5 * 40)] * 2
-    for gamma in ("0.0", "1.0", "5.0"):
-        for seed in (1, 2):
-            rows = read_csv(tmp_path / "noise" / f"gamma_{gamma}" / f"seed_{seed}"
-                            / "epoch_log.csv")
-            assert [row[1] for row in rows[1:]] == ["0", "1"]
+    assert _curve_keys(tmp_path / "noise" / "curves.csv") == [
+        (gamma, seed, epoch) for gamma in ("0.0", "1.0", "5.0") for seed in ("1", "2")
+        for epoch in ("0", "1")]
 
 
 def test_run_noise_analysis_synthetic_only(tmp_path):
@@ -535,13 +546,12 @@ def test_export_curves_reads_only_the_configured_seeds(tmp_path):
 
 
 def test_noise_analysis_curves_hold_only_the_configured_gammas(tmp_path):
-    """A rerun over fewer gammas removes the dropped gamma's subtree; the
-    rerun's curves and a later export hold the configured gammas alone."""
+    """After a rerun over fewer gammas, the rerun's curves and a later export
+    hold the configured gammas alone."""
     for gammas in ([0, 1, 5], [0, 1]):
         mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
             "gammas": gammas, "pool_size": 40, "epochs": 1})
         curves = run_noise_analysis(ExperimentConfig.from_mapping(mapping))
-    assert not (tmp_path / "run" / "gamma_5.0").exists()
     expected = [("0.0", "1", "0"), ("1.0", "1", "0")]
     assert _curve_keys(curves) == expected
     text = curves.read_text()
@@ -550,7 +560,7 @@ def test_noise_analysis_curves_hold_only_the_configured_gammas(tmp_path):
 
 def test_export_curves_of_a_training_after_a_noise_analysis(tmp_path):
     """A training into a noise analysis's directory saves its own curves
-    alone: the analysis's gamma_1.0 curves do not double the training's
+    alone: the analysis's gamma 1.0 curves do not double the training's
     gamma 1.0."""
     mapping = tiny_mapping(tmp_path, seeds=[1], analysis={
         "gammas": [0, 1], "pool_size": 40, "epochs": 1})

@@ -361,12 +361,11 @@ def test_killed_analysis_lists_every_file_it_left(runner, tmp_path):
     """analyze-noise saves curves.csv inside its run, so a kill at any of its
     artifacts, curves.csv included, leaves an "incomplete" manifest."""
     run = _kill_after_each_artifact(runner, tmp_path, "analyze-noise")
-    # config.yaml, then per seed flips.csv and one epoch log per gamma (0 and
-    # 1), then curves.csv: 8 artifacts.
-    assert run.parent.name == "9"
+    # config.yaml, then per seed flips.csv, then curves.csv: 4 artifacts.
+    assert run.parent.name == "5"
     assert manifest_of(run)["failure"] is None
     assert "curves.csv" in manifest_of(run)["artifacts"]
-    assert len(manifest_of(run)["artifacts"]) == 9  # with manifest.json
+    assert len(manifest_of(run)["artifacts"]) == 5  # with manifest.json
 
 
 def test_killed_audit_lists_every_file_it_left(runner, tmp_path):
