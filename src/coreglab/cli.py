@@ -1,7 +1,8 @@
 """Command-line surface for the training lab.
 
 Exit codes: 0 success, 1 config error or out of memory, 2 data error (an
-unreadable input or an unwritable output path included), 3 training divergence.
+unreadable input or an unwritable output path included), 3 training divergence
+(non-finite logits in a training step or an evaluation forward).
 A relative config output_dir or gen-synthetic --out resolves under the
 COREGLAB_OUTPUT_ROOT environment variable when it is set; every other path
 (inject-noise, export-curves, evaluate) resolves against the working directory.
@@ -52,13 +53,11 @@ def main():
 def train(config_path):
     """Run the experiment described by a config file."""
     config = experiment.load_config(config_path)
-    manifest = experiment.run_experiment(config)
-    run_dir = experiment.resolve_output_dir(config.output_dir)
-    click.echo(f"run directory: {run_dir}")
-    for row in manifest.metric_rows:
-        if row["seed"] == "median":
-            click.echo(f"median {row['split']} {row['metric']}: "
-                       f"{repr(float(row['value']))}")
+    scores = experiment.run_experiment(config)
+    click.echo(f"run directory: {experiment.resolve_output_dir(config.output_dir)}")
+    for seed, split, metric, value in scores:
+        if seed == "median":
+            click.echo(f"median {split} {metric}: {value}")
 
 
 @main.command("analyze-noise")
@@ -91,7 +90,7 @@ def audit_labels(config_path):
 @_guarded
 def export_curves(run_dir, out_path):
     """Copy the curves.csv that every train and analyze-noise run saves: per
-    gamma, seed and epoch, the "selected" dev score or model 0's clean score."""
+    gamma, seed and epoch, the policy pick's dev score or model 0's clean score."""
     target = experiment.export_curves(run_dir, out_path)
     click.echo(f"curves: {target}")
 

@@ -650,8 +650,9 @@ class _RelationTask(_Task):
 
 
 class _TaggingTask(_Task):
-    # window is the token-window radius.
-    data_keys = {**_Task.data_keys, "window": Key(int, 1, least=0)}
+    # window is the token-window radius. One of 256 already spans 2*256+1 =
+    # 513 tokens, more than BERT's 512-token input, so a wider one is a typo.
+    data_keys = {**_Task.data_keys, "window": Key(int, 1, least=0, most=256)}
 
     def load_schema(self, path):
         return load_tag_scheme(path)

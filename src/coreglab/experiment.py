@@ -5,15 +5,16 @@ runner, the label audit, and the curves exporter.
 Run directory layout (every run command writes config.yaml and
 manifest.json; a rerun first removes the files the last manifest lists):
   config.yaml                  canonical config snapshot (hashed in manifest)
-  manifest.json                config hash, metric rows, wall clock, artifacts,
-                               failure ("incomplete" until the run ends)
-  metrics.csv                  final metric per seed per split + median rows
-  seed_<s>/epoch_log.csv       per-epoch metrics (one row per model + "selected")
+  manifest.json                config hash, wall clock, artifacts, failure
+                               ("incomplete" until the run ends); no scores
+  metrics.csv                  final metric per seed per split + median rows,
+                               or the label audit's train/auroc row
+  seed_<s>/epoch_log.csv       per-epoch dev metric of each model
   seed_<s>/model.npz           selected model at its best checkpoint
   seed_<s>/flips.csv           training-noise mask (train and analyze-noise, with noise)
-  audit.csv, flips.csv         label audit; its AUROC is a train/auroc metric row
-  curves.csv                   per gamma and seed, in long format: train's
-                               "selected" dev curve, or analyze-noise's model-0
+  audit.csv, flips.csv         label audit's ranking and noise mask
+  curves.csv                   per gamma and seed, in long format: train's policy
+                               pick per epoch, or analyze-noise's model-0
                                clean-set curve (whatever the selection policy)
 """
 
@@ -24,7 +25,7 @@ import shutil
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -154,15 +155,14 @@ def _train_config(config: ExperimentConfig, seed: int, epochs: int,
 
 
 def _dev_rows(result: trainer.TrainResult, metric_name: str) -> tuple[list, list]:
-    """Epoch-log rows of a training's dev scores: per epoch one row per
-    model, then a "selected" row with the selection policy's pick; and the
-    picks, the training's curve."""
+    """Epoch-log rows of a training's dev scores, per epoch one row per
+    model; and the selection policy's pick of each epoch, the training's
+    curve."""
     rows, curve = [], []
     for epoch, values in enumerate(result.dev_scores.tolist()):
-        rows += [(str(k), epoch, "dev", metric_name, repr(v)) for k, v in enumerate(values)]
+        rows += [(k, epoch, "dev", metric_name, repr(v)) for k, v in enumerate(values)]
         curve.append(values[trainer.select_index(values, result.config.selection_policy,
                                                  len(values))])
-        rows.append(("selected", epoch, "dev", metric_name, repr(curve[-1])))
     return rows, curve
 
 
@@ -202,15 +202,6 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
                                  eval_metric=metric)
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    metric_rows: list
-    wall_clock_sec: float
-    artifacts: list
-    failure: str | None = None
-
-
 def _read_manifest(run: Path) -> dict:
     """A run directory's manifest.json, or {} when it has none; one that does
     not parse or has no artifact list is a DataError naming it."""
@@ -246,24 +237,26 @@ def _remove_listed(run_dir: Path, names) -> None:
 
 @contextmanager
 def _run(config: ExperimentConfig):
-    """The one owner of a run directory. It writes manifest.json with failure
-    "incomplete", still listing the previous run's files, removes those, and
-    yields the manifest and ``save(name, write)``, which lists name in the
-    manifest before it writes run_dir/name through ``write(path)``. On exit
-    it lists the names whose files exist, with failure None or the error."""
+    """The one owner of a run directory and the only code that touches its
+    manifest. It writes manifest.json with failure "incomplete", still
+    listing the previous run's files, removes those, and yields
+    ``save(name, write)``, which lists name in the manifest before it writes
+    run_dir/name through ``write(path)``. On exit it lists the names whose
+    files exist, with failure None or the error."""
     started = time.monotonic()
     run_dir = resolve_output_dir(config.output_dir)
     text = yaml.safe_dump(config.raw, sort_keys=True)
-    manifest = RunManifest(hashlib.sha256(text.encode()).hexdigest(), [], 0.0,
-                           _read_manifest(run_dir).get("artifacts", []), "incomplete")
+    manifest = {"config_hash": hashlib.sha256(text.encode()).hexdigest(),
+                "wall_clock_sec": 0.0, "failure": "incomplete",
+                "artifacts": _read_manifest(run_dir).get("artifacts", [])}
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(run_dir, asdict(manifest))
-    _remove_listed(run_dir, manifest.artifacts)
-    manifest.artifacts = []
+    _write_manifest(run_dir, manifest)
+    _remove_listed(run_dir, manifest["artifacts"])
+    artifacts = manifest["artifacts"] = []
 
     def save(name: str, write) -> Path:
-        manifest.artifacts.append(name)
-        _write_manifest(run_dir, asdict(manifest))
+        artifacts.append(name)
+        _write_manifest(run_dir, manifest)
         path = run_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
@@ -271,16 +264,16 @@ def _run(config: ExperimentConfig):
 
     try:
         save("config.yaml", lambda path: path.write_text(text))
-        yield manifest, save
-        manifest.artifacts.append("manifest.json")
-        manifest.failure = None
+        yield save
+        artifacts.append("manifest.json")
+        manifest["failure"] = None
     except BaseException as exc:
-        manifest.failure = f"{type(exc).__name__}: {exc}"
+        manifest["failure"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        manifest.wall_clock_sec = time.monotonic() - started
-        manifest.artifacts = [n for n in manifest.artifacts if (run_dir / n).exists()]
-        _write_manifest(run_dir, asdict(manifest))
+        manifest["wall_clock_sec"] = time.monotonic() - started
+        manifest["artifacts"] = [n for n in artifacts if (run_dir / n).exists()]
+        _write_manifest(run_dir, manifest)
 
 
 def _noisy_train(config: ExperimentConfig, seed: int, train_set, save, name: str):
@@ -301,14 +294,14 @@ def _median(values) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def run_experiment(config: ExperimentConfig) -> RunManifest:
+def run_experiment(config: ExperimentConfig) -> list[tuple]:
     """Per seed: build data, optionally inject noise, train the configured
     method, log per-epoch metrics, and score the selected model on dev and
-    test; finally write metrics.csv (with median rows), the selected dev
-    curves at train.gamma as curves.csv, and the manifest."""
-    with _run(config) as (manifest, save):
+    test; finally write metrics.csv (with median rows) and the selected dev
+    curves at train.gamma as curves.csv. Returns metrics.csv's rows."""
+    with _run(config) as save:
         task = build_task_data(config)
-        curves = {}
+        curves, scores = {}, []
         if task.vocab is not None:
             save("vocab.json", partial(datasets.save_vocab, task.vocab))
         for seed in config.seeds:
@@ -332,23 +325,16 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             model = result.selected_model()
             save(f"{seed_dir}/model.npz", partial(mdl.save_model, model))
             for split, split_set in (("dev", dev_set), ("test", task.test)):
-                value = float(task.metric_fn(split_set,
-                                             mdl.predict(model, split_set.features)))
-                manifest.metric_rows.append(
-                    {"seed": seed, "split": split, "metric": task.metric_name,
-                     "value": value})
-        manifest.metric_rows += [
-            {"seed": "median", "split": split, "metric": task.metric_name,
-             "value": _median([row["value"] for row in manifest.metric_rows
-                                if row["split"] == split])}
-            for split in ("dev", "test")]
-        save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER, rows=[
-            (row["seed"], row["split"], row["metric"], repr(row["value"]))
-            for row in manifest.metric_rows]))
+                scores.append((seed, split, task.metric_name, repr(float(
+                    task.metric_fn(split_set, mdl.predict(model, split_set.features))))))
+        scores += [("median", split, task.metric_name,
+                    repr(_median([float(row[3]) for row in scores if row[1] == split])))
+                   for split in ("dev", "test")]
+        save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER, rows=scores))
         save("curves.csv", partial(
             datasets.write_csv, header=CURVES_HEADER,
             rows=_curve_rows(config, curves, "dev", task.metric_name)))
-    return manifest
+    return scores
 
 
 def run_noise_analysis(config: ExperimentConfig) -> Path:
@@ -363,7 +349,7 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     if math.floor(analysis["pool_noise_rate"] * analysis["pool_size"]) < 1:
         raise ConfigError("analysis.pool_noise_rate x analysis.pool_size flips no "
                           "pool row, so the clean set would be empty")
-    with _run(config) as (_, save):
+    with _run(config) as save:
         task = build_task_data(config)
         data = config.data
         # The pool is a second draw of the same mixture, on the next data seed.
@@ -390,9 +376,9 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
 def run_audit(config: ExperimentConfig):
     """Train on the (noise-injected) training set with the first seed, rank
     instances by the suspect-label report, and score how well the ranking
-    recovers the injected flips as the manifest's train auroc row. Returns
-    (report path, AUROC or None)."""
-    with _run(config) as (manifest, save):
+    recovers the injected flips as metrics.csv's one train auroc row, written
+    only when there is a score. Returns (report path, AUROC or None)."""
+    with _run(config) as save:
         task = build_task_data(config)
         seed = config.seeds[0]
         train_set, mask = _noisy_train(config, seed, task.train, save, "flips.csv")
@@ -407,8 +393,8 @@ def run_audit(config: ExperimentConfig):
             # The mask holds row positions and the report record ids.
             flipped = np.isin(columns["id"], train_set.ids[mask.indices])
             score = noiselab.auroc(columns["sup_loss"], flipped)
-            manifest.metric_rows.append(
-                {"seed": seed, "split": "train", "metric": "auroc", "value": score})
+            save("metrics.csv", partial(datasets.write_csv, header=METRICS_HEADER,
+                                        rows=[(seed, "train", "auroc", repr(score))]))
     return report, score
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import DROPOUT, dropout_mask
+from .numeric import DROPOUT, dropout_mask, finite_logits
 from .schema import check
 
 # Rows per evaluation forward in predict: at a hidden width of 256 one
@@ -150,13 +150,12 @@ def _affine(h, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(model: MlpModel, features, train_mode: bool = False,
-            rng: np.random.Generator | None = None):
+def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
     """Compute (batch, classes) logits and a cache for backward from a
     (batch, features) matrix or WindowIds.
 
-    Dropout is applied to hidden activations only when train_mode is on and
-    the model's rate is nonzero; evaluation consumes no RNG state.
+    Dropout is applied to hidden activations exactly when a stream ``rng``
+    is given and the model's rate is nonzero, so evaluation passes none.
     """
     x = features
     if not isinstance(x, WindowIds):
@@ -176,9 +175,7 @@ def forward(model: MlpModel, features, train_mode: bool = False,
         cache.relu_masks.append(h > 0.0)
         np.maximum(h, 0.0, out=h)
         mask = None
-        if train_mode and model.dropout > 0.0:
-            if rng is None:
-                raise ValueError("train_mode with dropout requires an rng")
+        if rng is not None and model.dropout > 0.0:
             mask = dropout_mask(h.size, model.dropout, rng).reshape(h.shape)
             h *= mask
         cache.drop_masks.append(mask)
@@ -242,15 +239,22 @@ def row_blocks(rows: int):
             for start in range(0, max(rows, 1), PREDICT_BLOCK_ROWS))
 
 
+def eval_logits(model: MlpModel, features) -> np.ndarray:
+    """Evaluation-mode logits, non-finite ones a TrainingDiverged; the
+    overflow on the way is that error's to report, not NumPy's warning's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite_logits(forward(model, features)[0], " in evaluation")
+
+
 def predict(model: MlpModel, features) -> np.ndarray:
-    """Argmax class per row, evaluation mode (no dropout), one forward per
-    block of row_blocks, so the activations held at once are bounded by the
-    block and the widest layer, not by the split. The argmaxes equal those
-    of one forward over all rows; the logits may differ in the last bits,
-    since BLAS takes another path for a one-row product."""
+    """Argmax class per row, one eval_logits per block of row_blocks, so the
+    activations held at once are bounded by the block and the widest layer,
+    not by the split. The argmaxes equal those of one forward over all rows;
+    the logits may differ in the last bits, since BLAS takes another path
+    for a one-row product."""
     out = np.empty(len(features), dtype=np.intp)
     for block in row_blocks(len(features)):
-        np.argmax(forward(model, features[block])[0], axis=1, out=out[block])
+        np.argmax(eval_logits(model, features[block]), axis=1, out=out[block])
     return out
 
 

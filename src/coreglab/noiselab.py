@@ -213,7 +213,7 @@ def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     per_kl = np.empty(len(y))
     sup = np.empty(len(y))
     for block in mdl.row_blocks(len(y)):
-        logits = np.stack([mdl.forward(m, X[block])[0] for m in ensemble.models])
+        logits = np.stack([mdl.eval_logits(m, X[block]) for m in ensemble.models])
         probs = softmax(logits)
         inst_losses = floored_nll(label_probs(probs, y[block]))
         q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)

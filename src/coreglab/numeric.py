@@ -1,5 +1,5 @@
 """Dense numeric kernels: softmax, losses, the learning-rate schedule, Adam,
-dropout.
+dropout; and the one divergence rule, that logits must be finite.
 
 Everything here is a pure function over float64 arrays except adam_step,
 which updates the parameter vector and its AdamState in place. Reductions
@@ -31,6 +31,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class TrainingDiverged(RuntimeError):
+    """Non-finite logits in a forward, or a non-finite loss in a step."""
+
+
+def finite_logits(logits, where: str = "") -> np.ndarray:
+    """The logits as float64, or TrainingDiverged("non-finite logits<where>")
+    when any is not finite: the check of softmax and every evaluation forward."""
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+        raise TrainingDiverged(f"non-finite logits{where}")
+    return z
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Normalize logits into probability distributions over the last axis.
 
@@ -40,9 +53,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     memory order of a float64 input (a transposed stack stays transposed),
     since each step writes elementwise in the input's order.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
-        raise ValueError("non-finite logits")
+    z = finite_logits(logits)
     e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

@@ -15,8 +15,8 @@ import numpy as np
 from . import metrics
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, adam_step, floored_nll,
-                      kl_terms, label_probs, lr_at, softmax)
+from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, TrainingDiverged,
+                      adam_step, floored_nll, kl_terms, label_probs, lr_at, softmax)
 from .schema import Key, check
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
@@ -41,10 +41,6 @@ TRAIN_KEYS = {
 }
 # The engine's step count, a library field only.
 TOTAL_STEPS = Key(int, 0, least=0)
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a step produces a non-finite loss."""
 
 
 @dataclass
@@ -233,11 +229,10 @@ def compute_step_gradients(features, labels: np.ndarray,
     logits = logits.transpose(1, 0, 2)
     caches = [None] * num_models
     for k, model in enumerate(ensemble.models):
-        logits[k], caches[k] = mdl.forward(model, features, train_mode=True,
-                                           rng=ensemble.dropout_rngs[k])
+        logits[k], caches[k] = mdl.forward(model, features, ensemble.dropout_rngs[k])
     try:
         probs = softmax(logits)
-    except ValueError as exc:  # softmax refuses non-finite logits
+    except TrainingDiverged as exc:  # softmax refuses non-finite logits
         raise TrainingDiverged(f"non-finite logits at step {t}") from exc
     picked = label_probs(probs, y)
 

@@ -29,6 +29,6 @@ def finish_run():
         files = [path.relative_to(run_dir).as_posix()
                  for path in run_dir.rglob("*") if path.is_file()]
         (run_dir / "manifest.json").write_text(json.dumps({
-            "config_hash": "", "metric_rows": [], "wall_clock_sec": 0.0,
+            "config_hash": "", "wall_clock_sec": 0.0,
             "artifacts": sorted([*files, "manifest.json"]), "failure": None}))
     return finish

@@ -287,7 +287,7 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
     w = np.ones(n_rows) if weights is None else np.asarray(weights, dtype=np.float64)
     outs, caches = [], []
     for k, model in enumerate(ensemble.models):
-        out, cache = mdl.forward(model, X, train_mode=True, rng=ensemble.dropout_rngs[k])
+        out, cache = mdl.forward(model, X, rng=ensemble.dropout_rngs[k])
         outs.append(out)
         caches.append(cache)
     logits = np.stack(outs)

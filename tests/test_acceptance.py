@@ -178,9 +178,9 @@ def _protocol_mapping(method, out_dir, **overrides):
     return mapping
 
 
-def _median_test_accuracy(manifest):
-    return [float(r["value"]) for r in manifest.metric_rows
-            if r["split"] == "test" and r["seed"] == "median"][0]
+def _median_test_accuracy(scores):
+    return [float(value) for seed, split, _, value in scores
+            if split == "test" and seed == "median"][0]
 
 
 def test_denoising_effect(report, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 from coreglab import datasets
 from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
+from coreglab.models import load_model, save_model
 from oracles import inject_noise_args, write_eval_files
 
 
@@ -270,6 +272,27 @@ def test_train_boolean_window_exits_1(runner, tmp_path):
             assert "data.window" in result.stderr
         else:
             assert result.exit_code == 0, result.output
+
+
+def test_train_window_above_256_exits_1(runner, tmp_path):
+    """data.window is at most 256: a wider one, even one too wide for NumPy
+    to shape, is a config error, and the same files train with window 256."""
+    schema, records = TASK_FILES["tagging"]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "split.conll").write_text(records)
+    config_path = tmp_path / "config.yaml"
+    for window in (256, 257, 10**18):
+        write_file_task_config(config_path, "tagging", tmp_path / "split.conll",
+                               tmp_path / "split.conll", tmp_path / "schema.json")
+        settings = yaml.safe_load(config_path.read_text())
+        settings["data"]["window"] = window
+        config_path.write_text(yaml.safe_dump(settings))
+        result = runner.invoke(main, ["train", str(config_path)])
+        if window == 256:
+            assert result.exit_code == 0, result.output
+        else:
+            assert_clean_exit(result, 1)
+            assert result.stderr == "error: data.window must be in [0, 256]\n"
 
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):
@@ -546,6 +569,41 @@ def test_train_divergence_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["train", str(config_path)])
     assert result.exit_code == 3
     assert result.stderr == "error: non-finite logits at step 1\n"
+
+
+@pytest.mark.parametrize("command, method", [
+    ("train", "coreg"), ("train", "crossweigh"), ("audit-labels", "coreg")])
+def test_divergence_at_evaluation_exits_3(runner, tmp_path, command, method):
+    """One step at base_lr 1e308 leaves finite parameters near 1e308 whose
+    logits are not finite: the first evaluation forward (a dev score, a
+    crossweigh fold's, or the audit's report) ends the run as a divergence,
+    without NumPy's overflow warnings, and the run records the failure and
+    writes no metrics.csv."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, seeds=[1], method=method, noise={"rate": 0.25},
+                 train={"num_models": 1 if method == "crossweigh" else 2,
+                        "batch_size": 64, "hidden_sizes": [4], "dropout": 0.0,
+                        "base_lr": 1e308})
+    result = runner.invoke(main, [command, str(config_path)])
+    assert_clean_exit(result, 3)
+    assert result.stderr == "error: non-finite logits in evaluation\n"
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["failure"] == "TrainingDiverged: non-finite logits in evaluation"
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["synthetic", "tagging", "relation"])
+def test_evaluate_diverged_model_exits_3(runner, tmp_path, task):
+    """A saved model whose parameters are finite but whose logits are not
+    scores nothing: evaluate exits 3 with one error line."""
+    args = write_eval_files(tmp_path, task)
+    model = load_model(tmp_path / "model.npz")
+    model.params[:] = 1e308
+    save_model(model, tmp_path / "model.npz")
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 3)
+    assert result.stderr == "error: non-finite logits in evaluation\n"
+    assert result.stdout == ""
 
 
 def test_gen_synthetic_writes_jsonl(runner, tmp_path):
@@ -974,9 +1032,8 @@ def test_audit_labels_with_noise(runner, tmp_path):
                   if line.startswith("auroc: ")][0]
     assert auroc_line != "auroc: n/a"
     assert 0.0 <= float(auroc_line.split(": ")[1]) <= 1.0
-    manifest = json.loads((tmp_path / "audit" / "manifest.json").read_text())
-    assert manifest["metric_rows"] == [{"seed": 5, "split": "train", "metric": "auroc",
-                                        "value": float(auroc_line.split(": ")[1])}]
+    assert (tmp_path / "audit" / "metrics.csv").read_text() == (
+        f"seed,split,metric,value\n5,train,auroc,{auroc_line.split(': ')[1]}\n")
 
 
 def write_relation_records(tmp_path, ids, name="records.jsonl"):
@@ -1051,8 +1108,44 @@ def test_audit_labels_without_noise(runner, tmp_path):
     result = runner.invoke(main, ["audit-labels", str(config_path)])
     assert result.exit_code == 0, result.output
     assert "auroc: n/a" in result.output
-    manifest = json.loads((tmp_path / "audit" / "manifest.json").read_text())
-    assert manifest["metric_rows"] == []
+    assert not (tmp_path / "audit" / "metrics.csv").exists()
+
+
+def test_train_and_audit_write_each_score_once(runner, tmp_path):
+    """A run's scores live in its CSVs alone: each manifest holds four keys,
+    each epoch log one row per model and epoch, curves.csv the best_dev pick
+    among each epoch's rows, and the audit's metrics.csv the AUROC it
+    prints. The train CSVs keep the bytes they had while the manifest also
+    held the scores and the epoch logs a "selected" row."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, epochs=3, noise={"rate": 0.2},
+                 output_dir=str(tmp_path / "train"),
+                 train={"num_models": 3, "batch_size": 20, "hidden_sizes": [4],
+                        "dropout": 0.0, "warmup_pct": 50.0,
+                        "selection_policy": "best_dev"})
+    assert runner.invoke(main, ["train", str(config_path)]).exit_code == 0
+    write_config(config_path, seeds=[5], noise={"rate": 0.25},
+                 output_dir=str(tmp_path / "audit"))
+    audit = runner.invoke(main, ["audit-labels", str(config_path)])
+    assert audit.exit_code == 0, audit.output
+    for run in ("train", "audit"):
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "config_hash", "failure", "wall_clock_sec"]
+    curves = read_rows(tmp_path / "train" / "curves.csv")
+    for seed in ("1", "2"):
+        log = read_rows(tmp_path / "train" / f"seed_{seed}" / "epoch_log.csv")
+        assert [(row["model"], row["epoch"]) for row in log] == [
+            (str(model), str(epoch)) for epoch in range(3) for model in range(3)]
+        picks = [max((row["value"] for row in log if row["epoch"] == str(epoch)),
+                     key=float) for epoch in range(3)]
+        assert [row["value"] for row in curves if row["seed"] == seed] == picks
+    auroc = audit.output.splitlines()[-1].removeprefix("auroc: ")
+    assert read_rows(tmp_path / "audit" / "metrics.csv") == [
+        {"seed": "5", "split": "train", "metric": "auroc", "value": auroc}]
+    assert {name: hashlib.sha256((tmp_path / "train" / name).read_bytes()).hexdigest()
+            for name in ("metrics.csv", "curves.csv")} == {
+        "metrics.csv": "225e916ab22475530a031fc786b98fea31e999974c08dd969a885c65bd09c17b",
+        "curves.csv": "7786f2915a6ede5aec361f3469b8456d941885a8a51c12a8e52ae2385be2caf5"}
 
 
 def test_export_curves_command(runner, tmp_path):

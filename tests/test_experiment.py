@@ -193,7 +193,7 @@ def test_build_task_data_tagging(tmp_path):
 def test_run_experiment_layout_and_metrics(tmp_path):
     mapping = tiny_mapping(tmp_path, noise={"rate": 0.2})
     config = ExperimentConfig.from_mapping(mapping)
-    manifest = run_experiment(config)
+    scores = run_experiment(config)
     run_dir = tmp_path / "run"
 
     assert (run_dir / "config.yaml").exists()
@@ -215,24 +215,25 @@ def test_run_experiment_layout_and_metrics(tmp_path):
     for split in ("dev", "test"):
         values = [by_split[split]["1"], by_split[split]["2"]]
         assert by_split[split]["median"] == pytest.approx(np.median(values))
+    # The returned rows are metrics.csv's.
+    assert [[str(value) for value in row] for row in scores] == body
 
     saved = json.loads((run_dir / "manifest.json").read_text())
     assert saved["failure"] is None
     assert saved["config_hash"]
-    assert len(saved["metric_rows"]) == 6
     assert "seed_1/epoch_log.csv" in saved["artifacts"]
 
     log_rows = read_csv(run_dir / "seed_1" / "epoch_log.csv")
     assert log_rows[0] == EPOCH_LOG_HEADER
     models_seen = {row[0] for row in log_rows[1:]}
-    assert models_seen == {"0", "1", "selected"}
+    assert models_seen == {"0", "1"}
     epochs_seen = {int(row[1]) for row in log_rows[1:]}
     assert epochs_seen == {0, 1}
 
 
-def test_epoch_log_selected_row_tracks_policy(tmp_path):
-    # Per epoch: one dev row per model in model order, then the "selected"
-    # row holding the score of the policy's pick at that epoch.
+def test_curves_hold_the_policy_pick_of_each_epoch_log(tmp_path):
+    # Per epoch the log holds one dev row per model in model order, and
+    # curves.csv the score of the policy's pick among them.
     for policy in ("first", "best_dev"):
         mapping = tiny_mapping(
             tmp_path, seeds=[4], epochs=3, output_dir=str(tmp_path / policy),
@@ -241,13 +242,14 @@ def test_epoch_log_selected_row_tracks_policy(tmp_path):
         run_experiment(ExperimentConfig.from_mapping(mapping))
         rows = read_csv(tmp_path / policy / "seed_4" / "epoch_log.csv")[1:]
         assert [(row[0], row[1]) for row in rows] == [
-            (model, str(epoch)) for epoch in range(3)
-            for model in ("0", "1", "2", "selected")]
+            (model, str(epoch)) for epoch in range(3) for model in ("0", "1", "2")]
         assert {(row[2], row[3]) for row in rows} == {("dev", "accuracy")}
+        picks = []
         for epoch in range(3):
-            values = [float(row[4]) for row in rows[4 * epoch:4 * epoch + 3]]
-            expected = values[0] if policy == "first" else max(values)
-            assert float(rows[4 * epoch + 3][4]) == expected
+            values = [row[4] for row in rows[3 * epoch:3 * epoch + 3]]
+            picks.append(values[0] if policy == "first"
+                         else max(values, key=float))
+        assert [row[6] for row in read_csv(tmp_path / policy / "curves.csv")[1:]] == picks
 
 
 def test_run_experiment_median_of_five(tmp_path):
@@ -325,9 +327,9 @@ def test_run_experiment_methods(tmp_path, method):
         train={"num_models": 1, "batch_size": 20, "hidden_sizes": [4],
                "dropout": 0.0},
         baseline={"folds": 2, "iterations": 1, "delta_max": 10.0})
-    manifest = run_experiment(ExperimentConfig.from_mapping(mapping))
-    assert manifest.failure is None
+    run_experiment(ExperimentConfig.from_mapping(mapping))
     run_dir = tmp_path / method
+    assert json.loads((run_dir / "manifest.json").read_text())["failure"] is None
     assert (run_dir / "seed_3" / "model.npz").exists()
     if method == "crossweigh":
         weight_rows = read_csv(run_dir / "seed_3" / "weights.csv")
@@ -346,8 +348,9 @@ def test_run_experiment_crossweigh_best_dev(tmp_path):
             train={"num_models": 1, "batch_size": 20, "hidden_sizes": [4],
                    "dropout": 0.0, "selection_policy": policy},
             baseline={"folds": 2, "iterations": 1})
-        manifest = run_experiment(ExperimentConfig.from_mapping(mapping))
-        assert manifest.failure is None
+        run_experiment(ExperimentConfig.from_mapping(mapping))
+        manifest = json.loads((tmp_path / policy / "manifest.json").read_text())
+        assert manifest["failure"] is None
         runs[policy] = tmp_path / policy / "seed_3"
     assert (runs["best_dev"] / "model.npz").exists()
     assert (runs["best_dev"] / "weights.csv").read_bytes() == \
@@ -482,10 +485,11 @@ def test_export_curves_values_verbatim(tmp_path):
     curve_rows = read_csv(curves)
     assert curve_rows[0] == CURVES_HEADER
 
+    # The policy is "first", so each epoch's value is model 0's.
     expected = []
     for seed in (1, 2):
         for row in read_csv(run_dir / f"seed_{seed}" / "epoch_log.csv")[1:]:
-            if row[0] == "selected":
+            if row[0] == "0":
                 expected.append(("coreg", "1.0", str(seed), row[1], row[2],
                                  row[3], row[4]))
     assert [tuple(r) for r in curve_rows[1:]] == expected
@@ -501,7 +505,7 @@ def test_export_curves_sorted_by_gamma_then_seed(tmp_path):
     assert keys == sorted(keys)
 
 
-GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\nselected,0,dev,accuracy,0.5\n"
+GOOD_LOG = ",".join(EPOCH_LOG_HEADER) + "\n0,0,dev,accuracy,0.5\n"
 
 
 def test_export_curves_errors(tmp_path, finish_run):

@@ -132,7 +132,8 @@ def test_adam_step_matches_reference_in_place():
 
 def test_non_finite_logits_are_refused_inside_and_outside_the_step():
     """softmax's finite check is the step's only one, and the step reports
-    it as divergence; softmax's other callers still refuse such logits."""
+    it as divergence at its step; softmax's other callers, the audit's
+    report among them, refuse such logits as divergence too."""
     config = _config()
     ens = init_ensemble(config, FEATURES, 3)
     ens.models[1].params[0] = np.nan
@@ -140,10 +141,10 @@ def test_non_finite_logits_are_refused_inside_and_outside_the_step():
     y = np.zeros(BATCH, dtype=np.int64)
     with pytest.raises(TrainingDiverged, match="non-finite logits at step 3"):
         compute_step_gradients(X, y, ens, 3, config)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match="non-finite"):
         noiselab.disagreement_report(ens, LabeledDataset(X, y, 3), config)
     logits = np.zeros((2, BATCH, 3))
     logits[0, 5, 1] = np.inf
     probs = np.full((2, BATCH, 3), 1.0 / 3.0)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match="non-finite"):
         aggregate_targets(probs, logits, np.ones((2, BATCH)), "avg_logit")

@@ -176,17 +176,11 @@ def test_forward_eval_ignores_dropout_and_rng():
     assert a.tobytes() == b.tobytes()
 
 
-def test_forward_train_mode_dropout_needs_rng():
-    model = init_model((3, 16, 2), 0.5, seed=3)
-    with pytest.raises(ValueError, match="rng"):
-        forward(model, np.ones((1, 3)), train_mode=True)
-
-
 def test_forward_train_mode_dropout_zero_consumes_no_rng():
     model = init_model((3, 16, 2), 0.0, seed=3)
     rng = substream(0, "dropout.0")
     before = rng.bit_generator.state
-    forward(model, np.ones((1, 3)), train_mode=True, rng=rng)
+    forward(model, np.ones((1, 3)), rng=rng)
     assert rng.bit_generator.state == before
 
 
@@ -228,12 +222,12 @@ def test_backward_respects_dropout_mask():
     model = init_model((4, 32, 3), 0.5, seed=9)
     x = np.random.default_rng(5).normal(size=(3, 4))
     rng = substream(1, "dropout.0")
-    logits, cache = forward(model, x, train_mode=True, rng=rng)
+    logits, cache = forward(model, x, rng=rng)
     grad = backward(model, cache, np.ones_like(logits))
 
     # Replaying the same dropout stream gives identical logits and gradients.
     rng2 = substream(1, "dropout.0")
-    logits2, cache2 = forward(model, x, train_mode=True, rng=rng2)
+    logits2, cache2 = forward(model, x, rng=rng2)
     grad2 = backward(model, cache2, np.ones_like(logits2))
     assert logits.tobytes() == logits2.tobytes()
     assert grad.tobytes() == grad2.tobytes()
@@ -469,8 +463,7 @@ def test_window_ids_match_dense_path(window, hidden, dropout):
     dlogits = np.random.default_rng(6).normal(size=(64, data.num_classes))
     outputs = []
     for features in (ids, dense):
-        logits, cache = forward(model, features, train_mode=True,
-                                rng=substream(7, "dropout.0"))
+        logits, cache = forward(model, features, rng=substream(7, "dropout.0"))
         grad = backward(model, cache, dlogits)
         evaluated, _ = forward(model, data.features if features is ids
                                else densify(data.features))
@@ -492,8 +485,7 @@ def test_forward_and_backward_write_only_their_own_arrays(form, dropout):
     raw = features if form == "dense" else features.ids
     model = init_model((data.num_features, 8, 6, data.num_classes), dropout, seed=2)
     params_before, raw_before = model.params.copy(), raw.copy()
-    logits, cache = forward(model, features, train_mode=True,
-                            rng=substream(3, "dropout.0"))
+    logits, cache = forward(model, features, rng=substream(3, "dropout.0"))
     owned = [logits, *cache.layer_inputs[1:], *cache.relu_masks,
              *(mask for mask in cache.drop_masks if mask is not None)]
     assert len(owned) == 5 + 2 * (dropout > 0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coreglab.numeric import (PROB_FLOOR, AdamState, adam_step, dropout_mask,
-                              floored_nll, kl_terms, label_probs, lr_at, softmax)
+from coreglab.numeric import (PROB_FLOOR, AdamState, TrainingDiverged, adam_step,
+                              dropout_mask, floored_nll, kl_terms, label_probs, lr_at,
+                              softmax)
 from coreglab.trainer import TrainConfig
 from oracles import cross_entropy, finite_diff_grad, kl_divergence
 
@@ -63,9 +64,9 @@ def test_softmax_keeps_a_stacks_memory_order():
 
 
 def test_softmax_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match="non-finite"):
         softmax(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match="non-finite"):
         softmax(np.array([np.nan, 0.0]))
 
 

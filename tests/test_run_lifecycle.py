@@ -71,6 +71,8 @@ def test_run_writes_exactly_its_listed_files(runner, tmp_path, command, fails):
     assert result.exit_code == (3 if fails else 0), result.output
     run = tmp_path / "run"
     manifest = manifest_of(run)
+    # Scores live in the run's CSVs alone, never in its manifest.
+    assert sorted(manifest) == ["artifacts", "config_hash", "failure", "wall_clock_sec"]
     assert (manifest["failure"] is not None) == fails
     assert "config.yaml" in manifest["artifacts"]
     assert ("manifest.json" in manifest["artifacts"]) != fails
@@ -372,11 +374,11 @@ def test_killed_audit_lists_every_file_it_left(runner, tmp_path):
     """audit-labels trains the first seed only, so a kill at any of its
     artifacts leaves an "incomplete" manifest that lists it."""
     run = _kill_after_each_artifact(runner, tmp_path, "audit-labels")
-    # config.yaml, flips.csv and audit.csv: 3 artifacts.
-    assert run.parent.name == "4"
+    # config.yaml, flips.csv, audit.csv and metrics.csv: 4 artifacts.
+    assert run.parent.name == "5"
     assert manifest_of(run)["failure"] is None
     assert sorted(manifest_of(run)["artifacts"]) == [
-        "audit.csv", "config.yaml", "flips.csv", "manifest.json"]
+        "audit.csv", "config.yaml", "flips.csv", "manifest.json", "metrics.csv"]
 
 
 def test_killed_export_leaves_the_run_as_it_was(runner, tmp_path):
