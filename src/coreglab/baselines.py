@@ -167,7 +167,8 @@ def crossweigh_weights(dataset, folds: int, iterations: int,
             fold_config = replace(trainer.make_plain_config(config),
                                   master_seed=fold_seed, selection_policy="first")
             result = trainer.train(dataset.subset(train_idx), None, fold_config)
-            preds = mdl.predict(result.ensemble.models[0],
-                                dataset.features[reserved])
+            with mdl.evaluating(f"fold {f} in crossweigh iteration {it}"):
+                preds = mdl.predict(result.ensemble.models[0],
+                                    dataset.features[reserved])
             disagreements[reserved] += preds != dataset.labels[reserved]
     return InstanceWeights(base_weight ** disagreements.astype(np.float64))

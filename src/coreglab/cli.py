@@ -207,7 +207,8 @@ def evaluate(model_path, task, data_path, schema_path, vocab_path):
                                  f"outputs, the data {dataset.num_classes} classes")
     name, fn = datasets.make_metric(task, schema=schema)
     try:
-        preds = mdl.predict(model, dataset.features)
+        with mdl.evaluating(data_path):
+            preds = mdl.predict(model, dataset.features)
     except ValueError as exc:
         raise datasets.DataError(f"model/data mismatch: {exc}") from exc
     click.echo(f"{name}: {repr(float(fn(dataset, preds)))}")

@@ -2,8 +2,9 @@
 generators.
 
 The one module that turns text into feature rows: it holds the vocabulary,
-the relation and tagging records and the entity masking, and both text
-builders take every token's id in one pass (_token_ids).
+the relation and tagging records and the entity masking.
+build_relation_dataset takes every token's id in one pass (_token_ids);
+build_tagging_dataset maps each sentence's tokens to ids as it reads it.
 
 File formats:
 - CoNLL column files: blank-line-separated sentences, one token per line,
@@ -16,9 +17,11 @@ File formats:
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
 
-Data files are read one line at a time, never whole, and a loaded CoNLL
-token costs one pointer plus its vocabulary string: equal tokens share one
-string. Errors name the file and line, also when a line does not decode.
+Data files are read one line at a time, never whole. A tagging split streams
+from its CoNLL file into its rows one sentence at a time, so a loaded token
+costs only its row of the split's narrow per-row arrays. CoNLL records (for
+inject-noise) cost one pointer a token, since equal tokens share one string.
+Errors name the file and line, also when a line does not decode.
 
 Each task is described in one place, its record in TASKS: its data keys,
 its splits, file formats and scorer, and a saved model's token window.
@@ -32,9 +35,10 @@ write_json, the one copy of each format.
 import csv
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -129,7 +133,9 @@ class LabeledDataset:
     keep the form. The noise-overfit protocol takes dense rows only. groups
     map each row to a sentence for span-level scoring of tagging tasks.
     Features, ids and groups are read-only once a dataset is built:
-    with_labels shares them between the datasets it relates.
+    with_labels shares them between the datasets it relates. Labels, ids and
+    groups keep the dtype of an integer array they are given (tagging holds
+    them narrow), and anything else becomes int64.
     """
 
     features: np.ndarray | mdl.WindowIds
@@ -143,7 +149,7 @@ class LabeledDataset:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.ndim != 2:
                 raise ValueError("features must be a 2-D matrix")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _integers(self.labels)
         n = self.features.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must align with feature rows")
@@ -154,11 +160,11 @@ class LabeledDataset:
         if self.ids is None:
             self.ids = np.arange(n, dtype=np.int64)
         else:
-            self.ids = np.asarray(self.ids, dtype=np.int64)
+            self.ids = _integers(self.ids)
             if self.ids.shape != (n,):
                 raise ValueError("ids must align with feature rows")
         if self.groups is not None:
-            self.groups = np.asarray(self.groups, dtype=np.int64)
+            self.groups = _integers(self.groups)
             if self.groups.shape != (n,):
                 raise ValueError("groups must align with feature rows")
 
@@ -180,6 +186,13 @@ class LabeledDataset:
         """Copy with replaced labels, sharing the features, ids and groups."""
         return LabeledDataset(self.features, labels, self.num_classes,
                               ids=self.ids, groups=self.groups)
+
+
+def _integers(values) -> np.ndarray:
+    """An integer array as it is, anything else as an int64 array."""
+    if isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.integer):
+        return values
+    return np.asarray(values, dtype=np.int64)
 
 
 # A schema file's list of relation labels or entity types.
@@ -243,12 +256,18 @@ class Vocab:
         self._index = {}
         for tok in (PAD_TOKEN, UNK_TOKEN, *tokens):
             self._index.setdefault(tok, len(self._index))
+        # Endless, so every ids call can draw <unk>'s index from this one.
+        self._unks = repeat(self._index[UNK_TOKEN])
 
     def __len__(self) -> int:
         return len(self._index)
 
     def index(self, token: str) -> int:
         return self._index.get(token, self._index[UNK_TOKEN])
+
+    def ids(self, tokens):
+        """Each token's index, as index gives it, looked up by map in C."""
+        return map(self._index.get, tokens, self._unks)
 
     @property
     def pad_index(self) -> int:
@@ -347,20 +366,18 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
     write_json(path, {"entity_types": scheme.entity_types})
 
 
-def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
-    """Parse a CoNLL column file into tagging instances, preserving order.
-    Equal tokens are one string, so a loaded token costs one pointer."""
-    instances: list[TaggingInstance] = []
+def _conll_sentences(path, scheme: metrics.TagScheme):
+    """Each sentence of a CoNLL column file as a (tokens, tag ids) pair of
+    fresh lists, in file order; an error names the line."""
     tokens: list[str] = []
     tags: list[int] = []
     tag_ids = {tag: i for i, tag in enumerate(scheme.tags)}
-    distinct: dict[str, str] = {}
     # A blank line after the file's last closes a sentence that runs to its end.
     for lineno, line in chain(_data_lines(path), [(None, "")]):
         cols = line.split()
         if not cols:
             if tokens:
-                instances.append(TaggingInstance(tokens, tags, uid=len(instances)))
+                yield tokens, tags
                 tokens, tags = [], []
             continue
         if len(cols) < 2:
@@ -370,9 +387,16 @@ def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
                 tag = scheme.index(cols[-1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-        tokens.append(distinct.setdefault(cols[0], cols[0]))
+        tokens.append(cols[0])
         tags.append(tag)
-    return instances
+
+
+def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
+    """Parse a CoNLL column file into tagging instances, preserving order.
+    Equal tokens are one string, so a loaded token costs one pointer."""
+    distinct: dict[str, str] = {}
+    return [TaggingInstance(list(map(distinct.setdefault, tokens, tokens)), tags, uid=uid)
+            for uid, (tokens, tags) in enumerate(_conll_sentences(path, scheme))]
 
 
 def write_conll(path, instances, scheme: metrics.TagScheme) -> None:
@@ -508,7 +532,7 @@ def _token_ids(sentences, vocab: Vocab | None):
     if vocab is None:
         vocab = Vocab(sorted(set(chain.from_iterable(sentences))))
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(vocab.index, chain.from_iterable(sentences)), dtype=np.int32,
+    ids = np.fromiter(vocab.ids(chain.from_iterable(sentences)), dtype=np.int32,
                       count=int(lengths.sum()))
     return vocab, ids, lengths
 
@@ -527,33 +551,59 @@ def build_relation_dataset(instances, schema: RelationSchema,
                           ids=[inst.uid for inst in instances]), vocab
 
 
-def build_tagging_dataset(instances, scheme: metrics.TagScheme,
+def build_tagging_dataset(sentences, scheme: metrics.TagScheme,
                           vocab: Vocab | None = None, window: int = 1):
-    """One row per token: windowed one-hot features with the BIO tag index
-    as the label; groups record the source sentence.
+    """One row per token of (tokens, tag ids) sentences, read once: windowed
+    one-hot features with the BIO tag index as the label; groups record the
+    source sentence. The vocabulary defaults to the sentences' sorted
+    distinct tokens.
 
     A row is 2*window+1 one-hot blocks of len(vocab) columns, one per token
     in [position-window, position+window], with <pad> outside the sentence.
-    It is kept as int32 WindowIds: the column of each block's one,
-    slot*len(vocab) + the token's vocabulary id.
+    It is kept as WindowIds: the column of each block's one, slot*len(vocab)
+    + the token's vocabulary id. Window ids and labels take the narrowest
+    unsigned dtype that holds their largest value (uint8 up to 256 columns
+    or tags), row ids and groups int32. No token string is kept, except one
+    per distinct token while the vocabulary is built.
     """
-    vocab, ids, lengths = _token_ids([inst.tokens for inst in instances], vocab)
-    groups = np.repeat(np.arange(len(instances)), lengths)
-    labels = np.fromiter(chain.from_iterable(inst.tags for inst in instances),
-                         dtype=np.int64, count=len(ids))
+    if vocab is None:
+        # A token's provisional id is its first-seen position: the dict calls
+        # its own len for a token it lacks, then stores that as the id.
+        seen = defaultdict()
+        seen.default_factory = seen.__len__
+        ids_of = partial(map, seen.__getitem__)
+    else:
+        ids_of = vocab.ids
+    # The lists point at shared ints, the vocabulary's ids and the scheme's
+    # tag ids, not at an int per token, until they become the arrays below.
+    lengths, token_ids, labels = [], [], []
+    for tokens, tags in sentences:
+        lengths.append(len(tokens))
+        token_ids += ids_of(tokens)
+        labels += tags
+    rows, slots = len(token_ids), 2 * window + 1
+    if len(labels) != rows:
+        raise ValueError("tokens and tags must have the same length")
+    token_ids = np.fromiter(token_ids, np.int32, rows)
+    labels = np.fromiter(labels, np.min_scalar_type(len(scheme) - 1), rows)
+    if vocab is None:
+        vocab = Vocab(sorted(seen))
+        token_ids = np.fromiter(vocab.ids(seen), np.int32, len(seen))[token_ids]
+    id_type = np.min_scalar_type(slots * len(vocab) - 1)
+    groups = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     # Every sentence padded by `window` <pad> ids on both sides, so the token
     # in slot j of row r's window sits at padded[r + 2*window*groups[r] + j].
-    # Positions and groups stay int64: a wrapped position would index padded
-    # silently, whereas a wrapped id turns negative and WindowIds refuses it.
-    first = np.arange(len(ids)) + 2 * window * groups
-    padded = np.full(len(ids) + 2 * window * len(instances), vocab.pad_index, dtype=np.int32)
-    padded[first + window] = ids
-    slots = 2 * window + 1
-    window_ids = np.empty((len(ids), slots), dtype=np.int32)
+    # Positions stay int64: a wrapped position would index padded silently.
+    first = np.multiply(groups, 2 * window, dtype=np.int64)
+    first += np.arange(rows)
+    padded = np.full(rows + 2 * window * len(lengths), vocab.pad_index, dtype=id_type)
+    padded[first + window] = token_ids
+    window_ids = np.empty((rows, slots), dtype=id_type)
     for slot in range(slots):
         np.add(padded[first + slot], slot * len(vocab), out=window_ids[:, slot])
     features = mdl.WindowIds(window_ids, slots * len(vocab))
-    return LabeledDataset(features, labels, len(scheme), groups=groups), vocab
+    return LabeledDataset(features, labels, len(scheme),
+                          ids=np.arange(rows, dtype=np.int32), groups=groups), vocab
 
 
 def make_metric(task: str, *, schema: RelationSchema | metrics.TagScheme | None = None):
@@ -658,7 +708,8 @@ class _TaggingTask(_Task):
         return load_tag_scheme(path)
 
     def load_split(self, path, schema, vocab=None, *, window=None, num_classes=None):
-        return build_tagging_dataset(read_conll(path, schema), schema, vocab, window=window)
+        return build_tagging_dataset(_conll_sentences(path, schema), schema, vocab,
+                                     window=window)
 
     def read_labeled(self, path, schema):
         records = read_conll(path, schema)

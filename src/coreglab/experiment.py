@@ -325,8 +325,10 @@ def run_experiment(config: ExperimentConfig) -> list[tuple]:
             model = result.selected_model()
             save(f"{seed_dir}/model.npz", partial(mdl.save_model, model))
             for split, split_set in (("dev", dev_set), ("test", task.test)):
-                scores.append((seed, split, task.metric_name, repr(float(
-                    task.metric_fn(split_set, mdl.predict(model, split_set.features))))))
+                with mdl.evaluating(f"{split} with the selected model"):
+                    preds = mdl.predict(model, split_set.features)
+                scores.append((seed, split, task.metric_name,
+                               repr(float(task.metric_fn(split_set, preds)))))
         scores += [("median", split, task.metric_name,
                     repr(_median([float(row[3]) for row in scores if row[1] == split])))
                    for split in ("dev", "test")]
@@ -386,7 +388,8 @@ def run_audit(config: ExperimentConfig):
         tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
                        selection_policy="first")
         result = trainer.train(train_set, None, tcfg)
-        columns = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
+        with mdl.evaluating("train in the label audit"):
+            columns = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
         report = save("audit.csv", partial(noiselab.save_suspect_csv, columns))
         score = None
         if mask is not None and 0 < len(mask) < len(train_set):

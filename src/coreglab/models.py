@@ -10,11 +10,12 @@ backbone: the training framework only needs forward logits and parameter
 gradients.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import DROPOUT, dropout_mask, finite_logits
+from .numeric import DROPOUT, TrainingDiverged, dropout_mask, finite_logits
 from .schema import check
 
 # Rows per evaluation forward in predict: at a hidden width of 256 one
@@ -26,9 +27,10 @@ class WindowIds:
     """One-hot feature rows kept as their column indices: row r stands for
     the 0/1 row of ``width`` columns with ones at ``ids[r]``, a row of the
     (rows, slots) integer matrix ``ids``, kept in the integer dtype it is
-    given (datasets builds int32). ``shape``, ``len`` and indexing act on
-    rows and slots as on a matrix; ``width`` is what a model's input size
-    must match."""
+    given (datasets builds the narrowest unsigned one that holds width - 1;
+    forward and backward give the same bytes in any). ``shape``, ``len`` and
+    indexing act on rows and slots as on a matrix; ``width`` is what a
+    model's input size must match."""
 
     def __init__(self, ids, width: int):
         ids = np.asarray(ids)
@@ -244,6 +246,16 @@ def eval_logits(model: MlpModel, features) -> np.ndarray:
     overflow on the way is that error's to report, not NumPy's warning's."""
     with np.errstate(over="ignore", invalid="ignore"):
         return finite_logits(forward(model, features)[0], " in evaluation")
+
+
+@contextmanager
+def evaluating(what: str):
+    """Names what an evaluation inside evaluates in the TrainingDiverged it
+    raises: "non-finite logits in evaluation of <what>"."""
+    try:
+        yield
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"{exc} of {what}") from exc
 
 
 def predict(model: MlpModel, features) -> np.ndarray:

@@ -395,14 +395,16 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
                 t += 1
 
             if dev_set is not None:
-                scores.append([float(metric(dev_set, mdl.predict(model, dev_set.features)))
-                               for model in models])
+                with mdl.evaluating(f"dev after epoch {len(scores)}"):
+                    scores.append([float(metric(dev_set, mdl.predict(model, dev_set.features)))
+                                   for model in models])
                 for k, score in enumerate(scores[-1]):
                     if score > best[k]:
                         best[k] = score
                         result.best_params[k] = mdl.params_flat(models[k])
             if track_trajectories:
-                traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
+                with mdl.evaluating(f"train after epoch {len(traj)}"):
+                    traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
 
     if dev_set is not None:
         result.dev_scores = np.array(scores, dtype=np.float64).reshape(-1, len(models))

@@ -6,11 +6,12 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from coreglab import datasets
+from coreglab import datasets, models
 from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
 from coreglab.models import load_model, save_model
@@ -571,38 +572,77 @@ def test_train_divergence_exits_3(runner, tmp_path):
     assert result.stderr == "error: non-finite logits at step 1\n"
 
 
-@pytest.mark.parametrize("command, method", [
-    ("train", "coreg"), ("train", "crossweigh"), ("audit-labels", "coreg")])
+# What the first evaluation forward of each run evaluates.
+EVALUATED_FIRST = {("train", "coreg"): "dev after epoch 0",
+                   ("train", "crossweigh"): "fold 0 in crossweigh iteration 0",
+                   ("audit-labels", "coreg"): "train in the label audit",
+                   ("analyze-noise", "coreg"): "dev after epoch 0"}
+
+
+@pytest.mark.parametrize("command, method", list(EVALUATED_FIRST))
 def test_divergence_at_evaluation_exits_3(runner, tmp_path, command, method):
     """One step at base_lr 1e308 leaves finite parameters near 1e308 whose
     logits are not finite: the first evaluation forward (a dev score, a
-    crossweigh fold's, or the audit's report) ends the run as a divergence,
-    without NumPy's overflow warnings, and the run records the failure and
-    writes no metrics.csv."""
+    crossweigh fold's, the audit's report, or the analysis's clean-set score)
+    ends the run as a divergence that names what it evaluated, without
+    NumPy's overflow warnings, and the run records the failure and writes no
+    metrics.csv."""
     config_path = tmp_path / "config.yaml"
     write_config(config_path, seeds=[1], method=method, noise={"rate": 0.25},
                  train={"num_models": 1 if method == "crossweigh" else 2,
                         "batch_size": 64, "hidden_sizes": [4], "dropout": 0.0,
-                        "base_lr": 1e308})
+                        "base_lr": 1e308},
+                 analysis={"gammas": [1.0], "pool_size": 40, "epochs": 1})
     result = runner.invoke(main, [command, str(config_path)])
     assert_clean_exit(result, 3)
-    assert result.stderr == "error: non-finite logits in evaluation\n"
+    message = f"non-finite logits in evaluation of {EVALUATED_FIRST[command, method]}"
+    assert result.stderr == f"error: {message}\n"
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["failure"] == "TrainingDiverged: non-finite logits in evaluation"
+    assert manifest["failure"] == f"TrainingDiverged: {message}"
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("split, call", [("dev", 3), ("test", 4)])
+def test_divergence_at_final_evaluation_names_the_split(runner, tmp_path, monkeypatch,
+                                                        split, call):
+    """After one epoch's two dev scores, the selected model's dev and then
+    test score are a seed's third and fourth evaluation forwards; one that
+    diverges names its split and writes no metrics.csv."""
+    calls = []
+    original = models.eval_logits
+
+    def diverging(model, features):
+        calls.append(len(features))
+        if len(calls) == call:
+            model = models.MlpModel(model.layer_sizes, model.dropout, model.seed,
+                                    np.full_like(model.params, 1e308))
+        return original(model, features)
+
+    monkeypatch.setattr(models, "eval_logits", diverging)
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, seeds=[1])
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 3)
+    message = f"non-finite logits in evaluation of {split} with the selected model"
+    assert result.stderr == f"error: {message}\n"
+    assert calls == [12] * call
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["failure"] == f"TrainingDiverged: {message}"
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("task", ["synthetic", "tagging", "relation"])
 def test_evaluate_diverged_model_exits_3(runner, tmp_path, task):
     """A saved model whose parameters are finite but whose logits are not
-    scores nothing: evaluate exits 3 with one error line."""
+    scores nothing: evaluate exits 3 with one error line naming the data."""
     args = write_eval_files(tmp_path, task)
     model = load_model(tmp_path / "model.npz")
     model.params[:] = 1e308
     save_model(model, tmp_path / "model.npz")
     result = runner.invoke(main, args)
     assert_clean_exit(result, 3)
-    assert result.stderr == "error: non-finite logits in evaluation\n"
+    assert result.stderr == ("error: non-finite logits in evaluation of "
+                             f"{tmp_path / 'data'}\n")
     assert result.stdout == ""
 
 

@@ -605,11 +605,15 @@ def test_build_relation_dataset_matches_per_sentence_featurizer():
     assert len(build_relation_dataset([], schema)[1]) == 2  # <pad> and <unk>
 
 
+def _pairs(instances):
+    """The (tokens, tags) sentences build_tagging_dataset reads."""
+    return [(inst.tokens, inst.tags) for inst in instances]
+
+
 def test_build_tagging_dataset():
     scheme = TagScheme(["PER"])
-    instances = [TaggingInstance(["a", "per0"], [0, 1], uid=0),
-                 TaggingInstance(["b"], [0], uid=1)]
-    data, vocab = build_tagging_dataset(instances, scheme, window=1)
+    data, vocab = build_tagging_dataset([(["a", "per0"], [0, 1]), (["b"], [0])],
+                                        scheme, window=1)
     assert len(data) == 3  # one row per token
     assert data.num_classes == len(scheme)
     np.testing.assert_array_equal(data.labels, [0, 1, 0])
@@ -635,12 +639,16 @@ def test_build_tagging_dataset_matches_row_oracle(window):
              TaggingInstance(["per0", "a"], [1, 0])]
     # Under the vocab of train and corpus, "zzz" and "per9" are unknown tokens.
     test = [TaggingInstance(["zzz", "a", "per9"], [0, 0, 1])]
-    _, vocab = build_tagging_dataset(train + corpus, scheme, window=window)
+    _, vocab = build_tagging_dataset(_pairs(train + corpus), scheme, window=window)
     width = (2 * window + 1) * len(vocab)
     for instances in (train, test, corpus, []):
-        data, same = build_tagging_dataset(instances, scheme, vocab, window=window)
+        data, same = build_tagging_dataset(_pairs(instances), scheme, vocab,
+                                           window=window)
         assert same is vocab
-        assert data.features.ids.dtype == np.int32
+        # 55 tokens: windows of 55 and 165 columns fit in a byte, 275 do not.
+        assert data.features.ids.dtype == (np.uint8 if window < 2 else np.uint16)
+        assert data.labels.dtype == np.uint8
+        assert data.ids.dtype == data.groups.dtype == np.int32
         np.testing.assert_array_equal(data.features.ids,
                                       reference_window_ids(instances, vocab, window))
         rows = [featurize_token_window(inst, pos, window, vocab)
@@ -655,8 +663,95 @@ def test_build_tagging_dataset_matches_row_oracle(window):
             data.labels, [tag for inst in instances for tag in inst.tags])
         np.testing.assert_array_equal(
             data.groups, [s for s, inst in enumerate(instances) for _ in inst.tokens])
-    data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
+    data, _ = build_tagging_dataset(_pairs(test), scheme, vocab, window=window)
     assert densify(data.features)[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
+
+
+@pytest.mark.parametrize("width, dtype", [
+    (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)])
+def test_window_ids_take_the_narrowest_dtype_of_the_width(width, dtype):
+    """At window 0 the width is the vocabulary's size, and the last token's
+    id, width - 1, is the largest id the dtype must hold."""
+    vocab = Vocab([f"t{i}" for i in range(width - 2)])
+    data, _ = build_tagging_dataset([([f"t{width - 3}", "t0", "zzz"], [0, 0, 0])],
+                                    TagScheme(["PER"]), vocab, window=0)
+    assert data.features.ids.dtype == dtype
+    np.testing.assert_array_equal(data.features.ids, [[width - 1], [2], [1]])
+
+
+@pytest.mark.parametrize("types, dtype", [(127, np.uint8), (128, np.uint16)])
+def test_labels_take_the_narrowest_dtype_of_the_scheme(types, dtype):
+    """127 entity types make 255 tags, whose last index 254 fits in a byte;
+    128 make 257."""
+    scheme = TagScheme([f"T{i}" for i in range(types)])
+    last = len(scheme) - 1
+    data, _ = build_tagging_dataset([(["a", "b"], [last, 0])], scheme, window=1)
+    assert data.labels.dtype == dtype
+    np.testing.assert_array_equal(data.labels, [last, 0])
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_load_split_matches_built_records(tmp_path, window):
+    """A split streamed from its file holds the arrays, dtypes included, that
+    building from read_conll's records gives, also for a dev split with
+    tokens the training vocabulary lacks."""
+    corpus, scheme = gen_tagging_corpus(num_sentences=60, seed=11)
+    train_path, dev_path = tmp_path / "train.conll", tmp_path / "dev.conll"
+    write_conll(train_path, corpus[:40], scheme)
+    write_conll(dev_path, [TaggingInstance(["zzz", *corpus[40].tokens],
+                                           [0, *corpus[40].tags]), *corpus[41:]], scheme)
+    train, vocab = TASKS["tagging"].load_split(train_path, scheme, window=window)
+    dev, same = TASKS["tagging"].load_split(dev_path, scheme, vocab, window=window)
+    assert same is vocab
+    built, built_vocab = build_tagging_dataset(_pairs(read_conll(train_path, scheme)),
+                                               scheme, window=window)
+    assert built_vocab.tokens() == vocab.tokens()
+    built_dev, _ = build_tagging_dataset(_pairs(read_conll(dev_path, scheme)), scheme,
+                                         vocab, window=window)
+    for loaded, expected in ((train, built), (dev, built_dev)):
+        for got, want in ((loaded.features.ids, expected.features.ids),
+                          (loaded.labels, expected.labels), (loaded.ids, expected.ids),
+                          (loaded.groups, expected.groups)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert dev.features.ids[0, window] == window * len(vocab) + vocab.index(UNK_TOKEN)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_build_tagging_dataset_reads_its_sentences_once(given):
+    """A generator of sentences gives the rows a list gives: it is read once,
+    with or without a vocabulary, and nothing is left in it."""
+    corpus, scheme = gen_tagging_corpus(num_sentences=30, seed=12)
+    vocab = build_tagging_dataset(_pairs(corpus[:10]), scheme)[1] if given else None
+    sentences = iter(_pairs(corpus))
+    streamed, streamed_vocab = build_tagging_dataset(sentences, scheme, vocab)
+    listed, listed_vocab = build_tagging_dataset(_pairs(corpus), scheme, vocab)
+    assert next(sentences, None) is None
+    assert streamed_vocab.tokens() == listed_vocab.tokens()
+    assert streamed.features.ids.tobytes() == listed.features.ids.tobytes()
+    assert streamed.labels.tobytes() == listed.labels.tobytes()
+    assert streamed.groups.tobytes() == listed.groups.tobytes()
+
+
+def test_build_tagging_dataset_refuses_unaligned_tags():
+    with pytest.raises(ValueError, match="same length"):
+        build_tagging_dataset([(["a", "b"], [0])], TagScheme(["PER"]))
+
+
+def test_load_split_peak_memory_per_token(tmp_path):
+    """Loading streams: about 20k tokens of 50 words peak under 40 traced
+    bytes a token, with no record or token string per token held."""
+    instances, scheme = gen_tagging_corpus(num_sentences=2400, seed=2)
+    path = tmp_path / "corpus.conll"
+    write_conll(path, instances, scheme)
+    tokens = sum(len(inst.tokens) for inst in instances)
+    tracemalloc.start()
+    try:
+        data, _ = TASKS["tagging"].load_split(path, scheme, window=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == tokens
+    assert peak / tokens < 40
 
 
 # ---------------------------------------------------------------- metrics
@@ -887,17 +982,17 @@ def test_gen_tagging_corpus_default_fillers():
                if tok[0] == "w")
 
 
-def test_loaded_tagging_split_holds_36_bytes_per_row(tmp_path):
-    """A loaded split's per-row arrays at window 1: int32 window ids (12
-    bytes), then int64 labels, ids and groups (8 each)."""
+def test_loaded_tagging_split_holds_12_bytes_per_row(tmp_path):
+    """A loaded split's per-row arrays at window 1 and a 50-token vocabulary:
+    uint8 window ids (3 bytes) and labels (1), int32 ids and groups (4 each)."""
     instances, scheme = gen_tagging_corpus(num_sentences=50, seed=2)
     path = tmp_path / "train.conll"
     write_conll(path, instances, scheme)
     data, _ = TASKS["tagging"].load_split(path, scheme, window=1)
-    assert data.features.ids.dtype == np.int32
+    assert data.features.ids.dtype == data.labels.dtype == np.uint8
     per_row = sum(array.nbytes for array in (data.features.ids, data.labels,
                                              data.ids, data.groups))
-    assert per_row <= 36 * len(data)
+    assert per_row <= 12 * len(data)
 
 
 def test_tagging_at_realistic_vocabulary_size():
@@ -906,7 +1001,7 @@ def test_tagging_at_realistic_vocabulary_size():
     one-hots, and a training step runs on them."""
     instances, scheme = gen_tagging_corpus(num_sentences=4000, seed=1,
                                            num_fillers=100_000)
-    data, vocab = build_tagging_dataset(instances, scheme, window=1)
+    data, vocab = build_tagging_dataset(_pairs(instances), scheme, window=1)
     assert len(vocab) > 20_000
     assert data.features.ids.nbytes <= len(data) * 3 * 8
     result = train(data, None, TrainConfig(total_steps=1))

@@ -444,7 +444,8 @@ def test_backward_returns_fresh_vector_in_params_layout():
 def _tagging_rows(window):
     from coreglab.datasets import build_tagging_dataset, gen_tagging_corpus
     instances, scheme = gen_tagging_corpus(num_sentences=40, seed=window)
-    data, _ = build_tagging_dataset(instances, scheme, window=window)
+    data, _ = build_tagging_dataset([(inst.tokens, inst.tags) for inst in instances],
+                                    scheme, window=window)
     return data
 
 
@@ -529,20 +530,23 @@ def test_backward_on_window_ids_matches_finite_differences():
 
 @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
 def test_window_ids_dtype_does_not_change_the_bytes(hidden):
-    """Logits and gradients on int32 window ids equal those on the same ids
-    as int64, byte for byte."""
-    vocab_size, slots, rows = 7, 3, 20
+    """Logits and gradients on window ids equal those on the same ids as
+    int32, byte for byte, in every integer dtype that holds them: uint8 and
+    uint16 below 256 columns, uint16 above."""
     rng = np.random.default_rng(len(hidden))
-    ids = np.arange(slots) * vocab_size + rng.integers(vocab_size, size=(rows, slots))
-    model = init_model((slots * vocab_size, *hidden, 3), 0.0, seed=5)
-    dlogits = rng.normal(size=(rows, 3))
-    results = []
-    for dtype in (np.int32, np.int64):
-        features = WindowIds(ids.astype(dtype), slots * vocab_size)
-        assert features.ids.dtype == dtype
-        logits, cache = forward(model, features)
-        results.append((logits.tobytes(), backward(model, cache, dlogits).tobytes()))
-    assert results[0] == results[1]
+    for vocab_size, dtypes in ((7, (np.uint8, np.uint16, np.int64)),
+                               (150, (np.uint16, np.int64))):
+        slots, rows = 3, 20
+        ids = np.arange(slots) * vocab_size + rng.integers(vocab_size, size=(rows, slots))
+        model = init_model((slots * vocab_size, *hidden, 3), 0.0, seed=5)
+        dlogits = rng.normal(size=(rows, 3))
+        results = []
+        for dtype in (np.int32, *dtypes):
+            features = WindowIds(ids.astype(dtype), slots * vocab_size)
+            assert features.ids.dtype == dtype
+            logits, cache = forward(model, features)
+            results.append((logits.tobytes(), backward(model, cache, dlogits).tobytes()))
+        assert all(result == results[0] for result in results[1:])
 
 
 def test_window_ids_refuse_non_integer_ids():

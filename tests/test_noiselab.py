@@ -120,6 +120,22 @@ def test_inject_shares_features_not_labels():
     np.testing.assert_array_equal(data.labels, clean)
 
 
+def test_inject_on_narrow_labels_flips_as_on_int64():
+    """Tagging labels are uint8: the flips, drawn as int64 and shifted past
+    the original label in int64, are those of the same labels as int64, up to
+    the top class 255, and the noisy copy keeps the narrow dtype."""
+    labels = np.arange(1000) % 256
+    results = []
+    for dtype in (np.int64, np.uint8):
+        data = LabeledDataset(np.zeros((1000, 1)), labels.astype(dtype), 256)
+        noisy, mask = inject_noise(data, NoiseSpec(0.5, seed=8))
+        assert noisy.labels.dtype == dtype and mask.noisy_labels.dtype == np.int64
+        results.append((noisy.labels.tolist(), mask.indices.tolist(),
+                        mask.original_labels.tolist(), mask.noisy_labels.tolist()))
+    assert results[0] == results[1]
+    assert max(results[1][3]) == 255
+
+
 def test_inject_deterministic_and_seed_sensitive():
     data = tiny_dataset(n=120)
     a1, m1 = inject_noise(data, NoiseSpec(0.25, seed=6))

@@ -371,6 +371,16 @@ def test_divergence_raises():
                                config, weights=bad_weights)
 
 
+def test_divergence_in_trajectory_evaluation_names_the_epoch():
+    """The tracked training-set predictions after a step that leaves
+    non-finite logits end the run naming the split and the epoch."""
+    data = tiny_dataset()
+    config = small_config(total_steps=3, batch_size=24, warmup_pct=0.0, base_lr=1e308)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        trainer.train(data, None, config, track_trajectories=True)
+    assert str(excinfo.value) == "non-finite logits in evaluation of train after epoch 0"
+
+
 def test_empty_batch_rejected():
     config = small_config()
     ens = init_ensemble(config, 4, 3)
