@@ -34,7 +34,6 @@ write_json, the one copy of each format.
 
 import csv
 import json
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -44,6 +43,7 @@ import numpy as np
 
 from . import metrics
 from . import models as mdl
+from .files import replacing
 from .schema import Key, check
 
 class DataError(Exception):
@@ -56,17 +56,6 @@ def _open_data(path):
         return open(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _data_lines(path):
-    """(line number, line) pairs of a data file, read one line at a time, each
-    line with its newline; a file that cannot be opened or decoded is a
-    DataError. The file closes when the pairs run out or are dropped."""
-    with _open_data(path) as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from exc
 
 
 def _decode_error(path, exc):
@@ -85,8 +74,9 @@ def _decode_error(path, exc):
 
 def write_csv(path, header, rows) -> None:
     """A CSV artifact: the header, then each row, with "\n" line endings and
-    the values as given (callers format floats with repr)."""
-    with open(path, "w", newline="") as fh:
+    the values as given (callers format floats with repr); written whole
+    (files.replacing), so a killed process leaves no half file."""
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -94,20 +84,10 @@ def write_csv(path, header, rows) -> None:
 
 def write_json(path, payload) -> None:
     """A JSON artifact: indented by 2, keys sorted, ending in a newline; written
-    to <name>.tmp and renamed over path, so a killed process leaves no half file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        # Name the artifact, not the temp file that is removed below.
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    finally:
-        # Only a failed write or rename leaves it.
-        if os.path.isfile(tmp):
-            os.remove(tmp)
+    whole (files.replacing), so a killed process leaves no half file."""
+    with replacing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path, what: str, build):
@@ -368,27 +348,34 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
 
 def _conll_sentences(path, scheme: metrics.TagScheme):
     """Each sentence of a CoNLL column file as a (tokens, tag ids) pair of
-    fresh lists, in file order; an error names the line."""
+    fresh lists, in file order, read one line at a time; an error names the
+    line. The file closes when the sentences run out or are dropped."""
     tokens: list[str] = []
     tags: list[int] = []
     tag_ids = {tag: i for i, tag in enumerate(scheme.tags)}
-    # A blank line after the file's last closes a sentence that runs to its end.
-    for lineno, line in chain(_data_lines(path), [(None, "")]):
-        cols = line.split()
-        if not cols:
-            if tokens:
-                yield tokens, tags
-                tokens, tags = [], []
-            continue
-        if len(cols) < 2:
-            raise DataError(f"{path}:{lineno}: expected token and tag columns")
-        if (tag := tag_ids.get(cols[-1])) is None:
-            try:
-                tag = scheme.index(cols[-1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-        tokens.append(cols[0])
-        tags.append(tag)
+    with _open_data(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                cols = line.split()
+                if not cols:
+                    if tokens:
+                        yield tokens, tags
+                        tokens, tags = [], []
+                    continue
+                if len(cols) < 2:
+                    raise DataError(f"{path}:{lineno}: expected token and tag columns")
+                if (tag := tag_ids.get(cols[-1])) is None:
+                    try:
+                        tag = scheme.index(cols[-1])
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{lineno}: {exc}") from exc
+                tokens.append(cols[0])
+                tags.append(tag)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
+    # A sentence that runs to the end of the file.
+    if tokens:
+        yield tokens, tags
 
 
 def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
@@ -431,21 +418,26 @@ def _record_id(rec: dict, seen: set, where: str) -> int:
 
 
 def _jsonl_records(path):
-    """(where, record, id) of each non-blank line of a JSONL file, which must
-    hold a JSON object; ``where`` names the line for errors."""
+    """(where, record, id) of each non-blank line of a JSONL file, read one
+    line at a time, which must hold a JSON object; ``where`` names the line
+    for errors."""
     seen = set()
-    for lineno, raw in _data_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    with _open_data(path) as fh:
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: invalid record: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise DataError(f"{where}: invalid record: not a JSON object")
-        yield where, rec, _record_id(rec, seen, where)
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{where}: invalid record: {exc}") from exc
+                if not isinstance(rec, dict):
+                    raise DataError(f"{where}: invalid record: not a JSON object")
+                yield where, rec, _record_id(rec, seen, where)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from exc
 
 
 def read_relation_jsonl(path, schema: RelationSchema) -> list[SentenceInstance]:
@@ -734,7 +726,8 @@ class _TaggingTask(_Task):
         gold = [tags[i] for i in dataset.labels[order].tolist()]
         pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
         # span_f1 pulls each sentence's gold, then its predicted spans, from
-        # these generators, so one sentence's spans are alive at a time.
+        # these generators, so one sentence pair is decoded at a time; the
+        # sequences decoded stay in bio_decode's bounded memo.
         return metrics.span_f1(
             (metrics.bio_decode(gold[a:b]) for a, b in zip(edges, edges[1:])),
             (metrics.bio_decode(pred[a:b]) for a, b in zip(edges, edges[1:]))).f1

@@ -88,6 +88,7 @@ class ExperimentConfig:
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
         train = trainer.TrainConfig(**top["train"])
+        train.validate()
         if method == "coreg" and train.num_models < 2:
             raise ConfigError("coreg requires train.num_models >= 2")
         data = check_block("data", top["data"], datasets.TASKS[task].data_keys,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import replacing
 from .numeric import DROPOUT, TrainingDiverged, dropout_mask, finite_logits
 from .schema import check
 
@@ -271,8 +272,11 @@ def predict(model: MlpModel, features) -> np.ndarray:
 
 
 def save_model(model: MlpModel, path) -> None:
-    np.savez(path, layer_sizes=np.array(model.layer_sizes, dtype=np.int64),
-             dropout=model.dropout, seed=model.seed, params=model.params)
+    """The model as an .npz archive at path, written whole (files.replacing);
+    through the open file, since np.savez adds .npz to a name without it."""
+    with replacing(path, "wb") as fh:
+        np.savez(fh, layer_sizes=np.array(model.layer_sizes, dtype=np.int64),
+                 dropout=model.dropout, seed=model.seed, params=model.params)
 
 
 def load_model(path) -> MlpModel:

@@ -17,7 +17,7 @@ from . import models as mdl
 from . import rng as rngmod
 from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, TrainingDiverged,
                       adam_step, floored_nll, kl_terms, label_probs, lr_at, softmax)
-from .schema import Key, check
+from .schema import ConfigError, Key, check
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 
@@ -66,9 +66,18 @@ class TrainConfig:
     dropout: float = TRAIN_KEYS["dropout"].default
 
     def validate(self) -> None:
-        """Check every field against its Key; a ConfigError names it."""
+        """Check every field against its Key, and refuse soft_target_gradient
+        under avg_logit, where it does nothing; a ConfigError names the keys."""
         for name, key in {**TRAIN_KEYS, "total_steps": TOTAL_STEPS}.items():
             check(name, getattr(self, name), key)
+        if self.soft_target_gradient and self.aggregate_mode == "avg_logit":
+            # softmax of the mean logits is the q that minimises the summed
+            # KL(q || p_k), so the gradient through q is zero up to KL_EPS.
+            raise ConfigError(
+                "train.soft_target_gradient does nothing with train.aggregate_mode "
+                "avg_logit: its target already minimises the agreement loss, so no "
+                "gradient flows through it; turn soft_target_gradient off or use "
+                "avg_prob or min_prob")
 
 
 def warmup_steps(config: TrainConfig) -> int:
@@ -166,7 +175,8 @@ def _agreement_dlogits(probs: np.ndarray, q: np.ndarray, inst_losses: np.ndarray
 
     With soft_target_gradient off (default) the target q is treated as a
     constant of the step; otherwise the gradient also flows through the
-    aggregation that produced q.
+    aggregation that produced q, avg_prob or min_prob (under avg_logit that
+    gradient is zero, and TrainConfig.validate refuses the pair).
     """
     num_models, batch, _ = probs.shape
     eps = KL_EPS
@@ -184,12 +194,7 @@ def _agreement_dlogits(probs: np.ndarray, q: np.ndarray, inst_losses: np.ndarray
             add = np.zeros_like(dprobs)
             add[worst, np.arange(batch)] = dq
             dprobs += add
-        # avg_logit: q's path bypasses the per-model probabilities and is
-        # added in logit space below.
-    dlogits = _softmax_vjp(probs, dprobs)
-    if config.soft_target_gradient and config.aggregate_mode == "avg_logit":
-        dlogits += _softmax_vjp(q, dq)[None, :, :] / num_models
-    return dlogits
+    return _softmax_vjp(probs, dprobs)
 
 
 def compute_step_gradients(features, labels: np.ndarray,

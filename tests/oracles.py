@@ -247,7 +247,7 @@ def _reference_softmax_vjp(probs, dprobs):
     return probs * (dprobs - inner)
 
 
-def _reference_agreement_dlogits(probs, q, inst_losses, config):
+def reference_agreement_dlogits(probs, q, inst_losses, config):
     from coreglab.numeric import KL_EPS as eps
 
     num_models, batch, _ = probs.shape
@@ -321,7 +321,7 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
     sup_dlogits *= (kept_w * active)[:, :, None] / n_kept
     agg_dlogits = None
     if not (warmup or config.gamma == 0.0):
-        agg_dlogits = _reference_agreement_dlogits(kept_probs, q, kept_losses, config)
+        agg_dlogits = reference_agreement_dlogits(kept_probs, q, kept_losses, config)
     grads = []
     for k, model in enumerate(ensemble.models):
         d_kept = sup_dlogits[k] / num_models

@@ -223,6 +223,9 @@ FILE_PATHS = {f"{split}_path": "x" for split in ("train", "dev", "test", "schema
                  "train.soft_target_gradient", id="soft_target_gradient_string"),
     pytest.param({"train": {"num_models": 2, "soft_target_gradient": 2}},
                  "train.soft_target_gradient", id="soft_target_gradient_number"),
+    pytest.param({"train": {"num_models": 2, "aggregate_mode": "avg_logit",
+                            "soft_target_gradient": True}},
+                 "train.aggregate_mode", id="soft_target_gradient_under_avg_logit"),
     pytest.param({"seeds": [True]},
                  "seeds", id="seeds_boolean"),
     pytest.param({"train": {"num_models": 2, "batch_size": True}},

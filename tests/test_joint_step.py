@@ -12,11 +12,13 @@ import pytest
 
 from coreglab import baselines, noiselab
 from coreglab.datasets import LabeledDataset
-from coreglab.numeric import AdamState, adam_step
+from coreglab.numeric import AdamState, adam_step, softmax
+from coreglab.schema import ConfigError
 from coreglab.trainer import (AGGREGATE_MODES, TrainConfig, TrainingDiverged,
                               aggregate_targets, compute_step_gradients,
                               init_ensemble, train_step, warmup_steps)
-from oracles import reference_adam_step, reference_train_step, reference_warmup_steps
+from oracles import (reference_adam_step, reference_agreement_dlogits,
+                     reference_train_step, reference_warmup_steps)
 
 STEPS = 20
 BATCH = 16
@@ -33,6 +35,14 @@ def _config(**kwargs) -> TrainConfig:
 
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _assert_refused(config):
+    """soft_target_gradient under avg_logit does nothing, so it is refused
+    (test_avg_logit_soft_target_term_vanishes checks why)."""
+    with pytest.raises(ConfigError, match=r"train\.soft_target_gradient .*"
+                                          r"train\.aggregate_mode avg_logit"):
+        config.validate()
 
 
 def _assert_matches_reference(config, num_classes, *, weighted=False, hook=None):
@@ -71,6 +81,9 @@ def _assert_matches_reference(config, num_classes, *, weighted=False, hook=None)
 def test_step_matches_reference(num_models, mode, soft_target_gradient, dropout):
     config = _config(num_models=num_models, aggregate_mode=mode,
                      soft_target_gradient=soft_target_gradient, dropout=dropout)
+    if mode == "avg_logit" and soft_target_gradient:
+        _assert_refused(config)
+        return
     # 3 classes, and 9, where numpy's row sums switch to pairwise blocks.
     for num_classes in (3, 9):
         _assert_matches_reference(config, num_classes, weighted=True)
@@ -100,7 +113,30 @@ def test_step_with_hooks_and_weights_matches_reference(num_models, hook, weighte
     for mode in AGGREGATE_MODES:
         config = _config(num_models=num_models, aggregate_mode=mode,
                          soft_target_gradient=True, dropout=0.1)
+        if mode == "avg_logit":
+            _assert_refused(config)
+            continue
         _assert_matches_reference(config, 4, weighted=weighted, hook=HOOKS[hook])
+
+
+def test_avg_logit_soft_target_term_vanishes():
+    """Why soft_target_gradient is refused under avg_logit: the softmax of the
+    mean logits is the q that minimises the summed KL(q || p_k), so the
+    reference step's term through q is zero up to KL_EPS, while under
+    avg_prob the same term is of the size of the direct one."""
+    rng = np.random.default_rng(21)
+    for num_models in (2, 3, 4):
+        logits = 3.0 * rng.normal(size=(num_models, 64, 4))
+        probs, losses = softmax(logits), np.zeros((num_models, 64))
+        targets = {"avg_logit": softmax(logits.mean(axis=0)), "avg_prob": probs.mean(axis=0)}
+        terms = {}
+        for mode, q in targets.items():
+            on, off = (reference_agreement_dlogits(probs, q, losses, _config(
+                num_models=num_models, aggregate_mode=mode, soft_target_gradient=flag))
+                for flag in (True, False))
+            terms[mode] = np.abs(on - off).max()
+        assert terms["avg_logit"] < 1e-9, num_models
+        assert terms["avg_prob"] > 1e-4, num_models
 
 
 def test_warmup_steps_matches_fraction_reference():

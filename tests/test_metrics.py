@@ -55,6 +55,60 @@ def test_bio_decode_symbol_memo_is_bounded():
     assert len(metrics._BIO_SYMBOLS) <= metrics._BIO_SYMBOLS_CAP
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """bio_decode's memo of decoded sequences, empty for this test."""
+    from coreglab import metrics
+
+    monkeypatch.setattr(metrics, "_DECODED", {})
+    return metrics._DECODED
+
+
+def test_bio_decode_returns_a_fresh_list(memo):
+    """A caller that changes the returned list changes no later result."""
+    tags = ["B-PER", "I-PER", "O", "B-ORG"]
+    first = bio_decode(tags)
+    first.append(Span("LOC", 5, 5))
+    bio_decode(tags).clear()
+    assert bio_decode(tags) == [Span("PER", 0, 1), Span("ORG", 3, 3)]
+    assert len(memo) == 1
+
+
+def test_bio_decode_list_and_tuple_decode_alike(memo):
+    tags = ["I-ORG", "I-ORG", "B-ORG", "O", "I-PER"]
+    spans = [Span("ORG", 0, 1), Span("ORG", 2, 2), Span("PER", 4, 4)]
+    assert bio_decode(tags) == spans
+    assert bio_decode(tuple(tags)) == spans
+    assert bio_decode(tuple(tags[::-1])) == [Span("PER", 0, 0), Span("ORG", 2, 4)]
+
+
+def test_bio_decode_bad_sequence_raises_every_time(memo):
+    """An error is never kept: the same bad sequence raises on each call,
+    naming the same position."""
+    for _ in range(3):
+        with pytest.raises(ValueError,
+                           match=r"^unknown tag symbol 'X-PER' at position 2$"):
+            bio_decode(["O", "B-PER", "X-PER"])
+    assert memo == {}
+
+
+def test_bio_decode_memo_is_bounded(memo, monkeypatch):
+    """Past the cap, sequences are decoded without being kept, and every
+    result, kept or not, still matches the enumeration oracle."""
+    from coreglab import metrics
+
+    monkeypatch.setattr(metrics, "_DECODED_CAP", 50)
+    rng = np.random.default_rng(4)
+    symbols = np.array(["O", "B-PER", "I-PER", "B-ORG", "I-ORG"])
+    sequences = [symbols[rng.integers(0, len(symbols), size=14)].tolist()
+                 for _ in range(3 * metrics._DECODED_CAP)]
+    for _ in range(2):
+        for tags in sequences:
+            got = [(s.label, s.start, s.end) for s in bio_decode(tags)]
+            assert got == reference_bio_decode(tags), tags
+    assert len(memo) == metrics._DECODED_CAP
+
+
 def test_bio_decode_matches_enumeration_one_type():
     symbols = ["O", "B-PER", "I-PER"]
     for tags in itertools.product(symbols, repeat=6):

@@ -14,7 +14,7 @@ import yaml
 from click.testing import CliRunner
 
 import coreglab
-from coreglab import noiselab, trainer
+from coreglab import experiment, noiselab, trainer
 from coreglab.cli import main
 from coreglab.datasets import write_json
 from coreglab.experiment import (ConfigError, ExperimentConfig, build_task_data,
@@ -76,6 +76,41 @@ def test_run_writes_exactly_its_listed_files(runner, tmp_path, command, fails):
     assert (manifest["failure"] is not None) == fails
     assert "config.yaml" in manifest["artifacts"]
     assert ("manifest.json" in manifest["artifacts"]) != fails
+    assert tree(run) == listed_tree(run)
+
+
+def _half_npz(file, **arrays):
+    """np.savez that writes the start of an archive, then fails."""
+    with (open(file, "wb") if isinstance(file, (str, os.PathLike)) else file) as fh:
+        fh.write(b"PK\x03\x04")
+    raise RuntimeError("disk went away")
+
+
+def _half_curves(*args):
+    """curves.csv rows that fail after the first."""
+    yield ("coreg", "1.0", 1, 0, "dev", "accuracy", "0.5")
+    raise RuntimeError("disk went away")
+
+
+@pytest.mark.parametrize("name, target, fake", [
+    ("seed_1/model.npz", (np, "savez"), _half_npz),
+    ("curves.csv", (experiment, "_curve_rows"), _half_curves),
+], ids=["model", "csv"])
+def test_write_failing_midway_leaves_no_file(tmp_path, monkeypatch, name, target, fake):
+    """An artifact is written to a temp file and renamed over its name, so a
+    write that fails partway leaves neither a file under that name nor the
+    temp file, and the manifest records the failure and lists only the files
+    on disk."""
+    monkeypatch.setattr(*target, fake)
+    config = experiment.load_config(write_config(tmp_path))
+    with pytest.raises(RuntimeError, match="disk went away"):
+        experiment.run_experiment(config)
+    run = tmp_path / "run"
+    assert not (run / name).exists()
+    assert not list(run.rglob("*.tmp"))
+    manifest = manifest_of(run)
+    assert manifest["failure"] == "RuntimeError: disk went away"
+    assert name not in manifest["artifacts"]
     assert tree(run) == listed_tree(run)
 
 

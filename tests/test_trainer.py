@@ -7,6 +7,7 @@ from coreglab import numeric, trainer
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import (MlpModel, forward, params_flat, predict,
                              set_params_flat)
+from coreglab.schema import ConfigError
 from coreglab.trainer import (AGGREGATE_MODES, ModelEnsemble, TrainConfig,
                               TrainingDiverged, aggregate_targets, agreement_loss,
                               compute_step_gradients, init_ensemble,
@@ -423,6 +424,11 @@ def test_no_hook_equals_an_identity_hook_bit_for_bit(num_models, mode, weighted,
     config = small_config(num_models=num_models, aggregate_mode=mode, gamma=2.0,
                           soft_target_gradient=soft_target_gradient, dropout=0.1,
                           total_steps=8, warmup_pct=25.0)
+    if mode == "avg_logit" and soft_target_gradient:
+        # A pair that does nothing is refused (tests/test_joint_step.py).
+        with pytest.raises(ConfigError, match="soft_target_gradient.*avg_logit"):
+            config.validate()
+        return
     bare, hooked = init_ensemble(config, 4, 9), init_ensemble(config, 4, 9)
     rng = np.random.default_rng(num_models)
     for t in range(config.total_steps):
@@ -549,6 +555,10 @@ def test_gradients_match_finite_differences_flow_through():
         config = small_config(num_models=2, gamma=2.0, warmup_pct=0.0,
                               hidden_sizes=(4,), dropout=0.0, total_steps=10,
                               aggregate_mode=mode, soft_target_gradient=True)
+        if mode == "avg_logit":
+            with pytest.raises(ConfigError, match="soft_target_gradient.*avg_logit"):
+                config.validate()
+            continue
         assert _fd_check(config, seed, frozen_q=False) < 1e-4
 
 
