@@ -160,7 +160,11 @@ def crossweigh_weights(dataset, folds: int, iterations: int,
     for it in range(iterations):
         part_rng = rngmod.substream(config.master_seed, f"crossweigh.{it}")
         for f, reserved in enumerate(fold_partition(n, folds, part_rng)):
-            train_idx = np.sort(np.setdiff1d(np.arange(n), reserved))
+            # The other folds' rows in ascending order, by a mask rather than
+            # np.setdiff1d, whose np.unique imports numpy.ma.
+            train_mask = np.ones(n, dtype=bool)
+            train_mask[reserved] = False
+            train_idx = np.flatnonzero(train_mask)
             fold_seed = rngmod.substream_seed(config.master_seed,
                                               f"crossweigh.{it}.{f}")
             # Fold models have no dev set, so they cannot select by it.

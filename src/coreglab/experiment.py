@@ -35,6 +35,7 @@ import yaml
 from . import baselines, datasets, noiselab, trainer
 from . import models as mdl
 from . import rng as rngmod
+from .files import replacing
 from .schema import ConfigError, Key, check, check_block
 
 OUTPUT_ROOT_ENV = "COREGLAB_OUTPUT_ROOT"
@@ -263,8 +264,12 @@ def _run(config: ExperimentConfig):
         write(path)
         return path
 
+    def write_config(path):
+        with replacing(path) as fh:
+            fh.write(text)
+
     try:
-        save("config.yaml", lambda path: path.write_text(text))
+        save("config.yaml", write_config)
         yield save
         artifacts.append("manifest.json")
         manifest["failure"] = None

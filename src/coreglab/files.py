@@ -1,7 +1,8 @@
 """Files written whole: a writer fills <name>.tmp beside the file and renames
 it over the file, so a process killed while writing leaves the previous file
 or none, never half of one. The run artifacts' CSV, JSON and model writers
-(datasets.write_csv, datasets.write_json, models.save_model) go through it.
+(datasets.write_csv, datasets.write_json, models.save_model) and a run's
+config.yaml snapshot go through it.
 """
 
 import os

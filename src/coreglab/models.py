@@ -7,7 +7,9 @@ classification, the synthetic task's vectors), or WindowIds, the one-hot
 token windows of tagging kept as their column indices, on which layer 1
 sums weight rows and scatters its gradient. It stands in for any larger
 backbone: the training framework only needs forward logits and parameter
-gradients.
+gradients. Evaluation runs the same layer arithmetic (_affine) over fixed
+row blocks into buffers allocated once per whole-split evaluation, keeping
+nothing for backward.
 """
 
 from contextlib import contextmanager
@@ -19,8 +21,9 @@ from .files import replacing
 from .numeric import DROPOUT, TrainingDiverged, dropout_mask, finite_logits
 from .schema import check
 
-# Rows per evaluation forward in predict: at a hidden width of 256 one
-# block's float64 activations are 2 MiB, whatever the split's size.
+# Rows per block of a whole-split evaluation, and so of its eval_buffers: at
+# a hidden width of 256 a hidden layer's buffer is 2 MiB, whatever the
+# split's size.
 PREDICT_BLOCK_ROWS = 1024
 
 
@@ -139,27 +142,27 @@ def init_model(layer_sizes, dropout: float, seed: int) -> MlpModel:
     return model
 
 
-def _affine(h, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """h @ weight + bias, with the bias added in place to the fresh product.
-    For WindowIds (layer 1 only) the product is the sum of the indexed weight
-    rows, added slot by slot as the dense product adds them."""
+def _affine(h, weight: np.ndarray, bias: np.ndarray, out=None,
+            scratch=None) -> np.ndarray:
+    """h @ weight + bias, written into ``out`` (a fresh array when None), with
+    the bias added in place to the product. For WindowIds (layer 1 only) the
+    product is the sum of the indexed weight rows, added slot by slot as the
+    dense product adds them, each later slot taken into ``scratch``. The
+    takes use mode="clip", which never clips (a WindowIds checks its ids when
+    it is built) and, unlike the default, writes into ``out`` unbuffered."""
     if isinstance(h, WindowIds):
-        out = weight.take(h.ids[:, 0], axis=0)
+        out = weight.take(h.ids[:, 0], axis=0, out=out, mode="clip")
         for slot in range(1, h.ids.shape[1]):
-            out += weight.take(h.ids[:, slot], axis=0)
+            out += weight.take(h.ids[:, slot], axis=0, out=scratch, mode="clip")
     else:
-        out = h @ weight
+        out = np.matmul(h, weight, out=out)
     out += bias
     return out
 
 
-def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
-    """Compute (batch, classes) logits and a cache for backward from a
-    (batch, features) matrix or WindowIds.
-
-    Dropout is applied to hidden activations exactly when a stream ``rng``
-    is given and the model's rate is nonzero, so evaluation passes none.
-    """
+def _inputs(model: MlpModel, features):
+    """features as the forwards take them: WindowIds, or a float64 (batch,
+    features) matrix; either must be as wide as the model's input layer."""
     x = features
     if not isinstance(x, WindowIds):
         x = np.asarray(features, dtype=np.float64)
@@ -169,6 +172,18 @@ def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
     width = feature_width(x)
     if width != model.layer_sizes[0]:
         raise ValueError(f"feature length {width} != input size {model.layer_sizes[0]}")
+    return x
+
+
+def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
+    """Compute (batch, classes) logits and a cache for backward from a
+    (batch, features) matrix or WindowIds.
+
+    Dropout is applied to hidden activations exactly when a stream ``rng``
+    is given and the model's rate is nonzero. Without one, the logits are
+    those of eval_logits, the evaluation forward, which keeps no cache.
+    """
+    x = _inputs(model, features)
     cache = ForwardCache(model, x)
     h = x
     n_layers = len(model.weights)
@@ -242,11 +257,34 @@ def row_blocks(rows: int):
             for start in range(0, max(rows, 1), PREDICT_BLOCK_ROWS))
 
 
-def eval_logits(model: MlpModel, features) -> np.ndarray:
-    """Evaluation-mode logits, non-finite ones a TrainingDiverged; the
-    overflow on the way is that error's to report, not NumPy's warning's."""
+def eval_buffers(model: MlpModel, rows: int) -> list[np.ndarray]:
+    """The float64 buffers eval_logits writes a block into, for a split of
+    ``rows`` rows: per layer one of min(rows, PREDICT_BLOCK_ROWS) rows by
+    the layer's width, then a WindowIds slot's scratch of layer 1's width.
+    A whole-split evaluation allocates them once and reuses them for every
+    block, so the logits of one block or model are overwritten by the next:
+    a caller that keeps them copies them out."""
+    rows = min(rows, PREDICT_BLOCK_ROWS)
+    return [np.empty((rows, width))
+            for width in (*model.layer_sizes[1:], model.layer_sizes[1])]
+
+
+def eval_logits(model: MlpModel, features, buffers: list[np.ndarray]) -> np.ndarray:
+    """Evaluation-mode logits of at most PREDICT_BLOCK_ROWS rows, written into
+    ``buffers`` (eval_buffers) and returned as a view of the last layer's.
+    It is forward's arithmetic without dropout, so its logits equal
+    forward(model, features)[0] bit for bit, but it keeps nothing for
+    backward. Non-finite logits are a TrainingDiverged; the overflow on the
+    way is that error's to report, not NumPy's warning's."""
+    h = _inputs(model, features)
+    rows = len(h)
+    *outs, scratch = buffers
     with np.errstate(over="ignore", invalid="ignore"):
-        return finite_logits(forward(model, features)[0], " in evaluation")
+        for i, (weight, bias, out) in enumerate(zip(model.weights, model.biases, outs)):
+            if i:
+                np.maximum(h, 0.0, out=h)
+            h = _affine(h, weight, bias, out[:rows], scratch[:rows])
+        return finite_logits(h, " in evaluation")
 
 
 @contextmanager
@@ -260,14 +298,16 @@ def evaluating(what: str):
 
 
 def predict(model: MlpModel, features) -> np.ndarray:
-    """Argmax class per row, one eval_logits per block of row_blocks, so the
-    activations held at once are bounded by the block and the widest layer,
-    not by the split. The argmaxes equal those of one forward over all rows;
-    the logits may differ in the last bits, since BLAS takes another path
-    for a one-row product."""
+    """Argmax class per row, one eval_logits per block of row_blocks into one
+    set of eval_buffers, so the activations held at once are bounded by the
+    block and the widest layer, not by the split, and are allocated once per
+    call, not per block. The argmaxes equal those of one forward over all
+    rows; the logits may differ in the last bits, since BLAS takes another
+    path for a one-row product."""
     out = np.empty(len(features), dtype=np.intp)
+    buffers = eval_buffers(model, len(features))
     for block in row_blocks(len(features)):
-        np.argmax(eval_logits(model, features[block]), axis=1, out=out[block])
+        np.argmax(eval_logits(model, features[block], buffers), axis=1, out=out[block])
     return out
 
 

@@ -203,17 +203,24 @@ def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     label, and sorted by mean supervision loss, largest first. Returns the
     SUSPECT_CSV_HEADER columns as aligned arrays in that order.
 
-    The models run over models.row_blocks, as in predict, so the activations
-    held at once are bounded by the block, not by the split. Against one
-    forward over all rows, the logits, and so the losses, may differ in the
-    last bits, since BLAS takes another path for a one-row product."""
+    The models run over models.row_blocks, as in predict, through one set of
+    models.eval_buffers, so the activations held at once are bounded by the
+    block, not by the split. Against one forward over all rows, the logits,
+    and so the losses, may differ in the last bits, since BLAS takes another
+    path for a one-row product."""
     X = dataset.features
     y = dataset.labels
     preds = np.empty(len(y), dtype=np.intp)
     per_kl = np.empty(len(y))
     sup = np.empty(len(y))
+    models = ensemble.models
+    buffers = mdl.eval_buffers(models[0], len(y))
     for block in mdl.row_blocks(len(y)):
-        logits = np.stack([mdl.eval_logits(m, X[block]) for m in ensemble.models])
+        rows = X[block]
+        logits = np.empty((len(models), len(rows), models[0].layer_sizes[-1]))
+        for k, model in enumerate(models):
+            # Copied out at once: the next model writes into the same buffers.
+            logits[k] = mdl.eval_logits(model, rows, buffers)
         probs = softmax(logits)
         inst_losses = floored_nll(label_probs(probs, y[block]))
         q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)

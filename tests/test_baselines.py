@@ -8,6 +8,7 @@ from coreglab.baselines import (InstanceWeights, PruneSchedule,
                                 train_plain)
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import params_flat, predict
+from coreglab.rng import substream
 from coreglab.trainer import TrainConfig, make_plain_config, train
 from oracles import load_weights_csv
 
@@ -301,6 +302,31 @@ def test_fold_partition_errors():
         fold_partition(10, 1, rng)
     with pytest.raises(ValueError):
         fold_partition(3, 4, rng)
+
+
+@pytest.mark.parametrize("n, folds", [(10, 3), (23, 4), (7, 7)])
+def test_crossweigh_trains_each_fold_on_the_other_rows_in_order(monkeypatch, n, folds):
+    """Each fold model trains on the rows outside its reserved fold, in
+    ascending order: the sorted np.setdiff1d complement, dtype included, also
+    when the folds are uneven."""
+    data = tiny_dataset(n=n, num_classes=2)
+    config = small_config(total_steps=2)
+    subsets = []
+    original = LabeledDataset.subset
+
+    def recording(dataset, indices):
+        subsets.append(indices)
+        return original(dataset, indices)
+
+    monkeypatch.setattr(LabeledDataset, "subset", recording)
+    crossweigh_weights(data, folds=folds, iterations=2, config=config)
+    expected = [np.sort(np.setdiff1d(np.arange(n), reserved))
+                for it in range(2)
+                for reserved in fold_partition(
+                    n, folds, substream(config.master_seed, f"crossweigh.{it}"))]
+    assert len(subsets) == len(expected) == 2 * folds
+    for got, want in zip(subsets, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_crossweigh_weight_values_are_powers():

@@ -614,12 +614,12 @@ def test_divergence_at_final_evaluation_names_the_split(runner, tmp_path, monkey
     calls = []
     original = models.eval_logits
 
-    def diverging(model, features):
+    def diverging(model, features, buffers):
         calls.append(len(features))
         if len(calls) == call:
             model = models.MlpModel(model.layer_sizes, model.dropout, model.seed,
                                     np.full_like(model.params, 1e308))
-        return original(model, features)
+        return original(model, features, buffers)
 
     monkeypatch.setattr(models, "eval_logits", diverging)
     config_path = tmp_path / "config.yaml"

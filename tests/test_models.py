@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from coreglab.datasets import (PAD_TOKEN, UNK_TOKEN, RelationSchema, SentenceIns
                                TaggingInstance, Vocab, build_relation_dataset,
                                entity_mask, obj_mask_token, subj_mask_token)
 from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
-                             feature_width, forward, init_model, load_model,
-                             param_count, params_flat, predict, save_model,
+                             eval_buffers, eval_logits, evaluating, feature_width,
+                             forward, init_model, load_model, param_count,
+                             params_flat, predict, row_blocks, save_model,
                              set_params_flat)
-from coreglab.numeric import softmax
+from coreglab.numeric import TrainingDiverged, softmax
 from coreglab.rng import substream
 from oracles import densify, featurize_token_window, finite_diff_grad
 
@@ -290,22 +292,55 @@ B = PREDICT_BLOCK_ROWS
 @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
 @pytest.mark.parametrize("form", ["dense", "window_ids"])
 def test_blocked_predict_equals_one_forward(form, rows):
-    """Predictions, not logits, are compared: a one-row block's product may
+    """At hidden depths 0 to 2, each block's evaluation logits equal
+    forward's over that block to the bit, and are a view of the buffers they
+    were written into, one set for every block. Predictions, not logits, are
+    compared with one forward over all rows: a one-row block's product may
     differ from the whole split's in the last bits."""
-    model = init_model((40, 16, 5), 0.0, seed=rows)
     features = _rows(form, rows, 40, seed=rows + 1)
-    expected = np.argmax(forward(model, features)[0], axis=1)
-    preds = predict(model, features)
-    assert preds.dtype == expected.dtype and preds.shape == (rows,)
-    np.testing.assert_array_equal(preds, expected)
+    for hidden in ((), (16,), (16, 8)):
+        model = init_model((40, *hidden, 5), 0.0, seed=rows)
+        buffers = eval_buffers(model, rows)
+        widths = (*hidden, 5)
+        assert [buf.shape for buf in buffers] == [
+            (min(rows, B), width) for width in (*widths, widths[0])]
+        for block in row_blocks(rows):
+            logits = eval_logits(model, features[block], buffers)
+            expected = forward(model, features[block])[0]
+            assert logits.shape == expected.shape
+            assert logits.tobytes() == expected.tobytes()
+            assert rows == 0 or np.shares_memory(logits, buffers[len(hidden)])
+        expected = np.argmax(forward(model, features)[0], axis=1)
+        preds = predict(model, features)
+        assert preds.dtype == expected.dtype and preds.shape == (rows,)
+        np.testing.assert_array_equal(preds, expected)
 
 
 @pytest.mark.parametrize("rows", [0, 1, B + 1])
 @pytest.mark.parametrize("form", ["dense", "window_ids"])
 def test_predict_checks_width_for_any_row_count(form, rows):
     model = init_model((40, 16, 5), 0.0, seed=0)
+    features = _rows(form, rows, 39, seed=1)
     with pytest.raises(ValueError, match="feature length 39 != input size 40"):
-        predict(model, _rows(form, rows, 39, seed=1))
+        predict(model, features)
+    with pytest.raises(ValueError, match="feature length 39 != input size 40"):
+        eval_logits(model, features[:B], eval_buffers(model, rows))
+
+
+def test_diverging_block_names_its_evaluation():
+    """A row of 1e308s in the last block only overflows that block's logits:
+    the evaluation raises TrainingDiverged naming what it evaluated, without
+    NumPy's overflow warnings."""
+    model = init_model((40, 16, 5), 0.0, seed=2)
+    features = _rows("dense", B + 1, 40, seed=3)
+    features[B] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged,
+                           match="^non-finite logits in evaluation of dev$"):
+            with evaluating("dev"):
+                predict(model, features)
+    assert np.all(np.isfinite(forward(model, features[:B])[0]))
 
 
 @pytest.mark.parametrize("blocks", [8, 16])

@@ -92,10 +92,21 @@ def _half_curves(*args):
     raise RuntimeError("disk went away")
 
 
+_rename = os.replace
+
+
+def _refused_config_rename(src, dst):
+    """os.replace that fails to rename the written config.yaml over its name."""
+    if os.path.basename(dst) == "config.yaml":
+        raise RuntimeError("disk went away")
+    _rename(src, dst)
+
+
 @pytest.mark.parametrize("name, target, fake", [
     ("seed_1/model.npz", (np, "savez"), _half_npz),
     ("curves.csv", (experiment, "_curve_rows"), _half_curves),
-], ids=["model", "csv"])
+    ("config.yaml", (os, "replace"), _refused_config_rename),
+], ids=["model", "csv", "config"])
 def test_write_failing_midway_leaves_no_file(tmp_path, monkeypatch, name, target, fake):
     """An artifact is written to a temp file and renamed over its name, so a
     write that fails partway leaves neither a file under that name nor the
@@ -309,13 +320,12 @@ KILLED = 17
 # A child process that runs the command argv[3] on the path at argv[1] (a
 # config, or export-curves's run directory), with any further arguments,
 # and ends with os._exit(KILLED) right after its argv[2]-th artifact: each
-# writer a run's artifacts go through (config.yaml's text, the CSVs, the
-# model) and export-curves's copy exits after that many writes, before the
+# artifact of a run (config.yaml, the CSVs, the model) is written whole by
+# files.replacing, so the child exits after that many of its final renames,
+# not counting the manifest's, or after export-curves's copies, before the
 # command can do anything else.
 KILL_AFTER_ARTIFACT = f"""
 import os, shutil, sys
-from pathlib import Path
-from coreglab import datasets, models
 from coreglab.cli import main
 
 written = []
@@ -323,14 +333,13 @@ written = []
 def then_exit(write):
     def wrapped(*args, **kwargs):
         write(*args, **kwargs)
-        written.append(args[0])
+        if os.path.basename(args[-1]) != "manifest.json":
+            written.append(args[-1])
         if len(written) == int(sys.argv[2]):
             os._exit({KILLED})
     return wrapped
 
-datasets.write_csv = then_exit(datasets.write_csv)
-models.save_model = then_exit(models.save_model)
-Path.write_text = then_exit(Path.write_text)
+os.replace = then_exit(os.replace)
 shutil.copyfile = then_exit(shutil.copyfile)
 main([sys.argv[3], sys.argv[1], *sys.argv[4:]])
 """
