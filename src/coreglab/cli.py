@@ -163,6 +163,8 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
         raise experiment.ConfigError(f"{task} noise requires --schema")
     schema = record.load_schema(schema_path) if record.from_files else None
     records, labeled = record.read_labeled(input_path, schema)
+    if not len(labeled):
+        raise datasets.DataError(f"{input_path}: empty data file")
     try:
         noisy, mask = noiselab.inject_noise(labeled, spec)
     except experiment.ConfigError as exc:  # the file's labels span too few classes

@@ -3,7 +3,7 @@ generators.
 
 The one module that turns text into feature rows: it holds the vocabulary,
 the relation and tagging records and the entity masking.
-build_relation_dataset takes every token's id in one pass (_token_ids);
+build_relation_dataset takes every token's id in one pass;
 build_tagging_dataset maps each sentence's tokens to ids as it reads it.
 
 File formats:
@@ -17,10 +17,11 @@ File formats:
 - Schema files: JSON naming the label vocabulary (for relation data also
   the negative label and the entity types; for tagging the entity types).
 
-Data files are read one line at a time, never whole. A tagging split streams
-from its CoNLL file into its rows one sentence at a time, so a loaded token
-costs only its row of the split's narrow per-row arrays. CoNLL records (for
-inject-noise) cost one pointer a token, since equal tokens share one string.
+Data files are read one line at a time, never whole. A tagging sentence is a
+(tokens, tag ids) pair throughout. read_conll streams a CoNLL file into a
+split's rows one sentence at a time, so a loaded token costs only its row of
+the split's narrow per-row arrays; the sentences inject-noise holds cost one
+pointer a token, since read_labeled makes equal tokens one string.
 Errors name the file and line, also when a line does not decode.
 
 Each task is described in one place, its record in TASKS: its data keys,
@@ -38,6 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,17 +289,12 @@ class SentenceInstance:
             raise ValueError("subject and object spans overlap")
 
 
-@dataclass
-class TaggingInstance:
-    """One tagging example: tokens with one tag index per token."""
+class Sentence(NamedTuple):
+    """A held tagging sentence: tokens with one tag index per token. It is a
+    (tokens, tags) pair, the form read_conll yields as a plain tuple."""
 
     tokens: list[str]
     tags: list[int]
-    uid: int = -1
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
-            raise ValueError("tokens and tags must have the same length")
 
 
 def _check_span(span, n_tokens, name):
@@ -346,8 +343,8 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
     write_json(path, {"entity_types": scheme.entity_types})
 
 
-def _conll_sentences(path, scheme: metrics.TagScheme):
-    """Each sentence of a CoNLL column file as a (tokens, tag ids) pair of
+def read_conll(path, scheme: metrics.TagScheme):
+    """Each sentence of a CoNLL column file as a (tokens, tag ids) tuple of
     fresh lists, in file order, read one line at a time; an error names the
     line. The file closes when the sentences run out or are dropped."""
     tokens: list[str] = []
@@ -378,20 +375,12 @@ def _conll_sentences(path, scheme: metrics.TagScheme):
         yield tokens, tags
 
 
-def read_conll(path, scheme: metrics.TagScheme) -> list[TaggingInstance]:
-    """Parse a CoNLL column file into tagging instances, preserving order.
-    Equal tokens are one string, so a loaded token costs one pointer."""
-    distinct: dict[str, str] = {}
-    return [TaggingInstance(list(map(distinct.setdefault, tokens, tokens)), tags, uid=uid)
-            for uid, (tokens, tags) in enumerate(_conll_sentences(path, scheme))]
-
-
-def write_conll(path, instances, scheme: metrics.TagScheme) -> None:
-    with open(path, "w") as fh:
-        for s, inst in enumerate(instances):
+def write_conll(path, sentences, scheme: metrics.TagScheme) -> None:
+    with replacing(path) as fh:
+        for s, (tokens, tags) in enumerate(sentences):
             if s:
                 fh.write("\n")
-            for token, tag in zip(inst.tokens, inst.tags):
+            for token, tag in zip(tokens, tags):
                 fh.write(f"{token} {scheme.symbol(tag)}\n")
 
 
@@ -471,7 +460,7 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[SentenceInstance]:
 
 
 def _write_jsonl(path, records) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
@@ -518,23 +507,17 @@ def write_feature_jsonl(path, dataset: LabeledDataset) -> None:
                          "label": int(dataset.labels[i])} for i in range(len(dataset))))
 
 
-def _token_ids(sentences, vocab: Vocab | None):
-    """The given vocabulary, else one of the sentences' sorted distinct tokens;
-    every token's id in one flat int32 array; and each sentence's length."""
-    if vocab is None:
-        vocab = Vocab(sorted(set(chain.from_iterable(sentences))))
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(vocab.ids(chain.from_iterable(sentences)), dtype=np.int32,
-                      count=int(lengths.sum()))
-    return vocab, ids, lengths
-
-
 def build_relation_dataset(instances, schema: RelationSchema,
                            vocab: Vocab | None = None):
     """Mask entities and stack each sentence's token counts, divided by its
-    length, into a dataset; the vocabulary defaults to the masked corpus's."""
+    length, into a dataset; the vocabulary defaults to the masked corpus's
+    sorted distinct tokens. Every token's id is taken in one flat pass."""
     masked = [entity_mask(inst) for inst in instances]
-    vocab, ids, lengths = _token_ids(masked, vocab)
+    if vocab is None:
+        vocab = Vocab(sorted(set(chain.from_iterable(masked))))
+    lengths = np.fromiter(map(len, masked), dtype=np.int64, count=len(masked))
+    ids = np.fromiter(vocab.ids(chain.from_iterable(masked)), dtype=np.int32,
+                      count=int(lengths.sum()))
     counts = np.zeros((len(masked), len(vocab)))
     np.add.at(counts, (np.repeat(np.arange(len(masked)), lengths), ids), 1.0)
     counts /= lengths[:, None]
@@ -700,16 +683,19 @@ class _TaggingTask(_Task):
         return load_tag_scheme(path)
 
     def load_split(self, path, schema, vocab=None, *, window=None, num_classes=None):
-        return build_tagging_dataset(_conll_sentences(path, schema), schema, vocab,
+        return build_tagging_dataset(read_conll(path, schema), schema, vocab,
                                      window=window)
 
     def read_labeled(self, path, schema):
-        records = read_conll(path, schema)
+        # Equal tokens are one string, so a held token costs one pointer.
+        distinct: dict[str, str] = {}
+        records = [Sentence(list(map(distinct.setdefault, tokens, tokens)), tags)
+                   for tokens, tags in read_conll(path, schema)]
         return self._labeled(records, [t for r in records for t in r.tags], schema)
 
     def relabel(self, records, labels):
         parts = np.split(labels, np.cumsum([len(r.tags) for r in records])[:-1])
-        return [replace(r, tags=part.tolist()) for r, part in zip(records, parts)]
+        return [Sentence(r.tokens, part.tolist()) for r, part in zip(records, parts)]
 
     def write_records(self, path, records, schema=None):
         write_conll(path, records, schema)
@@ -795,15 +781,15 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
     """Synthetic tagging task: templated sentences over a vocabulary of
     num_fillers filler words plus 6 names for each of 3 entity types (50
     tokens by default; a large num_fillers gives a realistic-scale
-    vocabulary without a download). Returns (instances, scheme). The words
+    vocabulary without a download). Returns (Sentences, scheme). The words
     are drawn by index, so the corpus holds one string per word."""
     scheme = metrics.TagScheme(TAGGING_ENTITY_TYPES)
     fillers = [f"w{i:02d}" for i in range(num_fillers)]
     names = {etype: [f"{etype.lower()}{i}" for i in range(6)]
              for etype in TAGGING_ENTITY_TYPES}
     rng = np.random.default_rng(seed)
-    instances = []
-    for s in range(num_sentences):
+    sentences = []
+    for _ in range(num_sentences):
         tokens: list[str] = []
         tags: list[int] = []
 
@@ -820,5 +806,5 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
             tags.extend([scheme.index(f"B-{etype}")]
                         + [scheme.index(f"I-{etype}")] * (span_len - 1))
             add_fillers(int(rng.integers(1, 4)))
-        instances.append(TaggingInstance(tokens, tags, uid=s))
-    return instances, scheme
+        sentences.append(Sentence(tokens, tags))
+    return sentences, scheme

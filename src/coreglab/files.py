@@ -1,8 +1,9 @@
 """Files written whole: a writer fills <name>.tmp beside the file and renames
 it over the file, so a process killed while writing leaves the previous file
 or none, never half of one. The run artifacts' CSV, JSON and model writers
-(datasets.write_csv, datasets.write_json, models.save_model) and a run's
-config.yaml snapshot go through it.
+(datasets.write_csv, datasets.write_json, models.save_model), a run's
+config.yaml snapshot and the data files that gen-synthetic and inject-noise
+write (datasets.write_conll and datasets._write_jsonl) go through it.
 """
 
 import os

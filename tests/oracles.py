@@ -85,18 +85,18 @@ def reference_tagging_f1(scheme, groups, labels, preds):
     return reference_span_f1(golds, predicted)[-1]
 
 
-def featurize_token_window(instance, position, window, vocab):
+def featurize_token_window(tokens, position, window, vocab):
     """One token's row: concatenated one-hot vectors for tokens in
     [position-window, position+window], with <pad> one-hots outside the
     sentence."""
-    n = len(instance.tokens)
+    n = len(tokens)
     if not 0 <= position < n:
         raise ValueError(f"position {position} out of range")
     size = len(vocab)
     vec = np.zeros((2 * window + 1) * size)
     for slot, pos in enumerate(range(position - window, position + window + 1)):
         if 0 <= pos < n:
-            idx = vocab.index(instance.tokens[pos])
+            idx = vocab.index(tokens[pos])
         else:
             idx = vocab.pad_index
         vec[slot * size + idx] = 1.0
@@ -114,15 +114,16 @@ def featurize_sentence(tokens, vocab):
     return vec / len(tokens)
 
 
-def reference_window_ids(instances, vocab, window):
-    """Tagging window ids from one padded id list grown sentence by
-    sentence: each sentence's ids between `window` <pad> ids on each side,
-    so row r's window starts at padded[r + 2*window*sentence(r)]."""
+def reference_window_ids(sentences, vocab, window):
+    """Tagging window ids of (tokens, tags) sentences from one padded id list
+    grown sentence by sentence: each sentence's ids between `window` <pad>
+    ids on each side, so row r's window starts at
+    padded[r + 2*window*sentence(r)]."""
     pad = [vocab.pad_index] * window
     padded, groups = [], []
-    for s, inst in enumerate(instances):
-        padded += pad + [vocab.index(tok) for tok in inst.tokens] + pad
-        groups += [s] * len(inst.tokens)
+    for s, (tokens, _) in enumerate(sentences):
+        padded += pad + [vocab.index(tok) for tok in tokens] + pad
+        groups += [s] * len(tokens)
     slots = np.arange(2 * window + 1)
     first = np.arange(len(groups)) + 2 * window * np.array(groups, dtype=np.int64)
     return slots * len(vocab) + np.array(padded, dtype=np.int64)[first[:, None] + slots]

@@ -670,7 +670,7 @@ def test_gen_synthetic_tagging_writes_conll(runner, tmp_path):
     out = tmp_path / "corpus"
     assert (out / "schema.json").exists()
     scheme = load_tag_scheme(out / "schema.json")
-    sizes = {name: len(read_conll(out / f"{name}.conll", scheme))
+    sizes = {name: len(list(read_conll(out / f"{name}.conll", scheme)))
              for name in ("train", "dev", "test")}
     assert sizes == {"train": 16, "dev": 2, "test": 2}
 
@@ -788,6 +788,43 @@ def test_inject_noise_without_two_classes_exits_2(runner, tmp_path, content):
     assert not (tmp_path / "noisy.jsonl").exists()
 
 
+@pytest.mark.parametrize("task", datasets.TASKS)
+def test_inject_noise_empty_file_exits_2(runner, tmp_path, task):
+    """An empty file is refused by name before anything is written, not
+    "flipped 0 of 0 labels"."""
+    write_eval_files(tmp_path, task, data="")
+    result = runner.invoke(main, inject_noise_args(tmp_path, task))
+    assert_clean_exit(result, 2)
+    assert f"error: {tmp_path / 'data'}: empty data file" in result.stderr
+    assert not (tmp_path / "noisy").exists()
+    assert not (tmp_path / "noisy.flips.csv").exists()
+
+
+@pytest.mark.parametrize("task", datasets.TASKS)
+def test_inject_noise_in_place_writes_the_out_of_place_bytes(runner, tmp_path, task):
+    """--output equal to --input replaces the file with the bytes, and
+    writes the mask, that a run writing to another file gives."""
+    if task == "relation":
+        source = write_relation_records(tmp_path, None)
+    else:
+        result = runner.invoke(main, ["gen-synthetic", "--task", task, "--out",
+                                      str(tmp_path), "--train-size", "30",
+                                      "--sentences", "15"])
+        assert result.exit_code == 0, result.output
+        source = next(tmp_path.glob("train.*"))
+    in_place = tmp_path / f"in_place{source.suffix}"
+    in_place.write_bytes(source.read_bytes())
+    for input_path, output_path in ((source, tmp_path / "noisy"), (in_place, in_place)):
+        result = runner.invoke(main, [
+            "inject-noise", "--task", task, "--input", str(input_path),
+            "--output", str(output_path), "--rate", "0.3",
+            "--schema", str(tmp_path / "schema.json")])
+        assert result.exit_code == 0, result.output
+    assert in_place.read_bytes() == (tmp_path / "noisy").read_bytes() != source.read_bytes()
+    assert Path(f"{in_place}.flips.csv").read_bytes() == \
+        (tmp_path / "noisy.flips.csv").read_bytes()
+
+
 def test_inject_noise_bad_rate_exits_1(runner, tmp_path):
     (tmp_path / "train.jsonl").write_text("")
     result = runner.invoke(main, [
@@ -828,13 +865,13 @@ def test_inject_noise_tagging_flips_tokens(runner, tmp_path):
         "--mask-out", str(tmp_path / "mask.csv")])
     assert result.exit_code == 0, result.output
     scheme = load_tag_scheme(tmp_path / "schema.json")
-    clean = read_conll(tmp_path / "train.conll", scheme)
-    noisy = read_conll(tmp_path / "noisy.conll", scheme)
-    total = sum(len(inst.tokens) for inst in clean)
+    clean = list(read_conll(tmp_path / "train.conll", scheme))
+    noisy = list(read_conll(tmp_path / "noisy.conll", scheme))
+    total = sum(len(tokens) for tokens, _ in clean)
     expected = math.floor(0.1 * total)
     assert f"flipped {expected} of {total} labels" in result.output
-    flat_clean = [t for inst in clean for t in inst.tags]
-    flat_noisy = [t for inst in noisy for t in inst.tags]
+    flat_clean = [t for _, tags in clean for t in tags]
+    flat_noisy = [t for _, tags in noisy for t in tags]
     changed = sum(a != b for a, b in zip(flat_clean, flat_noisy))
     assert changed == expected
     assert (tmp_path / "mask.csv").exists()

@@ -15,7 +15,7 @@ import pytest
 from coreglab import datasets
 from coreglab.datasets import (TAGGING_ENTITY_TYPES, TASKS, UNK_TOKEN, DataError,
                                MIXTURE_KEYS, LabeledDataset, RelationSchema,
-                               SentenceInstance, TaggingInstance, Vocab,
+                               SentenceInstance, Vocab,
                                build_relation_dataset, build_tagging_dataset,
                                entity_mask, gen_gaussian_mixture,
                                gen_tagging_corpus, load_tag_scheme, load_vocab,
@@ -291,31 +291,27 @@ def test_read_conll_fixture(tmp_path):
     path = tmp_path / "data.conll"
     path.write_text(CONLL_FIXTURE)
     scheme = TagScheme(["PER", "ORG"])
-    instances = read_conll(path, scheme)
-    assert len(instances) == 2
-    assert instances[0].tokens == ["Alice", "visited", "Acme", "Corp"]
-    assert [scheme.tags[t] for t in instances[0].tags] == \
-        ["B-PER", "O", "B-ORG", "I-ORG"]
-    assert instances[1].tokens == ["Bob"]
-    assert instances[0].uid == 0 and instances[1].uid == 1
+    (tokens, tags), second = read_conll(path, scheme)
+    assert tokens == ["Alice", "visited", "Acme", "Corp"]
+    assert [scheme.tags[t] for t in tags] == ["B-PER", "O", "B-ORG", "I-ORG"]
+    assert second == (["Bob"], [scheme.index("B-PER")])
 
 
 def test_read_conll_empty(tmp_path):
     path = tmp_path / "empty.conll"
     path.write_text("")
-    assert read_conll(path, TagScheme(["PER"])) == []
+    assert list(read_conll(path, TagScheme(["PER"]))) == []
 
 
 def test_read_conll_round_trip(tmp_path):
     scheme = TagScheme(["PER", "ORG"])
     path = tmp_path / "in.conll"
     path.write_text(CONLL_FIXTURE)
-    instances = read_conll(path, scheme)
+    sentences = list(read_conll(path, scheme))
     out = tmp_path / "out.conll"
-    write_conll(out, instances, scheme)
-    again = read_conll(out, scheme)
-    assert [(i.tokens, i.tags) for i in again] == \
-        [(i.tokens, i.tags) for i in instances]
+    write_conll(out, sentences, scheme)
+    assert list(read_conll(out, scheme)) == sentences
+    assert out.read_text() == CONLL_FIXTURE
 
 
 def test_read_conll_errors(tmp_path):
@@ -323,37 +319,56 @@ def test_read_conll_errors(tmp_path):
     bad_tag = tmp_path / "bad.conll"
     bad_tag.write_text("Alice B-LOC\n")
     with pytest.raises(DataError, match=r"bad\.conll:1"):
-        read_conll(bad_tag, scheme)
+        list(read_conll(bad_tag, scheme))
     one_col = tmp_path / "cols.conll"
     one_col.write_text("Alice B-PER\nBob\n")
     with pytest.raises(DataError, match=r"cols\.conll:2"):
-        read_conll(one_col, scheme)
+        list(read_conll(one_col, scheme))
 
 
-def test_read_conll_equal_tokens_are_one_string(tmp_path):
+def test_read_labeled_equal_tokens_are_one_string(tmp_path):
     path = tmp_path / "data.conll"
     path.write_text("Bob B-PER\nmet O\nBob B-PER\n\nBob B-PER\nmet O\n")
-    first, second = read_conll(path, TagScheme(["PER"]))
+    (first, second), _ = TASKS["tagging"].read_labeled(path, TagScheme(["PER"]))
     assert first.tokens[0] is first.tokens[2] is second.tokens[0]
     assert first.tokens[1] is second.tokens[1]
 
 
-def test_read_conll_peak_memory_per_token(tmp_path):
-    """Reading holds neither the file's text nor a string per token: about
-    20k tokens of 50 words peak under 100 traced bytes a token."""
-    instances, scheme = gen_tagging_corpus(num_sentences=2400, seed=2)
+def test_read_labeled_peak_memory_per_token(tmp_path):
+    """The sentences inject-noise holds are neither the file's text nor a
+    string per token: about 20k tokens of 50 words peak under 100 traced
+    bytes a token."""
+    sentences, scheme = gen_tagging_corpus(num_sentences=2400, seed=2)
     path = tmp_path / "corpus.conll"
-    write_conll(path, instances, scheme)
-    tokens = sum(len(inst.tokens) for inst in instances)
+    write_conll(path, sentences, scheme)
+    tokens = sum(len(words) for words, _ in sentences)
     assert 18_000 <= tokens <= 22_000
     tracemalloc.start()
     try:
-        again = read_conll(path, scheme)
+        records, labeled = TASKS["tagging"].read_labeled(path, scheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(again) == len(instances)
+    assert records == sentences and len(labeled) == tokens
     assert peak / tokens < 100
+
+
+def test_read_conll_peak_does_not_grow_with_the_file(tmp_path):
+    """The reader holds one sentence at a time: reading a file of 8 times the
+    sentences peaks at no more traced bytes, give or take a sentence."""
+    peaks = []
+    for count in (300, 2400):
+        sentences, scheme = gen_tagging_corpus(num_sentences=count, seed=2)
+        path = tmp_path / f"{count}.conll"
+        write_conll(path, sentences, scheme)
+        del sentences
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in read_conll(path, scheme)) == count
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2048
 
 
 @pytest.mark.parametrize("variant", ["crlf", "no_final_newline"])
@@ -364,14 +379,18 @@ def test_read_conll_line_endings(tmp_path, variant):
     other = tmp_path / f"{variant}.conll"
     other.write_bytes(CONLL_FIXTURE.replace("\n", "\r\n").encode() if variant == "crlf"
                       else CONLL_FIXTURE.rstrip("\n").encode())
-    assert read_conll(other, scheme) == read_conll(lf, scheme)
+    assert list(read_conll(other, scheme)) == list(read_conll(lf, scheme))
 
 
 FEATURE_LINE = '{"features": [0.0], "label": 0}\n'
 
 
+def _read_all_conll(path, scheme):
+    return list(read_conll(path, scheme))
+
+
 @pytest.mark.parametrize("read,bad_line,good_line", [
-    (partial(read_conll, scheme=TagScheme(["PER"])), "Bob\n", "ran O\n"),
+    (partial(_read_all_conll, scheme=TagScheme(["PER"])), "Bob\n", "ran O\n"),
     # Refused by the reader, then by the record generator it reads from.
     (read_feature_jsonl, '{"features": [0.0], "label": -1}\n', FEATURE_LINE),
     (read_feature_jsonl, "[]\n", FEATURE_LINE),
@@ -605,11 +624,6 @@ def test_build_relation_dataset_matches_per_sentence_featurizer():
     assert len(build_relation_dataset([], schema)[1]) == 2  # <pad> and <unk>
 
 
-def _pairs(instances):
-    """The (tokens, tags) sentences build_tagging_dataset reads."""
-    return [(inst.tokens, inst.tags) for inst in instances]
-
-
 def test_build_tagging_dataset():
     scheme = TagScheme(["PER"])
     data, vocab = build_tagging_dataset([(["a", "per0"], [0, 1]), (["b"], [0])],
@@ -633,26 +647,25 @@ def test_build_tagging_dataset_matches_row_oracle(window):
     """Each row is the per-token oracle's window, and the ids are those of one
     padded id list grown sentence by sentence."""
     corpus, scheme = gen_tagging_corpus(num_sentences=120, seed=6)
-    train = [TaggingInstance(["a", "per0", "b", "a", "c"], [0, 1, 0, 0, 0]),
-             TaggingInstance(["b"], [0]),  # shorter than the window
-             TaggingInstance([], []),  # no rows, but takes group number 2
-             TaggingInstance(["per0", "a"], [1, 0])]
+    train = [(["a", "per0", "b", "a", "c"], [0, 1, 0, 0, 0]),
+             (["b"], [0]),  # shorter than the window
+             ([], []),  # no rows, but takes group number 2
+             (["per0", "a"], [1, 0])]
     # Under the vocab of train and corpus, "zzz" and "per9" are unknown tokens.
-    test = [TaggingInstance(["zzz", "a", "per9"], [0, 0, 1])]
-    _, vocab = build_tagging_dataset(_pairs(train + corpus), scheme, window=window)
+    test = [(["zzz", "a", "per9"], [0, 0, 1])]
+    _, vocab = build_tagging_dataset(train + corpus, scheme, window=window)
     width = (2 * window + 1) * len(vocab)
-    for instances in (train, test, corpus, []):
-        data, same = build_tagging_dataset(_pairs(instances), scheme, vocab,
-                                           window=window)
+    for sentences in (train, test, corpus, []):
+        data, same = build_tagging_dataset(sentences, scheme, vocab, window=window)
         assert same is vocab
         # 55 tokens: windows of 55 and 165 columns fit in a byte, 275 do not.
         assert data.features.ids.dtype == (np.uint8 if window < 2 else np.uint16)
         assert data.labels.dtype == np.uint8
         assert data.ids.dtype == data.groups.dtype == np.int32
         np.testing.assert_array_equal(data.features.ids,
-                                      reference_window_ids(instances, vocab, window))
-        rows = [featurize_token_window(inst, pos, window, vocab)
-                for inst in instances for pos in range(len(inst.tokens))]
+                                      reference_window_ids(sentences, vocab, window))
+        rows = [featurize_token_window(tokens, pos, window, vocab)
+                for tokens, _ in sentences for pos in range(len(tokens))]
         expected = np.stack(rows) if rows else np.zeros((0, width))
         assert data.features.shape == (len(expected), 2 * window + 1)
         assert data.num_features == width
@@ -660,10 +673,10 @@ def test_build_tagging_dataset_matches_row_oracle(window):
         assert dense.shape == expected.shape
         assert dense.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(
-            data.labels, [tag for inst in instances for tag in inst.tags])
+            data.labels, [tag for _, tags in sentences for tag in tags])
         np.testing.assert_array_equal(
-            data.groups, [s for s, inst in enumerate(instances) for _ in inst.tokens])
-    data, _ = build_tagging_dataset(_pairs(test), scheme, vocab, window=window)
+            data.groups, [s for s, (tokens, _) in enumerate(sentences) for _ in tokens])
+    data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
     assert densify(data.features)[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
 
 
@@ -693,20 +706,20 @@ def test_labels_take_the_narrowest_dtype_of_the_scheme(types, dtype):
 @pytest.mark.parametrize("window", [0, 1, 2])
 def test_load_split_matches_built_records(tmp_path, window):
     """A split streamed from its file holds the arrays, dtypes included, that
-    building from read_conll's records gives, also for a dev split with
-    tokens the training vocabulary lacks."""
+    building from a list of read_conll's sentences gives, also for a dev split
+    with tokens the training vocabulary lacks."""
     corpus, scheme = gen_tagging_corpus(num_sentences=60, seed=11)
     train_path, dev_path = tmp_path / "train.conll", tmp_path / "dev.conll"
     write_conll(train_path, corpus[:40], scheme)
-    write_conll(dev_path, [TaggingInstance(["zzz", *corpus[40].tokens],
-                                           [0, *corpus[40].tags]), *corpus[41:]], scheme)
+    write_conll(dev_path, [(["zzz", *corpus[40].tokens], [0, *corpus[40].tags]),
+                           *corpus[41:]], scheme)
     train, vocab = TASKS["tagging"].load_split(train_path, scheme, window=window)
     dev, same = TASKS["tagging"].load_split(dev_path, scheme, vocab, window=window)
     assert same is vocab
-    built, built_vocab = build_tagging_dataset(_pairs(read_conll(train_path, scheme)),
+    built, built_vocab = build_tagging_dataset(list(read_conll(train_path, scheme)),
                                                scheme, window=window)
     assert built_vocab.tokens() == vocab.tokens()
-    built_dev, _ = build_tagging_dataset(_pairs(read_conll(dev_path, scheme)), scheme,
+    built_dev, _ = build_tagging_dataset(list(read_conll(dev_path, scheme)), scheme,
                                          vocab, window=window)
     for loaded, expected in ((train, built), (dev, built_dev)):
         for got, want in ((loaded.features.ids, expected.features.ids),
@@ -721,10 +734,10 @@ def test_build_tagging_dataset_reads_its_sentences_once(given):
     """A generator of sentences gives the rows a list gives: it is read once,
     with or without a vocabulary, and nothing is left in it."""
     corpus, scheme = gen_tagging_corpus(num_sentences=30, seed=12)
-    vocab = build_tagging_dataset(_pairs(corpus[:10]), scheme)[1] if given else None
-    sentences = iter(_pairs(corpus))
+    vocab = build_tagging_dataset(corpus[:10], scheme)[1] if given else None
+    sentences = iter(corpus)
     streamed, streamed_vocab = build_tagging_dataset(sentences, scheme, vocab)
-    listed, listed_vocab = build_tagging_dataset(_pairs(corpus), scheme, vocab)
+    listed, listed_vocab = build_tagging_dataset(corpus, scheme, vocab)
     assert next(sentences, None) is None
     assert streamed_vocab.tokens() == listed_vocab.tokens()
     assert streamed.features.ids.tobytes() == listed.features.ids.tobytes()
@@ -890,6 +903,25 @@ def _task_file(tmp_path, task):
     return path, scheme
 
 
+@pytest.mark.parametrize("task", ["relation", "tagging"])
+def test_write_failing_partway_keeps_the_previous_file(tmp_path, task):
+    """Data files are written whole: a write that raises after its first
+    record leaves the file's previous bytes and no <name>.tmp. The relation
+    writer shares its JSONL writer with the feature records."""
+    path, schema = _task_file(tmp_path, task)
+    before = path.read_bytes()
+    records, _ = TASKS[task].read_labeled(path, schema)
+
+    def failing():
+        yield records[0]
+        raise RuntimeError("stopped partway")
+
+    with pytest.raises(RuntimeError, match="stopped partway"):
+        TASKS[task].write_records(path, failing(), schema)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 @pytest.mark.parametrize("task", TASKS)
 def test_relabel_round_trip(tmp_path, task):
     """Records written back with their own flat labels reproduce the file;
@@ -981,7 +1013,7 @@ def test_gen_tagging_corpus_default_fillers():
     """The default filler count is the 32-word corpus, token for token, as
     it was drawn before the count became a parameter."""
     default, _ = gen_tagging_corpus(num_sentences=2, seed=4)
-    assert [(i.tokens, i.tags) for i in default] == [
+    assert default == [
         (["w30", "w28", "w16", "w30", "loc2", "w09", "w12", "org2", "org1", "w07",
           "w17", "w10"], [0, 0, 0, 0, 5, 0, 0, 3, 4, 0, 0, 0]),
         (["w01", "w15", "w28", "w13", "loc5", "loc4", "w31", "w18", "w29"],
@@ -1010,7 +1042,7 @@ def test_tagging_at_realistic_vocabulary_size():
     one-hots, and a training step runs on them."""
     instances, scheme = gen_tagging_corpus(num_sentences=4000, seed=1,
                                            num_fillers=100_000)
-    data, vocab = build_tagging_dataset(_pairs(instances), scheme, window=1)
+    data, vocab = build_tagging_dataset(instances, scheme, window=1)
     assert len(vocab) > 20_000
     assert data.features.ids.nbytes <= len(data) * 3 * 8
     result = train(data, None, TrainConfig(total_steps=1))
@@ -1043,8 +1075,7 @@ def test_gen_tagging_corpus():
     assert len(instances) == 50
     assert scheme.entity_types == list(TAGGING_ENTITY_TYPES)
     again, _ = gen_tagging_corpus(num_sentences=50, seed=7)
-    assert [(i.tokens, i.tags) for i in again] == \
-        [(i.tokens, i.tags) for i in instances]
+    assert again == instances
     for inst in instances:
         assert len(inst.tokens) == len(inst.tags)
         spans = bio_decode([scheme.tags[t] for t in inst.tags])

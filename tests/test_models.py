@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coreglab.datasets import (PAD_TOKEN, UNK_TOKEN, RelationSchema, SentenceInstance,
-                               TaggingInstance, Vocab, build_relation_dataset,
-                               entity_mask, obj_mask_token, subj_mask_token)
+                               Vocab, build_relation_dataset, entity_mask,
+                               obj_mask_token, subj_mask_token)
 from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
                              eval_buffers, eval_logits, evaluating, feature_width,
                              forward, init_model, load_model, param_count,
@@ -92,8 +92,7 @@ def test_featurize_sentence_counts():
 
 def test_featurize_token_window_layout():
     vocab = Vocab(["a", "b"])
-    inst = TaggingInstance(tokens=["a", "b"], tags=[0, 0])
-    vec = featurize_token_window(inst, 0, 1, vocab)
+    vec = featurize_token_window(["a", "b"], 0, 1, vocab)
     size = len(vocab)
     assert vec.shape == (3 * size,)
     # left slot is out of sentence -> pad one-hot
@@ -105,14 +104,8 @@ def test_featurize_token_window_layout():
 
 def test_featurize_token_window_position_check():
     vocab = Vocab(["a"])
-    inst = TaggingInstance(tokens=["a"], tags=[0])
     with pytest.raises(ValueError):
-        featurize_token_window(inst, 1, 1, vocab)
-
-
-def test_tagging_instance_length_check():
-    with pytest.raises(ValueError):
-        TaggingInstance(tokens=["a", "b"], tags=[0])
+        featurize_token_window(["a"], 1, 1, vocab)
 
 
 def test_param_count():
@@ -479,8 +472,7 @@ def test_backward_returns_fresh_vector_in_params_layout():
 def _tagging_rows(window):
     from coreglab.datasets import build_tagging_dataset, gen_tagging_corpus
     instances, scheme = gen_tagging_corpus(num_sentences=40, seed=window)
-    data, _ = build_tagging_dataset([(inst.tokens, inst.tags) for inst in instances],
-                                    scheme, window=window)
+    data, _ = build_tagging_dataset(instances, scheme, window=window)
     return data
 
 

@@ -5,7 +5,8 @@ optimizer step (forward, backward and Adam once per model, dropout once per
 model and hidden layer, softmax and the learning rate once). The functions
 are wrapped here as bench/tracing.py wraps them, at every coreglab module
 attribute bound to them, so a step change that would fail the traced
-benchmark run fails this test first.
+benchmark run fails this test first. The tagging workload's inputs are built
+here too, so a change to the sentences bench/ reads fails here first.
 """
 
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreglab.datasets import LabeledDataset
+from coreglab.datasets import LabeledDataset, load_tag_scheme, read_conll
 from coreglab.trainer import TrainConfig, train
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -77,3 +78,16 @@ def test_step_call_counts_match_benchmark(calls, num_models, hidden):
     train(data, None, config)
     assert {name: calls[name] for name in STEP_FUNCTIONS} == \
         _benchmark_counts(STEPS, num_models, hidden)
+
+
+def test_benchmark_tagging_inputs_build(tmp_path):
+    """bench/workloads.py reads each generated sentence's .tokens, slices the
+    corpus and writes each slice with write_conll: its tagging inputs build,
+    and each split file holds its slice's sentences."""
+    plans = WORKLOADS.make_inputs("tagging_eval", 1, tmp_path, "smoke")
+    size = WORKLOADS.SIZES["tagging_eval"]["smoke"]
+    assert len(plans) == size["seeds"]
+    assert all(plan.config_path.exists() for plan in plans)
+    scheme = load_tag_scheme(tmp_path / "schema.json")
+    for split in ("train", "dev", "test"):
+        assert sum(1 for _ in read_conll(tmp_path / f"{split}.conll", scheme)) == size[split]
