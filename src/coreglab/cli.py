@@ -11,6 +11,7 @@ COREGLAB_OUTPUT_ROOT environment variable when it is set; every other path
 import functools
 import sys
 import zipfile
+from pathlib import Path
 
 import click
 
@@ -158,6 +159,11 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
     """Flip a seeded fraction of labels in a dataset file, each to another
     class drawn uniformly, and record which."""
     spec = noiselab.NoiseSpec(rate=rate, seed=seed)
+    mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"
+    for option, path in (("--output", output_path), ("--input", input_path)):
+        if Path(mask_target).resolve() == Path(path).resolve():
+            raise datasets.DataError(f"flip mask {mask_target} (--mask-out or "
+                                     f"<output>.flips.csv) is the {option} file")
     record = datasets.TASKS[task]
     if record.from_files and schema_path is None:
         raise experiment.ConfigError(f"{task} noise requires --schema")
@@ -170,7 +176,6 @@ def inject_noise_cmd(task, input_path, output_path, mask_path, rate, seed,
     except experiment.ConfigError as exc:  # the file's labels span too few classes
         raise datasets.DataError(f"{input_path}: {exc}") from exc
     record.write_records(output_path, record.relabel(records, noisy.labels), schema)
-    mask_target = mask_path if mask_path is not None else f"{output_path}.flips.csv"
     mask.save_csv(mask_target, labeled.ids)
     click.echo(f"flipped {len(mask)} of {mask.num_instances} labels")
     click.echo(f"wrote {output_path}")

@@ -621,7 +621,7 @@ class _Task:
         return (*splits, schema, vocab)
 
     def _labeled(self, records, labels, schema, ids=None):
-        return records, LabeledDataset(np.zeros((len(labels), 1)), labels, len(schema), ids)
+        return records, LabeledDataset(np.zeros((len(labels), 0)), labels, len(schema), ids)
 
     def window(self, width, vocab):
         return 0

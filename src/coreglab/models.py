@@ -7,9 +7,9 @@ classification, the synthetic task's vectors), or WindowIds, the one-hot
 token windows of tagging kept as their column indices, on which layer 1
 sums weight rows and scatters its gradient. It stands in for any larger
 backbone: the training framework only needs forward logits and parameter
-gradients. Evaluation runs the same layer arithmetic (_affine) over fixed
-row blocks into buffers allocated once per whole-split evaluation, keeping
-nothing for backward.
+gradients. Evaluation (eval_blocks) runs the same layer arithmetic
+(_affine) for every model over fixed row blocks, into buffers allocated
+once per whole-split evaluation, keeping nothing for backward.
 """
 
 from contextlib import contextmanager
@@ -21,9 +21,9 @@ from .files import replacing
 from .numeric import DROPOUT, TrainingDiverged, dropout_mask, finite_logits
 from .schema import check
 
-# Rows per block of a whole-split evaluation, and so of its eval_buffers: at
-# a hidden width of 256 a hidden layer's buffer is 2 MiB, whatever the
-# split's size.
+# Rows per block of a whole-split evaluation, and so of eval_blocks'
+# buffers: at a hidden width of 256 a hidden layer's buffer is 2 MiB,
+# whatever the split's size.
 PREDICT_BLOCK_ROWS = 1024
 
 
@@ -181,7 +181,7 @@ def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
 
     Dropout is applied to hidden activations exactly when a stream ``rng``
     is given and the model's rate is nonzero. Without one, the logits are
-    those of eval_logits, the evaluation forward, which keeps no cache.
+    those of eval_blocks, the evaluation forward, which keeps no cache.
     """
     x = _inputs(model, features)
     cache = ForwardCache(model, x)
@@ -250,41 +250,38 @@ def set_params_flat(model: MlpModel, flat: np.ndarray) -> None:
     model.params[:] = flat.reshape(-1)
 
 
-def row_blocks(rows: int):
-    """The slices of PREDICT_BLOCK_ROWS rows that a whole-split evaluation
-    walks; an empty split is one empty block, so forward still checks it."""
-    return (slice(start, start + PREDICT_BLOCK_ROWS)
-            for start in range(0, max(rows, 1), PREDICT_BLOCK_ROWS))
-
-
-def eval_buffers(model: MlpModel, rows: int) -> list[np.ndarray]:
-    """The float64 buffers eval_logits writes a block into, for a split of
-    ``rows`` rows: per layer one of min(rows, PREDICT_BLOCK_ROWS) rows by
-    the layer's width, then a WindowIds slot's scratch of layer 1's width.
-    A whole-split evaluation allocates them once and reuses them for every
-    block, so the logits of one block or model are overwritten by the next:
-    a caller that keeps them copies them out."""
-    rows = min(rows, PREDICT_BLOCK_ROWS)
-    return [np.empty((rows, width))
-            for width in (*model.layer_sizes[1:], model.layer_sizes[1])]
-
-
-def eval_logits(model: MlpModel, features, buffers: list[np.ndarray]) -> np.ndarray:
-    """Evaluation-mode logits of at most PREDICT_BLOCK_ROWS rows, written into
-    ``buffers`` (eval_buffers) and returned as a view of the last layer's.
-    It is forward's arithmetic without dropout, so its logits equal
-    forward(model, features)[0] bit for bit, but it keeps nothing for
-    backward. Non-finite logits are a TrainingDiverged; the overflow on the
-    way is that error's to report, not NumPy's warning's."""
-    h = _inputs(model, features)
-    rows = len(h)
-    *outs, scratch = buffers
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, (weight, bias, out) in enumerate(zip(model.weights, model.biases, outs)):
-            if i:
-                np.maximum(h, 0.0, out=h)
-            h = _affine(h, weight, bias, out[:rows], scratch[:rows])
-        return finite_logits(h, " in evaluation")
+def eval_blocks(models, features):
+    """Per block of PREDICT_BLOCK_ROWS rows of a split, (row slice, logits):
+    a (models, rows, classes) view of every model's evaluation-mode logits.
+    The models share their layer sizes. The feature width is checked against
+    each before the first block, so an empty split is checked and yields
+    nothing. The buffers are allocated once per call (one per hidden layer,
+    shared by the models, a WindowIds slot's scratch and the logits), so a
+    block's logits overwrite the last block's. Each model runs forward's
+    arithmetic without dropout, so its logits equal forward's over the block
+    bit for bit, and keeps nothing for backward. Non-finite logits are a
+    TrainingDiverged, not NumPy's overflow warning."""
+    x = features
+    for model in models:
+        x = _inputs(model, x)
+    rows, sizes = min(len(x), PREDICT_BLOCK_ROWS), models[0].layer_sizes
+    hidden = [np.empty((rows, width)) for width in sizes[1:-1]]
+    scratch = np.empty((rows, sizes[1]))
+    flat = np.empty(len(models) * rows * sizes[-1])
+    for start in range(0, len(x), PREDICT_BLOCK_ROWS):
+        block = slice(start, start + PREDICT_BLOCK_ROWS)
+        inputs = x[block]
+        n = len(inputs)
+        # Contiguous at every block size, as a fresh (models, n, classes) stack.
+        logits = flat[:len(models) * n * sizes[-1]].reshape(len(models), n, sizes[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for model, out in zip(models, logits):
+                h = inputs
+                for weight, bias, buf in zip(model.weights, model.biases, (*hidden, out)):
+                    if h is not inputs:
+                        np.maximum(h, 0.0, out=h)
+                    h = _affine(h, weight, bias, buf[:n], scratch[:n])
+        yield block, finite_logits(logits, " in evaluation")
 
 
 @contextmanager
@@ -298,16 +295,14 @@ def evaluating(what: str):
 
 
 def predict(model: MlpModel, features) -> np.ndarray:
-    """Argmax class per row, one eval_logits per block of row_blocks into one
-    set of eval_buffers, so the activations held at once are bounded by the
-    block and the widest layer, not by the split, and are allocated once per
-    call, not per block. The argmaxes equal those of one forward over all
-    rows; the logits may differ in the last bits, since BLAS takes another
-    path for a one-row product."""
+    """Argmax class per row over eval_blocks, so the activations held at once
+    are bounded by the block and the widest layer, not by the split, and are
+    allocated once per call, not per block. The argmaxes equal those of one
+    forward over all rows; the logits may differ in the last bits, since
+    BLAS takes another path for a one-row product."""
     out = np.empty(len(features), dtype=np.intp)
-    buffers = eval_buffers(model, len(features))
-    for block in row_blocks(len(features)):
-        np.argmax(eval_logits(model, features[block], buffers), axis=1, out=out[block])
+    for block, logits in eval_blocks([model], features):
+        np.argmax(logits[0], axis=1, out=out[block])
     return out
 
 

@@ -1,7 +1,7 @@
 """Label-noise experiment machinery: seeded noise injection with its flip
 mask, the noise-overfit protocol (train on the union with the noisy labels,
 watch accuracy on the corrected labels per epoch), forgetting-event
-statistics, and the suspect-label report, computed in predict's row blocks.
+statistics, and the suspect-label report, computed over models.eval_blocks.
 """
 
 import math
@@ -203,24 +203,16 @@ def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     label, and sorted by mean supervision loss, largest first. Returns the
     SUSPECT_CSV_HEADER columns as aligned arrays in that order.
 
-    The models run over models.row_blocks, as in predict, through one set of
-    models.eval_buffers, so the activations held at once are bounded by the
-    block, not by the split. Against one forward over all rows, the logits,
-    and so the losses, may differ in the last bits, since BLAS takes another
-    path for a one-row product."""
-    X = dataset.features
+    The models run together over models.eval_blocks, as in predict, so the
+    activations held at once are bounded by the block, not by the split.
+    Against one forward over all rows, the logits, and so the losses, may
+    differ in the last bits, since BLAS takes another path for a one-row
+    product."""
     y = dataset.labels
     preds = np.empty(len(y), dtype=np.intp)
     per_kl = np.empty(len(y))
     sup = np.empty(len(y))
-    models = ensemble.models
-    buffers = mdl.eval_buffers(models[0], len(y))
-    for block in mdl.row_blocks(len(y)):
-        rows = X[block]
-        logits = np.empty((len(models), len(rows), models[0].layer_sizes[-1]))
-        for k, model in enumerate(models):
-            # Copied out at once: the next model writes into the same buffers.
-            logits[k] = mdl.eval_logits(model, rows, buffers)
+    for block, logits in mdl.eval_blocks(ensemble.models, dataset.features):
         probs = softmax(logits)
         inst_losses = floored_nll(label_probs(probs, y[block]))
         q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)

@@ -612,16 +612,17 @@ def test_divergence_at_final_evaluation_names_the_split(runner, tmp_path, monkey
     test score are a seed's third and fourth evaluation forwards; one that
     diverges names its split and writes no metrics.csv."""
     calls = []
-    original = models.eval_logits
+    original = models.eval_blocks
 
-    def diverging(model, features, buffers):
+    def diverging(evaluated, features):
         calls.append(len(features))
         if len(calls) == call:
-            model = models.MlpModel(model.layer_sizes, model.dropout, model.seed,
-                                    np.full_like(model.params, 1e308))
-        return original(model, features, buffers)
+            evaluated = [models.MlpModel(model.layer_sizes, model.dropout, model.seed,
+                                         np.full_like(model.params, 1e308))
+                         for model in evaluated]
+        return original(evaluated, features)
 
-    monkeypatch.setattr(models, "eval_logits", diverging)
+    monkeypatch.setattr(models, "eval_blocks", diverging)
     config_path = tmp_path / "config.yaml"
     write_config(config_path, seeds=[1])
     result = runner.invoke(main, ["train", str(config_path)])
@@ -823,6 +824,37 @@ def test_inject_noise_in_place_writes_the_out_of_place_bytes(runner, tmp_path, t
     assert in_place.read_bytes() == (tmp_path / "noisy").read_bytes() != source.read_bytes()
     assert Path(f"{in_place}.flips.csv").read_bytes() == \
         (tmp_path / "noisy.flips.csv").read_bytes()
+
+
+@pytest.mark.parametrize("collides", ["output", "input", "default"])
+def test_inject_noise_mask_out_collision_exits_2(runner, tmp_path, collides):
+    """A flip mask whose path resolves to the --output or the --input file,
+    given as --mask-out or by default as <output>.flips.csv, is refused by
+    both option names before anything is read or written."""
+    gen = runner.invoke(main, ["gen-synthetic", "--out", str(tmp_path), "--seed", "1",
+                               "--train-size", "30", "--dev-size", "5",
+                               "--test-size", "5"])
+    assert gen.exit_code == 0, gen.output
+    source = tmp_path / "train.jsonl"
+    output = tmp_path / "noisy.jsonl"
+    if collides == "default":
+        source = source.rename(tmp_path / "noisy.jsonl.flips.csv")
+    original = source.read_bytes()
+    args = ["inject-noise", "--input", str(source), "--output", str(output),
+            "--rate", "0.3"]
+    if collides != "default":
+        # The same file by another spelling of its path.
+        named = output if collides == "output" else source
+        args += ["--mask-out", str(tmp_path / "sub" / ".." / named.name)]
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    option = "--output" if collides == "output" else "--input"
+    assert "(--mask-out or <output>.flips.csv)" in result.stderr
+    assert f"is the {option} file" in result.stderr
+    assert not output.exists()
+    assert source.read_bytes() == original
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["dev.jsonl", "test.jsonl", source.name])
 
 
 def test_inject_noise_bad_rate_exits_1(runner, tmp_path):

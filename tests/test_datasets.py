@@ -922,6 +922,17 @@ def test_write_failing_partway_keeps_the_previous_file(tmp_path, task):
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+@pytest.mark.parametrize("task", ["relation", "tagging"])
+def test_read_labeled_holds_no_feature_bytes(tmp_path, task):
+    """The dataset that inject-noise flips carries labels and ids, and a
+    zero-width feature column that holds no bytes."""
+    path, schema = _task_file(tmp_path, task)
+    records, labeled = TASKS[task].read_labeled(path, schema)
+    assert len(labeled) == len(labeled.labels) > 0
+    assert labeled.features.shape == (len(labeled), 0)
+    assert labeled.features.nbytes == 0
+
+
 @pytest.mark.parametrize("task", TASKS)
 def test_relabel_round_trip(tmp_path, task):
     """Records written back with their own flat labels reproduce the file;

@@ -8,10 +8,9 @@ from coreglab.datasets import (PAD_TOKEN, UNK_TOKEN, RelationSchema, SentenceIns
                                Vocab, build_relation_dataset, entity_mask,
                                obj_mask_token, subj_mask_token)
 from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
-                             eval_buffers, eval_logits, evaluating, feature_width,
-                             forward, init_model, load_model, param_count,
-                             params_flat, predict, row_blocks, save_model,
-                             set_params_flat)
+                             eval_blocks, evaluating, feature_width, forward,
+                             init_model, load_model, param_count, params_flat,
+                             predict, save_model, set_params_flat)
 from coreglab.numeric import TrainingDiverged, softmax
 from coreglab.rng import substream
 from oracles import densify, featurize_token_window, finite_diff_grad
@@ -285,26 +284,30 @@ B = PREDICT_BLOCK_ROWS
 @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
 @pytest.mark.parametrize("form", ["dense", "window_ids"])
 def test_blocked_predict_equals_one_forward(form, rows):
-    """At hidden depths 0 to 2, each block's evaluation logits equal
-    forward's over that block to the bit, and are a view of the buffers they
-    were written into, one set for every block. Predictions, not logits, are
-    compared with one forward over all rows: a one-row block's product may
-    differ from the whole split's in the last bits."""
+    """At hidden depths 0 to 2 and for 1 to 3 models, every model's row of
+    each block's evaluation logits equals forward's over that block to the
+    bit; the blocks cover the rows in order, an empty split yields none, and
+    every block's logits are a view of one buffer. Predictions, not logits,
+    are compared with one forward over all rows: a one-row block's product
+    may differ from the whole split's in the last bits."""
     features = _rows(form, rows, 40, seed=rows + 1)
     for hidden in ((), (16,), (16, 8)):
-        model = init_model((40, *hidden, 5), 0.0, seed=rows)
-        buffers = eval_buffers(model, rows)
-        widths = (*hidden, 5)
-        assert [buf.shape for buf in buffers] == [
-            (min(rows, B), width) for width in (*widths, widths[0])]
-        for block in row_blocks(rows):
-            logits = eval_logits(model, features[block], buffers)
-            expected = forward(model, features[block])[0]
-            assert logits.shape == expected.shape
-            assert logits.tobytes() == expected.tobytes()
-            assert rows == 0 or np.shares_memory(logits, buffers[len(hidden)])
-        expected = np.argmax(forward(model, features)[0], axis=1)
-        preds = predict(model, features)
+        for count in (1, 2, 3):
+            models = [init_model((40, *hidden, 5), 0.0, seed=rows + k)
+                      for k in range(count)]
+            blocks, first = [], None
+            for block, logits in eval_blocks(models, features):
+                blocks.append(block)
+                assert logits.base is not None
+                first = logits.base if first is None else first
+                assert logits.base is first
+                assert logits.shape == (count, len(features[block]), 5)
+                assert logits.flags.c_contiguous
+                for model, row in zip(models, logits):
+                    assert row.tobytes() == forward(model, features[block])[0].tobytes()
+            assert blocks == [slice(start, start + B) for start in range(0, rows, B)]
+        expected = np.argmax(forward(models[0], features)[0], axis=1)
+        preds = predict(models[0], features)
         assert preds.dtype == expected.dtype and preds.shape == (rows,)
         np.testing.assert_array_equal(preds, expected)
 
@@ -312,12 +315,15 @@ def test_blocked_predict_equals_one_forward(form, rows):
 @pytest.mark.parametrize("rows", [0, 1, B + 1])
 @pytest.mark.parametrize("form", ["dense", "window_ids"])
 def test_predict_checks_width_for_any_row_count(form, rows):
+    """The width is checked before the first block, against every model."""
     model = init_model((40, 16, 5), 0.0, seed=0)
+    narrow = init_model((39, 16, 5), 0.0, seed=0)
     features = _rows(form, rows, 39, seed=1)
     with pytest.raises(ValueError, match="feature length 39 != input size 40"):
         predict(model, features)
-    with pytest.raises(ValueError, match="feature length 39 != input size 40"):
-        eval_logits(model, features[:B], eval_buffers(model, rows))
+    for models in ([model], [narrow, model]):
+        with pytest.raises(ValueError, match="feature length 39 != input size 40"):
+            next(eval_blocks(models, features))
 
 
 def test_diverging_block_names_its_evaluation():

@@ -441,21 +441,24 @@ def test_blocked_report_equals_one_pass_over_all_rows(rows, form, num_models, mo
 
 @pytest.mark.parametrize("blocks", [8, 16])
 def test_report_memory_does_not_grow_with_rows(blocks):
-    """Traced allocations while reporting on two models stay under the
-    float64 activations of four blocks at the hidden width; one forward over
-    all rows needs more than that for a single hidden layer's activations."""
+    """Traced allocations while reporting on two and on four models stay
+    under the float64 activations of four blocks at the hidden width; one
+    forward over all rows needs more than that for a single hidden layer's
+    activations, and so would the models' hidden buffers and scratches if
+    each model had its own."""
     hidden = 256
-    config = TrainConfig(num_models=2, total_steps=0, hidden_sizes=(hidden,),
-                         dropout=0.0, master_seed=5)
     data = _audit_set("window_ids", blocks * B + 1, 50, 4, seed=6)
-    ens = init_ensemble(config, 50, 4)
-    tracemalloc.start()
-    try:
-        disagreement_report(ens, data, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * B * hidden * 8
+    for num_models in (2, 4):
+        config = TrainConfig(num_models=num_models, total_steps=0,
+                             hidden_sizes=(hidden,), dropout=0.0, master_seed=5)
+        ens = init_ensemble(config, 50, 4)
+        tracemalloc.start()
+        try:
+            disagreement_report(ens, data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * B * hidden * 8, num_models
 
 
 # ---------------------------------------------------------------- auroc
