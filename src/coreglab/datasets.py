@@ -35,6 +35,7 @@ write_json, the one copy of each format.
 
 import csv
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -474,6 +475,7 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset; ids, when
     given, are distinct integers, and default to the record's position.
+    A feature must be finite: JSON's NaN and Infinity are data errors.
     Keys other than features, label and id are ignored."""
     feats, labels, ids = [], [], []
     for where, rec, uid in _jsonl_records(path):
@@ -482,6 +484,9 @@ def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
             label = rec["label"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: invalid record: {exc}") from exc
+        if not all(map(math.isfinite, feats[-1])):
+            raise DataError(f"{where}: features must be finite, got "
+                            f"{next(v for v in feats[-1] if not math.isfinite(v))}")
         ids.append(uid)
         if not _is_int(label, 0):
             raise DataError(f"{where}: label must be a non-negative "

@@ -1,7 +1,7 @@
 """Label-noise experiment machinery: seeded noise injection with its flip
 mask, the noise-overfit protocol (train on the union with the noisy labels,
-watch accuracy on the corrected labels per epoch), forgetting-event
-statistics, and the suspect-label report, computed over models.eval_blocks.
+watch accuracy on the corrected labels per epoch), and the suspect-label
+report, computed over models.eval_blocks, with its AUROC against the flips.
 """
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 from . import datasets as ds
 from . import models as mdl
 from . import trainer
-from .numeric import KL_EPS, floored_nll, kl_terms, label_probs, softmax
+from .numeric import KL_EPS, _normalize, floored_nll, kl_terms, label_probs
 from .schema import ConfigError, Key, check
 
 FLIP_CSV_HEADER = ["id", "original_label", "noisy_label"]
@@ -158,45 +158,6 @@ def noise_overfit_eval(train_set, pool, mask, gammas, config,
     return curves
 
 
-@dataclass(frozen=True)
-class ForgettingStats:
-    """Per-instance training-dynamics summary over an epoch-by-instance
-    correctness matrix: the first epoch predicted correctly (-1 if never),
-    the number of correct-to-incorrect transitions, and a never-learned flag."""
-
-    first_learned: np.ndarray
-    forgetting_count: np.ndarray
-    never_learned: np.ndarray
-
-
-def forgetting_stats(trajectories) -> ForgettingStats:
-    traj = np.asarray(trajectories, dtype=bool)
-    if traj.ndim != 2 or traj.shape[0] < 1:
-        raise ValueError("trajectories must be a non-empty (epochs, instances) matrix")
-    learned = traj.any(axis=0)
-    first = np.where(learned, np.argmax(traj, axis=0), -1).astype(np.int64)
-    if traj.shape[0] >= 2:
-        forgets = np.sum(traj[:-1] & ~traj[1:], axis=0).astype(np.int64)
-    else:
-        forgets = np.zeros(traj.shape[1], dtype=np.int64)
-    return ForgettingStats(first, forgets, ~learned)
-
-
-def first_learned_means(stats: ForgettingStats, flagged, horizon: int):
-    """Mean first-learned epoch for flagged vs. unflagged instances;
-    never-learned instances count as ``horizon`` (censoring at the end of
-    training). Returns (flagged_mean, unflagged_mean)."""
-    flags = np.asarray(flagged, dtype=bool)
-    if flags.shape != stats.first_learned.shape:
-        raise ValueError("flag vector must align with the stats")
-    censored = np.where(stats.never_learned, horizon, stats.first_learned)
-    censored = censored.astype(np.float64)
-    flagged_mean = float(np.mean(censored[flags])) if flags.any() else math.nan
-    rest = ~flags
-    unflagged_mean = float(np.mean(censored[rest])) if rest.any() else math.nan
-    return flagged_mean, unflagged_mean
-
-
 def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     """Rank instances by how strongly the trained models dispute the given
     label: rows are flagged when the soft target's argmax differs from the
@@ -213,7 +174,7 @@ def disagreement_report(ensemble, dataset, config) -> dict[str, np.ndarray]:
     per_kl = np.empty(len(y))
     sup = np.empty(len(y))
     for block, logits in mdl.eval_blocks(ensemble.models, dataset.features):
-        probs = softmax(logits)
+        probs = _normalize(logits)  # eval_blocks checked these logits
         inst_losses = floored_nll(label_probs(probs, y[block]))
         q = trainer.aggregate_targets(probs, logits, inst_losses, config.aggregate_mode)
         per_kl[block] = np.mean(np.sum(kl_terms(q[None], probs, KL_EPS), axis=2), axis=0)

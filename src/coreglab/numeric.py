@@ -53,7 +53,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     memory order of a float64 input (a transposed stack stays transposed),
     since each step writes elementwise in the input's order.
     """
-    z = finite_logits(logits)
+    return _normalize(finite_logits(logits))
+
+
+def _normalize(z: np.ndarray) -> np.ndarray:
+    """softmax of float64 logits that finite_logits has already checked."""
     e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

@@ -326,7 +326,6 @@ class TrainResult:
     # Each model's parameters at its first best dev epoch (its initial ones
     # before any epoch); without a dev set, the model's own final buffer.
     best_params: list[np.ndarray] = field(default_factory=list)
-    trajectories: np.ndarray | None = None  # (epochs, train rows) bool
 
     def selected_model(self) -> mdl.MlpModel:
         """Copy of the model the selection policy picks by best dev score,
@@ -353,8 +352,7 @@ def select_index(dev_metrics, policy: str, num_models: int) -> int:
 
 
 def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
-          weights=None, batch_hook=None,
-          track_trajectories: bool = False) -> TrainResult:
+          weights=None, batch_hook=None) -> TrainResult:
     """Run the full training loop for total_steps steps.
 
     Batches are drawn with a seeded per-epoch shuffle from the shared data
@@ -378,7 +376,7 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     result = TrainResult(ensemble, config, best_params=[
         model.params if dev_set is None else mdl.params_flat(model) for model in models])
     best = np.full(len(models), -math.inf)
-    scores, traj = [], []
+    scores = []
     data_rng = rngmod.substream(config.master_seed, "data_order")
     n = len(dataset)
 
@@ -407,14 +405,9 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
                     if score > best[k]:
                         best[k] = score
                         result.best_params[k] = mdl.params_flat(models[k])
-            if track_trajectories:
-                with mdl.evaluating(f"train after epoch {len(traj)}"):
-                    traj.append(mdl.predict(models[0], dataset.features) == dataset.labels)
 
     if dev_set is not None:
         result.dev_scores = np.array(scores, dtype=np.float64).reshape(-1, len(models))
-    if track_trajectories:
-        result.trajectories = np.array(traj, dtype=bool).reshape(-1, n)
     return result
 
 

@@ -4,15 +4,17 @@ helpers only tests need.
 Each oracle deliberately takes a different algorithmic route than the
 library code it checks (candidate enumeration instead of a state machine,
 plain Python loops instead of vectorized numpy), so agreement between the two
-is meaningful evidence rather than a tautology. The helpers at the end
-(finite differences, scalar losses, BIO encoding, artifact readers and
-writers) serve the tests alone; the library never calls them.
+is meaningful evidence rather than a tautology. The training-dynamics
+statistics and the helpers at the end (finite differences, scalar losses,
+BIO encoding, artifact readers and writers) serve the tests alone; the
+library never calls them.
 """
 
 import csv
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,6 +369,70 @@ def reference_disagreement_report(ensemble, dataset, config):
     return dict(zip(SUSPECT_CSV_HEADER, (dataset.ids[order], y[order], preds[order],
                                          preds[order] != y[order], per_kl[order],
                                          sup[order])))
+
+
+# ------------------------------------------------------- training dynamics
+#
+# Delayed memorization (Arpit et al. 2017) and forgetting events (Toneva et
+# al. 2019): model 0's per-epoch correctness on its own training rows, and
+# per-instance statistics over it. The tests assert the paper's premise with
+# them; no command reports them.
+
+
+def train_with_trajectories(dataset, config):
+    """train(dataset) with model 0's per-epoch correctness on the training
+    rows, recorded by the dev scoring that train runs after every epoch with
+    the training rows as the dev set; returns (result, (epochs, rows) bool)."""
+    from coreglab.trainer import train
+
+    correct = []
+
+    def record(dev, preds):
+        correct.append(preds == dev.labels)
+        return float(np.mean(correct[-1]))
+
+    result = train(dataset, dataset, config, eval_metric=record)
+    trajectories = np.array(correct[::config.num_models], dtype=bool)
+    return result, trajectories.reshape(-1, len(dataset))
+
+
+@dataclass(frozen=True)
+class ForgettingStats:
+    """Per-instance training-dynamics summary over an epoch-by-instance
+    correctness matrix: the first epoch predicted correctly (-1 if never),
+    the number of correct-to-incorrect transitions, and a never-learned flag."""
+
+    first_learned: np.ndarray
+    forgetting_count: np.ndarray
+    never_learned: np.ndarray
+
+
+def forgetting_stats(trajectories) -> ForgettingStats:
+    traj = np.asarray(trajectories, dtype=bool)
+    if traj.ndim != 2 or traj.shape[0] < 1:
+        raise ValueError("trajectories must be a non-empty (epochs, instances) matrix")
+    learned = traj.any(axis=0)
+    first = np.where(learned, np.argmax(traj, axis=0), -1).astype(np.int64)
+    if traj.shape[0] >= 2:
+        forgets = np.sum(traj[:-1] & ~traj[1:], axis=0).astype(np.int64)
+    else:
+        forgets = np.zeros(traj.shape[1], dtype=np.int64)
+    return ForgettingStats(first, forgets, ~learned)
+
+
+def first_learned_means(stats: ForgettingStats, flagged, horizon: int):
+    """Mean first-learned epoch for flagged vs. unflagged instances;
+    never-learned instances count as ``horizon`` (censoring at the end of
+    training). Returns (flagged_mean, unflagged_mean)."""
+    flags = np.asarray(flagged, dtype=bool)
+    if flags.shape != stats.first_learned.shape:
+        raise ValueError("flag vector must align with the stats")
+    censored = np.where(stats.never_learned, horizon, stats.first_learned)
+    censored = censored.astype(np.float64)
+    flagged_mean = float(np.mean(censored[flags])) if flags.any() else math.nan
+    rest = ~flags
+    unflagged_mean = float(np.mean(censored[rest])) if rest.any() else math.nan
+    return flagged_mean, unflagged_mean
 
 
 # ------------------------------------------------------------ test helpers

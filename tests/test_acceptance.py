@@ -23,11 +23,11 @@ from coreglab.experiment import (ExperimentConfig, run_audit, run_experiment,
                                  run_noise_analysis)
 from coreglab.metrics import (Span, TagScheme, bio_decode, relation_micro_f1,
                               span_f1)
-from coreglab.noiselab import (NoiseSpec, first_learned_means,
-                               forgetting_stats, inject_noise)
+from coreglab.noiselab import NoiseSpec, inject_noise
 from coreglab.trainer import (TrainConfig, aggregate_targets, agreement_loss,
                               make_plain_config, train, warmup_steps)
-from oracles import direct_agreement_loss, direct_aggregate, flip_flags
+from oracles import (direct_agreement_loss, direct_aggregate, first_learned_means,
+                     flip_flags, forgetting_stats, train_with_trajectories)
 from test_trainer import _fd_check, small_config, tiny_dataset
 
 # The noisy-label benchmark protocol used by the empirical checks below:
@@ -238,7 +238,7 @@ def test_memorization_delay(report):
     delayed = 0
     details = []
     for seed in PROTOCOL_SEEDS:
-        train_set, held = gen_gaussian_mixture(
+        train_set, _ = gen_gaussian_mixture(
             num_train=PROTOCOL_DATA["train_size"], num_test=500,
             num_classes=4, num_features=PROTOCOL_DATA["num_features"],
             seed=20250401, class_sep=PROTOCOL_DATA["class_sep"])
@@ -248,12 +248,10 @@ def test_memorization_delay(report):
             num_models=2, total_steps=PROTOCOL_EPOCHS * 32, warmup_pct=30.0,
             gamma=5.0, batch_size=64, base_lr=0.005, hidden_sizes=(32,),
             dropout=0.1, master_seed=seed))
-        result = train(noisy, held, config,
-                       eval_metric=make_metric("synthetic")[1],
-                       track_trajectories=True)
-        stats = forgetting_stats(result.trajectories)
+        _, trajectories = train_with_trajectories(noisy, config)
+        stats = forgetting_stats(trajectories)
         flipped_mean, clean_mean = first_learned_means(
-            stats, flip_flags(mask), horizon=result.trajectories.shape[0])
+            stats, flip_flags(mask), horizon=trajectories.shape[0])
         delayed += flipped_mean > clean_mean
         details.append(round(flipped_mean - clean_mean, 1))
     ok = delayed >= 4

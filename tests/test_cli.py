@@ -650,6 +650,38 @@ def test_evaluate_diverged_model_exits_3(runner, tmp_path, task):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_feature_is_a_data_error(runner, tmp_path, value):
+    """JSON's non-finite literals parse as floats, but a feature file that
+    holds one is refused naming its line, before anything is scored or
+    written: evaluate does not report a divergence, and inject-noise does
+    not copy the value into its output."""
+    data = ('{"features": [0.0, 1.0], "label": 0}\n'
+            f'{{"features": [1.0, {value}], "label": 1}}\n')
+    for args in (write_eval_files(tmp_path, "synthetic", data=data),
+                 inject_noise_args(tmp_path, "synthetic")):
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert result.stderr == (f"error: {tmp_path / 'data'}:2: features must be "
+                                 f"finite, got {float(value)}\n")
+        assert result.stdout == ""
+    assert not (tmp_path / "noisy").exists()
+    assert not (tmp_path / "noisy.flips.csv").exists()
+
+
+def test_finite_features_that_overflow_the_model_are_a_divergence(runner, tmp_path):
+    """Finite features whose logits overflow still end as exit 3."""
+    args = write_eval_files(tmp_path, "synthetic",
+                            data='{"features": [1e308, 1e308], "label": 0}\n')
+    model = load_model(tmp_path / "model.npz")
+    model.params[:] = 1.0
+    save_model(model, tmp_path / "model.npz")
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 3)
+    assert result.stderr == ("error: non-finite logits in evaluation of "
+                             f"{tmp_path / 'data'}\n")
+
+
 def test_gen_synthetic_writes_jsonl(runner, tmp_path):
     result = runner.invoke(main, [
         "gen-synthetic", "--out", str(tmp_path / "data"), "--seed", "3",

@@ -7,15 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coreglab import models, numeric
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import PREDICT_BLOCK_ROWS, WindowIds
-from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, ForgettingStats,
-                               NoiseSpec, auroc, disagreement_report,
-                               first_learned_means, forgetting_stats, inject_noise,
-                               noise_overfit_eval, save_suspect_csv)
+from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, NoiseSpec, auroc,
+                               disagreement_report, inject_noise, noise_overfit_eval,
+                               save_suspect_csv)
 from coreglab.trainer import AGGREGATE_MODES, TrainConfig, init_ensemble, train
-from oracles import (flip_flags, load_flip_mask_csv, pairwise_auroc,
-                     reference_disagreement_report)
+from oracles import (ForgettingStats, first_learned_means, flip_flags,
+                     forgetting_stats, load_flip_mask_csv, pairwise_auroc,
+                     reference_disagreement_report, train_with_trajectories)
 
 
 def tiny_dataset(n=30, num_classes=4, num_features=3, seed=0) -> LabeledDataset:
@@ -336,10 +337,10 @@ def test_memorization_delay_on_noisy_synthetic():
     config = TrainConfig(num_models=1, total_steps=100, warmup_pct=100.0,
                          gamma=0.0, batch_size=32, base_lr=0.02,
                          hidden_sizes=(16,), dropout=0.0, master_seed=22)
-    result = train(noisy, None, config, track_trajectories=True)
-    stats = forgetting_stats(result.trajectories)
+    _, trajectories = train_with_trajectories(noisy, config)
+    stats = forgetting_stats(trajectories)
     f_mean, u_mean = first_learned_means(stats, flip_flags(mask),
-                                         horizon=len(result.trajectories))
+                                         horizon=len(trajectories))
     assert f_mean > u_mean
 
 
@@ -459,6 +460,30 @@ def test_report_memory_does_not_grow_with_rows(blocks):
         finally:
             tracemalloc.stop()
         assert peak < 4 * B * hidden * 8, num_models
+
+
+@pytest.mark.parametrize("mode, checks_per_block",
+                         [("avg_prob", 1), ("min_prob", 1), ("avg_logit", 2)])
+def test_report_checks_each_block_of_logits_once(monkeypatch, mode, checks_per_block):
+    """eval_blocks checks each block's stacked logits, and the report
+    normalises them without checking them again; only avg_logit's softmax
+    of the mean logits checks another array."""
+    calls = []
+    check = numeric.finite_logits
+
+    def counting(logits, where=""):
+        calls.append(where)
+        return check(logits, where)
+
+    # Both lookup sites: models imports the name, and softmax reads numeric's.
+    monkeypatch.setattr(numeric, "finite_logits", counting)
+    monkeypatch.setattr(models, "finite_logits", counting)
+    config = TrainConfig(num_models=2, total_steps=0, hidden_sizes=(8,), dropout=0.0,
+                         aggregate_mode=mode, master_seed=4)
+    disagreement_report(init_ensemble(config, 40, 5),
+                        _audit_set("dense", 3 * B + 1, 40, 5, seed=4), config)
+    assert calls.count(" in evaluation") == 4
+    assert len(calls) == 4 * checks_per_block
 
 
 # ---------------------------------------------------------------- auroc

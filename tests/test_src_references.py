@@ -8,15 +8,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coreglab"
 
-# (module, name) pairs that nothing in src/ refers to, on purpose.
+# (module, name) pairs that nothing in src/ refers to, on purpose: entry
+# points that something outside the package calls. Code that only the tests
+# call, such as the training-dynamics statistics, lives in tests/oracles.py.
 ALLOWED = {
     # Click commands: the group registers them through their decorators.
     ("cli", "analyze_noise"), ("cli", "audit_labels"), ("cli", "evaluate"),
     ("cli", "export_curves"), ("cli", "gen_synthetic"),
     ("cli", "inject_noise_cmd"), ("cli", "train"),
-    # Training-dynamics statistics: tests/test_acceptance.py imports them,
-    # and a run will report them once runs record memorization.
-    ("noiselab", "forgetting_stats"), ("noiselab", "first_learned_means"),
     # The benchmark's tracer (bench/tracing.py) wraps it.
     ("models", "set_params_flat"),
 }

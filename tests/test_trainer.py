@@ -14,7 +14,7 @@ from coreglab.trainer import (AGGREGATE_MODES, ModelEnsemble, TrainConfig,
                               make_plain_config, select_index, train, train_step,
                               warmup_steps)
 from oracles import (direct_agreement_loss, direct_aggregate, finite_diff_grad,
-                     kl_divergence)
+                     kl_divergence, train_with_trajectories)
 
 SOFTMAX_2_1 = (0.7310585786300049, 0.2689414213699951)
 AGREEMENT_EXAMPLE = 0.020410997260044231
@@ -372,14 +372,14 @@ def test_divergence_raises():
                                config, weights=bad_weights)
 
 
-def test_divergence_in_trajectory_evaluation_names_the_epoch():
-    """The tracked training-set predictions after a step that leaves
-    non-finite logits end the run naming the split and the epoch."""
+def test_divergence_in_dev_scoring_names_the_epoch():
+    """The dev scores after an epoch whose one step leaves non-finite logits
+    end the run naming the split and the epoch."""
     data = tiny_dataset()
     config = small_config(total_steps=3, batch_size=24, warmup_pct=0.0, base_lr=1e308)
     with pytest.raises(TrainingDiverged) as excinfo:
-        trainer.train(data, None, config, track_trajectories=True)
-    assert str(excinfo.value) == "non-finite logits in evaluation of train after epoch 0"
+        trainer.train(data, data, config)
+    assert str(excinfo.value) == "non-finite logits in evaluation of dev after epoch 0"
 
 
 def test_empty_batch_rejected():
@@ -721,12 +721,18 @@ def test_train_weights_length_check():
         train(tiny_dataset(n=24), None, config, weights=np.ones(10))
 
 
-def test_train_trajectories_shape():
+@pytest.mark.parametrize("num_models", [1, 2])
+def test_train_with_trajectories_records_model_0_each_epoch(num_models):
+    """One row per epoch, one column per training row, and the last row is
+    the final model 0's correctness on the training rows."""
     data = tiny_dataset(n=20)
-    config = small_config(total_steps=6, batch_size=10)
-    result = train(data, None, config, track_trajectories=True)
-    assert result.trajectories.shape == (3, 20)
-    assert result.trajectories.dtype == bool
+    config = small_config(num_models=num_models, total_steps=6, batch_size=10,
+                          dropout=0.1)
+    result, trajectories = train_with_trajectories(data, config)
+    assert trajectories.shape == (3, 20)
+    assert trajectories.dtype == bool
+    np.testing.assert_array_equal(
+        trajectories[-1], predict(result.ensemble.models[0], data.features) == data.labels)
 
 
 def test_train_zero_weight_instances_do_not_move_params():
