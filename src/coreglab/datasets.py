@@ -245,11 +245,9 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._index)
 
-    def index(self, token: str) -> int:
-        return self._index.get(token, self._index[UNK_TOKEN])
-
     def ids(self, tokens):
-        """Each token's index, as index gives it, looked up by map in C."""
+        """Each token's index, or <unk>'s index for a token the vocabulary
+        lacks, looked up by map in C."""
         return map(self._index.get, tokens, self._unks)
 
     @property
@@ -475,14 +473,23 @@ def write_relation_jsonl(path, instances, schema: RelationSchema) -> None:
 def read_feature_jsonl(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse line-delimited dense feature records into a dataset; ids, when
     given, are distinct integers, and default to the record's position.
-    A feature must be finite: JSON's NaN and Infinity are data errors.
-    Keys other than features, label and id are ignored."""
+    Features are a list of finite JSON numbers: a string, a boolean, NaN
+    and Infinity are data errors. Keys other than features, label and id
+    are ignored."""
     feats, labels, ids = [], [], []
     for where, rec, uid in _jsonl_records(path):
         try:
-            feats.append([float(v) for v in rec["features"]])
-            label = rec["label"]
-        except (KeyError, TypeError, ValueError) as exc:
+            values, label = rec["features"], rec["label"]
+        except KeyError as exc:
+            raise DataError(f"{where}: invalid record: {exc}") from exc
+        if not isinstance(values, list):
+            raise DataError(f"{where}: features must be a list, got {values!r}")
+        for value in values:
+            if type(value) not in (int, float):
+                raise DataError(f"{where}: features must be numbers, got {value!r}")
+        try:
+            feats.append([float(v) for v in values])
+        except OverflowError as exc:
             raise DataError(f"{where}: invalid record: {exc}") from exc
         if not all(map(math.isfinite, feats[-1])):
             raise DataError(f"{where}: features must be finite, got "

@@ -87,6 +87,14 @@ def reference_tagging_f1(scheme, groups, labels, preds):
     return reference_span_f1(golds, predicted)[-1]
 
 
+def vocab_index(vocab, token):
+    """A token's id, or <unk>'s id for a token the vocabulary lacks: its
+    position in the vocabulary's token list, found by a scan."""
+    from coreglab.datasets import UNK_TOKEN
+    tokens = vocab.tokens()
+    return tokens.index(token if token in tokens else UNK_TOKEN)
+
+
 def featurize_token_window(tokens, position, window, vocab):
     """One token's row: concatenated one-hot vectors for tokens in
     [position-window, position+window], with <pad> one-hots outside the
@@ -98,7 +106,7 @@ def featurize_token_window(tokens, position, window, vocab):
     vec = np.zeros((2 * window + 1) * size)
     for slot, pos in enumerate(range(position - window, position + window + 1)):
         if 0 <= pos < n:
-            idx = vocab.index(tokens[pos])
+            idx = vocab_index(vocab, tokens[pos])
         else:
             idx = vocab.pad_index
         vec[slot * size + idx] = 1.0
@@ -112,7 +120,7 @@ def featurize_sentence(tokens, vocab):
         raise ValueError("cannot featurize an empty token list")
     vec = np.zeros(len(vocab))
     for tok in tokens:
-        vec[vocab.index(tok)] += 1.0
+        vec[vocab_index(vocab, tok)] += 1.0
     return vec / len(tokens)
 
 
@@ -124,7 +132,7 @@ def reference_window_ids(sentences, vocab, window):
     pad = [vocab.pad_index] * window
     padded, groups = [], []
     for s, (tokens, _) in enumerate(sentences):
-        padded += pad + [vocab.index(tok) for tok in tokens] + pad
+        padded += pad + [vocab_index(vocab, tok) for tok in tokens] + pad
         groups += [s] * len(tokens)
     slots = np.arange(2 * window + 1)
     first = np.arange(len(groups)) + 2 * window * np.array(groups, dtype=np.int64)

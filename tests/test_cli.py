@@ -16,6 +16,7 @@ from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
 from coreglab.models import load_model, save_model
 from oracles import inject_noise_args, write_eval_files
+from test_datasets import NON_NUMBER_FEATURES
 
 
 @pytest.fixture
@@ -667,6 +668,23 @@ def test_non_finite_feature_is_a_data_error(runner, tmp_path, value):
         assert result.stdout == ""
     assert not (tmp_path / "noisy").exists()
     assert not (tmp_path / "noisy.flips.csv").exists()
+
+
+@pytest.mark.parametrize("features, message", NON_NUMBER_FEATURES)
+def test_non_number_feature_is_a_data_error(runner, tmp_path, features, message):
+    """A feature file whose record holds a string, a boolean or any other
+    non-number is refused naming its line, before anything is scored or
+    written."""
+    data = ('{"features": [0.0, 1.0], "label": 0}\n'
+            f'{{"features": {features}, "label": 1}}\n')
+    for args in (write_eval_files(tmp_path, "synthetic", data=data),
+                 inject_noise_args(tmp_path, "synthetic")):
+        before = sorted(tmp_path.iterdir())
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert result.stderr == f"error: {tmp_path / 'data'}:2: {message}\n"
+        assert result.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def test_finite_features_that_overflow_the_model_are_a_divergence(runner, tmp_path):

@@ -28,7 +28,8 @@ from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import WindowIds
 from coreglab.trainer import TrainConfig, train
 from oracles import (densify, featurize_sentence, featurize_token_window,
-                     reference_tagging_f1, reference_window_ids, save_relation_schema)
+                     reference_tagging_f1, reference_window_ids, save_relation_schema,
+                     vocab_index)
 
 
 # ---------------------------------------------------------------- container
@@ -139,7 +140,7 @@ def test_vocab_round_trip(tmp_path):
         '    "beta",\n    "alpha"\n  ]\n}\n')
     loaded = load_vocab(path)
     assert loaded.tokens() == vocab.tokens()
-    assert loaded.index("beta") == vocab.index("beta")
+    assert list(loaded.ids(["beta", "gamma"])) == list(vocab.ids(["beta", "gamma"]))
     path.write_text(json.dumps({"words": []}))
     with pytest.raises(DataError):
         load_vocab(path)
@@ -548,6 +549,42 @@ def test_feature_jsonl_errors(tmp_path):
         read_feature_jsonl(path, num_classes=2)
 
 
+# Feature values a JSON parser hands back that are not JSON numbers, and a
+# JSON integer too large for a float, each with the error it ends in.
+NON_NUMBER_FEATURES = [
+    pytest.param('["1.5", true]', "features must be numbers, got '1.5'", id="string"),
+    pytest.param("[1.5, true]", "features must be numbers, got True", id="boolean"),
+    pytest.param("[0.0, null]", "features must be numbers, got None", id="null"),
+    pytest.param("[[1.0], 2.0]", "features must be numbers, got [1.0]", id="list"),
+    pytest.param('"12"', "features must be a list, got '12'", id="digits"),
+    pytest.param("3", "features must be a list, got 3", id="scalar"),
+    pytest.param('{"a": 1.0}', "features must be a list, got {'a': 1.0}", id="object"),
+    pytest.param("[1" + "0" * 400 + "]",
+                 "invalid record: int too large to convert to float", id="huge_int"),
+]
+
+
+@pytest.mark.parametrize("features, message", NON_NUMBER_FEATURES)
+def test_feature_jsonl_refuses_non_numbers(tmp_path, features, message):
+    """A feature is a JSON int or float, not a string or a boolean that
+    float() would take, and features are a list, not a string of digits."""
+    path = tmp_path / "feat.jsonl"
+    path.write_text('{"features": [0.0, 1.0], "label": 0}\n'
+                    f'{{"features": {features}, "label": 1}}\n')
+    with pytest.raises(DataError) as info:
+        read_feature_jsonl(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_feature_jsonl_reads_ints_as_floats(tmp_path):
+    path = tmp_path / "feat.jsonl"
+    path.write_text('{"features": [1, 2], "label": 0}\n'
+                    '{"features": [-3, 0.5], "label": 1}\n')
+    loaded = read_feature_jsonl(path)
+    assert loaded.features.dtype == np.float64
+    assert loaded.features.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
+
+
 def test_feature_jsonl_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -677,7 +714,8 @@ def test_build_tagging_dataset_matches_row_oracle(window):
         np.testing.assert_array_equal(
             data.groups, [s for s, (tokens, _) in enumerate(sentences) for _ in tokens])
     data, _ = build_tagging_dataset(test, scheme, vocab, window=window)
-    assert densify(data.features)[0, window * len(vocab) + vocab.index(UNK_TOKEN)] == 1.0
+    unk = window * len(vocab) + vocab_index(vocab, UNK_TOKEN)
+    assert densify(data.features)[0, unk] == 1.0
 
 
 @pytest.mark.parametrize("width, dtype", [
@@ -726,7 +764,8 @@ def test_load_split_matches_built_records(tmp_path, window):
                           (loaded.labels, expected.labels), (loaded.ids, expected.ids),
                           (loaded.groups, expected.groups)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert dev.features.ids[0, window] == window * len(vocab) + vocab.index(UNK_TOKEN)
+    assert dev.features.ids[0, window] == (window * len(vocab)
+                                           + vocab_index(vocab, UNK_TOKEN))
 
 
 @pytest.mark.parametrize("given", [False, True])

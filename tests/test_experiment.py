@@ -252,6 +252,32 @@ def test_curves_hold_the_policy_pick_of_each_epoch_log(tmp_path):
         assert [row[6] for row in read_csv(tmp_path / policy / "curves.csv")[1:]] == picks
 
 
+@pytest.mark.parametrize("method, policy", [
+    ("coreg", "best_dev"), ("coreg", "first"), ("crossweigh", "first")])
+def test_final_dev_score_is_the_selected_models_best(tmp_path, method, policy):
+    """The selected model is restored to its best dev checkpoint, so each
+    seed's dev value in metrics.csv is, as written, the highest epoch_log.csv
+    value of the model the policy picks: the best over all models under
+    best_dev, model 0's best under first. With dropout on and noisy dev
+    labels, the best epoch is not always the last one."""
+    mapping = tiny_mapping(
+        tmp_path, method=method, seeds=[1, 2, 3], epochs=5, noise={"rate": 0.3},
+        data={"train_size": 90, "dev_size": 60, "test_size": 20,
+              "num_classes": 3, "class_sep": 1.5},
+        train={"num_models": 3 if method == "coreg" else 1, "batch_size": 16,
+               "hidden_sizes": [8], "dropout": 0.1, "gamma": 1.0,
+               "selection_policy": policy},
+        baseline={"folds": 2, "iterations": 1})
+    run_experiment(ExperimentConfig.from_mapping(mapping))
+    run = tmp_path / "run"
+    dev = {row[0]: row[3] for row in read_csv(run / "metrics.csv")[1:]
+           if row[1] == "dev"}
+    for seed in ("1", "2", "3"):
+        rows = read_csv(run / f"seed_{seed}" / "epoch_log.csv")[1:]
+        picked = [row[4] for row in rows if policy == "best_dev" or row[0] == "0"]
+        assert dev[seed] == max(picked, key=float)
+
+
 def test_run_experiment_median_of_five(tmp_path):
     mapping = tiny_mapping(tmp_path, seeds=[1, 2, 3, 4, 5], epochs=1,
                            data={"train_size": 40, "dev_size": 12,

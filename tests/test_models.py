@@ -13,20 +13,20 @@ from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
                              predict, save_model, set_params_flat)
 from coreglab.numeric import TrainingDiverged, softmax
 from coreglab.rng import substream
-from oracles import densify, featurize_token_window, finite_diff_grad
+from oracles import densify, featurize_token_window, finite_diff_grad, vocab_index
 
 
 def test_vocab_specials_first():
     vocab = Vocab(["apple", "banana"])
     assert vocab.pad_index == 0
-    assert vocab.index(UNK_TOKEN) == 1
-    assert vocab.index("apple") == 2
-    assert vocab.index("banana") == 3
+    tokens = [PAD_TOKEN, UNK_TOKEN, "apple", "banana"]
+    assert list(vocab.ids(tokens)) == [vocab_index(vocab, t) for t in tokens] == [0, 1, 2, 3]
 
 
 def test_vocab_unknown_falls_back():
     vocab = Vocab(["apple"])
-    assert vocab.index("zebra") == vocab.index(UNK_TOKEN)
+    tokens = ["zebra", "apple", "", UNK_TOKEN]
+    assert list(vocab.ids(tokens)) == [vocab_index(vocab, t) for t in tokens] == [1, 2, 1, 1]
     assert vocab.tokens() == [PAD_TOKEN, UNK_TOKEN, "apple"]
 
 
@@ -81,11 +81,11 @@ def test_featurize_sentence_counts():
     data, _ = build_relation_dataset([inst], schema, vocab)
     vec = data.features[0]
     assert vec.shape == (len(vocab),)
-    assert vec[vocab.index("a")] == pytest.approx(2 / 6)
-    assert vec[vocab.index("b")] == pytest.approx(1 / 6)
-    assert vec[vocab.index(UNK_TOKEN)] == pytest.approx(1 / 6)
-    assert vec[vocab.index("[SUBJ-PER]")] == pytest.approx(1 / 6)
-    assert vec[vocab.index("[OBJ-ORG]")] == pytest.approx(1 / 6)
+    assert vec[vocab_index(vocab, "a")] == pytest.approx(2 / 6)
+    assert vec[vocab_index(vocab, "b")] == pytest.approx(1 / 6)
+    assert vec[vocab_index(vocab, UNK_TOKEN)] == pytest.approx(1 / 6)
+    assert vec[vocab_index(vocab, "[SUBJ-PER]")] == pytest.approx(1 / 6)
+    assert vec[vocab_index(vocab, "[OBJ-ORG]")] == pytest.approx(1 / 6)
     assert vec.sum() == pytest.approx(1.0)
 
 
@@ -96,8 +96,8 @@ def test_featurize_token_window_layout():
     assert vec.shape == (3 * size,)
     # left slot is out of sentence -> pad one-hot
     assert vec[0 * size + vocab.pad_index] == 1.0
-    assert vec[1 * size + vocab.index("a")] == 1.0
-    assert vec[2 * size + vocab.index("b")] == 1.0
+    assert vec[1 * size + vocab_index(vocab, "a")] == 1.0
+    assert vec[2 * size + vocab_index(vocab, "b")] == 1.0
     assert vec.sum() == 3.0
 
 
