@@ -348,7 +348,6 @@ def read_conll(path, scheme: metrics.TagScheme):
     line. The file closes when the sentences run out or are dropped."""
     tokens: list[str] = []
     tags: list[int] = []
-    tag_ids = {tag: i for i, tag in enumerate(scheme.tags)}
     with _open_data(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -360,11 +359,8 @@ def read_conll(path, scheme: metrics.TagScheme):
                     continue
                 if len(cols) < 2:
                     raise DataError(f"{path}:{lineno}: expected token and tag columns")
-                if (tag := tag_ids.get(cols[-1])) is None:
-                    try:
-                        tag = scheme.index(cols[-1])
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: {exc}") from exc
+                if (tag := scheme.tag_ids.get(cols[-1])) is None:
+                    raise DataError(f"{path}:{lineno}: unknown tag symbol {cols[-1]!r}")
                 tokens.append(cols[0])
                 tags.append(tag)
         except UnicodeDecodeError as exc:

@@ -48,15 +48,15 @@ class TagScheme:
         for etype in self.entity_types:
             self.tags.append(f"B-{etype}")
             self.tags.append(f"I-{etype}")
-        self._index = {tag: i for i, tag in enumerate(self.tags)}
+        self.tag_ids = {tag: i for i, tag in enumerate(self.tags)}
 
     def __len__(self) -> int:
         return len(self.tags)
 
     def index(self, tag: str) -> int:
-        if tag not in self._index:
+        if tag not in self.tag_ids:
             raise ValueError(f"unknown tag symbol {tag!r}")
-        return self._index[tag]
+        return self.tag_ids[tag]
 
     def symbol(self, index: int) -> str:
         return self.tags[index]

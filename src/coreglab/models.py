@@ -1,15 +1,16 @@
 """Desk-scale task model: an MLP with exact manual forward/backward over
 the feature rows that datasets builds.
 
-The classifier is a plain feed-forward ReLU network over explicit features,
-in one of two forms: a dense matrix (bag of tokens for sentence
-classification, the synthetic task's vectors), or WindowIds, the one-hot
-token windows of tagging kept as their column indices, on which layer 1
-sums weight rows and scatters its gradient. It stands in for any larger
-backbone: the training framework only needs forward logits and parameter
-gradients. Evaluation (eval_blocks) runs the same layer arithmetic
-(_affine) for every model over fixed row blocks, into buffers allocated
-once per whole-split evaluation, keeping nothing for backward.
+The classifier is a plain feed-forward ReLU network over explicit features, in
+one of two forms: a dense matrix (bag of tokens for sentence classification,
+the synthetic task's vectors), or WindowIds, the one-hot token windows of
+tagging kept as their column indices, on which layer 1 sums weight rows and
+scatters its gradient. It stands in for any larger backbone: the training
+framework only needs forward logits and parameter gradients. forward caches
+each layer's input and each dropout mask, and backward reads each ReLU mask
+off a cached activation. Evaluation (eval_blocks) runs the same layer
+arithmetic (_affine) for every model over fixed row blocks, into buffers
+allocated once per whole-split evaluation, keeping nothing for backward.
 """
 
 from contextlib import contextmanager
@@ -107,10 +108,12 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
+    """What backward reads: the model (to refuse a stale cache), each layer's
+    input (the features, then each hidden activation after ReLU and dropout)
+    and each hidden layer's dropout mask (None when no dropout ran)."""
+
     model: MlpModel
-    inputs: np.ndarray | WindowIds
-    layer_inputs: list[np.ndarray] = field(default_factory=list)
-    relu_masks: list[np.ndarray] = field(default_factory=list)
+    layer_inputs: list
     drop_masks: list = field(default_factory=list)
 
 
@@ -183,21 +186,17 @@ def forward(model: MlpModel, features, rng: np.random.Generator | None = None):
     is given and the model's rate is nonzero. Without one, the logits are
     those of eval_blocks, the evaluation forward, which keeps no cache.
     """
-    x = _inputs(model, features)
-    cache = ForwardCache(model, x)
-    h = x
-    n_layers = len(model.weights)
-    for i in range(n_layers - 1):
-        cache.layer_inputs.append(h)
-        h = _affine(h, model.weights[i], model.biases[i])
-        cache.relu_masks.append(h > 0.0)
+    h = _inputs(model, features)
+    cache = ForwardCache(model, [h])
+    for weight, bias in zip(model.weights[:-1], model.biases[:-1]):
+        h = _affine(h, weight, bias)
         np.maximum(h, 0.0, out=h)
         mask = None
         if rng is not None and model.dropout > 0.0:
             mask = dropout_mask(h.size, model.dropout, rng).reshape(h.shape)
             h *= mask
         cache.drop_masks.append(mask)
-    cache.layer_inputs.append(h)
+        cache.layer_inputs.append(h)
     return _affine(h, model.weights[-1], model.biases[-1]), cache
 
 
@@ -211,7 +210,7 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
     if cache.model is not model:
         raise ValueError("stale cache: it was produced by a different model")
     dz = np.asarray(dlogits, dtype=np.float64)
-    if dz.shape != (cache.inputs.shape[0], model.layer_sizes[-1]):
+    if dz.shape != (len(cache.layer_inputs[0]), model.layer_sizes[-1]):
         raise ValueError("dlogits shape does not match the cached forward")
     grad = np.empty(model.params.size)
     for i in range(len(model.weights) - 1, -1, -1):
@@ -231,7 +230,10 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: np.ndarray) -> np.nd
         dz = dz @ model.weights[i].T
         if cache.drop_masks[i - 1] is not None:
             dz *= cache.drop_masks[i - 1]
-        dz *= cache.relu_masks[i - 1]
+        # The ReLU mask: a kept unit's activation is positive exactly when its
+        # pre-activation was (dropout scales by 1 / (1 - rate) >= 1), and a
+        # dropped unit's dz is already a signed zero, which 0 or 1 keeps.
+        dz *= h > 0.0
     return grad
 
 

@@ -5,9 +5,9 @@ Each oracle deliberately takes a different algorithmic route than the
 library code it checks (candidate enumeration instead of a state machine,
 plain Python loops instead of vectorized numpy), so agreement between the two
 is meaningful evidence rather than a tautology. The training-dynamics
-statistics and the helpers at the end (finite differences, scalar losses,
-BIO encoding, artifact readers and writers) serve the tests alone; the
-library never calls them.
+statistics, the relation corpus and the helpers at the end (finite
+differences, scalar losses, BIO encoding, artifact readers and writers)
+serve the tests alone; the library never calls them.
 """
 
 import csv
@@ -219,19 +219,26 @@ def reference_warmup_steps(config):
 
 
 def reference_backward(model, cache, dlogits):
-    """Layer gradients joined by np.concatenate, weights then bias."""
+    """Layer gradients joined by np.concatenate, weights then bias. Each
+    hidden layer's ReLU mask is pre > 0 on its pre-activation, recomputed
+    from the layer's cached input and its weights rather than read off the
+    cached activation as backward reads it. WindowIds inputs are densified."""
+    from coreglab.models import WindowIds
+
+    inputs = [densify(h) if isinstance(h, WindowIds) else h for h in cache.layer_inputs]
     dz = np.atleast_2d(np.asarray(dlogits, dtype=np.float64))
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = cache.layer_inputs[i].T @ dz
+        grads_w[i] = inputs[i].T @ dz
         grads_b[i] = np.sum(dz, axis=0)
         if i == 0:
             break
+        pre = inputs[i - 1] @ model.weights[i - 1] + model.biases[i - 1]
         da = dz @ model.weights[i].T
         if cache.drop_masks[i - 1] is not None:
             da = da * cache.drop_masks[i - 1]
-        dz = da * cache.relu_masks[i - 1]
+        dz = da * (pre > 0.0)
     return np.concatenate(
         [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
 
@@ -441,6 +448,60 @@ def first_learned_means(stats: ForgettingStats, flagged, horizon: int):
     rest = ~flags
     unflagged_mean = float(np.mean(censored[rest])) if rest.any() else math.nan
     return flagged_mean, unflagged_mean
+
+
+# ---------------------------------------------------------- relation corpus
+#
+# A templated relation corpus on which the relation task shows the paper's
+# effect at desk scale: every positive sentence names its relation by one of
+# six trigger words between the two entities, and a `none` sentence has the
+# entity types of a random positive relation but no trigger. Each relation
+# maps to its (subject, object) entity types.
+
+RELATION_ENTITY_TYPES = {
+    "founded": ("PER", "ORG"), "born_in": ("PER", "LOC"),
+    "located_in": ("ORG", "LOC"), "employee_of": ("PER", "ORG"),
+}
+
+
+def gen_relation_corpus(num_sentences, seed, num_fillers=300):
+    """(SentenceInstances, RelationSchema): half the sentences `none`, the
+    rest one of the relations of RELATION_ENTITY_TYPES, each with 6 trigger
+    words; 20 one-token names per entity type. A sentence is 2-5 fillers,
+    the subject, 0-2 fillers, the trigger (none for `none`), 0-2 fillers,
+    the object and 1-4 fillers, each filler drawn from num_fillers words.
+    Record ids are positions."""
+    from coreglab.datasets import RelationSchema, SentenceInstance
+
+    relations = ("none", *RELATION_ENTITY_TYPES)
+    schema = RelationSchema(relations, "none", ("PER", "ORG", "LOC"))
+    names = {etype: [f"{etype.lower()}{i}" for i in range(20)]
+             for etype in schema.entity_types}
+    triggers = {rel: [f"{rel}_{i}" for i in range(6)] for rel in RELATION_ENTITY_TYPES}
+    rng = np.random.default_rng(seed)
+    instances = []
+    for uid in range(num_sentences):
+        label = 0 if rng.random() < 0.5 else int(rng.integers(1, len(relations)))
+        relation = relations[label or int(rng.integers(1, len(relations)))]
+        subj_type, obj_type = RELATION_ENTITY_TYPES[relation]
+
+        def fillers(least, most):
+            count = int(rng.integers(least, most + 1))
+            return [f"w{i}" for i in rng.integers(num_fillers, size=count)]
+
+        tokens = fillers(2, 5)
+        subj = len(tokens)
+        tokens.append(names[subj_type][int(rng.integers(20))])
+        tokens += fillers(0, 2)
+        if label:
+            tokens.append(triggers[relation][int(rng.integers(6))])
+        tokens += fillers(0, 2)
+        obj = len(tokens)
+        tokens.append(names[obj_type][int(rng.integers(20))])
+        tokens += fillers(1, 4)
+        instances.append(SentenceInstance(tokens, (subj, subj), subj_type, (obj, obj),
+                                          obj_type, label, uid))
+    return instances, schema
 
 
 # ------------------------------------------------------------ test helpers

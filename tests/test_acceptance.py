@@ -18,16 +18,19 @@ from click.testing import CliRunner
 
 from coreglab import numeric
 from coreglab.cli import main as cli_main
-from coreglab.datasets import gen_gaussian_mixture, make_metric
+from coreglab.datasets import (TASKS, build_relation_dataset, gen_gaussian_mixture,
+                               make_metric)
 from coreglab.experiment import (ExperimentConfig, run_audit, run_experiment,
                                  run_noise_analysis)
 from coreglab.metrics import (Span, TagScheme, bio_decode, relation_micro_f1,
                               span_f1)
+from coreglab.models import predict
 from coreglab.noiselab import NoiseSpec, inject_noise
 from coreglab.trainer import (TrainConfig, aggregate_targets, agreement_loss,
                               make_plain_config, train, warmup_steps)
 from oracles import (direct_agreement_loss, direct_aggregate, first_learned_means,
-                     flip_flags, forgetting_stats, train_with_trajectories)
+                     flip_flags, forgetting_stats, gen_relation_corpus,
+                     train_with_trajectories)
 from test_trainer import _fd_check, small_config, tiny_dataset
 
 # The noisy-label benchmark protocol used by the empirical checks below:
@@ -183,15 +186,24 @@ def _median_test_accuracy(scores):
             if split == "test" and seed == "median"][0]
 
 
-def test_denoising_effect(report, tmp_path):
+@pytest.fixture(scope="module")
+def coreg_protocol(tmp_path_factory):
+    """The protocol's coreg run (M=2) as metrics.csv's rows, with its wall
+    seconds; test_denoising_effect and test_more_models_help share it."""
     started = time.monotonic()
-    coreg = run_experiment(ExperimentConfig.from_mapping(
-        _protocol_mapping("coreg", tmp_path / "coreg")))
+    scores = run_experiment(ExperimentConfig.from_mapping(
+        _protocol_mapping("coreg", tmp_path_factory.mktemp("coreg"))))
+    return scores, time.monotonic() - started
+
+
+def test_denoising_effect(report, tmp_path, coreg_protocol):
+    coreg, coreg_seconds = coreg_protocol
+    started = time.monotonic()
     plain = run_experiment(ExperimentConfig.from_mapping(
         _protocol_mapping("plain", tmp_path / "plain",
                           train={**PROTOCOL_TRAIN, "num_models": 1,
                                  "gamma": 0.0})))
-    elapsed = time.monotonic() - started
+    elapsed = coreg_seconds + time.monotonic() - started
     margin = _median_test_accuracy(coreg) - _median_test_accuracy(plain)
     ok = margin >= 0.02 and elapsed < 60.0
     report(5, "co-regularization beats plain training on noisy labels",
@@ -324,22 +336,83 @@ def test_rerun_determinism(report, tmp_path):
     assert same
 
 
-def test_more_models_help(report, tmp_path):
+def test_more_models_help(report, tmp_path, coreg_protocol):
     """The paper's framework trains several models; on the protocol, four
     co-regularized models beat two. Calibrated at 30% flips: M=4 beat M=2 in
     5 of 5 seeds (test accuracy 0.828/0.846/0.834/0.840/0.838 against
     0.796/0.844/0.820/0.820/0.804), seed 2 by one test row, so the pinned
-    bound is 4 of 5."""
+    bound is 4 of 5. The M=2 run is the shared protocol run."""
     started = time.monotonic()
-    accuracy = {}
-    for num_models in (2, 4):
-        scores = run_experiment(ExperimentConfig.from_mapping(_protocol_mapping(
-            "coreg", tmp_path / f"m{num_models}",
-            train={**PROTOCOL_TRAIN, "num_models": num_models})))
-        accuracy[num_models] = {seed: float(value) for seed, split, _, value in scores
-                                if split == "test" and seed != "median"}
-    elapsed = time.monotonic() - started
+    four = run_experiment(ExperimentConfig.from_mapping(_protocol_mapping(
+        "coreg", tmp_path / "m4", train={**PROTOCOL_TRAIN, "num_models": 4})))
+    elapsed = coreg_protocol[1] + time.monotonic() - started
+    accuracy = {num_models: {seed: float(value) for seed, split, _, value in scores
+                             if split == "test" and seed != "median"}
+                for num_models, scores in ((2, coreg_protocol[0]), (4, four))}
     wins = sum(accuracy[4][seed] > accuracy[2][seed] for seed in PROTOCOL_SEEDS)
     report(11, "four co-regularized models beat two on noisy labels", wins >= 4,
            f"{wins}/5 seeds, {elapsed:.1f}s")
     assert wins >= 4
+
+
+# The relation check: a templated corpus (oracles.gen_relation_corpus, 300
+# filler words) of 3,000 sentences at seed 7, the first 2,000 the training
+# rows and the last 1,000 the clean test rows; 30% uniform flips on the
+# training rows only; 30 epochs, batch 64, hidden 32, base_lr 0.005, 30%
+# warm-up, no dev set, model 0 scored.
+RELATION_SEEDS = [1, 2, 3, 4]
+RELATION_TRAIN = {"batch_size": 64, "base_lr": 0.005, "hidden_sizes": (32,),
+                  "warmup_pct": 30.0}
+RELATION_EPOCHS = 30
+RELATION_GAMMA = 20.0
+
+
+def _flipped_run(train_rows, seed, **train_keys):
+    """Train on train_rows with 30% uniform flips at ``seed``; returns model
+    0 and its memorized share: the flipped training rows it predicts with
+    their noisy label."""
+    noisy, mask = inject_noise(train_rows, NoiseSpec(rate=PROTOCOL_NOISE_RATE, seed=seed))
+    steps = RELATION_EPOCHS * math.ceil(len(train_rows) / train_keys["batch_size"])
+    result = train(noisy, None, TrainConfig(total_steps=steps, master_seed=seed,
+                                            **train_keys))
+    model = result.ensemble.models[0]
+    memorized = np.mean(predict(model, noisy.features[mask.indices]) == mask.noisy_labels)
+    return model, float(memorized)
+
+
+def test_relation_denoising_effect(report):
+    """On the relation task, two co-regularized models (gamma 20) beat one
+    plain model in test micro-F1 and memorize fewer flipped labels.
+    Calibrated on seeds 1-8 (plain / coreg micro-F1):
+    0.798/0.825, 0.849/0.883, 0.812/0.842, 0.800/0.833, 0.827/0.857,
+    0.796/0.845, 0.835/0.868, 0.816/0.845, margins 0.027 to 0.049, with the
+    memorized share lower in 8 of 8 (plain 0.17-0.25, coreg 0.14-0.20).
+    Gamma 15 and 30 also beat plain in 8 of 8. The pinned bound is a 0.02
+    margin in 3 of the 4 seeds run here, and a lower memorized share in all
+    4."""
+    started = time.monotonic()
+    instances, schema = gen_relation_corpus(3000, seed=7)
+    rows, _ = build_relation_dataset(instances, schema)
+    train_rows, test_rows = rows.subset(range(2000)), rows.subset(range(2000, 3000))
+
+    def score(model):
+        return TASKS["relation"].score(schema, test_rows, predict(model, test_rows.features))
+
+    wins = lower = 0
+    details = []
+    for seed in RELATION_SEEDS:
+        (plain, plain_memorized), (coreg, coreg_memorized) = (
+            _flipped_run(train_rows, seed, num_models=num_models, gamma=gamma,
+                         **RELATION_TRAIN)
+            for num_models, gamma in ((1, 0.0), (2, RELATION_GAMMA)))
+        margin = score(coreg) - score(plain)
+        wins += margin >= 0.02
+        lower += coreg_memorized < plain_memorized
+        details.append(f"{margin:+.3f}")
+    elapsed = time.monotonic() - started
+    ok = wins >= 3 and lower == len(RELATION_SEEDS)
+    report(12, "co-regularization beats plain training on noisy relation labels",
+           ok, f"margins {details}, lower memorized share {lower}/"
+               f"{len(RELATION_SEEDS)}, {elapsed:.1f}s")
+    assert wins >= 3
+    assert lower == len(RELATION_SEEDS)

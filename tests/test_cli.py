@@ -407,6 +407,33 @@ def test_unreadable_data_file_exits_2(runner, tmp_path, task, broken):
         assert f"{train_path}:2:" in result.stderr
 
 
+@pytest.mark.parametrize("command, split", [("train", "train"), ("train", "dev"),
+                                            ("train", "test"), ("evaluate", "data")])
+def test_unknown_tag_symbol_exits_2(runner, tmp_path, command, split):
+    """A CoNLL tag the schema does not name is a data error that names the
+    file, the line and the symbol; the run leaves no metrics.csv."""
+    bad = tmp_path / f"{split}.conll"
+    bad.write_text("Ann B-PER\nran B-MISC\n")
+    if command == "train":
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(TASK_FILES["tagging"][0]))
+        good = tmp_path / "good.conll"
+        good.write_text(TASK_FILES["tagging"][1])
+        paths = {f"{name}_path": str(bad if name == split else good)
+                 for name in ("train", "dev", "test")}
+        config_path = tmp_path / "config.yaml"
+        write_file_task_config(config_path, "tagging", bad, good, schema_path,
+                               data={**paths, "schema_path": str(schema_path)})
+        args = ["train", str(config_path)]
+    else:
+        args = write_eval_files(tmp_path, "tagging", data=bad.read_text())
+        bad = tmp_path / "data"
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert result.stderr == f"error: {bad}:2: unknown tag symbol 'B-MISC'\n"
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
 @pytest.mark.parametrize("task", ["tagging", "synthetic"])
 def test_undecodable_line_deep_in_a_file_is_named(runner, tmp_path, task):
     """A byte that is not UTF-8 about 10 KB into a data file exits 2 naming

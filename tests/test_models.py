@@ -13,7 +13,8 @@ from coreglab.models import (PREDICT_BLOCK_ROWS, MlpModel, WindowIds, backward,
                              predict, save_model, set_params_flat)
 from coreglab.numeric import TrainingDiverged, softmax
 from coreglab.rng import substream
-from oracles import densify, featurize_token_window, finite_diff_grad, vocab_index
+from oracles import (densify, featurize_token_window, finite_diff_grad,
+                     reference_backward, vocab_index)
 
 
 def test_vocab_specials_first():
@@ -520,9 +521,10 @@ def test_forward_and_backward_write_only_their_own_arrays(form, dropout):
     model = init_model((data.num_features, 8, 6, data.num_classes), dropout, seed=2)
     params_before, raw_before = model.params.copy(), raw.copy()
     logits, cache = forward(model, features, rng=substream(3, "dropout.0"))
-    owned = [logits, *cache.layer_inputs[1:], *cache.relu_masks,
+    assert cache.layer_inputs[0] is features
+    owned = [logits, *cache.layer_inputs[1:],
              *(mask for mask in cache.drop_masks if mask is not None)]
-    assert len(owned) == 5 + 2 * (dropout > 0)
+    assert len(owned) == 3 + 2 * (dropout > 0)
     for array in owned:
         assert not np.shares_memory(array, model.params)
         assert not np.shares_memory(array, raw)
@@ -537,6 +539,38 @@ def test_forward_and_backward_write_only_their_own_arrays(form, dropout):
         assert array.tobytes() == copy.tobytes()
     assert model.params.tobytes() == params_before.tobytes()
     assert raw.tobytes() == raw_before.tobytes()
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_backward_matches_reference_at_relu_edges(dropout):
+    """backward reads each ReLU mask off the cached activation, and
+    reference_backward recomputes it as pre > 0; their gradients agree to the
+    bit on pre-activations of exactly -0.0 and +0.0, on positive units that
+    dropout zeroed, and with no dropout, over window ids and dense rows. The
+    first hidden layer puts, in every row, unit 0 at a pre-activation of
+    exactly -0.0 and unit 1 at exactly +0.0 (gather-sums of signed zeros),
+    unit 2 above zero and unit 3 below it."""
+    ids = WindowIds(np.array([[0, 3], [1, 4], [2, 5], [0, 5], [1, 3], [2, 4]] * 4), 6)
+    model = init_model((6, 4, 3, 2), dropout, seed=3)
+    weight, bias = model.weights[0], model.biases[0]
+    weight[:, 0], bias[0] = -0.0, -0.0
+    weight[:, 1], bias[1] = 0.0, 0.0
+    weight[:, 2], bias[2] = np.linspace(0.1, 0.6, 6), 0.25
+    weight[:, 3], bias[3] = -np.linspace(0.1, 0.6, 6), -0.25
+    pre = weight[ids.ids[:, 0]] + weight[ids.ids[:, 1]] + bias
+    assert np.all(pre[:, :2] == 0.0)
+    assert np.signbit(pre[:, 0]).all() and not np.signbit(pre[:, 1]).any()
+    assert np.all(pre[:, 2] > 0.0) and np.all(pre[:, 3] < 0.0)
+    dlogits = np.random.default_rng(9).normal(size=(len(ids), 2))
+    for features in (ids, densify(ids)):
+        _, cache = forward(model, features, rng=substream(4, "dropout.0"))
+        if dropout:
+            dropped = cache.drop_masks[0][:, 2] == 0.0
+            assert dropped.any() and not dropped.all()
+        else:
+            assert cache.drop_masks == [None, None]
+        grad = backward(model, cache, dlogits)
+        assert grad.tobytes() == reference_backward(model, cache, dlogits).tobytes()
 
 
 def test_backward_on_window_ids_matches_finite_differences():
