@@ -185,12 +185,13 @@ _NAMES = Key([str])
 @dataclass(frozen=True)
 class RelationSchema:
     """Relation label vocabulary with its designated negative label, plus
-    the entity types legal in subject/object positions."""
+    the entity types legal in subject/object positions. Its two label
+    tables: ``relations`` (id -> name) and ``relation_ids`` (name -> id)."""
 
     relations: tuple[str, ...]
     negative: str
     entity_types: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    relation_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.relations)) != len(self.relations):
@@ -199,20 +200,11 @@ class RelationSchema:
             raise ValueError("duplicate entity types")
         if self.negative not in self.relations:
             raise ValueError("negative label must be one of the relations")
-        object.__setattr__(self, "_index",
+        object.__setattr__(self, "relation_ids",
                            {name: i for i, name in enumerate(self.relations)})
 
     def __len__(self) -> int:
         return len(self.relations)
-
-    def label_index(self, name: str) -> int:
-        if name not in self._index:
-            raise ValueError(f"unknown relation label {name!r}")
-        return self._index[name]
-
-    @property
-    def negative_index(self) -> int:
-        return self._index[self.negative]
 
     @classmethod
     def load(cls, path) -> "RelationSchema":
@@ -376,7 +368,7 @@ def write_conll(path, sentences, scheme: metrics.TagScheme) -> None:
             if s:
                 fh.write("\n")
             for token, tag in zip(tokens, tags):
-                fh.write(f"{token} {scheme.symbol(tag)}\n")
+                fh.write(f"{token} {scheme.tags[tag]}\n")
 
 
 _RELATION_KEYS = ("tokens", "subj", "subj_type", "obj", "obj_type", "label")
@@ -434,10 +426,10 @@ def read_relation_jsonl(path, schema: RelationSchema) -> list[SentenceInstance]:
         tokens = rec["tokens"]
         if not _is_tokens(tokens):
             raise DataError(f"{where}: tokens must be a list of strings")
-        try:
-            label = schema.label_index(rec["label"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{where}: {exc}") from exc
+        name = rec["label"]
+        label = schema.relation_ids.get(name) if isinstance(name, str) else None
+        if label is None:
+            raise DataError(f"{where}: unknown relation label {name!r}")
         for role in ("subj", "obj"):
             span = rec[role]
             if not (isinstance(span, list) and len(span) == 2
@@ -679,7 +671,8 @@ class _RelationTask(_Task):
         write_relation_jsonl(path, records, schema)
 
     def score(self, schema, dataset, preds):
-        return metrics.relation_micro_f1(dataset.labels, preds, schema.negative_index).f1
+        negative = schema.relation_ids[schema.negative]
+        return metrics.relation_micro_f1(dataset.labels, preds, negative).f1
 
 
 class _TaggingTask(_Task):
@@ -803,7 +796,7 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
 
         def add_fillers(count):
             tokens.extend(fillers[i] for i in rng.choice(num_fillers, size=count).tolist())
-            tags.extend([scheme.index("O")] * count)
+            tags.extend([scheme.tag_ids["O"]] * count)
 
         add_fillers(int(rng.integers(2, 5)))
         for _ in range(int(rng.integers(1, 3))):
@@ -811,8 +804,8 @@ def gen_tagging_corpus(num_sentences: int = TAGGING_SENTENCES.default, seed: int
             span_len = int(rng.integers(1, 3))
             mention = rng.choice(len(names[etype]), size=span_len, replace=False)
             tokens.extend(names[etype][i] for i in mention.tolist())
-            tags.extend([scheme.index(f"B-{etype}")]
-                        + [scheme.index(f"I-{etype}")] * (span_len - 1))
+            tags.extend([scheme.tag_ids[f"B-{etype}"]]
+                        + [scheme.tag_ids[f"I-{etype}"]] * (span_len - 1))
             add_fillers(int(rng.integers(1, 4)))
         sentences.append(Sentence(tokens, tags))
     return sentences, scheme

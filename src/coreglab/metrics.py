@@ -38,7 +38,8 @@ class F1Report:
 
 
 class TagScheme:
-    """BIO tag layout: index 0 = O, then B-X, I-X per entity type in order."""
+    """BIO tag layout: index 0 = O, then B-X, I-X per entity type in order.
+    Its two tables: ``tags`` (id -> symbol) and ``tag_ids`` (symbol -> id)."""
 
     def __init__(self, entity_types):
         self.entity_types = list(entity_types)
@@ -52,14 +53,6 @@ class TagScheme:
 
     def __len__(self) -> int:
         return len(self.tags)
-
-    def index(self, tag: str) -> int:
-        if tag not in self.tag_ids:
-            raise ValueError(f"unknown tag symbol {tag!r}")
-        return self.tag_ids[tag]
-
-    def symbol(self, index: int) -> str:
-        return self.tags[index]
 
 
 # Well-formed BIO symbols parsed so far: symbol -> (starts a span, entity

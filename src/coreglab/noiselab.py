@@ -46,7 +46,7 @@ class NoiseSpec:
 
     class_conditional requires ``confusion``, a row-stochastic table whose
     row y gives the distribution the new label of a class-y instance is
-    drawn from.
+    drawn from; no other scheme takes one.
     """
 
     rate: float
@@ -64,6 +64,9 @@ class NoiseSpec:
                                   "noise.confusion table")
             object.__setattr__(self, "confusion", check(
                 "confusion", self.confusion, NOISE_KEYS["confusion"]))
+        elif self.confusion is not None:
+            raise ConfigError(f"noise.confusion is read only under noise.scheme "
+                              f"class_conditional, not {self.scheme}")
 
     def check_classes(self, num_classes: int) -> None:
         """The data's class count fits the noise: a flip needs another class

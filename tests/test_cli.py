@@ -258,6 +258,19 @@ def test_train_invalid_config_exits_1(runner, tmp_path, overrides, names, hang_g
         result.stderr
 
 
+def test_confusion_without_class_conditional_exits_1(runner, tmp_path):
+    """A confusion table is read only by the class_conditional scheme, so
+    one given under the default uniform_flip is refused, here one that is
+    not even C×C for the 3 classes, before the run directory is made."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, noise={"rate": 0.2, "confusion": [[0.0, 1.0], [1.0, 0.0]]})
+    result = runner.invoke(main, ["train", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert result.stderr == ("error: noise.confusion is read only under noise.scheme "
+                             "class_conditional, not uniform_flip\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_boolean_window_exits_1(runner, tmp_path):
     """A YAML boolean is not a window size, though Python counts true as 1;
     the same files train with window 1."""
@@ -431,6 +444,32 @@ def test_unknown_tag_symbol_exits_2(runner, tmp_path, command, split):
     result = runner.invoke(main, args)
     assert_clean_exit(result, 2)
     assert result.stderr == f"error: {bad}:2: unknown tag symbol 'B-MISC'\n"
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+@pytest.mark.parametrize("label", ["born_in", ["founded"]], ids=["unknown", "list"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_relation_label_exits_2(runner, tmp_path, command, label):
+    """A relation label the schema does not name, or one that is not a
+    string, is a data error that names the file, the line and the label;
+    the run leaves no metrics.csv."""
+    records = TASK_FILES["relation"][1] + json.dumps({**RELATION_RECORD, "label": label})
+    if command == "train":
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(TASK_FILES["relation"][0]))
+        good = tmp_path / "good.jsonl"
+        good.write_text(TASK_FILES["relation"][1])
+        bad = tmp_path / "train.jsonl"
+        bad.write_text(records)
+        config_path = tmp_path / "config.yaml"
+        write_file_task_config(config_path, "relation", bad, good, schema_path)
+        args = ["train", str(config_path)]
+    else:
+        args = write_eval_files(tmp_path, "relation", data=records)
+        bad = tmp_path / "data"
+    result = runner.invoke(main, args)
+    assert_clean_exit(result, 2)
+    assert result.stderr == f"error: {bad}:2: unknown relation label {label!r}\n"
     assert not list(tmp_path.rglob("metrics.csv"))
 
 

@@ -99,10 +99,9 @@ def test_window_id_rows_keep_their_form():
 def test_relation_schema():
     schema = RelationSchema(("no_relation", "founded", "works_at"),
                             "no_relation", ("PER", "ORG"))
-    assert schema.label_index("founded") == 1
-    assert schema.negative_index == 0
-    with pytest.raises(ValueError, match="unknown relation"):
-        schema.label_index("born_in")
+    assert schema.relation_ids["founded"] == 1
+    assert schema.relation_ids[schema.negative] == 0
+    assert "born_in" not in schema.relation_ids
     with pytest.raises(ValueError):
         RelationSchema(("a", "a"), "a", ())
     with pytest.raises(ValueError):
@@ -295,7 +294,7 @@ def test_read_conll_fixture(tmp_path):
     (tokens, tags), second = read_conll(path, scheme)
     assert tokens == ["Alice", "visited", "Acme", "Corp"]
     assert [scheme.tags[t] for t in tags] == ["B-PER", "O", "B-ORG", "I-ORG"]
-    assert second == (["Bob"], [scheme.index("B-PER")])
+    assert second == (["Bob"], [scheme.tag_ids["B-PER"]])
 
 
 def test_read_conll_empty(tmp_path):

@@ -136,11 +136,10 @@ def test_tag_scheme_layout():
     scheme = TagScheme(["PER", "ORG"])
     assert scheme.tags == ["O", "B-PER", "I-PER", "B-ORG", "I-ORG"]
     assert len(scheme) == 5
-    assert scheme.index("I-ORG") == 4
-    assert scheme.symbol(0) == "O"
+    assert scheme.tag_ids["I-ORG"] == 4
+    assert scheme.tags[0] == "O"
     assert [scheme.tags[i] for i in [1, 0, 2]] == ["B-PER", "O", "I-PER"]
-    with pytest.raises(ValueError, match="unknown tag"):
-        scheme.index("B-LOC")
+    assert "B-LOC" not in scheme.tag_ids
 
 
 def test_span_f1_perfect():

@@ -13,6 +13,7 @@ from coreglab.models import PREDICT_BLOCK_ROWS, WindowIds
 from coreglab.noiselab import (SUSPECT_CSV_HEADER, FlipMask, NoiseSpec, auroc,
                                disagreement_report, inject_noise, noise_overfit_eval,
                                save_suspect_csv)
+from coreglab.schema import ConfigError
 from coreglab.trainer import AGGREGATE_MODES, TrainConfig, init_ensemble, train
 from oracles import (ForgettingStats, first_learned_means, flip_flags,
                      forgetting_stats, load_flip_mask_csv, pairwise_auroc,
@@ -46,6 +47,14 @@ def test_noise_spec_validation():
                   confusion=np.ones((2, 3)) / 3)
     NoiseSpec(0.1, seed=0, scheme="class_conditional",
               confusion=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_noise_spec_confusion_needs_class_conditional():
+    """Only class_conditional reads a confusion table, so any other scheme
+    refuses one, naming both keys, whatever its size; null stays allowed."""
+    with pytest.raises(ConfigError, match=r"noise\.confusion .* noise\.scheme"):
+        NoiseSpec(0.1, seed=0, confusion=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert NoiseSpec(0.1, seed=0, confusion=None).confusion is None
 
 
 def test_flip_mask_invariant():
