@@ -79,7 +79,8 @@ def relabel(labels, batch_losses, preds_mean, delta_t: float) -> np.ndarray:
 
 
 def make_small_loss_hook(sched: PruneSchedule):
-    """Batch hook pruning the largest mean-loss instances per the schedule."""
+    """Batch hook pruning the largest mean-loss instances per the schedule;
+    it keeps at least one row, as no step runs at t = total_steps."""
 
     def hook(t, labels, mean_losses, mean_probs):
         keep = small_loss_select(mean_losses, schedule_delta(sched, t))
@@ -90,7 +91,7 @@ def make_small_loss_hook(sched: PruneSchedule):
 
 def make_relabel_hook(sched: PruneSchedule):
     """Batch hook overwriting the largest mean-loss labels with the mean
-    prediction's argmax per the schedule."""
+    prediction's argmax per the schedule; it keeps every row."""
 
     def hook(t, labels, mean_losses, mean_probs):
         new_labels = relabel(labels, mean_losses, mean_probs, schedule_delta(sched, t))

@@ -65,7 +65,7 @@ def train(config_path):
 @click.argument("config_path", type=click.Path())
 @_guarded
 def analyze_noise(config_path):
-    """Run the noise-overfit protocol over the configured gamma grid."""
+    """Run coreg's noise-overfit protocol over the configured gamma grid."""
     config = experiment.load_config(config_path)
     curves = experiment.run_noise_analysis(config)
     click.echo(f"curves: {curves}")
@@ -75,8 +75,8 @@ def analyze_noise(config_path):
 @click.argument("config_path", type=click.Path())
 @_guarded
 def audit_labels(config_path):
-    """Rank training instances by how strongly the models dispute their
-    labels; scores the ranking against injected flips when noise is on."""
+    """Train the configured method, rank training instances by how strongly
+    its models dispute their labels, and score that against any injected flips."""
     config = experiment.load_config(config_path)
     report, score = experiment.run_audit(config)
     click.echo(f"report: {report}")

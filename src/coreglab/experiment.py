@@ -13,6 +13,7 @@ manifest.json; a rerun first removes the files the last manifest lists):
   seed_<s>/model.npz           selected model at its best checkpoint
   seed_<s>/flips.csv           training-noise mask (train and analyze-noise, with noise)
   audit.csv, flips.csv         label audit's ranking and noise mask
+  weights.csv                  label audit's instance weights (crossweigh)
   curves.csv                   per gamma and seed, in long format: train's policy
                                pick per epoch, or analyze-noise's model-0
                                clean-set curve (whatever the selection policy)
@@ -352,6 +353,8 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
     per epoch; then save those curves as curves.csv and return its path."""
     if datasets.TASKS[config.task].from_files:
         raise ConfigError("analyze-noise supports the synthetic task")
+    if config.method != "coreg":
+        raise ConfigError(f"analyze-noise runs method coreg only, not {config.method}")
     analysis = config.analysis
     # Uniform flips change every chosen row, so this is the clean set's size.
     if math.floor(analysis["pool_noise_rate"] * analysis["pool_size"]) < 1:
@@ -382,10 +385,10 @@ def run_noise_analysis(config: ExperimentConfig) -> Path:
 
 
 def run_audit(config: ExperimentConfig):
-    """Train on the (noise-injected) training set with the first seed, rank
-    instances by the suspect-label report, and score how well the ranking
-    recovers the injected flips as metrics.csv's one train auroc row, written
-    only when there is a score. Returns (report path, AUROC or None)."""
+    """Train the configured method on the first seed's (noise-injected)
+    training set, rank instances by the suspect-label report, and score how
+    well it recovers the injected flips as metrics.csv's one train auroc
+    row, written only when there is a score. Returns (report path, AUROC or None)."""
     with _run(config) as save:
         task = build_task_data(config)
         seed = config.seeds[0]
@@ -393,7 +396,8 @@ def run_audit(config: ExperimentConfig):
         # Only the final ensemble is read, so there is no dev scoring to select by.
         tcfg = replace(_train_config(config, seed, config.epochs, len(train_set)),
                        selection_policy="first")
-        result = trainer.train(train_set, None, tcfg)
+        result = _run_method(config, tcfg, train_set, None, task,
+                             partial(save, "weights.csv"))
         with mdl.evaluating("train in the label audit"):
             columns = noiselab.disagreement_report(result.ensemble, train_set, tcfg)
         report = save("audit.csv", partial(noiselab.save_suspect_csv, columns))

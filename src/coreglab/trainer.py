@@ -3,8 +3,8 @@ jointly on an averaged supervision loss, then additionally pulled toward an
 aggregated soft target by a KL agreement loss after a warm-up phase.
 
 The same engine also drives the single-model and pruning/relabeling
-baselines through the ``weights`` and ``batch_hook`` parameters, so every
-method shares one data pipeline and seeding scheme.
+baselines through ``weights`` or ``batch_hook``, which exclude each other,
+so every method shares one data pipeline and seeding scheme.
 """
 
 import math
@@ -207,13 +207,13 @@ def compute_step_gradients(features, labels: np.ndarray,
     The gradients are those of the phase's objective: the averaged
     supervision loss during warm-up, the joint loss afterwards (with the
     soft target treated as a constant unless soft_target_gradient is on).
-    Returns (LossReport, list of gradient vectors); the gradient list is
-    empty when a hook prunes the whole batch. Everything between the
-    per-model forwards and backwards runs once over (models, batch, classes)
-    arrays laid out batch-major in memory. Only a hooked step gathers its
-    kept rows. One model whose step has no agreement gradient (gamma 0, or
-    warm-up) skips the soft target and reports an agreement loss of exactly
-    0.0, the value it would compute.
+    Returns (LossReport, list of gradient vectors). A step takes
+    ``weights`` or a ``batch_hook``, which keeps at least one row, not both.
+    Everything between the per-model forwards and backwards runs once over
+    (models, batch, classes) arrays laid out batch-major in memory. Only a
+    hooked step gathers its kept rows. One model whose step has no agreement
+    gradient (gamma 0, or warm-up) skips the soft target and reports an
+    agreement loss of exactly 0.0, the value it would compute.
     """
     y = np.asarray(labels, dtype=np.int64)
     n_rows = len(y)
@@ -221,8 +221,6 @@ def compute_step_gradients(features, labels: np.ndarray,
         raise ValueError("empty batch")
     num_models = ensemble.num_models
     warmup = t < warmup_steps(config)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
 
     # The (models, batch, classes) stacks are views of (batch, models,
     # classes) memory, the order a gather of kept rows (probs[:, keep, :])
@@ -247,13 +245,8 @@ def compute_step_gradients(features, labels: np.ndarray,
                              np.mean(probs, axis=0))
         keep = np.asarray(keep, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)[keep]
-        if len(keep) == 0:
-            # Nothing left to learn from this batch.
-            return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup), []
         probs, logits = probs[:, keep, :], logits[:, keep, :]
         picked = label_probs(probs, y)
-        if weights is not None:
-            weights = weights[keep]
 
     n_kept = len(y)
     losses = floored_nll(picked)
@@ -307,8 +300,6 @@ def train_step(features, labels: np.ndarray, ensemble: ModelEnsemble,
     """
     report, grads = compute_step_gradients(features, labels, ensemble, t, config,
                                            weights=weights, batch_hook=batch_hook)
-    if not grads:
-        return report
     lr = lr_at(config.base_lr, config.total_steps, t)
     for model, grad, state in zip(ensemble.models, grads, ensemble.opt_states):
         adam_step(model.params, grad, state, lr)
@@ -358,7 +349,8 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
     Batches are drawn with a seeded per-epoch shuffle from the shared data
     stream, so all model copies see identical batches. At every epoch
     boundary each model is scored on the dev set (when given) and the best
-    per-model dev checkpoint is retained.
+    per-model dev checkpoint is retained. ``weights`` and ``batch_hook``
+    exclude each other.
     """
     config.validate()
     if config.total_steps > 0 and len(dataset) == 0:
@@ -370,6 +362,8 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != len(dataset):
             raise ValueError("weights length does not match the dataset")
+        if batch_hook is not None:
+            raise ValueError("train takes weights or a batch_hook, not both")
 
     ensemble = init_ensemble(config, dataset.num_features, dataset.num_classes)
     models = ensemble.models

@@ -319,8 +319,6 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
         inst_losses = np.stack([_reference_nll(probs[k], y) for k in range(num_models)])
     warmup = t < reference_warmup_steps(config)
     n_kept = len(keep)
-    if n_kept == 0:
-        return LossReport(t, (0.0,) * num_models, 0.0, 0.0, 0.0, warmup)
     kept_w = w[keep]
     kept_probs = probs[:, keep, :]
     kept_logits = logits[:, keep, :]

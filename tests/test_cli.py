@@ -11,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from coreglab import datasets, models
+from coreglab import datasets, models, trainer
 from coreglab.cli import main
 from coreglab.datasets import load_tag_scheme, read_conll
 from coreglab.models import load_model, save_model
@@ -1262,6 +1262,68 @@ def test_audit_labels_with_noise(runner, tmp_path):
     assert 0.0 <= float(auroc_line.split(": ")[1]) <= 1.0
     assert (tmp_path / "audit" / "metrics.csv").read_text() == (
         f"seed,split,metric,value\n5,train,auroc,{auroc_line.split(': ')[1]}\n")
+
+
+# What the audit's last training gets under each method: (models, gamma, a
+# batch hook, instance weights).
+AUDIT_TRAINS = {"coreg": (2, 1.0, False, False), "plain": (1, 0.0, False, False),
+                "small_loss": (2, 0.0, True, False), "relabel": (2, 0.0, True, False),
+                "crossweigh": (1, 0.0, False, True)}
+
+
+def run_audit_of(runner, tmp_path, method):
+    """audit-labels on a noisy 40-row task under ``method``; returns the run
+    directory and the printed AUROC line."""
+    config_path = tmp_path / f"{method}.yaml"
+    write_config(config_path, seeds=[5], epochs=3, method=method,
+                 output_dir=str(tmp_path / method), noise={"rate": 0.25},
+                 baseline={"folds": 2, "iterations": 1, "delta_max": 20.0})
+    result = runner.invoke(main, ["audit-labels", str(config_path)])
+    assert result.exit_code == 0, result.output
+    return tmp_path / method, result.output.splitlines()[-1]
+
+
+@pytest.mark.parametrize("method", sorted(AUDIT_TRAINS))
+def test_audit_labels_trains_the_configured_method(runner, tmp_path, monkeypatch,
+                                                   method):
+    """The audit trains what ``method`` names, as train does: plain audits
+    one model, small_loss and relabel run their hooks, and crossweigh saves
+    its instance weights as weights.csv beside audit.csv."""
+    trained = []
+    original = trainer.train
+
+    def spy(dataset, dev_set, config, **kwargs):
+        trained.append((config.num_models, config.gamma,
+                        kwargs.get("batch_hook") is not None,
+                        kwargs.get("weights") is not None))
+        return original(dataset, dev_set, config, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    run, _ = run_audit_of(runner, tmp_path, method)
+    assert trained[-1] == AUDIT_TRAINS[method]
+    listed = json.loads((run / "manifest.json").read_text())["artifacts"]
+    assert ("weights.csv" in listed) == (method == "crossweigh")
+    assert (run / "weights.csv").exists() == (method == "crossweigh")
+
+
+def test_audit_labels_plain_and_coreg_rank_differently(runner, tmp_path):
+    """One plain model and coreg's two rank the rows differently."""
+    coreg, plain = (run_audit_of(runner, tmp_path, method) for method in ("coreg", "plain"))
+    assert (coreg[0] / "audit.csv").read_bytes() != (plain[0] / "audit.csv").read_bytes()
+    assert coreg[1] != plain[1]
+
+
+@pytest.mark.parametrize("method", ["plain", "small_loss", "relabel", "crossweigh"])
+def test_analyze_noise_refuses_other_methods(runner, tmp_path, method):
+    """analyze-noise sweeps coreg's gamma, so another method is refused
+    before the run directory is made."""
+    config_path = tmp_path / "config.yaml"
+    write_config(config_path, method=method, train={"num_models": 1},
+                 analysis={"gammas": [0.0, 5.0], "pool_size": 40, "epochs": 1})
+    result = runner.invoke(main, ["analyze-noise", str(config_path)])
+    assert_clean_exit(result, 1)
+    assert result.stderr == f"error: analyze-noise runs method coreg only, not {method}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def write_relation_records(tmp_path, ids, name="records.jsonl"):

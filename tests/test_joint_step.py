@@ -19,6 +19,7 @@ from coreglab.trainer import (AGGREGATE_MODES, TrainConfig, TrainingDiverged,
                               init_ensemble, train_step, warmup_steps)
 from oracles import (reference_adam_step, reference_agreement_dlogits,
                      reference_train_step, reference_warmup_steps)
+from test_trainer import assert_train_refuses_weights_with
 
 STEPS = 20
 BATCH = 16
@@ -90,10 +91,8 @@ def test_step_matches_reference(num_models, mode, soft_target_gradient, dropout)
 
 
 def _prune_some(t, labels, mean_losses, mean_probs):
-    """Every fifth step prunes the whole batch; otherwise keeps the rows
-    below the median loss, highest loss first (so out of row order)."""
-    if t % 5 == 0:
-        return np.array([], dtype=np.int64), labels
+    """Keeps the rows below the median loss, highest loss first (so out of
+    row order)."""
     order = np.argsort(-mean_losses, kind="stable")
     return order[mean_losses[order] < np.median(mean_losses)], labels
 
@@ -110,11 +109,16 @@ HOOKS = {
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 @pytest.mark.parametrize("num_models", [1, 2, 3])
 def test_step_with_hooks_and_weights_matches_reference(num_models, hook, weighted):
+    """A hooked step, or a weighted one, matches the reference; train
+    refuses a hook together with weights."""
     for mode in AGGREGATE_MODES:
         config = _config(num_models=num_models, aggregate_mode=mode,
                          soft_target_gradient=True, dropout=0.1)
         if mode == "avg_logit":
             _assert_refused(config)
+            continue
+        if weighted and HOOKS[hook] is not None:
+            assert_train_refuses_weights_with(HOOKS[hook], config)
             continue
         _assert_matches_reference(config, 4, weighted=weighted, hook=HOOKS[hook])
 

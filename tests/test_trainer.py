@@ -390,20 +390,20 @@ def test_empty_batch_rejected():
                                config)
 
 
-def test_hook_can_prune_everything():
+def assert_train_refuses_weights_with(batch_hook, config):
+    """train takes per-row weights or a batch hook, not both, and refuses
+    the pair before its first step, so the step never meets a hook's kept
+    rows together with the batch's weights."""
+    calls = []
+
+    def hook(t, labels, mean_losses, mean_probs):
+        calls.append(t)
+        return batch_hook(t, labels, mean_losses, mean_probs)
+
     data = tiny_dataset()
-    config = small_config()
-    ens = init_ensemble(config, 4, 3)
-    before = [params_flat(m).copy() for m in ens.models]
-
-    def drop_all(t, labels, mean_losses, mean_probs):
-        return np.empty(0, dtype=int), labels
-
-    report = train_step(data.features[:8], data.labels[:8], ens, 0, config,
-                        batch_hook=drop_all)
-    assert report.task_loss == 0.0
-    for m, prev in zip(ens.models, before):
-        assert params_flat(m).tobytes() == prev.tobytes()
+    with pytest.raises(ValueError, match="weights or a batch_hook, not both"):
+        train(data, None, config, weights=np.ones(len(data)), batch_hook=hook)
+    assert calls == []
 
 
 def _keep_all(t, labels, mean_losses, mean_probs):
@@ -420,7 +420,8 @@ def test_no_hook_equals_an_identity_hook_bit_for_bit(num_models, mode, weighted,
     """A step without a hook reduces its (models, batch, classes) stacks as
     they are; a hooked step reduces a gather of the kept rows. Both stacks
     are batch-major in memory, so with every row and label kept the reports,
-    gradients and updates match to the bit, in warm-up and after it."""
+    gradients and updates match to the bit, in warm-up and after it. With
+    weights, train refuses any hook, the identity one included."""
     config = small_config(num_models=num_models, aggregate_mode=mode, gamma=2.0,
                           soft_target_gradient=soft_target_gradient, dropout=0.1,
                           total_steps=8, warmup_pct=25.0)
@@ -429,14 +430,16 @@ def test_no_hook_equals_an_identity_hook_bit_for_bit(num_models, mode, weighted,
         with pytest.raises(ConfigError, match="soft_target_gradient.*avg_logit"):
             config.validate()
         return
+    if weighted:
+        assert_train_refuses_weights_with(_keep_all, config)
+        return
     bare, hooked = init_ensemble(config, 4, 9), init_ensemble(config, 4, 9)
     rng = np.random.default_rng(num_models)
     for t in range(config.total_steps):
         X = 2.0 * rng.normal(size=(16, 4))
         y = rng.integers(0, 9, size=16)
-        w = rng.uniform(0.0, 1.0, size=16) if weighted else None
-        got, got_grads = compute_step_gradients(X, y, bare, t, config, weights=w)
-        exp, exp_grads = compute_step_gradients(X, y, hooked, t, config, weights=w,
+        got, got_grads = compute_step_gradients(X, y, bare, t, config)
+        exp, exp_grads = compute_step_gradients(X, y, hooked, t, config,
                                                 batch_hook=_keep_all)
         assert repr(got) == repr(exp), t
         lr = numeric.lr_at(config.base_lr, config.total_steps, t)

@@ -126,6 +126,46 @@ def _audit(case):
                 train={**SMALL_TRAIN, "num_models": models, "aggregate_mode": mode}))
 
 
+def _other_methods(case):
+    """audit-labels trains each baseline method; analyze-noise, which sweeps
+    coreg's gamma, refuses one."""
+    for method in METHODS[1:]:
+        case.cli("audit-labels", case.config(
+            f"audit_{method}.yaml", task="synthetic", method=method, seeds=[1], epochs=10,
+            output_dir=f"run_{method}", data=SMALL_DATA, noise={"rate": 0.3, "seed": 4},
+            train=SMALL_TRAIN, baseline={"folds": 3, "delta_max": 30.0}))
+    case.cli("analyze-noise", case.config(
+        "analysis_plain.yaml", task="synthetic", method="plain", seeds=[1], epochs=10,
+        output_dir="run_analysis_plain", data=SMALL_DATA, train=SMALL_TRAIN,
+        analysis={"pool_size": 120}))
+
+
+def _paths(case):
+    """Paths no other case reaches: class-conditional noise, the soft-target
+    gradient under avg_prob, a rerun with fewer seeds into a used run
+    directory (its cleanup leaves no seed_2/), and crossweigh fold models
+    that stop mid-epoch (129 rows in 2 folds at batch 64)."""
+    small = {"task": "synthetic", "seeds": [1, 2], "epochs": 10, "data": SMALL_DATA}
+    confusion = [[0.0, 0.5, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25],
+                 [0.25, 0.25, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0]]
+    case.cli("train", case.config(
+        "class_conditional.yaml", **small, output_dir="run_class_conditional",
+        train=SMALL_TRAIN, noise={"rate": 0.3, "scheme": "class_conditional",
+                                  "confusion": confusion}))
+    case.cli("train", case.config(
+        "soft_avg_prob.yaml", **small, output_dir="run_soft_avg_prob",
+        noise={"rate": 0.3}, train={**SMALL_TRAIN, "soft_target_gradient": True}))
+    for seeds in ([1, 2], [1]):
+        case.cli("train", case.config(
+            f"rerun_{len(seeds)}.yaml", **{**small, "seeds": seeds}, output_dir="run_rerun",
+            train=SMALL_TRAIN))
+    case.cli("train", case.config(
+        "partial_epoch.yaml", **{**small, "seeds": [1], "epochs": 5,
+                                 "data": {**SMALL_DATA, "train_size": 129}},
+        method="crossweigh", output_dir="run_partial_epoch",
+        train={**SMALL_TRAIN, "num_models": 1, "batch_size": 64}, baseline={"folds": 2}))
+
+
 def _analysis(case):
     for name, gammas in (("grid", [0.0, 1.0, 5.0, 20.0]), ("repeat", [1.0, 0.0, 1.0])):
         case.cli("analyze-noise", case.config(
@@ -277,7 +317,8 @@ def _errors(case):
 
 MATRIX = [
     *(_workload(name, seed) for name in WORKLOADS for seed in (1, 2)),
-    ("methods", _methods), ("audit", _audit), ("analysis", _analysis),
+    ("methods", _methods), ("audit", _audit), ("other_methods", _other_methods),
+    ("analysis", _analysis), ("paths", _paths),
     ("synthetic", _synthetic), ("tagging", _tagging), ("relation", _relation),
     ("errors", _errors),
 ]
