@@ -7,8 +7,8 @@ build_relation_dataset takes every token's id in one pass;
 build_tagging_dataset maps each sentence's tokens to ids as it reads it.
 
 File formats:
-- CoNLL column files: blank-line-separated sentences, one token per line,
-  first column the token, last column the BIO tag symbol.
+- CoNLL column files: sentences separated by blank or -DOCSTART- lines, one
+  token per line, first column the token, last column the BIO tag symbol.
 - Relation records: one JSON object per line with tokens, inclusive
   subject/object spans plus entity types, and a relation label name.
 - Feature records: one JSON object per line with a dense feature vector,
@@ -336,15 +336,17 @@ def save_tag_scheme(scheme: metrics.TagScheme, path) -> None:
 
 def read_conll(path, scheme: metrics.TagScheme):
     """Each sentence of a CoNLL column file as a (tokens, tag ids) tuple of
-    fresh lists, in file order, read one line at a time; an error names the
-    line. The file closes when the sentences run out or are dropped."""
+    fresh lists, in file order, read one line at a time; a blank or
+    -DOCSTART- line ends a sentence, and an error names the line. The file
+    closes when the sentences run out or are dropped."""
     tokens: list[str] = []
     tags: list[int] = []
     with _open_data(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 cols = line.split()
-                if not cols:
+                # CoNLL03 opens each document with a -DOCSTART- line.
+                if not cols or cols[0] == "-DOCSTART-":
                     if tokens:
                         yield tokens, tags
                         tokens, tags = [], []
@@ -709,9 +711,8 @@ class _TaggingTask(_Task):
         order = np.argsort(dataset.groups, kind="stable")
         bounds = np.flatnonzero(np.diff(dataset.groups[order])) + 1
         edges = [0, *bounds.tolist(), len(order)] if len(order) else [0]
-        tags = schema.tags
-        gold = [tags[i] for i in dataset.labels[order].tolist()]
-        pred = [tags[i] for i in np.asarray(preds)[order].tolist()]
+        gold = dataset.labels[order].tolist()
+        pred = np.asarray(preds)[order].tolist()
         # span_f1 pulls each sentence's gold, then its predicted spans, from
         # these generators, so one sentence pair is decoded at a time; the
         # sequences decoded stay in bio_decode's bounded memo.

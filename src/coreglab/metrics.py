@@ -1,11 +1,12 @@
 """Evaluation metrics: BIO span decoding, span-level F1 counted one sentence
 at a time, relation micro-F1, and accuracy.
 
-bio_decode keeps the spans of each distinct tag sequence it has decoded, up
-to _DECODED_CAP sequences per process, because the tagging scorer decodes
-the same dev gold tags after every epoch. An entry holds about 0.35 KiB on
-the generated CoNLL corpus (1.1 KiB for random 14-tag sequences, so about
-9 MiB at the cap). Each call still returns a fresh list."""
+bio_decode keeps the spans of each distinct tag id sequence it has decoded,
+up to _DECODED_CAP sequences per process, because the tagging scorer decodes
+the same dev gold tags after every epoch. An entry holds about 360 bytes on
+the generated CoNLL corpus (1,122 for random 14-tag id sequences, so about
+9 MiB at the cap); on 2 vCPUs (Python 3.11, NumPy 2.4) a miss costs 8-15 us
+and a hit 0.4-0.8 us. Each call still returns a fresh list."""
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ import numpy as np
 
 
 class Span(NamedTuple):
-    label: str
+    """A decoded span; label is the entity type's index in the TagScheme."""
+    label: int
     start: int
     end: int  # inclusive
 
@@ -38,8 +40,9 @@ class F1Report:
 
 
 class TagScheme:
-    """BIO tag layout: index 0 = O, then B-X, I-X per entity type in order.
-    Its two tables: ``tags`` (id -> symbol) and ``tag_ids`` (symbol -> id)."""
+    """BIO tag layout: id 0 is O, 2k+1 is B and 2k+2 is I of entity type k,
+    in ``entity_types`` order. Its two tables, ``tags`` (id -> symbol) and
+    ``tag_ids`` (symbol -> id), serve the file boundary; scoring reads ids."""
 
     def __init__(self, entity_types):
         self.entity_types = list(entity_types)
@@ -55,13 +58,6 @@ class TagScheme:
         return len(self.tags)
 
 
-# Well-formed BIO symbols parsed so far: symbol -> (starts a span, entity
-# type or None). A tag scheme has two symbols per entity type plus O; the cap
-# only bounds the memo for callers that stream arbitrary symbols.
-_BIO_SYMBOLS = {"O": (False, None)}
-_BIO_SYMBOLS_CAP = 1024
-
-
 # Spans of each tag sequence decoded so far: tuple(tags) -> tuple of Spans.
 # Past the cap, sequences are decoded without being kept, so the memo stays
 # bounded on any stream of sentences; 8,192 holds every distinct sequence of
@@ -70,16 +66,12 @@ _DECODED: dict[tuple, tuple[Span, ...]] = {}
 _DECODED_CAP = 8192
 
 
-def bio_decode(tags: list[str]) -> list[Span]:
-    """Decode a BIO tag sequence into typed spans.
-
-    B-X always starts a span; I-X continues a same-type span, and an orphan
-    I-X (no open span of type X) starts a new one; O closes any open span.
-    A sequence decoded before is looked up in the memo above (at most
-    _DECODED_CAP sequences, up to about 1 KiB each), and the caller always
-    gets a fresh list, so changing it changes no later result. A sequence
-    with an unknown symbol raises every time and is never kept.
-    """
+def bio_decode(tags: Sequence[int]) -> list[Span]:
+    """Decode one sentence's tag ids, in TagScheme's layout, into Spans: B
+    always starts a span; I continues a span of its own type, and an orphan
+    I starts a new one; O closes any open span. A sequence decoded before is
+    looked up in the memo above, and the caller always gets a fresh list, so
+    changing it changes no later result."""
     key = tuple(tags)
     known = _DECODED.get(key)
     if known is not None:
@@ -88,15 +80,8 @@ def bio_decode(tags: list[str]) -> list[Span]:
     open_type = None
     open_start = -1
     for i, tag in enumerate(key):
-        parsed = _BIO_SYMBOLS.get(tag)
-        if parsed is None:
-            if tag[:2] not in ("B-", "I-") or len(tag) < 3:
-                raise ValueError(f"unknown tag symbol {tag!r} at position {i}")
-            parsed = (tag[0] == "B", tag[2:])
-            if len(_BIO_SYMBOLS) < _BIO_SYMBOLS_CAP:
-                _BIO_SYMBOLS[tag] = parsed
-        begins, etype = parsed
-        if begins or etype != open_type:
+        etype = (tag - 1) // 2 if tag else None
+        if tag % 2 or etype != open_type:
             if open_type is not None:
                 spans.append(Span(open_type, open_start, i - 1))
             open_type, open_start = etype, i

@@ -276,12 +276,12 @@ def test_memorization_delay(report):
 def test_bio_and_metric_oracles(report):
     from oracles import reference_bio_decode
     scheme = TagScheme(("A", "B"))
-    symbols = scheme.tags
     checked = 0
     for length in range(0, 7):
-        for combo in itertools.product(range(len(symbols)), repeat=length):
-            tags = [symbols[i] for i in combo]
-            assert bio_decode(tags) == reference_bio_decode(tags)
+        for combo in itertools.product(range(len(scheme)), repeat=length):
+            got = [(scheme.entity_types[s.label], s.start, s.end)
+                   for s in bio_decode(combo)]
+            assert got == reference_bio_decode([scheme.tags[i] for i in combo])
             checked += 1
     gold = [Span("PER", 0, 1), Span("ORG", 3, 3)]
     pred = [Span("PER", 0, 1)]

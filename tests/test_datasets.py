@@ -28,8 +28,8 @@ from coreglab.metrics import TagScheme, bio_decode
 from coreglab.models import WindowIds
 from coreglab.trainer import TrainConfig, train
 from oracles import (densify, featurize_sentence, featurize_token_window,
-                     reference_tagging_f1, reference_window_ids, save_relation_schema,
-                     vocab_index)
+                     reference_bio_decode, reference_tagging_f1, reference_window_ids,
+                     save_relation_schema, vocab_index)
 
 
 # ---------------------------------------------------------------- container
@@ -312,6 +312,32 @@ def test_read_conll_round_trip(tmp_path):
     write_conll(out, sentences, scheme)
     assert list(read_conll(out, scheme)) == sentences
     assert out.read_text() == CONLL_FIXTURE
+
+
+CONLL03_SENTENCES = """\
+EU NNP B-NP B-ORG
+rejects VBZ B-VP O
+German JJ B-NP B-MISC
+
+Peter NNP B-NP B-PER
+Blackburn NNP I-NP I-PER
+"""
+
+
+def test_read_conll_docstart_is_a_boundary(tmp_path):
+    """CoNLL03 opens each document with a -DOCSTART- line: it ends any open
+    sentence, as a blank line does, and adds no sentence of its own."""
+    scheme = TagScheme(["PER", "ORG", "MISC"])
+    plain = tmp_path / "plain.conll"
+    plain.write_text(CONLL03_SENTENCES)
+    docs = tmp_path / "docs.conll"
+    docs.write_text("-DOCSTART- -X- -X- O\n\n"
+                    + CONLL03_SENTENCES.replace("\n\n", "\n-DOCSTART- -X- -X- O\n")
+                    + "\n-DOCSTART- -X- -X- O\n")
+    expected = list(read_conll(plain, scheme))
+    assert [tokens for tokens, _ in expected] == [["EU", "rejects", "German"],
+                                                  ["Peter", "Blackburn"]]
+    assert list(read_conll(docs, scheme)) == expected
 
 
 def test_read_conll_errors(tmp_path):
@@ -1127,8 +1153,10 @@ def test_gen_tagging_corpus():
     assert again == instances
     for inst in instances:
         assert len(inst.tokens) == len(inst.tags)
-        spans = bio_decode([scheme.tags[t] for t in inst.tags])
+        spans = [(scheme.entity_types[s.label], s.start, s.end)
+                 for s in bio_decode(inst.tags)]
+        assert spans == reference_bio_decode([scheme.tags[t] for t in inst.tags])
         assert 1 <= len(spans) <= 2
-        for span in spans:
-            mention = inst.tokens[span.start:span.end + 1]
-            assert all(tok.startswith(span.label.lower()) for tok in mention)
+        for etype, start, end in spans:
+            mention = inst.tokens[start:end + 1]
+            assert all(tok.startswith(etype.lower()) for tok in mention)

@@ -1,7 +1,8 @@
 """The config schema: the checker's error text, a property test that draws
-config mappings from the key tables themselves, and one that draws schema
-and vocabulary file contents for the commands that read them."""
+config mappings from the key tables themselves, and ones that draw schema,
+vocabulary and data file contents for the commands that read them."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -205,10 +206,87 @@ def test_schema_and_vocab_files_run_or_exit_cleanly(file_dir, files):
     """evaluate and inject-noise over any schema and vocabulary file either
     run or end in an exit code with an `error:` line, never a traceback."""
     task, schema, vocab = files
-    evaluate = write_eval_files(file_dir, task, schema=schema, vocab=vocab)
-    for args in (evaluate, inject_noise_args(file_dir, task)):
+    _run_or_exit_cleanly(write_eval_files(file_dir, task, schema=schema, vocab=vocab),
+                         inject_noise_args(file_dir, task))
+
+
+def _run_or_exit_cleanly(*commands):
+    """Each command line exits 0, or 1 or 2 with an `error:` line, and
+    raises nothing but SystemExit."""
+    for args in commands:
         result = CliRunner().invoke(main, args)
         assert result.exit_code in (0, 1, 2), (args, result.output)
         assert result.exit_code == 0 or "error:" in result.stderr
         assert result.exception is None or isinstance(result.exception, SystemExit), (
             args, result.exception)
+
+
+def _content(line):
+    """A file of up to five drawn lines, the last with or without its newline."""
+    return st.builds(lambda lines, end: "\n".join(lines) + end,
+                     st.lists(line, max_size=5), st.sampled_from(["\n", ""]))
+
+
+# A line of text that is no record, tabs, a non-ASCII letter and CR among it.
+TEXT_LINE = st.text(st.sampled_from(" \tAnB-IO_\u00e90{\r"), max_size=6)
+# A CoNLL line: a token, maybe CoNLL03's POS and chunk columns, and a tag
+# symbol, known or not; a token alone; a blank or -DOCSTART- line; or text.
+CONLL_LINE = st.one_of(
+    st.builds(lambda token, middle, tag: " ".join([token, *middle, tag]),
+              st.sampled_from(["Ann", "ran", "-X-"]),
+              st.lists(st.sampled_from(["NNP", "-X-", "B-NP"]), max_size=2),
+              st.sampled_from(["O", "B-PER", "I-PER", "B-ORG", "I-LOC",
+                               "X-PER", "B-", "I", "b-per"])),
+    st.sampled_from(["Ann", "", "  ", "-DOCSTART- -X- -X- O", "-DOCSTART-"]),
+    TEXT_LINE)
+
+
+def _record_line(goods: list, values: dict):
+    """A JSONL line: as often as not a good record, else one with a key or
+    two left out and any of its keys drawn anew, JSON that is no object, or
+    text that is no JSON."""
+    good = st.sampled_from(goods)
+    edited = st.builds(
+        lambda record, dropped, edit: {**{k: v for k, v in record.items()
+                                          if k not in dropped}, **edit},
+        good, st.sets(st.sampled_from(sorted(goods[0])), max_size=2),
+        st.fixed_dictionaries({}, optional=values))
+    other = JUNK.map(json.dumps) | TEXT_LINE
+    bad = st.sampled_from([edited.map(json.dumps), other]).flatmap(lambda s: s)
+    return st.sampled_from([good.map(json.dumps), bad]).flatmap(lambda s: s)
+
+
+IDS = st.integers(-1, 2) | JUNK
+SPANS = st.lists(st.integers(-1, 4) | st.sampled_from([0.0, True, "0", None]),
+                 min_size=2, max_size=2) | JUNK
+TYPES = st.sampled_from(["PER", "ORG", "LOC"]) | JUNK
+RELATION_VALUES = {
+    "tokens": st.lists(st.sampled_from(["Ann", "founded", "Acme", ""]), max_size=4) | JUNK,
+    "subj": SPANS, "obj": SPANS, "subj_type": TYPES, "obj_type": TYPES,
+    "label": st.sampled_from(["founded", "none", "PER"]) | JUNK, "id": IDS}
+FEATURE_VALUES = {
+    "features": st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                         | st.sampled_from([10**400, -10**400, True, "1", None, [0.5]]),
+                         max_size=3) | JUNK,
+    "label": st.integers(-1, 4) | JUNK, "id": IDS}
+# Good records of both relation labels and of all three synthetic classes,
+# so inject-noise, which needs two classes, runs on some files.
+DATA = st.one_of(
+    st.tuples(st.just("tagging"), _content(CONLL_LINE)),
+    st.tuples(st.just("relation"), _content(_record_line(
+        [json.loads(line) for line in EVAL_FILES["relation"][3].splitlines()],
+        RELATION_VALUES))),
+    st.tuples(st.just("synthetic"), _content(_record_line(
+        [{"features": [0.5 * label, 1.0], "label": label} for label in range(3)],
+        FEATURE_VALUES))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(DATA)
+def test_data_files_run_or_exit_cleanly(file_dir, drawn):
+    """evaluate and inject-noise over any CoNLL, relation JSONL or feature
+    JSONL file either run or end in an exit code with an `error:` line,
+    never a traceback."""
+    task, data = drawn
+    _run_or_exit_cleanly(write_eval_files(file_dir, task, data=data),
+                         inject_noise_args(file_dir, task))
