@@ -42,7 +42,8 @@ class F1Report:
 class TagScheme:
     """BIO tag layout: id 0 is O, 2k+1 is B and 2k+2 is I of entity type k,
     in ``entity_types`` order. Its two tables, ``tags`` (id -> symbol) and
-    ``tag_ids`` (symbol -> id), serve the file boundary; scoring reads ids."""
+    ``tag_ids`` (symbol -> id), serve the file boundary; scoring reads ids.
+    An entity type holds no whitespace, which would split a CoNLL tag."""
 
     def __init__(self, entity_types):
         self.entity_types = list(entity_types)
@@ -50,6 +51,8 @@ class TagScheme:
             raise ValueError("duplicate entity types")
         self.tags = ["O"]
         for etype in self.entity_types:
+            if etype.split() != [etype]:
+                raise ValueError(f"entity type {etype!r} holds whitespace")
             self.tags.append(f"B-{etype}")
             self.tags.append(f"I-{etype}")
         self.tag_ids = {tag: i for i, tag in enumerate(self.tags)}

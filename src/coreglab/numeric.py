@@ -2,12 +2,10 @@
 dropout; and the one divergence rule, that logits must be finite.
 
 Everything here is a pure function over float64 arrays except adam_step,
-which updates the parameter vector and its AdamState in place. Reductions
+which updates a parameter vector and its (2, P) moments in place. Reductions
 call the ufunc's reduce (np.add.reduce, not np.sum) in numpy's fixed order,
 so results are bitwise reproducible. Matrices are C-order float64 ndarrays.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,34 +89,22 @@ def lr_at(base_lr: float, total_steps: int, t: int) -> float:
     return base_lr * (1.0 - t / total_steps)
 
 
-@dataclass
-class AdamState:
-    """Adam moment buffers for one flat parameter vector."""
+def adam_step(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
+              step: int, lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` and ``moments`` in place.
 
-    step: int
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-
-    @classmethod
-    def fresh(cls, size: int) -> "AdamState":
-        return cls(0, np.zeros(size), np.zeros(size))
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float) -> None:
-    """One bias-corrected Adam update of ``params`` and ``state`` in place.
-
-    ``params`` is the caller's float64 buffer (as ``MlpModel.params``); it
-    and the state's moments and step are overwritten, ``grads`` is only
-    read. The arithmetic runs on the moments and two scratch vectors in the
-    operation order of the textbook form
-    ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so every bit matches it.
+    ``params`` is the caller's float64 buffer (as ``MlpModel.params``) and
+    ``moments`` its (2, P) first and second moments (as a view of
+    ``ModelEnsemble.moments``); both are overwritten, ``grads`` is only read.
+    Bias correction is over ``step``, the 1-based update count. The
+    arithmetic runs on the moments and two scratch vectors in the operation
+    order of the textbook form ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so
+    every bit matches it.
     """
     g = np.asarray(grads, dtype=np.float64)
-    if params.shape != g.shape or params.shape != state.first_moment.shape:
-        raise ValueError("params/grads/state shape mismatch")
-    state.step += 1
-    m, v = state.first_moment, state.second_moment
+    if params.shape != g.shape or moments.shape != (2, *params.shape):
+        raise ValueError("params/grads/moments shape mismatch")
+    m, v = moments
     scratch = (1.0 - ADAM_BETA1) * g
     m *= ADAM_BETA1
     m += scratch
@@ -126,9 +112,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     scratch *= g
     v *= ADAM_BETA2
     v += scratch
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=scratch)  # m_hat
+    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=scratch)  # m_hat
     scratch *= lr
-    denom = v / (1.0 - ADAM_BETA2 ** state.step)  # v_hat
+    denom = v / (1.0 - ADAM_BETA2 ** step)  # v_hat
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     np.divide(scratch, denom, out=scratch)

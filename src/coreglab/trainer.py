@@ -15,8 +15,8 @@ import numpy as np
 from . import metrics
 from . import models as mdl
 from . import rng as rngmod
-from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, AdamState, TrainingDiverged,
-                      adam_step, floored_nll, kl_terms, label_probs, lr_at, softmax)
+from .numeric import (DROPOUT, KL_EPS, PROB_FLOOR, TrainingDiverged, adam_step,
+                      floored_nll, kl_terms, label_probs, lr_at, softmax)
 from .schema import ConfigError, Key, check
 
 AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
@@ -92,10 +92,13 @@ def warmup_steps(config: TrainConfig) -> int:
 
 @dataclass
 class ModelEnsemble:
-    """The jointly trained model copies with their optimizer and RNG state."""
+    """The jointly trained model copies with their optimizer and RNG state:
+    ``models[k]`` wraps row k of the (M, P) ``params``, and ``moments`` is
+    the (2, M, P) block of Adam's first and second moments aligned with it."""
 
     models: list[mdl.MlpModel]
-    opt_states: list[AdamState]
+    params: np.ndarray
+    moments: np.ndarray
     dropout_rngs: list[np.random.Generator]
 
     @property
@@ -105,18 +108,20 @@ class ModelEnsemble:
 
 def init_ensemble(config: TrainConfig, input_dim: int, num_classes: int) -> ModelEnsemble:
     """Build num_models copies of the architecture with distinct init seeds
-    and private dropout streams, all derived from the master seed."""
+    and private dropout streams, all derived from the master seed; model k's
+    init_model draw is copied into row k of the parameters, which it wraps."""
     layer_sizes = (input_dim, *config.hidden_sizes, num_classes)
     seeds = [rngmod.substream_seed(config.master_seed, f"init.{k}")
              for k in range(config.num_models)]
     if len(set(seeds)) != len(seeds):
         raise RuntimeError("derived init seeds collide")
-    models = [mdl.init_model(layer_sizes, config.dropout, seed) for seed in seeds]
-    states = [AdamState.fresh(mdl.param_count(layer_sizes))
-              for _ in range(config.num_models)]
+    params = np.stack([mdl.init_model(layer_sizes, config.dropout, seed).params
+                       for seed in seeds])
+    models = [mdl.MlpModel(layer_sizes, config.dropout, seed, row)
+              for seed, row in zip(seeds, params)]
     rngs = [rngmod.substream(config.master_seed, f"dropout.{k}")
             for k in range(config.num_models)]
-    return ModelEnsemble(models, states, rngs)
+    return ModelEnsemble(models, params, np.zeros((2, *params.shape)), rngs)
 
 
 @dataclass(frozen=True)
@@ -301,8 +306,8 @@ def train_step(features, labels: np.ndarray, ensemble: ModelEnsemble,
     report, grads = compute_step_gradients(features, labels, ensemble, t, config,
                                            weights=weights, batch_hook=batch_hook)
     lr = lr_at(config.base_lr, config.total_steps, t)
-    for model, grad, state in zip(ensemble.models, grads, ensemble.opt_states):
-        adam_step(model.params, grad, state, lr)
+    for k, model in enumerate(ensemble.models):
+        adam_step(model.params, grads[k], ensemble.moments[:, k], t + 1, lr)
     return report
 
 
@@ -314,9 +319,10 @@ class TrainResult:
     # (epochs, models) dev score of each model after each epoch; None
     # without a dev set.
     dev_scores: np.ndarray | None = None
-    # Each model's parameters at its first best dev epoch (its initial ones
-    # before any epoch); without a dev set, the model's own final buffer.
-    best_params: list[np.ndarray] = field(default_factory=list)
+    # (models, P): row k holds model k's parameters at its first best dev
+    # epoch (its initial ones before any epoch); without a dev set, it is
+    # the ensemble's own parameter array.
+    best_params: np.ndarray | None = None
 
     def selected_model(self) -> mdl.MlpModel:
         """Copy of the model the selection policy picks by best dev score,
@@ -367,8 +373,8 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
 
     ensemble = init_ensemble(config, dataset.num_features, dataset.num_classes)
     models = ensemble.models
-    result = TrainResult(ensemble, config, best_params=[
-        model.params if dev_set is None else mdl.params_flat(model) for model in models])
+    result = TrainResult(ensemble, config, best_params=(
+        ensemble.params if dev_set is None else ensemble.params.copy()))
     best = np.full(len(models), -math.inf)
     scores = []
     data_rng = rngmod.substream(config.master_seed, "data_order")
@@ -398,7 +404,7 @@ def train(dataset, dev_set, config: TrainConfig, *, eval_metric=None,
                 for k, score in enumerate(scores[-1]):
                     if score > best[k]:
                         best[k] = score
-                        result.best_params[k] = mdl.params_flat(models[k])
+                        result.best_params[k] = models[k].params
 
     if dev_set is not None:
         result.dev_scores = np.array(scores, dtype=np.float64).reshape(-1, len(models))

@@ -243,16 +243,17 @@ def reference_backward(model, cache, dlogits):
         [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)])
 
 
-def reference_adam_step(params, grads, state, lr):
-    from coreglab.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
+def reference_adam_step(params, grads, moments, step, lr):
+    """Textbook Adam update number ``step`` (1-based) from the (2, P) first
+    and second ``moments``: (new params, new (2, P) moments), both fresh."""
+    from coreglab.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
-    step = state.step + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
+    m = ADAM_BETA1 * moments[0] + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * moments[1] + (1.0 - ADAM_BETA2) * grads * grads
     m_hat = m / (1.0 - ADAM_BETA1 ** step)
     v_hat = v / (1.0 - ADAM_BETA2 ** step)
     new_p = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_p, AdamState(step, m, v)
+    return new_p, np.stack([m, v])
 
 
 def _reference_nll(probs, labels):
@@ -348,8 +349,8 @@ def reference_train_step(features, labels, ensemble, t, config, *, weights=None,
         grads.append(reference_backward(model, caches[k], dlogits))
     lr = lr_at(config.base_lr, config.total_steps, t)
     for k, model in enumerate(ensemble.models):
-        new_params, ensemble.opt_states[k] = reference_adam_step(
-            mdl.params_flat(model), grads[k], ensemble.opt_states[k], lr)
+        new_params, ensemble.moments[:, k] = reference_adam_step(
+            mdl.params_flat(model), grads[k], ensemble.moments[:, k], t + 1, lr)
         mdl.set_params_flat(model, new_params)
     return LossReport(t, tuple(per_model_sup), task_loss, agg_loss, joint_loss, warmup)
 

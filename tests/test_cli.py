@@ -1001,6 +1001,22 @@ def test_inject_noise_tagging_requires_schema(runner, tmp_path):
     assert "--schema" in result.stderr
 
 
+def test_tagging_schema_with_whitespace_entity_type_exits_2(runner, tmp_path):
+    """Its tags would split into two CoNLL columns, so inject-noise would
+    write lines the next read refuses; the schema file is refused first."""
+    (tmp_path / "train.conll").write_text("Bob B-PER\n")
+    (tmp_path / "schema.json").write_text(json.dumps({"entity_types": ["NEW YORK", "PER"]}))
+    result = runner.invoke(main, [
+        "inject-noise", "--task", "tagging",
+        "--input", str(tmp_path / "train.conll"),
+        "--output", str(tmp_path / "noisy.conll"), "--rate", "0.5",
+        "--schema", str(tmp_path / "schema.json")])
+    assert_clean_exit(result, 2)
+    assert f"{tmp_path / 'schema.json'}: bad tagging schema" in result.stderr
+    assert "entity type 'NEW YORK' holds whitespace" in result.stderr
+    assert not (tmp_path / "noisy.conll").exists()
+
+
 def test_inject_noise_tagging_flips_tokens(runner, tmp_path):
     runner.invoke(main, ["gen-synthetic", "--task", "tagging",
                          "--out", str(tmp_path), "--sentences", "15",

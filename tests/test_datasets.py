@@ -159,6 +159,11 @@ def test_tag_scheme_round_trip(tmp_path):
 def test_tag_scheme_refuses_duplicate_entity_types():
     with pytest.raises(ValueError, match="duplicate entity types"):
         TagScheme(["PER", "ORG", "PER"])
+    # A CoNLL line's tag is its last whitespace-separated column.
+    for etype in ("NEW YORK", "ORG\t", " PER", "A\nB"):
+        message = f"entity type {etype!r} holds whitespace"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TagScheme(["PER2", etype])
 
 
 RELATION_SCHEMA = {"relations": ["none", "founded"], "negative": "none",
@@ -186,6 +191,8 @@ RELATION_SCHEMA = {"relations": ["none", "founded"], "negative": "none",
     (load_tag_scheme, [], "bad tagging schema: the file must be a JSON object"),
     (RelationSchema.load, 1.5, "bad relation schema: the file must be a JSON object"),
     (load_vocab, "abc", "bad vocabulary file: the file must be a JSON object"),
+    (load_tag_scheme, {"entity_types": ["NEW YORK", "PER"]},
+     "entity type 'NEW YORK' holds whitespace"),
 ])
 def test_schema_and_vocab_files_refuse_what_is_not_a_list(tmp_path, load, content,
                                                            message):

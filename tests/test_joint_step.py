@@ -12,14 +12,14 @@ import pytest
 
 from coreglab import baselines, noiselab
 from coreglab.datasets import LabeledDataset
-from coreglab.numeric import AdamState, adam_step, softmax
+from coreglab.numeric import adam_step, softmax
 from coreglab.schema import ConfigError
 from coreglab.trainer import (AGGREGATE_MODES, TrainConfig, TrainingDiverged,
                               aggregate_targets, compute_step_gradients,
                               init_ensemble, train_step, warmup_steps)
 from oracles import (reference_adam_step, reference_agreement_dlogits,
                      reference_train_step, reference_warmup_steps)
-from test_trainer import assert_train_refuses_weights_with
+from test_trainer import assert_models_view_rows, assert_train_refuses_weights_with
 
 STEPS = 20
 BATCH = 16
@@ -60,19 +60,14 @@ def _assert_matches_reference(config, num_classes, *, weighted=False, hook=None)
         for field in dataclasses.fields(got):
             assert _bits(getattr(got, field.name)) == _bits(getattr(exp, field.name)), \
                 (t, field.name)
+    assert ens.params.tobytes() == ref.params.tobytes()
+    assert ens.moments.tobytes() == ref.moments.tobytes()
     for k in range(config.num_models):
-        model, ref_model = ens.models[k], ref.models[k]
-        assert model.params.tobytes() == ref_model.params.tobytes(), k
-        state, ref_state = ens.opt_states[k], ref.opt_states[k]
-        assert state.step == ref_state.step
-        assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
-        assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
         assert ens.dropout_rngs[k].bit_generator.state == \
             ref.dropout_rngs[k].bit_generator.state
-        # The optimizer wrote in place: the layers still view the buffer.
-        for w_view, b_view in zip(model.weights, model.biases):
-            assert np.shares_memory(w_view, model.params)
-            assert np.shares_memory(b_view, model.params)
+    # The optimizer wrote in place: each model and its layers still view
+    # their row, so the rows compared above are the models' parameters.
+    assert_models_view_rows(ens)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -153,22 +148,23 @@ def test_warmup_steps_matches_fraction_reference():
 def test_adam_step_matches_reference_in_place():
     rng = np.random.default_rng(3)
     params = rng.normal(size=50)
-    state = AdamState.fresh(50)
-    buffers = (params, state.first_moment, state.second_moment)
-    ref_params, ref_state = params.copy(), AdamState.fresh(50)
-    for step in range(30):
+    # One model's moments as the ensemble holds them: a (2, P) view of a
+    # (2, M, P) block, whose rows are not adjacent in memory.
+    block = np.zeros((2, 3, 50))
+    moments = block[:, 1]
+    ref_params, ref_moments = params.copy(), np.zeros((2, 50))
+    for step in range(1, 31):
         grads = rng.normal(size=50) * 10.0 ** rng.integers(-6, 3)
         before = grads.copy()
-        assert adam_step(params, grads, state, 0.01) is None
+        assert adam_step(params, grads, moments, step, 0.01) is None
         assert grads.tobytes() == before.tobytes()
-        # The update lands in the given buffers, not in fresh ones.
-        assert all(now is then for now, then in zip(
-            (params, state.first_moment, state.second_moment), buffers))
-        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, 0.01)
-        assert state.step == ref_state.step == step + 1
+        ref_params, ref_moments = reference_adam_step(ref_params, grads, ref_moments,
+                                                      step, 0.01)
         assert params.tobytes() == ref_params.tobytes(), step
-        assert state.first_moment.tobytes() == ref_state.first_moment.tobytes()
-        assert state.second_moment.tobytes() == ref_state.second_moment.tobytes()
+        # The update lands in the given view of the block, not in a fresh
+        # array, and leaves the other models' moments alone.
+        assert block[:, 1].tobytes() == ref_moments.tobytes(), step
+        assert not block[:, [0, 2]].any()
 
 def test_non_finite_logits_are_refused_inside_and_outside_the_step():
     """softmax's finite check is the step's only one, and the step reports

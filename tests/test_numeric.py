@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coreglab.numeric import (PROB_FLOOR, AdamState, TrainingDiverged, adam_step,
-                              dropout_mask, floored_nll, kl_terms, label_probs, lr_at,
-                              softmax)
+from coreglab.numeric import (ADAM_BETA1, ADAM_BETA2, PROB_FLOOR, TrainingDiverged,
+                              adam_step, dropout_mask, floored_nll, kl_terms,
+                              label_probs, lr_at, softmax)
 from coreglab.trainer import TrainConfig
 from oracles import cross_entropy, finite_diff_grad, kl_divergence
 
@@ -192,46 +192,51 @@ def test_lr_schedule_errors():
 
 
 def test_adam_zero_gradient_is_noop():
-    state = AdamState.fresh(3)
+    moments = np.zeros((2, 3))
     params = np.array([1.0, -2.0, 0.5])
-    adam_step(params, np.zeros(3), state, 0.1)
-    np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
-    assert state.step == 1
+    for step in (1, 2, 3):
+        adam_step(params, np.zeros(3), moments, step, 0.1)
+        np.testing.assert_array_equal(params, [1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(moments, np.zeros((2, 3)))
 
 
 def test_adam_single_step_frozen_value():
-    params = np.array([0.0])
-    state = AdamState.fresh(1)
-    adam_step(params, np.array([1.0]), state, 0.1)
-    assert params[0] == pytest.approx(-ADAM_FIRST_DELTA, rel=1e-14)
-    assert state.step == 1
+    """Under a constant unit gradient the bias-corrected moments are 1 at
+    every step counted from 1, so steps 2 and 3 move by the first step's
+    delta too; a step that lagged the moments would move by about 1.34
+    times that."""
+    params, moments = np.array([0.0]), np.zeros((2, 1))
+    for step in (1, 2, 3):
+        adam_step(params, np.array([1.0]), moments, step, 0.1)
+        assert params[0] == pytest.approx(-step * ADAM_FIRST_DELTA, rel=1e-14)
 
 
 def test_adam_zero_lr_still_advances_state():
-    params = np.array([1.0])
-    state = AdamState.fresh(1)
-    adam_step(params, np.array([2.0]), state, 0.0)
+    params, moments = np.array([1.0]), np.zeros((2, 1))
+    adam_step(params, np.array([2.0]), moments, 1, 0.0)
     np.testing.assert_array_equal(params, [1.0])
-    assert state.step == 1
-    assert state.first_moment[0] != 0.0
+    assert moments[:, 0].tolist() == [(1.0 - ADAM_BETA1) * 2.0,
+                                      (1.0 - ADAM_BETA2) * 2.0 * 2.0]
 
 
 def test_adam_deterministic():
     grads = np.array([0.1, 0.2])
     runs = []
     for _ in range(2):
-        params, state = np.array([0.3, -0.7]), AdamState.fresh(2)
-        adam_step(params, grads, state, 0.01)
-        runs.append((params.tobytes(), state.first_moment.tobytes(),
-                     state.second_moment.tobytes()))
+        params, moments = np.array([0.3, -0.7]), np.zeros((2, 2))
+        for step in (1, 2, 3):
+            adam_step(params, grads, moments, step, 0.01)
+        runs.append((params.tobytes(), moments.tobytes()))
     assert runs[0] == runs[1]
 
 
 def test_adam_shape_mismatch():
-    with pytest.raises(ValueError):
-        adam_step(np.zeros(2), np.zeros(3), AdamState.fresh(2), 0.1)
-    with pytest.raises(ValueError):
-        adam_step(np.zeros(3), np.zeros(3), AdamState.fresh(2), 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(np.zeros(2), np.zeros(3), np.zeros((2, 2)), 1, 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(np.zeros(3), np.zeros(3), np.zeros((2, 2)), 1, 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(np.zeros(3), np.zeros(3), np.zeros(3), 1, 0.1)
 
 
 def test_dropout_mask_rate_zero():

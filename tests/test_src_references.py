@@ -17,8 +17,8 @@ ALLOWED = {
     ("cli", "analyze_noise"), ("cli", "audit_labels"), ("cli", "evaluate"),
     ("cli", "export_curves"), ("cli", "gen_synthetic"),
     ("cli", "inject_noise_cmd"), ("cli", "train"),
-    # The benchmark's tracer (bench/tracing.py) wraps it.
-    ("models", "set_params_flat"),
+    # The benchmark's tracer (bench/tracing.py) wraps them.
+    ("models", "params_flat"), ("models", "set_params_flat"),
 }
 
 # The classes of the datasets.TASKS records; the task name picks one.

@@ -5,7 +5,7 @@ import pytest
 
 from coreglab import numeric, trainer
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
-from coreglab.models import (MlpModel, forward, params_flat, predict,
+from coreglab.models import (MlpModel, forward, init_model, params_flat, predict,
                              set_params_flat)
 from coreglab.schema import ConfigError
 from coreglab.trainer import (AGGREGATE_MODES, ModelEnsemble, TrainConfig,
@@ -96,9 +96,25 @@ def test_warmup_steps_no_float_drift():
 # ---------------------------------------------------------------- ensemble
 
 
+def assert_models_view_rows(ens):
+    """Each model's buffer, weights and biases view its own row of the
+    ensemble's (M, P) parameter array, and the Adam moments are the
+    (2, M, P) block aligned with it."""
+    size = ens.models[0].params.size
+    assert ens.params.shape == (ens.num_models, size)
+    assert ens.moments.shape == (2, ens.num_models, size)
+    for k, model in enumerate(ens.models):
+        assert model.params.tobytes() == ens.params[k].tobytes()
+        for view in (model.params, *model.weights, *model.biases):
+            for j in range(ens.num_models):
+                assert np.shares_memory(view, ens.params[j]) == (j == k), (k, j)
+
+
 def test_init_ensemble_distinct_models():
     ens = init_ensemble(small_config(num_models=3), input_dim=4, num_classes=3)
     assert ens.num_models == 3
+    assert_models_view_rows(ens)
+    assert not ens.moments.any()
     sizes = {m.layer_sizes for m in ens.models}
     assert sizes == {(4, 8, 3)}
     flats = [params_flat(m).tobytes() for m in ens.models]
@@ -112,6 +128,11 @@ def test_init_ensemble_reproducible():
     b = init_ensemble(small_config(), 4, 3)
     for ma, mb in zip(a.models, b.models):
         assert params_flat(ma).tobytes() == params_flat(mb).tobytes()
+    # Each row holds its model's unchanged init_model draw.
+    config = small_config()
+    for model in a.models:
+        drawn = init_model(model.layer_sizes, config.dropout, model.seed)
+        assert model.params.tobytes() == drawn.params.tobytes()
 
 
 # ---------------------------------------------------------------- aggregates
@@ -445,9 +466,10 @@ def test_no_hook_equals_an_identity_hook_bit_for_bit(num_models, mode, weighted,
         lr = numeric.lr_at(config.base_lr, config.total_steps, t)
         for k in range(num_models):
             assert got_grads[k].tobytes() == exp_grads[k].tobytes(), (t, k)
-            numeric.adam_step(bare.models[k].params, got_grads[k], bare.opt_states[k], lr)
+            numeric.adam_step(bare.models[k].params, got_grads[k], bare.moments[:, k],
+                              t + 1, lr)
             numeric.adam_step(hooked.models[k].params, exp_grads[k],
-                              hooked.opt_states[k], lr)
+                              hooked.moments[:, k], t + 1, lr)
     for model, other in zip(bare.models, hooked.models):
         assert model.params.tobytes() == other.params.tobytes()
 
@@ -664,8 +686,7 @@ def test_train_best_checkpoint_is_first_max_dev(monkeypatch):
                                           [0.6, 0.9]]
     assert result.best_params[0].tobytes() == seen[2 * 1 + 0].tobytes()
     assert result.best_params[1].tobytes() == seen[2 * 3 + 1].tobytes()
-    assert not np.shares_memory(result.best_params[1],
-                                result.ensemble.models[1].params)
+    assert not np.shares_memory(result.best_params, result.ensemble.params)
 
 
 def test_train_best_checkpoint_is_max_dev():
@@ -703,8 +724,14 @@ def test_selected_model_wraps_a_copy_without_initialising(monkeypatch, with_dev)
     chosen = int(np.argmax(result.dev_scores.max(axis=0))) if with_dev else 0
     model = result.ensemble.models[chosen]
     source = result.best_params[chosen]
-    # Without a dev set the checkpoint is the model's own final buffer.
-    assert (source is model.params) == (not with_dev)
+    # Without a dev set the checkpoints are the ensemble's own parameter
+    # array, so the chosen one is the model's final buffer; with one, they
+    # are a copy that shares no memory with it.
+    assert (result.best_params is result.ensemble.params) == (not with_dev)
+    assert np.shares_memory(result.best_params, result.ensemble.params) == (not with_dev)
+    assert np.shares_memory(source, model.params) == (not with_dev)
+    if not with_dev:
+        assert source.tobytes() == model.params.tobytes()
     restored = result.selected_model()
     assert restored.params.tobytes() == source.tobytes()
     assert not np.shares_memory(restored.params, source)
