@@ -1,6 +1,8 @@
 """Competing denoising strategies built on the same training pipeline:
-plain single-model training, small-loss batch pruning and relabeling on a
-linearly growing schedule, and a fold-disagreement instance reweighter.
+plain single-model training; small-loss batch pruning and relabeling, two
+batch hooks that act on the same rows, the batch's largest mean losses on a
+linearly growing schedule; and CrossWeigh's fold-disagreement reweighter,
+which returns one loss weight per training row.
 """
 
 import math
@@ -8,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datasets
 from . import models as mdl
 from . import rng as rngmod
 from . import trainer
@@ -41,93 +42,49 @@ def schedule_delta(sched: PruneSchedule, t: int) -> float:
     return sched.delta_max * t / sched.total_steps
 
 
-def _quota(n: int, delta_t: float) -> int:
-    return math.floor(delta_t * n / 100.0)
-
-
-def _largest_loss_indices(batch_losses: np.ndarray, count: int) -> np.ndarray:
-    # Stable sort on the negated losses: among ties the lower index comes
-    # first and is therefore affected first.
-    order = np.argsort(-np.asarray(batch_losses, dtype=np.float64), kind="stable")
-    return order[:count]
-
-
-def small_loss_select(batch_losses, delta_t: float) -> np.ndarray:
-    """Indices kept after pruning the floor(delta_t*N/100) largest-loss
-    instances; ties prune the lower index first. Returned in ascending order."""
-    losses = np.asarray(batch_losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) == 0:
-        raise ValueError("batch_losses must be a non-empty vector")
-    pruned = _largest_loss_indices(losses, _quota(len(losses), delta_t))
-    keep = np.ones(len(losses), dtype=bool)
-    keep[pruned] = False
-    return np.flatnonzero(keep)
-
-
-def relabel(labels, batch_losses, preds_mean, delta_t: float) -> np.ndarray:
-    """New label vector where the floor(delta_t*N/100) largest-loss instances
-    take the argmax of the mean predicted distribution; others unchanged.
-    An instance whose argmax equals its old label still consumes quota."""
-    y = np.asarray(labels, dtype=np.int64).copy()
-    losses = np.asarray(batch_losses, dtype=np.float64)
-    probs = np.asarray(preds_mean, dtype=np.float64)
-    if len(y) != len(losses) or probs.shape[0] != len(y):
-        raise ValueError("labels, losses, and predictions must align")
-    chosen = _largest_loss_indices(losses, _quota(len(y), delta_t))
-    y[chosen] = np.argmax(probs[chosen], axis=1)
-    return y
+def largest_losses(sched: PruneSchedule, t: int, losses: np.ndarray) -> np.ndarray:
+    """The rows the schedule affects at step t: the floor(delta_t*N/100)
+    largest losses, largest first. The sort on the negated losses is stable,
+    so among ties the lower index comes first and is affected first."""
+    quota = math.floor(schedule_delta(sched, t) * len(losses) / 100.0)
+    return np.argsort(-losses, kind="stable")[:quota]
 
 
 def make_small_loss_hook(sched: PruneSchedule):
-    """Batch hook pruning the largest mean-loss instances per the schedule;
-    it keeps at least one row, as no step runs at t = total_steps."""
+    """Batch hook pruning the largest mean-loss rows per the schedule and
+    keeping the rest in ascending order; it keeps at least one row, as no
+    step runs at t = total_steps."""
 
     def hook(t, labels, mean_losses, mean_probs):
-        keep = small_loss_select(mean_losses, schedule_delta(sched, t))
-        return keep, labels
+        keep = np.ones(len(mean_losses), dtype=bool)
+        keep[largest_losses(sched, t, mean_losses)] = False
+        return np.flatnonzero(keep), labels
 
     return hook
 
 
 def make_relabel_hook(sched: PruneSchedule):
-    """Batch hook overwriting the largest mean-loss labels with the mean
-    prediction's argmax per the schedule; it keeps every row."""
+    """Batch hook overwriting the largest mean-loss rows' labels with the mean
+    prediction's argmax per the schedule; it keeps every row. A row whose
+    argmax equals its label still uses up quota."""
 
     def hook(t, labels, mean_losses, mean_probs):
-        new_labels = relabel(labels, mean_losses, mean_probs, schedule_delta(sched, t))
-        return np.arange(len(new_labels)), new_labels
+        y = np.array(labels, dtype=np.int64)
+        chosen = largest_losses(sched, t, mean_losses)
+        y[chosen] = np.argmax(mean_probs[chosen], axis=1)
+        return np.arange(len(y)), y
 
     return hook
 
 
-@dataclass
-class InstanceWeights:
-    """Per-instance loss multipliers in [0, 1]; save_csv writes one row per
-    instance, in order, under the dataset's id."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-
-    def save_csv(self, path, ids) -> None:
-        datasets.write_csv(path, ["id", "weight"],
-                           zip(ids.tolist(), map(repr, self.values.tolist())))
-
-
 def train_plain(dataset, dev_set, config: trainer.TrainConfig, *,
-                weights: InstanceWeights | None = None,
+                weights: np.ndarray | None = None,
                 eval_metric=None) -> trainer.TrainResult:
     """Single-model cross-entropy training on the shared pipeline: the same
     engine with one model and no agreement term, so seeding and batching are
     identical to the multi-model runs."""
     return trainer.train(dataset, dev_set, trainer.make_plain_config(config),
-                         weights=None if weights is None else weights.values,
-                         eval_metric=eval_metric)
+                         weights=weights, eval_metric=eval_metric)
 
 
 def check_fold_rows(folds: int, n: int) -> None:
@@ -136,31 +93,28 @@ def check_fold_rows(folds: int, n: int) -> None:
         raise ConfigError(f"baseline.folds ({folds}) exceeds the {n} training rows")
 
 
-def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Disjoint covering chunks of near-equal size in shuffled order."""
-    check("folds", folds, BASELINE_KEYS["folds"])
-    check_fold_rows(folds, n)
-    return np.array_split(rng.permutation(n), folds)
-
-
 def crossweigh_weights(dataset, folds: int, iterations: int,
                        config: trainer.TrainConfig,
                        base_weight: float = BASELINE_KEYS["base_weight"].default
-                       ) -> InstanceWeights:
+                       ) -> np.ndarray:
     """Down-weight instances whose labels out-of-fold models contradict.
 
     For each iteration the training set is re-partitioned into ``folds``
     chunks with a seeded shuffle; one plain model is trained on the other
     chunks and predicts the reserved chunk. The final weight of an instance
-    is base_weight ** c where c counts its disagreements across iterations.
+    is base_weight ** c where c counts its disagreements across iterations;
+    the weights come back as one float64 vector in the dataset's row order.
     """
+    check("folds", folds, BASELINE_KEYS["folds"])
     check("base_weight", base_weight, BASELINE_KEYS["base_weight"])
     check("iterations", iterations, BASELINE_KEYS["iterations"])
     n = len(dataset)
+    check_fold_rows(folds, n)
     disagreements = np.zeros(n, dtype=np.int64)
     for it in range(iterations):
         part_rng = rngmod.substream(config.master_seed, f"crossweigh.{it}")
-        for f, reserved in enumerate(fold_partition(n, folds, part_rng)):
+        # Disjoint covering chunks of near-equal size in shuffled order.
+        for f, reserved in enumerate(np.array_split(part_rng.permutation(n), folds)):
             # The other folds' rows in ascending order, by a mask rather than
             # np.setdiff1d, whose np.unique imports numpy.ma.
             train_mask = np.ones(n, dtype=bool)
@@ -176,4 +130,4 @@ def crossweigh_weights(dataset, folds: int, iterations: int,
                 preds = mdl.predict(result.ensemble.models[0],
                                     dataset.features[reserved])
             disagreements[reserved] += preds != dataset.labels[reserved]
-    return InstanceWeights(base_weight ** disagreements.astype(np.float64))
+    return base_weight ** disagreements.astype(np.float64)

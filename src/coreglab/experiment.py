@@ -200,7 +200,8 @@ def _run_method(config: ExperimentConfig, tcfg: trainer.TrainConfig,
         train_set, folds, config.baseline["iterations"],
         _train_config(config, tcfg.master_seed, config.epochs, n - -(-n // folds)),
         config.baseline["base_weight"])
-    save_weights(partial(weights.save_csv, ids=train_set.ids))
+    save_weights(partial(datasets.write_csv, header=["id", "weight"], rows=zip(
+        train_set.ids.tolist(), map(repr, weights.tolist()))))
     return baselines.train_plain(train_set, dev_set, tcfg, weights=weights,
                                  eval_metric=metric)
 

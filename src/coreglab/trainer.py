@@ -26,9 +26,11 @@ AGGREGATE_MODES = ("avg_prob", "avg_logit", "min_prob")
 # epochs. The widest hidden layer, 4096, is the
 # feed-forward width of BERT-large, far above what a NumPy MLP at desk scale
 # needs: a wider entry is a typo, and one of 10**38 units would fail only
-# when drawn.
+# when drawn. The most models, 64, is far above the few the paper
+# co-regularizes: a larger count is a typo, and one of 10**7 would spend
+# minutes deriving init seeds before it failed or wrote anything.
 TRAIN_KEYS = {
-    "num_models": Key(int, 2, least=1),
+    "num_models": Key(int, 2, least=1, most=64),
     "warmup_pct": Key(float, 30.0, least=0, most=100),
     "gamma": Key(float, 1.0, least=0),
     "batch_size": Key(int, 64, least=1),

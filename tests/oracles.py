@@ -616,10 +616,9 @@ def save_relation_schema(schema, path):
 
 
 def load_weights_csv(path, ids):
-    """The InstanceWeights that InstanceWeights.save_csv wrote to ``path`` for
-    a dataset whose rows have these ids, which it must list in order."""
-    from coreglab.baselines import InstanceWeights
-
+    """The float64 weight vector that a crossweigh run wrote as weights.csv at
+    ``path`` for a dataset whose rows have these ids, which it must list in
+    order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -628,7 +627,7 @@ def load_weights_csv(path, ids):
         pairs = [(int(row[0]), float(row[1])) for row in reader]
     if [uid for uid, _ in pairs] != [int(uid) for uid in ids]:
         raise ValueError("the weight file does not list the dataset's ids in order")
-    return InstanceWeights([w for _, w in pairs])
+    return np.array([w for _, w in pairs], dtype=np.float64)
 
 
 # Per task: a schema, a vocabulary, the layer sizes of a model that fits them,

@@ -186,6 +186,15 @@ def _median_test_accuracy(scores):
             if split == "test" and seed == "median"][0]
 
 
+def _test_accuracy_by_seed(scores):
+    return {seed: float(value) for seed, split, _, value in scores
+            if split == "test" and seed != "median"}
+
+
+# The baselines' single model: M=1 and no agreement term.
+BASELINE_TRAIN = {**PROTOCOL_TRAIN, "num_models": 1, "gamma": 0.0}
+
+
 @pytest.fixture(scope="module")
 def coreg_protocol(tmp_path_factory):
     """The protocol's coreg run (M=2) as metrics.csv's rows, with its wall
@@ -196,14 +205,19 @@ def coreg_protocol(tmp_path_factory):
     return scores, time.monotonic() - started
 
 
-def test_denoising_effect(report, tmp_path, coreg_protocol):
-    coreg, coreg_seconds = coreg_protocol
+@pytest.fixture(scope="module")
+def plain_protocol(tmp_path_factory):
+    """The protocol's plain run as metrics.csv's rows, with its wall seconds;
+    test_denoising_effect and test_hook_baselines_help share it."""
     started = time.monotonic()
-    plain = run_experiment(ExperimentConfig.from_mapping(
-        _protocol_mapping("plain", tmp_path / "plain",
-                          train={**PROTOCOL_TRAIN, "num_models": 1,
-                                 "gamma": 0.0})))
-    elapsed = coreg_seconds + time.monotonic() - started
+    scores = run_experiment(ExperimentConfig.from_mapping(_protocol_mapping(
+        "plain", tmp_path_factory.mktemp("plain"), train=BASELINE_TRAIN)))
+    return scores, time.monotonic() - started
+
+
+def test_denoising_effect(report, coreg_protocol, plain_protocol):
+    (coreg, coreg_seconds), (plain, plain_seconds) = coreg_protocol, plain_protocol
+    elapsed = coreg_seconds + plain_seconds
     margin = _median_test_accuracy(coreg) - _median_test_accuracy(plain)
     ok = margin >= 0.02 and elapsed < 60.0
     report(5, "co-regularization beats plain training on noisy labels",
@@ -346,13 +360,44 @@ def test_more_models_help(report, tmp_path, coreg_protocol):
     four = run_experiment(ExperimentConfig.from_mapping(_protocol_mapping(
         "coreg", tmp_path / "m4", train={**PROTOCOL_TRAIN, "num_models": 4})))
     elapsed = coreg_protocol[1] + time.monotonic() - started
-    accuracy = {num_models: {seed: float(value) for seed, split, _, value in scores
-                             if split == "test" and seed != "median"}
+    accuracy = {num_models: _test_accuracy_by_seed(scores)
                 for num_models, scores in ((2, coreg_protocol[0]), (4, four))}
     wins = sum(accuracy[4][seed] > accuracy[2][seed] for seed in PROTOCOL_SEEDS)
     report(11, "four co-regularized models beat two on noisy labels", wins >= 4,
            f"{wins}/5 seeds, {elapsed:.1f}s")
     assert wins >= 4
+
+
+def test_hook_baselines_help(report, tmp_path, plain_protocol):
+    """Each hook baseline beats plain training on the protocol at 30% flips
+    (M=1, no agreement term, best-dev selection) once its schedule reaches
+    the flip rate, delta_max 30: on median test accuracy, and seed for seed
+    in at least 4 of 5 seeds. Calibrated test accuracy for seeds 1-5:
+    plain 0.762/0.814/0.782/0.766/0.736 (median 0.766); small_loss
+    0.780/0.814/0.824/0.784/0.794 (median 0.794, +2.8pp), 4 of 5 seeds as
+    seed 2 ties, the narrowest win 9 test rows (seed 1); relabel
+    0.812/0.834/0.832/0.828/0.816 (median 0.828, +6.2pp), 5 of 5 seeds, the
+    narrowest win 10 test rows (seed 2). The plain run is the shared one."""
+    started = time.monotonic()
+    accuracy = {"plain": _test_accuracy_by_seed(plain_protocol[0])}
+    median = {"plain": _median_test_accuracy(plain_protocol[0])}
+    for method in ("small_loss", "relabel"):
+        scores = run_experiment(ExperimentConfig.from_mapping(_protocol_mapping(
+            method, tmp_path / method, train=BASELINE_TRAIN,
+            baseline={"delta_max": 30.0})))
+        accuracy[method], median[method] = (_test_accuracy_by_seed(scores),
+                                            _median_test_accuracy(scores))
+    elapsed = plain_protocol[1] + time.monotonic() - started
+    wins = {method: sum(accuracy[method][seed] > accuracy["plain"][seed]
+                        for seed in PROTOCOL_SEEDS)
+            for method in ("small_loss", "relabel")}
+    ok = all(median[m] > median["plain"] and wins[m] >= 4 for m in wins)
+    report(15, "small-loss pruning and relabeling beat plain training", ok,
+           ", ".join(f"{m} median {100 * (median[m] - median['plain']):+.2f}pp, "
+                     f"{wins[m]}/5 seeds" for m in wins) + f", {elapsed:.1f}s")
+    for method in wins:
+        assert median[method] > median["plain"], method
+        assert wins[method] >= 4, method
 
 
 # The relation check: a templated corpus (oracles.gen_relation_corpus, 300

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from coreglab.baselines import (InstanceWeights, PruneSchedule,
-                                crossweigh_weights, fold_partition,
+from coreglab import baselines, experiment
+from coreglab.baselines import (PruneSchedule, crossweigh_weights,
                                 make_relabel_hook, make_small_loss_hook,
-                                relabel, schedule_delta, small_loss_select,
-                                train_plain)
+                                schedule_delta, train_plain)
 from coreglab.datasets import LabeledDataset, gen_gaussian_mixture
 from coreglab.models import params_flat, predict
 from coreglab.rng import substream
@@ -73,6 +72,29 @@ def test_schedule_validation():
 
 
 # ---------------------------------------------------------------- selection
+# Both hooks at t = total_steps, where delta_t is delta_max. A one-step
+# schedule keeps delta_t bit-equal to delta_max for any float.
+
+
+def small_loss_select(losses, delta):
+    """The rows the small-loss hook keeps at delta_t = delta; it leaves the
+    labels as they are."""
+    labels = np.zeros(len(losses), dtype=np.int64)
+    keep, out = make_small_loss_hook(PruneSchedule(delta, 1))(
+        1, labels, np.asarray(losses, dtype=np.float64), None)
+    assert out is labels
+    return keep
+
+
+def relabel(labels, losses, preds, delta):
+    """The labels the relabel hook returns at delta_t = delta; it keeps every
+    row."""
+    keep, out = make_relabel_hook(PruneSchedule(delta, 1))(
+        1, np.asarray(labels), np.asarray(losses, dtype=np.float64),
+        np.asarray(preds, dtype=np.float64))
+    np.testing.assert_array_equal(keep, np.arange(len(labels)))
+    assert out.dtype == np.int64
+    return out
 
 
 def test_small_loss_select_zero_delta_keeps_all():
@@ -109,13 +131,6 @@ def test_small_loss_select_exact_count_property():
         kept = small_loss_select(losses, delta)
         assert len(kept) == n - int(delta * n // 100)
         assert np.all(np.diff(kept) > 0)
-
-
-def test_small_loss_select_errors():
-    with pytest.raises(ValueError):
-        small_loss_select(np.empty(0), 5.0)
-    with pytest.raises(ValueError):
-        small_loss_select(np.ones((2, 2)), 5.0)
 
 
 # ---------------------------------------------------------------- relabel
@@ -165,13 +180,6 @@ def test_relabel_matches_direct_reimplementation():
                                       expected)
 
 
-def test_relabel_alignment_errors():
-    with pytest.raises(ValueError):
-        relabel([0, 1], [1.0], np.eye(2), 0.0)
-    with pytest.raises(ValueError):
-        relabel([0, 1], [1.0, 2.0], np.eye(3), 0.0)
-
-
 # ---------------------------------------------------------------- hooks
 
 
@@ -209,31 +217,43 @@ def test_hooked_training_runs():
 # ---------------------------------------------------------------- weights
 
 
-def test_instance_weights_validation():
-    InstanceWeights(np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        InstanceWeights(np.array([1.5]))
-    with pytest.raises(ValueError):
-        InstanceWeights(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        InstanceWeights(np.ones((2, 2)))
+def test_instance_weights_csv_round_trip(tmp_path, monkeypatch):
+    """A crossweigh run writes weights.csv through _run_method: one row per
+    training row, in row order, under the row's dataset id, with the repr of
+    the very vector that the weighted fit trains on."""
+    config = experiment.ExperimentConfig.from_mapping({
+        "task": "synthetic", "method": "crossweigh", "seeds": [3], "epochs": 1,
+        "output_dir": str(tmp_path / "run"),
+        "data": {"train_size": 12, "dev_size": 4, "test_size": 4, "num_classes": 2},
+        "train": {"num_models": 1, "batch_size": 4, "hidden_sizes": [4]},
+        "baseline": {"folds": 3}})
+    task = experiment.build_task_data(config)
+    # Reversed rows, so the ids are not in ascending order.
+    train_set = task.train.subset(np.arange(len(task.train))[::-1])
+    seen = {}
+    real_weights, real_plain = baselines.crossweigh_weights, baselines.train_plain
 
+    def weights_recorder(*args, **kwargs):
+        seen["weights"] = real_weights(*args, **kwargs)
+        return seen["weights"]
 
-def test_instance_weights_ones():
-    w = InstanceWeights(np.ones(5))
-    np.testing.assert_array_equal(w.values, np.ones(5))
+    def plain_recorder(*args, weights=None, **kwargs):
+        seen["trained"] = weights
+        return real_plain(*args, weights=weights, **kwargs)
 
-
-def test_instance_weights_csv_round_trip(tmp_path):
-    """One row per instance, in order, named by its dataset id."""
-    w = InstanceWeights(np.array([1.0, 0.7, 0.49, 0.0]))
-    ids = np.array([40, 7, 12, 3])
+    monkeypatch.setattr(baselines, "crossweigh_weights", weights_recorder)
+    monkeypatch.setattr(baselines, "train_plain", plain_recorder)
     path = tmp_path / "weights.csv"
-    w.save_csv(path, ids)
-    loaded = load_weights_csv(path, ids)
-    assert loaded.values.tobytes() == w.values.tobytes()
-    assert path.read_text().splitlines() == ["id,weight", "40,1.0", "7,0.7",
-                                             "12,0.49", "3,0.0"]
+    tcfg = experiment._train_config(config, 3, config.epochs, len(train_set))
+    experiment._run_method(config, tcfg, train_set, None, task,
+                           lambda write: write(path))
+    weights = seen["weights"]
+    assert seen["trained"] is weights
+    assert weights.dtype == np.float64 and weights.shape == (len(train_set),)
+    loaded = load_weights_csv(path, train_set.ids)
+    assert loaded.tobytes() == weights.tobytes()
+    assert path.read_text().splitlines() == ["id,weight"] + [
+        f"{uid},{w!r}" for uid, w in zip(train_set.ids.tolist(), weights.tolist())]
 
 
 def test_instance_weights_load_rejects_bad_header(tmp_path):
@@ -263,8 +283,7 @@ def test_train_plain_bitwise_equals_single_model_engine():
 def test_train_plain_accepts_instance_weights():
     data = tiny_dataset(n=16)
     config = small_config(total_steps=4)
-    weights = InstanceWeights(np.ones(16))
-    result = train_plain(data, None, config, weights=weights)
+    result = train_plain(data, None, config, weights=np.ones(16))
     bare = train_plain(data, None, config)
     assert result.reports == bare.reports
 
@@ -285,23 +304,44 @@ def test_train_plain_converges_on_separable_data():
 # ---------------------------------------------------------------- crossweigh
 
 
-def test_fold_partition_properties():
-    rng = np.random.default_rng(4)
+def record_subsets(monkeypatch):
+    """The row indices of each LabeledDataset.subset call, in call order."""
+    subsets = []
+    original = LabeledDataset.subset
+
+    def recording(dataset, indices):
+        subsets.append(indices)
+        return original(dataset, indices)
+
+    monkeypatch.setattr(LabeledDataset, "subset", recording)
+    return subsets
+
+
+def test_fold_partition_properties(monkeypatch):
+    """Each iteration's reserved folds, the rows outside each fold model's
+    training rows, are disjoint, cover every row and differ in size by at
+    most one."""
+    subsets = record_subsets(monkeypatch)
     for n, folds in ((10, 2), (11, 3), (50, 5)):
-        parts = fold_partition(n, folds, rng)
-        assert len(parts) == folds
-        joined = np.sort(np.concatenate(parts))
-        np.testing.assert_array_equal(joined, np.arange(n))
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
+        subsets.clear()
+        crossweigh_weights(tiny_dataset(n=n, num_classes=2), folds=folds,
+                           iterations=2, config=small_config(total_steps=1))
+        assert len(subsets) == 2 * folds
+        for it in range(2):
+            parts = [np.setdiff1d(np.arange(n), train_idx)
+                     for train_idx in subsets[it * folds:(it + 1) * folds]]
+            joined = np.sort(np.concatenate(parts))
+            np.testing.assert_array_equal(joined, np.arange(n))
+            sizes = [len(p) for p in parts]
+            assert max(sizes) - min(sizes) <= 1
 
 
 def test_fold_partition_errors():
-    rng = np.random.default_rng(0)
+    config = small_config()
     with pytest.raises(ValueError):
-        fold_partition(10, 1, rng)
+        crossweigh_weights(tiny_dataset(n=10), folds=1, iterations=1, config=config)
     with pytest.raises(ValueError):
-        fold_partition(3, 4, rng)
+        crossweigh_weights(tiny_dataset(n=3), folds=4, iterations=1, config=config)
 
 
 @pytest.mark.parametrize("n, folds", [(10, 3), (23, 4), (7, 7)])
@@ -311,19 +351,12 @@ def test_crossweigh_trains_each_fold_on_the_other_rows_in_order(monkeypatch, n, 
     when the folds are uneven."""
     data = tiny_dataset(n=n, num_classes=2)
     config = small_config(total_steps=2)
-    subsets = []
-    original = LabeledDataset.subset
-
-    def recording(dataset, indices):
-        subsets.append(indices)
-        return original(dataset, indices)
-
-    monkeypatch.setattr(LabeledDataset, "subset", recording)
+    subsets = record_subsets(monkeypatch)
     crossweigh_weights(data, folds=folds, iterations=2, config=config)
     expected = [np.sort(np.setdiff1d(np.arange(n), reserved))
                 for it in range(2)
-                for reserved in fold_partition(
-                    n, folds, substream(config.master_seed, f"crossweigh.{it}"))]
+                for reserved in np.array_split(substream(
+                    config.master_seed, f"crossweigh.{it}").permutation(n), folds)]
     assert len(subsets) == len(expected) == 2 * folds
     for got, want in zip(subsets, expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -334,9 +367,9 @@ def test_crossweigh_weight_values_are_powers():
     config = small_config(total_steps=5)
     weights = crossweigh_weights(data, folds=2, iterations=2, config=config,
                                  base_weight=0.7)
-    assert len(weights.values) == 20
+    assert len(weights) == 20
     legal = {round(0.7 ** c, 12) for c in range(3)}
-    assert {round(float(w), 12) for w in weights.values} <= legal
+    assert {round(float(w), 12) for w in weights} <= legal
 
 
 def test_crossweigh_clean_easy_data_keeps_weight_one():
@@ -348,7 +381,7 @@ def test_crossweigh_clean_easy_data_keeps_weight_one():
     config = small_config(total_steps=60, batch_size=16, base_lr=0.02,
                           hidden_sizes=(8,))
     weights = crossweigh_weights(train_set, folds=2, iterations=1, config=config)
-    np.testing.assert_array_equal(weights.values, np.ones(80))
+    np.testing.assert_array_equal(weights, np.ones(80))
 
 
 def test_crossweigh_flags_planted_wrong_label():
@@ -362,8 +395,8 @@ def test_crossweigh_flags_planted_wrong_label():
                           hidden_sizes=(8,))
     weights = crossweigh_weights(planted, folds=3, iterations=2, config=config,
                                  base_weight=0.7)
-    assert weights.values[7] == pytest.approx(0.7 ** 2)
-    assert np.mean(weights.values == 1.0) > 0.9
+    assert weights[7] == pytest.approx(0.7 ** 2)
+    assert np.mean(weights == 1.0) > 0.9
 
 
 def test_crossweigh_deterministic():
@@ -371,7 +404,7 @@ def test_crossweigh_deterministic():
     config = small_config(total_steps=4)
     a = crossweigh_weights(data, folds=3, iterations=1, config=config)
     b = crossweigh_weights(data, folds=3, iterations=1, config=config)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_crossweigh_validation():

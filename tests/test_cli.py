@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -311,6 +312,22 @@ def test_train_window_above_256_exits_1(runner, tmp_path):
         else:
             assert_clean_exit(result, 1)
             assert result.stderr == "error: data.window must be in [0, 256]\n"
+
+
+def test_train_num_models_above_64_exits_1(runner, tmp_path):
+    """train.num_models is at most 64: a larger count, such as a typo of ten
+    million that would spend minutes deriving init seeds, is a config error
+    reported at once, before the run directory is made."""
+    config_path = tmp_path / "config.yaml"
+    for num_models in (65, 10**7):
+        write_config(config_path, train={"num_models": num_models, "batch_size": 20,
+                                         "hidden_sizes": [4], "dropout": 0.0})
+        started = time.monotonic()
+        result = runner.invoke(main, ["train", str(config_path)])
+        assert time.monotonic() - started < 5.0
+        assert_clean_exit(result, 1)
+        assert result.stderr == "error: train.num_models must be in [1, 64]\n"
+        assert not (tmp_path / "run").exists()
 
 
 def test_analyze_noise_invalid_config_exits_1(runner, tmp_path):

@@ -39,8 +39,6 @@ SHARED = {
     "write_records": (TASK_RECORDS, [("cli", "record.write_records")]),
     "score": (TASK_RECORDS, [("datasets", "TASKS[task].score")]),
     "window": (TASK_RECORDS, [("cli", "record.window")]),
-    "save_csv": ({"noiselab.FlipMask", "baselines.InstanceWeights"},
-                 [("experiment", "mask.save_csv"), ("experiment", "weights.save_csv")]),
 }
 
 
